@@ -91,10 +91,12 @@ def bivector(b: HomogeneousBracket) -> DiffPoly:
     cached = b._cache.get("bivector")
     if cached is not None:
         return cached
-    total = DiffPoly.zero()
     half = Scalar.from_fraction(1) / 2
-    for (i, j, s), entry in b.P.items():
-        total = total + entry * DiffPoly.theta(i, 0) * DiffPoly.theta(j, s) * half
+    parts = (
+        entry * DiffPoly.theta(i, 0) * DiffPoly.theta(j, s) * half
+        for (i, j, s), entry in b.P.items()
+    )
+    total = sum(parts, DiffPoly.zero())
     b._cache["bivector"] = total
     return total
 
@@ -151,10 +153,11 @@ def skew_defects(b: HomogeneousBracket) -> list[tuple[int, int, int, DiffPoly]]:
     for i in range(1, b.n + 1):
         for j in range(1, b.n + 1):
             for t in range(b.k + 1):
-                rhs = DiffPoly.zero()
-                for s in range(t, b.k + 1):
-                    term = b.entry(i, j, s).d_x_pow(s - t) * comb(s, t)
-                    rhs = rhs + (term if (s + 1) % 2 == 0 else -term)
+                parts = (
+                    b.entry(i, j, s).d_x_pow(s - t) * ((-1) ** (s + 1) * comb(s, t))
+                    for s in range(t, b.k + 1)
+                )
+                rhs = sum(parts, DiffPoly.zero())
                 defect = b.entry(j, i, t) - rhs
                 if not defect.is_zero:
                     out.append((i, j, t, defect))
@@ -259,23 +262,22 @@ def transform(b: HomogeneousBracket, cmap: CoordinateMap) -> HomogeneousBracket:
             col.append(col[-1].d_x())
         return col[t]
 
+    def contracted(i, j, s, t):
+        """J^i_{i'} P_{s+t}^{i'j'} d_x^t(J^j_{j'}), summed over i' and j'."""
+        parts = (
+            entry * jac[i - 1][ip - 1] * jac_deriv(j - 1, jp - 1, t)
+            for ip in range(1, n + 1)
+            for jp in range(1, n + 1)
+            if (entry := b.entry(ip, jp, s + t))
+        )
+        return sum(parts, DiffPoly.zero())
+
     raw = {}
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             for s in range(k + 1):
-                acc = DiffPoly.zero()
-                for t in range(0, k - s + 1):
-                    coef = comb(s + t, s)
-                    inner = DiffPoly.zero()
-                    for ip in range(1, n + 1):
-                        for jp in range(1, n + 1):
-                            entry = b.entry(ip, jp, s + t)
-                            if entry.is_zero:
-                                continue
-                            inner = inner + entry * jac[i - 1][ip - 1] * jac_deriv(
-                                j - 1, jp - 1, t
-                            )
-                    acc = acc + inner * coef
+                parts = (contracted(i, j, s, t) * comb(s + t, s) for t in range(k - s + 1))
+                acc = sum(parts, DiffPoly.zero())
                 if not acc.is_zero:
                     raw[(i, j, s)] = acc
 
@@ -306,26 +308,40 @@ def constant_bracket(g: list, k: int) -> HomogeneousBracket:
     return HomogeneousBracket(n=n, k=k, P=P)
 
 
+def _gauss_jordan(rows: list) -> tuple[list, list]:
+    """Reduced row echelon form over the rational function field.
+
+    Returns the reduced rows and, in order, the pivot column of each of the
+    leading rows; the rows after those are zero.
+    """
+    rows = [list(r) for r in rows]
+    pivots: list = []
+    for col in range(len(rows[0]) if rows else 0):
+        top = len(pivots)
+        if top == len(rows):
+            break
+        pivot = next((r for r in range(top, len(rows)) if not rows[r][col].is_zero), None)
+        if pivot is None:
+            continue
+        rows[top], rows[pivot] = rows[pivot], rows[top]
+        inv = Scalar.one() / rows[top][col]
+        rows[top] = [x * inv for x in rows[top]]
+        for r in range(len(rows)):
+            if r != top and not rows[r][col].is_zero:
+                factor = rows[r][col]
+                rows[r] = [a - factor * c for a, c in zip(rows[r], rows[top])]
+        pivots.append(col)
+    return rows, pivots
+
+
 def lower_metric(g: list) -> list:
     """Invert the leading-coefficient matrix over the rational function field."""
     n = len(g)
     aug = [[g[i][j] for j in range(n)] + [Scalar.one() if i == j else Scalar.zero() for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = None
-        for row in range(col, n):
-            if not aug[row][col].is_zero:
-                pivot = row
-                break
-        if pivot is None:
-            raise DegenerateMetricError("leading coefficient matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Scalar.one() / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for row in range(n):
-            if row != col and not aug[row][col].is_zero:
-                factor = aug[row][col]
-                aug[row] = [a - factor * c for a, c in zip(aug[row], aug[col])]
-    return [row[n:] for row in aug]
+    rows, pivots = _gauss_jordan(aug)
+    if pivots[:n] != list(range(n)):
+        raise DegenerateMetricError("leading coefficient matrix is singular")
+    return [row[n:] for row in rows]
 
 
 def metric_pair(b: HomogeneousBracket) -> tuple:

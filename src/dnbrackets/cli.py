@@ -126,6 +126,13 @@ def _parse_entry_expr(text, where: str) -> DiffPoly:
         raise InputError(f"{where}: {exc}") from exc
 
 
+def _scalar_cell(cell, where: str):
+    poly = _parse_entry_expr(cell, where)
+    if not poly.is_scalar():
+        raise InputError(f"{where}: jets are not allowed here")
+    return poly.to_scalar()
+
+
 def _scalar_matrix(rows, n: int, where: str) -> list:
     if not (isinstance(rows, list) and len(rows) == n):
         raise InputError(f"{where}: expected {n} rows")
@@ -133,19 +140,13 @@ def _scalar_matrix(rows, n: int, where: str) -> list:
     for r, row in enumerate(rows):
         if not (isinstance(row, list) and len(row) == n):
             raise InputError(f"{where}: row {r + 1} must have {n} entries")
-        new = []
-        for cidx, cell in enumerate(row):
-            poly = _parse_entry_expr(cell, f"{where}[{r + 1}][{cidx + 1}]")
-            if not poly.is_scalar():
-                raise InputError(
-                    f"{where}[{r + 1}][{cidx + 1}]: jets are not allowed here"
-                )
-            new.append(poly.to_scalar())
-        out.append(new)
+        out.append(
+            [_scalar_cell(cell, f"{where}[{r + 1}][{c + 1}]") for c, cell in enumerate(row)]
+        )
     return out
 
 
-def load_bracket(path: str) -> HomogeneousBracket:
+def _load_document(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -155,12 +156,22 @@ def load_bracket(path: str) -> HomogeneousBracket:
         raise InputError(f"{path}:{exc.lineno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise InputError(f"{path}: top level must be an object")
+    return doc
+
+
+def _dimension(doc: dict, path: str) -> int:
     try:
         n = int(doc["dimension"])
     except (KeyError, TypeError, ValueError):
         raise InputError(f"{path}: missing or bad 'dimension'") from None
     if n < 1:
         raise InputError(f"{path}: dimension must be >= 1")
+    return n
+
+
+def load_bracket(path: str) -> HomogeneousBracket:
+    doc = _load_document(path)
+    n = _dimension(doc, path)
     names = doc.get("coordinates")
     if names is not None and names != [f"u{i}" for i in range(1, n + 1)]:
         raise InputError(f"{path}: coordinates must be u1..u{n} in order")
@@ -220,29 +231,15 @@ def load_bracket(path: str) -> HomogeneousBracket:
 
 
 def load_map(path: str, n: int) -> CoordinateMap:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}:{exc.lineno}: {exc.msg}") from exc
-    if not isinstance(doc, dict):
-        raise InputError(f"{path}: top level must be an object")
-    if int(doc.get("dimension", n)) != n:
+    doc = _load_document(path)
+    if "dimension" in doc and _dimension(doc, path) != n:
         raise InputError(f"{path}: map dimension does not match the bracket")
 
     def side(key):
         rows = doc.get(key)
         if not (isinstance(rows, list) and len(rows) == n):
             raise InputError(f"{path}: '{key}' must list {n} expressions")
-        out = []
-        for i, cell in enumerate(rows):
-            poly = _parse_entry_expr(cell, f"{path}: {key}[{i + 1}]")
-            if not poly.is_scalar():
-                raise InputError(f"{path}: {key}[{i + 1}]: jets are not allowed here")
-            out.append(poly.to_scalar())
-        return out
+        return [_scalar_cell(cell, f"{path}: {key}[{i + 1}]") for i, cell in enumerate(rows)]
 
     cmap = CoordinateMap(n=n, forward=side("forward"), inverse=side("inverse"))
     problems = cmap.check_inverse()

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .bracket import HomogeneousBracket, lower_metric, metric_pair
+from .bracket import HomogeneousBracket, _gauss_jordan, lower_metric, metric_pair
 from .scalar import Scalar
 
 __all__ = [
@@ -259,30 +259,4 @@ def genericity(b: HomogeneousBracket) -> int:
                 for j in range(n)
             ]
         )
-    return _rank(rows)
-
-
-def _rank(rows: list) -> int:
-    rows = [list(r) for r in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    pivot_col = 0
-    while rank < len(rows) and pivot_col < ncols:
-        pivot = None
-        for r in range(rank, len(rows)):
-            if not rows[r][pivot_col].is_zero:
-                pivot = r
-                break
-        if pivot is None:
-            pivot_col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = Scalar.one() / rows[rank][pivot_col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and not rows[r][pivot_col].is_zero:
-                f = rows[r][pivot_col]
-                rows[r] = [a - f * c for a, c in zip(rows[r], rows[rank])]
-        rank += 1
-        pivot_col += 1
-    return rank
+    return len(_gauss_jordan(rows)[1])

@@ -15,14 +15,19 @@ the chain rule u^i -> u^{i,1}.
 
 Partial derivatives with respect to odd variables are left derivatives:
 the variable is anticommuted to the front of the word and then removed.
+
+A term dict never holds a zero coefficient: every sum of terms goes through
+scalar._collect, and _wrap builds a DiffPoly around a dict that already
+satisfies this.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalar import Scalar
+from .scalar import Scalar, _collect, _mono_lower, _mono_mul, _power
 
 EvenKey = tuple  # (((i, s), e), ...)
 OddKey = tuple  # ((s, i), ...)
@@ -86,33 +91,6 @@ def _odd_mul(o1: OddKey, o2: OddKey):
     return sign, tuple(merged)
 
 
-def _normalize_odd(word):
-    """Sort an odd word, tracking the permutation sign; None if a repeat."""
-    w = list(word)
-    sign = 1
-    for idx in range(1, len(w)):
-        j = idx
-        while j > 0 and w[j] < w[j - 1]:
-            w[j], w[j - 1] = w[j - 1], w[j]
-            sign = -sign
-            j -= 1
-    for a, b in zip(w, w[1:]):
-        if a == b:
-            return None
-    return sign, tuple(w)
-
-
-def _even_mul(e1: EvenKey, e2: EvenKey) -> EvenKey:
-    if not e1:
-        return e2
-    if not e2:
-        return e1
-    exps = dict(e1)
-    for v, e in e2:
-        exps[v] = exps.get(v, 0) + e
-    return tuple(sorted(exps.items()))
-
-
 def term_deg(key: TermKey) -> int:
     """Differential-order weight: u^{i,s} and theta_i^s both count s."""
     even, odd = key
@@ -137,6 +115,15 @@ _GRADINGS = {
     "deg_u": lambda key, k: term_deg_u(key),
     "deg_theta_k": term_deg_theta_k,
 }
+
+
+def _grading(name: str, k: int | None):
+    fn = _GRADINGS.get(name)
+    if fn is None:
+        raise ValueError(f"unknown grading {name!r}")
+    if name == "deg_theta_k" and k is None:
+        raise ValueError("grading 'deg_theta_k' needs the bracket degree k")
+    return fn
 
 
 class DiffPoly:
@@ -199,13 +186,10 @@ class DiffPoly:
         return self.terms.get(_EMPTY_KEY, Scalar.zero())
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, DiffPoly):
-            return self.terms == other.terms
-        if isinstance(other, (int, Fraction, Scalar)):
-            return self == DiffPoly.from_scalar(
-                other if isinstance(other, Scalar) else Scalar.from_fraction(other)
-            )
-        return NotImplemented
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.terms == other.terms
 
     __hash__ = None
 
@@ -219,24 +203,12 @@ class DiffPoly:
             return other
         if other.is_zero:
             return self
-        r = dict(self.terms)
-        for k, c in other.terms.items():
-            s = r.get(k)
-            s = c if s is None else s + c
-            if s.is_zero:
-                r.pop(k, None)
-            else:
-                r[k] = s
-        out = DiffPoly.__new__(DiffPoly)
-        out.terms = r
-        return out
+        return _wrap(_collect(other.terms.items(), self.terms))
 
     __radd__ = __add__
 
     def __neg__(self) -> "DiffPoly":
-        out = DiffPoly.__new__(DiffPoly)
-        out.terms = {k: -c for k, c in self.terms.items()}
-        return out
+        return _wrap({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -255,31 +227,20 @@ class DiffPoly:
             sc = other if isinstance(other, Scalar) else Scalar.from_fraction(other)
             if sc.is_zero:
                 return DiffPoly.zero()
-            out = DiffPoly.__new__(DiffPoly)
-            out.terms = {k: c * sc for k, c in self.terms.items()}
-            return out
+            return _wrap({k: c * sc for k, c in self.terms.items()})
         if not isinstance(other, DiffPoly):
             return NotImplemented
-        r: dict = {}
-        for (e1, o1), c1 in self.terms.items():
-            for (e2, o2), c2 in other.terms.items():
-                om = _odd_mul(o1, o2)
-                if om is None:
-                    continue
-                sign, odd = om
-                key = (_even_mul(e1, e2), odd)
-                c = c1 * c2
-                if sign < 0:
-                    c = -c
-                s = r.get(key)
-                s = c if s is None else s + c
-                if s.is_zero:
-                    r.pop(key, None)
-                else:
-                    r[key] = s
-        out = DiffPoly.__new__(DiffPoly)
-        out.terms = r
-        return out
+
+        def products():
+            for (e1, o1), c1 in self.terms.items():
+                for (e2, o2), c2 in other.terms.items():
+                    om = _odd_mul(o1, o2)
+                    if om is not None:
+                        sign, odd = om
+                        c = c1 * c2
+                        yield (_mono_mul(e1, e2), odd), (c if sign > 0 else -c)
+
+        return _wrap(_collect(products()))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
@@ -289,10 +250,7 @@ class DiffPoly:
     def __pow__(self, e: int) -> "DiffPoly":
         if e < 0:
             raise ValueError("negative powers of differential polynomials")
-        r = DiffPoly.one()
-        for _ in range(e):
-            r = r * self
-        return r
+        return _power(self, e, DiffPoly.one(), operator.mul)
 
     # -- derivations ----------------------------------------------------
 
@@ -309,98 +267,50 @@ class DiffPoly:
 
     def partial_coordinate(self, i: int) -> "DiffPoly":
         """Differentiate the Scalar coefficients with respect to u^i."""
-        r: dict = {}
-        for key, c in self.terms.items():
-            dc = c.partial(i)
-            if not dc.is_zero:
-                r[key] = dc
-        out = DiffPoly.__new__(DiffPoly)
-        out.terms = r
-        return out
+        return _wrap({key: dc for key, c in self.terms.items() if (dc := c.partial(i))})
+
+    # Removing one variable from a term is injective on the terms that hold
+    # it, so the two partials below need no accumulation.
 
     def _partial_jet(self, i: int, s: int) -> "DiffPoly":
         if s == 0:
             return self.partial_coordinate(i)
         target = (i, s)
-        r: dict = {}
-        for (even, odd), c in self.terms.items():
-            exps = dict(even)
-            e = exps.get(target, 0)
-            if not e:
-                continue
-            if e == 1:
-                del exps[target]
-            else:
-                exps[target] = e - 1
-            key = (tuple(sorted(exps.items())), odd)
-            nc = c * e
-            old = r.get(key)
-            nc = nc if old is None else old + nc
-            if nc.is_zero:
-                r.pop(key, None)
-            else:
-                r[key] = nc
-        out = DiffPoly.__new__(DiffPoly)
-        out.terms = r
-        return out
+        return _wrap(
+            {
+                (_mono_lower(even, target), odd): c * e
+                for (even, odd), c in self.terms.items()
+                if (e := dict(even).get(target))
+            }
+        )
 
     def _partial_theta(self, i: int, s: int) -> "DiffPoly":
         target = (s, i)
         r: dict = {}
         for (even, odd), c in self.terms.items():
-            if target not in odd:
-                continue
-            p = odd.index(target)
-            rest = odd[:p] + odd[p + 1 :]
-            nc = -c if p % 2 else c
-            key = (even, rest)
-            old = r.get(key)
-            nc = nc if old is None else old + nc
-            if nc.is_zero:
-                r.pop(key, None)
-            else:
-                r[key] = nc
-        out = DiffPoly.__new__(DiffPoly)
-        out.terms = r
-        return out
+            if target in odd:
+                p = odd.index(target)
+                r[(even, odd[:p] + odd[p + 1 :])] = -c if p % 2 else c
+        return _wrap(r)
 
     def d_x(self) -> "DiffPoly":
         """Total x-derivative: chain rule on coefficients plus order shifts."""
-        acc: dict = {}
 
-        def add(key, c):
-            old = acc.get(key)
-            c = c if old is None else old + c
-            if c.is_zero:
-                acc.pop(key, None)
-            else:
-                acc[key] = c
+        def pairs():
+            for (even, odd), c in self.terms.items():
+                for v in sorted(c.variables()):
+                    yield (_mono_mul(even, (((v, 1), 1),)), odd), c.partial(v)
+                for (i, s), e in even:
+                    shifted = _mono_mul(_mono_lower(even, (i, s)), (((i, s + 1), 1),))
+                    yield (shifted, odd), c * e
+                for p, (s, i) in enumerate(odd):
+                    # move the raised variable to the front (p swaps), then merge it back
+                    om = _odd_mul(((s + 1, i),), odd[:p] + odd[p + 1 :])
+                    if om is not None:
+                        sign, word = om
+                        yield (even, word), (c if sign * (-1) ** p > 0 else -c)
 
-        for (even, odd), c in self.terms.items():
-            for v in sorted(c.variables()):
-                dc = c.partial(v)
-                if dc.is_zero:
-                    continue
-                key = (_even_mul(even, (((v, 1), 1),)), odd)
-                add(key, dc)
-            for (i, s), e in even:
-                exps = dict(even)
-                if e == 1:
-                    del exps[(i, s)]
-                else:
-                    exps[(i, s)] = e - 1
-                exps[(i, s + 1)] = exps.get((i, s + 1), 0) + 1
-                add((tuple(sorted(exps.items())), odd), c * e)
-            for p, (s, i) in enumerate(odd):
-                word = odd[:p] + ((s + 1, i),) + odd[p + 1 :]
-                norm = _normalize_odd(word)
-                if norm is None:
-                    continue
-                sign, nw = norm
-                add((even, nw), c if sign > 0 else -c)
-        out = DiffPoly.__new__(DiffPoly)
-        out.terms = acc
-        return out
+        return _wrap(_collect(pairs()))
 
     def d_x_pow(self, s: int) -> "DiffPoly":
         r = self
@@ -410,45 +320,21 @@ class DiffPoly:
 
     def variational_u(self, i: int) -> "DiffPoly":
         """Variational derivative with respect to u^i."""
-        out = self.partial_coordinate(i)
-        for s in range(1, self.max_jet_order() + 1):
-            p = self._partial_jet(i, s)
-            if p.is_zero:
-                continue
-            p = p.d_x_pow(s)
-            out = out + (p if s % 2 == 0 else -p)
-        return out
+        return _alternating_sum(self._partial_jet, i, self.max_jet_order())
 
     def variational_theta(self, i: int) -> "DiffPoly":
         """Variational derivative with respect to theta_i."""
-        out = DiffPoly.zero()
-        for s in range(0, self.max_theta_order() + 1):
-            p = self._partial_theta(i, s)
-            if p.is_zero:
-                continue
-            p = p.d_x_pow(s)
-            out = out + (p if s % 2 == 0 else -p)
-        return out
+        return _alternating_sum(self._partial_theta, i, self.max_theta_order())
 
     # -- gradings and projections ---------------------------------------
 
     def project(self, grading: str, d: int, k: int | None = None) -> "DiffPoly":
         """Keep the terms whose given grading equals d."""
-        fn = _GRADINGS.get(grading)
-        if fn is None:
-            raise ValueError(f"unknown grading {grading!r}")
-        if grading == "deg_theta_k" and k is None:
-            raise ValueError("grading 'deg_theta_k' needs the bracket degree k")
-        out = DiffPoly.__new__(DiffPoly)
-        out.terms = {key: c for key, c in self.terms.items() if fn(key, k) == d}
-        return out
+        fn = _grading(grading, k)
+        return _wrap({key: c for key, c in self.terms.items() if fn(key, k) == d})
 
     def degrees(self, grading: str, k: int | None = None) -> set:
-        fn = _GRADINGS.get(grading)
-        if fn is None:
-            raise ValueError(f"unknown grading {grading!r}")
-        if grading == "deg_theta_k" and k is None:
-            raise ValueError("grading 'deg_theta_k' needs the bracket degree k")
+        fn = _grading(grading, k)
         return {fn(key, k) for key in self.terms}
 
     def is_homogeneous(self, grading: str, d: int, k: int | None = None) -> bool:
@@ -456,20 +342,10 @@ class DiffPoly:
         return degs <= {d}
 
     def max_jet_order(self) -> int:
-        m = 0
-        for even, _ in self.terms:
-            for (_, s), _e in even:
-                if s > m:
-                    m = s
-        return m
+        return max((s for even, _ in self.terms for (_, s), _e in even), default=0)
 
     def max_theta_order(self) -> int:
-        m = -1
-        for _, odd in self.terms:
-            for s, _ in odd:
-                if s > m:
-                    m = s
-        return m
+        return max((s for _, odd in self.terms for s, _ in odd), default=-1)
 
     def coefficient(self, even: EvenKey, odd: OddKey) -> Scalar:
         return self.terms.get((even, odd), Scalar.zero())
@@ -491,10 +367,9 @@ class DiffPoly:
             for v, img in theta_map.items():
                 kk = (v.s, v.i) if isinstance(v, ThetaVar) else tuple(v)
                 tm[kk] = img
-        total = DiffPoly.zero()
-        for (even, odd), c in self.terms.items():
-            sc = c.subs(coord_map) if coord_map else c
-            acc = DiffPoly.from_scalar(sc)
+
+        def image(even, odd, c):
+            acc = DiffPoly.from_scalar(c.subs(coord_map) if coord_map else c)
             for (i, s), e in even:
                 img = jm.get((i, s))
                 if img is None:
@@ -505,8 +380,10 @@ class DiffPoly:
                 if img is None:
                     img = DiffPoly.theta(i, s)
                 acc = acc * img
-            total = total + acc
-        return total
+            return acc
+
+        parts = (image(even, odd, c) for (even, odd), c in self.terms.items())
+        return sum(parts, DiffPoly.zero())
 
     # -- printing -------------------------------------------------------
 
@@ -524,6 +401,23 @@ class DiffPoly:
 
     def __repr__(self) -> str:
         return f"DiffPoly({self})"
+
+
+def _wrap(terms: dict) -> DiffPoly:
+    """A DiffPoly holding terms, which has no zero coefficient."""
+    out = DiffPoly.__new__(DiffPoly)
+    out.terms = terms
+    return out
+
+
+def _alternating_sum(partial, i: int, top: int) -> DiffPoly:
+    """sum_{s=0..top} (-d_x)^s partial(i, s): the shared variational formula."""
+    parts = (
+        p.d_x_pow(s) if s % 2 == 0 else -p.d_x_pow(s)
+        for s in range(top + 1)
+        if (p := partial(i, s))
+    )
+    return sum(parts, DiffPoly.zero())
 
 
 def _term_str(key: TermKey, c: Scalar) -> tuple[int, str]:

@@ -45,23 +45,19 @@ def _dx_powers(b: HomogeneousBracket, family: str, i: int, s: int) -> DiffPoly:
 
 def apply_DP(b: HomogeneousBracket, a: DiffPoly) -> DiffPoly:
     """Apply the odd vector field D_P to a."""
-    if a.is_zero:
-        return DiffPoly.zero()
-    out = DiffPoly.zero()
-    max_jet = a.max_jet_order()
-    max_theta = a.max_theta_order()
-    for i in range(1, b.n + 1):
-        for s in range(0, max_jet + 1):
-            da = a.partial_coordinate(i) if s == 0 else a._partial_jet(i, s)
-            if da.is_zero:
-                continue
-            out = out + _dx_powers(b, "theta", i, s) * da
-        for s in range(0, max_theta + 1):
-            da = a._partial_theta(i, s)
-            if da.is_zero:
-                continue
-            out = out + _dx_powers(b, "u", i, s) * da
-    return out
+    # D_P(u^{i,s}) is d_x^s of dP~/dtheta_i and D_P(theta_i^s) of dP~/du^i
+    sides = (
+        ("theta", a._partial_jet, a.max_jet_order()),
+        ("u", a._partial_theta, a.max_theta_order()),
+    )
+    parts = (
+        _dx_powers(b, family, i, s) * da
+        for i in range(1, b.n + 1)
+        for family, partial, top in sides
+        for s in range(top + 1)
+        if (da := partial(i, s))
+    )
+    return sum(parts, DiffPoly.zero())
 
 
 def jacobi_defects(b: HomogeneousBracket) -> list[tuple[str, DiffPoly]]:

@@ -226,18 +226,14 @@ def canonical_k2(g: list) -> HomogeneousBracket:
         for j in range(i, n):
             if g[j][i] != -g[i][j]:
                 raise ValueError(f"leading coefficient must be skew: entry ({i+1},{j+1})")
-    P = {}
+    P = {}  # zero entries are dropped by HomogeneousBracket
     for i in range(n):
         for j in range(n):
-            if not g[i][j].is_zero:
-                P[(i + 1, j + 1, 2)] = DiffPoly.from_scalar(g[i][j])
-            tail = DiffPoly.zero()
-            for l in range(n):
-                dg = g[i][j].partial(l + 1)
-                if not dg.is_zero:
-                    tail = tail + DiffPoly.jet(l + 1, 1) * dg
-            if not tail.is_zero:
-                P[(i + 1, j + 1, 1)] = tail
+            P[(i + 1, j + 1, 2)] = DiffPoly.from_scalar(g[i][j])
+            parts = (
+                DiffPoly.jet(l + 1, 1) * dg for l in range(n) if (dg := g[i][j].partial(l + 1))
+            )
+            P[(i + 1, j + 1, 1)] = sum(parts, DiffPoly.zero())
     return HomogeneousBracket(n=n, k=2, P=P)
 
 
@@ -253,27 +249,27 @@ def potemin_build(g: list, c: list) -> HomogeneousBracket:
             if g[j][i] != g[i][j]:
                 raise ValueError(f"leading coefficient must be symmetric: entry ({i+1},{j+1})")
     lower_metric(g)  # raises DegenerateMetricError on singular input
-    P = {}
+
+    def first_order(cij):
+        """The terms c_l u^{l,2} + (dc_l/du^m) u^{l,1} u^{m,1} of P_1."""
+        for l in range(n):
+            if cij[l]:
+                yield DiffPoly.jet(l + 1, 2) * cij[l]
+            for m in range(n):
+                if dcl := cij[l].partial(m + 1):
+                    yield DiffPoly.jet(l + 1, 1) * DiffPoly.jet(m + 1, 1) * dcl
+
+    P = {}  # zero entries are dropped by HomogeneousBracket
     for i in range(n):
         for j in range(n):
-            if not g[i][j].is_zero:
-                P[(i + 1, j + 1, 3)] = DiffPoly.from_scalar(g[i][j])
-            p2 = DiffPoly.zero()
-            p1 = DiffPoly.zero()
-            for l in range(n):
-                bl = g[i][j].partial(l + 1) + c[i][j][l]
-                if not bl.is_zero:
-                    p2 = p2 + DiffPoly.jet(l + 1, 1) * bl
-                if not c[i][j][l].is_zero:
-                    p1 = p1 + DiffPoly.jet(l + 1, 2) * c[i][j][l]
-                for m in range(n):
-                    dcl = c[i][j][l].partial(m + 1)
-                    if not dcl.is_zero:
-                        p1 = p1 + DiffPoly.jet(l + 1, 1) * DiffPoly.jet(m + 1, 1) * dcl
-            if not p2.is_zero:
-                P[(i + 1, j + 1, 2)] = p2
-            if not p1.is_zero:
-                P[(i + 1, j + 1, 1)] = p1
+            P[(i + 1, j + 1, 3)] = DiffPoly.from_scalar(g[i][j])
+            parts = (
+                DiffPoly.jet(l + 1, 1) * bl
+                for l in range(n)
+                if (bl := g[i][j].partial(l + 1) + c[i][j][l])
+            )
+            P[(i + 1, j + 1, 2)] = sum(parts, DiffPoly.zero())
+            P[(i + 1, j + 1, 1)] = sum(first_order(c[i][j]), DiffPoly.zero())
     return HomogeneousBracket(n=n, k=3, P=P)
 
 

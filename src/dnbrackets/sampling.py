@@ -24,13 +24,13 @@ def random_fraction(rng: random.Random, span: int = 5) -> Fraction:
 
 def random_polynomial(rng: random.Random, n: int, terms: int = 2, deg: int = 2) -> Scalar:
     """A small polynomial in the coordinates u^1..u^n."""
-    out = Scalar.zero()
+    monomials = []
     for _ in range(rng.randint(1, terms)):
         mono = Scalar.from_fraction(random_fraction(rng))
         for _ in range(rng.randint(0, deg)):
             mono = mono * Scalar.coordinate(rng.randint(1, n))
-        out = out + mono
-    return out
+        monomials.append(mono)
+    return sum(monomials, Scalar.zero())
 
 
 def random_scalar(rng: random.Random, n: int, terms: int = 2, deg: int = 2) -> Scalar:
@@ -53,7 +53,7 @@ def random_diffpoly(
     max_factors: int = 3,
 ) -> DiffPoly:
     """A small differential polynomial over random Scalars."""
-    out = DiffPoly.zero()
+    parts = []
     for _ in range(rng.randint(1, terms)):
         term = DiffPoly.from_scalar(random_scalar(rng, n))
         for _ in range(rng.randint(0, max_factors)):
@@ -61,8 +61,8 @@ def random_diffpoly(
                 term = term * DiffPoly.jet(rng.randint(1, n), rng.randint(1, max_jet))
             else:
                 term = term * DiffPoly.theta(rng.randint(1, n), rng.randint(0, max_theta))
-        out = out + term
-    return out
+        parts.append(term)
+    return sum(parts, DiffPoly.zero())
 
 
 def random_monomial(

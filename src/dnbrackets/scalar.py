@@ -6,6 +6,9 @@ coefficient equal to 1) so that equality of values is equality of
 representations.  Polynomials are sparse dicts mapping a monomial, stored as
 a sorted tuple of (variable index, exponent) pairs, to its coefficient.
 Variable indices are 1-based to match the coordinate names u1, u2, ...
+
+Term dicts, here and in diffpoly, never hold a zero coefficient, and every
+sum of terms goes through _collect, which keeps that invariant.
 """
 
 from __future__ import annotations
@@ -15,8 +18,32 @@ from fractions import Fraction
 Mono = tuple  # ((var, exp), ...) with var >= 1, exp >= 1, sorted by var
 Poly = dict  # Mono -> Fraction, no zero values
 
-_ZERO_P: Poly = {}
 _ONE_P: Poly = {(): Fraction(1)}
+
+
+def _collect(pairs, start: dict | None = None) -> dict:
+    """Sum (key, coefficient) pairs into a copy of start; drop cancelled keys."""
+    r = {} if start is None else dict(start)
+    for key, c in pairs:
+        old = r.get(key)
+        s = c if old is None else old + c
+        if s:
+            r[key] = s
+        else:
+            r.pop(key, None)
+    return r
+
+
+def _power(x, e: int, one, mul):
+    """x**e for e >= 0 by repeated squaring."""
+    r = None
+    while e:
+        if e & 1:
+            r = x if r is None else mul(r, x)
+        e >>= 1
+        if e:
+            x = mul(x, x)
+    return one if r is None else r
 
 
 def _pconst(q: Fraction) -> Poly:
@@ -28,14 +55,7 @@ def _is_const(p: Poly) -> bool:
 
 
 def _padd(a: Poly, b: Poly) -> Poly:
-    r = dict(a)
-    for m, c in b.items():
-        s = r.get(m, 0) + c
-        if s:
-            r[m] = s
-        else:
-            r.pop(m, None)
-    return r
+    return _collect(b.items(), a)
 
 
 def _pneg(a: Poly) -> Poly:
@@ -43,7 +63,7 @@ def _pneg(a: Poly) -> Poly:
 
 
 def _psub(a: Poly, b: Poly) -> Poly:
-    return _padd(a, _pneg(b))
+    return _collect(((m, -c) for m, c in b.items()), a)
 
 
 def _pscale(a: Poly, q: Fraction) -> Poly:
@@ -63,6 +83,11 @@ def _mono_mul(m1: Mono, m2: Mono) -> Mono:
     return tuple(sorted(exps.items()))
 
 
+def _mono_lower(m: Mono, v) -> Mono:
+    """m divided by the variable v, which m contains."""
+    return tuple((w, e - 1) if w == v else (w, e) for w, e in m if w != v or e > 1)
+
+
 def _pmul(a: Poly, b: Poly) -> Poly:
     if not a or not b:
         return {}
@@ -70,51 +95,21 @@ def _pmul(a: Poly, b: Poly) -> Poly:
         return dict(b)
     if b == _ONE_P:
         return dict(a)
-    r: Poly = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            m = _mono_mul(m1, m2)
-            s = r.get(m, 0) + c1 * c2
-            if s:
-                r[m] = s
-            else:
-                r.pop(m, None)
-    return r
+    return _collect(
+        (_mono_mul(m1, m2), c1 * c2) for m1, c1 in a.items() for m2, c2 in b.items()
+    )
 
 
 def _ppow(a: Poly, e: int) -> Poly:
-    r = dict(_ONE_P)
-    for _ in range(e):
-        r = _pmul(r, a)
-    return r
+    return _power(a, e, _ONE_P, _pmul)
 
 
 def _pderiv(a: Poly, var: int) -> Poly:
-    r: Poly = {}
-    for m, c in a.items():
-        exps = dict(m)
-        e = exps.get(var, 0)
-        if not e:
-            continue
-        if e == 1:
-            del exps[var]
-        else:
-            exps[var] = e - 1
-        dm = tuple(sorted(exps.items()))
-        s = r.get(dm, 0) + c * e
-        if s:
-            r[dm] = s
-        else:
-            r.pop(dm, None)
-    return r
+    return {_mono_lower(m, var): c * e for m, c in a.items() if (e := dict(m).get(var))}
 
 
 def _pvars(a: Poly) -> set:
-    vs = set()
-    for m in a:
-        for v, _ in m:
-            vs.add(v)
-    return vs
+    return {v for m in a for v, _ in m}
 
 
 def _mono_key(m: Mono, nvars: int):
@@ -141,32 +136,25 @@ def _pdiv_exact(a: Poly, b: Poly) -> Poly:
     nv = max(_pvars(a) | _pvars(b), default=0)
     lead_b = max(b, key=lambda mm: _mono_key(mm, nv))
     cb = b[lead_b]
-    eb = dict(lead_b)
     rem = dict(a)
     quot: Poly = {}
+    # the leading monomial of rem strictly falls, so no quotient monomial repeats
     while rem:
         lead_r = max(rem, key=lambda mm: _mono_key(mm, nv))
-        er = dict(lead_r)
-        qm = {}
-        ok = True
-        for v, e in eb.items():
-            d = er.get(v, 0) - e
+        qm = dict(lead_r)
+        for v, e in lead_b:
+            d = qm.get(v, 0) - e
             if d < 0:
-                ok = False
-                break
+                raise ArithmeticError("inexact polynomial division")
             if d:
                 qm[v] = d
-        if ok:
-            for v, e in er.items():
-                if v not in eb and e:
-                    qm[v] = e
-        if not ok:
-            raise ArithmeticError("inexact polynomial division")
+            else:
+                del qm[v]
         qmono = tuple(sorted(qm.items()))
         qc = rem[lead_r] / cb
-        quot[qmono] = quot.get(qmono, 0) + qc
+        quot[qmono] = qc
         rem = _psub(rem, _pmul({qmono: qc}, b))
-    return {m: c for m, c in quot.items() if c}
+    return quot
 
 
 def _to_univ(a: Poly, x: int) -> dict:
@@ -175,28 +163,15 @@ def _to_univ(a: Poly, x: int) -> dict:
     for m, c in a.items():
         exps = dict(m)
         d = exps.pop(x, 0)
-        rest = tuple(sorted(exps.items()))
-        coef = out.setdefault(d, {})
-        s = coef.get(rest, 0) + c
-        if s:
-            coef[rest] = s
-        else:
-            coef.pop(rest, None)
-    return {d: p for d, p in out.items() if p}
+        out.setdefault(d, {})[tuple(sorted(exps.items()))] = c
+    return out
 
 
 def _from_univ(u: dict, x: int) -> Poly:
-    out: Poly = {}
-    for d, p in u.items():
-        xm = ((x, d),) if d else ()
-        for m, c in p.items():
-            mm = _mono_mul(m, xm)
-            s = out.get(mm, 0) + c
-            if s:
-                out[mm] = s
-            else:
-                out.pop(mm, None)
-    return out
+    """Inverse of _to_univ; the coefficients of u do not involve x."""
+    return {
+        _mono_mul(m, ((x, d),) if d else ()): c for d, p in u.items() for m, c in p.items()
+    }
 
 
 def _univ_mul_x(u: dict, shift: int, coef: Poly) -> dict:
@@ -204,12 +179,8 @@ def _univ_mul_x(u: dict, shift: int, coef: Poly) -> dict:
 
 
 def _univ_sub(a: dict, b: dict) -> dict:
-    r = {d: dict(p) for d, p in a.items()}
-    for d, p in b.items():
-        r[d] = _psub(r.get(d, {}), p)
-        if not r[d]:
-            del r[d]
-    return r
+    diffs = ((d, _psub(a.get(d, {}), b.get(d, {}))) for d in {**a, **b})
+    return {d: p for d, p in diffs if p}
 
 
 def _content(u: dict) -> Poly:
@@ -317,10 +288,6 @@ class Scalar:
             raise ZeroDivisionError("division by zero rational function")
         if not num:
             self.num = {}
-            self.den = dict(_ONE_P)
-            return
-        if _is_const(den):
-            self.num = _pscale(num, 1 / den[()])
             self.den = dict(_ONE_P)
             return
         self.num, self.den = _reduce(num, den)
@@ -465,18 +432,17 @@ class Scalar:
 
 
 def _reduce(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """Cancel the gcd of a nonzero num and den and make den's leading coefficient 1."""
+    if _is_const(den):
+        return _pscale(num, 1 / den[()]), dict(_ONE_P)
     g = _pgcd(num, den)
-    if g != _ONE_P and g:
+    if g != _ONE_P:
         num = _pdiv_exact(num, g)
         den = _pdiv_exact(den, g)
-    if _is_const(den):
-        num = _pscale(num, 1 / den[()])
-        den = dict(_ONE_P)
-    else:
-        _, lc = _plead(den)
-        if lc != 1:
-            num = _pscale(num, 1 / lc)
-            den = _pscale(den, 1 / lc)
+    _, lc = _plead(den)
+    if lc != 1:
+        num = _pscale(num, 1 / lc)
+        den = _pscale(den, 1 / lc)
     return num, den
 
 

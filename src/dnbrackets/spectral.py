@@ -71,19 +71,17 @@ def apply_D_graded(b: HomogeneousBracket, m: int, a: DiffPoly) -> DiffPoly:
 
 def D_minus1_closed(b: HomogeneousBracket, a: DiffPoly) -> DiffPoly:
     """Direct evaluation of sum_{s>=1} g^{ij} theta_j^{k+s} da/du^{i,s}."""
-    named = extract_named(b)
+    g = extract_named(b).g
     n, k = b.n, b.k
-    out = DiffPoly.zero()
-    for s in range(1, a.max_jet_order() + 1):
-        for i in range(1, n + 1):
-            pa = a.partial(JetVar(i, s))
-            if pa.is_zero:
-                continue
-            for j in range(1, n + 1):
-                gij = named.g[i - 1][j - 1]
-                if not gij.is_zero:
-                    out = out + DiffPoly.theta(j, k + s) * pa * gij
-    return out
+    parts = (
+        DiffPoly.theta(j, k + s) * pa * gij
+        for s in range(1, a.max_jet_order() + 1)
+        for i in range(1, n + 1)
+        if (pa := a.partial(JetVar(i, s)))
+        for j in range(1, n + 1)
+        if (gij := g[i - 1][j - 1])
+    )
+    return sum(parts, DiffPoly.zero())
 
 
 def _excluded_count(key, k: int) -> int:
@@ -100,25 +98,21 @@ def homotopy(b: HomogeneousBracket, a: DiffPoly) -> DiffPoly:
     """
     _, glow = metric_pair(b)
     n, k = b.n, b.k
-    out = DiffPoly.zero()
+    parts = []
     for (even, odd), coef in a.terms.items():
         l = _excluded_count((even, odd), k)
         if l == 0:
             continue
         term = DiffPoly({(even, odd): coef})
-        acc = DiffPoly.zero()
-        for s, j in odd:
-            if s <= k:
-                continue
-            pa = term.partial(ThetaVar(j, s))
-            if pa.is_zero:
-                continue
-            for i in range(1, n + 1):
-                gji = glow[j - 1][i - 1]
-                if not gji.is_zero:
-                    acc = acc + DiffPoly.jet(i, s - k) * pa * gji
-        out = out + acc * Fraction(1, l)
-    return out
+        terms = (
+            DiffPoly.jet(i, s - k) * pa * gji
+            for s, j in odd
+            if s > k and (pa := term.partial(ThetaVar(j, s)))
+            for i in range(1, n + 1)
+            if (gji := glow[j - 1][i - 1])
+        )
+        parts.append(sum(terms, DiffPoly.zero()) * Fraction(1, l))
+    return sum(parts, DiffPoly.zero())
 
 
 def in_B(a: DiffPoly, k: int) -> bool:
@@ -171,42 +165,33 @@ def d1_closed(b: HomogeneousBracket, x: DiffPoly) -> DiffPoly:
     x = include_B(x, b.k)
     named, h = _named_with_top(b)
     n, k = b.n, b.k
-    out = DiffPoly.zero()
-    for i in range(1, n + 1):
-        pa = x.partial_coordinate(i)
-        if pa.is_zero:
-            continue
-        for j in range(1, n + 1):
-            gij = named.g[i - 1][j - 1]
-            if not gij.is_zero:
-                out = out + DiffPoly.theta(j, k) * pa * gij
+    parts = [
+        DiffPoly.theta(j, k) * pa * gij
+        for i in range(1, n + 1)
+        if (pa := x.partial_coordinate(i))
+        for j in range(1, n + 1)
+        if (gij := named.g[i - 1][j - 1])
+    ]
     half = Scalar.from_fraction(Fraction(1, 2))
     for s in range(0, k + 1):
         for l in range(1, n + 1):
             pa = x.partial(ThetaVar(l, s))
             if pa.is_zero:
                 continue
-            mult = DiffPoly.zero()
-            for r in range(s, k + 1):
-                for t in range(0, k + 1):
-                    if k + s - t < 0:
-                        continue
-                    cf = comb(k + s - t, r)
-                    if cf == 0:
-                        continue
-                    weight = Fraction(cf if (k - t) % 2 == 0 else -cf)
-                    for i in range(1, n + 1):
-                        for j in range(1, n + 1):
-                            hv = h[t][i - 1][j - 1][l - 1]
-                            if hv.is_zero:
-                                continue
-                            pair = DiffPoly.theta(i, r) * DiffPoly.theta(j, k + s - r)
-                            if pair.is_zero:
-                                continue
-                            mult = mult + pair * hv * weight
+            terms = (
+                pair * hv * ((-1) ** (k - t) * cf)
+                for r in range(s, k + 1)
+                for t in range(0, k + 1)
+                if (cf := comb(k + s - t, r))
+                for i in range(1, n + 1)
+                for j in range(1, n + 1)
+                if (hv := h[t][i - 1][j - 1][l - 1])
+                and (pair := DiffPoly.theta(i, r) * DiffPoly.theta(j, k + s - r))
+            )
+            mult = sum(terms, DiffPoly.zero())
             if not mult.is_zero:
-                out = out + mult * pa * half
-    return out
+                parts.append(mult * pa * half)
+    return sum(parts, DiffPoly.zero())
 
 
 def d1_split(b: HomogeneousBracket, x: DiffPoly) -> tuple:
@@ -216,12 +201,9 @@ def d1_split(b: HomogeneousBracket, x: DiffPoly) -> tuple:
     groups: dict = {}
     for key, c in x.terms.items():
         groups.setdefault(term_deg_theta_k(key, k), {})[key] = c
-    up = DiffPoly.zero()
-    same = DiffPoly.zero()
-    for q, terms in groups.items():
-        part = d1_closed(b, DiffPoly(terms))
-        up = up + part.project("deg_theta_k", q + 1, k)
-        same = same + part.project("deg_theta_k", q, k)
+    parts = [(q, d1_closed(b, DiffPoly(terms))) for q, terms in groups.items()]
+    up = sum((part.project("deg_theta_k", q + 1, k) for q, part in parts), DiffPoly.zero())
+    same = sum((part.project("deg_theta_k", q, k) for q, part in parts), DiffPoly.zero())
     return up, same
 
 
@@ -240,43 +222,37 @@ def d1_as_connection(b: HomogeneousBracket, x: DiffPoly) -> DiffPoly:
     named, glow = metric_pair(b)
     n, k = b.n, b.k
 
-    forward = {}
-    for i in range(1, n + 1):
-        img = DiffPoly.zero()
-        for j in range(1, n + 1):
-            if not glow[i - 1][j - 1].is_zero:
-                img = img + DiffPoly.theta(j, k + 1) * glow[i - 1][j - 1]
-        forward[(k, i)] = img
-    xt = x.substitute(theta_map=forward)
+    def relabel(matrix, source, target):
+        """theta_i^source -> sum_j matrix[i][j] theta_j^target."""
+        images = {}
+        for i, row in enumerate(matrix, 1):
+            parts = (DiffPoly.theta(j, target) * m for j, m in enumerate(row, 1) if m)
+            images[(source, i)] = sum(parts, DiffPoly.zero())
+        return images
 
-    out = DiffPoly.zero()
-    for i in range(1, n + 1):
-        pa = xt.partial_coordinate(i)
-        if not pa.is_zero:
-            out = out + DiffPoly.theta(i, k + 1) * pa
+    xt = x.substitute(theta_map=relabel(glow, k, k + 1))
+    parts = [
+        DiffPoly.theta(i, k + 1) * pa
+        for i in range(1, n + 1)
+        if (pa := xt.partial_coordinate(i))
+    ]
     for s in range(0, k):
         conn = flat_combination(b, s)
         for l in range(1, n + 1):
             pa = xt.partial(ThetaVar(l, s))
             if pa.is_zero:
                 continue
-            mult = DiffPoly.zero()
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    gv = conn.gamma[j - 1][i - 1][l - 1]
-                    if not gv.is_zero:
-                        mult = mult + DiffPoly.theta(i, k + 1) * DiffPoly.theta(j, s) * gv
+            terms = (
+                DiffPoly.theta(i, k + 1) * DiffPoly.theta(j, s) * gv
+                for i in range(1, n + 1)
+                for j in range(1, n + 1)
+                if (gv := conn.gamma[j - 1][i - 1][l - 1])
+            )
+            mult = sum(terms, DiffPoly.zero())
             if not mult.is_zero:
-                out = out + mult * pa
-
-    back = {}
-    for j in range(1, n + 1):
-        img = DiffPoly.zero()
-        for l in range(1, n + 1):
-            if not named.g[j - 1][l - 1].is_zero:
-                img = img + DiffPoly.theta(l, k) * named.g[j - 1][l - 1]
-        back[(k + 1, j)] = img
-    return out.substitute(theta_map=back)
+                parts.append(mult * pa)
+    out = sum(parts, DiffPoly.zero())
+    return out.substitute(theta_map=relabel(named.g, k + 1, k))
 
 
 def spanning_monomials(n: int, k: int, max_degree: int = 3) -> list:

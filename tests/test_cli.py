@@ -248,6 +248,17 @@ def test_map_document_validation(tmp_path, capsys):
     assert code == 2
     assert "inverse" in err.lower() or "forward" in err.lower()
 
+    # a dimension that is not an integer is an input error, not a crash
+    for dimension in ("x", [2]):
+        path.write_text(
+            json.dumps({"dimension": dimension, "forward": ["u1", "u2"], "inverse": ["u1", "u2"]})
+        )
+        code, _, err = run(
+            capsys, "transform", fixture_path("lc_k1.json"), "--map", str(path)
+        )
+        assert code == 2
+        assert "input error" in err and "dimension" in err
+
 
 def test_load_bracket_entry_list_form(tmp_path):
     path = tmp_path / "doc.json"

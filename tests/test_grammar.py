@@ -1,11 +1,14 @@
 """Expression grammar: precedence, jets, and error reporting."""
 
+import time
+from fractions import Fraction
+
 import pytest
 
 from dnbrackets.diffpoly import DiffPoly
 from dnbrackets.errors import ParseError
 from dnbrackets.grammar import parse_expression
-from dnbrackets.scalar import parse_scalar
+from dnbrackets.scalar import Scalar, parse_scalar
 
 from conftest import S
 
@@ -32,6 +35,17 @@ def test_jet_variables():
     assert parse_expression("u2_0") == DiffPoly.coordinate(2)
     p = parse_expression("u1_1^2*u2")
     assert p == DiffPoly.jet(1, 1) * DiffPoly.jet(1, 1) * DiffPoly.coordinate(2)
+
+
+def test_powers_by_squaring():
+    x = parse_expression("u1 + 2*u2_1")
+    assert parse_expression("(u1 + 2*u2_1)^5") == x * x * x * x * x
+    assert parse_expression("(u1 + 2*u2_1)^0") == DiffPoly.one()
+    # a huge exponent costs a few dozen squarings, not 10^8 multiplications
+    t0 = time.perf_counter()
+    big = parse_expression("u1^100000000")
+    assert time.perf_counter() - t0 < 1.0
+    assert big == DiffPoly.from_scalar(Scalar({((1, 100000000),): Fraction(1)}))
 
 
 def test_rational_coefficients():

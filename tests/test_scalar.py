@@ -108,3 +108,34 @@ def test_equality_is_canonical():
     assert S("(2*u1)/(2*u2)") == S("u1/u2")
     assert S("1/2 + 1/3") == S("5/6")
     assert hash(S("u1 + u2")) == hash(S("u2 + u1"))
+
+
+def test_arithmetic_matches_sympy_oracle():
+    """+, -, *, / and partial agree with sympy.cancel and come out in lowest terms."""
+    sympy = pytest.importorskip("sympy")
+    u = sympy.symbols("u1:4")
+
+    def poly(p):
+        monomials = (
+            sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(u[v - 1] ** e for v, e in m))
+            for m, c in p.items()
+        )
+        return sympy.Add(*monomials)
+
+    rng = random.Random(5)
+    for _ in range(40):
+        a, b = random_scalar(rng, 3), random_scalar(rng, 3)
+        A, B = poly(a.num) / poly(a.den), poly(b.num) / poly(b.den)
+        cases = [(a + b, A + B), (a - b, A - B), (a * b, A * B)]
+        cases += [(a.partial(i), sympy.diff(A, u[i - 1])) for i in (1, 2, 3)]
+        if b.is_zero:
+            with pytest.raises(ZeroDivisionError):
+                a / b
+        else:
+            cases.append((a / b, A / B))
+        for got, want in cases:
+            want_num, want_den = sympy.fraction(sympy.cancel(want))
+            # equal denominators up to a constant: got is reduced as far as sympy's
+            ratio = sympy.cancel(poly(got.den) / want_den)
+            assert ratio.is_number and ratio != 0, (got, want)
+            assert sympy.expand(poly(got.num) - ratio * want_num) == 0, (got, want)
