@@ -17,21 +17,27 @@ lists, so g[i][j] is the coefficient attached to u^{i+1}, u^{j+1}.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from math import comb
+from types import MappingProxyType
 
 from .diffpoly import DiffPoly
 from .errors import DegenerateMetricError
 from .scalar import Scalar
 
 
-@dataclass
+@dataclass(frozen=True)
 class HomogeneousBracket:
-    """Degree-k bracket: P maps (i, j, s) to the coefficient of delta^(s)."""
+    """Degree-k bracket: P maps (i, j, s) to the coefficient of delta^(s).
+
+    Brackets are immutable: P is a read-only view of a private copy of the
+    entries, so the derived data cached in _cache cannot go stale.
+    """
 
     n: int
     k: int
-    P: dict = field(default_factory=dict)
+    P: Mapping = field(default_factory=dict)
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
@@ -49,7 +55,7 @@ class HomogeneousBracket:
                 raise TypeError("bracket entries must be DiffPoly")
             if not entry.is_zero:
                 cleaned[(i, j, s)] = entry
-        self.P = cleaned
+        object.__setattr__(self, "P", MappingProxyType(cleaned))
 
     def entry(self, i: int, j: int, s: int) -> DiffPoly:
         return self.P.get((i, j, s), DiffPoly.zero())

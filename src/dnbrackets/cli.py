@@ -4,7 +4,8 @@ Reads bracket definitions (and coordinate maps) from JSON documents, runs
 the requested checks, prints a text report and optionally a JSON mirror.
 
 Exit codes: 0 when every executed check passes, 1 when at least one check
-fails, 2 on malformed input (schema, parse, or file problems).
+fails, 2 on malformed input (schema, parse, or file problems), including a
+dimension above MAX_DIMENSION or a degree above MAX_DEGREE.
 
 Bracket document schema::
 
@@ -90,6 +91,13 @@ COMMANDS = (
 )
 
 
+# Bounds on a document's dimension and degree.  Every worked example has
+# n <= 4 and k <= 3; the bounds keep a mistyped or hostile document from
+# making the checks run for hours.
+MAX_DIMENSION = 32
+MAX_DEGREE = 16
+
+
 class InputError(Exception):
     """Schema or parse failure in an input document."""
 
@@ -162,10 +170,12 @@ def _load_document(path: str) -> dict:
 def _dimension(doc: dict, path: str) -> int:
     try:
         n = int(doc["dimension"])
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         raise InputError(f"{path}: missing or bad 'dimension'") from None
     if n < 1:
         raise InputError(f"{path}: dimension must be >= 1")
+    if n > MAX_DIMENSION:
+        raise InputError(f"{path}: dimension {n} exceeds the limit {MAX_DIMENSION}")
     return n
 
 
@@ -200,8 +210,10 @@ def load_bracket(path: str) -> HomogeneousBracket:
 
     try:
         k = int(doc["degree"])
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         raise InputError(f"{path}: missing or bad 'degree'") from None
+    if k > MAX_DEGREE:
+        raise InputError(f"{path}: degree {k} exceeds the limit {MAX_DEGREE}")
     entries = doc.get("entries")
     if not isinstance(entries, list):
         raise InputError(f"{path}: 'entries' must be a list")
@@ -578,7 +590,11 @@ def main(argv=None) -> int:
         description="Checks for homogeneous local Poisson brackets.",
     )
     parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("bracket", help="bracket JSON document")
+    parser.add_argument(
+        "bracket",
+        help=f"bracket JSON document (dimension at most {MAX_DIMENSION}, "
+        f"degree at most {MAX_DEGREE})",
+    )
     parser.add_argument("--map", help="coordinate map JSON document")
     parser.add_argument("--which", choices=["std", "flat"], default="flat",
                         help="connection family for the curvature command")

@@ -60,19 +60,19 @@ def apply_DP(b: HomogeneousBracket, a: DiffPoly) -> DiffPoly:
     return sum(parts, DiffPoly.zero())
 
 
+def _defects(b: HomogeneousBracket):
+    """Yield the nonzero values of D_P^2 on u^1..u^n, then on theta_1..theta_n."""
+    ddtheta, ddu = variational_pair(b)
+    for label, family in (("u^{}", ddtheta), ("theta_{}", ddu)):
+        for i in range(1, b.n + 1):
+            r = apply_DP(b, family[i - 1])
+            if not r.is_zero:
+                yield f"D_P^2({label.format(i)})", r
+
+
 def jacobi_defects(b: HomogeneousBracket) -> list[tuple[str, DiffPoly]]:
     """Nonzero values of D_P^2 on the generators u^i, theta_i."""
-    ddtheta, ddu = variational_pair(b)
-    out = []
-    for i in range(1, b.n + 1):
-        r = apply_DP(b, ddtheta[i - 1])
-        if not r.is_zero:
-            out.append((f"D_P^2(u^{i})", r))
-    for i in range(1, b.n + 1):
-        r = apply_DP(b, ddu[i - 1])
-        if not r.is_zero:
-            out.append((f"D_P^2(theta_{i})", r))
-    return out
+    return list(_defects(b))
 
 
 def check_jacobi(b: HomogeneousBracket) -> bool:
@@ -92,4 +92,4 @@ def check_jacobi(b: HomogeneousBracket) -> bool:
             f"bracket is not skew-symmetric: defect at (i={i}, j={j}, s={t}) is {defect}",
             witness=defect,
         )
-    return not jacobi_defects(b)
+    return not any(_defects(b))

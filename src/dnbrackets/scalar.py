@@ -9,16 +9,34 @@ Variable indices are 1-based to match the coordinate names u1, u2, ...
 
 Term dicts, here and in diffpoly, never hold a zero coefficient, and every
 sum of terms goes through _collect, which keeps that invariant.
+
+Reduction (_reduce) takes one of two gcd paths:
+
+* when the numerator or the denominator is a single term, the gcd is the
+  monomial whose exponent of each variable is the minimum over all terms of
+  both (_cancel_terms), and cancelling it is exponent subtraction;
+* otherwise both are scaled to integer polynomials of content 1 and the gcd
+  comes from GCDHEU (_heugcd): evaluate at a large integer, recurse on the
+  remaining variables, and rebuild a candidate from symmetric base-xi
+  digits, kept only if it divides both exactly.  The division also yields
+  the reduced numerator and denominator.  If no candidate divides after
+  _HEU_TRIES evaluation points, the primitive pseudo-remainder sequence
+  (_prs) gives the gcd instead.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd, isqrt, lcm
 
 Mono = tuple  # ((var, exp), ...) with var >= 1, exp >= 1, sorted by var
 Poly = dict  # Mono -> Fraction, no zero values
 
 _ONE_P: Poly = {(): Fraction(1)}
+
+# evaluation points GCDHEU tries before the gcd falls back to the PRS
+_HEU_TRIES = 6
 
 
 def _collect(pairs, start: dict | None = None) -> dict:
@@ -120,41 +138,59 @@ def _mono_key(m: Mono, nvars: int):
 
 
 def _plead(a: Poly) -> tuple[Mono, Fraction]:
+    if len(a) == 1:
+        return next(iter(a.items()))
     nv = max(_pvars(a), default=0)
     m = max(a, key=lambda mm: _mono_key(mm, nv))
     return m, a[m]
+
+
+def _mono_div(m: Mono, d: Mono) -> Mono | None:
+    """m divided by d by exponent subtraction, or None when d does not divide m."""
+    q = dict(m)
+    for v, e in d:
+        r = q.get(v, 0) - e
+        if r < 0:
+            return None
+        if r:
+            q[v] = r
+        else:
+            del q[v]
+    return tuple(q.items())
+
+
+def _cancel_terms(a: dict, b: dict) -> tuple[Mono, dict, dict]:
+    """(d, a/d, b/d) for the gcd d of a and b up to a constant, one of them a single term.
+
+    d is the monomial whose exponent of each variable is the minimum over all
+    terms of a and b, so dividing by it is exponent subtraction.
+    """
+    terms = iter([*b, *a] if len(b) == 1 else [*a, *b])
+    g = dict(next(terms))
+    for m in terms:
+        if not g:
+            return (), a, b
+        e = dict(m)
+        g = {v: min(x, e[v]) for v, x in g.items() if v in e}
+    if not g:
+        return (), a, b
+    d = tuple(g.items())
+    qa = {_mono_div(m, d): c for m, c in a.items()}
+    return d, qa, {_mono_div(m, d): c for m, c in b.items()}
 
 
 def _pdiv_exact(a: Poly, b: Poly) -> Poly:
     """Divide a by b assuming exact divisibility (internal invariant)."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    if b == _ONE_P:
-        return dict(a)
-    if _is_const(b):
-        return _pscale(a, 1 / b[()])
-    nv = max(_pvars(a) | _pvars(b), default=0)
-    lead_b = max(b, key=lambda mm: _mono_key(mm, nv))
-    cb = b[lead_b]
-    rem = dict(a)
-    quot: Poly = {}
-    # the leading monomial of rem strictly falls, so no quotient monomial repeats
-    while rem:
-        lead_r = max(rem, key=lambda mm: _mono_key(mm, nv))
-        qm = dict(lead_r)
-        for v, e in lead_b:
-            d = qm.get(v, 0) - e
-            if d < 0:
-                raise ArithmeticError("inexact polynomial division")
-            if d:
-                qm[v] = d
-            else:
-                del qm[v]
-        qmono = tuple(sorted(qm.items()))
-        qc = rem[lead_r] / cb
-        quot[qmono] = qc
-        rem = _psub(rem, _pmul({qmono: qc}, b))
-    return quot
+    ca, f = _split_content(a)
+    cb, g = _split_content(b)
+    # g has content 1, so g divides f over Z whenever it does over Q (Gauss)
+    q = _zquo(f, g)
+    if q is None:
+        raise ArithmeticError("inexact polynomial division")
+    r = ca / cb
+    return {m: r * c for m, c in q.items()}
 
 
 def _to_univ(a: Poly, x: int) -> dict:
@@ -197,14 +233,16 @@ def _primitive(u: dict) -> dict:
     return {d: _pdiv_exact(p, g) for d, p in u.items()}
 
 
-def _pgcd(a: Poly, b: Poly) -> Poly:
+def _pgcd(a: Poly, b: Poly, tries: int = _HEU_TRIES) -> Poly:
     """Gcd in Q[u...], normalized so the leading coefficient is 1."""
-    if not a:
-        return _monic(b)
-    if not b:
-        return _monic(a)
-    if _is_const(a) or _is_const(b):
-        return dict(_ONE_P)
+    if not a or not b:
+        return _monic(a or b)
+    h, _, _ = _zgcd(_split_content(a)[1], _split_content(b)[1], tries)
+    return _monic(_to_fractions(h))
+
+
+def _prs(a: Poly, b: Poly) -> Poly:
+    """Monic gcd of nonconstant a and b by a primitive pseudo-remainder sequence."""
     x = min(_pvars(a) | _pvars(b))
     ua, ub = _to_univ(a, x), _to_univ(b, x)
     ca, cb = _content(ua), _content(ub)
@@ -237,6 +275,141 @@ def _prem(f: dict, g: dict) -> dict:
         lr = r[dr]
         r = _univ_sub(_univ_mul_x(r, 0, lg), _univ_mul_x(g, dr - dg, lr))
     return r
+
+
+# -- gcds of integer polynomials -----------------------------------------
+#
+# The _z functions take and return term dicts with int coefficients.
+
+
+def _split_content(p: Poly) -> tuple[Fraction, dict]:
+    """(c, f) with p = c*f and f an integer polynomial of content 1."""
+    den = lcm(*(c.denominator for c in p.values()))
+    num = gcd(*(c.numerator for c in p.values()))
+    return Fraction(num, den), {
+        m: c.numerator * (den // c.denominator) // num for m, c in p.items()
+    }
+
+
+def _zgcd(f: dict, g: dict, tries: int = _HEU_TRIES) -> tuple[dict, dict, dict]:
+    """(h, f/h, g/h) where h is the gcd in Z[u...] of nonzero f and g."""
+    cf, cg = gcd(*f.values()), gcd(*g.values())
+    c = gcd(cf, cg)
+    if len(f) == 1 or len(g) == 1:
+        d, qf, qg = _cancel_terms(f, g)
+        return {d: c}, {m: v // c for m, v in qf.items()}, {m: v // c for m, v in qg.items()}
+    f = {m: v // cf for m, v in f.items()}
+    g = {m: v // cg for m, v in g.items()}
+    found = _heugcd(f, g, tries)
+    if found is None:
+        _, h = _split_content(_prs(_to_fractions(f), _to_fractions(g)))
+        found = h, _zquo(f, h), _zquo(g, h)
+    h, qf, qg = found
+    sf, sg = cf // c, cg // c
+    return (
+        {m: c * v for m, v in h.items()},
+        {m: sf * v for m, v in qf.items()},
+        {m: sg * v for m, v in qg.items()},
+    )
+
+
+def _heugcd(f: dict, g: dict, tries: int) -> tuple[dict, dict, dict] | None:
+    """(h, f/h, g/h) with h = gcd(f, g) for integer polynomials of content 1.
+
+    GCDHEU (Char, Geddes and Gonnet 1989): put x = xi in the first variable,
+    take the gcd gamma of the images recursively, and read a candidate h off
+    the symmetric xi-adic digits of gamma.  Since xi >= 2*min(|f|, |g|) + 2
+    in the max norm, a candidate of content 1 that divides f and g is their
+    gcd.  Returns None when no candidate divides after `tries` values of xi.
+
+    Why: write gcd(f, g) = h*q.  gamma is a multiple of gcd(f, g)(xi), so
+    q(xi) divides the content of the digit polynomial, whose digits are at
+    most xi/2.  Each coefficient of f over the other variables is a
+    polynomial in x whose roots are smaller than 1 + |f| <= xi/2, so a
+    constant q(xi) forces q into Z[x] (else x - xi would divide the leading
+    one) and then into Z (else |q(xi)| > xi/2).
+    """
+    x = min(_pvars(f) | _pvars(g))
+    xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 29
+    for _ in range(tries):
+        gamma, _, _ = _zgcd(_zeval(f, x, xi), _zeval(g, x, xi), tries)
+        h = _zinterp(gamma, x, xi)
+        c = gcd(*h.values())
+        h = {m: v // c for m, v in h.items()}
+        if h == {(): 1}:
+            return h, f, g
+        qf = _zquo(f, h)
+        if qf is not None:
+            qg = _zquo(g, h)
+            if qg is not None:
+                return h, qf, qg
+        xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
+    return None
+
+
+def _zeval(f: dict, x: int, xi: int) -> dict:
+    """f with the variable x replaced by the integer xi."""
+    return _collect(
+        (tuple(t for t in m if t[0] != x), c * xi ** dict(m).get(x, 0))
+        for m, c in f.items()
+    )
+
+
+def _zinterp(gamma: dict, x: int, xi: int) -> dict:
+    """The polynomial in x with symmetric base-xi digits that takes the value gamma at xi."""
+    out = {}
+    for m, c in gamma.items():
+        e = 0
+        while c:
+            d = c % xi
+            if d > xi // 2:
+                d -= xi
+            if d:
+                out[_mono_mul(m, ((x, e),)) if e else m] = d
+            c = (c - d) // xi
+            e += 1
+    return out
+
+
+def _zquo(a: dict, b: dict) -> dict | None:
+    """a/b for integer polynomials, or None when b does not divide a in Z[u...]."""
+    nv = max(_pvars(a) | _pvars(b), default=0)
+
+    def rank(m):  # heapq pops the smallest, so negate the graded key
+        deg, exps = _mono_key(m, nv)
+        return -deg, tuple(-e for e in exps), m
+
+    lead_b = max(b, key=lambda m: _mono_key(m, nv))
+    cb = b[lead_b]
+    tail = [(m, c) for m, c in b.items() if m != lead_b]
+    rem = dict(a)
+    heap = [rank(m) for m in rem]
+    heapify(heap)
+    quot = {}
+    # every monomial added to rem is below the lead being removed, so each is
+    # popped after its last update; a popped key missing from rem was cancelled
+    while heap:
+        lead = heappop(heap)[2]
+        c = rem.pop(lead, 0)
+        if not c:
+            continue
+        qm = _mono_div(lead, lead_b)
+        if qm is None:
+            return None
+        qc, r = divmod(c, cb)
+        if r:
+            return None
+        quot[qm] = qc
+        pairs = [(_mono_mul(qm, m), -qc * cm) for m, cm in tail]
+        for k, _ in pairs:
+            if k not in rem:
+                heappush(heap, rank(k))
+        rem = _collect(pairs, rem)
+    return quot
+
+
+def _to_fractions(f: dict) -> Poly:
+    return {m: Fraction(c) for m, c in f.items()}
 
 
 def _monic(a: Poly) -> Poly:
@@ -433,17 +606,16 @@ class Scalar:
 
 def _reduce(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     """Cancel the gcd of a nonzero num and den and make den's leading coefficient 1."""
-    if _is_const(den):
-        return _pscale(num, 1 / den[()]), dict(_ONE_P)
-    g = _pgcd(num, den)
-    if g != _ONE_P:
-        num = _pdiv_exact(num, g)
-        den = _pdiv_exact(den, g)
-    _, lc = _plead(den)
-    if lc != 1:
-        num = _pscale(num, 1 / lc)
-        den = _pscale(den, 1 / lc)
-    return num, den
+    if len(num) == 1 or len(den) == 1:
+        _, num, den = _cancel_terms(num, den)
+        _, lc = _plead(den)
+        return (num, den) if lc == 1 else (_pscale(num, 1 / lc), _pscale(den, 1 / lc))
+    cn, f = _split_content(num)
+    cd, g = _split_content(den)
+    _, f, g = _zgcd(f, g)
+    _, lc = _plead(g)
+    r = cn / (cd * lc)
+    return {m: r * c for m, c in f.items()}, {m: Fraction(c, lc) for m, c in g.items()}
 
 
 def _coerce(x):

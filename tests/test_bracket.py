@@ -1,5 +1,6 @@
 """Bracket storage, validation, skewness, extraction, and transformation."""
 
+import dataclasses
 import random
 
 import pytest
@@ -19,13 +20,14 @@ from dnbrackets.bracket import (
     transform,
     validate,
 )
+from dnbrackets.cli import load_bracket
 from dnbrackets.diffpoly import DiffPoly
 from dnbrackets.errors import DegenerateMetricError
 from dnbrackets.jacobi import check_jacobi
 from dnbrackets.sampling import random_constant_bracket
 from dnbrackets.scalar import Scalar
 
-from conftest import S, nonflat2_data
+from conftest import S, fixture_path, nonflat2_data
 
 
 def test_validate_accepts_fixtures(nonflat2, lc1, const2):
@@ -216,3 +218,15 @@ def test_random_constant_brackets_are_skew():
             b = random_constant_bracket(rng, 2, k)
             assert validate(b) == []
             assert check_skew(b)
+
+
+def test_brackets_are_frozen():
+    # a cached verdict must not outlive a change of entries, so there is none
+    b = load_bracket(fixture_path("lc_k1.json"))
+    assert check_jacobi(b)
+    broken = load_bracket(fixture_path("lc_k1_broken.json"))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        b.P = dict(broken.P)
+    with pytest.raises(TypeError):
+        b.P[(1, 1, 0)] = broken.P[(1, 1, 0)]
+    assert check_jacobi(b) and not check_jacobi(broken)

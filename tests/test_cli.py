@@ -1,8 +1,9 @@
 """Command-line interface: exit codes, reports, and input validation."""
 
 import json
+import time
 
-from dnbrackets.cli import load_bracket, load_map, main
+from dnbrackets.cli import MAX_DEGREE, MAX_DIMENSION, load_bracket, load_map, main
 
 from conftest import fixture_path
 
@@ -298,3 +299,27 @@ def test_entry_point_runs_as_module():
     )
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+def test_huge_dimension_or_degree_is_input_error(tmp_path, capsys):
+    with open(fixture_path("lc_k1.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    cases = [
+        ("dimension", 10_000_000),
+        ("degree", 10_000_000),
+        ("dimension", MAX_DIMENSION + 1),
+        ("degree", MAX_DEGREE + 1),
+    ]
+    for key, value in cases:
+        path = tmp_path / f"{key}-{value}.json"
+        path.write_text(json.dumps({**doc, key: value}))
+        start = time.perf_counter()
+        code, _, err = run(capsys, "report", str(path))
+        assert time.perf_counter() - start < 2.0, (key, value)
+        assert code == 2, (key, value)
+        assert "input error" in err and str(path) in err and "limit" in err
+    # a non-finite number is a bad value, not a crash
+    path = tmp_path / "infinite.json"
+    path.write_text(json.dumps(doc).replace('"degree": 1', '"degree": Infinity'))
+    code, _, err = run(capsys, "report", str(path))
+    assert code == 2 and "bad 'degree'" in err

@@ -1,19 +1,30 @@
 """The odd evolutionary derivation D_P and the Jacobi identity."""
 
+import os
 import random
 
 from dnbrackets.bracket import constant_bracket
+from dnbrackets.cli import load_bracket
 from dnbrackets.diffpoly import DiffPoly, d_x
 from dnbrackets.jacobi import apply_DP, check_jacobi, jacobi_defects, variational_pair
 from dnbrackets.sampling import random_constant_bracket, random_monomial
 
-from conftest import S
+from conftest import FIXTURE_DIR, S
 
 
 def test_fixtures_satisfy_jacobi(nonflat2, lc1, canonical4, const2, const3):
     for b in (nonflat2, lc1, canonical4, const2, const3):
         assert check_jacobi(b)
         assert jacobi_defects(b) == []
+
+
+def test_check_jacobi_agrees_with_the_defect_list():
+    # check_jacobi stops at the first defect; jacobi_defects lists them all
+    names = sorted(f for f in os.listdir(FIXTURE_DIR) if not f.startswith("map_"))
+    assert "lc_k1_broken.json" in names
+    for name in names:
+        b = load_bracket(os.path.join(FIXTURE_DIR, name))
+        assert check_jacobi(b) == (not jacobi_defects(b)), name
 
 
 def test_constant_brackets_all_degrees():

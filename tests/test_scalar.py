@@ -1,13 +1,14 @@
 """Exact rational-function arithmetic."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from dnbrackets.errors import ParseError
-from dnbrackets.sampling import random_scalar
-from dnbrackets.scalar import Scalar, parse_scalar, partial_u, scalar_arith
+from dnbrackets.sampling import random_polynomial, random_scalar
+from dnbrackets.scalar import Scalar, _pgcd, parse_scalar, partial_u, scalar_arith
 
 from conftest import S
 
@@ -110,17 +111,45 @@ def test_equality_is_canonical():
     assert hash(S("u1 + u2")) == hash(S("u2 + u1"))
 
 
+U = ("u1", "u2", "u3")
+
+
+def sympy_poly(sympy, p):
+    """A sparse Fraction term dict as a sympy expression in u1, u2, u3."""
+    u = sympy.symbols(U)
+    monomials = (
+        sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(u[v - 1] ** e for v, e in m))
+        for m, c in p.items()
+    )
+    return sympy.Add(*monomials)
+
+
+def sympy_terms(sympy, expr):
+    """A sympy polynomial in u1, u2, u3 as a sparse Fraction term dict."""
+    terms = sympy.Poly(expr, *sympy.symbols(U)).terms()
+    return {
+        tuple((v + 1, e) for v, e in enumerate(exps) if e): Fraction(int(c.p), int(c.q))
+        for exps, c in terms
+    }
+
+
+def sympy_canonical(sympy, expr):
+    """(num, den) of sympy.cancel(expr), scaled so den's grlex-leading coefficient is 1.
+
+    grlex with u1 > u2 > u3 is the order Scalar normalizes its denominators in.
+    """
+    num, den = sympy.fraction(sympy.cancel(expr))
+    lc = sympy.Poly(den, *sympy.symbols(U)).LC(order="grlex")
+    return sympy_terms(sympy, num / lc), sympy_terms(sympy, den / lc)
+
+
 def test_arithmetic_matches_sympy_oracle():
     """+, -, *, / and partial agree with sympy.cancel and come out in lowest terms."""
     sympy = pytest.importorskip("sympy")
-    u = sympy.symbols("u1:4")
+    u = sympy.symbols(U)
 
     def poly(p):
-        monomials = (
-            sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(u[v - 1] ** e for v, e in m))
-            for m, c in p.items()
-        )
-        return sympy.Add(*monomials)
+        return sympy_poly(sympy, p)
 
     rng = random.Random(5)
     for _ in range(40):
@@ -139,3 +168,63 @@ def test_arithmetic_matches_sympy_oracle():
             ratio = sympy.cancel(poly(got.den) / want_den)
             assert ratio.is_number and ratio != 0, (got, want)
             assert sympy.expand(poly(got.num) - ratio * want_num) == 0, (got, want)
+
+
+def test_reduction_is_sympy_canonical_form():
+    """Both gcd paths leave exactly sympy's reduced num/den, den's leading coefficient 1.
+
+    Half the draws divide by a single term (the exponent-minimum gcd); the
+    others share a polynomial factor between numerator and denominator (the
+    integer heuristic gcd).
+    """
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(17)
+    for k in range(60):
+        a, b, c = (random_polynomial(rng, 3, terms=3, deg=3) for _ in range(3))
+        if a.is_zero or b.is_zero or c.is_zero:
+            continue
+        if k % 2:
+            b = Scalar(dict([next(iter(b.num.items()))]))
+            got = a / b
+        else:
+            got = (a * c) / (b * c)
+        want = sympy_canonical(sympy, sympy_poly(sympy, a.num) / sympy_poly(sympy, b.num))
+        assert (got.num, got.den) == want, (a, b)
+
+
+def test_prs_fallback_agrees_with_heuristic():
+    """With no heuristic attempts the gcd comes from the PRS, and it is the same."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(3)
+    for _ in range(30):
+        a, b, c = (random_polynomial(rng, 3, terms=3, deg=2) for _ in range(3))
+        if a.is_zero or b.is_zero or c.is_zero:
+            continue
+        f, g = (a * c).num, (b * c).num
+        forced = _pgcd(f, g, tries=0)
+        assert forced == _pgcd(f, g)
+        want = sympy.gcd(sympy_poly(sympy, f), sympy_poly(sympy, g))
+        lc = sympy.Poly(want, *sympy.symbols(U)).LC(order="grlex")
+        assert forced == sympy_terms(sympy, want / lc)
+
+
+def test_pathological_gcds_finish_quickly():
+    """(a*c)/(b*c) + a/c on the random draws that used to run for minutes."""
+    rng = random.Random(0)
+    draws = {}
+    for i in range(200):
+        a, b, c = (random_polynomial(rng, 3, terms=3, deg=3) for _ in range(3))
+        if not (a.is_zero or b.is_zero or c.is_zero):
+            draws[i] = a, b, c
+    try:
+        import sympy
+    except ImportError:
+        sympy = None
+    for i in (109, 190, 196):
+        a, b, c = draws[i]
+        start = time.perf_counter()
+        got = (a * c) / (b * c) + a / c
+        assert time.perf_counter() - start < 2.0, i
+        if sympy is not None:
+            A, B, C = (sympy_poly(sympy, x.num) for x in (a, b, c))
+            assert (got.num, got.den) == sympy_canonical(sympy, A / B + A / C), i
