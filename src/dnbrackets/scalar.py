@@ -233,11 +233,11 @@ def _primitive(u: dict) -> dict:
     return {d: _pdiv_exact(p, g) for d, p in u.items()}
 
 
-def _pgcd(a: Poly, b: Poly, tries: int = _HEU_TRIES) -> Poly:
+def _pgcd(a: Poly, b: Poly) -> Poly:
     """Gcd in Q[u...], normalized so the leading coefficient is 1."""
     if not a or not b:
         return _monic(a or b)
-    h, _, _ = _zgcd(_split_content(a)[1], _split_content(b)[1], tries)
+    h, _, _ = _zgcd(_split_content(a)[1], _split_content(b)[1])
     return _monic(_to_fractions(h))
 
 
@@ -291,7 +291,7 @@ def _split_content(p: Poly) -> tuple[Fraction, dict]:
     }
 
 
-def _zgcd(f: dict, g: dict, tries: int = _HEU_TRIES) -> tuple[dict, dict, dict]:
+def _zgcd(f: dict, g: dict) -> tuple[dict, dict, dict]:
     """(h, f/h, g/h) where h is the gcd in Z[u...] of nonzero f and g."""
     cf, cg = gcd(*f.values()), gcd(*g.values())
     c = gcd(cf, cg)
@@ -300,7 +300,7 @@ def _zgcd(f: dict, g: dict, tries: int = _HEU_TRIES) -> tuple[dict, dict, dict]:
         return {d: c}, {m: v // c for m, v in qf.items()}, {m: v // c for m, v in qg.items()}
     f = {m: v // cf for m, v in f.items()}
     g = {m: v // cg for m, v in g.items()}
-    found = _heugcd(f, g, tries)
+    found = _heugcd(f, g)
     if found is None:
         _, h = _split_content(_prs(_to_fractions(f), _to_fractions(g)))
         found = h, _zquo(f, h), _zquo(g, h)
@@ -313,34 +313,36 @@ def _zgcd(f: dict, g: dict, tries: int = _HEU_TRIES) -> tuple[dict, dict, dict]:
     )
 
 
-def _heugcd(f: dict, g: dict, tries: int) -> tuple[dict, dict, dict] | None:
+def _heugcd(f: dict, g: dict) -> tuple[dict, dict, dict] | None:
     """(h, f/h, g/h) with h = gcd(f, g) for integer polynomials of content 1.
 
     GCDHEU (Char, Geddes and Gonnet 1989): put x = xi in the first variable,
     take the gcd gamma of the images recursively, and read a candidate h off
     the symmetric xi-adic digits of gamma.  Since xi >= 2*min(|f|, |g|) + 2
     in the max norm, a candidate of content 1 that divides f and g is their
-    gcd.  Returns None when no candidate divides after `tries` values of xi.
+    gcd.  Returns None when no candidate divides after _HEU_TRIES values of xi.
 
     Why: write gcd(f, g) = h*q.  gamma is a multiple of gcd(f, g)(xi), so
     q(xi) divides the content of the digit polynomial, whose digits are at
-    most xi/2.  Each coefficient of f over the other variables is a
-    polynomial in x whose roots are smaller than 1 + |f| <= xi/2, so a
-    constant q(xi) forces q into Z[x] (else x - xi would divide the leading
-    one) and then into Z (else |q(xi)| > xi/2).
+    most xi/2.  Say |f| <= |g|.  Each coefficient of f over the other
+    variables is a polynomial in x whose roots are smaller than
+    1 + |f| <= xi/2, so a constant q(xi) forces q into Z[x] (else x - xi
+    would divide the leading one) and then into Z (else |q(xi)| > xi/2).
+    The same root bound keeps the image of f nonzero; the image of g can
+    vanish, and then the next xi is tried.
     """
     x = min(_pvars(f) | _pvars(g))
     xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 29
-    for _ in range(tries):
-        gamma, _, _ = _zgcd(_zeval(f, x, xi), _zeval(g, x, xi), tries)
-        h = _zinterp(gamma, x, xi)
-        c = gcd(*h.values())
-        h = {m: v // c for m, v in h.items()}
-        if h == {(): 1}:
-            return h, f, g
-        qf = _zquo(f, h)
-        if qf is not None:
-            qg = _zquo(g, h)
+    for _ in range(_HEU_TRIES):
+        ef, eg = _zeval(f, x, xi), _zeval(g, x, xi)
+        if ef and eg:
+            h = _zinterp(_zgcd(ef, eg)[0], x, xi)
+            c = gcd(*h.values())
+            h = {m: v // c for m, v in h.items()}
+            if h == {(): 1}:
+                return h, f, g
+            qf = _zquo(f, h)
+            qg = None if qf is None else _zquo(g, h)
             if qg is not None:
                 return h, qf, qg
         xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
@@ -606,6 +608,8 @@ class Scalar:
 
 def _reduce(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     """Cancel the gcd of a nonzero num and den and make den's leading coefficient 1."""
+    # single-term sides (most denominators) cancel on the Fraction dicts: the
+    # integer round trip through _zgcd would rebuild every coefficient
     if len(num) == 1 or len(den) == 1:
         _, num, den = _cancel_terms(num, den)
         _, lc = _plead(den)

@@ -8,7 +8,7 @@ import pytest
 
 from dnbrackets.errors import ParseError
 from dnbrackets.sampling import random_polynomial, random_scalar
-from dnbrackets.scalar import Scalar, _pgcd, parse_scalar, partial_u, scalar_arith
+from dnbrackets.scalar import Scalar, _pgcd, _prs, parse_scalar, partial_u, scalar_arith
 
 from conftest import S
 
@@ -193,7 +193,7 @@ def test_reduction_is_sympy_canonical_form():
 
 
 def test_prs_fallback_agrees_with_heuristic():
-    """With no heuristic attempts the gcd comes from the PRS, and it is the same."""
+    """The PRS that the heuristic gcd falls back to gives the same monic gcd."""
     sympy = pytest.importorskip("sympy")
     rng = random.Random(3)
     for _ in range(30):
@@ -201,11 +201,38 @@ def test_prs_fallback_agrees_with_heuristic():
         if a.is_zero or b.is_zero or c.is_zero:
             continue
         f, g = (a * c).num, (b * c).num
-        forced = _pgcd(f, g, tries=0)
-        assert forced == _pgcd(f, g)
+        if not (f.keys() - {()} and g.keys() - {()}):
+            continue  # the PRS takes nonconstant operands
+        fallback = _prs(f, g)
+        assert fallback == _pgcd(f, g)
         want = sympy.gcd(sympy_poly(sympy, f), sympy_poly(sympy, g))
         lc = sympy.Poly(want, *sympy.symbols(U)).LC(order="grlex")
-        assert forced == sympy_terms(sympy, want / lc)
+        assert fallback == sympy_terms(sympy, want / lc)
+
+
+def test_heuristic_gcd_skips_vanishing_images():
+    """An evaluation point that is a root of the operand of larger norm is skipped.
+
+    The first point is 2*min(max-norms) + 29.  Each numerator here vanishes
+    at u1 = 31 (or 33), and the second one also at the next point, 169.
+    """
+    cases = {
+        "(u1*u2 + u1 - 31*u2 - 31)/(u1 + u2)": "(u1*u2 + u1 - 31*u2 - 31)/(u1 + u2)",
+        "((u1 - 31)*(u1 - 169)*(u2 + 1))/(u1 + u2)":
+            "(u1^2*u2 + u1^2 - 200*u1*u2 - 200*u1 + 5239*u2 + 5239)/(u1 + u2)",
+        "((u1 - 33)*(u2 + 1)*(u1 + u2 + 1))/((u1 + u2)*(u1 + u2 + 1))":
+            "(u1*u2 + u1 - 33*u2 - 33)/(u1 + u2)",
+    }
+    try:
+        import sympy
+    except ImportError:
+        sympy = None
+    for text, reduced in cases.items():
+        got = parse_scalar(text)
+        assert str(got) == reduced
+        if sympy is not None:
+            want = sympy.sympify(text, locals=dict(zip(U, sympy.symbols(U))))
+            assert (got.num, got.den) == sympy_canonical(sympy, want), text
 
 
 def test_pathological_gcds_finish_quickly():
