@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from math import comb
 from types import MappingProxyType
 
-from .diffpoly import DiffPoly
+from .diffpoly import DiffPoly, _dx_upto
 from .errors import DegenerateMetricError
 from .scalar import Scalar
 
@@ -32,7 +32,7 @@ class HomogeneousBracket:
     """Degree-k bracket: P maps (i, j, s) to the coefficient of delta^(s).
 
     Brackets are immutable: P is a read-only view of a private copy of the
-    entries, so the derived data cached in _cache cannot go stale.
+    entries, so the derived data that _memo caches in _cache cannot go stale.
     """
 
     n: int
@@ -62,6 +62,14 @@ class HomogeneousBracket:
 
     def entries(self):
         return self.P.items()
+
+
+def _memo(b: HomogeneousBracket, key, build):
+    """b._cache[key], set by build() on first use; nothing is stored if build() raises."""
+    cache = b._cache
+    if key not in cache:
+        cache[key] = build()
+    return cache[key]
 
 
 def validate(b: HomogeneousBracket) -> list[str]:
@@ -94,17 +102,16 @@ def validate(b: HomogeneousBracket) -> list[str]:
 
 def bivector(b: HomogeneousBracket) -> DiffPoly:
     """The odd encoding 1/2 sum P_s^{ij} theta_i theta_j^s."""
-    cached = b._cache.get("bivector")
-    if cached is not None:
-        return cached
-    half = Scalar.from_fraction(1) / 2
-    parts = (
-        entry * DiffPoly.theta(i, 0) * DiffPoly.theta(j, s) * half
-        for (i, j, s), entry in b.P.items()
-    )
-    total = sum(parts, DiffPoly.zero())
-    b._cache["bivector"] = total
-    return total
+
+    def build():
+        half = Scalar.from_fraction(1) / 2
+        parts = (
+            entry * DiffPoly.theta(i, 0) * DiffPoly.theta(j, s) * half
+            for (i, j, s), entry in b.P.items()
+        )
+        return sum(parts, DiffPoly.zero())
+
+    return _memo(b, "bivector", build)
 
 
 @dataclass
@@ -123,29 +130,28 @@ class NamedCoefficients:
 
 
 def extract_named(b: HomogeneousBracket) -> NamedCoefficients:
-    cached = b._cache.get("named")
-    if cached is not None:
-        return cached
     n, k = b.n, b.k
-    g = [[b.entry(i + 1, j + 1, k).coefficient((), ()) for j in range(n)] for i in range(n)]
-    h = []
-    for s in range(k):
-        order = k - s
-        h.append(
-            [
+
+    def build():
+        g = [[b.entry(i + 1, j + 1, k).coefficient((), ()) for j in range(n)] for i in range(n)]
+        h = []
+        for s in range(k):
+            order = k - s
+            h.append(
                 [
                     [
-                        b.entry(i + 1, j + 1, s).coefficient((((l + 1, order), 1),), ())
-                        for l in range(n)
+                        [
+                            b.entry(i + 1, j + 1, s).coefficient((((l + 1, order), 1),), ())
+                            for l in range(n)
+                        ]
+                        for j in range(n)
                     ]
-                    for j in range(n)
+                    for i in range(n)
                 ]
-                for i in range(n)
-            ]
-        )
-    named = NamedCoefficients(n=n, k=k, g=g, h=h)
-    b._cache["named"] = named
-    return named
+            )
+        return NamedCoefficients(n=n, k=k, g=g, h=h)
+
+    return _memo(b, "named", build)
 
 
 def skew_defects(b: HomogeneousBracket) -> list[tuple[int, int, int, DiffPoly]]:
@@ -153,21 +159,26 @@ def skew_defects(b: HomogeneousBracket) -> list[tuple[int, int, int, DiffPoly]]:
 
     Skewness of the operator says P_t^{ji} equals
     sum_{s>=t} (-1)^{s+1} C(s,t) d_x^{s-t} P_s^{ij}; each nonzero
-    difference is returned as (i, j, t, defect).
+    difference is returned as (i, j, t, defect).  The list is a fresh copy
+    of the cached defects on every call.
     """
-    out = []
-    for i in range(1, b.n + 1):
-        for j in range(1, b.n + 1):
-            for t in range(b.k + 1):
-                parts = (
-                    b.entry(i, j, s).d_x_pow(s - t) * ((-1) ** (s + 1) * comb(s, t))
-                    for s in range(t, b.k + 1)
-                )
-                rhs = sum(parts, DiffPoly.zero())
-                defect = b.entry(j, i, t) - rhs
-                if not defect.is_zero:
-                    out.append((i, j, t, defect))
-    return out
+
+    def build():
+        out = []
+        for i in range(1, b.n + 1):
+            for j in range(1, b.n + 1):
+                for t in range(b.k + 1):
+                    parts = (
+                        b.entry(i, j, s).d_x_pow(s - t) * ((-1) ** (s + 1) * comb(s, t))
+                        for s in range(t, b.k + 1)
+                    )
+                    rhs = sum(parts, DiffPoly.zero())
+                    defect = b.entry(j, i, t) - rhs
+                    if not defect.is_zero:
+                        out.append((i, j, t, defect))
+        return tuple(out)
+
+    return list(_memo(b, "skew_defects", build))
 
 
 def check_skew(b: HomogeneousBracket) -> bool:
@@ -262,16 +273,10 @@ def transform(b: HomogeneousBracket, cmap: CoordinateMap) -> HomogeneousBracket:
     jac = cmap.jacobian()
     jac_dx = [[[DiffPoly.from_scalar(jac[a][bb])] for bb in range(n)] for a in range(n)]
 
-    def jac_deriv(a, bb, t):
-        col = jac_dx[a][bb]
-        while len(col) <= t:
-            col.append(col[-1].d_x())
-        return col[t]
-
     def contracted(i, j, s, t):
         """J^i_{i'} P_{s+t}^{i'j'} d_x^t(J^j_{j'}), summed over i' and j'."""
         parts = (
-            entry * jac[i - 1][ip - 1] * jac_deriv(j - 1, jp - 1, t)
+            entry * jac[i - 1][ip - 1] * _dx_upto(jac_dx[j - 1][jp - 1], t)
             for ip in range(1, n + 1)
             for jp in range(1, n + 1)
             if (entry := b.entry(ip, jp, s + t))
@@ -291,10 +296,8 @@ def transform(b: HomogeneousBracket, cmap: CoordinateMap) -> HomogeneousBracket:
     max_order = max((entry.max_jet_order() for entry in raw.values()), default=0)
     jet_map = {}
     for l in range(1, n + 1):
-        base = DiffPoly.from_scalar(cmap.inverse[l - 1])
-        for r in range(1, max_order + 1):
-            base = base.d_x()
-            jet_map[(l, r)] = base
+        derivs = [DiffPoly.from_scalar(cmap.inverse[l - 1])]
+        jet_map.update({(l, r): _dx_upto(derivs, r) for r in range(1, max_order + 1)})
     P = {
         key: entry.substitute(coord_map=coord_map, jet_map=jet_map)
         for key, entry in raw.items()
@@ -352,9 +355,9 @@ def lower_metric(g: list) -> list:
 
 def metric_pair(b: HomogeneousBracket) -> tuple:
     """Named coefficients together with the inverted leading metric, cached."""
-    cached = b._cache.get("metric_pair")
-    if cached is None:
+
+    def build():
         named = extract_named(b)
-        cached = (named, lower_metric(named.g))
-        b._cache["metric_pair"] = cached
-    return cached
+        return named, lower_metric(named.g)
+
+    return _memo(b, "metric_pair", build)

@@ -167,11 +167,16 @@ def _load_document(path: str) -> dict:
     return doc
 
 
+def _integer(doc: dict, key: str, path: str) -> int:
+    """doc[key] when it is a JSON integer; a float, boolean or string is rejected."""
+    value = doc.get(key)
+    if type(value) is not int:
+        raise InputError(f"{path}: missing or bad '{key}'")
+    return value
+
+
 def _dimension(doc: dict, path: str) -> int:
-    try:
-        n = int(doc["dimension"])
-    except (KeyError, TypeError, ValueError, OverflowError):
-        raise InputError(f"{path}: missing or bad 'dimension'") from None
+    n = _integer(doc, "dimension", path)
     if n < 1:
         raise InputError(f"{path}: dimension must be >= 1")
     if n > MAX_DIMENSION:
@@ -208,10 +213,7 @@ def load_bracket(path: str) -> HomogeneousBracket:
     if construction != "raw":
         raise InputError(f"{path}: unknown construction {construction!r}")
 
-    try:
-        k = int(doc["degree"])
-    except (KeyError, TypeError, ValueError, OverflowError):
-        raise InputError(f"{path}: missing or bad 'degree'") from None
+    k = _integer(doc, "degree", path)
     if k > MAX_DEGREE:
         raise InputError(f"{path}: degree {k} exceeds the limit {MAX_DEGREE}")
     entries = doc.get("entries")
@@ -299,15 +301,6 @@ def cmd_jacobi(b: HomogeneousBracket, args) -> list:
     return results
 
 
-def _same_entries(a: HomogeneousBracket, b: HomogeneousBracket) -> bool:
-    if (a.n, a.k) != (b.n, b.k):
-        return False
-    return all(
-        a.P.get(key, DiffPoly.zero()) == b.P.get(key, DiffPoly.zero())
-        for key in set(a.P) | set(b.P)
-    )
-
-
 def _flat_name(s: int) -> str:
     return f"Gamma_[{s}]"
 
@@ -339,24 +332,22 @@ def cmd_connections(b: HomogeneousBracket, args) -> list:
     print("inverse:")
     for row in cm.cinv:
         print("  " + "  ".join(str(x) for x in row))
-    conns = {}
     try:
-        for s in range(b.k):
-            conns[("std", s)] = standard_connection(b, s)
-            conns[("flat", s)] = flat_combination(b, s)
+        for s in range(b.k):  # the bracket caches every connection built here
+            flat_combination(b, s)
     except DegenerateMetricError as exc:
         results.append(CheckResult("connections computed", "fail", str(exc)))
         return results
     print("standard connections:")
     for s in range(b.k):
-        _print_connection(conns[("std", s)], _std_name(s))
+        _print_connection(standard_connection(b, s), _std_name(s))
     print("flat combinations:")
     for s in range(b.k):
-        _print_connection(conns[("flat", s)], _flat_name(s))
+        _print_connection(flat_combination(b, s), _flat_name(s))
     _check(results, "connections computed", lambda: (True, None))
 
     def torsionless():
-        T = torsion(conns[("std", 0)])
+        T = torsion(standard_connection(b, 0))
         for l in range(b.n):
             for i in range(b.n):
                 for j in range(b.n):
@@ -434,7 +425,7 @@ def cmd_transform(b: HomogeneousBracket, args) -> list:
         (True, None) if not (p := validate(moved)) else (False, p[0])
     ))
     _check(results, "skewness preserved", lambda: (
-        (check_skew(moved), None) if check_skew(moved) else (False, "adjoint defect")
+        (True, None) if check_skew(moved) else (False, "adjoint defect")
     ))
 
     def roundtrip():
@@ -459,16 +450,12 @@ def cmd_lowdegree(b: HomogeneousBracket, args) -> list:
         report = ferguson_check(b)
     elif b.k == 3:
         named = extract_named(b)
-        cc = [
-            [[named.h[1][i][j][l] for l in range(b.n)] for j in range(b.n)]
-            for i in range(b.n)
-        ]
         try:
-            rebuilt = potemin_build(named.g, cc)
+            rebuilt = potemin_build(named.g, named.h[1])
         except (ValueError, DegenerateMetricError) as exc:
             results.append(CheckResult("degree-3 normal form", "skip", str(exc)))
             return results
-        if not _same_entries(rebuilt, b):
+        if rebuilt != b:
             results.append(
                 CheckResult(
                     "degree-3 normal form",
@@ -477,7 +464,7 @@ def cmd_lowdegree(b: HomogeneousBracket, args) -> list:
                 )
             )
             return results
-        report = potemin_check(named.g, cc)
+        report = potemin_check(named.g, named.h[1])
     elif b.k == 4:
         report = k4_connection_fixtures(b)
     else:
@@ -520,9 +507,9 @@ def cmd_spectral(b: HomogeneousBracket, args) -> list:
                 if max(x.degrees("deg_theta"), default=0) > 2:
                     continue
                 up, same = d1_split(b, x)
-                a11 = d1_split(b, up)[0]
-                mixed = d1_split(b, up)[1] + d1_split(b, same)[0]
-                a00 = d1_split(b, same)[1]
+                a11, up_same = d1_split(b, up)
+                same_up, a00 = d1_split(b, same)
+                mixed = up_same + same_up
                 if not a11.is_zero:
                     return False, f"(d1^(1))^2 on {x}: {a11}"
                 if not mixed.is_zero:
@@ -649,11 +636,6 @@ def main(argv=None) -> int:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
     return 0 if all(r.status != "fail" for r in results) else 1
-
-
-def run(argv=None) -> int:
-    """Alias for main(): run one command and return the exit code."""
-    return main(argv)
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .bracket import HomogeneousBracket, _gauss_jordan, lower_metric, metric_pair
+from .bracket import HomogeneousBracket, _gauss_jordan, _memo, lower_metric, metric_pair
 from .scalar import Scalar
 
 __all__ = [
@@ -95,27 +95,32 @@ class CMatrix:
 
 
 def standard_connection(b: HomogeneousBracket, s: int) -> Connection:
+    """Gamma_(s), cached on the bracket: the returned object is shared."""
     if not 0 <= s <= b.k - 1:
         raise ValueError(f"s must lie in 0..{b.k - 1}, got {s}")
-    named, glow = metric_pair(b)
-    n = b.n
-    factor = Scalar.from_fraction(Fraction(-1, comb(b.k, s)))
-    h = named.h[s]
-    gamma = [
-        [
+
+    def build():
+        named, glow = metric_pair(b)
+        n = b.n
+        factor = Scalar.from_fraction(Fraction(-1, comb(b.k, s)))
+        h = named.h[s]
+        gamma = [
             [
-                factor
-                * sum(
-                    (glow[i][ip] * h[ip][l][j] for ip in range(n)),
-                    Scalar.zero(),
-                )
-                for j in range(n)
+                [
+                    factor
+                    * sum(
+                        (glow[i][ip] * h[ip][l][j] for ip in range(n)),
+                        Scalar.zero(),
+                    )
+                    for j in range(n)
+                ]
+                for i in range(n)
             ]
-            for i in range(n)
+            for l in range(n)
         ]
-        for l in range(n)
-    ]
-    return Connection(n=n, gamma=gamma)
+        return Connection(n=n, gamma=gamma)
+
+    return _memo(b, ("standard_connection", s), build)
 
 
 def c_matrix(k: int) -> CMatrix:
@@ -145,25 +150,30 @@ def c_matrix(k: int) -> CMatrix:
 
 
 def flat_combination(b: HomogeneousBracket, s: int) -> Connection:
+    """Gamma_[s], cached on the bracket: the returned object is shared."""
     if not 0 <= s <= b.k - 1:
         raise ValueError(f"s must lie in 0..{b.k - 1}, got {s}")
-    row = c_matrix(b.k).c[s]
-    n = b.n
-    parts = [standard_connection(b, t) for t in range(b.k)]
-    gamma = [
-        [
+
+    def build():
+        row = c_matrix(b.k).c[s]
+        n = b.n
+        parts = [standard_connection(b, t) for t in range(b.k)]
+        gamma = [
             [
-                sum(
-                    (parts[t].gamma[l][i][j] * row[t] for t in range(b.k) if row[t]),
-                    Scalar.zero(),
-                )
-                for j in range(n)
+                [
+                    sum(
+                        (parts[t].gamma[l][i][j] * row[t] for t in range(b.k) if row[t]),
+                        Scalar.zero(),
+                    )
+                    for j in range(n)
+                ]
+                for i in range(n)
             ]
-            for i in range(n)
+            for l in range(n)
         ]
-        for l in range(n)
-    ]
-    return Connection(n=n, gamma=gamma)
+        return Connection(n=n, gamma=gamma)
+
+    return _memo(b, ("flat_combination", s), build)
 
 
 def curvature(conn: Connection) -> CurvatureTensor:

@@ -420,6 +420,13 @@ def _alternating_sum(partial, i: int, top: int) -> DiffPoly:
     return sum(parts, DiffPoly.zero())
 
 
+def _dx_upto(derivs: list, t: int) -> DiffPoly:
+    """derivs[t] of a list holding p, d_x p, d_x^2 p, ...; grown in place as needed."""
+    while len(derivs) <= t:
+        derivs.append(derivs[-1].d_x())
+    return derivs[t]
+
+
 def _term_str(key: TermKey, c: Scalar) -> tuple[int, str]:
     even, odd = key
     factors = []

@@ -14,33 +14,31 @@ reduces to applying D_P to the two families of variational derivatives.
 
 from __future__ import annotations
 
-from .bracket import HomogeneousBracket, bivector, skew_defects, validate
-from .diffpoly import DiffPoly
+from .bracket import HomogeneousBracket, _memo, bivector, skew_defects, validate
+from .diffpoly import DiffPoly, _dx_upto
 from .errors import PreconditionError
 
 
 def variational_pair(b: HomogeneousBracket) -> tuple[list, list]:
     """(dP~/dtheta_i, dP~/du^i) for i = 1..n, cached on the bracket."""
-    cached = b._cache.get("variational_pair")
-    if cached is not None:
-        return cached
-    P = bivector(b)
-    ddtheta = [P.variational_theta(i) for i in range(1, b.n + 1)]
-    ddu = [P.variational_u(i) for i in range(1, b.n + 1)]
-    b._cache["variational_pair"] = (ddtheta, ddu)
-    return ddtheta, ddu
+
+    def build():
+        P = bivector(b)
+        ddtheta = [P.variational_theta(i) for i in range(1, b.n + 1)]
+        ddu = [P.variational_u(i) for i in range(1, b.n + 1)]
+        return ddtheta, ddu
+
+    return _memo(b, "variational_pair", build)
 
 
 def _dx_powers(b: HomogeneousBracket, family: str, i: int, s: int) -> DiffPoly:
-    lst = b._cache.get(("dx", family, i))
-    if lst is None:
+    """d_x^s of dP~/dtheta_i (family "theta") or of dP~/du^i (family "u")."""
+
+    def build():
         ddtheta, ddu = variational_pair(b)
-        base = ddtheta[i - 1] if family == "theta" else ddu[i - 1]
-        lst = [base]
-        b._cache[("dx", family, i)] = lst
-    while len(lst) <= s:
-        lst.append(lst[-1].d_x())
-    return lst[s]
+        return [(ddtheta if family == "theta" else ddu)[i - 1]]
+
+    return _dx_upto(_memo(b, ("dx", family, i), build), s)
 
 
 def apply_DP(b: HomogeneousBracket, a: DiffPoly) -> DiffPoly:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bracket import HomogeneousBracket, extract_named, lower_metric
+from .bracket import HomogeneousBracket, extract_named, lower_metric, metric_pair
 from .connections import (
     curvature,
     flat_combination,
@@ -54,6 +54,15 @@ def _tensor3_nonzero(T, fmt):
         for b in range(n)
         for c in range(n)
     )
+
+
+def _curvature_witness(conn) -> str | None:
+    """The first nonzero curvature component of conn, or None when flat."""
+    comps = curvature(conn).nonzero_components()
+    if not comps:
+        return None
+    (l, t, i, j), comp = comps[0]
+    return f"R^{l+1}_{{{t+1},{i+1},{j+1}}} = {comp}"
 
 
 def _require_degree(b: HomogeneousBracket, k: int):
@@ -96,12 +105,8 @@ def dn_check(b: HomogeneousBracket) -> list:
     w = _tensor3_nonzero(nab, lambda l, i, j: f"nabla_{l+1} g^{{{i+1}{j+1}}}")
     report.append(ConditionResult("metric compatible", w is None, w))
 
-    R = curvature(conn)
-    w = _first_nonzero(
-        (f"R^{l+1}_{{{t+1},{i+1},{j+1}}}", comp)
-        for (l, t, i, j), comp in R.nonzero_components()
-    ) if not R.is_zero() else None
-    report.append(ConditionResult("flat", R.is_zero(), w))
+    w = _curvature_witness(conn)
+    report.append(ConditionResult("flat", w is None, w))
     return report
 
 
@@ -135,10 +140,9 @@ def quadratic_tail(b: HomogeneousBracket, s: int = 0) -> list:
 def ferguson_check(b: HomogeneousBracket) -> list:
     """Degree-2 conditions (a)-(e)."""
     _require_degree(b, 2)
-    named = extract_named(b)
+    named, glow = metric_pair(b)
     n = b.n
     g, bb, cc = named.g, named.h[1], named.h[0]
-    glow = lower_metric(g)
     report = []
 
     w = _first_nonzero(
@@ -149,13 +153,8 @@ def ferguson_check(b: HomogeneousBracket) -> list:
     report.append(ConditionResult("(a) g skew-symmetric", w is None, w))
 
     conn = standard_connection(b, 0)
-    R = curvature(conn)
-    wf = None
-    if not R.is_zero():
-        (l, t, i, j), comp = R.nonzero_components()[0]
-        wf = f"R^{l+1}_{{{t+1},{i+1},{j+1}}} = {comp}"
     wt = _tensor3_nonzero(torsion(conn), lambda l, i, j: f"T^{l+1}_{{{i+1}{j+1}}}")
-    w = wf or wt
+    w = _curvature_witness(conn) or wt
     report.append(ConditionResult("(b) standard connection flat and torsionless", w is None, w))
 
     nab_low = nabla_tensor(conn, glow, "lower")
@@ -338,37 +337,30 @@ def potemin_check(g: list, c: list) -> list:
 def k4_connection_fixtures(b: HomogeneousBracket) -> list:
     """Cross-check the degree-4 Christoffel closed forms both ways."""
     _require_degree(b, 4)
-    named = extract_named(b)
-    glow = lower_metric(named.g)
+    named, glow = metric_pair(b)
     n = b.n
     ee, dd, cc, bb = named.h[0], named.h[1], named.h[2], named.h[3]
 
     def combo(coeffs):
-        tensors = [bb, cc, dd, ee]
-        n_ = n
-        acc = [[[Scalar.zero() for _ in range(n_)] for _ in range(n_)] for _ in range(n_)]
-        for q, (name, tensor) in enumerate(zip("bcde", tensors)):
+        acc = [[[Scalar.zero() for _ in range(n)] for _ in range(n)] for _ in range(n)]
+        for name, tensor in zip("bcde", (bb, cc, dd, ee)):
             f = coeffs.get(name, 0)
             if not f:
                 continue
-            for a in range(n_):
-                for i in range(n_):
-                    for j in range(n_):
+            for a in range(n):
+                for i in range(n):
+                    for j in range(n):
                         acc[a][i][j] = acc[a][i][j] + tensor[i][a][j] * f
-        return _contract_pre(glow, acc)
-
-    def _contract_pre(glow_, pre):
-        # pre[a][i][j] holds X^{ia}_j already; contract the first upper slot
-        n_ = len(glow_)
+        # acc[a][i][j] holds X^{ia}_j; contract the first upper slot with glow
         return [
             [
                 [
-                    sum((glow_[i][ip] * pre[l][ip][j] for ip in range(n_)), Scalar.zero())
-                    for j in range(n_)
+                    sum((glow[i][ip] * acc[l][ip][j] for ip in range(n)), Scalar.zero())
+                    for j in range(n)
                 ]
-                for i in range(n_)
+                for i in range(n)
             ]
-            for l in range(n_)
+            for l in range(n)
         ]
 
     fixtures = [

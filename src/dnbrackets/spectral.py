@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .bracket import HomogeneousBracket, extract_named, metric_pair
+from .bracket import HomogeneousBracket, _memo, extract_named, metric_pair
 from .diffpoly import DiffPoly, JetVar, ThetaVar, term_deg_theta_k
 from .errors import PreconditionError
 from .jacobi import apply_DP, check_jacobi
@@ -45,14 +45,14 @@ __all__ = [
 
 def require_poisson(b: HomogeneousBracket) -> None:
     """Check (once per bracket) that b is skew and satisfies Jacobi."""
-    cached = b._cache.get("is_poisson")
-    if cached is None:
+
+    def build():
         try:
-            cached = check_jacobi(b)
+            return check_jacobi(b)
         except PreconditionError:
-            cached = False
-        b._cache["is_poisson"] = cached
-    if not cached:
+            return False
+
+    if not _memo(b, "is_poisson", build):
         raise PreconditionError(
             "bracket must be skew-symmetric and satisfy the Jacobi identity"
         )
@@ -149,14 +149,18 @@ def d1_spectral(b: HomogeneousBracket, x: DiffPoly) -> DiffPoly:
 
 
 def _named_with_top(b: HomogeneousBracket):
-    """Tails h_(0..k-1) extended by h_(k)^{ij}_l := dg^{ij}/du^l."""
-    named = extract_named(b)
-    n = b.n
-    top = [
-        [[named.g[i][j].partial(l + 1) for l in range(n)] for j in range(n)]
-        for i in range(n)
-    ]
-    return named, named.h + [top]
+    """Tails h_(0..k-1) extended by h_(k)^{ij}_l := dg^{ij}/du^l, cached."""
+
+    def build():
+        named = extract_named(b)
+        n = b.n
+        top = [
+            [[named.g[i][j].partial(l + 1) for l in range(n)] for j in range(n)]
+            for i in range(n)
+        ]
+        return named, named.h + [top]
+
+    return _memo(b, "named_with_top", build)
 
 
 def d1_closed(b: HomogeneousBracket, x: DiffPoly) -> DiffPoly:

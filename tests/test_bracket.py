@@ -21,11 +21,13 @@ from dnbrackets.bracket import (
     validate,
 )
 from dnbrackets.cli import load_bracket
+from dnbrackets.connections import flat_combination, standard_connection
 from dnbrackets.diffpoly import DiffPoly
 from dnbrackets.errors import DegenerateMetricError
-from dnbrackets.jacobi import check_jacobi
+from dnbrackets.jacobi import _dx_powers, check_jacobi, variational_pair
 from dnbrackets.sampling import random_constant_bracket
 from dnbrackets.scalar import Scalar
+from dnbrackets.spectral import _named_with_top
 
 from conftest import S, fixture_path, nonflat2_data
 
@@ -137,12 +139,30 @@ def test_lower_metric_rejects_degenerate():
         lower_metric(g)
 
 
-def test_metric_pair_cached(nonflat2):
-    named1, glow1 = metric_pair(nonflat2)
-    named2, glow2 = metric_pair(nonflat2)
-    assert named1 is named2 and glow1 is glow2
-    g, _ = nonflat2_data()
-    assert named1.g[0][1] == g[0][1]
+# accessor -> whether a second call hands back the very same object
+MEMOISED = {
+    "bivector": (bivector, True),
+    "extract_named": (extract_named, True),
+    "metric_pair": (metric_pair, True),
+    "variational_pair": (variational_pair, True),
+    "dx_powers": (lambda b: _dx_powers(b, "theta", 1, 2), True),
+    "standard_connection": (lambda b: standard_connection(b, 1), True),
+    "flat_combination": (lambda b: flat_combination(b, 2), True),
+    "named_with_top": (_named_with_top, True),
+    "skew_defects": (skew_defects, False),
+}
+
+
+@pytest.mark.parametrize("name", MEMOISED)
+def test_memoised_accessors(nonflat2, name):
+    accessor, shared = MEMOISED[name]
+    first = accessor(nonflat2)
+    second = accessor(nonflat2)
+    if shared:
+        assert second is first
+    else:
+        # an equal copy of the cached value, so a caller cannot change the cache
+        assert second == first and second is not first
 
 
 def product_map():

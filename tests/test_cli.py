@@ -93,6 +93,18 @@ def test_lowdegree_dispatch(capsys):
         assert needle in out
 
 
+def test_lowdegree_skips_degree3_outside_normal_form(tmp_path, capsys):
+    # the normal form has no delta^(0) term, so P_0 = u1_3 cannot be rebuilt
+    path = tmp_path / "doc.json"
+    path.write_text(
+        json.dumps({"dimension": 1, "degree": 3, "entries": [[3, 1, 1, "1"], [0, 1, 1, "u1_3"]]})
+    )
+    code, out, _ = run(capsys, "lowdegree", str(path))
+    assert code == 0
+    assert "SKIP" in out and "not in the jet-linear normal form" in out
+    assert "0 passed, 0 failed, 1 skipped" in out
+
+
 def test_spectral_command(capsys):
     code, out, _ = run(
         capsys,
@@ -186,12 +198,16 @@ def test_schema_violations(tmp_path, capsys):
             "u1..u2",
         ),
     ]
+    # only a JSON integer is a dimension or a degree: no truncation, no digit strings
+    for bad in (2.9, 2.0, True, "2"):
+        cases.append(({"dimension": bad, "degree": 1, "entries": []}, "bad 'dimension'"))
+        cases.append(({"dimension": 1, "degree": bad, "entries": []}, "bad 'degree'"))
     for doc, needle in cases:
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))
         code, _, err = run(capsys, "validate", str(path))
         assert code == 2, doc
-        assert needle in err
+        assert "input error" in err and needle in err
 
 
 def test_parse_error_in_entry(tmp_path, capsys):
@@ -249,8 +265,8 @@ def test_map_document_validation(tmp_path, capsys):
     assert code == 2
     assert "inverse" in err.lower() or "forward" in err.lower()
 
-    # a dimension that is not an integer is an input error, not a crash
-    for dimension in ("x", [2]):
+    # a dimension that is not an integer is an input error, not a crash or a truncation
+    for dimension in ("x", [2], 2.9, 2.0, True, "2"):
         path.write_text(
             json.dumps({"dimension": dimension, "forward": ["u1", "u2"], "inverse": ["u1", "u2"]})
         )
@@ -258,7 +274,7 @@ def test_map_document_validation(tmp_path, capsys):
             capsys, "transform", fixture_path("lc_k1.json"), "--map", str(path)
         )
         assert code == 2
-        assert "input error" in err and "dimension" in err
+        assert "input error" in err and "bad 'dimension'" in err
 
 
 def test_load_bracket_entry_list_form(tmp_path):
@@ -283,9 +299,15 @@ def test_load_map_round_trip():
 
 
 def test_entry_point_runs_as_module():
+    import os
     import subprocess
     import sys
 
+    import dnbrackets
+
+    # run the package under test, installed or not
+    src = os.path.dirname(os.path.dirname(dnbrackets.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [
             sys.executable,
@@ -296,6 +318,7 @@ def test_entry_point_runs_as_module():
         ],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "PASS" in proc.stdout

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from dnbrackets.bracket import HomogeneousBracket, metric_pair
+from dnbrackets.bracket import HomogeneousBracket, check_skew, metric_pair
+from dnbrackets.cli import load_bracket
 from dnbrackets.connections import (
     c_matrix,
     curvature,
@@ -19,7 +20,7 @@ from dnbrackets.connections import (
 from dnbrackets.diffpoly import DiffPoly
 from dnbrackets.scalar import Scalar
 
-from conftest import S
+from conftest import S, fixture_path
 
 
 def test_c_matrix_low_degree_rows():
@@ -215,3 +216,24 @@ def test_nabla_tensor_variance_validation(lc1):
         assert all(
             N[l][i][j].is_zero for l in range(2) for i in range(2) for j in range(2)
         )
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["nonflat2", "canonical4", "lc1", "lc1_broken", "const2", "const3"]
+    + ["canonical_k2.json", "constant_k2.json", "lc_k1.json", "lc_k1_broken.json", "nonflat2.json"],
+)
+def test_memoised_connections_match_a_fresh_bracket(request, name):
+    if name.endswith(".json"):
+        b = load_bracket(fixture_path(name))
+    else:
+        b = request.getfixturevalue(name)
+    # fill the cache through the checks that read it before the comparison
+    check_skew(b)
+    genericity(b)
+    for s in range(b.k):
+        is_flat(flat_combination(b, s))
+    fresh = HomogeneousBracket(b.n, b.k, dict(b.P))
+    for s in range(b.k):
+        assert standard_connection(b, s) == standard_connection(fresh, s)
+        assert flat_combination(b, s) == flat_combination(fresh, s)
