@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import product
 from math import comb
 from types import MappingProxyType
 
@@ -62,6 +64,22 @@ class HomogeneousBracket:
 
     def entries(self):
         return self.P.items()
+
+
+def _tensor(n: int, rank: int, fn) -> list:
+    """The rank-deep nested list T with T[a][b]... = fn(a, b, ...), built in index order."""
+    if rank == 1:
+        return [fn(a) for a in range(n)]
+    return [_tensor(n, rank - 1, partial(fn, a)) for a in range(n)]
+
+
+def _components(T: list, rank: int):
+    """Yield (index, entry) for every entry of the rank-deep nested list T, in index order."""
+    for index in product(range(len(T)), repeat=rank):
+        entry = T
+        for a in index:
+            entry = entry[a]
+        yield index, entry
 
 
 def _memo(b: HomogeneousBracket, key, build):
@@ -133,22 +151,11 @@ def extract_named(b: HomogeneousBracket) -> NamedCoefficients:
     n, k = b.n, b.k
 
     def build():
-        g = [[b.entry(i + 1, j + 1, k).coefficient((), ()) for j in range(n)] for i in range(n)]
-        h = []
-        for s in range(k):
-            order = k - s
-            h.append(
-                [
-                    [
-                        [
-                            b.entry(i + 1, j + 1, s).coefficient((((l + 1, order), 1),), ())
-                            for l in range(n)
-                        ]
-                        for j in range(n)
-                    ]
-                    for i in range(n)
-                ]
-            )
+        def tail(s, i, j, l):
+            return b.entry(i + 1, j + 1, s).coefficient((((l + 1, k - s), 1),), ())
+
+        g = _tensor(n, 2, lambda i, j: b.entry(i + 1, j + 1, k).coefficient((), ()))
+        h = [_tensor(n, 3, partial(tail, s)) for s in range(k)]
         return NamedCoefficients(n=n, k=k, g=g, h=h)
 
     return _memo(b, "named", build)
@@ -165,17 +172,17 @@ def skew_defects(b: HomogeneousBracket) -> list[tuple[int, int, int, DiffPoly]]:
 
     def build():
         out = []
-        for i in range(1, b.n + 1):
-            for j in range(1, b.n + 1):
-                for t in range(b.k + 1):
-                    parts = (
-                        b.entry(i, j, s).d_x_pow(s - t) * ((-1) ** (s + 1) * comb(s, t))
-                        for s in range(t, b.k + 1)
-                    )
-                    rhs = sum(parts, DiffPoly.zero())
-                    defect = b.entry(j, i, t) - rhs
-                    if not defect.is_zero:
-                        out.append((i, j, t, defect))
+        for i, j in product(range(1, b.n + 1), repeat=2):
+            # derivs[s] holds P_s^{ij}, d_x P_s^{ij}, ...: each derivative is taken once
+            derivs = [[b.entry(i, j, s)] for s in range(b.k + 1)]
+            for t in range(b.k + 1):
+                parts = (
+                    _dx_upto(derivs[s], s - t) * ((-1) ** (s + 1) * comb(s, t))
+                    for s in range(t, b.k + 1)
+                )
+                defect = b.entry(j, i, t) - sum(parts, DiffPoly.zero())
+                if not defect.is_zero:
+                    out.append((i, j, t, defect))
         return tuple(out)
 
     return list(_memo(b, "skew_defects", build))
@@ -188,27 +195,21 @@ def check_skew(b: HomogeneousBracket) -> bool:
 def skewh_defects(b: HomogeneousBracket) -> list[tuple[str, Scalar]]:
     """Skewness conditions written on the named coefficients (g, h)."""
     named = extract_named(b)
-    n, k = named.n, named.k
+    g, h, k = named.g, named.h, named.k
     sign = 1 if (k + 1) % 2 == 0 else -1
-    out = []
-    for i in range(n):
-        for j in range(n):
-            defect = named.g[j][i] - sign * named.g[i][j]
-            if not defect.is_zero:
-                out.append((f"g^{{{j+1}{i+1}}} - ({sign})*g^{{{i+1}{j+1}}}", defect))
-    for s in range(k):
-        for i in range(n):
-            for j in range(n):
-                for l in range(n):
-                    rhs = comb(k, s) * named.g[i][j].partial(l + 1)
-                    for t in range(s, k):
-                        term = comb(t, s) * named.h[t][j][i][l]
-                        rhs = rhs + (term if (t + 1) % 2 == 0 else -term)
-                    defect = named.h[s][i][j][l] - rhs
-                    if not defect.is_zero:
-                        out.append(
-                            (f"h_({s})^{{{i+1}{j+1}}}_{l+1} constraint", defect)
-                        )
+    out = [
+        (f"g^{{{j+1}{i+1}}} - ({sign})*g^{{{i+1}{j+1}}}", defect)
+        for (i, j), gij in _components(g, 2)
+        if (defect := g[j][i] - sign * gij)
+    ]
+    for s, hs in enumerate(h):
+        for (i, j, l), hsijl in _components(hs, 3):
+            rhs = comb(k, s) * g[i][j].partial(l + 1)
+            for t in range(s, k):
+                term = comb(t, s) * h[t][j][i][l]
+                rhs = rhs + (term if (t + 1) % 2 == 0 else -term)
+            if defect := hsijl - rhs:
+                out.append((f"h_({s})^{{{i+1}{j+1}}}_{l+1} constraint", defect))
     return out
 
 

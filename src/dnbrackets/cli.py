@@ -11,7 +11,7 @@ Bracket document schema::
 
     {
       "dimension": 2,
-      "degree": 3,
+      "degree": 3,                           # optional for canonical_k2 (2) / potemin (3)
       "coordinates": ["u1", "u2"],          # optional, must match u1..un
       "construction": "raw",                 # raw | canonical_k2 | potemin
       "entries": [ {"s": 3, "i": 1, "j": 1, "expr": "1"}, ... ]   # raw
@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from .bracket import (
     CoordinateMap,
     HomogeneousBracket,
+    _components,
     check_skew,
     extract_named,
     skew_defects,
@@ -52,13 +53,14 @@ from .connections import (
     flat_combination,
     genericity,
     standard_connection,
-    torsion,
 )
 from .diffpoly import DiffPoly
 from .errors import DegenerateMetricError, ParseError, PreconditionError
 from .grammar import parse_expression
 from .jacobi import jacobi_defects
 from .lowdegree import (
+    _condition,
+    _torsion_labelled,
     canonical_k2,
     dn_check,
     ferguson_check,
@@ -77,19 +79,6 @@ from .spectral import (
     project_B,
     spanning_monomials,
 )
-
-COMMANDS = (
-    "validate",
-    "jacobi",
-    "connections",
-    "curvature",
-    "flatness",
-    "transform",
-    "lowdegree",
-    "spectral",
-    "report",
-)
-
 
 # Bounds on a document's dimension and degree.  Every worked example has
 # n <= 4 and k <= 3; the bounds keep a mistyped or hostile document from
@@ -191,6 +180,12 @@ def load_bracket(path: str) -> HomogeneousBracket:
     if names is not None and names != [f"u{i}" for i in range(1, n + 1)]:
         raise InputError(f"{path}: coordinates must be u1..u{n} in order")
     construction = doc.get("construction", "raw")
+    fixed_degree = {"canonical_k2": 2, "potemin": 3}.get(construction)
+    if fixed_degree is not None and "degree" in doc:
+        if _integer(doc, "degree", path) != fixed_degree:
+            raise InputError(
+                f"{path}: bad 'degree': a {construction} bracket has degree {fixed_degree}"
+            )
 
     if construction == "canonical_k2":
         g = _scalar_matrix(doc.get("metric"), n, f"{path}: metric")
@@ -311,14 +306,9 @@ def _std_name(s: int) -> str:
 
 def _print_connection(conn, name: str) -> None:
     print(f"  {name}:")
-    shown = False
-    for l in range(conn.n):
-        for i in range(conn.n):
-            for j in range(conn.n):
-                v = conn.gamma[l][i][j]
-                if not v.is_zero:
-                    print(f"    {name}^{l + 1}_{{{i + 1}{j + 1}}} = {v}")
-                    shown = True
+    shown = [(index, v) for index, v in _components(conn.gamma, 3) if not v.is_zero]
+    for (l, i, j), v in shown:
+        print(f"    {name}^{l + 1}_{{{i + 1}{j + 1}}} = {v}")
     if not shown:
         print("    0")
 
@@ -347,13 +337,8 @@ def cmd_connections(b: HomogeneousBracket, args) -> list:
     _check(results, "connections computed", lambda: (True, None))
 
     def torsionless():
-        T = torsion(standard_connection(b, 0))
-        for l in range(b.n):
-            for i in range(b.n):
-                for j in range(b.n):
-                    if not T[l][i][j].is_zero:
-                        return False, f"T^{l + 1}_{{{i + 1}{j + 1}}} = {T[l][i][j]}"
-        return True, None
+        r = _condition("Gamma_(0) torsionless", _torsion_labelled(standard_connection(b, 0)))
+        return r.passed, r.witness
 
     _check(results, "Gamma_(0) torsionless", torsionless)
     _check(results, "affine span dimension", lambda: (
@@ -553,6 +538,19 @@ def cmd_report(b: HomogeneousBracket, args) -> list:
     return results
 
 
+COMMANDS = {
+    "validate": cmd_validate,
+    "jacobi": cmd_jacobi,
+    "connections": cmd_connections,
+    "curvature": cmd_curvature,
+    "flatness": cmd_flatness,
+    "transform": cmd_transform,
+    "lowdegree": cmd_lowdegree,
+    "spectral": cmd_spectral,
+    "report": cmd_report,
+}
+
+
 # ---------------------------------------------------------------------------
 # entry point
 
@@ -597,18 +595,7 @@ def main(argv=None) -> int:
 
     try:
         b = load_bracket(args.bracket)
-        handler = {
-            "validate": cmd_validate,
-            "jacobi": cmd_jacobi,
-            "connections": cmd_connections,
-            "curvature": cmd_curvature,
-            "flatness": cmd_flatness,
-            "transform": cmd_transform,
-            "lowdegree": cmd_lowdegree,
-            "spectral": cmd_spectral,
-            "report": cmd_report,
-        }[args.command]
-        results = handler(b, args)
+        results = COMMANDS[args.command](b, args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

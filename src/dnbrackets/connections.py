@@ -25,9 +25,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
-from .bracket import HomogeneousBracket, _gauss_jordan, _memo, lower_metric, metric_pair
+from .bracket import (
+    HomogeneousBracket,
+    _components,
+    _gauss_jordan,
+    _memo,
+    _tensor,
+    lower_metric,
+    metric_pair,
+)
 from .scalar import Scalar
 
 __all__ = [
@@ -66,23 +75,10 @@ class CurvatureTensor:
     R: list
 
     def is_zero(self) -> bool:
-        return all(
-            self.R[l][t][i][j].is_zero
-            for l in range(self.n)
-            for t in range(self.n)
-            for i in range(self.n)
-            for j in range(self.n)
-        )
+        return all(v.is_zero for _, v in _components(self.R, 4))
 
     def nonzero_components(self) -> list:
-        out = []
-        for l in range(self.n):
-            for t in range(self.n):
-                for i in range(self.n):
-                    for j in range(self.n):
-                        if not self.R[l][t][i][j].is_zero:
-                            out.append(((l, t, i, j), self.R[l][t][i][j]))
-        return out
+        return [(index, v) for index, v in _components(self.R, 4) if not v.is_zero]
 
 
 @dataclass
@@ -101,24 +97,13 @@ def standard_connection(b: HomogeneousBracket, s: int) -> Connection:
 
     def build():
         named, glow = metric_pair(b)
-        n = b.n
         factor = Scalar.from_fraction(Fraction(-1, comb(b.k, s)))
         h = named.h[s]
-        gamma = [
-            [
-                [
-                    factor
-                    * sum(
-                        (glow[i][ip] * h[ip][l][j] for ip in range(n)),
-                        Scalar.zero(),
-                    )
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
-            for l in range(n)
-        ]
-        return Connection(n=n, gamma=gamma)
+
+        def entry(l, i, j):
+            return factor * sum((gip * hip[l][j] for gip, hip in zip(glow[i], h)), Scalar.zero())
+
+        return Connection(n=b.n, gamma=_tensor(b.n, 3, entry))
 
     return _memo(b, ("standard_connection", s), build)
 
@@ -156,43 +141,30 @@ def flat_combination(b: HomogeneousBracket, s: int) -> Connection:
 
     def build():
         row = c_matrix(b.k).c[s]
-        n = b.n
-        parts = [standard_connection(b, t) for t in range(b.k)]
-        gamma = [
-            [
-                [
-                    sum(
-                        (parts[t].gamma[l][i][j] * row[t] for t in range(b.k) if row[t]),
-                        Scalar.zero(),
-                    )
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
-            for l in range(n)
-        ]
-        return Connection(n=n, gamma=gamma)
+        parts = [(standard_connection(b, t).gamma, ct) for t, ct in enumerate(row) if ct]
+
+        def entry(l, i, j):
+            return sum((G[l][i][j] * ct for G, ct in parts), Scalar.zero())
+
+        return Connection(n=b.n, gamma=_tensor(b.n, 3, entry))
 
     return _memo(b, ("flat_combination", s), build)
 
 
 def curvature(conn: Connection) -> CurvatureTensor:
-    n = conn.n
-    G = conn.gamma
-    R = [
-        [[[Scalar.zero() for _ in range(n)] for _ in range(n)] for _ in range(n)]
-        for _ in range(n)
-    ]
-    for l in range(n):
-        for t in range(n):
-            for i in range(n):
-                for j in range(i + 1, n):
-                    val = G[l][j][t].partial(i + 1) - G[l][i][t].partial(j + 1)
-                    for q in range(n):
-                        val = val + G[l][i][q] * G[q][j][t] - G[l][j][q] * G[q][i][t]
-                    R[l][t][i][j] = val
-                    R[l][t][j][i] = -val
-    return CurvatureTensor(n=n, R=R)
+    n, G = conn.n, conn.gamma
+
+    def block(l, t):
+        """R^l_{t,i,j} over (i, j): computed for i < j, mirrored for i > j."""
+        B = _tensor(n, 2, lambda i, j: Scalar.zero())
+        for i, j in combinations(range(n), 2):
+            val = G[l][j][t].partial(i + 1) - G[l][i][t].partial(j + 1)
+            for q in range(n):
+                val = val + G[l][i][q] * G[q][j][t] - G[l][j][q] * G[q][i][t]
+            B[i][j], B[j][i] = val, -val
+        return B
+
+    return CurvatureTensor(n=n, R=_tensor(n, 2, block))
 
 
 def is_flat(conn: Connection) -> bool:
@@ -200,22 +172,13 @@ def is_flat(conn: Connection) -> bool:
 
 
 def torsion(conn: Connection) -> list:
-    n = conn.n
-    return [
-        [[conn.gamma[l][i][j] - conn.gamma[l][j][i] for j in range(n)] for i in range(n)]
-        for l in range(n)
-    ]
+    G = conn.gamma
+    return _tensor(conn.n, 3, lambda l, i, j: G[l][i][j] - G[l][j][i])
 
 
 def flip_torsion(conn: Connection) -> Connection:
-    n = conn.n
-    return Connection(
-        n=n,
-        gamma=[
-            [[conn.gamma[l][j][i] for j in range(n)] for i in range(n)]
-            for l in range(n)
-        ],
-    )
+    G = conn.gamma
+    return Connection(n=conn.n, gamma=_tensor(conn.n, 3, lambda l, i, j: G[l][j][i]))
 
 
 def nabla_tensor(conn: Connection, g: list, variance: str) -> list:
@@ -225,27 +188,23 @@ def nabla_tensor(conn: Connection, g: list, variance: str) -> list:
     slot: upper-variance tensors gain +Gamma^i_{lq} g^{qj} + Gamma^j_{lq} g^{iq},
     lower-variance ones lose -Gamma^q_{li} g_{qj} - Gamma^q_{lj} g_{iq}.
     """
-    n = conn.n
-    G = conn.gamma
-    out = []
-    for l in range(n):
-        mat = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                val = g[i][j].partial(l + 1)
-                if variance == "upper":
-                    for q in range(n):
-                        val = val + G[i][l][q] * g[q][j] + G[j][l][q] * g[i][q]
-                elif variance == "lower":
-                    for q in range(n):
-                        val = val - G[q][l][i] * g[q][j] - G[q][l][j] * g[i][q]
-                else:
-                    raise ValueError(f"variance must be 'upper' or 'lower', got {variance!r}")
-                row.append(val)
-            mat.append(row)
-        out.append(mat)
-    return out
+    n, G = conn.n, conn.gamma
+
+    def upper(l, i, j):
+        val = g[i][j].partial(l + 1)
+        for q in range(n):
+            val = val + G[i][l][q] * g[q][j] + G[j][l][q] * g[i][q]
+        return val
+
+    def lower(l, i, j):
+        val = g[i][j].partial(l + 1)
+        for q in range(n):
+            val = val - G[q][l][i] * g[q][j] - G[q][l][j] * g[i][q]
+        return val
+
+    if variance not in ("upper", "lower"):
+        raise ValueError(f"variance must be 'upper' or 'lower', got {variance!r}")
+    return _tensor(n, 3, upper if variance == "upper" else lower)
 
 
 def genericity(b: HomogeneousBracket) -> int:
@@ -256,17 +215,9 @@ def genericity(b: HomogeneousBracket) -> int:
     """
     if b.k == 1:
         return 0
-    base = standard_connection(b, 0)
-    n = b.n
-    rows = []
-    for s in range(1, b.k):
-        conn = standard_connection(b, s)
-        rows.append(
-            [
-                conn.gamma[l][i][j] - base.gamma[l][i][j]
-                for l in range(n)
-                for i in range(n)
-                for j in range(n)
-            ]
-        )
+    base = standard_connection(b, 0).gamma
+    rows = [
+        [v - base[l][i][j] for (l, i, j), v in _components(standard_connection(b, s).gamma, 3)]
+        for s in range(1, b.k)
+    ]
     return len(_gauss_jordan(rows)[1])

@@ -15,8 +15,16 @@ collapse them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, product
 
-from .bracket import HomogeneousBracket, extract_named, lower_metric, metric_pair
+from .bracket import (
+    HomogeneousBracket,
+    _components,
+    _tensor,
+    extract_named,
+    lower_metric,
+    metric_pair,
+)
 from .connections import (
     curvature,
     flat_combination,
@@ -39,30 +47,25 @@ def all_pass(report: list) -> bool:
     return all(r.passed for r in report)
 
 
-def _first_nonzero(entries) -> str | None:
-    for label, value in entries:
-        if not value.is_zero:
-            return f"{label} = {value}"
-    return None
+def _condition(name: str, labelled) -> ConditionResult:
+    """Pass when every value of the (label, value) pairs is zero.
+
+    Otherwise the first nonzero one is the witness "label = value"; the pairs
+    may be generated lazily, so nothing after the witness is computed.
+    """
+    witness = next((f"{label} = {v}" for label, v in labelled if not v.is_zero), None)
+    return ConditionResult(name, witness is None, witness)
 
 
-def _tensor3_nonzero(T, fmt):
-    n = len(T)
-    return _first_nonzero(
-        (fmt(a, b, c), T[a][b][c])
-        for a in range(n)
-        for b in range(n)
-        for c in range(n)
-    )
+def _torsion_labelled(conn):
+    """The torsion components of conn, labelled T^l_{ij}."""
+    return ((f"T^{l+1}_{{{i+1}{j+1}}}", v) for (l, i, j), v in _components(torsion(conn), 3))
 
 
-def _curvature_witness(conn) -> str | None:
-    """The first nonzero curvature component of conn, or None when flat."""
-    comps = curvature(conn).nonzero_components()
-    if not comps:
-        return None
-    (l, t, i, j), comp = comps[0]
-    return f"R^{l+1}_{{{t+1},{i+1},{j+1}}} = {comp}"
+def _curvature_labelled(conn):
+    """The curvature components of conn, labelled R^l_{t,i,j}."""
+    R = curvature(conn).R
+    return ((f"R^{l+1}_{{{t+1},{i+1},{j+1}}}", v) for (l, t, i, j), v in _components(R, 4))
 
 
 def _require_degree(b: HomogeneousBracket, k: int):
@@ -74,148 +77,96 @@ def dn_check(b: HomogeneousBracket) -> list:
     """Degree-1 conditions: symmetric g, skew tail, Levi-Civita, flat."""
     _require_degree(b, 1)
     named = extract_named(b)
-    n = b.n
     g, bb = named.g, named.h[0]
-    report = []
-
-    w = _first_nonzero(
-        (f"g^{{{j+1}{i+1}}} - g^{{{i+1}{j+1}}}", g[j][i] - g[i][j])
-        for i in range(n)
-        for j in range(i + 1, n)
-    )
-    report.append(ConditionResult("g symmetric", w is None, w))
-
-    w = _tensor3_nonzero(
-        [
-            [
-                [bb[i][j][l] + bb[j][i][l] - g[i][j].partial(l + 1) for l in range(n)]
-                for j in range(n)
-            ]
-            for i in range(n)
-        ],
-        lambda i, j, l: f"b^{{{i+1}{j+1}}}_{l+1} + b^{{{j+1}{i+1}}}_{l+1} - d_{l+1} g^{{{i+1}{j+1}}}",
-    )
-    report.append(ConditionResult("tail skew-symmetry", w is None, w))
-
     conn = standard_connection(b, 0)
-    w = _tensor3_nonzero(torsion(conn), lambda l, i, j: f"T^{l+1}_{{{i+1}{j+1}}}")
-    report.append(ConditionResult("torsionless", w is None, w))
-
     nab = nabla_tensor(conn, g, "upper")
-    w = _tensor3_nonzero(nab, lambda l, i, j: f"nabla_{l+1} g^{{{i+1}{j+1}}}")
-    report.append(ConditionResult("metric compatible", w is None, w))
-
-    w = _curvature_witness(conn)
-    report.append(ConditionResult("flat", w is None, w))
-    return report
+    return [
+        _condition("g symmetric", (
+            (f"g^{{{j+1}{i+1}}} - g^{{{i+1}{j+1}}}", g[j][i] - gij)
+            for (i, j), gij in _components(g, 2)
+            if i < j
+        )),
+        _condition("tail skew-symmetry", (
+            (
+                f"b^{{{i+1}{j+1}}}_{l+1} + b^{{{j+1}{i+1}}}_{l+1} - d_{l+1} g^{{{i+1}{j+1}}}",
+                v + bb[j][i][l] - g[i][j].partial(l + 1),
+            )
+            for (i, j, l), v in _components(bb, 3)
+        )),
+        _condition("torsionless", _torsion_labelled(conn)),
+        _condition("metric compatible", (
+            (f"nabla_{l+1} g^{{{i+1}{j+1}}}", v) for (l, i, j), v in _components(nab, 3)
+        )),
+        _condition("flat", _curvature_labelled(conn)),
+    ]
 
 
 def quadratic_tail(b: HomogeneousBracket, s: int = 0) -> list:
     """Symmetrized coefficients q[i][j][l][m] of u^{l,1} u^{m,1} in P_s."""
-    n = b.n
     half = Scalar.from_fraction(1) / 2
-    out = []
-    for i in range(n):
-        mat = []
-        for j in range(n):
-            entry = b.entry(i + 1, j + 1, s)
-            tab = []
-            for l in range(n):
-                row = []
-                for m in range(n):
-                    if l == m:
-                        coef = entry.coefficient((((l + 1, 1), 2),), ())
-                    else:
-                        a, bmax = sorted((l + 1, m + 1))
-                        coef = entry.coefficient(
-                            (((a, 1), 1), ((bmax, 1), 1)), ()
-                        ) * half
-                    row.append(coef)
-                tab.append(row)
-            mat.append(tab)
-        out.append(mat)
-    return out
+
+    def coefficient(i, j, l, m):
+        entry = b.entry(i + 1, j + 1, s)
+        if l == m:
+            return entry.coefficient((((l + 1, 1), 2),), ())
+        a, c = sorted((l + 1, m + 1))
+        return entry.coefficient((((a, 1), 1), ((c, 1), 1)), ()) * half
+
+    return _tensor(b.n, 4, coefficient)
 
 
 def ferguson_check(b: HomogeneousBracket) -> list:
     """Degree-2 conditions (a)-(e)."""
     _require_degree(b, 2)
     named, glow = metric_pair(b)
-    n = b.n
     g, bb, cc = named.g, named.h[1], named.h[0]
-    report = []
-
-    w = _first_nonzero(
-        (f"g^{{{j+1}{i+1}}} + g^{{{i+1}{j+1}}}", g[j][i] + g[i][j])
-        for i in range(n)
-        for j in range(i, n)
-    )
-    report.append(ConditionResult("(a) g skew-symmetric", w is None, w))
-
     conn = standard_connection(b, 0)
-    wt = _tensor3_nonzero(torsion(conn), lambda l, i, j: f"T^{l+1}_{{{i+1}{j+1}}}")
-    w = _curvature_witness(conn) or wt
-    report.append(ConditionResult("(b) standard connection flat and torsionless", w is None, w))
-
     nab_low = nabla_tensor(conn, glow, "lower")
-    defects = []
-    for i in range(n):
-        for j in range(n):
-            for l in range(n):
-                defects.append(
-                    (
-                        f"nabla_{i+1} g_{{{j+1}{l+1}}} + nabla_{j+1} g_{{{i+1}{l+1}}}",
-                        nab_low[i][j][l] + nab_low[j][i][l],
-                    )
-                )
-                defects.append(
-                    (
-                        f"nabla_{i+1} g_{{{j+1}{l+1}}} + nabla_{i+1} g_{{{l+1}{j+1}}}",
-                        nab_low[i][j][l] + nab_low[i][l][j],
-                    )
-                )
-    w = _first_nonzero(defects)
-    report.append(ConditionResult("(c) nabla g lower totally skew", w is None, w))
-
     nab_up = nabla_tensor(conn, g, "upper")
-    w = _tensor3_nonzero(
-        [
-            [
-                [
-                    nab_up[l][i][j] - (bb[i][j][l] - 2 * cc[i][j][l])
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
-            for l in range(n)
-        ],
-        lambda l, i, j: f"nabla_{l+1} g^{{{i+1}{j+1}}} - b^{{{i+1}{j+1}}}_{l+1} + 2c^{{{i+1}{j+1}}}_{l+1}",
-    )
-    report.append(ConditionResult("(d) nabla g upper = b - 2c", w is None, w))
-
-    quad = quadratic_tail(b, 0)
     half = Scalar.from_fraction(1) / 2
-    defects = []
-    for i in range(n):
-        for j in range(n):
-            for q in range(n):
-                for l in range(n):
-                    sym_deriv = (cc[i][j][q].partial(l + 1) + cc[i][j][l].partial(q + 1)) * half
-                    quad_term = Scalar.zero()
-                    for p in range(n):
-                        for r in range(n):
-                            quad_term = quad_term + glow[p][r] * (
-                                cc[r][i][q] * cc[p][j][l] + cc[r][i][l] * cc[p][j][q]
-                            ) * half
-                    defects.append(
-                        (
-                            f"c^{{{i+1}{j+1}}}_{{{q+1}{l+1}}} defect",
-                            quad[i][j][q][l] - (sym_deriv - quad_term),
-                        )
-                    )
-    w = _first_nonzero(defects)
-    report.append(ConditionResult("(e) quadratic tail identity", w is None, w))
-    return report
+
+    def lower_skew_sums():
+        for (i, j, l), v in _components(nab_low, 3):
+            label = f"nabla_{i+1} g_{{{j+1}{l+1}}} + "
+            yield label + f"nabla_{j+1} g_{{{i+1}{l+1}}}", v + nab_low[j][i][l]
+            yield label + f"nabla_{i+1} g_{{{l+1}{j+1}}}", v + nab_low[i][l][j]
+
+    def quadratic_identity(i, j, q, l):
+        """The value that q^{ij}_{ql} must take."""
+        sym_deriv = (cc[i][j][q].partial(l + 1) + cc[i][j][l].partial(q + 1)) * half
+        quad_term = sum(
+            (
+                gpr * (cc[r][i][q] * cc[p][j][l] + cc[r][i][l] * cc[p][j][q]) * half
+                for (p, r), gpr in _components(glow, 2)
+            ),
+            Scalar.zero(),
+        )
+        return sym_deriv - quad_term
+
+    return [
+        _condition("(a) g skew-symmetric", (
+            (f"g^{{{j+1}{i+1}}} + g^{{{i+1}{j+1}}}", g[j][i] + gij)
+            for (i, j), gij in _components(g, 2)
+            if i <= j
+        )),
+        # the torsion is reported only when the curvature vanishes
+        _condition(
+            "(b) standard connection flat and torsionless",
+            chain(_curvature_labelled(conn), _torsion_labelled(conn)),
+        ),
+        _condition("(c) nabla g lower totally skew", lower_skew_sums()),
+        _condition("(d) nabla g upper = b - 2c", (
+            (
+                f"nabla_{l+1} g^{{{i+1}{j+1}}} - b^{{{i+1}{j+1}}}_{l+1} + 2c^{{{i+1}{j+1}}}_{l+1}",
+                v - (bb[i][j][l] - 2 * cc[i][j][l]),
+            )
+            for (l, i, j), v in _components(nab_up, 3)
+        )),
+        _condition("(e) quadratic tail identity", (
+            (f"c^{{{i+1}{j+1}}}_{{{q+1}{l+1}}} defect", v - quadratic_identity(i, j, q, l))
+            for (i, j, q, l), v in _components(quadratic_tail(b, 0), 4)
+        )),
+    ]
 
 
 def canonical_k2(g: list) -> HomogeneousBracket:
@@ -276,62 +227,46 @@ def potemin_check(g: list, c: list) -> list:
     """The four tensor equations equivalent to skewness and Jacobi for the
     degree-3 normal form."""
     n = len(g)
-    report = []
 
-    defects = []
-    for i in range(n):
-        for j in range(n):
-            for l in range(n):
-                defects.append(
-                    (
-                        f"d_{l+1} g^{{{i+1}{j+1}}} - c^{{{i+1}{j+1}}}_{l+1} - c^{{{j+1}{i+1}}}_{l+1}",
-                        g[i][j].partial(l + 1) - c[i][j][l] - c[j][i][l],
-                    )
-                )
-    w = _first_nonzero(defects)
-    report.append(ConditionResult("(1) dg = c + c^T", w is None, w))
+    def gc_entry(i, j, l):
+        """(gc)^{ijl} = g^{is} c^{jl}_s."""
+        return sum((gis * cs for gis, cs in zip(g[i], c[j][l])), Scalar.zero())
 
-    defects = []
-    for i in range(n):
-        for j in range(n):
-            for l in range(n):
-                val = Scalar.zero()
-                for s in range(n):
-                    val = val + g[i][s] * c[j][l][s] + g[j][s] * c[i][l][s]
-                defects.append((f"(gc)^{{{i+1}{j+1}{l+1}}} symmetric part", val))
-    w = _first_nonzero(defects)
-    report.append(ConditionResult("(2) g c skew in first pair", w is None, w))
+    gc = _tensor(n, 3, gc_entry)
 
-    defects = []
-    for i in range(n):
-        for j in range(n):
-            for l in range(n):
-                val = Scalar.zero()
-                for s in range(n):
-                    val = val + g[i][s] * c[j][l][s] + g[j][s] * c[l][i][s] + g[l][s] * c[i][j][s]
-                defects.append((f"cyclic (gc)^{{{i+1}{j+1}{l+1}}}", val))
-    w = _first_nonzero(defects)
-    report.append(ConditionResult("(3) cyclic sum vanishes", w is None, w))
+    def derivative_identity(i, j, l, m):
+        """(4) at (i, j, l, m): g^{ls} d_m c^{ij}_s minus its right-hand side."""
+        val = Scalar.zero()
+        for s in range(n):
+            val = (
+                val
+                + g[l][s] * c[i][j][s].partial(m + 1)
+                - (c[i][l][s] - c[l][i][s]) * c[s][j][m]
+                + c[l][j][s] * g[s][i].partial(m + 1)
+            )
+        return val
 
-    defects = []
-    for i in range(n):
-        for j in range(n):
-            for l in range(n):
-                for m in range(n):
-                    lhs = Scalar.zero()
-                    rhs = Scalar.zero()
-                    for s in range(n):
-                        lhs = lhs + g[l][s] * c[i][j][s].partial(m + 1)
-                        rhs = (
-                            rhs
-                            + c[i][l][s] * c[s][j][m]
-                            - c[l][i][s] * c[s][j][m]
-                            - c[l][j][s] * g[s][i].partial(m + 1)
-                        )
-                    defects.append((f"(4) at ({i+1},{j+1},{l+1},{m+1})", lhs - rhs))
-    w = _first_nonzero(defects)
-    report.append(ConditionResult("(4) derivative identity", w is None, w))
-    return report
+    return [
+        _condition("(1) dg = c + c^T", (
+            (
+                f"d_{l+1} g^{{{i+1}{j+1}}} - c^{{{i+1}{j+1}}}_{l+1} - c^{{{j+1}{i+1}}}_{l+1}",
+                g[i][j].partial(l + 1) - v - c[j][i][l],
+            )
+            for (i, j, l), v in _components(c, 3)
+        )),
+        _condition("(2) g c skew in first pair", (
+            (f"(gc)^{{{i+1}{j+1}{l+1}}} symmetric part", v + gc[j][i][l])
+            for (i, j, l), v in _components(gc, 3)
+        )),
+        _condition("(3) cyclic sum vanishes", (
+            (f"cyclic (gc)^{{{i+1}{j+1}{l+1}}}", v + gc[j][l][i] + gc[l][i][j])
+            for (i, j, l), v in _components(gc, 3)
+        )),
+        _condition("(4) derivative identity", (
+            (f"(4) at ({i+1},{j+1},{l+1},{m+1})", derivative_identity(i, j, l, m))
+            for i, j, l, m in product(range(n), repeat=4)
+        )),
+    ]
 
 
 def k4_connection_fixtures(b: HomogeneousBracket) -> list:
@@ -339,29 +274,17 @@ def k4_connection_fixtures(b: HomogeneousBracket) -> list:
     _require_degree(b, 4)
     named, glow = metric_pair(b)
     n = b.n
-    ee, dd, cc, bb = named.h[0], named.h[1], named.h[2], named.h[3]
+    tails = dict(zip("edcb", named.h))
 
     def combo(coeffs):
-        acc = [[[Scalar.zero() for _ in range(n)] for _ in range(n)] for _ in range(n)]
-        for name, tensor in zip("bcde", (bb, cc, dd, ee)):
-            f = coeffs.get(name, 0)
-            if not f:
-                continue
-            for a in range(n):
-                for i in range(n):
-                    for j in range(n):
-                        acc[a][i][j] = acc[a][i][j] + tensor[i][a][j] * f
-        # acc[a][i][j] holds X^{ia}_j; contract the first upper slot with glow
-        return [
-            [
-                [
-                    sum((glow[i][ip] * acc[l][ip][j] for ip in range(n)), Scalar.zero())
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
-            for l in range(n)
-        ]
+        """Gamma^l_{ij} = g_{ii'} X^{i'l}_j with X = sum of coeffs[name] * tails[name]."""
+        parts = [(tails[name], f) for name, f in coeffs.items()]
+        X = _tensor(n, 3, lambda i, l, j: sum((T[i][l][j] * f for T, f in parts), Scalar.zero()))
+
+        def entry(l, i, j):
+            return sum((gip * Xip[l][j] for gip, Xip in zip(glow[i], X)), Scalar.zero())
+
+        return _tensor(n, 3, entry)
 
     fixtures = [
         ("Gamma_(0) = -g e", standard_connection(b, 0).gamma, combo({"e": -1})),
@@ -372,14 +295,10 @@ def k4_connection_fixtures(b: HomogeneousBracket) -> list:
         ("Gamma_[2] = g (-c + 5d - 15e)", flat_combination(b, 2).gamma, combo({"c": -1, "d": 5, "e": -15})),
         ("Gamma_[3] = g (b - 5c + 15d - 35e)", flat_combination(b, 3).gamma, combo({"b": 1, "c": -5, "d": 15, "e": -35})),
     ]
-    report = []
-    for name, got, want in fixtures:
-        w = _tensor3_nonzero(
-            [
-                [[got[l][i][j] - want[l][i][j] for j in range(n)] for i in range(n)]
-                for l in range(n)
-            ],
-            lambda l, i, j: f"difference at ^{l+1}_{{{i+1}{j+1}}}",
-        )
-        report.append(ConditionResult(name, w is None, w))
-    return report
+    return [
+        _condition(name, (
+            (f"difference at ^{l+1}_{{{i+1}{j+1}}}", v - want[l][i][j])
+            for (l, i, j), v in _components(got, 3)
+        ))
+        for name, got, want in fixtures
+    ]

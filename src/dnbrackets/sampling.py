@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .bracket import HomogeneousBracket, constant_bracket, lower_metric
+from .bracket import HomogeneousBracket, _tensor, constant_bracket, lower_metric
 from .diffpoly import DiffPoly
 from .errors import DegenerateMetricError
 from .scalar import Scalar
@@ -95,25 +95,22 @@ def random_constant_matrix(rng: random.Random, n: int, parity: int) -> list:
     it stays invertible.
     """
     if parity == 1:
-        base = [
-            [Scalar.from_fraction(Fraction(int(i == j)) * (i + 1)) for j in range(n)]
-            for i in range(n)
-        ]
+        base = _tensor(n, 2, lambda i, j: Scalar.from_fraction(Fraction(int(i == j)) * (i + 1)))
     else:
         if n % 2:
             raise ValueError("skew invertible matrices need even size")
-        base = [[Scalar.zero() for _ in range(n)] for _ in range(n)]
+        base = _tensor(n, 2, lambda i, j: Scalar.zero())
         half = n // 2
         for i in range(half):
             base[i][half + i] = Scalar.from_fraction(Fraction(i + 1))
             base[half + i][i] = Scalar.from_fraction(Fraction(-(i + 1)))
-    pert = [[Scalar.zero() for _ in range(n)] for _ in range(n)]
+    pert = _tensor(n, 2, lambda i, j: Scalar.zero())
     for i in range(n):
         for j in range(i + 1, n):
             q = Scalar.from_fraction(random_fraction(rng, 2))
             pert[i][j] = q
             pert[j][i] = q if parity == 1 else -q
-    cand = [[base[i][j] + pert[i][j] for j in range(n)] for i in range(n)]
+    cand = _tensor(n, 2, lambda i, j: base[i][j] + pert[i][j])
     try:
         lower_metric(cand)
         return cand

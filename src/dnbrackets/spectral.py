@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .bracket import HomogeneousBracket, _memo, extract_named, metric_pair
+from .bracket import HomogeneousBracket, _memo, _tensor, extract_named, metric_pair
 from .diffpoly import DiffPoly, JetVar, ThetaVar, term_deg_theta_k
 from .errors import PreconditionError
 from .jacobi import apply_DP, check_jacobi
@@ -153,11 +153,7 @@ def _named_with_top(b: HomogeneousBracket):
 
     def build():
         named = extract_named(b)
-        n = b.n
-        top = [
-            [[named.g[i][j].partial(l + 1) for l in range(n)] for j in range(n)]
-            for i in range(n)
-        ]
+        top = _tensor(b.n, 3, lambda i, j, l: named.g[i][j].partial(l + 1))
         return named, named.h + [top]
 
     return _memo(b, "named_with_top", build)

@@ -202,6 +202,11 @@ def test_schema_violations(tmp_path, capsys):
     for bad in (2.9, 2.0, True, "2"):
         cases.append(({"dimension": bad, "degree": 1, "entries": []}, "bad 'dimension'"))
         cases.append(({"dimension": 1, "degree": bad, "entries": []}, "bad 'degree'"))
+    # a construction fixes the degree: a stated degree must be that JSON integer
+    k2 = {"dimension": 2, "construction": "canonical_k2", "metric": [["0", "1"], ["-1", "0"]]}
+    k3 = {"dimension": 1, "construction": "potemin", "metric": [["1"]], "tail": [[["0"]]]}
+    for doc, bad in [(k2, 5), (k2, "x"), (k2, 3), (k2, 2.0), (k3, 2), (k3, "3"), (k3, None)]:
+        cases.append(({**doc, "degree": bad}, "bad 'degree'"))
     for doc, needle in cases:
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))

@@ -33,6 +33,10 @@ def named_results(report):
     return {r.name: r.passed for r in report}
 
 
+def triples(report):
+    return [(r.name, r.passed, r.witness) for r in report]
+
+
 # -- degree one -------------------------------------------------------------
 
 
@@ -52,9 +56,13 @@ def test_dn_conditions_match_poisson_property(lc1, lc1_broken):
 
 
 def test_dn_failures_carry_witnesses(lc1_broken):
-    for r in dn_check(lc1_broken):
-        if not r.passed:
-            assert r.witness
+    assert triples(dn_check(lc1_broken)) == [
+        ("g symmetric", True, None),
+        ("tail skew-symmetry", True, None),
+        ("torsionless", False, "T^1_{12} = -u2"),
+        ("metric compatible", False, "nabla_1 g^{12} = -u2"),
+        ("flat", False, "R^2_{1,1,2} = (-u2^2 + 1)/(u1)"),
+    ]
 
 
 def test_dn_requires_degree_one(const2):
@@ -89,20 +97,25 @@ def test_ferguson_all_pass_on_canonical_family(canonical4):
 
 def test_ferguson_detects_broken_skew_gradient():
     b = k2_break_c()
-    flags = named_results(ferguson_check(b))
-    assert flags["(a) g skew-symmetric"]
-    assert not flags["(c) nabla g lower totally skew"]
+    assert triples(ferguson_check(b)) == [
+        ("(a) g skew-symmetric", True, None),
+        ("(b) standard connection flat and torsionless", True, None),
+        ("(c) nabla g lower totally skew", False, "nabla_1 g_{12} + nabla_1 g_{12} = 2"),
+        ("(d) nabla g upper = b - 2c", True, None),
+        ("(e) quadratic tail identity", True, None),
+    ]
     assert not check_jacobi(b)
 
 
 def test_ferguson_detects_broken_quadratic_tail():
     b = k2_break_e()
-    flags = named_results(ferguson_check(b))
-    assert flags["(a) g skew-symmetric"]
-    assert flags["(b) standard connection flat and torsionless"]
-    assert flags["(c) nabla g lower totally skew"]
-    assert flags["(d) nabla g upper = b - 2c"]
-    assert not flags["(e) quadratic tail identity"]
+    assert triples(ferguson_check(b)) == [
+        ("(a) g skew-symmetric", True, None),
+        ("(b) standard connection flat and torsionless", True, None),
+        ("(c) nabla g lower totally skew", True, None),
+        ("(d) nabla g upper = b - 2c", True, None),
+        ("(e) quadratic tail identity", False, "c^{12}_{11} defect = 1"),
+    ]
     assert check_skew(b) and not check_jacobi(b)
 
 
@@ -163,10 +176,12 @@ def test_potemin_conditions_on_worked_example(nonflat2):
 def test_potemin_conditions_detect_perturbation():
     g, c = nonflat2_data()
     c[0][1][0] = c[0][1][0] + S("u1")
-    report = potemin_check(g, c)
-    assert not all_pass(report)
-    failing = [r for r in report if not r.passed]
-    assert failing and all(r.witness for r in failing)
+    assert triples(potemin_check(g, c)) == [
+        ("(1) dg = c + c^T", False, "d_1 g^{12} - c^{12}_1 - c^{21}_1 = -u1"),
+        ("(2) g c skew in first pair", False, "(gc)^{112} symmetric part = 2*u1"),
+        ("(3) cyclic sum vanishes", False, "cyclic (gc)^{112} = u1"),
+        ("(4) derivative identity", False, "(4) at (1,2,1,1) = 1"),
+    ]
     # the perturbed data no longer assembles into a skew operator
     assert not check_skew(potemin_build(g, c))
 
