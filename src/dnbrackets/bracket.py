@@ -238,10 +238,13 @@ class CoordinateMap:
         fwd = {m + 1: self.forward[m] for m in range(self.n)}
         inv = {m + 1: self.inverse[m] for m in range(self.n)}
         for i in range(self.n):
-            if self.forward[i].subs(inv) != Scalar.coordinate(i + 1):
-                problems.append(f"forward o inverse is not the identity in component {i+1}")
-            if self.inverse[i].subs(fwd) != Scalar.coordinate(i + 1):
-                problems.append(f"inverse o forward is not the identity in component {i+1}")
+            for name, f, sub in (("forward o inverse", self.forward, inv),
+                                 ("inverse o forward", self.inverse, fwd)):
+                try:
+                    if f[i].subs(sub) != Scalar.coordinate(i + 1):
+                        problems.append(f"{name} is not the identity in component {i+1}")
+                except ZeroDivisionError:
+                    problems.append(f"{name} divides by zero in component {i+1}")
         return problems
 
     def inverted(self) -> "CoordinateMap":

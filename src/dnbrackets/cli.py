@@ -5,7 +5,8 @@ the requested checks, prints a text report and optionally a JSON mirror.
 
 Exit codes: 0 when every executed check passes, 1 when at least one check
 fails, 2 on malformed input (schema, parse, or file problems), including a
-dimension above MAX_DIMENSION or a degree above MAX_DEGREE.
+dimension above MAX_DIMENSION or a degree above MAX_DEGREE; a --max-degu
+outside 0..MAX_DEGU is a usage error, which also exits 2.
 
 Bracket document schema::
 
@@ -80,11 +81,13 @@ from .spectral import (
     spanning_monomials,
 )
 
-# Bounds on a document's dimension and degree.  Every worked example has
-# n <= 4 and k <= 3; the bounds keep a mistyped or hostile document from
-# making the checks run for hours.
+# Bounds on a document's dimension and degree, and on --max-degu.  Every
+# worked example has n <= 4 and k <= 3, and every spot check uses at most 3
+# jets; the bounds keep a mistyped or hostile input from making the checks
+# run for hours.
 MAX_DIMENSION = 32
 MAX_DEGREE = 16
+MAX_DEGU = 32
 
 
 class InputError(Exception):
@@ -590,7 +593,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for randomized spot checks")
     parser.add_argument("--max-degu", dest="max_degu", type=int, default=3,
-                        help="jet-count bound for randomized monomials")
+                        choices=range(MAX_DEGU + 1), metavar="N",
+                        help=f"jet-count bound for randomized monomials, 0 to {MAX_DEGU}")
     args = parser.parse_args(argv)
 
     try:

@@ -60,6 +60,29 @@ def _tokenize(text: str):
     return tokens
 
 
+# A power of a sum may have at most this many products in its expansion
+# (_power_terms).  Every expression in the worked examples has at most 6,
+# and (1 + u1)^255, at the bound, parses in a fifth of a second.
+MAX_POWER_TERMS = 256
+
+
+def _power_terms(value: DiffPoly, e: int) -> int:
+    """C(t + e - 1, e), the number of products in the expansion of a t-term sum to the e.
+
+    t counts every term of every coefficient's numerator and denominator,
+    less one per jet monomial, so that a quotient of monomials, whose power
+    is exponent multiplication, has t = 1.  The count is only computed
+    until it passes MAX_POWER_TERMS: C(m, i) grows with i for 2i <= m.
+    """
+    t = sum(len(c.num) + len(c.den) - 1 for c in value.terms.values())
+    count = 1
+    for i in range(1, min(t - 1, e) + 1):
+        count = count * (t + e - i) // i
+        if count > MAX_POWER_TERMS:
+            break
+    return count
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -132,6 +155,8 @@ class _Parser:
             if kind != "int":
                 raise ParseError("expected an integer exponent", pos)
             self.advance()
+            if _power_terms(value, e) > MAX_POWER_TERMS:
+                raise ParseError(f"power too large: over {MAX_POWER_TERMS} products", pos)
             value = value**e
         return value
 

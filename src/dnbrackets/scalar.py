@@ -20,8 +20,8 @@ Reduction (_reduce) takes one of two gcd paths:
   remaining variables, and rebuild a candidate from symmetric base-xi
   digits, kept only if it divides both exactly.  The division also yields
   the reduced numerator and denominator.  If no candidate divides after
-  _HEU_TRIES evaluation points, the primitive pseudo-remainder sequence
-  (_prs) gives the gcd instead.
+  _HEU_TRIES evaluation points, a primitive pseudo-remainder sequence over
+  the integers (_prs) gives the gcd and the quotients instead.
 """
 
 from __future__ import annotations
@@ -82,12 +82,6 @@ def _pneg(a: Poly) -> Poly:
 
 def _psub(a: Poly, b: Poly) -> Poly:
     return _collect(((m, -c) for m, c in b.items()), a)
-
-
-def _pscale(a: Poly, q: Fraction) -> Poly:
-    if not q:
-        return {}
-    return {m: c * q for m, c in a.items()}
 
 
 def _mono_mul(m1: Mono, m2: Mono) -> Mono:
@@ -179,23 +173,15 @@ def _cancel_terms(a: dict, b: dict) -> tuple[Mono, dict, dict]:
     return d, qa, {_mono_div(m, d): c for m, c in b.items()}
 
 
-def _pdiv_exact(a: Poly, b: Poly) -> Poly:
-    """Divide a by b assuming exact divisibility (internal invariant)."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    ca, f = _split_content(a)
-    cb, g = _split_content(b)
-    # g has content 1, so g divides f over Z whenever it does over Q (Gauss)
-    q = _zquo(f, g)
-    if q is None:
-        raise ArithmeticError("inexact polynomial division")
-    r = ca / cb
-    return {m: r * c for m, c in q.items()}
+# -- gcds of integer polynomials -----------------------------------------
+#
+# Every function below takes and returns term dicts with int coefficients;
+# _split_content makes them from Fraction ones.
 
 
-def _to_univ(a: Poly, x: int) -> dict:
+def _to_univ(a: dict, x: int) -> dict:
     """View a as a polynomial in x with coefficients in the remaining vars."""
-    out: dict[int, Poly] = {}
+    out: dict[int, dict] = {}
     for m, c in a.items():
         exps = dict(m)
         d = exps.pop(x, 0)
@@ -203,83 +189,20 @@ def _to_univ(a: Poly, x: int) -> dict:
     return out
 
 
-def _from_univ(u: dict, x: int) -> Poly:
+def _from_univ(u: dict, x: int) -> dict:
     """Inverse of _to_univ; the coefficients of u do not involve x."""
     return {
         _mono_mul(m, ((x, d),) if d else ()): c for d, p in u.items() for m, c in p.items()
     }
 
 
-def _univ_mul_x(u: dict, shift: int, coef: Poly) -> dict:
+def _univ_mul_x(u: dict, shift: int, coef: dict) -> dict:
     return {d + shift: _pmul(p, coef) for d, p in u.items()}
 
 
 def _univ_sub(a: dict, b: dict) -> dict:
     diffs = ((d, _psub(a.get(d, {}), b.get(d, {}))) for d in {**a, **b})
     return {d: p for d, p in diffs if p}
-
-
-def _content(u: dict) -> Poly:
-    g: Poly = {}
-    for p in u.values():
-        g = _pgcd(g, p)
-    return g
-
-
-def _primitive(u: dict) -> dict:
-    g = _content(u)
-    if not g or g == _ONE_P:
-        return u
-    return {d: _pdiv_exact(p, g) for d, p in u.items()}
-
-
-def _pgcd(a: Poly, b: Poly) -> Poly:
-    """Gcd in Q[u...], normalized so the leading coefficient is 1."""
-    if not a or not b:
-        return _monic(a or b)
-    h, _, _ = _zgcd(_split_content(a)[1], _split_content(b)[1])
-    return _monic(_to_fractions(h))
-
-
-def _prs(a: Poly, b: Poly) -> Poly:
-    """Monic gcd of nonconstant a and b by a primitive pseudo-remainder sequence."""
-    x = min(_pvars(a) | _pvars(b))
-    ua, ub = _to_univ(a, x), _to_univ(b, x)
-    ca, cb = _content(ua), _content(ub)
-    cont = _pgcd(ca, cb)
-    if ca != _ONE_P:
-        ua = {d: _pdiv_exact(p, ca) for d, p in ua.items()}
-    if cb != _ONE_P:
-        ub = {d: _pdiv_exact(p, cb) for d, p in ub.items()}
-    # primitive pseudo-remainder sequence in the main variable x
-    f, g = ua, ub
-    if max(f) < max(g):
-        f, g = g, f
-    while g:
-        if max(g) == 0:
-            # degree-zero remainder: the primitive parts are coprime in x
-            f = {0: dict(_ONE_P)}
-            break
-        f, g = g, _primitive(_prem(f, g))
-    result = _pmul(cont, _from_univ(f, x))
-    return _monic(result)
-
-
-def _prem(f: dict, g: dict) -> dict:
-    """Pseudo-remainder of univariate f by g (coefficients are polynomials)."""
-    df, dg = max(f), max(g)
-    lg = g[dg]
-    r = f
-    while r and max(r) >= dg:
-        dr = max(r)
-        lr = r[dr]
-        r = _univ_sub(_univ_mul_x(r, 0, lg), _univ_mul_x(g, dr - dg, lr))
-    return r
-
-
-# -- gcds of integer polynomials -----------------------------------------
-#
-# The _z functions take and return term dicts with int coefficients.
 
 
 def _split_content(p: Poly) -> tuple[Fraction, dict]:
@@ -300,11 +223,7 @@ def _zgcd(f: dict, g: dict) -> tuple[dict, dict, dict]:
         return {d: c}, {m: v // c for m, v in qf.items()}, {m: v // c for m, v in qg.items()}
     f = {m: v // cf for m, v in f.items()}
     g = {m: v // cg for m, v in g.items()}
-    found = _heugcd(f, g)
-    if found is None:
-        _, h = _split_content(_prs(_to_fractions(f), _to_fractions(g)))
-        found = h, _zquo(f, h), _zquo(g, h)
-    h, qf, qg = found
+    h, qf, qg = _heugcd(f, g) or _prs(f, g)
     sf, sg = cf // c, cg // c
     return (
         {m: c * v for m, v in h.items()},
@@ -410,17 +329,46 @@ def _zquo(a: dict, b: dict) -> dict | None:
     return quot
 
 
-def _to_fractions(f: dict) -> Poly:
-    return {m: Fraction(c) for m, c in f.items()}
+def _zdiv(a: dict, b: dict) -> dict:
+    """a/b for integer polynomials where b divides a (an internal invariant)."""
+    q = _zquo(a, b)
+    if q is None:
+        raise ArithmeticError("inexact polynomial division")
+    return q
 
 
-def _monic(a: Poly) -> Poly:
-    if not a:
-        return {}
-    _, lc = _plead(a)
-    if lc == 1:
-        return dict(a)
-    return _pscale(a, 1 / lc)
+def _prs(f: dict, g: dict) -> tuple[dict, dict, dict]:
+    """(h, f/h, g/h) with h = gcd(f, g) for nonconstant integer polynomials of content 1.
+
+    The primitive pseudo-remainder sequence (Knuth, TAOCP vol. 2, 4.6.1) in
+    the first variable x: h is the gcd of the contents of f and g over
+    Z[the other variables] times the last nonzero primitive remainder.  A
+    remainder of degree 0 in x has primitive part 1, and the next one is 0.
+    """
+    x = min(_pvars(f) | _pvars(g))
+    (cf, a), (cg, b) = _primitive(_to_univ(f, x)), _primitive(_to_univ(g, x))
+    while b:
+        a, b = b, _primitive(_prem(a, b))[1]
+    h = _pmul(_zgcd(cf, cg)[0], _from_univ(a, x))
+    return h, _zdiv(f, h), _zdiv(g, h)
+
+
+def _primitive(u: dict) -> tuple[dict, dict]:
+    """(c, u/c) for univariate u, c the gcd of its coefficients ({} for u = 0)."""
+    c = {}
+    for p in u.values():
+        c = _zgcd(c, p)[0] if c else p
+    return c, {d: _zdiv(p, c) for d, p in u.items()}
+
+
+def _prem(f: dict, g: dict) -> dict:
+    """Pseudo-remainder of univariate f by g (coefficients in Z[the other variables])."""
+    dg = max(g)
+    lg = g[dg]
+    r = f
+    while r and (dr := max(r)) >= dg:
+        r = _univ_sub(_univ_mul_x(r, 0, lg), _univ_mul_x(g, dr - dg, r[dr]))
+    return r
 
 
 def _pstr(a: Poly) -> str:
@@ -454,11 +402,7 @@ class Scalar:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Poly, den: Poly = _ONE_P, _normalized: bool = False):
-        if _normalized:
-            self.num = num
-            self.den = den
-            return
+    def __init__(self, num: Poly, den: Poly = _ONE_P):
         if not den:
             raise ZeroDivisionError("division by zero rational function")
         if not num:
@@ -471,12 +415,11 @@ class Scalar:
 
     @staticmethod
     def from_fraction(q) -> "Scalar":
-        q = Fraction(q)
-        return Scalar(_pconst(q), dict(_ONE_P), _normalized=True)
+        return _wrap(_pconst(Fraction(q)), dict(_ONE_P))
 
     @staticmethod
     def zero() -> "Scalar":
-        return Scalar({}, dict(_ONE_P), _normalized=True)
+        return _wrap({}, dict(_ONE_P))
 
     @staticmethod
     def one() -> "Scalar":
@@ -486,7 +429,7 @@ class Scalar:
     def coordinate(i: int) -> "Scalar":
         if i < 1:
             raise ValueError(f"coordinate index must be >= 1, got {i}")
-        return Scalar({((i, 1),): Fraction(1)}, dict(_ONE_P), _normalized=True)
+        return _wrap({((i, 1),): Fraction(1)}, dict(_ONE_P))
 
     # -- predicates -----------------------------------------------------
 
@@ -523,7 +466,7 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
-        return Scalar(_pneg(self.num), self.den, _normalized=True)
+        return _wrap(_pneg(self.num), self.den)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -606,6 +549,13 @@ class Scalar:
         return f"Scalar({self})"
 
 
+def _wrap(num: Poly, den: Poly) -> Scalar:
+    """A Scalar holding num/den, which is already in canonical form."""
+    out = Scalar.__new__(Scalar)
+    out.num, out.den = num, den
+    return out
+
+
 def _reduce(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     """Cancel the gcd of a nonzero num and den and make den's leading coefficient 1."""
     # single-term sides (most denominators) cancel on the Fraction dicts: the
@@ -613,7 +563,9 @@ def _reduce(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     if len(num) == 1 or len(den) == 1:
         _, num, den = _cancel_terms(num, den)
         _, lc = _plead(den)
-        return (num, den) if lc == 1 else (_pscale(num, 1 / lc), _pscale(den, 1 / lc))
+        if lc == 1:
+            return num, den
+        return {m: c / lc for m, c in num.items()}, {m: c / lc for m, c in den.items()}
     cn, f = _split_content(num)
     cd, g = _split_content(den)
     _, f, g = _zgcd(f, g)

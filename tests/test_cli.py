@@ -3,7 +3,11 @@
 import json
 import time
 
-from dnbrackets.cli import MAX_DEGREE, MAX_DIMENSION, load_bracket, load_map, main
+import pytest
+
+from dnbrackets.bracket import CoordinateMap, transform
+from dnbrackets.cli import MAX_DEGREE, MAX_DEGU, MAX_DIMENSION, load_bracket, load_map, main
+from dnbrackets.scalar import parse_scalar
 
 from conftest import fixture_path
 
@@ -281,6 +285,16 @@ def test_map_document_validation(tmp_path, capsys):
         assert code == 2
         assert "input error" in err and "bad 'dimension'" in err
 
+    # a substitution that divides by zero is a problem with the map, not a crash
+    doc = {"dimension": 2, "forward": ["0", "u2"], "inverse": ["1/u1", "u2"]}
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "transform", fixture_path("lc_k1.json"), "--map", str(path))
+    assert code == 2
+    assert "input error" in err and "divides by zero" in err
+    forward, inverse = ([parse_scalar(e) for e in doc[key]] for key in ("forward", "inverse"))
+    with pytest.raises(ValueError, match="divides by zero"):
+        transform(load_bracket(fixture_path("lc_k1.json")), CoordinateMap(2, forward, inverse))
+
 
 def test_load_bracket_entry_list_form(tmp_path):
     path = tmp_path / "doc.json"
@@ -351,3 +365,30 @@ def test_huge_dimension_or_degree_is_input_error(tmp_path, capsys):
     path.write_text(json.dumps(doc).replace('"degree": 1', '"degree": Infinity'))
     code, _, err = run(capsys, "report", str(path))
     assert code == 2 and "bad 'degree'" in err
+
+
+def test_max_degu_out_of_range_is_usage_error(capsys):
+    for value in ("-1", str(MAX_DEGU + 1), "100000"):
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(["spectral", fixture_path("nonflat2.json"), "--max-degu", value])
+        assert time.perf_counter() - start < 2.0, value
+        assert exc.value.code == 2, value
+        assert "--max-degu" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert f"0 to {MAX_DEGU}" in " ".join(capsys.readouterr().out.split())
+
+
+def test_huge_power_is_input_error(tmp_path, capsys):
+    with open(fixture_path("lc_k1.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    for expr in ("(1+u1)^100000", "((u1+u2+u3)^20)^20"):
+        doc["entries"][0]["expr"] = expr
+        path = tmp_path / "power.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, _, err = run(capsys, "validate", str(path))
+        assert time.perf_counter() - start < 2.0, expr
+        assert code == 2, expr
+        assert "input error" in err and str(path) in err and "power too large" in err

@@ -8,7 +8,17 @@ import pytest
 
 from dnbrackets.errors import ParseError
 from dnbrackets.sampling import random_polynomial, random_scalar
-from dnbrackets.scalar import Scalar, _pgcd, _prs, parse_scalar, partial_u, scalar_arith
+from dnbrackets.scalar import (
+    Scalar,
+    _pmul,
+    _pneg,
+    _prs,
+    _split_content,
+    _zgcd,
+    parse_scalar,
+    partial_u,
+    scalar_arith,
+)
 
 from conftest import S
 
@@ -193,21 +203,31 @@ def test_reduction_is_sympy_canonical_form():
 
 
 def test_prs_fallback_agrees_with_heuristic():
-    """The PRS that the heuristic gcd falls back to gives the same monic gcd."""
+    """The integer PRS that GCDHEU falls back to finds the same gcd, with exact cofactors.
+
+    Besides the random draws, one pair shares the content u2 + 1 in Z[u2],
+    and in the other the main variable u1 is missing from one operand, whose
+    remainder sequence then stops at degree 0.
+    """
     sympy = pytest.importorskip("sympy")
     rng = random.Random(3)
+    pairs = [
+        (S("(u2 + 1)*(u1 + u2)").num, S("(u2 + 1)*(u1 - u2)").num),
+        (S("(u1 + u2)*(u2 - u3)").num, S("u2^2 - u3^2").num),
+    ]
     for _ in range(30):
         a, b, c = (random_polynomial(rng, 3, terms=3, deg=2) for _ in range(3))
-        if a.is_zero or b.is_zero or c.is_zero:
-            continue
-        f, g = (a * c).num, (b * c).num
+        if not (a.is_zero or b.is_zero or c.is_zero):
+            pairs.append(((a * c).num, (b * c).num))
+    for f, g in pairs:
+        f, g = _split_content(f)[1], _split_content(g)[1]
         if not (f.keys() - {()} and g.keys() - {()}):
             continue  # the PRS takes nonconstant operands
-        fallback = _prs(f, g)
-        assert fallback == _pgcd(f, g)
-        want = sympy.gcd(sympy_poly(sympy, f), sympy_poly(sympy, g))
-        lc = sympy.Poly(want, *sympy.symbols(U)).LC(order="grlex")
-        assert fallback == sympy_terms(sympy, want / lc)
+        h, qf, qg = _prs(f, g)
+        assert _pmul(h, qf) == f and _pmul(h, qg) == g, (f, g)
+        heu = _zgcd(f, g)[0]
+        want = sympy_terms(sympy, sympy.gcd(sympy_poly(sympy, f), sympy_poly(sympy, g)))
+        assert h in (heu, _pneg(heu)) and h in (want, _pneg(want)), (f, g)
 
 
 def test_heuristic_gcd_skips_vanishing_images():
