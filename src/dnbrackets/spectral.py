@@ -13,6 +13,12 @@ compact closed formula in the named coefficients, and - for its part
 that raises the number of top-order thetas - through the flat
 combination connections.  Agreement of the three on a given bracket is
 what the flatness of those combinations amounts to.
+
+D_{-1}, the homotopy and both closed forms of d_1 apply tables of
+coefficients that depend only on the bracket to the partials of their
+argument.  Each table is built once per bracket through bracket._memo and
+stays on the left of each product, which fixes the odd signs.  The closed
+form's table comes from the tails, the connection form's from Gamma_[s].
 """
 
 from __future__ import annotations
@@ -25,7 +31,6 @@ from .bracket import HomogeneousBracket, _memo, _tensor, extract_named, metric_p
 from .diffpoly import DiffPoly, JetVar, ThetaVar, term_deg_theta_k
 from .errors import PreconditionError
 from .jacobi import apply_DP, check_jacobi
-from .scalar import Scalar
 
 __all__ = [
     "require_poisson",
@@ -69,17 +74,31 @@ def apply_D_graded(b: HomogeneousBracket, m: int, a: DiffPoly) -> DiffPoly:
     return apply_DP(b, a).project("deg_u", p + m)
 
 
+def _row_sums(matrix: list, make, order: int) -> list:
+    """Entry i is sum_j make(j, order) * matrix[i-1][j-1], each generator on the left."""
+    return [
+        sum((make(j, order) * m for j, m in enumerate(row, 1) if m), DiffPoly.zero())
+        for row in matrix
+    ]
+
+
+def _theta_rows(b: HomogeneousBracket, s: int) -> list:
+    """Row i is sum_j theta_j^{k+s} g^{ij}: the coefficient of d/du^{i,s} in
+    D_{-1} for s >= 1, and of d/du^i in d_1 for s = 0.  Cached per s."""
+
+    def build():
+        return _row_sums(extract_named(b).g, DiffPoly.theta, b.k + s)
+
+    return _memo(b, ("theta_rows", s), build)
+
+
 def D_minus1_closed(b: HomogeneousBracket, a: DiffPoly) -> DiffPoly:
     """Direct evaluation of sum_{s>=1} g^{ij} theta_j^{k+s} da/du^{i,s}."""
-    g = extract_named(b).g
-    n, k = b.n, b.k
     parts = (
-        DiffPoly.theta(j, k + s) * pa * gij
+        row * pa
         for s in range(1, a.max_jet_order() + 1)
-        for i in range(1, n + 1)
+        for i, row in enumerate(_theta_rows(b, s), 1)
         if (pa := a.partial(JetVar(i, s)))
-        for j in range(1, n + 1)
-        if (gij := g[i - 1][j - 1])
     )
     return sum(parts, DiffPoly.zero())
 
@@ -90,14 +109,23 @@ def _excluded_count(key, k: int) -> int:
     return sum(e for _, e in even) + sum(1 for s, _ in odd if s > k)
 
 
+def _homotopy_rows(b: HomogeneousBracket, s: int) -> list:
+    """Row j is sum_i u^{i,s} g_{ji}, the coefficient of d/dtheta_j^{k+s} in
+    the homotopy.  Cached per s."""
+
+    def build():
+        return _row_sums(metric_pair(b)[1], DiffPoly.jet, s)
+
+    return _memo(b, ("homotopy_rows", s), build)
+
+
 def homotopy(b: HomogeneousBracket, a: DiffPoly) -> DiffPoly:
     """Contraction h with D_{-1} h + h D_{-1} = 1 - include_B . project_B.
 
     On a monomial containing l > 0 of the excluded generators it applies
     (1/l) sum_{s>=1} u^{i,s} g_{ji} d/dtheta_j^{k+s}; on the rest it is 0.
     """
-    _, glow = metric_pair(b)
-    n, k = b.n, b.k
+    k = b.k
     parts = []
     for (even, odd), coef in a.terms.items():
         l = _excluded_count((even, odd), k)
@@ -105,11 +133,9 @@ def homotopy(b: HomogeneousBracket, a: DiffPoly) -> DiffPoly:
             continue
         term = DiffPoly({(even, odd): coef})
         terms = (
-            DiffPoly.jet(i, s - k) * pa * gji
+            _homotopy_rows(b, s - k)[j - 1] * pa
             for s, j in odd
             if s > k and (pa := term.partial(ThetaVar(j, s)))
-            for i in range(1, n + 1)
-            if (gji := glow[j - 1][i - 1])
         )
         parts.append(sum(terms, DiffPoly.zero()) * Fraction(1, l))
     return sum(parts, DiffPoly.zero())
@@ -153,45 +179,54 @@ def _named_with_top(b: HomogeneousBracket):
 
     def build():
         named = extract_named(b)
-        top = _tensor(b.n, 3, lambda i, j, l: named.g[i][j].partial(l + 1))
-        return named, named.h + [top]
+        return named.h + [_tensor(b.n, 3, lambda i, j, l: named.g[i][j].partial(l + 1))]
 
     return _memo(b, "named_with_top", build)
 
 
-def d1_closed(b: HomogeneousBracket, x: DiffPoly) -> DiffPoly:
-    """The compact formula for d_1 in terms of g and the tails h_(s)."""
-    require_poisson(b)
-    x = include_B(x, b.k)
-    named, h = _named_with_top(b)
-    n, k = b.n, b.k
-    parts = [
-        DiffPoly.theta(j, k) * pa * gij
-        for i in range(1, n + 1)
-        if (pa := x.partial_coordinate(i))
-        for j in range(1, n + 1)
-        if (gij := named.g[i - 1][j - 1])
-    ]
-    half = Scalar.from_fraction(Fraction(1, 2))
-    for s in range(0, k + 1):
-        for l in range(1, n + 1):
-            pa = x.partial(ThetaVar(l, s))
-            if pa.is_zero:
-                continue
+def _derivation(x: DiffPoly, coord_ops: list, theta_ops: dict) -> DiffPoly:
+    """sum_i coord_ops[i-1] dx/du^i + sum_v theta_ops[v] dx/dv, each table entry on the left."""
+    parts = [op * pa for i, op in enumerate(coord_ops, 1) if (pa := x.partial_coordinate(i))]
+    parts += [op * pa for v, op in theta_ops.items() if (pa := x.partial(v))]
+    return sum(parts, DiffPoly.zero())
+
+
+def _d1_closed_ops(b: HomogeneousBracket) -> tuple:
+    """The coefficient tables (V, W) that d1_closed applies, built once per bracket.
+
+    V_i = sum_j theta_j^k g^{ij} multiplies d/du^i and W_{s,l} =
+    1/2 sum (-1)^{k-t} C(k+s-t, r) h_(t)^{ij}_l theta_i^r theta_j^{k+s-r}
+    (over r >= s, t, i, j) multiplies d/dtheta_l^s.
+    """
+
+    def build():
+        h = _named_with_top(b)
+        n, k = b.n, b.k
+
+        def w(s, l):
             terms = (
-                pair * hv * ((-1) ** (k - t) * cf)
+                DiffPoly.theta(i, r) * DiffPoly.theta(j, k + s - r) * (hv * ((-1) ** (k - t) * cf))
                 for r in range(s, k + 1)
                 for t in range(0, k + 1)
                 if (cf := comb(k + s - t, r))
                 for i in range(1, n + 1)
                 for j in range(1, n + 1)
                 if (hv := h[t][i - 1][j - 1][l - 1])
-                and (pair := DiffPoly.theta(i, r) * DiffPoly.theta(j, k + s - r))
             )
-            mult = sum(terms, DiffPoly.zero())
-            if not mult.is_zero:
-                parts.append(mult * pa * half)
-    return sum(parts, DiffPoly.zero())
+            return sum(terms, DiffPoly.zero()) * Fraction(1, 2)
+
+        W = {
+            ThetaVar(l, s): op for s in range(k + 1) for l in range(1, n + 1) if (op := w(s, l))
+        }
+        return _theta_rows(b, 0), W
+
+    return _memo(b, "d1_closed_ops", build)
+
+
+def d1_closed(b: HomogeneousBracket, x: DiffPoly) -> DiffPoly:
+    """The compact formula for d_1 in terms of g and the tails h_(s)."""
+    require_poisson(b)
+    return _derivation(include_B(x, b.k), *_d1_closed_ops(b))
 
 
 def d1_split(b: HomogeneousBracket, x: DiffPoly) -> tuple:
@@ -207,6 +242,44 @@ def d1_split(b: HomogeneousBracket, x: DiffPoly) -> tuple:
     return up, same
 
 
+def _d1_connection_ops(b: HomogeneousBracket) -> tuple:
+    """The tables of d1_as_connection, built once per bracket from the Gamma_[s].
+
+    (up, rows, M, down): up relabels theta_i^k -> sum_j g_{ij} theta_j^{k+1},
+    rows[i-1] = theta_i^{k+1} multiplies d/du^i, M_{s,l} = sum_{i,j}
+    Gamma_[s]^j_{il} theta_i^{k+1} theta_j^s multiplies d/dtheta_l^s, and
+    down relabels theta_i^{k+1} -> sum_j g^{ij} theta_j^k.
+    """
+    from .connections import flat_combination
+
+    def build():
+        named, glow = metric_pair(b)
+        n, k = b.n, b.k
+
+        def relabel(matrix, source, target):
+            """theta_i^source -> sum_j matrix[i][j] theta_j^target."""
+            images = _row_sums(matrix, DiffPoly.theta, target)
+            return {(source, i): img for i, img in enumerate(images, 1)}
+
+        def m(gamma, s, l):
+            terms = (
+                DiffPoly.theta(i, k + 1) * DiffPoly.theta(j, s) * gv
+                for i in range(1, n + 1)
+                for j in range(1, n + 1)
+                if (gv := gamma[j - 1][i - 1][l - 1])
+            )
+            return sum(terms, DiffPoly.zero())
+
+        M = {}
+        for s in range(0, k):
+            gamma = flat_combination(b, s).gamma
+            M.update((ThetaVar(l, s), op) for l in range(1, n + 1) if (op := m(gamma, s, l)))
+        rows = [DiffPoly.theta(i, k + 1) for i in range(1, n + 1)]
+        return relabel(glow, k, k + 1), rows, M, relabel(named.g, k + 1, k)
+
+    return _memo(b, "d1_connection_ops", build)
+
+
 def d1_as_connection(b: HomogeneousBracket, x: DiffPoly) -> DiffPoly:
     """The theta^k-raising part of d_1 evaluated through the connections.
 
@@ -215,44 +288,10 @@ def d1_as_connection(b: HomogeneousBracket, x: DiffPoly) -> DiffPoly:
     Christoffel action du^i Gamma_[s]^j_{il} theta_j^s d/dtheta_l^s, and
     converts the placeholders back.
     """
-    from .connections import flat_combination
-
     require_poisson(b)
-    x = include_B(x, b.k)
-    named, glow = metric_pair(b)
-    n, k = b.n, b.k
-
-    def relabel(matrix, source, target):
-        """theta_i^source -> sum_j matrix[i][j] theta_j^target."""
-        images = {}
-        for i, row in enumerate(matrix, 1):
-            parts = (DiffPoly.theta(j, target) * m for j, m in enumerate(row, 1) if m)
-            images[(source, i)] = sum(parts, DiffPoly.zero())
-        return images
-
-    xt = x.substitute(theta_map=relabel(glow, k, k + 1))
-    parts = [
-        DiffPoly.theta(i, k + 1) * pa
-        for i in range(1, n + 1)
-        if (pa := xt.partial_coordinate(i))
-    ]
-    for s in range(0, k):
-        conn = flat_combination(b, s)
-        for l in range(1, n + 1):
-            pa = xt.partial(ThetaVar(l, s))
-            if pa.is_zero:
-                continue
-            terms = (
-                DiffPoly.theta(i, k + 1) * DiffPoly.theta(j, s) * gv
-                for i in range(1, n + 1)
-                for j in range(1, n + 1)
-                if (gv := conn.gamma[j - 1][i - 1][l - 1])
-            )
-            mult = sum(terms, DiffPoly.zero())
-            if not mult.is_zero:
-                parts.append(mult * pa)
-    out = sum(parts, DiffPoly.zero())
-    return out.substitute(theta_map=relabel(named.g, k + 1, k))
+    up, rows, M, down = _d1_connection_ops(b)
+    xt = include_B(x, b.k).substitute(theta_map=up)
+    return _derivation(xt, rows, M).substitute(theta_map=down)
 
 
 def spanning_monomials(n: int, k: int, max_degree: int = 3) -> list:

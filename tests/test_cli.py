@@ -109,18 +109,25 @@ def test_lowdegree_skips_degree3_outside_normal_form(tmp_path, capsys):
     assert "0 passed, 0 failed, 1 skipped" in out
 
 
-def test_spectral_command(capsys):
-    code, out, _ = run(
-        capsys,
-        "spectral",
-        fixture_path("lc_k1.json"),
-        "--seed",
-        "5",
-        "--max-degu",
-        "2",
-    )
-    assert code == 0
-    assert "homotopy identity" in out
+def test_spectral_command(tmp_path, capsys):
+    # canonical_k2 has a skew metric, so the homotopy's g_{ji} cannot pass as g_{ij}
+    for name in ("lc_k1.json", "canonical_k2.json"):
+        target = tmp_path / name
+        code, out, _ = run(
+            capsys,
+            "spectral",
+            fixture_path(name),
+            "--seed",
+            "5",
+            "--max-degu",
+            "2",
+            "--json",
+            str(target),
+        )
+        assert code == 0
+        assert "homotopy identity" in out
+        statuses = {c["name"]: c["status"] for c in json.loads(target.read_text())["checks"]}
+        assert statuses["homotopy identity and D_-1^2 = 0"] == "pass"
 
 
 def test_report_json_mirror(tmp_path, capsys):
@@ -383,7 +390,12 @@ def test_max_degu_out_of_range_is_usage_error(capsys):
 def test_huge_power_is_input_error(tmp_path, capsys):
     with open(fixture_path("lc_k1.json"), encoding="utf-8") as fh:
         doc = json.load(fh)
-    for expr in ("(1+u1)^100000", "((u1+u2+u3)^20)^20"):
+    for expr, problem in (
+        ("(1+u1)^100000", "power too large"),
+        ("((u1+u2+u3)^20)^20", "power too large"),
+        ("(1+u1)^255*(1+u1)^255*(1+u1)^255*(1+u1)^255", "product too large"),
+        ("(u1+u2+u3)^21*(u1+u2+u3)^21*(u1+u2+u3)^21", "product too large"),
+    ):
         doc["entries"][0]["expr"] = expr
         path = tmp_path / "power.json"
         path.write_text(json.dumps(doc))
@@ -391,4 +403,4 @@ def test_huge_power_is_input_error(tmp_path, capsys):
         code, _, err = run(capsys, "validate", str(path))
         assert time.perf_counter() - start < 2.0, expr
         assert code == 2, expr
-        assert "input error" in err and str(path) in err and "power too large" in err
+        assert "input error" in err and str(path) in err and problem in err

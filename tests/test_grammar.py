@@ -2,12 +2,13 @@
 
 import time
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from dnbrackets.diffpoly import DiffPoly
 from dnbrackets.errors import ParseError
-from dnbrackets.grammar import parse_expression
+from dnbrackets.grammar import MAX_PRODUCT_TERMS, parse_expression
 from dnbrackets.scalar import Scalar, parse_scalar
 
 from conftest import S
@@ -46,6 +47,18 @@ def test_powers_by_squaring():
     big = parse_expression("u1^100000000")
     assert time.perf_counter() - t0 < 1.0
     assert big == DiffPoly.from_scalar(Scalar({((1, 100000000),): Fraction(1)}))
+
+
+def test_product_bound():
+    # 256 terms times 16 terms is exactly MAX_PRODUCT_TERMS
+    value = parse_expression("(1+u1)^255*(1+u1)^15").to_scalar()
+    assert value.num[((1, 135),)] == comb(270, 135) and len(value.num) == 271
+    # a quotient is bounded like a product (the CLI tests cover longer products)
+    t0 = time.perf_counter()
+    with pytest.raises(ParseError) as info:
+        parse_expression("(u1+u2)^100/(1+u1)^100")
+    assert time.perf_counter() - t0 < 2.0
+    assert f"over {MAX_PRODUCT_TERMS} products" in str(info.value)
 
 
 def test_rational_coefficients():

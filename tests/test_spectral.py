@@ -1,15 +1,21 @@
 """Graded pieces of D_P, the contraction map, and the first differential."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
+from dnbrackets.bracket import HomogeneousBracket
 from dnbrackets.diffpoly import DiffPoly
 from dnbrackets.errors import PreconditionError
 from dnbrackets.jacobi import apply_DP
 from dnbrackets.sampling import random_monomial
 from dnbrackets.spectral import (
     D_minus1_closed,
+    _d1_closed_ops,
+    _d1_connection_ops,
+    _homotopy_rows,
+    _theta_rows,
     apply_D_graded,
     d1_as_connection,
     d1_closed,
@@ -98,18 +104,19 @@ def test_B_subspace_operations():
         include_B(outside_jet, k)
 
 
-def test_homotopy_identity_on_random_monomials(nonflat2):
+@pytest.mark.parametrize("name", ["nonflat2", "canonical4"])
+def test_homotopy_identity_on_random_monomials(request, name):
+    # canonical4 has a skew metric, so it also catches g_{ij} read as g_{ji}
+    b = request.getfixturevalue(name)
     rng = random.Random(73)
     checked = 0
     while checked < 30:
-        a = random_monomial(rng, 2, 3, max_degu=3)
+        a = random_monomial(rng, b.n, b.k, max_degu=3)
         if a.is_zero:
             continue
         checked += 1
-        lhs = D_minus1_closed(nonflat2, homotopy(nonflat2, a)) + homotopy(
-            nonflat2, D_minus1_closed(nonflat2, a)
-        )
-        assert lhs == a - project_B(a, 3)
+        lhs = D_minus1_closed(b, homotopy(b, a)) + homotopy(b, D_minus1_closed(b, a))
+        assert lhs == a - project_B(a, b.k)
 
 
 def test_homotopy_vanishes_on_B(nonflat2):
@@ -161,6 +168,50 @@ def test_d1_as_connection_matches_raising_part(nonflat2, canonical4):
     for b in (nonflat2, canonical4):
         for x in spanning_monomials(b.n, b.k, max_degree=2):
             assert d1_as_connection(b, x) == d1_split(b, x)[0]
+
+
+def random_element_of_B(rng, b):
+    """A sum of 2-4 spanning monomials with rational and coordinate coefficients."""
+    span = spanning_monomials(b.n, b.k, max_degree=3)
+    coefficients = [Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 4))]
+    coefficients.append(DiffPoly.coordinate(rng.randint(1, b.n)))
+    parts = (x * rng.choice(coefficients) for x in rng.sample(span, rng.randint(2, 4)))
+    return sum(parts, DiffPoly.zero())
+
+
+# the per-bracket tables behind d1_closed, d1_as_connection, D_minus1_closed and homotopy
+TABLES = {
+    "d1_closed_ops": _d1_closed_ops,
+    "d1_connection_ops": _d1_connection_ops,
+    "theta_rows": lambda b: _theta_rows(b, 1),
+    "homotopy_rows": lambda b: _homotopy_rows(b, 1),
+}
+
+
+@pytest.mark.parametrize("name", ["nonflat2", "canonical4"])
+def test_cached_operators_match_the_oracles(request, name):
+    warm = request.getfixturevalue(name)
+    for table in TABLES.values():
+        table(warm)
+    cold = HomogeneousBracket(n=warm.n, k=warm.k, P=dict(warm.P))
+    rng = random.Random(79)
+    first = None
+    for _ in range(8):
+        x = random_element_of_B(rng, warm)
+        assert len(x.terms) >= 2
+        a = x * DiffPoly.jet(1, 1) * theta(warm.n, warm.k + 1)
+        closed, raising = d1_closed(cold, x), d1_as_connection(cold, x)
+        lowered, contracted = D_minus1_closed(cold, a), homotopy(cold, a)
+        if first is None:  # every table of the cold bracket has been built once
+            first = {key: table(cold) for key, table in TABLES.items()}
+        assert closed == d1_spectral(cold, x) == d1_closed(warm, x)
+        assert raising == d1_split(cold, x)[0] == d1_as_connection(warm, x)
+        assert lowered == apply_D_graded(cold, -1, a) == D_minus1_closed(warm, a)
+        assert contracted == homotopy(warm, a)
+        assert D_minus1_closed(cold, contracted) + homotopy(cold, lowered) == a
+    # every later call read the tables the first one built
+    for key, table in TABLES.items():
+        assert table(cold) is first[key]
 
 
 def test_d1_requires_poisson(lc1_broken):
