@@ -58,7 +58,7 @@ from .connections import (
 from .diffpoly import DiffPoly
 from .errors import DegenerateMetricError, ParseError, PreconditionError
 from .grammar import parse_expression
-from .jacobi import jacobi_defects
+from .jacobi import _first_defect
 from .lowdegree import (
     _condition,
     _torsion_labelled,
@@ -229,7 +229,7 @@ def load_bracket(path: str) -> HomogeneousBracket:
             s, i, j, expr = entry
         else:
             raise InputError(f"{where}: expected [s, i, j, expr] or an object")
-        if not all(isinstance(x, int) for x in (s, i, j)):
+        if not all(type(x) is int for x in (s, i, j)):  # a boolean is not an index
             raise InputError(f"{where}: s, i, j must be integers")
         if not (0 <= s <= k and 1 <= i <= n and 1 <= j <= n):
             raise InputError(f"{where}: indices out of range for n={n}, k={k}")
@@ -287,10 +287,9 @@ def cmd_jacobi(b: HomogeneousBracket, args) -> list:
         return results
 
     def run():
-        defects = jacobi_defects(b)
-        if not defects:
+        if (first := _first_defect(b)) is None:
             return True, None
-        label, residual = defects[0]
+        label, residual = first
         key = min(residual.terms)
         monomial = DiffPoly({key: residual.terms[key]})
         return False, f"{label} contains {monomial}"

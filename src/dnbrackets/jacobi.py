@@ -68,6 +68,11 @@ def _defects(b: HomogeneousBracket):
                 yield f"D_P^2({label.format(i)})", r
 
 
+def _first_defect(b: HomogeneousBracket):
+    """The first (label, value) that _defects yields, or None; cached on the bracket."""
+    return _memo(b, "first_jacobi_defect", lambda: next(_defects(b), None))
+
+
 def jacobi_defects(b: HomogeneousBracket) -> list[tuple[str, DiffPoly]]:
     """Nonzero values of D_P^2 on the generators u^i, theta_i."""
     return list(_defects(b))
@@ -90,4 +95,4 @@ def check_jacobi(b: HomogeneousBracket) -> bool:
             f"bracket is not skew-symmetric: defect at (i={i}, j={j}, s={t}) is {defect}",
             witness=defect,
         )
-    return not any(_defects(b))
+    return _first_defect(b) is None

@@ -14,11 +14,11 @@ that raises the number of top-order thetas - through the flat
 combination connections.  Agreement of the three on a given bracket is
 what the flatness of those combinations amounts to.
 
-D_{-1}, the homotopy and both closed forms of d_1 apply tables of
-coefficients that depend only on the bracket to the partials of their
-argument.  Each table is built once per bracket through bracket._memo and
-stays on the left of each product, which fixes the odd signs.  The closed
-form's table comes from the tails, the connection form's from Gamma_[s].
+D_{-1} and both closed forms of d_1 are derivations: each is one
+_derivation call, which applies a table of its values on the generators,
+built once per bracket through bracket._memo, to the partials of the input,
+table on the left so the odd signs are fixed.  The closed form's tables come
+from the tails, the connection form's from g and Gamma_[s] alone.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ from itertools import combinations
 from math import comb
 
 from .bracket import HomogeneousBracket, _memo, _tensor, extract_named, metric_pair
-from .diffpoly import DiffPoly, JetVar, ThetaVar, term_deg_theta_k
+from .connections import flat_combination
+from .diffpoly import DiffPoly, JetVar, ThetaVar
 from .errors import PreconditionError
 from .jacobi import apply_DP, check_jacobi
 
@@ -82,29 +83,33 @@ def _row_sums(matrix: list, make, order: int) -> list:
     ]
 
 
-def _theta_rows(b: HomogeneousBracket, s: int) -> list:
-    """Row i is sum_j theta_j^{k+s} g^{ij}: the coefficient of d/du^{i,s} in
-    D_{-1} for s >= 1, and of d/du^i in d_1 for s = 0.  Cached per s."""
+def _derivation(x: DiffPoly, coord_ops: list, ops: dict) -> DiffPoly:
+    """sum_i coord_ops[i-1] dx/du^i + sum_v ops[v] dx/dv (v a jet or a theta), tables on the left."""
+    parts = [op * pa for i, op in enumerate(coord_ops, 1) if (pa := x.partial_coordinate(i))]
+    parts += [op * pa for v, op in ops.items() if (pa := x.partial(v))]
+    return sum(parts, DiffPoly.zero())
+
+
+def _lowering_ops(b: HomogeneousBracket, top: int) -> dict:
+    """D_{-1}'s table {u^{i,s}: sum_j theta_j^{k+s} g^{ij}} for 1 <= s <= top,
+    cached per top and built on the table for top - 1."""
 
     def build():
-        return _row_sums(extract_named(b).g, DiffPoly.theta, b.k + s)
+        if top == 0:
+            return {}
+        rows = _row_sums(extract_named(b).g, DiffPoly.theta, b.k + top)
+        return {**_lowering_ops(b, top - 1), **{JetVar(i, top): r for i, r in enumerate(rows, 1)}}
 
-    return _memo(b, ("theta_rows", s), build)
+    return _memo(b, ("lowering_ops", top), build)
 
 
 def D_minus1_closed(b: HomogeneousBracket, a: DiffPoly) -> DiffPoly:
     """Direct evaluation of sum_{s>=1} g^{ij} theta_j^{k+s} da/du^{i,s}."""
-    parts = (
-        row * pa
-        for s in range(1, a.max_jet_order() + 1)
-        for i, row in enumerate(_theta_rows(b, s), 1)
-        if (pa := a.partial(JetVar(i, s)))
-    )
-    return sum(parts, DiffPoly.zero())
+    return _derivation(a, [], _lowering_ops(b, a.max_jet_order()))
 
 
 def _excluded_count(key, k: int) -> int:
-    """Multiplicity of the generators u^{i,s} (s>=1) and theta^{s>k} in a term."""
+    """Multiplicity of the generators u^{i,s} (s>=1) and theta^{s>k} in a term; 0 on B."""
     even, odd = key
     return sum(e for _, e in even) + sum(1 for s, _ in odd if s > k)
 
@@ -127,14 +132,14 @@ def homotopy(b: HomogeneousBracket, a: DiffPoly) -> DiffPoly:
     """
     k = b.k
     parts = []
-    for (even, odd), coef in a.terms.items():
-        l = _excluded_count((even, odd), k)
+    for key, coef in a.terms.items():
+        l = _excluded_count(key, k)
         if l == 0:
             continue
-        term = DiffPoly({(even, odd): coef})
+        term = DiffPoly({key: coef})
         terms = (
             _homotopy_rows(b, s - k)[j - 1] * pa
-            for s, j in odd
+            for s, j in key[1]
             if s > k and (pa := term.partial(ThetaVar(j, s)))
         )
         parts.append(sum(terms, DiffPoly.zero()) * Fraction(1, l))
@@ -143,21 +148,12 @@ def homotopy(b: HomogeneousBracket, a: DiffPoly) -> DiffPoly:
 
 def in_B(a: DiffPoly, k: int) -> bool:
     """True when a lies in the subalgebra with no jets and theta orders <= k."""
-    for even, odd in a.terms:
-        if even or any(s > k for s, _ in odd):
-            return False
-    return True
+    return all(_excluded_count(key, k) == 0 for key in a.terms)
 
 
 def project_B(a: DiffPoly, k: int) -> DiffPoly:
     """Kill every term containing a jet or a theta of order above k."""
-    return DiffPoly(
-        {
-            key: c
-            for key, c in a.terms.items()
-            if not key[0] and all(s <= k for s, _ in key[1])
-        }
-    )
+    return DiffPoly({key: c for key, c in a.terms.items() if _excluded_count(key, k) == 0})
 
 
 def include_B(a: DiffPoly, k: int) -> DiffPoly:
@@ -170,8 +166,7 @@ def include_B(a: DiffPoly, k: int) -> DiffPoly:
 def d1_spectral(b: HomogeneousBracket, x: DiffPoly) -> DiffPoly:
     """d_1 computed through D_P: project the deg_u-preserving part back."""
     require_poisson(b)
-    x = include_B(x, b.k)
-    return project_B(apply_D_graded(b, 0, x), b.k)
+    return project_B(apply_D_graded(b, 0, include_B(x, b.k)), b.k)
 
 
 def _named_with_top(b: HomogeneousBracket):
@@ -184,19 +179,14 @@ def _named_with_top(b: HomogeneousBracket):
     return _memo(b, "named_with_top", build)
 
 
-def _derivation(x: DiffPoly, coord_ops: list, theta_ops: dict) -> DiffPoly:
-    """sum_i coord_ops[i-1] dx/du^i + sum_v theta_ops[v] dx/dv, each table entry on the left."""
-    parts = [op * pa for i, op in enumerate(coord_ops, 1) if (pa := x.partial_coordinate(i))]
-    parts += [op * pa for v, op in theta_ops.items() if (pa := x.partial(v))]
-    return sum(parts, DiffPoly.zero())
-
-
 def _d1_closed_ops(b: HomogeneousBracket) -> tuple:
-    """The coefficient tables (V, W) that d1_closed applies, built once per bracket.
+    """The tables of d1_split, ((V, W_up), ([], W_same)), built once per bracket.
 
     V_i = sum_j theta_j^k g^{ij} multiplies d/du^i and W_{s,l} =
     1/2 sum (-1)^{k-t} C(k+s-t, r) h_(t)^{ij}_l theta_i^r theta_j^{k+s-r}
-    (over r >= s, t, i, j) multiplies d/dtheta_l^s.
+    (over r >= s, t, i, j) multiplies d/dtheta_l^s.  V raises the theta^k
+    count by one; a term of W_{s,l} raises it by its own theta^k count minus
+    [s = k], which splits W into its raising part W_up and the rest.
     """
 
     def build():
@@ -215,49 +205,44 @@ def _d1_closed_ops(b: HomogeneousBracket) -> tuple:
             )
             return sum(terms, DiffPoly.zero()) * Fraction(1, 2)
 
-        W = {
-            ThetaVar(l, s): op for s in range(k + 1) for l in range(1, n + 1) if (op := w(s, l))
-        }
-        return _theta_rows(b, 0), W
+        W = {ThetaVar(l, s): w(s, l) for s in range(k + 1) for l in range(1, n + 1)}
+        up = {v: op.project("deg_theta_k", 1 + (v.s == k), k) for v, op in W.items()}
+        same = {v: rest for v, op in W.items() if (rest := op - up[v])}
+        V = _row_sums(extract_named(b).g, DiffPoly.theta, k)
+        return (V, {v: op for v, op in up.items() if op}), ([], same)
 
     return _memo(b, "d1_closed_ops", build)
 
 
+def d1_split(b: HomogeneousBracket, x: DiffPoly) -> tuple:
+    """Split d_1 x into the parts raising the theta^k count by one and zero,
+    through the split tables of _d1_closed_ops."""
+    require_poisson(b)
+    x = include_B(x, b.k)
+    return tuple(_derivation(x, *ops) for ops in _d1_closed_ops(b))
+
+
 def d1_closed(b: HomogeneousBracket, x: DiffPoly) -> DiffPoly:
     """The compact formula for d_1 in terms of g and the tails h_(s)."""
-    require_poisson(b)
-    return _derivation(include_B(x, b.k), *_d1_closed_ops(b))
-
-
-def d1_split(b: HomogeneousBracket, x: DiffPoly) -> tuple:
-    """Split d_1 x into the parts raising the theta^k count by one and zero."""
-    x = include_B(x, b.k)
-    k = b.k
-    groups: dict = {}
-    for key, c in x.terms.items():
-        groups.setdefault(term_deg_theta_k(key, k), {})[key] = c
-    parts = [(q, d1_closed(b, DiffPoly(terms))) for q, terms in groups.items()]
-    up = sum((part.project("deg_theta_k", q + 1, k) for q, part in parts), DiffPoly.zero())
-    same = sum((part.project("deg_theta_k", q, k) for q, part in parts), DiffPoly.zero())
-    return up, same
+    up, same = d1_split(b, x)
+    return up + same
 
 
 def _d1_connection_ops(b: HomogeneousBracket) -> tuple:
-    """The tables of d1_as_connection, built once per bracket from the Gamma_[s].
+    """The tables of d1_as_connection, built once per bracket from g and the Gamma_[s].
 
-    (up, rows, M, down): up relabels theta_i^k -> sum_j g_{ij} theta_j^{k+1},
-    rows[i-1] = theta_i^{k+1} multiplies d/du^i, M_{s,l} = sum_{i,j}
-    Gamma_[s]^j_{il} theta_i^{k+1} theta_j^s multiplies d/dtheta_l^s, and
-    down relabels theta_i^{k+1} -> sum_j g^{ij} theta_j^k.
+    (coord_ops, ops) are the images of u^i and of theta_l^s (s <= k) under
+    psi D phi, where phi relabels theta_i^k -> sum_j g_{ij} theta_j^{k+1},
+    D = sum_i theta_i^{k+1} d/du^i + sum_{s<k,l} M_{s,l} d/dtheta_l^s with
+    M_{s,l} = sum_{i,j} Gamma_[s]^j_{il} theta_i^{k+1} theta_j^s, and psi
+    relabels theta_i^{k+1} -> sum_j g^{ij} theta_j^k.
     """
-    from .connections import flat_combination
 
     def build():
         named, glow = metric_pair(b)
         n, k = b.n, b.k
 
-        def relabel(matrix, source, target):
-            """theta_i^source -> sum_j matrix[i][j] theta_j^target."""
+        def relabel(matrix, source, target):  # theta_i^source -> sum_j matrix[i][j] theta_j^target
             images = _row_sums(matrix, DiffPoly.theta, target)
             return {(source, i): img for i, img in enumerate(images, 1)}
 
@@ -275,7 +260,16 @@ def _d1_connection_ops(b: HomogeneousBracket) -> tuple:
             gamma = flat_combination(b, s).gamma
             M.update((ThetaVar(l, s), op) for l in range(1, n + 1) if (op := m(gamma, s, l)))
         rows = [DiffPoly.theta(i, k + 1) for i in range(1, n + 1)]
-        return relabel(glow, k, k + 1), rows, M, relabel(named.g, k + 1, k)
+        phi, psi = relabel(glow, k, k + 1), relabel(named.g, k + 1, k)
+
+        def image(generator):
+            lifted = _derivation(generator.substitute(theta_map=phi), rows, M)
+            return lifted.substitute(theta_map=psi)
+
+        coord_ops = [image(DiffPoly.coordinate(i)) for i in range(1, n + 1)]
+        thetas = [ThetaVar(l, s) for s in range(k + 1) for l in range(1, n + 1)]
+        ops = {v: op for v in thetas if (op := image(DiffPoly.theta(v.i, v.s)))}
+        return coord_ops, ops
 
     return _memo(b, "d1_connection_ops", build)
 
@@ -284,14 +278,15 @@ def d1_as_connection(b: HomogeneousBracket, x: DiffPoly) -> DiffPoly:
     """The theta^k-raising part of d_1 evaluated through the connections.
 
     Realizes theta_i^k = g_{ij} du^j with du^j held as a placeholder of
-    theta order k+1, applies du^i d/du^i plus the flat-combination
-    Christoffel action du^i Gamma_[s]^j_{il} theta_j^s d/dtheta_l^s, and
-    converts the placeholders back.
+    theta order k+1 (phi), applies du^i d/du^i plus the flat-combination
+    Christoffel action du^i Gamma_[s]^j_{il} theta_j^s d/dtheta_l^s (D), and
+    converts the placeholders back (psi).  psi phi is the identity on B and
+    both are algebra maps, so psi D phi is an odd derivation of B, which its
+    values on the generators u^i and theta_l^s (s <= k) determine.  Those
+    values are computed once per bracket, so the input is never relabelled.
     """
     require_poisson(b)
-    up, rows, M, down = _d1_connection_ops(b)
-    xt = include_B(x, b.k).substitute(theta_map=up)
-    return _derivation(xt, rows, M).substitute(theta_map=down)
+    return _derivation(include_B(x, b.k), *_d1_connection_ops(b))
 
 
 def spanning_monomials(n: int, k: int, max_degree: int = 3) -> list:

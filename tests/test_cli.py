@@ -1,10 +1,12 @@
 """Command-line interface: exit codes, reports, and input validation."""
 
 import json
+import os
 import time
 
 import pytest
 
+from dnbrackets import jacobi
 from dnbrackets.bracket import CoordinateMap, transform
 from dnbrackets.cli import MAX_DEGREE, MAX_DEGU, MAX_DIMENSION, load_bracket, load_map, main
 from dnbrackets.scalar import parse_scalar
@@ -165,6 +167,37 @@ def test_report_statuses_deterministic(tmp_path, capsys):
     assert copies[0] == copies[1]
 
 
+# report command line (fixture names for paths) -> [name, status, witness] of every check
+EXPECTED_REPORTS = os.path.join(os.path.dirname(__file__), "report_expected.json")
+
+
+def test_report_matches_the_recorded_checks(tmp_path, capsys):
+    with open(EXPECTED_REPORTS, encoding="utf-8") as fh:
+        expected = json.load(fh)
+    assert len(expected) == 6
+    target = tmp_path / "report.json"
+    for command_line, checks in expected.items():
+        args = [fixture_path(a) if a.endswith(".json") else a for a in command_line.split()]
+        run(capsys, "report", *args, "--json", str(target))
+        payload = json.loads(target.read_text())
+        assert [[c["name"], c["status"], c["witness"]] for c in payload["checks"]] == checks
+
+
+@pytest.mark.parametrize("name", ["nonflat2.json", "lc_k1_broken.json"])
+def test_report_applies_D_P_squared_once(monkeypatch, capsys, name):
+    # the jacobi check and every later Poisson precondition share one cached first defect
+    runs = []
+    original = jacobi._defects
+
+    def counting(b):
+        runs.append(b)
+        return original(b)
+
+    monkeypatch.setattr(jacobi, "_defects", counting)
+    run(capsys, "report", fixture_path(name))
+    assert len(runs) == 1
+
+
 def test_missing_file_is_input_error(capsys):
     code, _, err = run(capsys, "validate", "no_such_file.json")
     assert code == 2
@@ -209,6 +242,9 @@ def test_schema_violations(tmp_path, capsys):
             "u1..u2",
         ),
     ]
+    # a boolean is not an entry index, although Python counts it as an int
+    for entry in ([True, True, True, "1"], {"s": 1, "i": 1, "j": True, "expr": "1"}):
+        cases.append(({"dimension": 1, "degree": 1, "entries": [entry]}, "must be integers"))
     # only a JSON integer is a dimension or a degree: no truncation, no digit strings
     for bad in (2.9, 2.0, True, "2"):
         cases.append(({"dimension": bad, "degree": 1, "entries": []}, "bad 'dimension'"))

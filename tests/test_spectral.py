@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from dnbrackets.bracket import HomogeneousBracket
-from dnbrackets.diffpoly import DiffPoly
+from dnbrackets.bracket import HomogeneousBracket, metric_pair
+from dnbrackets.connections import flat_combination
+from dnbrackets.diffpoly import DiffPoly, ThetaVar, term_deg_theta_k
 from dnbrackets.errors import PreconditionError
 from dnbrackets.jacobi import apply_DP
 from dnbrackets.sampling import random_monomial
@@ -15,7 +16,7 @@ from dnbrackets.spectral import (
     _d1_closed_ops,
     _d1_connection_ops,
     _homotopy_rows,
-    _theta_rows,
+    _lowering_ops,
     apply_D_graded,
     d1_as_connection,
     d1_closed,
@@ -183,7 +184,7 @@ def random_element_of_B(rng, b):
 TABLES = {
     "d1_closed_ops": _d1_closed_ops,
     "d1_connection_ops": _d1_connection_ops,
-    "theta_rows": lambda b: _theta_rows(b, 1),
+    "lowering_ops": lambda b: _lowering_ops(b, 1),
     "homotopy_rows": lambda b: _homotopy_rows(b, 1),
 }
 
@@ -212,6 +213,60 @@ def test_cached_operators_match_the_oracles(request, name):
     # every later call read the tables the first one built
     for key, table in TABLES.items():
         assert table(cold) is first[key]
+
+
+def split_oracle(b, x):
+    """d1_split the slow way: d1_closed on each theta^k-count group of x, then project."""
+    groups: dict = {}
+    for key, c in x.terms.items():
+        groups.setdefault(term_deg_theta_k(key, b.k), {})[key] = c
+    parts = [(q, d1_closed(b, DiffPoly(terms))) for q, terms in groups.items()]
+    up = sum((p.project("deg_theta_k", q + 1, b.k) for q, p in parts), DiffPoly.zero())
+    same = sum((p.project("deg_theta_k", q, b.k) for q, p in parts), DiffPoly.zero())
+    return up, same
+
+
+def connection_oracle(b, x):
+    """d1_as_connection the slow way, on the input itself: relabel theta_i^k to
+    sum_j g_{ij} theta_j^{k+1}, apply theta_i^{k+1} d/du^i plus
+    Gamma_[s]^j_{il} theta_i^{k+1} theta_j^s d/dtheta_l^s, relabel theta_i^{k+1}
+    back to sum_j g^{ij} theta_j^k."""
+    named, glow = metric_pair(b)
+    n, k, zero = b.n, b.k, DiffPoly.zero()
+
+    def relabel(matrix, source, target):
+        return {
+            (source, i): sum((theta(j, target) * matrix[i - 1][j - 1] for j in range(1, n + 1)), zero)
+            for i in range(1, n + 1)
+        }
+
+    xt = x.substitute(theta_map=relabel(glow, k, k + 1))
+    out = sum((theta(i, k + 1) * xt.partial_coordinate(i) for i in range(1, n + 1)), zero)
+    for s in range(k):
+        gamma = flat_combination(b, s).gamma
+        for l in range(1, n + 1):
+            pa = xt.partial(ThetaVar(l, s))
+            for i in range(1, n + 1):
+                for j in range(1, n + 1):
+                    if gv := gamma[j - 1][i - 1][l - 1]:
+                        out = out + theta(i, k + 1) * theta(j, s) * gv * pa
+    return out.substitute(theta_map=relabel(named.g, k + 1, k))
+
+
+@pytest.mark.parametrize("name", ["nonflat2", "canonical4"])
+def test_table_operators_match_their_per_input_forms(request, name):
+    b = request.getfixturevalue(name)
+    rng = random.Random(83)
+    mixed = 0
+    for _ in range(10):
+        x = random_element_of_B(rng, b)
+        mixed += len(x.degrees("deg_theta_k", k=b.k)) > 1
+        up, same = d1_split(b, x)
+        assert (up, same) == split_oracle(b, x)
+        assert d1_as_connection(b, x) == connection_oracle(b, x) == up
+        for part in (up, same):  # the graded identities split d_1's own output again
+            assert d1_split(b, part) == split_oracle(b, part)
+    assert mixed >= 3  # elements whose terms have different theta^k counts
 
 
 def test_d1_requires_poisson(lc1_broken):
