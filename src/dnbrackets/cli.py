@@ -430,7 +430,6 @@ def cmd_transform(b: HomogeneousBracket, args) -> list:
 
 
 def cmd_lowdegree(b: HomogeneousBracket, args) -> list:
-    results: list = []
     if b.k == 1:
         report = dn_check(b)
     elif b.k == 2:
@@ -440,28 +439,16 @@ def cmd_lowdegree(b: HomogeneousBracket, args) -> list:
         try:
             rebuilt = potemin_build(named.g, named.h[1])
         except (ValueError, DegenerateMetricError) as exc:
-            results.append(CheckResult("degree-3 normal form", "skip", str(exc)))
-            return results
+            return [CheckResult("degree-3 normal form", "skip", str(exc))]
         if rebuilt != b:
-            results.append(
-                CheckResult(
-                    "degree-3 normal form",
-                    "skip",
-                    "bracket is not in the jet-linear normal form",
-                )
-            )
-            return results
+            reason = "bracket is not in the jet-linear normal form"
+            return [CheckResult("degree-3 normal form", "skip", reason)]
         report = potemin_check(named.g, named.h[1])
     elif b.k == 4:
         report = k4_connection_fixtures(b)
     else:
-        results.append(
-            CheckResult("low-degree conditions", "skip", f"no classification for k={b.k}")
-        )
-        return results
-    for r in report:
-        results.append(CheckResult(r.name, "pass" if r.passed else "fail", r.witness))
-    return results
+        return [CheckResult("low-degree conditions", "skip", f"no classification for k={b.k}")]
+    return [CheckResult(r.name, "pass" if r.passed else "fail", r.witness) for r in report]
 
 
 def cmd_spectral(b: HomogeneousBracket, args) -> list:
@@ -517,11 +504,10 @@ def cmd_spectral(b: HomogeneousBracket, args) -> list:
             if a.is_zero:
                 continue
             count += 1
-            lhs = D_minus1_closed(b, homotopy(b, a)) + homotopy(b, D_minus1_closed(b, a))
-            rhs = a - project_B(a, b.k)
-            if lhs != rhs:
+            lowered = D_minus1_closed(b, a)
+            if D_minus1_closed(b, homotopy(b, a)) + homotopy(b, lowered) != a - project_B(a, b.k):
                 return False, f"on {a}"
-            if not D_minus1_closed(b, D_minus1_closed(b, a)).is_zero:
+            if not D_minus1_closed(b, lowered).is_zero:
                 return False, f"D_-1^2 != 0 on {a}"
         return True, f"{count} random monomials, seed {args.seed}"
 
@@ -531,10 +517,14 @@ def cmd_spectral(b: HomogeneousBracket, args) -> list:
 
 def cmd_report(b: HomogeneousBracket, args) -> list:
     results = cmd_jacobi(b, args)
-    results += cmd_connections(b, args)
-    results += cmd_flatness(b, args)
-    results += cmd_lowdegree(b, args)
-    results += cmd_spectral(b, args)
+    results += (connections := cmd_connections(b, args))
+    # these suites need the connections, which a singular metric lacks
+    suites = {"flatness": cmd_flatness, "lowdegree": cmd_lowdegree, "spectral": cmd_spectral}
+    for name, suite in suites.items():
+        if connections[0].status == "fail":
+            results.append(CheckResult(name, "skip", connections[0].witness))
+        else:
+            results += suite(b, args)
     if args.map:
         results += cmd_transform(b, args)
     return results

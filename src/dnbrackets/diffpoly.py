@@ -427,6 +427,28 @@ def _dx_upto(derivs: list, t: int) -> DiffPoly:
     return derivs[t]
 
 
+def _derivation(x: DiffPoly, jet_image, theta_image) -> DiffPoly:
+    """Apply the derivation sending u^{i,s} to jet_image((i, s)) (s = 0: the
+    coordinate u^i) and theta_i^s to theta_image((i, s)); a falsy image, such
+    as a dict's get returns for a missing key, kills the generator.
+
+    Each generator occurring in x adds image * dx/dv, image on the left so
+    the odd signs are fixed.  They are visited by component, then jets
+    before thetas, then order: that is the summation order, which sets the
+    gcd work.
+    """
+    found = set()
+    for (even, odd), c in x.terms.items():
+        found.update((i, 0, 0) for i in c.variables())
+        found.update((i, 0, s) for (i, s), _ in even)
+        found.update((i, 1, s) for s, i in odd)
+    parts = []
+    for i, odd, s in sorted(found):
+        if image := (theta_image if odd else jet_image)((i, s)):
+            parts.append(image * (x._partial_theta if odd else x._partial_jet)(i, s))
+    return sum(parts, DiffPoly.zero())
+
+
 def _term_str(key: TermKey, c: Scalar) -> tuple[int, str]:
     even, odd = key
     factors = []

@@ -15,7 +15,7 @@ reduces to applying D_P to the two families of variational derivatives.
 from __future__ import annotations
 
 from .bracket import HomogeneousBracket, _memo, bivector, skew_defects, validate
-from .diffpoly import DiffPoly, _dx_upto
+from .diffpoly import DiffPoly, _derivation, _dx_upto
 from .errors import PreconditionError
 
 
@@ -42,20 +42,13 @@ def _dx_powers(b: HomogeneousBracket, family: str, i: int, s: int) -> DiffPoly:
 
 
 def apply_DP(b: HomogeneousBracket, a: DiffPoly) -> DiffPoly:
-    """Apply the odd vector field D_P to a."""
-    # D_P(u^{i,s}) is d_x^s of dP~/dtheta_i and D_P(theta_i^s) of dP~/du^i
-    sides = (
-        ("theta", a._partial_jet, a.max_jet_order()),
-        ("u", a._partial_theta, a.max_theta_order()),
-    )
-    parts = (
-        _dx_powers(b, family, i, s) * da
-        for i in range(1, b.n + 1)
-        for family, partial, top in sides
-        for s in range(top + 1)
-        if (da := partial(i, s))
-    )
-    return sum(parts, DiffPoly.zero())
+    """Apply the odd vector field D_P to a.
+
+    D_P(u^{i,s}) is d_x^s of dP~/dtheta_i and D_P(theta_i^s) of dP~/du^i.
+    Like D_{-1}, the homotopy and both closed forms of d_1 in spectral, it
+    is one call of the derivation kernel diffpoly._derivation.
+    """
+    return _derivation(a, lambda v: _dx_powers(b, "theta", *v), lambda v: _dx_powers(b, "u", *v))
 
 
 def _defects(b: HomogeneousBracket):

@@ -124,18 +124,18 @@ def _pvars(a: Poly) -> set:
     return {v for m in a for v, _ in m}
 
 
-def _mono_key(m: Mono, nvars: int):
+def _mono_key(m: Mono):
     # graded lex with u1 > u2 > ...: higher total degree first, then higher
-    # exponent on the earliest variable
-    exps = dict(m)
-    return (sum(exps.values()), tuple(exps.get(v, 0) for v in range(1, nvars + 1)))
+    # exponent on the earliest variable.  Within one degree no monomial's
+    # pairs are a prefix of another's, so the sparse pairs (-v, e) order
+    # like the dense exponent vector, at a cost independent of the indices.
+    return sum(e for _, e in m), tuple((-v, e) for v, e in m)
 
 
 def _plead(a: Poly) -> tuple[Mono, Fraction]:
     if len(a) == 1:
         return next(iter(a.items()))
-    nv = max(_pvars(a), default=0)
-    m = max(a, key=lambda mm: _mono_key(mm, nv))
+    m = max(a, key=_mono_key)
     return m, a[m]
 
 
@@ -294,13 +294,11 @@ def _zinterp(gamma: dict, x: int, xi: int) -> dict:
 
 def _zquo(a: dict, b: dict) -> dict | None:
     """a/b for integer polynomials, or None when b does not divide a in Z[u...]."""
-    nv = max(_pvars(a) | _pvars(b), default=0)
 
-    def rank(m):  # heapq pops the smallest, so negate the graded key
-        deg, exps = _mono_key(m, nv)
-        return -deg, tuple(-e for e in exps), m
+    def rank(m):  # heapq pops the smallest, so reverse the graded key
+        return -sum(e for _, e in m), tuple((v, -e) for v, e in m), m
 
-    lead_b = max(b, key=lambda m: _mono_key(m, nv))
+    lead_b = max(b, key=_mono_key)
     cb = b[lead_b]
     tail = [(m, c) for m, c in b.items() if m != lead_b]
     rem = dict(a)
@@ -374,8 +372,7 @@ def _prem(f: dict, g: dict) -> dict:
 def _pstr(a: Poly) -> str:
     if not a:
         return "0"
-    nv = max(_pvars(a), default=0)
-    monos = sorted(a, key=lambda m: _mono_key(m, nv), reverse=True)
+    monos = sorted(a, key=_mono_key, reverse=True)
     parts = []
     for idx, m in enumerate(monos):
         c = a[m]

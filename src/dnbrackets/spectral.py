@@ -14,11 +14,13 @@ that raises the number of top-order thetas - through the flat
 combination connections.  Agreement of the three on a given bracket is
 what the flatness of those combinations amounts to.
 
-D_{-1} and both closed forms of d_1 are derivations: each is one
-_derivation call, which applies a table of its values on the generators,
-built once per bracket through bracket._memo, to the partials of the input,
-table on the left so the odd signs are fixed.  The closed form's tables come
-from the tails, the connection form's from g and Gamma_[s] alone.
+D_P, D_{-1}, the homotopy and both closed forms of d_1 are derivations,
+and each is one call of the kernel diffpoly._derivation, which applies
+their values on the generators u^{i,s} and theta_i^s to the partials of
+the input.  Apart from D_P's, those values are tables built once per
+bracket through bracket._memo: D_{-1}'s and the homotopy's from the metric,
+the closed form's from the tails, the connection form's from g and
+Gamma_[s] alone, so the three d_1 computations share no formula.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from math import comb
 
 from .bracket import HomogeneousBracket, _memo, _tensor, extract_named, metric_pair
 from .connections import flat_combination
-from .diffpoly import DiffPoly, JetVar, ThetaVar
+from .diffpoly import DiffPoly, _derivation, _wrap
 from .errors import PreconditionError
 from .jacobi import apply_DP, check_jacobi
 
@@ -83,29 +85,24 @@ def _row_sums(matrix: list, make, order: int) -> list:
     ]
 
 
-def _derivation(x: DiffPoly, coord_ops: list, ops: dict) -> DiffPoly:
-    """sum_i coord_ops[i-1] dx/du^i + sum_v ops[v] dx/dv (v a jet or a theta), tables on the left."""
-    parts = [op * pa for i, op in enumerate(coord_ops, 1) if (pa := x.partial_coordinate(i))]
-    parts += [op * pa for v, op in ops.items() if (pa := x.partial(v))]
-    return sum(parts, DiffPoly.zero())
-
-
-def _lowering_ops(b: HomogeneousBracket, top: int) -> dict:
-    """D_{-1}'s table {u^{i,s}: sum_j theta_j^{k+s} g^{ij}} for 1 <= s <= top,
-    cached per top and built on the table for top - 1."""
+def _lowering_rows(b: HomogeneousBracket, s: int) -> list:
+    """Row i is sum_j theta_j^{k+s} g^{ij}, the image of u^{i,s} under D_{-1}.
+    Cached per s."""
 
     def build():
-        if top == 0:
-            return {}
-        rows = _row_sums(extract_named(b).g, DiffPoly.theta, b.k + top)
-        return {**_lowering_ops(b, top - 1), **{JetVar(i, top): r for i, r in enumerate(rows, 1)}}
+        return _row_sums(extract_named(b).g, DiffPoly.theta, b.k + s)
 
-    return _memo(b, ("lowering_ops", top), build)
+    return _memo(b, ("lowering_rows", s), build)
 
 
 def D_minus1_closed(b: HomogeneousBracket, a: DiffPoly) -> DiffPoly:
     """Direct evaluation of sum_{s>=1} g^{ij} theta_j^{k+s} da/du^{i,s}."""
-    return _derivation(a, [], _lowering_ops(b, a.max_jet_order()))
+
+    def image(v):
+        i, s = v
+        return _lowering_rows(b, s)[i - 1] if s else None
+
+    return _derivation(a, image, {}.get)
 
 
 def _excluded_count(key, k: int) -> int:
@@ -116,7 +113,7 @@ def _excluded_count(key, k: int) -> int:
 
 def _homotopy_rows(b: HomogeneousBracket, s: int) -> list:
     """Row j is sum_i u^{i,s} g_{ji}, the coefficient of d/dtheta_j^{k+s} in
-    the homotopy.  Cached per s."""
+    the homotopy, which sends theta_j^{k+s} back to it.  Cached per s."""
 
     def build():
         return _row_sums(metric_pair(b)[1], DiffPoly.jet, s)
@@ -131,18 +128,16 @@ def homotopy(b: HomogeneousBracket, a: DiffPoly) -> DiffPoly:
     (1/l) sum_{s>=1} u^{i,s} g_{ji} d/dtheta_j^{k+s}; on the rest it is 0.
     """
     k = b.k
-    parts = []
+    groups: dict = {}
     for key, coef in a.terms.items():
-        l = _excluded_count(key, k)
-        if l == 0:
-            continue
-        term = DiffPoly({key: coef})
-        terms = (
-            _homotopy_rows(b, s - k)[j - 1] * pa
-            for s, j in key[1]
-            if s > k and (pa := term.partial(ThetaVar(j, s)))
-        )
-        parts.append(sum(terms, DiffPoly.zero()) * Fraction(1, l))
+        if l := _excluded_count(key, k):
+            groups.setdefault(l, {})[key] = coef
+
+    def image(v):
+        j, s = v
+        return _homotopy_rows(b, s - k)[j - 1] if s > k else None
+
+    parts = (_derivation(_wrap(t), {}.get, image) * Fraction(1, l) for l, t in groups.items())
     return sum(parts, DiffPoly.zero())
 
 
@@ -180,8 +175,9 @@ def _named_with_top(b: HomogeneousBracket):
 
 
 def _d1_closed_ops(b: HomogeneousBracket) -> tuple:
-    """The tables of d1_split, ((V, W_up), ([], W_same)), built once per bracket.
+    """The tables of d1_split, ((V, W_up), ({}, W_same)), built once per bracket.
 
+    They are keyed (i, 0) for the coordinate u^i and (l, s) for theta_l^s.
     V_i = sum_j theta_j^k g^{ij} multiplies d/du^i and W_{s,l} =
     1/2 sum (-1)^{k-t} C(k+s-t, r) h_(t)^{ij}_l theta_i^r theta_j^{k+s-r}
     (over r >= s, t, i, j) multiplies d/dtheta_l^s.  V raises the theta^k
@@ -205,11 +201,11 @@ def _d1_closed_ops(b: HomogeneousBracket) -> tuple:
             )
             return sum(terms, DiffPoly.zero()) * Fraction(1, 2)
 
-        W = {ThetaVar(l, s): w(s, l) for s in range(k + 1) for l in range(1, n + 1)}
-        up = {v: op.project("deg_theta_k", 1 + (v.s == k), k) for v, op in W.items()}
+        W = {(l, s): w(s, l) for s in range(k + 1) for l in range(1, n + 1)}
+        up = {v: op.project("deg_theta_k", 1 + (v[1] == k), k) for v, op in W.items()}
         same = {v: rest for v, op in W.items() if (rest := op - up[v])}
         V = _row_sums(extract_named(b).g, DiffPoly.theta, k)
-        return (V, {v: op for v, op in up.items() if op}), ([], same)
+        return ({(i, 0): op for i, op in enumerate(V, 1)}, up), ({}, same)
 
     return _memo(b, "d1_closed_ops", build)
 
@@ -219,7 +215,7 @@ def d1_split(b: HomogeneousBracket, x: DiffPoly) -> tuple:
     through the split tables of _d1_closed_ops."""
     require_poisson(b)
     x = include_B(x, b.k)
-    return tuple(_derivation(x, *ops) for ops in _d1_closed_ops(b))
+    return tuple(_derivation(x, jets.get, thetas.get) for jets, thetas in _d1_closed_ops(b))
 
 
 def d1_closed(b: HomogeneousBracket, x: DiffPoly) -> DiffPoly:
@@ -231,11 +227,12 @@ def d1_closed(b: HomogeneousBracket, x: DiffPoly) -> DiffPoly:
 def _d1_connection_ops(b: HomogeneousBracket) -> tuple:
     """The tables of d1_as_connection, built once per bracket from g and the Gamma_[s].
 
-    (coord_ops, ops) are the images of u^i and of theta_l^s (s <= k) under
-    psi D phi, where phi relabels theta_i^k -> sum_j g_{ij} theta_j^{k+1},
-    D = sum_i theta_i^{k+1} d/du^i + sum_{s<k,l} M_{s,l} d/dtheta_l^s with
-    M_{s,l} = sum_{i,j} Gamma_[s]^j_{il} theta_i^{k+1} theta_j^s, and psi
-    relabels theta_i^{k+1} -> sum_j g^{ij} theta_j^k.
+    The dicts hold the images of u^i, keyed (i, 0), and of theta_l^s (s <= k),
+    keyed (l, s), under psi D phi, where phi relabels theta_i^k -> sum_j
+    g_{ij} theta_j^{k+1}, D = sum_i theta_i^{k+1} d/du^i + sum_{s<k,l}
+    M_{s,l} d/dtheta_l^s with M_{s,l} = sum_{i,j} Gamma_[s]^j_{il}
+    theta_i^{k+1} theta_j^s, and psi relabels theta_i^{k+1} -> sum_j g^{ij}
+    theta_j^k.
     """
 
     def build():
@@ -246,7 +243,8 @@ def _d1_connection_ops(b: HomogeneousBracket) -> tuple:
             images = _row_sums(matrix, DiffPoly.theta, target)
             return {(source, i): img for i, img in enumerate(images, 1)}
 
-        def m(gamma, s, l):
+        def m(s, l):
+            gamma = flat_combination(b, s).gamma
             terms = (
                 DiffPoly.theta(i, k + 1) * DiffPoly.theta(j, s) * gv
                 for i in range(1, n + 1)
@@ -255,21 +253,17 @@ def _d1_connection_ops(b: HomogeneousBracket) -> tuple:
             )
             return sum(terms, DiffPoly.zero())
 
-        M = {}
-        for s in range(0, k):
-            gamma = flat_combination(b, s).gamma
-            M.update((ThetaVar(l, s), op) for l in range(1, n + 1) if (op := m(gamma, s, l)))
-        rows = [DiffPoly.theta(i, k + 1) for i in range(1, n + 1)]
+        rows = {(i, 0): DiffPoly.theta(i, k + 1) for i in range(1, n + 1)}
+        M = {(l, s): m(s, l) for s in range(k) for l in range(1, n + 1)}
         phi, psi = relabel(glow, k, k + 1), relabel(named.g, k + 1, k)
 
         def image(generator):
-            lifted = _derivation(generator.substitute(theta_map=phi), rows, M)
+            lifted = _derivation(generator.substitute(theta_map=phi), rows.get, M.get)
             return lifted.substitute(theta_map=psi)
 
-        coord_ops = [image(DiffPoly.coordinate(i)) for i in range(1, n + 1)]
-        thetas = [ThetaVar(l, s) for s in range(k + 1) for l in range(1, n + 1)]
-        ops = {v: op for v in thetas if (op := image(DiffPoly.theta(v.i, v.s)))}
-        return coord_ops, ops
+        coords = {(i, 0): image(DiffPoly.coordinate(i)) for i in range(1, n + 1)}
+        thetas = {(l, s): image(DiffPoly.theta(l, s)) for s in range(k + 1) for l in range(1, n + 1)}
+        return coords, thetas
 
     return _memo(b, "d1_connection_ops", build)
 
@@ -286,7 +280,8 @@ def d1_as_connection(b: HomogeneousBracket, x: DiffPoly) -> DiffPoly:
     values are computed once per bracket, so the input is never relabelled.
     """
     require_poisson(b)
-    return _derivation(include_B(x, b.k), *_d1_connection_ops(b))
+    jets, thetas = _d1_connection_ops(b)
+    return _derivation(include_B(x, b.k), jets.get, thetas.get)
 
 
 def spanning_monomials(n: int, k: int, max_degree: int = 3) -> list:

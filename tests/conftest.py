@@ -1,12 +1,14 @@
 """Shared fixtures: the worked examples used across the test modules."""
 
 import os
+import random
 
 import pytest
 
 from dnbrackets.bracket import HomogeneousBracket, constant_bracket, lower_metric
 from dnbrackets.diffpoly import DiffPoly
 from dnbrackets.lowdegree import canonical_k2, potemin_build
+from dnbrackets.sampling import random_diffpoly, random_monomial, random_scalar
 from dnbrackets.scalar import Scalar, parse_scalar
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -90,3 +92,22 @@ def const2() -> HomogeneousBracket:
 def const3() -> HomogeneousBracket:
     eta = [[S("2"), S("1")], [S("1"), S("1")]]
     return constant_bracket(eta, 3)
+
+
+def kernel_draws(rng: random.Random, b: HomogeneousBracket, covered: set, rounds: int = 8):
+    """Inputs for the derivation kernel's differential tests: coordinate-only
+    elements, sums with jets up to order 3 and thetas above order k, and
+    single monomials.  Adds to covered which of those three features occurred."""
+    for _ in range(rounds):
+        for a in (
+            DiffPoly.from_scalar(random_scalar(rng, b.n)),
+            random_diffpoly(rng, b.n, terms=3, max_jet=3, max_theta=b.k + 2, max_factors=2),
+            random_monomial(rng, b.n, b.k, max_degu=2),
+        ):
+            if a.is_scalar() and not a.to_scalar().is_fraction():
+                covered.add("coordinates only")
+            if a.max_jet_order() == 3:
+                covered.add("jet order 3")
+            if a.max_theta_order() > b.k:
+                covered.add("theta above k")
+            yield a

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from dnbrackets import jacobi
+from dnbrackets import cli, jacobi
 from dnbrackets.bracket import CoordinateMap, transform
 from dnbrackets.cli import MAX_DEGREE, MAX_DEGU, MAX_DIMENSION, load_bracket, load_map, main
 from dnbrackets.scalar import parse_scalar
@@ -196,6 +196,37 @@ def test_report_applies_D_P_squared_once(monkeypatch, capsys, name):
     monkeypatch.setattr(jacobi, "_defects", counting)
     run(capsys, "report", fixture_path(name))
     assert len(runs) == 1
+
+
+def test_homotopy_identity_lowers_each_monomial_once(monkeypatch, capsys):
+    # D_-1 on a, on h(a) and on D_-1(a): three calls for each of the 100 monomials
+    calls = []
+    original = cli.D_minus1_closed
+
+    def counting(b, a):
+        calls.append(a)
+        return original(b, a)
+
+    monkeypatch.setattr(cli, "D_minus1_closed", counting)
+    code, out, _ = run(capsys, "spectral", fixture_path("lc_k1.json"))
+    assert code == 0 and "100 random monomials" in out
+    assert len(calls) == 300
+
+
+def test_report_keeps_its_mirror_on_a_singular_metric(tmp_path, capsys):
+    # a constant bracket, hence Poisson, whose leading matrix is singular
+    path, target = tmp_path / "singular.json", tmp_path / "report.json"
+    entries = [[1, 1, 1, "1"], [1, 1, 2, "1"], [1, 2, 1, "1"], [1, 2, 2, "1"]]
+    path.write_text(json.dumps({"dimension": 2, "degree": 1, "entries": entries}))
+    code, _, _ = run(capsys, "report", str(path), "--json", str(target))
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(target.read_text())["checks"]}
+    assert checks["jacobi identity (D_P squares to zero)"]["status"] == "pass"
+    failed = checks["connections computed"]
+    assert failed["status"] == "fail" and "singular" in failed["witness"]
+    for suite in ("flatness", "lowdegree", "spectral"):
+        assert checks[suite]["status"] == "skip"
+        assert checks[suite]["witness"] == failed["witness"]
 
 
 def test_missing_file_is_input_error(capsys):
@@ -440,3 +471,15 @@ def test_huge_power_is_input_error(tmp_path, capsys):
         assert time.perf_counter() - start < 2.0, expr
         assert code == 2, expr
         assert "input error" in err and str(path) in err and problem in err
+
+
+def test_far_coordinate_index_is_quick(tmp_path, capsys):
+    # monomial keys cost the number of variables present, not the largest index
+    path = tmp_path / "far.json"
+    entries = [[1, 1, 1, "1/(u1+u10000000)"]]
+    path.write_text(json.dumps({"dimension": 1, "degree": 1, "entries": entries}))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "validate", str(path))
+    assert time.perf_counter() - start < 2.0
+    assert code == 1
+    assert "mentions components beyond n=1: [10000000]" in out

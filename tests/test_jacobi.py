@@ -3,13 +3,21 @@
 import os
 import random
 
+import pytest
+
 from dnbrackets.bracket import constant_bracket
 from dnbrackets.cli import load_bracket
 from dnbrackets.diffpoly import DiffPoly, d_x
-from dnbrackets.jacobi import apply_DP, check_jacobi, jacobi_defects, variational_pair
+from dnbrackets.jacobi import (
+    _dx_powers,
+    apply_DP,
+    check_jacobi,
+    jacobi_defects,
+    variational_pair,
+)
 from dnbrackets.sampling import random_constant_bracket, random_monomial
 
-from conftest import FIXTURE_DIR, S
+from conftest import FIXTURE_DIR, S, kernel_draws
 
 
 def test_fixtures_satisfy_jacobi(nonflat2, lc1, canonical4, const2, const3):
@@ -104,3 +112,29 @@ def test_jacobi_on_random_constant_brackets():
         for _ in range(3):
             b = random_constant_bracket(rng, 2, k)
             assert check_jacobi(b)
+
+
+def apply_DP_oracle(b, a):
+    """apply_DP as its own loop over every component, family and order up to
+    the top order present, without the derivation kernel."""
+    sides = (
+        ("theta", a._partial_jet, a.max_jet_order()),
+        ("u", a._partial_theta, a.max_theta_order()),
+    )
+    parts = (
+        _dx_powers(b, family, i, s) * da
+        for i in range(1, b.n + 1)
+        for family, partial, top in sides
+        for s in range(top + 1)
+        if (da := partial(i, s))
+    )
+    return sum(parts, DiffPoly.zero())
+
+
+@pytest.mark.parametrize("name", ["lc1", "nonflat2", "canonical4"])
+def test_apply_DP_matches_its_loop_oracle(request, name):
+    b = request.getfixturevalue(name)
+    covered = set()
+    for a in kernel_draws(random.Random(97), b, covered):
+        assert apply_DP(b, a) == apply_DP_oracle(b, a)
+    assert covered == {"coordinates only", "jet order 3", "theta above k"}

@@ -10,6 +10,8 @@ from dnbrackets.errors import ParseError
 from dnbrackets.sampling import random_polynomial, random_scalar
 from dnbrackets.scalar import (
     Scalar,
+    _mono_key,
+    _plead,
     _pmul,
     _pneg,
     _prs,
@@ -275,3 +277,33 @@ def test_pathological_gcds_finish_quickly():
         if sympy is not None:
             A, B, C = (sympy_poly(sympy, x.num) for x in (a, b, c))
             assert (got.num, got.den) == sympy_canonical(sympy, A / B + A / C), i
+
+
+def dense_key(m, nvars):
+    """The graded-lex key as a dense exponent vector over u1..u_nvars: the oracle
+    for the sparse _mono_key."""
+    exps = dict(m)
+    return sum(exps.values()), tuple(exps.get(v, 0) for v in range(1, nvars + 1))
+
+
+def test_sparse_monomial_key_orders_like_the_dense_one():
+    rng = random.Random(89)
+
+    def draw():
+        chosen = rng.sample(range(1, 6), rng.randint(0, 3))
+        return tuple(sorted((v, rng.randint(1, 3)) for v in chosen))
+
+    monos = [draw() for _ in range(80)]
+    same_degree = 0
+    for m1 in monos:
+        for m2 in monos:
+            assert (_mono_key(m1) < _mono_key(m2)) == (dense_key(m1, 5) < dense_key(m2, 5))
+            assert (_mono_key(m1) == _mono_key(m2)) == (m1 == m2)
+            same_degree += m1 != m2 and dense_key(m1, 5)[0] == dense_key(m2, 5)[0]
+    assert same_degree > 300  # distinct monomials that only the exponents order
+    for _ in range(30):
+        p = random_polynomial(rng, 5, terms=5, deg=3).num
+        assert _plead(p)[0] == max(p, key=lambda m: dense_key(m, 5))
+    # printing follows the same order, whatever the variable indices
+    far = S("u1 + u2^2 + u1*u3 + u3^2*u10000000 + u2*u3^2")
+    assert str(far) == "u2*u3^2 + u3^2*u10000000 + u1*u3 + u2^2 + u1"

@@ -13,10 +13,11 @@ from dnbrackets.jacobi import apply_DP
 from dnbrackets.sampling import random_monomial
 from dnbrackets.spectral import (
     D_minus1_closed,
+    _excluded_count,
     _d1_closed_ops,
     _d1_connection_ops,
     _homotopy_rows,
-    _lowering_ops,
+    _lowering_rows,
     apply_D_graded,
     d1_as_connection,
     d1_closed,
@@ -30,7 +31,7 @@ from dnbrackets.spectral import (
     spanning_monomials,
 )
 
-from conftest import S
+from conftest import S, kernel_draws
 
 
 def theta(i, s):
@@ -120,6 +121,40 @@ def test_homotopy_identity_on_random_monomials(request, name):
         assert lhs == a - project_B(a, b.k)
 
 
+def homotopy_oracle(b, a):
+    """homotopy term by term: (1/l) sum u^{i,s} g_{ji} d/dtheta_j^{k+s} on each
+    monomial holding l > 0 excluded generators, without the derivation kernel."""
+    k = b.k
+    parts = []
+    for key, coef in a.terms.items():
+        l = _excluded_count(key, k)
+        if l == 0:
+            continue
+        term = DiffPoly({key: coef})
+        terms = (
+            _homotopy_rows(b, s - k)[j - 1] * pa
+            for s, j in key[1]
+            if s > k and (pa := term.partial(ThetaVar(j, s)))
+        )
+        parts.append(sum(terms, DiffPoly.zero()) * Fraction(1, l))
+    return sum(parts, DiffPoly.zero())
+
+
+@pytest.mark.parametrize("name", ["lc1", "nonflat2", "canonical4"])
+def test_homotopy_matches_its_per_term_oracle(request, name):
+    b = request.getfixturevalue(name)
+    covered = set()
+    mixed = 0  # inputs whose terms hold different numbers of excluded generators
+    total = DiffPoly.zero()
+    for a in kernel_draws(random.Random(101), b, covered):
+        total = total + a
+        for x in (a, total):
+            mixed += len({_excluded_count(key, b.k) for key in x.terms} - {0}) > 1
+            assert homotopy(b, x) == homotopy_oracle(b, x)
+    assert covered == {"coordinates only", "jet order 3", "theta above k"}
+    assert mixed >= 5
+
+
 def test_homotopy_vanishes_on_B(nonflat2):
     a = theta(1, 0) * theta(2, 2) * S("u2")
     assert in_B(a, 3)
@@ -184,7 +219,7 @@ def random_element_of_B(rng, b):
 TABLES = {
     "d1_closed_ops": _d1_closed_ops,
     "d1_connection_ops": _d1_connection_ops,
-    "lowering_ops": lambda b: _lowering_ops(b, 1),
+    "lowering_rows": lambda b: _lowering_rows(b, 1),
     "homotopy_rows": lambda b: _homotopy_rows(b, 1),
 }
 
