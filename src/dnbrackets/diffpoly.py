@@ -13,6 +13,10 @@ are merged or reordered.  Coefficients are Scalars (rational functions of
 the coordinates u^i), and the total derivative d_x acts on those through
 the chain rule u^i -> u^{i,1}.
 
+Every derivation - d_x here, D_P in jacobi, D_{-1}, the homotopy and both
+closed forms of d_1 in spectral - is applied by one kernel, _derivation,
+from its values on the generators.
+
 Partial derivatives with respect to odd variables are left derivatives:
 the variable is anticommuted to the front of the word and then removed.
 
@@ -294,29 +298,14 @@ class DiffPoly:
         return _wrap(r)
 
     def d_x(self) -> "DiffPoly":
-        """Total x-derivative: chain rule on coefficients plus order shifts."""
-
-        def pairs():
-            for (even, odd), c in self.terms.items():
-                for v in sorted(c.variables()):
-                    yield (_mono_mul(even, (((v, 1), 1),)), odd), c.partial(v)
-                for (i, s), e in even:
-                    shifted = _mono_mul(_mono_lower(even, (i, s)), (((i, s + 1), 1),))
-                    yield (shifted, odd), c * e
-                for p, (s, i) in enumerate(odd):
-                    # move the raised variable to the front (p swaps), then merge it back
-                    om = _odd_mul(((s + 1, i),), odd[:p] + odd[p + 1 :])
-                    if om is not None:
-                        sign, word = om
-                        yield (even, word), (c if sign * (-1) ** p > 0 else -c)
-
-        return _wrap(_collect(pairs()))
+        """Total x-derivative: the derivation raising the order of every
+        generator, u^{i,s} -> u^{i,s+1} (s = 0: the chain rule) and
+        theta_i^s -> theta_i^{s+1}."""
+        return _derivation(self, lambda v: DiffPoly.jet(v[0], v[1] + 1),
+                           lambda v: DiffPoly.theta(v[0], v[1] + 1))
 
     def d_x_pow(self, s: int) -> "DiffPoly":
-        r = self
-        for _ in range(s):
-            r = r.d_x()
-        return r
+        return _dx_upto([self], s)
 
     def variational_u(self, i: int) -> "DiffPoly":
         """Variational derivative with respect to u^i."""
@@ -435,7 +424,8 @@ def _derivation(x: DiffPoly, jet_image, theta_image) -> DiffPoly:
     Each generator occurring in x adds image * dx/dv, image on the left so
     the odd signs are fixed.  They are visited by component, then jets
     before thetas, then order: that is the summation order, which sets the
-    gcd work.
+    gcd work.  d_x, D_P, D_{-1}, the homotopy and both closed forms of d_1
+    are all calls of this kernel.
     """
     found = set()
     for (even, odd), c in x.terms.items():

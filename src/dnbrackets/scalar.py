@@ -483,6 +483,10 @@ class Scalar:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return Scalar.zero()
+        # a constant factor q needs no gcd: q*n/d is still in lowest terms
+        for q, x in ((self, other), (other, self)):
+            if len(q.num) == 1 and (c := q.num.get(())) and q.den == _ONE_P:
+                return x if c == 1 else _wrap({m: c * v for m, v in x.num.items()}, x.den)
         return Scalar(_pmul(self.num, other.num), _pmul(self.den, other.den))
 
     __rmul__ = __mul__

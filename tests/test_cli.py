@@ -6,9 +6,11 @@ import time
 
 import pytest
 
-from dnbrackets import cli, jacobi
-from dnbrackets.bracket import CoordinateMap, transform
+from dnbrackets import cli, jacobi, spectral
+from dnbrackets.bracket import CoordinateMap, skew_defects, transform
 from dnbrackets.cli import MAX_DEGREE, MAX_DEGU, MAX_DIMENSION, load_bracket, load_map, main
+from dnbrackets.diffpoly import DiffPoly
+from dnbrackets.errors import PreconditionError
 from dnbrackets.scalar import parse_scalar
 
 from conftest import fixture_path
@@ -227,6 +229,84 @@ def test_report_keeps_its_mirror_on_a_singular_metric(tmp_path, capsys):
     for suite in ("flatness", "lowdegree", "spectral"):
         assert checks[suite]["status"] == "skip"
         assert checks[suite]["witness"] == failed["witness"]
+
+
+@pytest.mark.parametrize("command", ["curvature", "flatness"])
+def test_singular_metric_is_a_precondition_failure(tmp_path, capsys, command):
+    path = tmp_path / "singular.json"
+    entries = [[1, 1, 1, "1"], [1, 1, 2, "1"], [1, 2, 1, "1"], [1, 2, 2, "1"]]
+    path.write_text(json.dumps({"dimension": 2, "degree": 1, "entries": entries}))
+    code, _, err = run(capsys, command, str(path))
+    assert code == 1
+    assert "precondition failure" in err and "singular" in err
+
+
+def test_non_skew_bracket_skips_jacobi_and_fails_the_d1_identities(tmp_path, capsys):
+    # P_0^{12} = u1_1 has no partner P_0^{21}, so the bracket is not skew
+    path, target = tmp_path / "nonskew.json", tmp_path / "report.json"
+    entries = [[1, 1, 1, "1"], [1, 2, 2, "1"], [0, 1, 2, "u1_1"]]
+    path.write_text(json.dumps({"dimension": 2, "degree": 1, "entries": entries}))
+    name = "jacobi identity (D_P squares to zero)"
+
+    code, _, _ = run(capsys, "jacobi", str(path), "--json", str(target))
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(target.read_text())["checks"]}
+    assert (checks[name]["status"], checks[name]["witness"]) == ("skip", "preconditions failed")
+
+    code, _, _ = run(capsys, "report", str(path), "--json", str(target))
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(target.read_text())["checks"]}
+    assert checks[name]["status"] == "skip"
+    d1 = checks["d_1 identities"]
+    assert d1["status"] == "fail"
+    assert d1["witness"] == "bracket must be skew-symmetric and satisfy the Jacobi identity"
+
+    b = load_bracket(str(path))
+    with pytest.raises(PreconditionError, match="not skew-symmetric") as info:
+        jacobi.check_jacobi(b)
+    assert info.value.witness == skew_defects(b)[0][3] == DiffPoly.jet(1, 1)
+
+
+def test_curvature_defaults_to_the_flat_combinations(capsys):
+    code, out, _ = run(capsys, "curvature", fixture_path("nonflat2.json"))
+    assert code == 0
+    assert "curvature of Gamma_[0]" in out and "curvature of Gamma_[2]" in out
+    assert "Gamma_(" not in out
+    assert "3 passed, 0 failed, 0 skipped" in out
+
+
+def test_lowdegree_on_degree_four_and_five(tmp_path, capsys):
+    path = tmp_path / "k4.json"
+    path.write_text(json.dumps({"dimension": 2, "degree": 4,
+                                "entries": [[4, 1, 2, "1"], [4, 2, 1, "-1"]]}))
+    code, out, _ = run(capsys, "lowdegree", str(path))
+    assert code == 0
+    assert "Gamma_[3] = g (b - 5c + 15d - 35e)" in out
+    assert "7 passed, 0 failed, 0 skipped" in out
+
+    path = tmp_path / "k5.json"
+    path.write_text(json.dumps({"dimension": 1, "degree": 5, "entries": [[5, 1, 1, "1"]]}))
+    code, out, _ = run(capsys, "lowdegree", str(path))
+    assert code == 0
+    assert "no classification for k=5" in out
+    assert "0 passed, 0 failed, 1 skipped" in out
+
+
+def test_spectral_splits_each_monomial_once(monkeypatch, capsys):
+    # 303 spanning monomials, and for the 83 of theta degree <= 2 the two
+    # halves of their split are split again: 303 + 2 * 83 calls
+    calls = []
+    original = spectral.d1_split
+
+    def counting(b, x):
+        calls.append(x)
+        return original(b, x)
+
+    monkeypatch.setattr(spectral, "d1_split", counting)
+    monkeypatch.setattr(cli, "d1_split", counting)
+    code, _, _ = run(capsys, "spectral", fixture_path("canonical_k2.json"))
+    assert code == 0
+    assert len(calls) == 469
 
 
 def test_missing_file_is_input_error(capsys):

@@ -167,19 +167,38 @@ def test_arithmetic_matches_sympy_oracle():
     for _ in range(40):
         a, b = random_scalar(rng, 3), random_scalar(rng, 3)
         A, B = poly(a.num) / poly(a.den), poly(b.num) / poly(b.den)
-        cases = [(a + b, A + B), (a - b, A - B), (a * b, A * B)]
+        cases = [(a + b, A + B), (a - b, A - B), (a * b, A * B), (2 - a, 2 - A)]
         cases += [(a.partial(i), sympy.diff(A, u[i - 1])) for i in (1, 2, 3)]
         if b.is_zero:
             with pytest.raises(ZeroDivisionError):
                 a / b
         else:
             cases.append((a / b, A / B))
+        if not a.is_zero:
+            cases += [(3 / a, 3 / A), (a**-2, A**-2)]
         for got, want in cases:
             want_num, want_den = sympy.fraction(sympy.cancel(want))
             # equal denominators up to a constant: got is reduced as far as sympy's
             ratio = sympy.cancel(poly(got.den) / want_den)
             assert ratio.is_number and ratio != 0, (got, want)
             assert sympy.expand(poly(got.num) - ratio * want_num) == 0, (got, want)
+
+
+def test_constant_factor_matches_the_reducing_product():
+    """A constant factor skips the gcd, yet gives the reduced product and sympy's form."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(29)
+    for q in (Scalar.one(), Scalar.from_fraction(-1), Scalar.from_fraction(Fraction(2, 3))):
+        Q = sympy.Rational(q.as_fraction().numerator, q.as_fraction().denominator)
+        for _ in range(30):
+            num, den = random_polynomial(rng, 3, terms=3), random_polynomial(rng, 3, terms=3)
+            if num.is_zero or den.is_zero:
+                continue
+            a = num / den
+            reduced = Scalar(_pmul(a.num, q.num), _pmul(a.den, q.den))
+            want = sympy_canonical(sympy, Q * sympy_poly(sympy, a.num) / sympy_poly(sympy, a.den))
+            for got in (a * q, q * a):
+                assert got == reduced and (got.num, got.den) == want, (a, q)
 
 
 def test_reduction_is_sympy_canonical_form():
