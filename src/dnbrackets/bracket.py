@@ -24,7 +24,7 @@ from itertools import product
 from math import comb
 from types import MappingProxyType
 
-from .diffpoly import DiffPoly, _dx_upto
+from .diffpoly import DiffPoly, _dx_upto, _sum
 from .errors import DegenerateMetricError
 from .scalar import Scalar
 
@@ -123,11 +123,10 @@ def bivector(b: HomogeneousBracket) -> DiffPoly:
 
     def build():
         half = Scalar.from_fraction(1) / 2
-        parts = (
+        return _sum(
             entry * DiffPoly.theta(i, 0) * DiffPoly.theta(j, s) * half
             for (i, j, s), entry in b.P.items()
         )
-        return sum(parts, DiffPoly.zero())
 
     return _memo(b, "bivector", build)
 
@@ -180,7 +179,7 @@ def skew_defects(b: HomogeneousBracket) -> list[tuple[int, int, int, DiffPoly]]:
                     _dx_upto(derivs[s], s - t) * ((-1) ** (s + 1) * comb(s, t))
                     for s in range(t, b.k + 1)
                 )
-                defect = b.entry(j, i, t) - sum(parts, DiffPoly.zero())
+                defect = b.entry(j, i, t) - _sum(parts)
                 if not defect.is_zero:
                     out.append((i, j, t, defect))
         return tuple(out)
@@ -279,20 +278,18 @@ def transform(b: HomogeneousBracket, cmap: CoordinateMap) -> HomogeneousBracket:
 
     def contracted(i, j, s, t):
         """J^i_{i'} P_{s+t}^{i'j'} d_x^t(J^j_{j'}), summed over i' and j'."""
-        parts = (
+        return _sum(
             entry * jac[i - 1][ip - 1] * _dx_upto(jac_dx[j - 1][jp - 1], t)
             for ip in range(1, n + 1)
             for jp in range(1, n + 1)
             if (entry := b.entry(ip, jp, s + t))
         )
-        return sum(parts, DiffPoly.zero())
 
     raw = {}
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             for s in range(k + 1):
-                parts = (contracted(i, j, s, t) * comb(s + t, s) for t in range(k - s + 1))
-                acc = sum(parts, DiffPoly.zero())
+                acc = _sum(contracted(i, j, s, t) * comb(s + t, s) for t in range(k - s + 1))
                 if not acc.is_zero:
                     raw[(i, j, s)] = acc
 

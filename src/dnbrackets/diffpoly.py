@@ -22,7 +22,9 @@ the variable is anticommuted to the front of the word and then removed.
 
 A term dict never holds a zero coefficient: every sum of terms goes through
 scalar._collect, and _wrap builds a DiffPoly around a dict that already
-satisfies this.
+satisfies this.  Sums of DiffPolys go through _sum, one _collect over the
+terms of all the parts, and products through _products, the uncollected
+pairs of a product that both * and _derivation collect.
 """
 
 from __future__ import annotations
@@ -234,17 +236,7 @@ class DiffPoly:
             return _wrap({k: c * sc for k, c in self.terms.items()})
         if not isinstance(other, DiffPoly):
             return NotImplemented
-
-        def products():
-            for (e1, o1), c1 in self.terms.items():
-                for (e2, o2), c2 in other.terms.items():
-                    om = _odd_mul(o1, o2)
-                    if om is not None:
-                        sign, odd = om
-                        c = c1 * c2
-                        yield (_mono_mul(e1, e2), odd), (c if sign > 0 else -c)
-
-        return _wrap(_collect(products()))
+        return _wrap(_collect(_products(self, other)))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
@@ -305,6 +297,8 @@ class DiffPoly:
                            lambda v: DiffPoly.theta(v[0], v[1] + 1))
 
     def d_x_pow(self, s: int) -> "DiffPoly":
+        if s < 0:
+            raise ValueError("negative powers of d_x")
         return _dx_upto([self], s)
 
     def variational_u(self, i: int) -> "DiffPoly":
@@ -313,6 +307,7 @@ class DiffPoly:
 
     def variational_theta(self, i: int) -> "DiffPoly":
         """Variational derivative with respect to theta_i."""
+        ThetaVar(i, 0)  # validate
         return _alternating_sum(self._partial_theta, i, self.max_theta_order())
 
     # -- gradings and projections ---------------------------------------
@@ -371,8 +366,7 @@ class DiffPoly:
                 acc = acc * img
             return acc
 
-        parts = (image(even, odd, c) for (even, odd), c in self.terms.items())
-        return sum(parts, DiffPoly.zero())
+        return _sum(image(even, odd, c) for (even, odd), c in self.terms.items())
 
     # -- printing -------------------------------------------------------
 
@@ -399,14 +393,30 @@ def _wrap(terms: dict) -> DiffPoly:
     return out
 
 
+def _products(a: DiffPoly, b: DiffPoly):
+    """The uncollected (key, coefficient) pairs of the product a * b."""
+    for (e1, o1), c1 in a.terms.items():
+        for (e2, o2), c2 in b.terms.items():
+            om = _odd_mul(o1, o2)
+            if om is not None:
+                sign, odd = om
+                c = c1 * c2
+                yield (_mono_mul(e1, e2), odd), (c if sign > 0 else -c)
+
+
+def _sum(parts) -> DiffPoly:
+    """The sum of an iterable of DiffPolys in one _collect.  Each key adds
+    its coefficients in the order of parts, as builtin sum would."""
+    return _wrap(_collect(pair for p in parts for pair in p.terms.items()))
+
+
 def _alternating_sum(partial, i: int, top: int) -> DiffPoly:
     """sum_{s=0..top} (-d_x)^s partial(i, s): the shared variational formula."""
-    parts = (
+    return _sum(
         p.d_x_pow(s) if s % 2 == 0 else -p.d_x_pow(s)
         for s in range(top + 1)
         if (p := partial(i, s))
     )
-    return sum(parts, DiffPoly.zero())
 
 
 def _dx_upto(derivs: list, t: int) -> DiffPoly:
@@ -422,21 +432,24 @@ def _derivation(x: DiffPoly, jet_image, theta_image) -> DiffPoly:
     as a dict's get returns for a missing key, kills the generator.
 
     Each generator occurring in x adds image * dx/dv, image on the left so
-    the odd signs are fixed.  They are visited by component, then jets
-    before thetas, then order: that is the summation order, which sets the
-    gcd work.  d_x, D_P, D_{-1}, the homotopy and both closed forms of d_1
-    are all calls of this kernel.
+    the odd signs are fixed.  The products of all generators stream through
+    _products into one _collect; no product DiffPoly is built per generator.
+    Generators are visited by component, then jets before thetas, then
+    order: that is the summation order, which sets the gcd work.  d_x, D_P,
+    D_{-1}, the homotopy and both closed forms of d_1 are all calls of this
+    kernel.
     """
     found = set()
     for (even, odd), c in x.terms.items():
         found.update((i, 0, 0) for i in c.variables())
         found.update((i, 0, s) for (i, s), _ in even)
         found.update((i, 1, s) for s, i in odd)
-    parts = []
-    for i, odd, s in sorted(found):
-        if image := (theta_image if odd else jet_image)((i, s)):
-            parts.append(image * (x._partial_theta if odd else x._partial_jet)(i, s))
-    return sum(parts, DiffPoly.zero())
+    return _wrap(_collect(
+        pair
+        for i, odd, s in sorted(found)
+        if (image := (theta_image if odd else jet_image)((i, s)))
+        for pair in _products(image, (x._partial_theta if odd else x._partial_jet)(i, s))
+    ))
 
 
 def _term_str(key: TermKey, c: Scalar) -> tuple[int, str]:

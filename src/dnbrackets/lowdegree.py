@@ -32,7 +32,7 @@ from .connections import (
     standard_connection,
     torsion,
 )
-from .diffpoly import DiffPoly
+from .diffpoly import DiffPoly, _sum
 from .scalar import Scalar
 
 
@@ -170,7 +170,7 @@ def ferguson_check(b: HomogeneousBracket) -> list:
 
 
 def canonical_k2(g: list) -> HomogeneousBracket:
-    """The degree-2 operator d/dx g d/dx written out: P_2 = g, P_1 = dg."""
+    """The degree-2 operator d/dx g d/dx written out: P_2 = g, P_1 = d_x g."""
     n = len(g)
     for i in range(n):
         for j in range(i, n):
@@ -179,11 +179,9 @@ def canonical_k2(g: list) -> HomogeneousBracket:
     P = {}  # zero entries are dropped by HomogeneousBracket
     for i in range(n):
         for j in range(n):
-            P[(i + 1, j + 1, 2)] = DiffPoly.from_scalar(g[i][j])
-            parts = (
-                DiffPoly.jet(l + 1, 1) * dg for l in range(n) if (dg := g[i][j].partial(l + 1))
-            )
-            P[(i + 1, j + 1, 1)] = sum(parts, DiffPoly.zero())
+            gij = DiffPoly.from_scalar(g[i][j])
+            P[(i + 1, j + 1, 2)] = gij
+            P[(i + 1, j + 1, 1)] = gij.d_x()
     return HomogeneousBracket(n=n, k=2, P=P)
 
 
@@ -199,27 +197,14 @@ def potemin_build(g: list, c: list) -> HomogeneousBracket:
             if g[j][i] != g[i][j]:
                 raise ValueError(f"leading coefficient must be symmetric: entry ({i+1},{j+1})")
     lower_metric(g)  # raises DegenerateMetricError on singular input
-
-    def first_order(cij):
-        """The terms c_l u^{l,2} + (dc_l/du^m) u^{l,1} u^{m,1} of P_1."""
-        for l in range(n):
-            if cij[l]:
-                yield DiffPoly.jet(l + 1, 2) * cij[l]
-            for m in range(n):
-                if dcl := cij[l].partial(m + 1):
-                    yield DiffPoly.jet(l + 1, 1) * DiffPoly.jet(m + 1, 1) * dcl
-
     P = {}  # zero entries are dropped by HomogeneousBracket
     for i in range(n):
         for j in range(n):
-            P[(i + 1, j + 1, 3)] = DiffPoly.from_scalar(g[i][j])
-            parts = (
-                DiffPoly.jet(l + 1, 1) * bl
-                for l in range(n)
-                if (bl := g[i][j].partial(l + 1) + c[i][j][l])
-            )
-            P[(i + 1, j + 1, 2)] = sum(parts, DiffPoly.zero())
-            P[(i + 1, j + 1, 1)] = sum(first_order(c[i][j]), DiffPoly.zero())
+            gij = DiffPoly.from_scalar(g[i][j])
+            cu = _sum(DiffPoly.jet(l + 1, 1) * cl for l, cl in enumerate(c[i][j]))
+            P[(i + 1, j + 1, 3)] = gij
+            P[(i + 1, j + 1, 2)] = gij.d_x() + cu
+            P[(i + 1, j + 1, 1)] = cu.d_x()
     return HomogeneousBracket(n=n, k=3, P=P)
 
 

@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 from .bracket import HomogeneousBracket, _tensor, constant_bracket, lower_metric
-from .diffpoly import DiffPoly
+from .diffpoly import DiffPoly, _sum
 from .errors import DegenerateMetricError
 from .scalar import Scalar
 
@@ -62,7 +62,7 @@ def random_diffpoly(
             else:
                 term = term * DiffPoly.theta(rng.randint(1, n), rng.randint(0, max_theta))
         parts.append(term)
-    return sum(parts, DiffPoly.zero())
+    return _sum(parts)
 
 
 def random_monomial(

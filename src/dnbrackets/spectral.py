@@ -31,7 +31,7 @@ from math import comb
 
 from .bracket import HomogeneousBracket, _memo, _tensor, extract_named, metric_pair
 from .connections import flat_combination
-from .diffpoly import DiffPoly, _derivation, _wrap
+from .diffpoly import DiffPoly, _derivation, _sum, _wrap
 from .errors import PreconditionError
 from .jacobi import apply_DP, check_jacobi
 
@@ -79,10 +79,7 @@ def apply_D_graded(b: HomogeneousBracket, m: int, a: DiffPoly) -> DiffPoly:
 
 def _row_sums(matrix: list, make, order: int) -> list:
     """Entry i is sum_j make(j, order) * matrix[i-1][j-1], each generator on the left."""
-    return [
-        sum((make(j, order) * m for j, m in enumerate(row, 1) if m), DiffPoly.zero())
-        for row in matrix
-    ]
+    return [_sum(make(j, order) * m for j, m in enumerate(row, 1) if m) for row in matrix]
 
 
 def _lowering_rows(b: HomogeneousBracket, s: int) -> list:
@@ -137,8 +134,7 @@ def homotopy(b: HomogeneousBracket, a: DiffPoly) -> DiffPoly:
         j, s = v
         return _homotopy_rows(b, s - k)[j - 1] if s > k else None
 
-    parts = (_derivation(_wrap(t), {}.get, image) * Fraction(1, l) for l, t in groups.items())
-    return sum(parts, DiffPoly.zero())
+    return _sum(_derivation(_wrap(t), {}.get, image) * Fraction(1, l) for l, t in groups.items())
 
 
 def in_B(a: DiffPoly, k: int) -> bool:
@@ -199,7 +195,7 @@ def _d1_closed_ops(b: HomogeneousBracket) -> tuple:
                 for j in range(1, n + 1)
                 if (hv := h[t][i - 1][j - 1][l - 1])
             )
-            return sum(terms, DiffPoly.zero()) * Fraction(1, 2)
+            return _sum(terms) * Fraction(1, 2)
 
         W = {(l, s): w(s, l) for s in range(k + 1) for l in range(1, n + 1)}
         up = {v: op.project("deg_theta_k", 1 + (v[1] == k), k) for v, op in W.items()}
@@ -251,7 +247,7 @@ def _d1_connection_ops(b: HomogeneousBracket) -> tuple:
                 for j in range(1, n + 1)
                 if (gv := gamma[j - 1][i - 1][l - 1])
             )
-            return sum(terms, DiffPoly.zero())
+            return _sum(terms)
 
         rows = {(i, 0): DiffPoly.theta(i, k + 1) for i in range(1, n + 1)}
         M = {(l, s): m(s, l) for s in range(k) for l in range(1, n + 1)}

@@ -373,6 +373,54 @@ def test_schema_violations(tmp_path, capsys):
         assert "input error" in err and needle in err
 
 
+K2_DOC = {"dimension": 2, "construction": "canonical_k2", "metric": [["0", "1"], ["-1", "0"]]}
+K3_DOC = {"dimension": 1, "construction": "potemin", "metric": [["1"]], "tail": [[["0"]]]}
+RAW_DOC = {"dimension": 1, "degree": 1, "entries": []}
+VALIDATE = ("validate",)
+TRANSFORM = ("transform", fixture_path("lc_k1.json"), "--map")
+
+
+@pytest.mark.parametrize(
+    "command, text, needle",
+    [
+        pytest.param(VALIDATE, json.dumps({**RAW_DOC, "entries": [[1, 1, 1, 7]]}),
+                     "entries[0]: expression must be a string", id="expression-not-string"),
+        pytest.param(VALIDATE, json.dumps({**K2_DOC, "metric": [["0", "u1_1"], ["-1", "0"]]}),
+                     "metric[1][2]: jets are not allowed here", id="jets-in-metric"),
+        pytest.param(VALIDATE, json.dumps({**K2_DOC, "metric": [["0", "1"]]}),
+                     "metric: expected 2 rows", id="metric-row-count"),
+        pytest.param(VALIDATE, json.dumps({**K2_DOC, "metric": [["0", "1"], ["-1"]]}),
+                     "metric: row 2 must have 2 entries", id="metric-row-length"),
+        pytest.param(VALIDATE, '{"dimension": 1,', "doc.json:1: Expecting property name",
+                     id="invalid-json"),
+        pytest.param(VALIDATE, "[]", "top level must be an object", id="top-level-array"),
+        pytest.param(VALIDATE, json.dumps({**RAW_DOC, "dimension": 0}),
+                     "dimension must be >= 1", id="dimension-zero"),
+        pytest.param(VALIDATE, json.dumps({**K2_DOC, "metric": [["0", "1"], ["1", "0"]]}),
+                     "leading coefficient must be skew: entry (1,2)", id="k2-metric-not-skew"),
+        pytest.param(VALIDATE, json.dumps({**K3_DOC, "tail": []}),
+                     "tail must be an n x n x n array", id="potemin-tail-shape"),
+        pytest.param(VALIDATE, json.dumps({**K3_DOC, "metric": [["0"]]}),
+                     "leading coefficient matrix is singular", id="potemin-singular-metric"),
+        pytest.param(VALIDATE, json.dumps({**RAW_DOC, "entries": [{"s": 1, "i": 1, "j": 1}]}),
+                     "entries[0]: missing key 'expr'", id="entry-missing-key"),
+        pytest.param(VALIDATE, json.dumps({**RAW_DOC, "entries": [[1, 1, 1]]}),
+                     "entries[0]: expected [s, i, j, expr] or an object", id="entry-three-elements"),
+        pytest.param(VALIDATE, json.dumps({**RAW_DOC, "degree": 0}),
+                     "bracket degree must be >= 1", id="degree-zero"),
+        pytest.param(TRANSFORM, json.dumps({"dimension": 3, "forward": ["u1", "u2"], "inverse": ["u1", "u2"]}),
+                     "map dimension does not match the bracket", id="map-dimension-mismatch"),
+    ],
+)
+def test_malformed_document_is_input_error(tmp_path, capsys, command, text, needle):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    code, out, err = run(capsys, *command, str(path))
+    assert code == 2
+    assert err.startswith("input error: ") and needle in err
+    assert out == ""
+
+
 def test_parse_error_in_entry(tmp_path, capsys):
     path = tmp_path / "doc.json"
     path.write_text(

@@ -9,9 +9,12 @@ from dnbrackets.diffpoly import (
     DiffPoly,
     JetVar,
     ThetaVar,
+    _derivation,
     _odd_mul,
+    _sum,
     _wrap,
     d_x,
+    mul,
     partial,
     project,
     variational,
@@ -201,3 +204,87 @@ def test_scalar_and_fraction_coercion_in_mul():
     p = DiffPoly.coordinate(1)
     assert p * 3 == p + p + p
     assert p * Fraction(1, 2) + p * Fraction(1, 2) == p
+
+
+def test_sum_matches_builtin_sum():
+    # builtin sum over DiffPoly.zero() is the oracle: same terms, and no zero
+    # coefficient where the parts cancel
+    rng = random.Random(31)
+    for _ in range(30):
+        ps = [random_diffpoly(rng, 2, terms=3, max_theta=3) for _ in range(rng.randint(1, 4))]
+        p = ps[0]
+        for parts in (ps, ps + [-p], [p, -p], [p, p, p], ps + ps):
+            got = _sum(iter(parts))
+            assert got.terms == sum(parts, DiffPoly.zero()).terms, parts
+            assert not any(c.is_zero for c in got.terms.values())
+    assert _sum([]).terms == {}
+
+
+def derivation_oracle(x: DiffPoly, n: int, jet_image, theta_image) -> DiffPoly:
+    """image * partial for every generator up to x's orders, one product each,
+    added by builtin sum."""
+    parts = [
+        img * x._partial_jet(i, s)
+        for i in range(1, n + 1)
+        for s in range(x.max_jet_order() + 1)
+        if (img := jet_image((i, s)))
+    ] + [
+        img * x._partial_theta(i, s)
+        for i in range(1, n + 1)
+        for s in range(x.max_theta_order() + 1)
+        if (img := theta_image((i, s)))
+    ]
+    return sum(parts, DiffPoly.zero())
+
+
+def test_derivation_matches_one_product_per_generator():
+    # random images of either parity, so products of different generators
+    # land on the same keys and cancel
+    rng = random.Random(37)
+    for _ in range(30):
+        x = random_diffpoly(rng, 2, terms=3, max_jet=2, max_theta=2)
+        gens = [(i, s) for i in (1, 2) for s in range(3)]
+        jets = {v: random_diffpoly(rng, 2, terms=2, max_jet=2, max_theta=2) for v in gens}
+        thetas = {v: random_diffpoly(rng, 2, terms=2, max_jet=2, max_theta=2) for v in gens}
+        for jet_image, theta_image in ((jets.get, thetas.get), (jets.get, {}.get), ({}.get, thetas.get)):
+            assert _derivation(x, jet_image, theta_image) == derivation_oracle(
+                x, 2, jet_image, theta_image
+            )
+
+
+def test_bad_orders_and_indices_are_rejected():
+    p = random_diffpoly(random.Random(41), 2, terms=3, max_theta=3)
+    for s in (-1, -2):
+        with pytest.raises(ValueError, match="negative powers"):
+            p.d_x_pow(s)
+    for i in (0, -1):
+        with pytest.raises(ValueError, match="component index"):
+            p.variational_theta(i)
+        with pytest.raises(ValueError, match="coordinate index"):
+            p.variational_u(i)
+
+
+def test_reflected_operators_and_coercion():
+    p = DiffPoly.jet(1, 1)
+    u1 = S("u1")
+    assert 3 - p == DiffPoly.from_fraction(3) + -p
+    assert Fraction(1, 2) - p == -(p - Fraction(1, 2))
+    assert u1 - p == DiffPoly.coordinate(1) - p
+    assert 2 * p == p + p
+    assert u1 * p == DiffPoly.coordinate(1) * p
+    assert p + u1 == p + DiffPoly.coordinate(1)
+    assert p + 1 == p + DiffPoly.one()
+    assert DiffPoly.from_fraction(3) == 3
+    assert mul(2, p) == p * 2
+    assert mul(u1, p) == p * u1
+    assert p.__rsub__("x") is NotImplemented
+    assert p.__rmul__("x") is NotImplemented
+
+
+def test_printing_signs_and_polynomial_coefficients():
+    p = DiffPoly.jet(1, 1)
+    assert str(p * -2) == "-2*u1_1"
+    assert str(-p - 3) == "-3 - u1_1"
+    assert str(3 - p) == "3 - u1_1"
+    assert str(p * S("u1+u2")) == "(u1 + u2)*u1_1"
+    assert str(p * S("-u1*u2")) == "-u1*u2*u1_1"

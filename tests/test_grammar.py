@@ -73,6 +73,12 @@ def test_division_by_jets_rejected():
         parse_expression("u1/(u2_3)")
 
 
+def test_division_by_zero_rejected():
+    for text in ("u1/0", "u1/(u2 - u2)"):
+        with pytest.raises(ParseError, match="division by zero"):
+            parse_expression(text)
+
+
 def test_error_positions():
     with pytest.raises(ParseError) as info:
         parse_expression("u1 + $")

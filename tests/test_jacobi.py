@@ -5,9 +5,10 @@ import random
 
 import pytest
 
-from dnbrackets.bracket import constant_bracket
+from dnbrackets.bracket import HomogeneousBracket, constant_bracket, validate
 from dnbrackets.cli import load_bracket
 from dnbrackets.diffpoly import DiffPoly, d_x
+from dnbrackets.errors import PreconditionError
 from dnbrackets.jacobi import (
     _dx_powers,
     apply_DP,
@@ -41,6 +42,16 @@ def test_constant_brackets_all_degrees():
     for k in range(1, 6):
         eta = sym if k % 2 == 1 else skew
         assert check_jacobi(constant_bracket(eta, k))
+
+
+def test_check_jacobi_rejects_an_invalid_bracket_with_its_witness():
+    P = {(1, 1, 3): DiffPoly.one(), (1, 1, 0): DiffPoly.jet(1, 1)}
+    b = HomogeneousBracket(n=1, k=3, P=P)
+    problems = validate(b)
+    assert problems == ["P_0^{11} is not homogeneous of weight 3: weights [1]"]
+    with pytest.raises(PreconditionError, match="invalid bracket") as info:
+        check_jacobi(b)
+    assert info.value.witness == problems[0]
 
 
 def test_broken_bracket_fails_with_witness(lc1_broken):

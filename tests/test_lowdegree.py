@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -24,6 +25,8 @@ from dnbrackets.lowdegree import (
     potemin_check,
     quadratic_tail,
 )
+from dnbrackets.errors import DegenerateMetricError
+from dnbrackets.sampling import random_scalar
 from dnbrackets.scalar import Scalar
 
 from conftest import S, canonical4_lower, nonflat2_data
@@ -211,6 +214,74 @@ def test_potemin_combination_identities(nonflat2):
                     gct = gct + glow[i][s] * c[l][s][j]
                 assert flat1.gamma[l][i][j] == gc
                 assert flat2.gamma[l][i][j] == gc * S("2") - gct
+
+
+# -- the constructors against their hand expansions ------------------------
+
+
+def expansion_oracle(g: list, c: list | None) -> dict:
+    """P of d/dx g d/dx (c is None) or d/dx (g d/dx + c_l u^l_x) d/dx, each
+    entry written out term by term: P_1 = dg for k = 2; P_2 = (dg_l + c_l)
+    u^{l,1} and P_1 = c_l u^{l,2} + (dc_l/du^m) u^{l,1} u^{m,1} for k = 3."""
+    n = len(g)
+    k = 2 if c is None else 3
+    out = {}
+    for i, j in product(range(n), repeat=2):
+        out[(i + 1, j + 1, k)] = DiffPoly.from_scalar(g[i][j])
+        cij = [Scalar.zero()] * n if c is None else c[i][j]
+        out[(i + 1, j + 1, k - 1)] = sum(
+            (
+                DiffPoly.jet(l + 1, 1) * bl
+                for l in range(n)
+                if (bl := g[i][j].partial(l + 1) + cij[l])
+            ),
+            DiffPoly.zero(),
+        )
+        if c is not None:
+            parts = [DiffPoly.jet(l + 1, 2) * cij[l] for l in range(n)] + [
+                DiffPoly.jet(l + 1, 1) * DiffPoly.jet(m + 1, 1) * cij[l].partial(m + 1)
+                for l, m in product(range(n), repeat=2)
+            ]
+            out[(i + 1, j + 1, 1)] = sum(parts, DiffPoly.zero())
+    return out
+
+
+def assert_matches_expansion(g: list, c: list | None) -> None:
+    b = canonical_k2(g) if c is None else potemin_build(g, c)
+    want = expansion_oracle(g, c)
+    for i, j, s in product(range(1, b.n + 1), range(1, b.n + 1), range(b.k + 1)):
+        assert b.entry(i, j, s) == want.get((i, j, s), DiffPoly.zero()), (i, j, s)
+
+
+def test_constructors_match_their_expansions_on_the_worked_examples():
+    assert_matches_expansion(*nonflat2_data())
+    assert_matches_expansion(canonical4_lower(), None)
+    assert_matches_expansion(lower_metric(canonical4_lower()), None)
+
+
+def test_constructors_match_their_expansions_on_random_data():
+    built = {"skew": 0, "symmetric": 0}
+    for seed in range(20):
+        rng = random.Random(seed)
+        n = rng.randint(1, 3)
+        sign = rng.choice((1, -1))
+        g = [[Scalar.zero()] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i if sign > 0 else i + 1, n):
+                g[i][j] = random_scalar(rng, n)
+                g[j][i] = g[i][j] * sign
+        if sign < 0:
+            assert_matches_expansion(g, None)
+            built["skew"] += 1
+            continue
+        c = [[[random_scalar(rng, n) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+        try:
+            lower_metric(g)
+        except DegenerateMetricError:
+            continue
+        assert_matches_expansion(g, c)
+        built["symmetric"] += 1
+    assert min(built.values()) >= 5, built
 
 
 # -- degree four ------------------------------------------------------------
