@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, wraps
 from itertools import product
 from math import comb
 from types import MappingProxyType
@@ -34,13 +34,15 @@ class HomogeneousBracket:
     """Degree-k bracket: P maps (i, j, s) to the coefficient of delta^(s).
 
     Brackets are immutable: P is a read-only view of a private copy of the
-    entries, so the derived data that _memo caches in _cache cannot go stale.
+    entries, and every bracket, dataclasses.replace's included, starts with
+    an empty _cache, so the derived data that _cached stores there cannot
+    go stale.
     """
 
     n: int
     k: int
     P: Mapping = field(default_factory=dict)
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -62,9 +64,6 @@ class HomogeneousBracket:
     def entry(self, i: int, j: int, s: int) -> DiffPoly:
         return self.P.get((i, j, s), DiffPoly.zero())
 
-    def entries(self):
-        return self.P.items()
-
 
 def _tensor(n: int, rank: int, fn) -> list:
     """The rank-deep nested list T with T[a][b]... = fn(a, b, ...), built in index order."""
@@ -82,12 +81,21 @@ def _components(T: list, rank: int):
         yield index, entry
 
 
-def _memo(b: HomogeneousBracket, key, build):
-    """b._cache[key], set by build() on first use; nothing is stored if build() raises."""
-    cache = b._cache
-    if key not in cache:
-        cache[key] = build()
-    return cache[key]
+_MISSING = object()
+
+
+def _cached(fn):
+    """Store fn(b, *args) in b._cache under (fn, *args); nothing is stored if fn raises."""
+
+    @wraps(fn)
+    def cached(b: HomogeneousBracket, *args):
+        key = (fn, *args)
+        value = b._cache.get(key, _MISSING)
+        if value is _MISSING:
+            value = b._cache[key] = fn(b, *args)
+        return value
+
+    return cached
 
 
 def validate(b: HomogeneousBracket) -> list[str]:
@@ -118,17 +126,14 @@ def validate(b: HomogeneousBracket) -> list[str]:
     return problems
 
 
+@_cached
 def bivector(b: HomogeneousBracket) -> DiffPoly:
     """The odd encoding 1/2 sum P_s^{ij} theta_i theta_j^s."""
-
-    def build():
-        half = Scalar.from_fraction(1) / 2
-        return _sum(
-            entry * DiffPoly.theta(i, 0) * DiffPoly.theta(j, s) * half
-            for (i, j, s), entry in b.P.items()
-        )
-
-    return _memo(b, "bivector", build)
+    half = Scalar.from_fraction(1) / 2
+    return _sum(
+        entry * DiffPoly.theta(i, 0) * DiffPoly.theta(j, s) * half
+        for (i, j, s), entry in b.P.items()
+    )
 
 
 @dataclass
@@ -146,18 +151,16 @@ class NamedCoefficients:
     h: list
 
 
+@_cached
 def extract_named(b: HomogeneousBracket) -> NamedCoefficients:
     n, k = b.n, b.k
 
-    def build():
-        def tail(s, i, j, l):
-            return b.entry(i + 1, j + 1, s).coefficient((((l + 1, k - s), 1),), ())
+    def tail(s, i, j, l):
+        return b.entry(i + 1, j + 1, s).coefficient((((l + 1, k - s), 1),), ())
 
-        g = _tensor(n, 2, lambda i, j: b.entry(i + 1, j + 1, k).coefficient((), ()))
-        h = [_tensor(n, 3, partial(tail, s)) for s in range(k)]
-        return NamedCoefficients(n=n, k=k, g=g, h=h)
-
-    return _memo(b, "named", build)
+    g = _tensor(n, 2, lambda i, j: b.entry(i + 1, j + 1, k).coefficient((), ()))
+    h = [_tensor(n, 3, partial(tail, s)) for s in range(k)]
+    return NamedCoefficients(n=n, k=k, g=g, h=h)
 
 
 def skew_defects(b: HomogeneousBracket) -> list[tuple[int, int, int, DiffPoly]]:
@@ -168,23 +171,24 @@ def skew_defects(b: HomogeneousBracket) -> list[tuple[int, int, int, DiffPoly]]:
     difference is returned as (i, j, t, defect).  The list is a fresh copy
     of the cached defects on every call.
     """
+    return list(_skew_defects(b))
 
-    def build():
-        out = []
-        for i, j in product(range(1, b.n + 1), repeat=2):
-            # derivs[s] holds P_s^{ij}, d_x P_s^{ij}, ...: each derivative is taken once
-            derivs = [[b.entry(i, j, s)] for s in range(b.k + 1)]
-            for t in range(b.k + 1):
-                parts = (
-                    _dx_upto(derivs[s], s - t) * ((-1) ** (s + 1) * comb(s, t))
-                    for s in range(t, b.k + 1)
-                )
-                defect = b.entry(j, i, t) - _sum(parts)
-                if not defect.is_zero:
-                    out.append((i, j, t, defect))
-        return tuple(out)
 
-    return list(_memo(b, "skew_defects", build))
+@_cached
+def _skew_defects(b: HomogeneousBracket) -> tuple:
+    out = []
+    for i, j in product(range(1, b.n + 1), repeat=2):
+        # derivs[s] holds P_s^{ij}, d_x P_s^{ij}, ...: each derivative is taken once
+        derivs = [[b.entry(i, j, s)] for s in range(b.k + 1)]
+        for t in range(b.k + 1):
+            parts = (
+                _dx_upto(derivs[s], s - t) * ((-1) ** (s + 1) * comb(s, t))
+                for s in range(t, b.k + 1)
+            )
+            defect = b.entry(j, i, t) - _sum(parts)
+            if not defect.is_zero:
+                out.append((i, j, t, defect))
+    return tuple(out)
 
 
 def check_skew(b: HomogeneousBracket) -> bool:
@@ -354,11 +358,8 @@ def lower_metric(g: list) -> list:
     return [row[n:] for row in rows]
 
 
+@_cached
 def metric_pair(b: HomogeneousBracket) -> tuple:
     """Named coefficients together with the inverted leading metric, cached."""
-
-    def build():
-        named = extract_named(b)
-        return named, lower_metric(named.g)
-
-    return _memo(b, "metric_pair", build)
+    named = extract_named(b)
+    return named, lower_metric(named.g)

@@ -50,8 +50,8 @@ from .bracket import (
     validate,
 )
 from .connections import (
+    _bracket_curvature,
     c_matrix,
-    curvature,
     flat_combination,
     genericity,
     standard_connection,
@@ -348,10 +348,13 @@ def cmd_connections(b: HomogeneousBracket, args) -> list:
     return results
 
 
-def _curvature_report(conn, name: str, expect_flat: bool, results: list) -> None:
+def _curvature_report(b: HomogeneousBracket, flat: bool, s: int, expect_flat: bool,
+                      results: list) -> None:
+    """Report the curvature of Gamma_[s] (flat) or Gamma_(s)."""
+    name = (_flat_name if flat else _std_name)(s)
+
     def run():
-        R = curvature(conn)
-        comps = R.nonzero_components()
+        comps = _bracket_curvature(b, flat, s).nonzero_components()
         for (l, t, i, j), comp in comps[:8]:
             print(f"  R({name})^{l + 1}_{{{t + 1},{i + 1},{j + 1}}} = {comp}")
         if len(comps) > 8:
@@ -370,16 +373,11 @@ def _curvature_report(conn, name: str, expect_flat: bool, results: list) -> None
 
 def cmd_curvature(b: HomogeneousBracket, args) -> list:
     results: list = []
-    which = args.which
     ss = range(b.k) if args.s is None else [args.s]
     for s in ss:
         if not 0 <= s <= b.k - 1:
             raise InputError(f"--s {s}: index must lie in 0..{b.k - 1}")
-        if which == "std":
-            conn, name = standard_connection(b, s), _std_name(s)
-        else:
-            conn, name = flat_combination(b, s), _flat_name(s)
-        _curvature_report(conn, name, expect_flat=False, results=results)
+        _curvature_report(b, args.which != "std", s, expect_flat=False, results=results)
     return results
 
 
@@ -388,12 +386,9 @@ def cmd_flatness(b: HomogeneousBracket, args) -> list:
     connections must be flat; standard-connection curvature is reported
     for information."""
     results: list = []
-    for s in range(b.k):
-        _curvature_report(flat_combination(b, s), _flat_name(s),
-                          expect_flat=True, results=results)
-    for s in range(b.k):
-        _curvature_report(standard_connection(b, s), _std_name(s),
-                          expect_flat=False, results=results)
+    for flat in (True, False):
+        for s in range(b.k):
+            _curvature_report(b, flat, s, expect_flat=flat, results=results)
     return results
 
 

@@ -31,8 +31,8 @@ from math import comb
 from .bracket import (
     HomogeneousBracket,
     _components,
+    _cached,
     _gauss_jordan,
-    _memo,
     _tensor,
     lower_metric,
     metric_pair,
@@ -63,9 +63,6 @@ class Connection:
     n: int
     gamma: list
 
-    def entry(self, l: int, i: int, j: int) -> Scalar:
-        return self.gamma[l][i][j]
-
 
 @dataclass
 class CurvatureTensor:
@@ -90,22 +87,19 @@ class CMatrix:
     cinv: list
 
 
+@_cached
 def standard_connection(b: HomogeneousBracket, s: int) -> Connection:
     """Gamma_(s), cached on the bracket: the returned object is shared."""
     if not 0 <= s <= b.k - 1:
         raise ValueError(f"s must lie in 0..{b.k - 1}, got {s}")
+    named, glow = metric_pair(b)
+    factor = Scalar.from_fraction(Fraction(-1, comb(b.k, s)))
+    h = named.h[s]
 
-    def build():
-        named, glow = metric_pair(b)
-        factor = Scalar.from_fraction(Fraction(-1, comb(b.k, s)))
-        h = named.h[s]
+    def entry(l, i, j):
+        return factor * sum((gip * hip[l][j] for gip, hip in zip(glow[i], h)), Scalar.zero())
 
-        def entry(l, i, j):
-            return factor * sum((gip * hip[l][j] for gip, hip in zip(glow[i], h)), Scalar.zero())
-
-        return Connection(n=b.n, gamma=_tensor(b.n, 3, entry))
-
-    return _memo(b, ("standard_connection", s), build)
+    return Connection(n=b.n, gamma=_tensor(b.n, 3, entry))
 
 
 def c_matrix(k: int) -> CMatrix:
@@ -134,21 +128,18 @@ def c_matrix(k: int) -> CMatrix:
     return CMatrix(k=k, c=c, cinv=cinv)
 
 
+@_cached
 def flat_combination(b: HomogeneousBracket, s: int) -> Connection:
     """Gamma_[s], cached on the bracket: the returned object is shared."""
     if not 0 <= s <= b.k - 1:
         raise ValueError(f"s must lie in 0..{b.k - 1}, got {s}")
+    row = c_matrix(b.k).c[s]
+    parts = [(standard_connection(b, t).gamma, ct) for t, ct in enumerate(row) if ct]
 
-    def build():
-        row = c_matrix(b.k).c[s]
-        parts = [(standard_connection(b, t).gamma, ct) for t, ct in enumerate(row) if ct]
+    def entry(l, i, j):
+        return sum((G[l][i][j] * ct for G, ct in parts), Scalar.zero())
 
-        def entry(l, i, j):
-            return sum((G[l][i][j] * ct for G, ct in parts), Scalar.zero())
-
-        return Connection(n=b.n, gamma=_tensor(b.n, 3, entry))
-
-    return _memo(b, ("flat_combination", s), build)
+    return Connection(n=b.n, gamma=_tensor(b.n, 3, entry))
 
 
 def curvature(conn: Connection) -> CurvatureTensor:
@@ -165,6 +156,16 @@ def curvature(conn: Connection) -> CurvatureTensor:
         return B
 
     return CurvatureTensor(n=n, R=_tensor(n, 2, block))
+
+
+@_cached
+def _bracket_curvature(b: HomogeneousBracket, flat: bool, s: int) -> CurvatureTensor:
+    """The curvature of Gamma_[s] (flat) or Gamma_(s), cached on the bracket.
+
+    The key holds the bracket, never a Connection: a Connection is mutable,
+    so a curvature cached on one could go stale.
+    """
+    return curvature((flat_combination if flat else standard_connection)(b, s))
 
 
 def is_flat(conn: Connection) -> bool:

@@ -33,7 +33,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalar import Scalar, _collect, _mono_lower, _mono_mul, _power
+from .scalar import Scalar, _ONE_P, _collect, _mono_lower, _mono_mul, _power, _pstr
 
 EvenKey = tuple  # (((i, s), e), ...)
 OddKey = tuple  # ((s, i), ...)
@@ -453,41 +453,17 @@ def _derivation(x: DiffPoly, jet_image, theta_image) -> DiffPoly:
 
 
 def _term_str(key: TermKey, c: Scalar) -> tuple[int, str]:
+    """(sign, text) of the term c * key; a constant or monomial c gives the term its sign."""
     even, odd = key
-    factors = []
-    for (i, s), e in even:
-        v = f"u{i}_{s}"
-        factors.append(v if e == 1 else f"{v}^{e}")
-    for s, i in odd:
-        factors.append(f"theta{i}_{s}")
-    sign = 1
-    if c.is_fraction():
-        q = c.as_fraction()
-        if q < 0:
-            sign = -1
-            q = -q
-        if not factors:
-            coef = str(q)
-        elif q == 1:
-            coef = ""
-        else:
-            coef = str(q)
-    elif c.den == {(): Fraction(1)}:
-        if len(c.num) == 1:
-            q = next(iter(c.num.values()))
-            if q < 0:
-                sign = -1
-                c = -c
-            coef = str(c)
-        else:
-            coef = f"({c})"
-    else:
-        coef = str(c)  # already printed as (num)/(den)
-    if coef and factors:
-        return sign, coef + "*" + "*".join(factors)
-    if factors:
-        return sign, "*".join(factors)
-    return sign, coef
+    factors = [f"u{i}_{s}" if e == 1 else f"u{i}_{s}^{e}" for (i, s), e in even]
+    factors += [f"theta{i}_{s}" for s, i in odd]
+    sign, coef = 1, str(c)
+    if c.den == _ONE_P and len(c.num) == 1:
+        ((m, q),) = c.num.items()
+        sign, coef = (1 if q > 0 else -1), _pstr({m: abs(q)})
+    elif c.den == _ONE_P:
+        coef = f"({coef})"
+    return sign, "*".join(factors if coef == "1" and factors else [coef, *factors])
 
 
 def _coerce(x):

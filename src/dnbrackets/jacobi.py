@@ -14,31 +14,27 @@ reduces to applying D_P to the two families of variational derivatives.
 
 from __future__ import annotations
 
-from .bracket import HomogeneousBracket, _memo, bivector, skew_defects, validate
-from .diffpoly import DiffPoly, _derivation, _dx_upto
+from .bracket import HomogeneousBracket, _cached, bivector, skew_defects, validate
+from .diffpoly import DiffPoly, _derivation
 from .errors import PreconditionError
 
 
+@_cached
 def variational_pair(b: HomogeneousBracket) -> tuple[list, list]:
     """(dP~/dtheta_i, dP~/du^i) for i = 1..n, cached on the bracket."""
-
-    def build():
-        P = bivector(b)
-        ddtheta = [P.variational_theta(i) for i in range(1, b.n + 1)]
-        ddu = [P.variational_u(i) for i in range(1, b.n + 1)]
-        return ddtheta, ddu
-
-    return _memo(b, "variational_pair", build)
+    P = bivector(b)
+    ddtheta = [P.variational_theta(i) for i in range(1, b.n + 1)]
+    ddu = [P.variational_u(i) for i in range(1, b.n + 1)]
+    return ddtheta, ddu
 
 
+@_cached
 def _dx_powers(b: HomogeneousBracket, family: str, i: int, s: int) -> DiffPoly:
     """d_x^s of dP~/dtheta_i (family "theta") or of dP~/du^i (family "u")."""
-
-    def build():
-        ddtheta, ddu = variational_pair(b)
-        return [(ddtheta if family == "theta" else ddu)[i - 1]]
-
-    return _dx_upto(_memo(b, ("dx", family, i), build), s)
+    if s:
+        return _dx_powers(b, family, i, s - 1).d_x()
+    ddtheta, ddu = variational_pair(b)
+    return (ddtheta if family == "theta" else ddu)[i - 1]
 
 
 def apply_DP(b: HomogeneousBracket, a: DiffPoly) -> DiffPoly:
@@ -61,9 +57,10 @@ def _defects(b: HomogeneousBracket):
                 yield f"D_P^2({label.format(i)})", r
 
 
+@_cached
 def _first_defect(b: HomogeneousBracket):
     """The first (label, value) that _defects yields, or None; cached on the bracket."""
-    return _memo(b, "first_jacobi_defect", lambda: next(_defects(b), None))
+    return next(_defects(b), None)
 
 
 def jacobi_defects(b: HomogeneousBracket) -> list[tuple[str, DiffPoly]]:

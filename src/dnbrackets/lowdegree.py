@@ -26,7 +26,7 @@ from .bracket import (
     metric_pair,
 )
 from .connections import (
-    curvature,
+    _bracket_curvature,
     flat_combination,
     nabla_tensor,
     standard_connection,
@@ -62,9 +62,9 @@ def _torsion_labelled(conn):
     return ((f"T^{l+1}_{{{i+1}{j+1}}}", v) for (l, i, j), v in _components(torsion(conn), 3))
 
 
-def _curvature_labelled(conn):
-    """The curvature components of conn, labelled R^l_{t,i,j}."""
-    R = curvature(conn).R
+def _curvature_labelled(b: HomogeneousBracket):
+    """The curvature components of Gamma_(0), labelled R^l_{t,i,j}."""
+    R = _bracket_curvature(b, False, 0).R
     return ((f"R^{l+1}_{{{t+1},{i+1},{j+1}}}", v) for (l, t, i, j), v in _components(R, 4))
 
 
@@ -97,7 +97,7 @@ def dn_check(b: HomogeneousBracket) -> list:
         _condition("metric compatible", (
             (f"nabla_{l+1} g^{{{i+1}{j+1}}}", v) for (l, i, j), v in _components(nab, 3)
         )),
-        _condition("flat", _curvature_labelled(conn)),
+        _condition("flat", _curvature_labelled(b)),
     ]
 
 
@@ -152,7 +152,7 @@ def ferguson_check(b: HomogeneousBracket) -> list:
         # the torsion is reported only when the curvature vanishes
         _condition(
             "(b) standard connection flat and torsionless",
-            chain(_curvature_labelled(conn), _torsion_labelled(conn)),
+            chain(_curvature_labelled(b), _torsion_labelled(conn)),
         ),
         _condition("(c) nabla g lower totally skew", lower_skew_sums()),
         _condition("(d) nabla g upper = b - 2c", (

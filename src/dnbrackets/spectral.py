@@ -17,8 +17,8 @@ what the flatness of those combinations amounts to.
 D_P, D_{-1}, the homotopy and both closed forms of d_1 are derivations,
 and each is one call of the kernel diffpoly._derivation, which applies
 their values on the generators u^{i,s} and theta_i^s to the partials of
-the input.  Apart from D_P's, those values are tables built once per
-bracket through bracket._memo: D_{-1}'s and the homotopy's from the metric,
+the input.  Apart from D_P's, those values are tables cached once per
+bracket by bracket._cached: D_{-1}'s and the homotopy's from the metric,
 the closed form's from the tails, the connection form's from g and
 Gamma_[s] alone, so the three d_1 computations share no formula.
 """
@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .bracket import HomogeneousBracket, _memo, _tensor, extract_named, metric_pair
+from .bracket import HomogeneousBracket, _cached, _tensor, extract_named, metric_pair
 from .connections import flat_combination
 from .diffpoly import DiffPoly, _derivation, _sum, _wrap
 from .errors import PreconditionError
@@ -53,17 +53,18 @@ __all__ = [
 
 def require_poisson(b: HomogeneousBracket) -> None:
     """Check (once per bracket) that b is skew and satisfies Jacobi."""
-
-    def build():
-        try:
-            return check_jacobi(b)
-        except PreconditionError:
-            return False
-
-    if not _memo(b, "is_poisson", build):
+    if not _is_poisson(b):
         raise PreconditionError(
             "bracket must be skew-symmetric and satisfy the Jacobi identity"
         )
+
+
+@_cached
+def _is_poisson(b: HomogeneousBracket) -> bool:
+    try:
+        return check_jacobi(b)
+    except PreconditionError:
+        return False
 
 
 def apply_D_graded(b: HomogeneousBracket, m: int, a: DiffPoly) -> DiffPoly:
@@ -82,14 +83,11 @@ def _row_sums(matrix: list, make, order: int) -> list:
     return [_sum(make(j, order) * m for j, m in enumerate(row, 1) if m) for row in matrix]
 
 
+@_cached
 def _lowering_rows(b: HomogeneousBracket, s: int) -> list:
     """Row i is sum_j theta_j^{k+s} g^{ij}, the image of u^{i,s} under D_{-1}.
     Cached per s."""
-
-    def build():
-        return _row_sums(extract_named(b).g, DiffPoly.theta, b.k + s)
-
-    return _memo(b, ("lowering_rows", s), build)
+    return _row_sums(extract_named(b).g, DiffPoly.theta, b.k + s)
 
 
 def D_minus1_closed(b: HomogeneousBracket, a: DiffPoly) -> DiffPoly:
@@ -108,14 +106,11 @@ def _excluded_count(key, k: int) -> int:
     return sum(e for _, e in even) + sum(1 for s, _ in odd if s > k)
 
 
+@_cached
 def _homotopy_rows(b: HomogeneousBracket, s: int) -> list:
     """Row j is sum_i u^{i,s} g_{ji}, the coefficient of d/dtheta_j^{k+s} in
     the homotopy, which sends theta_j^{k+s} back to it.  Cached per s."""
-
-    def build():
-        return _row_sums(metric_pair(b)[1], DiffPoly.jet, s)
-
-    return _memo(b, ("homotopy_rows", s), build)
+    return _row_sums(metric_pair(b)[1], DiffPoly.jet, s)
 
 
 def homotopy(b: HomogeneousBracket, a: DiffPoly) -> DiffPoly:
@@ -160,16 +155,14 @@ def d1_spectral(b: HomogeneousBracket, x: DiffPoly) -> DiffPoly:
     return project_B(apply_D_graded(b, 0, include_B(x, b.k)), b.k)
 
 
+@_cached
 def _named_with_top(b: HomogeneousBracket):
     """Tails h_(0..k-1) extended by h_(k)^{ij}_l := dg^{ij}/du^l, cached."""
-
-    def build():
-        named = extract_named(b)
-        return named.h + [_tensor(b.n, 3, lambda i, j, l: named.g[i][j].partial(l + 1))]
-
-    return _memo(b, "named_with_top", build)
+    named = extract_named(b)
+    return named.h + [_tensor(b.n, 3, lambda i, j, l: named.g[i][j].partial(l + 1))]
 
 
+@_cached
 def _d1_closed_ops(b: HomogeneousBracket) -> tuple:
     """The tables of d1_split, ((V, W_up), ({}, W_same)), built once per bracket.
 
@@ -180,30 +173,26 @@ def _d1_closed_ops(b: HomogeneousBracket) -> tuple:
     count by one; a term of W_{s,l} raises it by its own theta^k count minus
     [s = k], which splits W into its raising part W_up and the rest.
     """
+    h = _named_with_top(b)
+    n, k = b.n, b.k
 
-    def build():
-        h = _named_with_top(b)
-        n, k = b.n, b.k
+    def w(s, l):
+        terms = (
+            DiffPoly.theta(i, r) * DiffPoly.theta(j, k + s - r) * (hv * ((-1) ** (k - t) * cf))
+            for r in range(s, k + 1)
+            for t in range(0, k + 1)
+            if (cf := comb(k + s - t, r))
+            for i in range(1, n + 1)
+            for j in range(1, n + 1)
+            if (hv := h[t][i - 1][j - 1][l - 1])
+        )
+        return _sum(terms) * Fraction(1, 2)
 
-        def w(s, l):
-            terms = (
-                DiffPoly.theta(i, r) * DiffPoly.theta(j, k + s - r) * (hv * ((-1) ** (k - t) * cf))
-                for r in range(s, k + 1)
-                for t in range(0, k + 1)
-                if (cf := comb(k + s - t, r))
-                for i in range(1, n + 1)
-                for j in range(1, n + 1)
-                if (hv := h[t][i - 1][j - 1][l - 1])
-            )
-            return _sum(terms) * Fraction(1, 2)
-
-        W = {(l, s): w(s, l) for s in range(k + 1) for l in range(1, n + 1)}
-        up = {v: op.project("deg_theta_k", 1 + (v[1] == k), k) for v, op in W.items()}
-        same = {v: rest for v, op in W.items() if (rest := op - up[v])}
-        V = _row_sums(extract_named(b).g, DiffPoly.theta, k)
-        return ({(i, 0): op for i, op in enumerate(V, 1)}, up), ({}, same)
-
-    return _memo(b, "d1_closed_ops", build)
+    W = {(l, s): w(s, l) for s in range(k + 1) for l in range(1, n + 1)}
+    up = {v: op.project("deg_theta_k", 1 + (v[1] == k), k) for v, op in W.items()}
+    same = {v: rest for v, op in W.items() if (rest := op - up[v])}
+    V = _row_sums(extract_named(b).g, DiffPoly.theta, k)
+    return ({(i, 0): op for i, op in enumerate(V, 1)}, up), ({}, same)
 
 
 def d1_split(b: HomogeneousBracket, x: DiffPoly) -> tuple:
@@ -220,6 +209,7 @@ def d1_closed(b: HomogeneousBracket, x: DiffPoly) -> DiffPoly:
     return up + same
 
 
+@_cached
 def _d1_connection_ops(b: HomogeneousBracket) -> tuple:
     """The tables of d1_as_connection, built once per bracket from g and the Gamma_[s].
 
@@ -230,38 +220,34 @@ def _d1_connection_ops(b: HomogeneousBracket) -> tuple:
     theta_i^{k+1} theta_j^s, and psi relabels theta_i^{k+1} -> sum_j g^{ij}
     theta_j^k.
     """
+    named, glow = metric_pair(b)
+    n, k = b.n, b.k
 
-    def build():
-        named, glow = metric_pair(b)
-        n, k = b.n, b.k
+    def relabel(matrix, source, target):  # theta_i^source -> sum_j matrix[i][j] theta_j^target
+        images = _row_sums(matrix, DiffPoly.theta, target)
+        return {(source, i): img for i, img in enumerate(images, 1)}
 
-        def relabel(matrix, source, target):  # theta_i^source -> sum_j matrix[i][j] theta_j^target
-            images = _row_sums(matrix, DiffPoly.theta, target)
-            return {(source, i): img for i, img in enumerate(images, 1)}
+    def m(s, l):
+        gamma = flat_combination(b, s).gamma
+        terms = (
+            DiffPoly.theta(i, k + 1) * DiffPoly.theta(j, s) * gv
+            for i in range(1, n + 1)
+            for j in range(1, n + 1)
+            if (gv := gamma[j - 1][i - 1][l - 1])
+        )
+        return _sum(terms)
 
-        def m(s, l):
-            gamma = flat_combination(b, s).gamma
-            terms = (
-                DiffPoly.theta(i, k + 1) * DiffPoly.theta(j, s) * gv
-                for i in range(1, n + 1)
-                for j in range(1, n + 1)
-                if (gv := gamma[j - 1][i - 1][l - 1])
-            )
-            return _sum(terms)
+    rows = {(i, 0): DiffPoly.theta(i, k + 1) for i in range(1, n + 1)}
+    M = {(l, s): m(s, l) for s in range(k) for l in range(1, n + 1)}
+    phi, psi = relabel(glow, k, k + 1), relabel(named.g, k + 1, k)
 
-        rows = {(i, 0): DiffPoly.theta(i, k + 1) for i in range(1, n + 1)}
-        M = {(l, s): m(s, l) for s in range(k) for l in range(1, n + 1)}
-        phi, psi = relabel(glow, k, k + 1), relabel(named.g, k + 1, k)
+    def image(generator):
+        lifted = _derivation(generator.substitute(theta_map=phi), rows.get, M.get)
+        return lifted.substitute(theta_map=psi)
 
-        def image(generator):
-            lifted = _derivation(generator.substitute(theta_map=phi), rows.get, M.get)
-            return lifted.substitute(theta_map=psi)
-
-        coords = {(i, 0): image(DiffPoly.coordinate(i)) for i in range(1, n + 1)}
-        thetas = {(l, s): image(DiffPoly.theta(l, s)) for s in range(k + 1) for l in range(1, n + 1)}
-        return coords, thetas
-
-    return _memo(b, "d1_connection_ops", build)
+    coords = {(i, 0): image(DiffPoly.coordinate(i)) for i in range(1, n + 1)}
+    thetas = {(l, s): image(DiffPoly.theta(l, s)) for s in range(k + 1) for l in range(1, n + 1)}
+    return coords, thetas
 
 
 def d1_as_connection(b: HomogeneousBracket, x: DiffPoly) -> DiffPoly:

@@ -12,6 +12,23 @@ from dnbrackets.scalar import Scalar
 
 TRACER_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracer.py")
 
+# the traced names whose records bench/run.py's per_layer reads: a name that is
+# not traced, say because it became private, would read 0 there
+PER_LAYER_NAMES = (
+    "diffpoly.DiffPoly.__mul__",
+    "diffpoly.DiffPoly.d_x",
+    "connections.flat_combination",
+    "connections.standard_connection",
+    "jacobi.apply_DP",
+    "jacobi.check_jacobi",
+    "bracket.transform",
+    "bracket.skew_defects",
+    "spectral.d1_closed",
+    "spectral.d1_as_connection",
+    "spectral.homotopy",
+    "grammar.parse_expression",
+)
+
 
 def _load_tracer():
     spec = importlib.util.spec_from_file_location("dnbrackets_bench_tracer", TRACER_PATH)
@@ -39,3 +56,4 @@ def test_tracer_installs_completely():
     finally:
         t.uninstall()
     assert Scalar.__dict__["__add__"] is add
+    assert [name for name in PER_LAYER_NAMES if name not in t.agg] == []

@@ -21,7 +21,7 @@ from dnbrackets.bracket import (
     validate,
 )
 from dnbrackets.cli import load_bracket
-from dnbrackets.connections import flat_combination, standard_connection
+from dnbrackets.connections import _bracket_curvature, flat_combination, standard_connection
 from dnbrackets.diffpoly import DiffPoly
 from dnbrackets.errors import DegenerateMetricError
 from dnbrackets.jacobi import _dx_powers, check_jacobi, variational_pair
@@ -149,6 +149,7 @@ MEMOISED = {
     "standard_connection": (lambda b: standard_connection(b, 1), True),
     "flat_combination": (lambda b: flat_combination(b, 2), True),
     "named_with_top": (_named_with_top, True),
+    "bracket_curvature": (lambda b: _bracket_curvature(b, True, 1), True),
     "skew_defects": (skew_defects, False),
 }
 
@@ -163,6 +164,33 @@ def test_memoised_accessors(nonflat2, name):
     else:
         # an equal copy of the cached value, so a caller cannot change the cache
         assert second == first and second is not first
+
+
+def test_cached_values_are_stored_only_on_success():
+    b = constant_bracket([[1, 0], [0, 1]], 2)
+    metric_pair(b)
+    before = dict(b._cache)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            standard_connection(b, b.k)
+    assert b._cache == before
+    singular = constant_bracket([[1, 1], [1, 1]], 2)
+    for _ in range(2):
+        with pytest.raises(DegenerateMetricError):
+            standard_connection(singular, 0)
+    # the named coefficients were found; the inverse metric and Gamma_(0) were not
+    assert list(singular._cache) == [(extract_named.__wrapped__,)]
+
+
+def test_cache_keys_hold_the_function_and_its_arguments():
+    b = constant_bracket([[1, 0], [0, 1]], 2)
+    conns = [standard_connection(b, 0), standard_connection(b, 1), flat_combination(b, 0)]
+    assert len({id(c) for c in conns}) == 3
+    assert {
+        (standard_connection.__wrapped__, 0),
+        (standard_connection.__wrapped__, 1),
+        (flat_combination.__wrapped__, 0),
+    } <= set(b._cache)
 
 
 def product_map():
@@ -250,3 +278,15 @@ def test_brackets_are_frozen():
     with pytest.raises(TypeError):
         b.P[(1, 1, 0)] = broken.P[(1, 1, 0)]
     assert check_jacobi(b) and not check_jacobi(broken)
+
+
+def test_derived_brackets_start_with_an_empty_cache():
+    # a bracket made from another must not inherit its cached Jacobi verdict
+    b = load_bracket(fixture_path("lc_k1.json"))
+    assert check_jacobi(b)
+    broken = load_bracket(fixture_path("lc_k1_broken.json"))
+    derived = dataclasses.replace(b, P=dict(broken.P))
+    assert derived._cache is not b._cache
+    assert not check_jacobi(derived)
+    with pytest.raises(TypeError):
+        HomogeneousBracket(b.n, b.k, b.P, b._cache)

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from dnbrackets import cli, jacobi, spectral
+from dnbrackets import cli, connections, jacobi, spectral
 from dnbrackets.bracket import CoordinateMap, skew_defects, transform
 from dnbrackets.cli import MAX_DEGREE, MAX_DEGU, MAX_DIMENSION, load_bracket, load_map, main
 from dnbrackets.diffpoly import DiffPoly
@@ -198,6 +198,22 @@ def test_report_applies_D_P_squared_once(monkeypatch, capsys, name):
     monkeypatch.setattr(jacobi, "_defects", counting)
     run(capsys, "report", fixture_path(name))
     assert len(runs) == 1
+
+
+@pytest.mark.parametrize("name, computed", [("canonical_k2.json", 4), ("lc_k1.json", 2)])
+def test_report_computes_each_curvature_once(monkeypatch, capsys, name, computed):
+    # the flatness suite and the low-degree conditions share the curvature of
+    # Gamma_(0); every curvature, whoever computes it, builds one CurvatureTensor
+    made = []
+    original = connections.CurvatureTensor
+
+    def counting(n, R):
+        made.append(R)
+        return original(n=n, R=R)
+
+    monkeypatch.setattr(connections, "CurvatureTensor", counting)
+    run(capsys, "report", fixture_path(name))
+    assert len(made) == computed
 
 
 def test_homotopy_identity_lowers_each_monomial_once(monkeypatch, capsys):

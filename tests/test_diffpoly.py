@@ -12,6 +12,7 @@ from dnbrackets.diffpoly import (
     _derivation,
     _odd_mul,
     _sum,
+    _term_str,
     _wrap,
     d_x,
     mul,
@@ -279,6 +280,62 @@ def test_reflected_operators_and_coercion():
     assert mul(u1, p) == p * u1
     assert p.__rsub__("x") is NotImplemented
     assert p.__rmul__("x") is NotImplemented
+
+
+def term_str_oracle(key, c):
+    """The term printer as written before it printed coefficients through _pstr."""
+    even, odd = key
+    factors = []
+    for (i, s), e in even:
+        v = f"u{i}_{s}"
+        factors.append(v if e == 1 else f"{v}^{e}")
+    for s, i in odd:
+        factors.append(f"theta{i}_{s}")
+    sign = 1
+    if c.is_fraction():
+        q = c.as_fraction()
+        if q < 0:
+            sign = -1
+            q = -q
+        if not factors:
+            coef = str(q)
+        elif q == 1:
+            coef = ""
+        else:
+            coef = str(q)
+    elif c.den == {(): Fraction(1)}:
+        if len(c.num) == 1:
+            q = next(iter(c.num.values()))
+            if q < 0:
+                sign = -1
+                c = -c
+            coef = str(c)
+        else:
+            coef = f"({c})"
+    else:
+        coef = str(c)  # already printed as (num)/(den)
+    if coef and factors:
+        return sign, coef + "*" + "*".join(factors)
+    if factors:
+        return sign, "*".join(factors)
+    return sign, coef
+
+
+def test_term_printing_matches_the_oracle():
+    keys = [
+        key
+        for factor in (DiffPoly.one(), DiffPoly.jet(1, 2), theta(2, 0),
+                       DiffPoly.jet(1, 1) ** 2 * theta(1, 3) * theta(2, 0))
+        for key in factor.terms
+    ]
+    coefficients = [S(text) for text in ("1", "-1", "2/3", "-7/2", "u1", "-3*u1^2*u2",
+                                         "2/3*u2", "u1 + u2", "u1/(u2 + 1)", "-1/u1")]
+    cases = [(key, c) for key in keys for c in coefficients]
+    rng = random.Random(83)
+    for _ in range(200):
+        cases.extend(random_diffpoly(rng, 3).terms.items())
+    for key, c in cases:
+        assert _term_str(key, c) == term_str_oracle(key, c), (key, c)
 
 
 def test_printing_signs_and_polynomial_coefficients():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from dnbrackets import spectral
 from dnbrackets.bracket import HomogeneousBracket, metric_pair
 from dnbrackets.connections import flat_combination
 from dnbrackets.diffpoly import DiffPoly, ThetaVar, term_deg_theta_k
@@ -38,11 +39,16 @@ def theta(i, s):
     return DiffPoly.theta(i, s)
 
 
-def test_require_poisson(nonflat2, lc1_broken):
-    require_poisson(nonflat2)  # no exception, result cached
-    assert nonflat2._cache["is_poisson"] is True
+def test_require_poisson(monkeypatch, nonflat2, lc1_broken):
+    require_poisson(nonflat2)  # no exception, verdict cached
     with pytest.raises(PreconditionError):
         require_poisson(lc1_broken)
+
+    def unreachable(b):
+        raise AssertionError("the Jacobi identity was checked again")
+
+    monkeypatch.setattr(spectral, "check_jacobi", unreachable)
+    require_poisson(nonflat2)
 
 
 def test_graded_pieces_sum_to_DP(nonflat2):
