@@ -22,11 +22,22 @@ Reduction (_reduce) takes one of two gcd paths:
   the reduced numerator and denominator.  If no candidate divides after
   _HEU_TRIES evaluation points, a primitive pseudo-remainder sequence over
   the integers (_prs) gives the gcd and the quotients instead.
+
+Partial derivatives are memoised on the value: Scalar.partial(i) looks
+(self, i) up in a least-recently-used table of at most _PARTIAL_MEMO
+entries, and only on a miss applies the quotient rule (_partial).  A
+Scalar is never changed after it is made and equal values hash alike, so
+an entry cannot go stale, and separately built equal values share it.
+The table holds the derivatives every bracket check takes many times over
+(D_P, d_x, the skew and variational chains, the Jacobian of a change of
+coordinates); its bound keeps it from growing over a long run.  Callers
+share the returned Scalar, which, like every Scalar, is read-only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd, isqrt, lcm
 
@@ -37,6 +48,12 @@ _ONE_P: Poly = {(): Fraction(1)}
 
 # evaluation points GCDHEU tries before the gcd falls back to the PRS
 _HEU_TRIES = 6
+
+# entries of the partial-derivative memo: above the distinct (value, index)
+# pairs of the largest single check met so far (946 for D_P applied twice to
+# one monomial on nonflat2, 637 for nonflat2 under u1 -> u1 + c*u2), so one
+# check keeps what it reuses, and small enough to cap memory over a long run
+_PARTIAL_MEMO = 1024
 
 
 def _collect(pairs, start: dict | None = None) -> dict:
@@ -517,6 +534,9 @@ class Scalar:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        # a constant hashes as its Fraction, as it compares equal to it
+        if self.den == _ONE_P and _is_const(self.num):
+            return hash(self.num.get((), 0))
         return hash((frozenset(self.num.items()), frozenset(self.den.items())))
 
     def __bool__(self) -> bool:
@@ -528,12 +548,7 @@ class Scalar:
         """Partial derivative with respect to the coordinate u^i."""
         if i < 1:
             raise ValueError(f"coordinate index must be >= 1, got {i}")
-        dn = _pderiv(self.num, i)
-        dd = _pderiv(self.den, i)
-        if not dd:
-            return Scalar(dn, self.den)
-        num = _psub(_pmul(dn, self.den), _pmul(self.num, dd))
-        return Scalar(num, _pmul(self.den, self.den))
+        return _partial(self, i)
 
     def subs(self, mapping: dict) -> "Scalar":
         """Substitute coordinates by Scalars: mapping maps index i to u^i's image."""
@@ -548,6 +563,17 @@ class Scalar:
 
     def __repr__(self) -> str:
         return f"Scalar({self})"
+
+
+@lru_cache(maxsize=_PARTIAL_MEMO)
+def _partial(a: Scalar, i: int) -> Scalar:
+    """d a / d u^i by the quotient rule, for i >= 1."""
+    dn = _pderiv(a.num, i)
+    dd = _pderiv(a.den, i)
+    if not dd:
+        return Scalar(dn, a.den)
+    num = _psub(_pmul(dn, a.den), _pmul(a.num, dd))
+    return Scalar(num, _pmul(a.den, a.den))
 
 
 def _wrap(num: Poly, den: Poly) -> Scalar:

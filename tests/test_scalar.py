@@ -1,15 +1,19 @@
 """Exact rational-function arithmetic."""
 
+import copy
 import random
 import time
 from fractions import Fraction
 
 import pytest
 
+from dnbrackets.cli import main
 from dnbrackets.errors import ParseError
 from dnbrackets.sampling import random_polynomial, random_scalar
 from dnbrackets.scalar import (
+    _PARTIAL_MEMO,
     Scalar,
+    _partial,
     _mono_key,
     _plead,
     _pmul,
@@ -22,7 +26,7 @@ from dnbrackets.scalar import (
     scalar_arith,
 )
 
-from conftest import S
+from conftest import S, fixture_path, nonflat2_data
 
 
 def test_construct_and_cancel():
@@ -121,6 +125,14 @@ def test_equality_is_canonical():
     assert S("(2*u1)/(2*u2)") == S("u1/u2")
     assert S("1/2 + 1/3") == S("5/6")
     assert hash(S("u1 + u2")) == hash(S("u2 + u1"))
+
+
+@pytest.mark.parametrize("q", [0, 1, -2, Fraction(1, 2)])
+def test_constant_scalars_hash_like_the_numbers_they_equal(q):
+    c = Scalar.from_fraction(q)
+    assert c == q and hash(c) == hash(q) == hash(Fraction(q))
+    assert q in {c} and c in {q} and Fraction(q) in {c}
+    assert {c: "scalar"}[q] == "scalar"
 
 
 U = ("u1", "u2", "u3")
@@ -326,3 +338,143 @@ def test_sparse_monomial_key_orders_like_the_dense_one():
     # printing follows the same order, whatever the variable indices
     far = S("u1 + u2^2 + u1*u3 + u3^2*u10000000 + u2*u3^2")
     assert str(far) == "u2*u3^2 + u3^2*u10000000 + u1*u3 + u2^2 + u1"
+
+
+def poly_derivative(p, i):
+    """d/du^i of a sparse Fraction term dict, term by term."""
+    out = {}
+    for m, c in p.items():
+        exps = dict(m)
+        e = exps.pop(i, 0)
+        if e:
+            if e > 1:
+                exps[i] = e - 1
+            out[tuple(sorted(exps.items()))] = c * e
+    return out
+
+
+def poly_product(p, q):
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            exps = dict(m1)
+            for v, e in m2:
+                exps[v] = exps.get(v, 0) + e
+            m = tuple(sorted(exps.items()))
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def partial_oracle(a, i):
+    """(n' d - n d') / d^2 on a's term dicts, reduced by the constructor."""
+    dn, dd = poly_derivative(a.num, i), poly_derivative(a.den, i)
+    num = poly_product(dn, a.den)
+    for m, c in poly_product(a.num, dd).items():
+        num[m] = num.get(m, 0) - c
+    num = {m: c for m, c in num.items() if c}
+    return Scalar(num, poly_product(a.den, a.den))
+
+
+def composed_map_values():
+    """Scalars pushed through shift and product maps, as the benchmark builds them:
+    u^i -> u^i + c*(u^j)^e and u^i -> u^i*u^j, alone and composed."""
+    rng = random.Random(41)
+    u1, u2, u3 = (Scalar.coordinate(i) for i in (1, 2, 3))
+    maps = [
+        {1: u1 + 2 * u2},
+        {2: u2 - Fraction(1, 2) * u1**2},
+        {1: u1 * u2},
+        {3: u3 * u1},
+    ]
+    maps.append({v: img.subs(maps[2]) for v, img in maps[0].items()})
+    g, c = nonflat2_data()
+    bases = [x for row in g for x in row] + [x for m in c for row in m for x in row]
+    bases += [random_scalar(rng, 3) for _ in range(12)]
+    return [b.subs(m) for m in maps for b in bases if not b.is_zero]
+
+
+def test_partial_memo_matches_the_quotient_rule_cold_and_warm():
+    values = composed_map_values()
+    assert any(len(v.den) > 1 for v in values)  # polynomial denominators occur
+    _partial.cache_clear()
+    cold = {(k, i): v.partial(i) for k, v in enumerate(values) for i in (1, 2, 3)}
+    assert _partial.cache_info().hits < len(cold)
+    warm = {(k, i): v.partial(i) for k, v in enumerate(values) for i in (1, 2, 3)}
+    assert _partial.cache_info().hits >= len(cold)
+    for (k, i), got in cold.items():
+        want = partial_oracle(values[k], i)
+        assert got == want and warm[k, i] == want, (values[k], i)
+        assert (got.num, got.den) == (want.num, want.den)
+
+
+def test_partial_memo_matches_sympy_on_composed_maps():
+    sympy = pytest.importorskip("sympy")
+    u = sympy.symbols(U)
+    values = composed_map_values()
+    wants = {}
+    for k, a in enumerate(values):
+        A = sympy_poly(sympy, a.num) / sympy_poly(sympy, a.den)
+        for i in (1, 2, 3):
+            d = sympy.diff(A, u[i - 1])
+            wants[k, i] = ({}, {(): 1}) if d == 0 else sympy_canonical(sympy, d)
+    _partial.cache_clear()
+    for rounds in ("cold", "warm"):
+        for (k, i), want in wants.items():
+            got = values[k].partial(i)
+            assert (got.num, got.den) == want, (rounds, values[k], i)
+
+
+def test_partial_memo_serves_equal_values_built_separately():
+    _partial.cache_clear()
+    first = S("(u1^2 - 1)/(u2 - u1)").partial(1)
+    misses = _partial.cache_info().misses
+    again = (S("u1 + 1") * S("u1 - 1") / (S("u2") - S("u1"))).partial(1)
+    assert again == first and _partial.cache_info().misses == misses
+
+
+def test_partial_memo_stays_bounded_over_a_report(tmp_path, capsys):
+    _partial.cache_clear()
+    assert main(["report", fixture_path("nonflat2.json"), "--json", str(tmp_path / "r.json")]) == 0
+    capsys.readouterr()
+    info = _partial.cache_info()
+    assert info.maxsize == _PARTIAL_MEMO and 0 < info.currsize <= info.maxsize
+
+
+def test_partial_error_paths_store_nothing():
+    a = S("u1^2/u2")
+    _partial.cache_clear()
+    for warm in (False, True):
+        before = _partial.cache_info()
+        with pytest.raises(ValueError):
+            a.partial(0)
+        with pytest.raises(ValueError):
+            partial_u(a, -1)
+        assert _partial.cache_info() == before
+        a.partial(1)  # warms the memo for the second round
+    assert _partial.cache_info().currsize == 1
+
+
+def test_operations_leave_operands_and_shared_results_unchanged():
+    """The memo hands one Scalar to every caller, and + - * / ** and subs return
+    operands as they are (x + 0 is x): no operation may write to a term dict."""
+    rng = random.Random(71)
+    _partial.cache_clear()
+    values = [random_scalar(rng, 3) for _ in range(30)] + [Scalar.zero(), Scalar.one()]
+    values += composed_map_values()[::8]
+    values += [v.partial(i) for v in values for i in (1, 2)]  # memo entries as operands
+    results = []
+    for _ in range(300):
+        a, b = rng.choice(values), rng.choice(values)
+        kept = copy.deepcopy((a, b))
+        out = [a + b, a - b, a * b, -a, a**2, a.partial(rng.randint(1, 3))]
+        try:
+            out.append(a.subs({rng.randint(1, 3): b}))
+        except ZeroDivisionError:
+            pass  # b is a root of a's denominator
+        if not b.is_zero:
+            out += [a / b, b**-1]
+        for x, y in zip((a, b), kept):
+            assert (x.num, x.den) == (y.num, y.den)
+        results += [(r, copy.deepcopy(r)) for r in out]
+    for r, kept in results:
+        assert (r.num, r.den) == (kept.num, kept.den)
