@@ -33,7 +33,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalar import Scalar, _ONE_P, _collect, _mono_lower, _mono_mul, _power, _pstr
+from .scalar import Scalar, _collect, _is_const, _mono_lower, _mono_mul, _power, _pstr
 
 EvenKey = tuple  # (((i, s), e), ...)
 OddKey = tuple  # ((s, i), ...)
@@ -458,10 +458,10 @@ def _term_str(key: TermKey, c: Scalar) -> tuple[int, str]:
     factors = [f"u{i}_{s}" if e == 1 else f"u{i}_{s}^{e}" for (i, s), e in even]
     factors += [f"theta{i}_{s}" for s, i in odd]
     sign, coef = 1, str(c)
-    if c.den == _ONE_P and len(c.num) == 1:
+    if _is_const(c._d) and len(c._n) == 1:
         ((m, q),) = c.num.items()
         sign, coef = (1 if q > 0 else -1), _pstr({m: abs(q)})
-    elif c.den == _ONE_P:
+    elif _is_const(c._d):
         coef = f"({coef})"
     return sign, "*".join(factors if coef == "1" and factors else [coef, *factors])
 

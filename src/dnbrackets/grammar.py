@@ -80,7 +80,7 @@ def _size(value: DiffPoly) -> int:
     one per jet monomial, so that a quotient of monomials, whose power is
     exponent multiplication, has size 1.
     """
-    return sum(len(c.num) + len(c.den) - 1 for c in value.terms.values())
+    return sum(len(c._n) + len(c._d) - 1 for c in value.terms.values())
 
 
 def _power_terms(value: DiffPoly, e: int) -> int:

@@ -1,27 +1,40 @@
 """Exact arithmetic in the field of rational functions of u^1, ..., u^n.
 
-A Scalar is a quotient num/den of multivariate polynomials with Fraction
-coefficients, kept in a canonical form (gcd cancelled, denominator's leading
-coefficient equal to 1) so that equality of values is equality of
-representations.  Polynomials are sparse dicts mapping a monomial, stored as
-a sorted tuple of (variable index, exponent) pairs, to its coefficient.
-Variable indices are 1-based to match the coordinate names u1, u2, ...
+A Scalar is a quotient n/d of multivariate polynomials with integer
+coefficients, kept in a canonical form so that equality of values is
+equality of representations: n and d have no common factor in Z[u...],
+integer content included, and d's leading coefficient (graded lex, u1 > u2
+> ...) is positive.  By Gauss's lemma that form is unique.  Polynomials are
+sparse dicts mapping a monomial, stored as a sorted tuple of (variable
+index, exponent) pairs, to its coefficient.  Variable indices are 1-based to
+match the coordinate names u1, u2, ...
+
+Fraction appears only at the boundary.  The public num and den are views
+built on demand: both sides divided by d's leading coefficient, which is
+the form with a monic denominator and rational coefficients.  The
+constructor Scalar(num, den) takes int or Fraction coefficients, from_fraction,
+as_fraction and subs convert numbers, and printing goes through the views.
 
 Term dicts, here and in diffpoly, never hold a zero coefficient, and every
 sum of terms goes through _collect, which keeps that invariant.
 
-Reduction (_reduce) takes one of two gcd paths:
+Reduction (_reduce) is the integer gcd _zgcd and a sign flip.  _zgcd takes
+one of two paths:
 
-* when the numerator or the denominator is a single term, the gcd is the
-  monomial whose exponent of each variable is the minimum over all terms of
-  both (_cancel_terms), and cancelling it is exponent subtraction;
-* otherwise both are scaled to integer polynomials of content 1 and the gcd
-  comes from GCDHEU (_heugcd): evaluate at a large integer, recurse on the
-  remaining variables, and rebuild a candidate from symmetric base-xi
-  digits, kept only if it divides both exactly.  The division also yields
-  the reduced numerator and denominator.  If no candidate divides after
-  _HEU_TRIES evaluation points, a primitive pseudo-remainder sequence over
-  the integers (_prs) gives the gcd and the quotients instead.
+* when one side is a single term, the gcd is the integer content of both
+  times the monomial whose exponent of each variable is the minimum over all
+  terms of both (_cancel_terms), and cancelling it is exponent subtraction;
+* otherwise, with the contents divided out, the gcd comes from GCDHEU
+  (_heugcd): evaluate at a large integer, recurse on the remaining
+  variables, and rebuild a candidate from symmetric base-xi digits, kept
+  only if it divides both exactly.  The division also yields the reduced
+  numerator and denominator.  If no candidate divides after _HEU_TRIES
+  evaluation points, a primitive pseudo-remainder sequence over the
+  integers (_prs) gives the gcd and the quotients instead.
+
+Some results need no polynomial gcd: a product with a constant factor
+(two integer gcds with the other factor's contents), a power, a negation
+and a reciprocal.
 
 Partial derivatives are memoised on the value: Scalar.partial(i) looks
 (self, i) up in a least-recently-used table of at most _PARTIAL_MEMO
@@ -42,9 +55,9 @@ from heapq import heapify, heappop, heappush
 from math import gcd, isqrt, lcm
 
 Mono = tuple  # ((var, exp), ...) with var >= 1, exp >= 1, sorted by var
-Poly = dict  # Mono -> Fraction, no zero values
+Poly = dict  # Mono -> int (int or Fraction at the boundary), no zero values
 
-_ONE_P: Poly = {(): Fraction(1)}
+_ONE_P: Poly = {(): 1}
 
 # evaluation points GCDHEU tries before the gcd falls back to the PRS
 _HEU_TRIES = 6
@@ -81,7 +94,7 @@ def _power(x, e: int, one, mul):
     return one if r is None else r
 
 
-def _pconst(q: Fraction) -> Poly:
+def _pconst(q: int) -> Poly:
     return {(): q} if q else {}
 
 
@@ -149,7 +162,7 @@ def _mono_key(m: Mono):
     return sum(e for _, e in m), tuple((-v, e) for v, e in m)
 
 
-def _plead(a: Poly) -> tuple[Mono, Fraction]:
+def _plead(a: Poly) -> tuple[Mono, int]:
     if len(a) == 1:
         return next(iter(a.items()))
     m = max(a, key=_mono_key)
@@ -192,8 +205,8 @@ def _cancel_terms(a: dict, b: dict) -> tuple[Mono, dict, dict]:
 
 # -- gcds of integer polynomials -----------------------------------------
 #
-# Every function below takes and returns term dicts with int coefficients;
-# _split_content makes them from Fraction ones.
+# Every function below takes and returns term dicts with int coefficients,
+# except _split_content, which makes them from Fraction ones.
 
 
 def _to_univ(a: dict, x: int) -> dict:
@@ -237,6 +250,8 @@ def _zgcd(f: dict, g: dict) -> tuple[dict, dict, dict]:
     c = gcd(cf, cg)
     if len(f) == 1 or len(g) == 1:
         d, qf, qg = _cancel_terms(f, g)
+        if c == 1:
+            return {d: 1}, qf, qg
         return {d: c}, {m: v // c for m, v in qf.items()}, {m: v // c for m, v in qg.items()}
     f = {m: v // cf for m, v in f.items()}
     g = {m: v // cg for m, v in g.items()}
@@ -286,11 +301,16 @@ def _heugcd(f: dict, g: dict) -> tuple[dict, dict, dict] | None:
 
 
 def _zeval(f: dict, x: int, xi: int) -> dict:
-    """f with the variable x replaced by the integer xi."""
-    return _collect(
-        (tuple(t for t in m if t[0] != x), c * xi ** dict(m).get(x, 0))
-        for m, c in f.items()
-    )
+    """f with the variable x, which no variable of f precedes, replaced by the integer xi.
+
+    x can only be the first pair of a monomial, and each power of xi is
+    computed once.
+    """
+    split = [(m[1:], m[0][1], c) if m and m[0][0] == x else (m, 0, c) for m, c in f.items()]
+    powers = [1]
+    for _ in range(max(e for _, e, _ in split)):
+        powers.append(powers[-1] * xi)
+    return _collect((m, c * powers[e]) for m, e, c in split)
 
 
 def _zinterp(gamma: dict, x: int, xi: int) -> dict:
@@ -414,53 +434,76 @@ def _pstr(a: Poly) -> str:
 class Scalar:
     """A rational function of the coordinates, in canonical reduced form."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("_n", "_d")
 
     def __init__(self, num: Poly, den: Poly = _ONE_P):
+        """num/den for term dicts with int or Fraction coefficients."""
+        num, den = _exact(num), _exact(den)
         if not den:
             raise ZeroDivisionError("division by zero rational function")
         if not num:
-            self.num = {}
-            self.den = dict(_ONE_P)
+            self._n, self._d = {}, _ONE_P
             return
-        self.num, self.den = _reduce(num, den)
+        cn, f = _split_content(num)
+        cd, g = _split_content(den)
+        r = cn / cd
+        if _plead(g)[1] < 0:
+            r, g = -r, _pneg(g)
+        out = _reduce(_rescale(f, r.numerator, 1), _rescale(g, r.denominator, 1))
+        self._n, self._d = out._n, out._d
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def from_fraction(q) -> "Scalar":
-        return _wrap(_pconst(Fraction(q)), dict(_ONE_P))
+        if not isinstance(q, (int, Fraction)):
+            q = Fraction(q)
+        return _wrap(_pconst(q.numerator), {(): q.denominator})
 
     @staticmethod
     def zero() -> "Scalar":
-        return _wrap({}, dict(_ONE_P))
+        return _wrap({}, _ONE_P)
 
     @staticmethod
     def one() -> "Scalar":
-        return Scalar.from_fraction(1)
+        return _wrap({(): 1}, _ONE_P)
 
     @staticmethod
     def coordinate(i: int) -> "Scalar":
         if i < 1:
             raise ValueError(f"coordinate index must be >= 1, got {i}")
-        return _wrap({((i, 1),): Fraction(1)}, dict(_ONE_P))
+        return _wrap({((i, 1),): 1}, _ONE_P)
+
+    # -- the Fraction view ----------------------------------------------
+
+    @property
+    def num(self) -> Poly:
+        """The numerator with Fraction coefficients, for a denominator with leading coefficient 1."""
+        lc = _plead(self._d)[1]
+        return {m: Fraction(c, lc) for m, c in self._n.items()}
+
+    @property
+    def den(self) -> Poly:
+        """The denominator with Fraction coefficients and leading coefficient 1."""
+        lc = _plead(self._d)[1]
+        return {m: Fraction(c, lc) for m, c in self._d.items()}
 
     # -- predicates -----------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self.num
+        return not self._n
 
     def is_fraction(self) -> bool:
-        return _is_const(self.num) and self.den == _ONE_P
+        return _is_const(self._n) and _is_const(self._d)
 
     def as_fraction(self) -> Fraction:
         if not self.is_fraction():
             raise ValueError(f"not a constant: {self}")
-        return self.num.get((), Fraction(0))
+        return Fraction(self._n.get((), 0), self._d[()])
 
     def variables(self) -> set:
-        return _pvars(self.num) | _pvars(self.den)
+        return _pvars(self._n) | _pvars(self._d)
 
     # -- arithmetic -----------------------------------------------------
 
@@ -468,19 +511,29 @@ class Scalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_zero:
+        if not self._n:
             return other
-        if other.is_zero:
+        if not other._n:
             return self
-        if self.den == other.den:
-            return Scalar(_padd(self.num, other.num), self.den)
-        num = _padd(_pmul(self.num, other.den), _pmul(other.num, self.den))
-        return Scalar(num, _pmul(self.den, other.den))
+        d1, d2 = self._d, other._d
+        if d1.keys() == d2.keys():
+            # denominators equal up to a constant factor, k1*d1 == k2*d2, share
+            # one: n1/d1 + n2/d2 = (k1*n1 + k2*n2) / (k1*d1).  Both leading
+            # coefficients are positive, so the factor is, and any pair of
+            # coefficients gives it by their absolute values.
+            l1, l2 = abs(next(iter(d1.values()))), abs(d2[next(iter(d1))])
+            g = gcd(l1, l2)
+            k1, k2 = l2 // g, l1 // g
+            if all(k1 * c == k2 * d2[m] for m, c in d1.items()):
+                num = _collect(((m, k2 * c) for m, c in other._n.items()), _rescale(self._n, k1, 1))
+                return _reduce(num, _rescale(d1, k1, 1))
+        num = _padd(_pmul(self._n, d2), _pmul(other._n, d1))
+        return _reduce(num, _pmul(d1, d2))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
-        return _wrap(_pneg(self.num), self.den)
+        return _wrap(_pneg(self._n), self._d)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -498,13 +551,7 @@ class Scalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return Scalar.zero()
-        # a constant factor q needs no gcd: q*n/d is still in lowest terms
-        for q, x in ((self, other), (other, self)):
-            if len(q.num) == 1 and (c := q.num.get(())) and q.den == _ONE_P:
-                return x if c == 1 else _wrap({m: c * v for m, v in x.num.items()}, x.den)
-        return Scalar(_pmul(self.num, other.num), _pmul(self.den, other.den))
+        return _mul(self, other)
 
     __rmul__ = __mul__
 
@@ -512,9 +559,13 @@ class Scalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if other.is_zero:
+        if not other._n:
             raise ZeroDivisionError("division by zero rational function")
-        return Scalar(_pmul(self.num, other.den), _pmul(self.den, other.num))
+        # the reciprocal d/n is in lowest terms once its sign is fixed
+        num, den = other._d, other._n
+        if _plead(den)[1] < 0:
+            num, den = _pneg(num), _pneg(den)
+        return _mul(self, _wrap(num, den))
 
     def __rtruediv__(self, other):
         other = _coerce(other)
@@ -525,22 +576,24 @@ class Scalar:
     def __pow__(self, e: int) -> "Scalar":
         if e < 0:
             return Scalar.one() / self ** (-e)
-        return Scalar(_ppow(self.num, e), _ppow(self.den, e))
+        # powers of coprime polynomials are coprime, and lc(d**e) = lc(d)**e > 0
+        return _wrap(_ppow(self._n, e), _ppow(self._d, e))
 
     def __eq__(self, other) -> bool:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self._n == other._n and self._d == other._d
 
     def __hash__(self):
         # a constant hashes as its Fraction, as it compares equal to it
-        if self.den == _ONE_P and _is_const(self.num):
-            return hash(self.num.get((), 0))
-        return hash((frozenset(self.num.items()), frozenset(self.den.items())))
+        if self.is_fraction():
+            n, d = self._n.get((), 0), self._d[()]
+            return hash(n) if d == 1 else hash(self.as_fraction())
+        return hash((frozenset(self._n.items()), frozenset(self._d.items())))
 
     def __bool__(self) -> bool:
-        return not self.is_zero
+        return bool(self._n)
 
     # -- calculus and substitution --------------------------------------
 
@@ -552,12 +605,10 @@ class Scalar:
 
     def subs(self, mapping: dict) -> "Scalar":
         """Substitute coordinates by Scalars: mapping maps index i to u^i's image."""
-        num = _peval(self.num, mapping)
-        den = _peval(self.den, mapping)
-        return num / den
+        return _peval(self._n, mapping) / _peval(self._d, mapping)
 
     def __str__(self) -> str:
-        if self.den == _ONE_P:
+        if _is_const(self._d):
             return _pstr(self.num)
         return f"({_pstr(self.num)})/({_pstr(self.den)})"
 
@@ -568,37 +619,70 @@ class Scalar:
 @lru_cache(maxsize=_PARTIAL_MEMO)
 def _partial(a: Scalar, i: int) -> Scalar:
     """d a / d u^i by the quotient rule, for i >= 1."""
-    dn = _pderiv(a.num, i)
-    dd = _pderiv(a.den, i)
+    dn = _pderiv(a._n, i)
+    dd = _pderiv(a._d, i)
     if not dd:
-        return Scalar(dn, a.den)
-    num = _psub(_pmul(dn, a.den), _pmul(a.num, dd))
-    return Scalar(num, _pmul(a.den, a.den))
+        return _reduce(dn, a._d)
+    num = _psub(_pmul(dn, a._d), _pmul(a._n, dd))
+    return _reduce(num, _pmul(a._d, a._d))
+
+
+def _mul(a: Scalar, b: Scalar) -> Scalar:
+    """a * b; __truediv__ calls it directly, so that code wrapping the methods
+    of Scalar sees a division as one operation."""
+    if not a._n or not b._n:
+        return Scalar.zero()
+    # a constant factor p/r needs no polynomial gcd: with n/d in lowest
+    # terms, (p/g * n/h) / (r/h * d/g) is, for g = gcd(p, content of d) and
+    # h = gcd(r, content of n)
+    for q, x in ((a, b), (b, a)):
+        if q.is_fraction():
+            p, r = q._n[()], q._d[()]
+            if p == r:  # both 1
+                return x
+            g = gcd(p, *x._d.values())
+            h = gcd(r, *x._n.values())
+            return _wrap(_rescale(x._n, p // g, h), _rescale(x._d, r // h, g))
+    return _reduce(_pmul(a._n, b._n), _pmul(a._d, b._d))
 
 
 def _wrap(num: Poly, den: Poly) -> Scalar:
-    """A Scalar holding num/den, which is already in canonical form."""
+    """A Scalar holding num/den, int term dicts already in canonical form."""
     out = Scalar.__new__(Scalar)
-    out.num, out.den = num, den
+    out._n, out._d = num, den
     return out
 
 
-def _reduce(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    """Cancel the gcd of a nonzero num and den and make den's leading coefficient 1."""
-    # single-term sides (most denominators) cancel on the Fraction dicts: the
-    # integer round trip through _zgcd would rebuild every coefficient
-    if len(num) == 1 or len(den) == 1:
-        _, num, den = _cancel_terms(num, den)
-        _, lc = _plead(den)
-        if lc == 1:
-            return num, den
-        return {m: c / lc for m, c in num.items()}, {m: c / lc for m, c in den.items()}
-    cn, f = _split_content(num)
-    cd, g = _split_content(den)
-    _, f, g = _zgcd(f, g)
-    _, lc = _plead(g)
-    r = cn / (cd * lc)
-    return {m: r * c for m, c in f.items()}, {m: Fraction(c, lc) for m, c in g.items()}
+def _reduce(num: Poly, den: Poly) -> Scalar:
+    """The Scalar num/den for int term dicts, den nonzero with a positive leading coefficient.
+
+    Cancelling h = gcd(num, den) leaves den/h, whose leading coefficient has
+    the sign of h's, since the leading term of a product is the product of
+    the leading terms.
+    """
+    if not num:
+        return Scalar.zero()
+    if den == _ONE_P:
+        return _wrap(num, _ONE_P)
+    h, num, den = _zgcd(num, den)
+    if _plead(h)[1] < 0:
+        num, den = _pneg(num), _pneg(den)
+    return _wrap(num, den)
+
+
+def _rescale(p: Poly, mul: int, div: int) -> Poly:
+    """p with every coefficient divided by div, which divides it, and multiplied by mul."""
+    if mul == div == 1:
+        return p
+    return {m: c // div * mul for m, c in p.items()}
+
+
+def _exact(p: Poly) -> Poly:
+    """p without its zero terms; every coefficient must be an int or a Fraction."""
+    for c in p.values():
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"coefficients must be int or Fraction, not {type(c).__name__}")
+    return {m: c for m, c in p.items() if c}
 
 
 def _coerce(x):

@@ -4,15 +4,22 @@ import copy
 import random
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from dnbrackets.cli import main
 from dnbrackets.errors import ParseError
 from dnbrackets.sampling import random_polynomial, random_scalar
+from dnbrackets import scalar
+from dnbrackets.diffpoly import DiffPoly
+from dnbrackets.jacobi import apply_DP
+from dnbrackets.lowdegree import potemin_build
 from dnbrackets.scalar import (
     _PARTIAL_MEMO,
     Scalar,
+    _cancel_terms,
+    _collect,
     _partial,
     _mono_key,
     _plead,
@@ -20,6 +27,7 @@ from dnbrackets.scalar import (
     _pneg,
     _prs,
     _split_content,
+    _zeval,
     _zgcd,
     parse_scalar,
     partial_u,
@@ -478,3 +486,181 @@ def test_operations_leave_operands_and_shared_results_unchanged():
         results += [(r, copy.deepcopy(r)) for r in out]
     for r, kept in results:
         assert (r.num, r.den) == (kept.num, kept.den)
+
+
+# -- the integer canonical form and its Fraction view ------------------------
+
+
+def test_constructor_drops_a_zero_constant():
+    z = Scalar({(): Fraction(0)})
+    assert not z and z.is_zero and z == 0 and z == Scalar.zero()
+    assert str(z) == "0" and z.num == {} and z.den == {(): 1}
+
+
+def test_constructor_drops_a_zero_term_beside_others():
+    a = Scalar({((1, 1),): 1, (): 0})
+    assert str(a) == "u1" and a == Scalar.coordinate(1)
+    assert hash(a) == hash(Scalar.coordinate(1))
+
+
+def test_constructor_stays_exact_on_int_coefficients():
+    a = Scalar({((1, 1),): 2}, {((1, 1),): 4})
+    assert a.num == {(): Fraction(1, 2)} and a.den == {(): 1}
+    assert all(type(c) is Fraction for c in (*a.num.values(), *a.den.values()))
+    assert a == Fraction(1, 2) and a.as_fraction() == Fraction(1, 2)
+    mixed = Scalar({((1, 1),): Fraction(2, 3), (): 4}, {((2, 1),): 6})
+    assert mixed == S("(2/3*u1 + 4)/(6*u2)") == S("(u1 + 6)/(9*u2)")
+
+
+def test_constructor_rejects_an_all_zero_denominator():
+    for den in ({(): 0}, {}, {((1, 1),): Fraction(0)}):
+        with pytest.raises(ZeroDivisionError, match="division by zero rational function"):
+            Scalar({(): 1}, den)
+
+
+def test_constructor_rejects_float_coefficients():
+    with pytest.raises(TypeError):
+        Scalar({(): 0.5})
+    with pytest.raises(TypeError):
+        Scalar({((1, 1),): 1}, {((2, 1),): 2.0})
+
+
+def zeval_oracle(f, x, xi):
+    """_zeval as first written: a dict and a power of xi per term."""
+    return _collect(
+        (tuple(t for t in m if t[0] != x), c * xi ** dict(m).get(x, 0))
+        for m, c in f.items()
+    )
+
+
+def test_zeval_matches_the_per_term_oracle():
+    """x is the smallest variable of f, or one that f lacks, as GCDHEU calls it."""
+    rng = random.Random(53)
+    cases = 0
+    for _ in range(300):
+        f = {}
+        for _ in range(rng.randint(1, 8)):
+            chosen = rng.sample(range(2, 6), rng.randint(0, 3))
+            m = tuple(sorted((v, rng.randint(1, 6)) for v in chosen))
+            f[m] = rng.choice([-1, 1]) * rng.randint(1, 10**rng.randint(1, 25))
+        x = rng.choice([1, min((v for m in f for v, _ in m), default=1)])
+        xi = rng.choice([29, 31, 1021, 2**64 + 13])
+        assert _zeval(f, x, xi) == zeval_oracle(f, x, xi), (f, x, xi)
+        cases += any(m and m[0][0] == x for m in f)
+    assert cases > 100  # most draws do contain x
+
+
+def reduce_oracle(num, den):
+    """Scalar reduction on Fraction term dicts, as done before the integer form.
+
+    A single-term side cancels on the Fraction dicts; otherwise both sides go
+    to integer polynomials of content 1 for _zgcd and come back.  den's
+    leading coefficient is made 1.
+    """
+    if len(num) == 1 or len(den) == 1:
+        _, num, den = _cancel_terms(num, den)
+        _, lc = _plead(den)
+        if lc == 1:
+            return num, den
+        return {m: c / lc for m, c in num.items()}, {m: c / lc for m, c in den.items()}
+    cn, f = _split_content(num)
+    cd, g = _split_content(den)
+    _, f, g = _zgcd(f, g)
+    _, lc = _plead(g)
+    r = cn / (cd * lc)
+    return {m: r * c for m, c in f.items()}, {m: Fraction(c, lc) for m, c in g.items()}
+
+
+def unreduced_pairs():
+    """(a, b, op, num, den): a op b over composed-map values, constants, and values
+    whose denominators differ by a constant factor, with num/den the unreduced
+    Fraction numerator and denominator of the result."""
+    rng = random.Random(67)
+    values = composed_map_values()
+    constants = [Scalar.from_fraction(q) for q in (Fraction(-3, 4), 6, Fraction(5, 2), -1)]
+    operands = [(rng.choice(values), rng.choice(values + constants)) for _ in range(150)]
+    skewed = Scalar({((1, 1),): 1}, {(): -1, ((1, 1), (2, 1)): 2})  # first den term negative
+    operands += [
+        (a, a * q)
+        for a in [skewed, *values[::6]]
+        for q in (Fraction(1, 2), Fraction(-2, 3) * S("u1 - 2"))
+    ]
+    out = []
+    for a, b in operands:
+        an, ad, bn, bd = a.num, a.den, b.num, b.den
+        cross = poly_product(an, bd)
+        out.append((a, b, "*", poly_product(an, bn), poly_product(ad, bd)))
+        out.append((a, b, "/", cross, poly_product(ad, bn)))
+        total = dict(cross)
+        for m, c in poly_product(bn, ad).items():
+            total[m] = total.get(m, 0) + c
+        total = {m: c for m, c in total.items() if c}
+        if total:
+            out.append((a, b, "+", total, poly_product(ad, bd)))
+    return out
+
+
+OPS = {"+": lambda a, b: a + b, "*": lambda a, b: a * b, "/": lambda a, b: a / b}
+
+
+def test_integer_form_reduces_like_the_fraction_oracle():
+    """The Fraction view of the integer form is the old reduced form, whichever
+    way the value is built: the constructor on the unreduced num/den, or the
+    operator (with its shortcuts for constant factors and reciprocals)."""
+    pairs = unreduced_pairs()
+    assert any(len(den) > 1 and len(num) > 1 for _, _, _, num, den in pairs)
+    assert any(b.is_fraction() for _, b, _, _, _ in pairs)
+    # denominators equal up to a constant factor other than 1, in some with a
+    # negative first coefficient
+    proportional = [(a, b) for a, b, _, _, _ in pairs if a._d != b._d and a.den == b.den]
+    assert any(next(iter(b._d.values())) < 0 for _, b in proportional)
+    for a, b, op, num, den in pairs:
+        want = reduce_oracle(num, den)
+        built, applied = Scalar(num, den), OPS[op](a, b)
+        for got in (built, applied):
+            assert (got.num, got.den) == want, (a, op, b)
+            assert all(type(c) is Fraction for c in (*got.num.values(), *got.den.values()))
+        # the integer form itself: one representation, content 1, den's lead positive
+        assert (built._n, built._d) == (applied._n, applied._d), (a, op, b)
+        assert gcd(*int_terms(built)) == 1 and _plead(built._d)[1] > 0, (a, op, b)
+
+
+def test_integer_form_reduces_like_sympy():
+    sympy = pytest.importorskip("sympy")
+    for a, b, op, num, den in unreduced_pairs()[::3]:
+        want = sympy_canonical(sympy, sympy_poly(sympy, num) / sympy_poly(sympy, den))
+        got = OPS[op](a, b)
+        assert (got.num, got.den) == want, (a, op, b)
+
+
+def int_terms(x):
+    """Every coefficient of x's integer numerator and denominator."""
+    return [*x._n.values(), *x._d.values()]
+
+
+def test_coefficients_stay_int_through_dp_squared(monkeypatch):
+    """D_P applied twice on nonflat2, from a cold memo and a fresh bracket: every
+    coefficient of the results, of the bracket and of every memo entry (key and
+    value) is an int, so no Fraction enters the arithmetic."""
+    memo = []
+    cached = scalar._partial
+
+    def recording(a, i):
+        out = cached(a, i)
+        memo.append((a, out))
+        return out
+
+    cached.cache_clear()
+    monkeypatch.setattr(scalar, "_partial", recording)
+    b = potemin_build(*nonflat2_data())
+    a = DiffPoly.jet(2, 2) * DiffPoly.theta(1, 1) * Fraction(15, 2)
+    a = a + DiffPoly.from_scalar(S("u2/u1")) * DiffPoly.theta(2, 1)
+    once = apply_DP(b, a)
+    twice = apply_DP(b, once)
+    assert twice.is_zero and not once.is_zero
+    assert cached.cache_info().currsize > 0 and len(memo) >= cached.cache_info().currsize
+    scalars = [c for p in (a, once) for c in p.terms.values()]
+    scalars += [c for entry in b.P.values() for c in entry.terms.values()]
+    scalars += [x for pair in memo for x in pair]
+    bad = [(x, c) for x in scalars for c in int_terms(x) if type(c) is not int]
+    assert bad == []
