@@ -5,7 +5,9 @@ the requested checks, prints a text report and optionally a JSON mirror.
 
 Exit codes: 0 when every executed check passes, 1 when at least one check
 fails, 2 on malformed input (schema, parse, or file problems), including a
-dimension above MAX_DIMENSION or a degree above MAX_DEGREE; a --max-degu
+dimension above MAX_DIMENSION or a degree above MAX_DEGREE, a document that
+is not UTF-8, JSON or parentheses nested too deeply, and a --json path that
+cannot be written (reported after the checks have run); a --max-degu
 outside 0..MAX_DEGU is a usage error, which also exits 2.
 
 Bracket document schema::
@@ -32,17 +34,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import random
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cache
 
 from .bracket import (
     CoordinateMap,
     HomogeneousBracket,
     _components,
-    check_skew,
     extract_named,
     skew_defects,
     skewh_defects,
@@ -61,6 +63,7 @@ from .errors import DegenerateMetricError, ParseError, PreconditionError
 from .grammar import parse_expression
 from .jacobi import _first_defect
 from .lowdegree import (
+    ConditionResult,
     _condition,
     _torsion_labelled,
     canonical_k2,
@@ -103,14 +106,29 @@ class CheckResult:
 
 
 def _check(results: list, name: str, fn) -> None:
-    """Run fn() -> (ok, witness) or (status, witness) and record timing."""
+    """Run fn() -> (status, witness) and record it with the time fn took."""
     t0 = time.perf_counter()
     status, witness = fn()
-    if status is True:
-        status = "pass"
-    elif status is False:
-        status = "fail"
     results.append(CheckResult(name, status, witness, time.perf_counter() - t0))
+
+
+def _first_problem(problems: list, describe=str) -> tuple:
+    """("pass", None) when problems is empty, else "fail" with the first one described."""
+    return ("fail", describe(problems[0])) if problems else ("pass", None)
+
+
+def _verdict(r: ConditionResult) -> tuple:
+    """The (status, witness) of a low-degree condition."""
+    return ("pass" if r.passed else "fail"), r.witness
+
+
+def _agreement(span: list, lhs, rhs) -> tuple:
+    """Pass, counting the monomials, when lhs(idx) == rhs(idx) for every span[idx];
+    else fail on the first monomial where they differ."""
+    for idx, x in enumerate(span):
+        if (left := lhs(idx)) != (right := rhs(idx)):
+            return "fail", f"on {x}: {left} != {right}"
+    return "pass", f"{len(span)} monomials"
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +172,10 @@ def _load_document(path: str) -> dict:
         raise InputError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from exc
+    except RecursionError:
+        raise InputError(f"{path}: JSON nested too deeply") from None
     if not isinstance(doc, dict):
         raise InputError(f"{path}: top level must be an object")
     return doc
@@ -266,16 +288,12 @@ def load_map(path: str, n: int) -> CoordinateMap:
 
 def cmd_validate(b: HomogeneousBracket, args) -> list:
     results: list = []
-    _check(results, "well-formed (homogeneity, indices)", lambda: (
-        (True, None) if not (p := validate(b)) else (False, p[0])
+    _check(results, "well-formed (homogeneity, indices)", lambda: _first_problem(validate(b)))
+    _check(results, "skew-symmetry (operator adjoint)", lambda: _first_problem(
+        skew_defects(b), lambda d: f"P_{d[2]}^{{{d[0]}{d[1]}}} defect: {d[3]}"
     ))
-    _check(results, "skew-symmetry (operator adjoint)", lambda: (
-        (True, None)
-        if not (d := skew_defects(b))
-        else (False, f"P_{d[0][2]}^{{{d[0][0]}{d[0][1]}}} defect: {d[0][3]}")
-    ))
-    _check(results, "skew-symmetry (named coefficients)", lambda: (
-        (True, None) if not (d := skewh_defects(b)) else (False, f"{d[0][0]}: {d[0][1]}")
+    _check(results, "skew-symmetry (named coefficients)", lambda: _first_problem(
+        skewh_defects(b), lambda d: f"{d[0]}: {d[1]}"
     ))
     return results
 
@@ -287,22 +305,14 @@ def cmd_jacobi(b: HomogeneousBracket, args) -> list:
         if any(r.status == "fail" for r in results):
             return "skip", "preconditions failed"
         if (first := _first_defect(b)) is None:
-            return True, None
+            return "pass", None
         label, residual = first
         key = min(residual.terms)
         monomial = DiffPoly({key: residual.terms[key]})
-        return False, f"{label} contains {monomial}"
+        return "fail", f"{label} contains {monomial}"
 
     _check(results, "jacobi identity (D_P squares to zero)", run)
     return results
-
-
-def _flat_name(s: int) -> str:
-    return f"Gamma_[{s}]"
-
-
-def _std_name(s: int) -> str:
-    return f"Gamma_({s})"
 
 
 def _print_connection(conn, name: str) -> None:
@@ -323,35 +333,35 @@ def cmd_connections(b: HomogeneousBracket, args) -> list:
     print("inverse:")
     for row in cm.cinv:
         print("  " + "  ".join(str(x) for x in row))
-    try:
-        for s in range(b.k):  # the bracket caches every connection built here
-            flat_combination(b, s)
-    except DegenerateMetricError as exc:
-        results.append(CheckResult("connections computed", "fail", str(exc)))
+
+    def build():
+        try:
+            for s in range(b.k):  # the bracket caches every connection built here
+                flat_combination(b, s)
+        except DegenerateMetricError as exc:
+            return "fail", str(exc)
+        return "pass", None
+
+    _check(results, "connections computed", build)
+    if results[0].status == "fail":
         return results
     print("standard connections:")
     for s in range(b.k):
-        _print_connection(standard_connection(b, s), _std_name(s))
+        _print_connection(standard_connection(b, s), f"Gamma_({s})")
     print("flat combinations:")
     for s in range(b.k):
-        _print_connection(flat_combination(b, s), _flat_name(s))
-    _check(results, "connections computed", lambda: (True, None))
-
-    def torsionless():
-        r = _condition("Gamma_(0) torsionless", _torsion_labelled(standard_connection(b, 0)))
-        return r.passed, r.witness
-
-    _check(results, "Gamma_(0) torsionless", torsionless)
-    _check(results, "affine span dimension", lambda: (
-        "pass", f"genericity = {genericity(b)}"
+        _print_connection(flat_combination(b, s), f"Gamma_[{s}]")
+    _check(results, "Gamma_(0) torsionless", lambda: _verdict(
+        _condition("Gamma_(0) torsionless", _torsion_labelled(standard_connection(b, 0)))
     ))
+    _check(results, "affine span dimension", lambda: ("pass", f"genericity = {genericity(b)}"))
     return results
 
 
 def _curvature_report(b: HomogeneousBracket, flat: bool, s: int, expect_flat: bool,
                       results: list) -> None:
     """Report the curvature of Gamma_[s] (flat) or Gamma_(s)."""
-    name = (_flat_name if flat else _std_name)(s)
+    name = f"Gamma_[{s}]" if flat else f"Gamma_({s})"
 
     def run():
         comps = _bracket_curvature(b, flat, s).nonzero_components()
@@ -402,11 +412,9 @@ def cmd_transform(b: HomogeneousBracket, args) -> list:
     print("transformed bracket entries:")
     for (i, j, s) in sorted(moved.P, key=lambda t: (-t[2], t[0], t[1])):
         print(f"  P_{s}^{{{i}{j}}} = {moved.P[(i, j, s)]}")
-    _check(results, "transformed bracket well-formed", lambda: (
-        (True, None) if not (p := validate(moved)) else (False, p[0])
-    ))
-    _check(results, "skewness preserved", lambda: (
-        (True, None) if check_skew(moved) else (False, "adjoint defect")
+    _check(results, "transformed bracket well-formed", lambda: _first_problem(validate(moved)))
+    _check(results, "skewness preserved", lambda: _first_problem(
+        skew_defects(moved), lambda d: "adjoint defect"
     ))
 
     def roundtrip():
@@ -416,8 +424,8 @@ def cmd_transform(b: HomogeneousBracket, args) -> list:
             rhs = b.P.get(key, DiffPoly.zero())
             if lhs != rhs:
                 i, j, s = key
-                return False, f"P_{s}^{{{i}{j}}}: {lhs} != {rhs}"
-        return True, None
+                return "fail", f"P_{s}^{{{i}{j}}}: {lhs} != {rhs}"
+        return "pass", None
 
     _check(results, "round-trip recovers the original", roundtrip)
     return results
@@ -442,34 +450,21 @@ def cmd_lowdegree(b: HomogeneousBracket, args) -> list:
         report = k4_connection_fixtures(b)
     else:
         return [CheckResult("low-degree conditions", "skip", f"no classification for k={b.k}")]
-    return [CheckResult(r.name, "pass" if r.passed else "fail", r.witness) for r in report]
+    return [CheckResult(r.name, *_verdict(r), r.seconds) for r in report]
 
 
 def cmd_spectral(b: HomogeneousBracket, args) -> list:
     results: list = []
+    t0 = time.perf_counter()
     try:
         span = spanning_monomials(b.n, b.k)
         split = cache(lambda idx: d1_split(b, span[idx]))  # shared by the three checks
-
-        def oracle():
-            for idx, x in enumerate(span):
-                lhs = d1_spectral(b, x)
-                up, same = split(idx)
-                if lhs != (rhs := up + same):
-                    return False, f"on {x}: {lhs} != {rhs}"
-            return True, f"{len(span)} monomials"
-
-        _check(results, "d_1 oracle pair (spectral vs closed form)", oracle)
-
-        def conn_form():
-            for idx, x in enumerate(span):
-                up, _ = split(idx)
-                via = d1_as_connection(b, x)
-                if up != via:
-                    return False, f"on {x}: {up} != {via}"
-            return True, f"{len(span)} monomials"
-
-        _check(results, "d_1 theta^k-raising part via connections", conn_form)
+        _check(results, "d_1 oracle pair (spectral vs closed form)", lambda: _agreement(
+            span, lambda idx: d1_spectral(b, span[idx]), lambda idx: operator.add(*split(idx))
+        ))
+        _check(results, "d_1 theta^k-raising part via connections", lambda: _agreement(
+            span, lambda idx: split(idx)[0], lambda idx: d1_as_connection(b, span[idx])
+        ))
 
         def graded():
             for idx, x in enumerate(span):
@@ -480,16 +475,16 @@ def cmd_spectral(b: HomogeneousBracket, args) -> list:
                 same_up, a00 = d1_split(b, same)
                 mixed = up_same + same_up
                 if not a11.is_zero:
-                    return False, f"(d1^(1))^2 on {x}: {a11}"
+                    return "fail", f"(d1^(1))^2 on {x}: {a11}"
                 if not mixed.is_zero:
-                    return False, f"anticommutator on {x}: {mixed}"
+                    return "fail", f"anticommutator on {x}: {mixed}"
                 if not a00.is_zero:
-                    return False, f"(d1^(0))^2 on {x}: {a00}"
-            return True, None
+                    return "fail", f"(d1^(0))^2 on {x}: {a00}"
+            return "pass", None
 
         _check(results, "graded identities of d_1", graded)
-    except PreconditionError as exc:
-        results.append(CheckResult("d_1 identities", "fail", str(exc)))
+    except PreconditionError as exc:  # raised by the first d_1 call, before any check is recorded
+        results.append(CheckResult("d_1 identities", "fail", str(exc), time.perf_counter() - t0))
 
     def homotopy_identity():
         rng = random.Random(args.seed)
@@ -501,10 +496,10 @@ def cmd_spectral(b: HomogeneousBracket, args) -> list:
             count += 1
             lowered = D_minus1_closed(b, a)
             if D_minus1_closed(b, homotopy(b, a)) + homotopy(b, lowered) != a - project_B(a, b.k):
-                return False, f"on {a}"
+                return "fail", f"on {a}"
             if not D_minus1_closed(b, lowered).is_zero:
-                return False, f"D_-1^2 != 0 on {a}"
-        return True, f"{count} random monomials, seed {args.seed}"
+                return "fail", f"D_-1^2 != 0 on {a}"
+        return "pass", f"{count} random monomials, seed {args.seed}"
 
     _check(results, "homotopy identity and D_-1^2 = 0", homotopy_identity)
     return results
@@ -550,10 +545,8 @@ def _render(results: list) -> None:
         if r.witness:
             line += f"  {r.witness}"
         print(line)
-    n_fail = sum(1 for r in results if r.status == "fail")
-    n_pass = sum(1 for r in results if r.status == "pass")
-    n_skip = sum(1 for r in results if r.status == "skip")
-    print(f"\n{n_pass} passed, {n_fail} failed, {n_skip} skipped")
+    n = {status: sum(r.status == status for r in results) for status in ("pass", "fail", "skip")}
+    print(f"\n{n['pass']} passed, {n['fail']} failed, {n['skip']} skipped")
 
 
 def main(argv=None) -> int:
@@ -592,25 +585,22 @@ def main(argv=None) -> int:
         return 1
 
     _render(results)
+    code = 0 if all(r.status != "fail" for r in results) else 1
     if args.json_path:
         payload = {
             "command": args.command,
             "bracket": args.bracket,
-            "checks": [
-                {
-                    "name": r.name,
-                    "status": r.status,
-                    "witness": r.witness,
-                    "seconds": round(r.seconds, 6),
-                }
-                for r in results
-            ],
+            "checks": [{**asdict(r), "seconds": round(r.seconds, 6)} for r in results],
+            "exit_code": code,
         }
-        payload["exit_code"] = 0 if all(r.status != "fail" for r in results) else 1
-        with open(args.json_path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-    return 0 if all(r.status != "fail" for r in results) else 1
+        try:
+            with open(args.json_path, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh, indent=2)
+                fh.write("\n")
+        except OSError as exc:
+            print(f"output error: {exc}", file=sys.stderr)
+            return 2
+    return code
 
 
 if __name__ == "__main__":

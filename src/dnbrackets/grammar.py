@@ -193,7 +193,11 @@ class _Parser:
 
 def parse_expression(text: str) -> DiffPoly:
     """Parse text into a DiffPoly (jet variables allowed, thetas are not)."""
-    return _Parser(text).parse()
+    parser = _Parser(text)
+    try:
+        return parser.parse()
+    except RecursionError:  # parentheses nested deeper than the interpreter's stack allows
+        raise ParseError("parentheses nested too deeply", parser.peek()[2]) from None
 
 
 def parse_scalar(text: str) -> Scalar:

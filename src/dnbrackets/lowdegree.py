@@ -14,6 +14,7 @@ collapse them.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from itertools import chain, product
 
@@ -41,6 +42,7 @@ class ConditionResult:
     name: str
     passed: bool
     witness: str | None = None
+    seconds: float = 0.0  # the time _condition spent evaluating the pairs
 
 
 def all_pass(report: list) -> bool:
@@ -51,21 +53,24 @@ def _condition(name: str, labelled) -> ConditionResult:
     """Pass when every value of the (label, value) pairs is zero.
 
     Otherwise the first nonzero one is the witness "label = value"; the pairs
-    may be generated lazily, so nothing after the witness is computed.
+    may be generated lazily, so nothing after the witness is computed, and
+    seconds is the time spent generating and testing them.
     """
+    t0 = time.perf_counter()
     witness = next((f"{label} = {v}" for label, v in labelled if not v.is_zero), None)
-    return ConditionResult(name, witness is None, witness)
+    return ConditionResult(name, witness is None, witness, time.perf_counter() - t0)
 
 
 def _torsion_labelled(conn):
-    """The torsion components of conn, labelled T^l_{ij}."""
-    return ((f"T^{l+1}_{{{i+1}{j+1}}}", v) for (l, i, j), v in _components(torsion(conn), 3))
+    """The torsion components of conn, labelled T^l_{ij}; computed on the first draw."""
+    for (l, i, j), v in _components(torsion(conn), 3):
+        yield f"T^{l+1}_{{{i+1}{j+1}}}", v
 
 
 def _curvature_labelled(b: HomogeneousBracket):
-    """The curvature components of Gamma_(0), labelled R^l_{t,i,j}."""
-    R = _bracket_curvature(b, False, 0).R
-    return ((f"R^{l+1}_{{{t+1},{i+1},{j+1}}}", v) for (l, t, i, j), v in _components(R, 4))
+    """The curvature components of Gamma_(0), labelled R^l_{t,i,j}; computed on the first draw."""
+    for (l, t, i, j), v in _components(_bracket_curvature(b, False, 0).R, 4):
+        yield f"R^{l+1}_{{{t+1},{i+1},{j+1}}}", v
 
 
 def _require_degree(b: HomogeneousBracket, k: int):

@@ -118,18 +118,17 @@ def homotopy(b: HomogeneousBracket, a: DiffPoly) -> DiffPoly:
 
     On a monomial containing l > 0 of the excluded generators it applies
     (1/l) sum_{s>=1} u^{i,s} g_{ji} d/dtheta_j^{k+s}; on the rest it is 0.
+    Each term of the derivation's image trades one theta_j^{k+s} for one
+    u^{i,s}, so it keeps the l of its source and is scaled by 1/l afterwards.
     """
     k = b.k
-    groups: dict = {}
-    for key, coef in a.terms.items():
-        if l := _excluded_count(key, k):
-            groups.setdefault(l, {})[key] = coef
 
     def image(v):
         j, s = v
         return _homotopy_rows(b, s - k)[j - 1] if s > k else None
 
-    return _sum(_derivation(_wrap(t), {}.get, image) * Fraction(1, l) for l, t in groups.items())
+    image_terms = _derivation(a, {}.get, image).terms
+    return _wrap({key: c * Fraction(1, _excluded_count(key, k)) for key, c in image_terms.items()})
 
 
 def in_B(a: DiffPoly, k: int) -> bool:

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from dnbrackets import cli, connections, jacobi, spectral
+from dnbrackets import cli, connections, jacobi, lowdegree, spectral
 from dnbrackets.bracket import CoordinateMap, skew_defects, transform
 from dnbrackets.cli import MAX_DEGREE, MAX_DEGU, MAX_DIMENSION, load_bracket, load_map, main
 from dnbrackets.diffpoly import DiffPoly
@@ -151,6 +151,15 @@ def test_report_json_mirror(tmp_path, capsys):
     assert all("seconds" in c for c in payload["checks"])
 
 
+def test_unwritable_json_path_is_a_file_problem(tmp_path, capsys):
+    target = tmp_path / "no_such_dir" / "report.json"
+    code, out, err = run(capsys, "validate", fixture_path("nonflat2.json"), "--json", str(target))
+    assert code == 2
+    assert err.startswith("output error: ") and str(target) in err
+    assert "3 passed, 0 failed, 0 skipped" in out  # the report itself is still printed
+    assert not target.exists()
+
+
 def test_report_statuses_deterministic(tmp_path, capsys):
     copies = []
     for name in ("a.json", "b.json"):
@@ -183,6 +192,45 @@ def test_report_matches_the_recorded_checks(tmp_path, capsys):
         run(capsys, "report", *args, "--json", str(target))
         payload = json.loads(target.read_text())
         assert [[c["name"], c["status"], c["witness"]] for c in payload["checks"]] == checks
+
+
+def test_every_recorded_check_is_timed(tmp_path, capsys):
+    # each check's time covers the work it reports: the connection build, the
+    # lazy evaluation of a low-degree condition, a failed d_1 precondition
+    with open(EXPECTED_REPORTS, encoding="utf-8") as fh:
+        command_lines = list(json.load(fh))
+    target = tmp_path / "report.json"
+    for command_line in command_lines:
+        args = [fixture_path(a) if a.endswith(".json") else a for a in command_line.split()]
+        run(capsys, "report", *args, "--json", str(target))
+        checks = json.loads(target.read_text())["checks"]
+        assert [c["name"] for c in checks if not c["seconds"] > 0] == [], command_line
+
+
+def test_connections_check_times_the_connection_build(monkeypatch, capsys):
+    b, spent = load_bracket(fixture_path("canonical_k2.json")), []
+    original = cli.flat_combination
+
+    def timed(b, s):
+        t0 = time.perf_counter()
+        conn = original(b, s)
+        spent.append(time.perf_counter() - t0)
+        return conn
+
+    monkeypatch.setattr(cli, "flat_combination", timed)
+    first = cli.cmd_connections(b, None)[0]
+    # the first k calls build the connections, the later ones print them
+    assert first.name == "connections computed" and first.seconds >= sum(spent[:b.k]) > 0
+
+
+def test_low_degree_checks_report_their_condition_time(monkeypatch):
+    for name, check in (("lc_k1.json", "dn_check"), ("canonical_k2.json", "ferguson_check")):
+        b = load_bracket(fixture_path(name))
+        report = getattr(lowdegree, check)(b)
+        assert [r.name for r in report if not r.seconds > 0] == [], name
+        monkeypatch.setattr(cli, check, lambda b: report)
+        timed = [(c.name, c.seconds) for c in cli.cmd_lowdegree(b, None)]
+        assert timed == [(r.name, r.seconds) for r in report]
 
 
 @pytest.mark.parametrize("name", ["nonflat2.json", "lc_k1_broken.json"])
@@ -426,11 +474,17 @@ TRANSFORM = ("transform", fixture_path("lc_k1.json"), "--map")
                      "bracket degree must be >= 1", id="degree-zero"),
         pytest.param(TRANSFORM, json.dumps({"dimension": 3, "forward": ["u1", "u2"], "inverse": ["u1", "u2"]}),
                      "map dimension does not match the bracket", id="map-dimension-mismatch"),
+        pytest.param(VALIDATE, b"\xff\xfe", "doc.json: not UTF-8: invalid start byte at byte 0",
+                     id="not-utf8"),
+        pytest.param(VALIDATE, "[" * 100_000 + "]" * 100_000, "doc.json: JSON nested too deeply",
+                     id="json-nested-deeply"),
+        pytest.param(VALIDATE, json.dumps({**RAW_DOC, "entries": [[1, 1, 1, "(" * 250 + "u1" + ")" * 250]]}),
+                     "entries[0]: parentheses nested too deeply", id="parentheses-nested-deeply"),
     ],
 )
 def test_malformed_document_is_input_error(tmp_path, capsys, command, text, needle):
     path = tmp_path / "doc.json"
-    path.write_text(text)
+    path.write_bytes(text) if isinstance(text, bytes) else path.write_text(text)
     code, out, err = run(capsys, *command, str(path))
     assert code == 2
     assert err.startswith("input error: ") and needle in err

@@ -91,6 +91,13 @@ def test_error_positions():
         parse_expression("u1^u2")  # exponent must be an integer
 
 
+def test_deep_nesting_is_a_parse_error():
+    assert parse_expression("(" * 50 + "u1" + ")" * 50) == DiffPoly.coordinate(1)
+    for depth in (250, 100_000):
+        with pytest.raises(ParseError, match="parentheses nested too deeply"):
+            parse_expression("(" * depth + "u1" + ")" * depth)
+
+
 def test_parse_scalar_rejects_jets():
     assert parse_scalar("u1 + 1/u2") == S("u1 + 1/u2")
     with pytest.raises(ParseError):
