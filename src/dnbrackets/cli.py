@@ -7,8 +7,9 @@ Exit codes: 0 when every executed check passes, 1 when at least one check
 fails, 2 on malformed input (schema, parse, or file problems), including a
 dimension above MAX_DIMENSION or a degree above MAX_DEGREE, a document that
 is not UTF-8, JSON or parentheses nested too deeply, and a --json path that
-cannot be written (reported after the checks have run); a --max-degu
-outside 0..MAX_DEGU is a usage error, which also exits 2.
+cannot be written (a missing or read-only directory is found before any
+check runs); a --max-degu outside 0..MAX_DEGU is a usage error, which also
+exits 2.
 
 Bracket document schema::
 
@@ -35,6 +36,7 @@ from __future__ import annotations
 import argparse
 import json
 import operator
+import os
 import random
 import sys
 import time
@@ -437,14 +439,15 @@ def cmd_lowdegree(b: HomogeneousBracket, args) -> list:
     elif b.k == 2:
         report = ferguson_check(b)
     elif b.k == 3:
+        t0 = time.perf_counter()
         named = extract_named(b)
+        reason = "bracket is not in the jet-linear normal form"
         try:
             rebuilt = potemin_build(named.g, named.h[1])
         except (ValueError, DegenerateMetricError) as exc:
-            return [CheckResult("degree-3 normal form", "skip", str(exc))]
+            rebuilt, reason = None, str(exc)
         if rebuilt != b:
-            reason = "bracket is not in the jet-linear normal form"
-            return [CheckResult("degree-3 normal form", "skip", reason)]
+            return [CheckResult("degree-3 normal form", "skip", reason, time.perf_counter() - t0)]
         report = potemin_check(named.g, named.h[1])
     elif b.k == 4:
         report = k4_connection_fixtures(b)
@@ -574,6 +577,12 @@ def main(argv=None) -> int:
                         help=f"jet-count bound for randomized monomials, 0 to {MAX_DEGU}")
     args = parser.parse_args(argv)
 
+    if args.json_path:  # before any check runs, and without creating or truncating the file
+        folder = os.path.dirname(args.json_path) or "."
+        if not (os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)):
+            print(f"output error: {args.json_path}: {folder} is not a writable directory",
+                  file=sys.stderr)
+            return 2
     try:
         b = load_bracket(args.bracket)
         results = COMMANDS[args.command](b, args)

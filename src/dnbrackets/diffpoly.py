@@ -33,7 +33,9 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalar import Scalar, _collect, _is_const, _mono_lower, _mono_mul, _power, _pstr
+from .scalar import (
+    Scalar, _collect, _factor_str, _mono_lower, _mono_mul, _power, _product, _signed_join,
+)
 
 EvenKey = tuple  # (((i, s), e), ...)
 OddKey = tuple  # ((s, i), ...)
@@ -371,16 +373,7 @@ class DiffPoly:
     # -- printing -------------------------------------------------------
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for key in sorted(self.terms):
-            sign, body = _term_str(key, self.terms[key])
-            if not parts:
-                parts.append(body if sign > 0 else "-" + body)
-            else:
-                parts.append((" + " if sign > 0 else " - ") + body)
-        return "".join(parts)
+        return _signed_join(_term_str(key, self.terms[key]) for key in sorted(self.terms))
 
     def __repr__(self) -> str:
         return f"DiffPoly({self})"
@@ -457,13 +450,8 @@ def _term_str(key: TermKey, c: Scalar) -> tuple[int, str]:
     even, odd = key
     factors = [f"u{i}_{s}" if e == 1 else f"u{i}_{s}^{e}" for (i, s), e in even]
     factors += [f"theta{i}_{s}" for s, i in odd]
-    sign, coef = 1, str(c)
-    if _is_const(c._d) and len(c._n) == 1:
-        ((m, q),) = c.num.items()
-        sign, coef = (1 if q > 0 else -1), _pstr({m: abs(q)})
-    elif _is_const(c._d):
-        coef = f"({coef})"
-    return sign, "*".join(factors if coef == "1" and factors else [coef, *factors])
+    sign, coef = _factor_str(c)
+    return sign, _product(coef, factors)
 
 
 def _coerce(x):

@@ -21,7 +21,7 @@ import re
 
 from .diffpoly import DiffPoly
 from .errors import ParseError
-from .scalar import Scalar
+from .scalar import Scalar, _term_count
 
 _TOKEN_RE = re.compile(
     r"""\s*(?:
@@ -80,7 +80,7 @@ def _size(value: DiffPoly) -> int:
     one per jet monomial, so that a quotient of monomials, whose power is
     exponent multiplication, has size 1.
     """
-    return sum(len(c._n) + len(c._d) - 1 for c in value.terms.values())
+    return sum(_term_count(c) - 1 for c in value.terms.values())
 
 
 def _power_terms(value: DiffPoly, e: int) -> int:

@@ -12,8 +12,14 @@ match the coordinate names u1, u2, ...
 Fraction appears only at the boundary.  The public num and den are views
 built on demand: both sides divided by d's leading coefficient, which is
 the form with a monic denominator and rational coefficients.  The
-constructor Scalar(num, den) takes int or Fraction coefficients, from_fraction,
+constructor Scalar(num, den) takes int or Fraction coefficients, clears
+their denominators and reduces like any other result; from_fraction,
 as_fraction and subs convert numbers, and printing goes through the views.
+
+No other module reads a Scalar's fields, and polynomial printing lives
+here: _pstr prints a polynomial, and diffpoly prints its terms with the
+same join (_signed_join), product rule (_product) and coefficient text
+(_factor_str); grammar's size bounds count terms with _term_count.
 
 Term dicts, here and in diffpoly, never hold a zero coefficient, and every
 sum of terms goes through _collect, which keeps that invariant.
@@ -31,6 +37,10 @@ one of two paths:
   numerator and denominator.  If no candidate divides after _HEU_TRIES
   evaluation points, a primitive pseudo-remainder sequence over the
   integers (_prs) gives the gcd and the quotients instead.
+
+Both work in the least variable x of their operands, so x^d, when present,
+is the first pair of a monomial: _zeval, _to_univ, _from_univ and _zinterp
+split off or prepend that pair instead of rebuilding the monomial.
 
 Some results need no polynomial gcd: a product with a constant factor
 (two integer gcds with the other factor's contents), a power, a negation
@@ -156,16 +166,18 @@ def _pvars(a: Poly) -> set:
 
 def _mono_key(m: Mono):
     # graded lex with u1 > u2 > ...: higher total degree first, then higher
-    # exponent on the earliest variable.  Within one degree no monomial's
-    # pairs are a prefix of another's, so the sparse pairs (-v, e) order
-    # like the dense exponent vector, at a cost independent of the indices.
-    return sum(e for _, e in m), tuple((-v, e) for v, e in m)
+    # exponent on the earliest variable, and the greater monomial has the
+    # smaller key, so that a sort and heapq, which pops the smallest, go
+    # from the leading term down.  Within one degree no monomial's pairs are
+    # a prefix of another's, so the sparse pairs (v, -e) order like the
+    # dense exponent vector, at a cost independent of the indices.
+    return -sum(e for _, e in m), tuple((v, -e) for v, e in m)
 
 
 def _plead(a: Poly) -> tuple[Mono, int]:
     if len(a) == 1:
         return next(iter(a.items()))
-    m = max(a, key=_mono_key)
+    m = min(a, key=_mono_key)
     return m, a[m]
 
 
@@ -205,25 +217,21 @@ def _cancel_terms(a: dict, b: dict) -> tuple[Mono, dict, dict]:
 
 # -- gcds of integer polynomials -----------------------------------------
 #
-# Every function below takes and returns term dicts with int coefficients,
-# except _split_content, which makes them from Fraction ones.
+# Every function below takes and returns term dicts with int coefficients.
 
 
 def _to_univ(a: dict, x: int) -> dict:
-    """View a as a polynomial in x with coefficients in the remaining vars."""
+    """View a as a polynomial in its least variable x, with coefficients in the other vars."""
     out: dict[int, dict] = {}
     for m, c in a.items():
-        exps = dict(m)
-        d = exps.pop(x, 0)
-        out.setdefault(d, {})[tuple(sorted(exps.items()))] = c
+        d, rest = (m[0][1], m[1:]) if m and m[0][0] == x else (0, m)
+        out.setdefault(d, {})[rest] = c
     return out
 
 
 def _from_univ(u: dict, x: int) -> dict:
-    """Inverse of _to_univ; the coefficients of u do not involve x."""
-    return {
-        _mono_mul(m, ((x, d),) if d else ()): c for d, p in u.items() for m, c in p.items()
-    }
+    """Inverse of _to_univ; x precedes every variable of u's coefficients."""
+    return {((x, d), *m) if d else m: c for d, p in u.items() for m, c in p.items()}
 
 
 def _univ_mul_x(u: dict, shift: int, coef: dict) -> dict:
@@ -235,33 +243,18 @@ def _univ_sub(a: dict, b: dict) -> dict:
     return {d: p for d, p in diffs if p}
 
 
-def _split_content(p: Poly) -> tuple[Fraction, dict]:
-    """(c, f) with p = c*f and f an integer polynomial of content 1."""
-    den = lcm(*(c.denominator for c in p.values()))
-    num = gcd(*(c.numerator for c in p.values()))
-    return Fraction(num, den), {
-        m: c.numerator * (den // c.denominator) // num for m, c in p.items()
-    }
-
-
 def _zgcd(f: dict, g: dict) -> tuple[dict, dict, dict]:
     """(h, f/h, g/h) where h is the gcd in Z[u...] of nonzero f and g."""
     cf, cg = gcd(*f.values()), gcd(*g.values())
     c = gcd(cf, cg)
     if len(f) == 1 or len(g) == 1:
         d, qf, qg = _cancel_terms(f, g)
-        if c == 1:
+        if c == 1:  # the common case, kept free of calls
             return {d: 1}, qf, qg
-        return {d: c}, {m: v // c for m, v in qf.items()}, {m: v // c for m, v in qg.items()}
-    f = {m: v // cf for m, v in f.items()}
-    g = {m: v // cg for m, v in g.items()}
+        return {d: c}, _rescale(qf, 1, c), _rescale(qg, 1, c)
+    f, g = _rescale(f, 1, cf), _rescale(g, 1, cg)
     h, qf, qg = _heugcd(f, g) or _prs(f, g)
-    sf, sg = cf // c, cg // c
-    return (
-        {m: c * v for m, v in h.items()},
-        {m: sf * v for m, v in qf.items()},
-        {m: sg * v for m, v in qg.items()},
-    )
+    return _rescale(h, c, 1), _rescale(qf, cf // c, 1), _rescale(qg, cg // c, 1)
 
 
 def _heugcd(f: dict, g: dict) -> tuple[dict, dict, dict] | None:
@@ -288,8 +281,7 @@ def _heugcd(f: dict, g: dict) -> tuple[dict, dict, dict] | None:
         ef, eg = _zeval(f, x, xi), _zeval(g, x, xi)
         if ef and eg:
             h = _zinterp(_zgcd(ef, eg)[0], x, xi)
-            c = gcd(*h.values())
-            h = {m: v // c for m, v in h.items()}
+            h = _rescale(h, 1, gcd(*h.values()))
             if h == {(): 1}:
                 return h, f, g
             qf = _zquo(f, h)
@@ -323,7 +315,7 @@ def _zinterp(gamma: dict, x: int, xi: int) -> dict:
             if d > xi // 2:
                 d -= xi
             if d:
-                out[_mono_mul(m, ((x, e),)) if e else m] = d
+                out[((x, e), *m) if e else m] = d
             c = (c - d) // xi
             e += 1
     return out
@@ -331,21 +323,16 @@ def _zinterp(gamma: dict, x: int, xi: int) -> dict:
 
 def _zquo(a: dict, b: dict) -> dict | None:
     """a/b for integer polynomials, or None when b does not divide a in Z[u...]."""
-
-    def rank(m):  # heapq pops the smallest, so reverse the graded key
-        return -sum(e for _, e in m), tuple((v, -e) for v, e in m), m
-
-    lead_b = max(b, key=_mono_key)
-    cb = b[lead_b]
+    lead_b, cb = _plead(b)
     tail = [(m, c) for m, c in b.items() if m != lead_b]
     rem = dict(a)
-    heap = [rank(m) for m in rem]
+    heap = [(_mono_key(m), m) for m in rem]
     heapify(heap)
     quot = {}
     # every monomial added to rem is below the lead being removed, so each is
     # popped after its last update; a popped key missing from rem was cancelled
     while heap:
-        lead = heappop(heap)[2]
+        lead = heappop(heap)[1]
         c = rem.pop(lead, 0)
         if not c:
             continue
@@ -359,7 +346,7 @@ def _zquo(a: dict, b: dict) -> dict | None:
         pairs = [(_mono_mul(qm, m), -qc * cm) for m, cm in tail]
         for k, _ in pairs:
             if k not in rem:
-                heappush(heap, rank(k))
+                heappush(heap, (_mono_key(k), k))
         rem = _collect(pairs, rem)
     return quot
 
@@ -406,29 +393,46 @@ def _prem(f: dict, g: dict) -> dict:
     return r
 
 
-def _pstr(a: Poly) -> str:
-    if not a:
+# -- printing ---------------------------------------------------------------
+
+
+def _signed_join(terms) -> str:
+    """Join (sign, text) terms with " + " and " - "; the first is bare or after "-"."""
+    joined = "".join((" + " if sign > 0 else " - ") + text for sign, text in terms)
+    if not joined:
         return "0"
-    monos = sorted(a, key=_mono_key, reverse=True)
-    parts = []
-    for idx, m in enumerate(monos):
-        c = a[m]
-        sign = "-" if c < 0 else "+"
-        c = abs(c)
-        factors = []
-        for v, e in m:
-            factors.append(f"u{v}" if e == 1 else f"u{v}^{e}")
-        if not factors:
-            body = str(c)
-        elif c == 1:
-            body = "*".join(factors)
-        else:
-            body = str(c) + "*" + "*".join(factors)
-        if idx == 0:
-            parts.append(body if sign == "+" else "-" + body)
-        else:
-            parts.append(f" {sign} {body}")
-    return "".join(parts)
+    return joined[3:] if joined[1] == "+" else "-" + joined[3:]
+
+
+def _product(coef: str, factors: list) -> str:
+    """coef*factor*...; a coefficient 1 is left out when there are factors."""
+    return "*".join(factors if coef == "1" and factors else [coef, *factors])
+
+
+def _pterm(m: Mono, c) -> str:
+    return _product(str(c), [f"u{v}" if e == 1 else f"u{v}^{e}" for v, e in m])
+
+
+def _pstr(a: Poly) -> str:
+    return _signed_join(
+        (1 if a[m] > 0 else -1, _pterm(m, abs(a[m]))) for m in sorted(a, key=_mono_key)
+    )
+
+
+def _factor_str(c: "Scalar") -> tuple[int, str]:
+    """(sign, text) of c as a product's coefficient: a constant or monomial gives the sign
+    and prints bare, another polynomial is parenthesised and a quotient prints whole."""
+    if not _is_const(c._d):
+        return 1, str(c)
+    if len(c._n) > 1:
+        return 1, f"({c})"
+    ((m, q),) = c.num.items()
+    return (1 if q > 0 else -1), _pterm(m, abs(q))
+
+
+def _term_count(c: "Scalar") -> int:
+    """The number of terms of c's numerator and denominator."""
+    return len(c._n) + len(c._d)
 
 
 class Scalar:
@@ -441,15 +445,10 @@ class Scalar:
         num, den = _exact(num), _exact(den)
         if not den:
             raise ZeroDivisionError("division by zero rational function")
-        if not num:
-            self._n, self._d = {}, _ONE_P
-            return
-        cn, f = _split_content(num)
-        cd, g = _split_content(den)
-        r = cn / cd
-        if _plead(g)[1] < 0:
-            r, g = -r, _pneg(g)
-        out = _reduce(_rescale(f, r.numerator, 1), _rescale(g, r.denominator, 1))
+        # clear all denominators, with the sign of den's leading coefficient
+        l = lcm(*(c.denominator for p in (num, den) for c in p.values()))
+        l = -l if _plead(den)[1] < 0 else l
+        out = _reduce(*({m: int(c * l) for m, c in p.items()} for p in (num, den)))
         self._n, self._d = out._n, out._d
 
     # -- constructors ---------------------------------------------------
@@ -479,14 +478,17 @@ class Scalar:
     @property
     def num(self) -> Poly:
         """The numerator with Fraction coefficients, for a denominator with leading coefficient 1."""
-        lc = _plead(self._d)[1]
-        return {m: Fraction(c, lc) for m, c in self._n.items()}
+        return self._view(self._n)
 
     @property
     def den(self) -> Poly:
         """The denominator with Fraction coefficients and leading coefficient 1."""
+        return self._view(self._d)
+
+    def _view(self, p: Poly) -> Poly:
+        """p divided by the leading coefficient of the denominator, as Fractions."""
         lc = _plead(self._d)[1]
-        return {m: Fraction(c, lc) for m, c in self._d.items()}
+        return {m: Fraction(c, lc) for m, c in p.items()}
 
     # -- predicates -----------------------------------------------------
 

@@ -338,6 +338,36 @@ def test_term_printing_matches_the_oracle():
         assert _term_str(key, c) == term_str_oracle(key, c), (key, c)
 
 
+def diffpoly_str_oracle(p):
+    """DiffPoly.__str__ as written with its own sign join over the oracle terms."""
+    if p.is_zero:
+        return "0"
+    parts = []
+    for key in sorted(p.terms):
+        sign, body = term_str_oracle(key, p.terms[key])
+        if not parts:
+            parts.append(body if sign > 0 else "-" + body)
+        else:
+            parts.append((" + " if sign > 0 else " - ") + body)
+    return "".join(parts)
+
+
+def test_diffpoly_printing_matches_the_oracle():
+    """Jets, thetas, Fraction and polynomial coefficients, negative leading terms,
+    constants and zero print byte for byte as the oracle prints them."""
+    rng = random.Random(109)
+    cases = [DiffPoly.zero(), DiffPoly.one(), DiffPoly.from_fraction(Fraction(-5, 3))]
+    for _ in range(300):
+        p = random_diffpoly(rng, 3, terms=4)
+        if rng.random() < 0.3:
+            p = p * DiffPoly.from_scalar(random_polynomial(rng, 3, terms=3) or S("1"))
+        cases += [p, -p]
+    leading = [str(p)[0] for p in cases]
+    assert leading.count("-") > 100 and leading.count("(") > 20
+    for p in cases:
+        assert str(p) == diffpoly_str_oracle(p), p
+
+
 def test_printing_signs_and_polynomial_coefficients():
     p = DiffPoly.jet(1, 1)
     assert str(p * -2) == "-2*u1_1"

@@ -1,10 +1,13 @@
 """Exact rational-function arithmetic."""
 
+import ast
 import copy
+import glob
+import os
 import random
 import time
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -22,11 +25,11 @@ from dnbrackets.scalar import (
     _collect,
     _partial,
     _mono_key,
+    _mono_mul,
     _plead,
     _pmul,
     _pneg,
     _prs,
-    _split_content,
     _zeval,
     _zgcd,
     parse_scalar,
@@ -336,7 +339,7 @@ def test_sparse_monomial_key_orders_like_the_dense_one():
     same_degree = 0
     for m1 in monos:
         for m2 in monos:
-            assert (_mono_key(m1) < _mono_key(m2)) == (dense_key(m1, 5) < dense_key(m2, 5))
+            assert (_mono_key(m1) < _mono_key(m2)) == (dense_key(m1, 5) > dense_key(m2, 5))
             assert (_mono_key(m1) == _mono_key(m2)) == (m1 == m2)
             same_degree += m1 != m2 and dense_key(m1, 5)[0] == dense_key(m2, 5)[0]
     assert same_degree > 300  # distinct monomials that only the exponents order
@@ -550,6 +553,17 @@ def test_zeval_matches_the_per_term_oracle():
     assert cases > 100  # most draws do contain x
 
 
+def _split_content(p):
+    """(c, f) with p = c*f and f an integer polynomial of content 1, for a term
+    dict with Fraction coefficients: the content split Scalar(num, den) made
+    before it cleared denominators."""
+    den = lcm(*(c.denominator for c in p.values()))
+    num = gcd(*(c.numerator for c in p.values()))
+    return Fraction(num, den), {
+        m: c.numerator * (den // c.denominator) // num for m, c in p.items()
+    }
+
+
 def reduce_oracle(num, den):
     """Scalar reduction on Fraction term dicts, as done before the integer form.
 
@@ -664,3 +678,179 @@ def test_coefficients_stay_int_through_dp_squared(monkeypatch):
     scalars += [x for pair in memo for x in pair]
     bad = [(x, c) for x in scalars for c in int_terms(x) if type(c) is not int]
     assert bad == []
+
+
+# -- the term layout: differential tests against the code it replaced ----
+
+
+def pstr_oracle(a):
+    """_pstr as written with its own sign join and product rule."""
+    if not a:
+        return "0"
+    monos = sorted(a, key=lambda m: dense_key(m, 5), reverse=True)
+    parts = []
+    for idx, m in enumerate(monos):
+        c = a[m]
+        sign = "-" if c < 0 else "+"
+        c = abs(c)
+        factors = []
+        for v, e in m:
+            factors.append(f"u{v}" if e == 1 else f"u{v}^{e}")
+        if not factors:
+            body = str(c)
+        elif c == 1:
+            body = "*".join(factors)
+        else:
+            body = str(c) + "*" + "*".join(factors)
+        if idx == 0:
+            parts.append(body if sign == "+" else "-" + body)
+        else:
+            parts.append(f" {sign} {body}")
+    return "".join(parts)
+
+
+def to_univ_oracle(a, x):
+    """_to_univ as written with a dict of exponents and a sort per monomial."""
+    out = {}
+    for m, c in a.items():
+        exps = dict(m)
+        d = exps.pop(x, 0)
+        out.setdefault(d, {})[tuple(sorted(exps.items()))] = c
+    return out
+
+
+def from_univ_oracle(u, x):
+    return {
+        _mono_mul(m, ((x, d),) if d else ()): c for d, p in u.items() for m, c in p.items()
+    }
+
+
+def zinterp_oracle(gamma, x, xi):
+    out = {}
+    for m, c in gamma.items():
+        e = 0
+        while c:
+            d = c % xi
+            if d > xi // 2:
+                d -= xi
+            if d:
+                out[_mono_mul(m, ((x, e),)) if e else m] = d
+            c = (c - d) // xi
+            e += 1
+    return out
+
+
+def init_oracle(num, den):
+    """(_n, _d) of Scalar(num, den) as built through _split_content, for a nonzero den."""
+    num = {m: c for m, c in num.items() if c}
+    den = {m: c for m, c in den.items() if c}
+    if not num:
+        return {}, {(): 1}
+    cn, f = _split_content(num)
+    cd, g = _split_content(den)
+    r = cn / cd
+    if _plead(g)[1] < 0:
+        r, g = -r, _pneg(g)
+    out = scalar._reduce(
+        {m: c * r.numerator for m, c in f.items()}, {m: c * r.denominator for m, c in g.items()}
+    )
+    return out._n, out._d
+
+
+def layout_draws(seed, count=150):
+    """Scalars from sampling: Fraction coefficients, monomial and polynomial
+    denominators, negated values (negative leading terms), constants and zero."""
+    rng = random.Random(seed)
+    out = [Scalar.zero(), Scalar.one(), Scalar.from_fraction(Fraction(-7, 3))]
+    for _ in range(count):
+        kind = rng.randrange(4)
+        if kind == 0:
+            x = random_scalar(rng, 3, terms=3)
+        elif kind == 1:
+            den = random_polynomial(rng, 3, terms=3)
+            x = random_polynomial(rng, 3, terms=3) / (den if den else Scalar.one())
+        elif kind == 2:
+            x = Scalar.from_fraction(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+        else:
+            x = random_polynomial(rng, 5, terms=4, deg=3)
+        out.append(-x if rng.random() < 0.5 else x)
+    return out
+
+
+def test_printing_matches_the_oracle_printer():
+    draws = layout_draws(101)
+    assert sum(len(x.den) > 1 for x in draws) > 10  # polynomial denominators
+    for x in draws:
+        for p in (x.num, x.den, x._n, x._d, _pneg(x.num)):
+            assert scalar._pstr(p) == pstr_oracle(p), p
+        if x.den == {(): 1}:
+            want = pstr_oracle(x.num)
+        else:
+            want = f"({pstr_oracle(x.num)})/({pstr_oracle(x.den)})"
+        assert str(x) == want
+
+
+def test_univariate_views_match_the_oracles():
+    cases = 0
+    for x in layout_draws(103):
+        for p in (x._n, x._d):
+            if not p.keys() - {()}:
+                continue
+            v = min(scalar._pvars(p))
+            u = scalar._to_univ(p, v)
+            assert u == to_univ_oracle(p, v), p
+            assert scalar._from_univ(u, v) == from_univ_oracle(u, v) == p
+            for xi in (29, 2**64 + 13):
+                gamma = _zeval(p, v, xi)
+                assert scalar._zinterp(gamma, v, xi) == zinterp_oracle(gamma, v, xi)
+            cases += len(u) > 1
+    assert cases > 50  # most draws hold the variable in some but not all terms
+
+
+def test_constructor_matches_the_content_split_route():
+    rng = random.Random(107)
+    draws = layout_draws(107)
+    cases = [({}, {(): 1}), ({(): 0, ((1, 1),): 0}, {(): Fraction(-2, 3)})]
+    for _ in range(300):
+        a, b = rng.choice(draws), rng.choice(draws)
+        q = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9))
+        num = {m: c * q for m, c in a.num.items()}
+        den = b.num or {(): 1}
+        if rng.random() < 0.3:
+            num = {m: int(c * c.denominator) for m, c in num.items()}  # int coefficients
+        cases.append((num, _pneg(den) if rng.random() < 0.5 else den))
+    negative = 0
+    for num, den in cases:
+        x = Scalar(num, den)
+        assert (x._n, x._d) == init_oracle(num, den), (num, den)
+        negative += _plead({m: c for m, c in den.items() if c})[1] < 0
+    assert negative > 100
+
+
+def test_only_scalar_reads_the_scalar_layout():
+    """The seam around the term layout: no module but scalar reads a Scalar's
+    fields _n and _d, or imports a private name of scalar beyond the term
+    helpers diffpoly shares and the printing and size helpers."""
+    allowed = {"_collect", "_power", "_mono_mul", "_mono_lower",
+               "_signed_join", "_product", "_factor_str", "_term_count"}
+    package = os.path.dirname(scalar.__file__)
+    imported, bad = set(), []
+    for path in sorted(glob.glob(os.path.join(package, "*.py"))):
+        name = os.path.basename(path)
+        if name == "scalar.py":
+            continue
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in ("_n", "_d"):
+                bad.append(f"{name}:{node.lineno} reads .{node.attr}")
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id == "scalar" and node.attr.startswith("_"):
+                    bad.append(f"{name}:{node.lineno} uses scalar.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("scalar"):
+                for alias in node.names:
+                    imported.add(alias.name)
+                    if alias.name.startswith("_") and alias.name not in allowed:
+                        bad.append(f"{name}:{node.lineno} imports {alias.name}")
+    assert bad == []
+    assert {"_collect", "_factor_str", "_term_count"} <= imported  # the scan saw the imports
