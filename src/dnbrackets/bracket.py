@@ -20,11 +20,11 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import partial, wraps
-from itertools import product
+from itertools import chain, product
 from math import comb
 from types import MappingProxyType
 
-from .diffpoly import DiffPoly, _dx_upto, _sum
+from .diffpoly import DiffPoly, ThetaVar, _dx_upto, _sum
 from .errors import DegenerateMetricError
 from .scalar import Scalar
 
@@ -111,14 +111,12 @@ def validate(b: HomogeneousBracket) -> list[str]:
             problems.append(
                 f"P_{s}^{{{i}{j}}} is not homogeneous of weight {want}: weights {sorted(degs)}"
             )
-        bad_components = set()
-        for (even, _), coeff in entry.terms.items():
-            for (ii, _ss), _e in even:
-                if ii > b.n:
-                    bad_components.add(ii)
-            for v in coeff.variables():
-                if v > b.n:
-                    bad_components.add(v)
+        bad_components = {
+            v
+            for (even, _), coeff in entry.terms.items()
+            for v in chain((ii for (ii, _), _e in even), coeff.variables())
+            if v > b.n
+        }
         if bad_components:
             problems.append(
                 f"P_{s}^{{{i}{j}}} mentions components beyond n={b.n}: {sorted(bad_components)}"
@@ -134,6 +132,15 @@ def bivector(b: HomogeneousBracket) -> DiffPoly:
         entry * DiffPoly.theta(i, 0) * DiffPoly.theta(j, s) * half
         for (i, j, s), entry in b.P.items()
     )
+
+
+@_cached
+def variational_pair(b: HomogeneousBracket) -> tuple[list, list]:
+    """(dP~/dtheta_i, dP~/du^i) for i = 1..n, cached on the bracket."""
+    P = bivector(b)
+    ddtheta = [P.variational_theta(i) for i in range(1, b.n + 1)]
+    ddu = [P.variational_u(i) for i in range(1, b.n + 1)]
+    return ddtheta, ddu
 
 
 @dataclass
@@ -168,26 +175,22 @@ def skew_defects(b: HomogeneousBracket) -> list[tuple[int, int, int, DiffPoly]]:
 
     Skewness of the operator says P_t^{ji} equals
     sum_{s>=t} (-1)^{s+1} C(s,t) d_x^{s-t} P_s^{ij}; each nonzero
-    difference is returned as (i, j, t, defect).  The list is a fresh copy
-    of the cached defects on every call.
+    difference is returned as (i, j, t, defect).  For entries free of odd
+    variables that sum is 2 d(dP~/dtheta_j)/dtheta_i^t - P_t^{ji}, so each
+    defect is 2 (P_t^{ji} - d(dP~/dtheta_j)/dtheta_i^t), read off the cached
+    variational pair.  The list is a fresh copy of the cached defects.
     """
     return list(_skew_defects(b))
 
 
 @_cached
 def _skew_defects(b: HomogeneousBracket) -> tuple:
+    ddtheta = variational_pair(b)[0]
     out = []
-    for i, j in product(range(1, b.n + 1), repeat=2):
-        # derivs[s] holds P_s^{ij}, d_x P_s^{ij}, ...: each derivative is taken once
-        derivs = [[b.entry(i, j, s)] for s in range(b.k + 1)]
-        for t in range(b.k + 1):
-            parts = (
-                _dx_upto(derivs[s], s - t) * ((-1) ** (s + 1) * comb(s, t))
-                for s in range(t, b.k + 1)
-            )
-            defect = b.entry(j, i, t) - _sum(parts)
-            if not defect.is_zero:
-                out.append((i, j, t, defect))
+    for i, j, t in product(range(1, b.n + 1), range(1, b.n + 1), range(b.k + 1)):
+        defect = 2 * (b.entry(j, i, t) - ddtheta[j - 1].partial(ThetaVar(i, t)))
+        if not defect.is_zero:
+            out.append((i, j, t, defect))
     return tuple(out)
 
 
@@ -255,10 +258,7 @@ class CoordinateMap:
 
     def jacobian(self) -> list:
         """J[i][i'] = d(new i)/d(old i'), as functions of the old coordinates."""
-        return [
-            [self.forward[i].partial(ip + 1) for ip in range(self.n)]
-            for i in range(self.n)
-        ]
+        return _tensor(self.n, 2, lambda i, ip: self.forward[i].partial(ip + 1))
 
 
 def transform(b: HomogeneousBracket, cmap: CoordinateMap) -> HomogeneousBracket:
@@ -289,13 +289,11 @@ def transform(b: HomogeneousBracket, cmap: CoordinateMap) -> HomogeneousBracket:
             if (entry := b.entry(ip, jp, s + t))
         )
 
-    raw = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for s in range(k + 1):
-                acc = _sum(contracted(i, j, s, t) * comb(s + t, s) for t in range(k - s + 1))
-                if not acc.is_zero:
-                    raw[(i, j, s)] = acc
+    raw = {
+        (i, j, s): acc
+        for i, j, s in product(range(1, n + 1), range(1, n + 1), range(k + 1))
+        if (acc := _sum(contracted(i, j, s, t) * comb(s + t, s) for t in range(k - s + 1)))
+    }
 
     coord_map = {m + 1: cmap.inverse[m] for m in range(n)}
     max_order = max((entry.max_jet_order() for entry in raw.values()), default=0)
@@ -312,14 +310,11 @@ def transform(b: HomogeneousBracket, cmap: CoordinateMap) -> HomogeneousBracket:
 
 def constant_bracket(g: list, k: int) -> HomogeneousBracket:
     """The bracket with constant leading coefficient g and no lower tail."""
-    n = len(g)
-    P = {}
-    for i in range(n):
-        for j in range(n):
-            sc = g[i][j] if isinstance(g[i][j], Scalar) else Scalar.from_fraction(g[i][j])
-            if not sc.is_zero:
-                P[(i + 1, j + 1, k)] = DiffPoly.from_scalar(sc)
-    return HomogeneousBracket(n=n, k=k, P=P)
+    P = {  # zero entries are dropped by HomogeneousBracket
+        (i + 1, j + 1, k): DiffPoly.from_scalar(x if isinstance(x, Scalar) else Scalar.from_fraction(x))
+        for (i, j), x in _components(g, 2)
+    }
+    return HomogeneousBracket(n=len(g), k=k, P=P)
 
 
 def _gauss_jordan(rows: list) -> tuple[list, list]:

@@ -6,7 +6,8 @@ the requested checks, prints a text report and optionally a JSON mirror.
 Exit codes: 0 when every executed check passes, 1 when at least one check
 fails, 2 on malformed input (schema, parse, or file problems), including a
 dimension above MAX_DIMENSION or a degree above MAX_DEGREE, a document that
-is not UTF-8, JSON or parentheses nested too deeply, and a --json path that
+is not UTF-8, JSON or parentheses nested too deeply, an expression with an
+integer of more than grammar.MAX_DIGITS digits, and a --json path that
 cannot be written (a missing or read-only directory is found before any
 check runs); a --max-degu outside 0..MAX_DEGU is a usage error, which also
 exits 2.
@@ -66,6 +67,7 @@ from .grammar import parse_expression
 from .jacobi import _first_defect
 from .lowdegree import (
     ConditionResult,
+    _charge_setup,
     _condition,
     _torsion_labelled,
     canonical_k2,
@@ -225,9 +227,7 @@ def load_bracket(path: str) -> HomogeneousBracket:
         tail = doc.get("tail")
         if not (isinstance(tail, list) and len(tail) == n):
             raise InputError(f"{path}: tail must be an n x n x n array")
-        c = []
-        for i, block in enumerate(tail):
-            c.append(_scalar_matrix(block, n, f"{path}: tail[{i + 1}]"))
+        c = [_scalar_matrix(block, n, f"{path}: tail[{i + 1}]") for i, block in enumerate(tail)]
         try:
             return potemin_build(g, c)
         except (ValueError, DegenerateMetricError) as exc:
@@ -329,12 +329,10 @@ def _print_connection(conn, name: str) -> None:
 def cmd_connections(b: HomogeneousBracket, args) -> list:
     results: list = []
     cm = c_matrix(b.k)
-    print(f"c matrix (k = {b.k}):")
-    for row in cm.c:
-        print("  " + "  ".join(str(x) for x in row))
-    print("inverse:")
-    for row in cm.cinv:
-        print("  " + "  ".join(str(x) for x in row))
+    for title, rows in ((f"c matrix (k = {b.k}):", cm.c), ("inverse:", cm.cinv)):
+        print(title)
+        for row in rows:
+            print("  " + "  ".join(str(x) for x in row))
 
     def build():
         try:
@@ -407,8 +405,7 @@ def cmd_flatness(b: HomogeneousBracket, args) -> list:
 def cmd_transform(b: HomogeneousBracket, args) -> list:
     results: list = []
     if not args.map:
-        results.append(CheckResult("transform", "fail", "--map FILE is required"))
-        return results
+        return [CheckResult("transform", "fail", "--map FILE is required")]
     cmap = load_map(args.map, b.n)
     moved = transform(b, cmap)
     print("transformed bracket entries:")
@@ -421,11 +418,8 @@ def cmd_transform(b: HomogeneousBracket, args) -> list:
 
     def roundtrip():
         back = transform(moved, cmap.inverted())
-        for key in set(back.P) | set(b.P):
-            lhs = back.P.get(key, DiffPoly.zero())
-            rhs = b.P.get(key, DiffPoly.zero())
-            if lhs != rhs:
-                i, j, s = key
+        for i, j, s in set(back.P) | set(b.P):
+            if (lhs := back.entry(i, j, s)) != (rhs := b.entry(i, j, s)):
                 return "fail", f"P_{s}^{{{i}{j}}}: {lhs} != {rhs}"
         return "pass", None
 
@@ -448,7 +442,7 @@ def cmd_lowdegree(b: HomogeneousBracket, args) -> list:
             rebuilt, reason = None, str(exc)
         if rebuilt != b:
             return [CheckResult("degree-3 normal form", "skip", reason, time.perf_counter() - t0)]
-        report = potemin_check(named.g, named.h[1])
+        report = _charge_setup(t0, potemin_check(named.g, named.h[1]))  # and the normal-form test
     elif b.k == 4:
         report = k4_connection_fixtures(b)
     else:

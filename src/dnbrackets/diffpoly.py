@@ -324,8 +324,7 @@ class DiffPoly:
         return {fn(key, k) for key in self.terms}
 
     def is_homogeneous(self, grading: str, d: int, k: int | None = None) -> bool:
-        degs = self.degrees(grading, k)
-        return degs <= {d}
+        return self.degrees(grading, k) <= {d}
 
     def max_jet_order(self) -> int:
         return max((s for even, _ in self.terms for (_, s), _e in even), default=0)
@@ -404,12 +403,12 @@ def _sum(parts) -> DiffPoly:
 
 
 def _alternating_sum(partial, i: int, top: int) -> DiffPoly:
-    """sum_{s=0..top} (-d_x)^s partial(i, s): the shared variational formula."""
-    return _sum(
-        p.d_x_pow(s) if s % 2 == 0 else -p.d_x_pow(s)
-        for s in range(top + 1)
-        if (p := partial(i, s))
-    )
+    """sum_{s=0..top} (-d_x)^s partial(i, s), the shared variational formula,
+    by Horner's rule: acc = partial(i, s) - d_x(acc) for s = top down to 0."""
+    acc = DiffPoly.zero()
+    for s in range(top, -1, -1):
+        acc = partial(i, s) - acc.d_x() if acc else partial(i, s)
+    return acc
 
 
 def _dx_upto(derivs: list, t: int) -> DiffPoly:

@@ -52,6 +52,8 @@ def _tokenize(text: str):
             order = m.group("order")
             tokens.append(("var", (index, int(order) if order else 0), start))
         elif m.group("int") is not None:
+            if len(m.group("int")) > MAX_DIGITS:
+                raise ParseError(f"integer too large: over {MAX_DIGITS} digits", m.start("int"))
             tokens.append(("int", int(m.group("int")), m.start("int")))
         else:
             tokens.append(("op", m.group("op"), m.start("op")))
@@ -71,6 +73,22 @@ MAX_POWER_TERMS = 256
 # (1 + u1)^15, at the bound, parses in about 0.3 s.  Without the bound each
 # further factor of (1 + u1)^255 * (1 + u1)^255 * ... multiplies the time.
 MAX_PRODUCT_TERMS = 4096
+
+
+# An integer may have at most this many decimal digits: a literal, and each one
+# the value of a '+', '-', '*', '/' or '^' prints.  The worked examples and
+# tests use at most 3 digits; Python refuses to print more than 4300.
+MAX_DIGITS = 1000
+
+
+def _bound_digits(value: DiffPoly, pos: int, e: int = 1) -> None:
+    """Raise a ParseError at pos if an integer that value prints may have over MAX_DIGITS digits,
+    or, for e > 1, one that value^e prints surely has: a b-bit integer has at most
+    b log10(2) + 1 digits, and its e-th power at least (b - 1) e log10(2) + 1."""
+    bits = max((x.bit_length() for c in value.terms.values() for p in (c.num, c.den)
+                for q in p.values() for x in (q.numerator, q.denominator)), default=1)
+    if (bits if e == 1 else (bits - 1) * e) * 30103 // 100000 + 1 > MAX_DIGITS:
+        raise ParseError(f"integer too large: over {MAX_DIGITS} digits", pos)
 
 
 def _size(value: DiffPoly) -> int:
@@ -134,11 +152,12 @@ class _Parser:
         if negate:
             value = -value
         while True:
-            kind, val, _ = self.peek()
+            kind, val, pos = self.peek()
             if kind == "op" and val in "+-":
                 self.advance()
                 rhs = self.term()
                 value = value + rhs if val == "+" else value - rhs
+                _bound_digits(value, pos)
             else:
                 return value
 
@@ -151,15 +170,14 @@ class _Parser:
                 rhs = self.factor()
                 if _size(value) * _size(rhs) > MAX_PRODUCT_TERMS:
                     raise ParseError(f"product too large: over {MAX_PRODUCT_TERMS} products", pos)
-                if val == "*":
-                    value = value * rhs
-                else:
+                if val == "/":
                     if not rhs.is_scalar():
                         raise ParseError("cannot divide by a jet expression", pos)
-                    sc = rhs.to_scalar()
-                    if sc.is_zero:
+                    if rhs.is_zero:
                         raise ParseError("division by zero", pos)
-                    value = value * (Scalar.one() / sc)
+                    rhs = Scalar.one() / rhs.to_scalar()
+                value = value * rhs
+                _bound_digits(value, pos)
             else:
                 return value
 
@@ -174,7 +192,9 @@ class _Parser:
             self.advance()
             if _power_terms(value, e) > MAX_POWER_TERMS:
                 raise ParseError(f"power too large: over {MAX_POWER_TERMS} products", pos)
+            _bound_digits(value, pos, e)
             value = value**e
+            _bound_digits(value, pos)
         return value
 
     def base(self) -> DiffPoly:

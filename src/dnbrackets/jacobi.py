@@ -5,7 +5,8 @@ For the bivector P~ of a skew bracket, the induced odd vector field is
     D_P = sum_{i,s} d_x^s(dP~/dtheta_i) d/du^{i,s}
         + sum_{i,s} d_x^s(dP~/du^i) d/dtheta_i^s
 
-where dP~/dtheta_i and dP~/du^i are variational derivatives.  The bracket
+where dP~/dtheta_i and dP~/du^i are variational derivatives, cached by
+bracket.variational_pair, which the skew check reads too.  The bracket
 satisfies Jacobi exactly when D_P squares to zero, and since D_P^2 is again
 a derivation it suffices to test it on the generators u^i and theta_i.
 D_P(u^i) is the theta-variational derivative itself, so the generator test
@@ -14,18 +15,9 @@ reduces to applying D_P to the two families of variational derivatives.
 
 from __future__ import annotations
 
-from .bracket import HomogeneousBracket, _cached, bivector, skew_defects, validate
+from .bracket import HomogeneousBracket, _cached, skew_defects, validate, variational_pair
 from .diffpoly import DiffPoly, _derivation
 from .errors import PreconditionError
-
-
-@_cached
-def variational_pair(b: HomogeneousBracket) -> tuple[list, list]:
-    """(dP~/dtheta_i, dP~/du^i) for i = 1..n, cached on the bracket."""
-    P = bivector(b)
-    ddtheta = [P.variational_theta(i) for i in range(1, b.n + 1)]
-    ddu = [P.variational_u(i) for i in range(1, b.n + 1)]
-    return ddtheta, ddu
 
 
 @_cached
@@ -51,9 +43,8 @@ def _defects(b: HomogeneousBracket):
     """Yield the nonzero values of D_P^2 on u^1..u^n, then on theta_1..theta_n."""
     ddtheta, ddu = variational_pair(b)
     for label, family in (("u^{}", ddtheta), ("theta_{}", ddu)):
-        for i in range(1, b.n + 1):
-            r = apply_DP(b, family[i - 1])
-            if not r.is_zero:
+        for i, value in enumerate(family, 1):
+            if r := apply_DP(b, value):
                 yield f"D_P^2({label.format(i)})", r
 
 
@@ -75,11 +66,9 @@ def check_jacobi(b: HomogeneousBracket) -> bool:
     encoding does not represent the operator and a PreconditionError is
     raised with the first violation as witness.
     """
-    problems = validate(b)
-    if problems:
+    if problems := validate(b):
         raise PreconditionError(f"invalid bracket: {problems[0]}", witness=problems[0])
-    bad = skew_defects(b)
-    if bad:
+    if bad := skew_defects(b):
         i, j, t, defect = bad[0]
         raise PreconditionError(
             f"bracket is not skew-symmetric: defect at (i={i}, j={j}, s={t}) is {defect}",

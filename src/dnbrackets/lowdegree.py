@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import chain, combinations_with_replacement, product
 
 from .bracket import (
     HomogeneousBracket,
@@ -42,7 +42,7 @@ class ConditionResult:
     name: str
     passed: bool
     witness: str | None = None
-    seconds: float = 0.0  # the time _condition spent evaluating the pairs
+    seconds: float = 0.0  # evaluating the pairs; a suite's first row adds the suite's setup
 
 
 def all_pass(report: list) -> bool:
@@ -59,6 +59,12 @@ def _condition(name: str, labelled) -> ConditionResult:
     t0 = time.perf_counter()
     witness = next((f"{label} = {v}" for label, v in labelled if not v.is_zero), None)
     return ConditionResult(name, witness is None, witness, time.perf_counter() - t0)
+
+
+def _charge_setup(t0: float, rows: list) -> list:
+    """rows, the first charged with the time since t0 that no row covers: the setup they share."""
+    rows[0].seconds += time.perf_counter() - t0 - sum(r.seconds for r in rows)
+    return rows
 
 
 def _torsion_labelled(conn):
@@ -81,11 +87,12 @@ def _require_degree(b: HomogeneousBracket, k: int):
 def dn_check(b: HomogeneousBracket) -> list:
     """Degree-1 conditions: symmetric g, skew tail, Levi-Civita, flat."""
     _require_degree(b, 1)
+    t0 = time.perf_counter()
     named = extract_named(b)
     g, bb = named.g, named.h[0]
     conn = standard_connection(b, 0)
     nab = nabla_tensor(conn, g, "upper")
-    return [
+    return _charge_setup(t0, [
         _condition("g symmetric", (
             (f"g^{{{j+1}{i+1}}} - g^{{{i+1}{j+1}}}", g[j][i] - gij)
             for (i, j), gij in _components(g, 2)
@@ -103,7 +110,7 @@ def dn_check(b: HomogeneousBracket) -> list:
             (f"nabla_{l+1} g^{{{i+1}{j+1}}}", v) for (l, i, j), v in _components(nab, 3)
         )),
         _condition("flat", _curvature_labelled(b)),
-    ]
+    ])
 
 
 def quadratic_tail(b: HomogeneousBracket, s: int = 0) -> list:
@@ -123,6 +130,7 @@ def quadratic_tail(b: HomogeneousBracket, s: int = 0) -> list:
 def ferguson_check(b: HomogeneousBracket) -> list:
     """Degree-2 conditions (a)-(e)."""
     _require_degree(b, 2)
+    t0 = time.perf_counter()
     named, glow = metric_pair(b)
     g, bb, cc = named.g, named.h[1], named.h[0]
     conn = standard_connection(b, 0)
@@ -148,7 +156,7 @@ def ferguson_check(b: HomogeneousBracket) -> list:
         )
         return sym_deriv - quad_term
 
-    return [
+    return _charge_setup(t0, [
         _condition("(a) g skew-symmetric", (
             (f"g^{{{j+1}{i+1}}} + g^{{{i+1}{j+1}}}", g[j][i] + gij)
             for (i, j), gij in _components(g, 2)
@@ -171,22 +179,20 @@ def ferguson_check(b: HomogeneousBracket) -> list:
             (f"c^{{{i+1}{j+1}}}_{{{q+1}{l+1}}} defect", v - quadratic_identity(i, j, q, l))
             for (i, j, q, l), v in _components(quadratic_tail(b, 0), 4)
         )),
-    ]
+    ])
 
 
 def canonical_k2(g: list) -> HomogeneousBracket:
     """The degree-2 operator d/dx g d/dx written out: P_2 = g, P_1 = d_x g."""
     n = len(g)
-    for i in range(n):
-        for j in range(i, n):
-            if g[j][i] != -g[i][j]:
-                raise ValueError(f"leading coefficient must be skew: entry ({i+1},{j+1})")
+    for i, j in combinations_with_replacement(range(n), 2):
+        if g[j][i] != -g[i][j]:
+            raise ValueError(f"leading coefficient must be skew: entry ({i+1},{j+1})")
     P = {}  # zero entries are dropped by HomogeneousBracket
-    for i in range(n):
-        for j in range(n):
-            gij = DiffPoly.from_scalar(g[i][j])
-            P[(i + 1, j + 1, 2)] = gij
-            P[(i + 1, j + 1, 1)] = gij.d_x()
+    for i, j in product(range(n), repeat=2):
+        gij = DiffPoly.from_scalar(g[i][j])
+        P[(i + 1, j + 1, 2)] = gij
+        P[(i + 1, j + 1, 1)] = gij.d_x()
     return HomogeneousBracket(n=n, k=2, P=P)
 
 
@@ -197,25 +203,24 @@ def potemin_build(g: list, c: list) -> HomogeneousBracket:
     deepest standard connection; no coordinate change is attempted here.
     """
     n = len(g)
-    for i in range(n):
-        for j in range(i, n):
-            if g[j][i] != g[i][j]:
-                raise ValueError(f"leading coefficient must be symmetric: entry ({i+1},{j+1})")
+    for i, j in combinations_with_replacement(range(n), 2):
+        if g[j][i] != g[i][j]:
+            raise ValueError(f"leading coefficient must be symmetric: entry ({i+1},{j+1})")
     lower_metric(g)  # raises DegenerateMetricError on singular input
     P = {}  # zero entries are dropped by HomogeneousBracket
-    for i in range(n):
-        for j in range(n):
-            gij = DiffPoly.from_scalar(g[i][j])
-            cu = _sum(DiffPoly.jet(l + 1, 1) * cl for l, cl in enumerate(c[i][j]))
-            P[(i + 1, j + 1, 3)] = gij
-            P[(i + 1, j + 1, 2)] = gij.d_x() + cu
-            P[(i + 1, j + 1, 1)] = cu.d_x()
+    for i, j in product(range(n), repeat=2):
+        gij = DiffPoly.from_scalar(g[i][j])
+        cu = _sum(DiffPoly.jet(l + 1, 1) * cl for l, cl in enumerate(c[i][j]))
+        P[(i + 1, j + 1, 3)] = gij
+        P[(i + 1, j + 1, 2)] = gij.d_x() + cu
+        P[(i + 1, j + 1, 1)] = cu.d_x()
     return HomogeneousBracket(n=n, k=3, P=P)
 
 
 def potemin_check(g: list, c: list) -> list:
     """The four tensor equations equivalent to skewness and Jacobi for the
     degree-3 normal form."""
+    t0 = time.perf_counter()
     n = len(g)
 
     def gc_entry(i, j, l):
@@ -236,7 +241,7 @@ def potemin_check(g: list, c: list) -> list:
             )
         return val
 
-    return [
+    return _charge_setup(t0, [
         _condition("(1) dg = c + c^T", (
             (
                 f"d_{l+1} g^{{{i+1}{j+1}}} - c^{{{i+1}{j+1}}}_{l+1} - c^{{{j+1}{i+1}}}_{l+1}",
@@ -256,12 +261,13 @@ def potemin_check(g: list, c: list) -> list:
             (f"(4) at ({i+1},{j+1},{l+1},{m+1})", derivative_identity(i, j, l, m))
             for i, j, l, m in product(range(n), repeat=4)
         )),
-    ]
+    ])
 
 
 def k4_connection_fixtures(b: HomogeneousBracket) -> list:
     """Cross-check the degree-4 Christoffel closed forms both ways."""
     _require_degree(b, 4)
+    t0 = time.perf_counter()
     named, glow = metric_pair(b)
     n = b.n
     tails = dict(zip("edcb", named.h))
@@ -285,10 +291,10 @@ def k4_connection_fixtures(b: HomogeneousBracket) -> list:
         ("Gamma_[2] = g (-c + 5d - 15e)", flat_combination(b, 2).gamma, combo({"c": -1, "d": 5, "e": -15})),
         ("Gamma_[3] = g (b - 5c + 15d - 35e)", flat_combination(b, 3).gamma, combo({"b": 1, "c": -5, "d": 15, "e": -35})),
     ]
-    return [
+    return _charge_setup(t0, [
         _condition(name, (
             (f"difference at ^{l+1}_{{{i+1}{j+1}}}", v - want[l][i][j])
             for (l, i, j), v in _components(got, 3)
         ))
         for name, got, want in fixtures
-    ]
+    ])

@@ -52,7 +52,7 @@ entries, and only on a miss applies the quotient rule (_partial).  A
 Scalar is never changed after it is made and equal values hash alike, so
 an entry cannot go stale, and separately built equal values share it.
 The table holds the derivatives every bracket check takes many times over
-(D_P, d_x, the skew and variational chains, the Jacobian of a change of
+(D_P, d_x, the variational derivatives, the Jacobian of a change of
 coordinates); its bound keeps it from growing over a long run.  Callers
 share the returned Scalar, which, like every Scalar, is read-only.
 """
@@ -455,8 +455,7 @@ class Scalar:
 
     @staticmethod
     def from_fraction(q) -> "Scalar":
-        if not isinstance(q, (int, Fraction)):
-            q = Fraction(q)
+        _exact({(): q})  # int or Fraction only, as in the constructor
         return _wrap(_pconst(q.numerator), {(): q.denominator})
 
     @staticmethod

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, prod
 
 from .bracket import HomogeneousBracket, _cached, _tensor, extract_named, metric_pair
 from .connections import flat_combination
@@ -277,8 +277,5 @@ def spanning_monomials(n: int, k: int, max_degree: int = 3) -> list:
     out.extend(DiffPoly.coordinate(i) for i in range(1, n + 1))
     for d in range(1, max_degree + 1):
         for chosen in combinations(gens, d):
-            term = DiffPoly.one()
-            for s, i in chosen:
-                term = term * DiffPoly.theta(i, s)
-            out.append(term)
+            out.append(prod((DiffPoly.theta(i, s) for s, i in chosen), start=DiffPoly.one()))
     return out

@@ -2,6 +2,8 @@
 
 import dataclasses
 import random
+from itertools import product
+from math import comb
 
 import pytest
 
@@ -22,10 +24,10 @@ from dnbrackets.bracket import (
 )
 from dnbrackets.cli import load_bracket
 from dnbrackets.connections import _bracket_curvature, flat_combination, standard_connection
-from dnbrackets.diffpoly import DiffPoly
-from dnbrackets.errors import DegenerateMetricError
+from dnbrackets.diffpoly import DiffPoly, _dx_upto, _sum
+from dnbrackets.errors import DegenerateMetricError, PreconditionError
 from dnbrackets.jacobi import _dx_powers, check_jacobi, variational_pair
-from dnbrackets.sampling import random_constant_bracket
+from dnbrackets.sampling import random_constant_bracket, random_scalar
 from dnbrackets.scalar import Scalar
 from dnbrackets.spectral import _named_with_top
 
@@ -290,3 +292,92 @@ def test_derived_brackets_start_with_an_empty_cache():
     assert not check_jacobi(derived)
     with pytest.raises(TypeError):
         HomogeneousBracket(b.n, b.k, b.P, b._cache)
+
+
+def skew_defects_oracle(b):
+    """_skew_defects as first written: a d_x chain per P_s^{ij} and the
+    binomial Leibniz sum, with no use of the variational derivatives."""
+    out = []
+    for i, j in product(range(1, b.n + 1), repeat=2):
+        derivs = [[b.entry(i, j, s)] for s in range(b.k + 1)]
+        for t in range(b.k + 1):
+            parts = (
+                _dx_upto(derivs[s], s - t) * ((-1) ** (s + 1) * comb(s, t))
+                for s in range(t, b.k + 1)
+            )
+            defect = b.entry(j, i, t) - _sum(parts)
+            if not defect.is_zero:
+                out.append((i, j, t, defect))
+    return out
+
+
+def random_even_bracket(rng):
+    """A bracket with n <= 3, k <= 4 and entries free of odd variables, but of
+    any weight and with components up to n + 1, so rarely valid or skew."""
+    n, k = rng.randint(1, 3), rng.randint(1, 4)
+    P = {}
+    for i, j, s in product(range(1, n + 1), range(1, n + 1), range(k + 1)):
+        if rng.random() < 0.4:
+            entry = DiffPoly.from_scalar(random_scalar(rng, n + 1))
+            for _ in range(rng.randint(0, 2)):
+                entry = entry * DiffPoly.jet(rng.randint(1, n + 1), rng.randint(1, k))
+            P[(i, j, s)] = entry
+    return HomogeneousBracket(n, k, P)
+
+
+def assert_same_defects(b):
+    got, want = skew_defects(b), skew_defects_oracle(b)
+    assert got == want
+    assert [(i, j, t, str(d)) for i, j, t, d in got] == [(i, j, t, str(d)) for i, j, t, d in want]
+
+
+def test_skew_defects_match_the_leibniz_oracle(nonflat2, lc1, canonical4):
+    cmap = product_map()
+    moved = transform(lc1, cmap)
+    dropped = HomogeneousBracket(moved.n, moved.k, {key: v for key, v in moved.P.items() if key != (1, 2, 0)})
+    brackets = [nonflat2, lc1, canonical4, moved, transform(nonflat2, cmap), dropped]
+    brackets += [load_bracket(fixture_path(name)) for name in ("lc_k1_broken.json", "constant_k2.json")]
+    rng = random.Random(17)
+    brackets += [random_even_bracket(rng) for _ in range(150)]
+    for b in brackets:
+        assert_same_defects(b)
+    assert sum(1 for b in brackets if not skew_defects(b)) >= 6  # both verdicts are exercised
+    assert sum(1 for b in brackets if skew_defects(b)) >= 100
+
+
+def test_skew_defects_match_the_leibniz_oracle_on_hypothesis_draws():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None)
+    @hypothesis.given(hypothesis.strategies.integers(0, 2**32 - 1))
+    def check(seed):
+        assert_same_defects(random_even_bracket(random.Random(seed)))
+
+    check()
+
+
+def test_skew_check_reads_the_cached_variational_pair(monkeypatch):
+    # bracket.variational_pair is the one definition; jacobi re-exports it
+    assert variational_pair.__module__ == "dnbrackets.bracket"
+    for name in ("nonflat2.json", "lc_k1_broken.json", "canonical_k2.json"):
+        b = load_bracket(fixture_path(name))
+        want = skew_defects_oracle(load_bracket(fixture_path(name)))
+        variational_pair(b)
+        calls = []
+        d_x = DiffPoly.d_x
+        monkeypatch.setattr(DiffPoly, "d_x", lambda self: calls.append(self) or d_x(self))
+        assert skew_defects(b) == want
+        assert calls == [], name
+        monkeypatch.undo()
+
+
+def test_skew_defects_of_odd_entries_differ_from_the_leibniz_formula():
+    # validate rejects a bracket with odd variables in an entry: on one the
+    # Leibniz formula and the theta-derivatives of the bivector part ways
+    x = DiffPoly.theta(1, 0)
+    b = HomogeneousBracket(n=2, k=1, P={(1, 2, 0): x, (2, 1, 0): -x})
+    assert skew_defects_oracle(b) == []
+    assert skew_defects(b) == [(1, 2, 0, x * -2), (2, 1, 0, x * 2)]
+    assert validate(b) == ["P_0^{12} contains odd variables", "P_0^{21} contains odd variables"]
+    with pytest.raises(PreconditionError, match="invalid bracket"):
+        check_jacobi(b)

@@ -236,6 +236,35 @@ def test_low_degree_checks_report_their_condition_time(monkeypatch):
         assert timed == [(r.name, r.seconds) for r in report]
 
 
+def delayed(fn, seconds=0.05):
+    """fn with a fixed delay before each call."""
+    def slow(*args):
+        time.sleep(seconds)
+        return fn(*args)
+    return slow
+
+
+@pytest.mark.parametrize("name, calls", [("lc_k1.json", 1), ("canonical_k2.json", 2)])
+def test_low_degree_rows_cover_the_suite_setup(monkeypatch, name, calls):
+    # dn_check builds one nabla g tensor and ferguson_check two before any condition runs
+    monkeypatch.setattr(lowdegree, "nabla_tensor", delayed(lowdegree.nabla_tensor))
+    rows = cli.cmd_lowdegree(load_bracket(fixture_path(name)), None)
+    assert sum(r.seconds for r in rows) >= 0.05 * calls
+    assert rows[0].seconds >= 0.05 * calls  # the setup is charged to the first row
+
+
+def test_degree3_rows_cover_the_normal_form_test(monkeypatch):
+    # the rebuild that shows nonflat2 is in the normal form runs before potemin_check
+    monkeypatch.setattr(cli, "potemin_build", delayed(cli.potemin_build))
+    b = load_bracket(fixture_path("nonflat2.json"))
+    t0 = time.perf_counter()
+    rows = cli.cmd_lowdegree(b, None)
+    elapsed = time.perf_counter() - t0
+    assert [r.status for r in rows] == ["pass"] * 4
+    assert elapsed >= sum(r.seconds for r in rows) >= 0.05
+    assert rows[0].seconds >= 0.05
+
+
 @pytest.mark.parametrize("name", ["nonflat2.json", "lc_k1_broken.json"])
 def test_report_applies_D_P_squared_once(monkeypatch, capsys, name):
     # the jacobi check and every later Poisson precondition share one cached first defect
@@ -483,6 +512,12 @@ TRANSFORM = ("transform", fixture_path("lc_k1.json"), "--map")
                      id="json-nested-deeply"),
         pytest.param(VALIDATE, json.dumps({**RAW_DOC, "entries": [[1, 1, 1, "(" * 250 + "u1" + ")" * 250]]}),
                      "entries[0]: parentheses nested too deeply", id="parentheses-nested-deeply"),
+        pytest.param(("report",), json.dumps({**RAW_DOC, "entries": [[1, 1, 1, "2^20000"], [0, 1, 1, "u1_1"]]}),
+                     "entries[0]: integer too large: over 1000 digits (at position 2)", id="huge-power"),
+        pytest.param(VALIDATE, json.dumps({**RAW_DOC, "entries": [[1, 1, 1, "2^14000*2^14000*u1"]]}),
+                     "entries[0]: integer too large: over 1000 digits", id="huge-product"),
+        pytest.param(VALIDATE, json.dumps({**RAW_DOC, "entries": [[1, 1, 1, "1" * 5001]]}),
+                     "entries[0]: integer too large: over 1000 digits (at position 0)", id="huge-literal"),
     ],
 )
 def test_malformed_document_is_input_error(tmp_path, capsys, command, text, needle):

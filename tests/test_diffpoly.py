@@ -136,6 +136,54 @@ def test_variational_euler_operator():
     assert variational(lag, "u", 1) == DiffPoly.jet(1, 2) * S("-1")
 
 
+def alternating_sum_oracle(partial, i, top):
+    """_alternating_sum as first written: d_x^s built from scratch for each order s."""
+    return _sum(
+        p.d_x_pow(s) if s % 2 == 0 else -p.d_x_pow(s)
+        for s in range(top + 1)
+        if (p := partial(i, s))
+    )
+
+
+def assert_variational_matches_the_oracle(a, n):
+    for i in range(1, n + 1):
+        assert a.variational_u(i) == alternating_sum_oracle(a._partial_jet, i, a.max_jet_order())
+        assert a.variational_theta(i) == alternating_sum_oracle(
+            a._partial_theta, i, a.max_theta_order()
+        )
+
+
+def test_variational_derivatives_match_the_power_sum_oracle(monkeypatch):
+    rng = random.Random(43)
+    draws = [random_diffpoly(rng, 2) for _ in range(150)]
+    for a in draws:
+        assert_variational_matches_the_oracle(a, 2)
+    # Horner's rule: no d_x power is built, and at most top d_x are applied
+    calls = []
+    d_x = DiffPoly.d_x
+    monkeypatch.setattr(DiffPoly, "d_x", lambda self: calls.append(self) or d_x(self))
+    monkeypatch.setattr(DiffPoly, "d_x_pow", None)
+    for a in draws[:30]:
+        for i in (1, 2):
+            del calls[:]
+            a.variational_u(i)
+            assert len(calls) <= a.max_jet_order()
+            del calls[:]
+            a.variational_theta(i)
+            assert len(calls) <= max(a.max_theta_order(), 0)
+
+
+def test_variational_derivatives_match_the_oracle_on_hypothesis_draws():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None)
+    @hypothesis.given(hypothesis.strategies.integers(0, 2**32 - 1), hypothesis.strategies.integers(1, 3))
+    def check(seed, n):
+        assert_variational_matches_the_oracle(random_diffpoly(random.Random(seed), n), n)
+
+    check()
+
+
 def test_gradings_and_projection():
     p = (
         DiffPoly.jet(1, 2) * theta(1, 0) * theta(2, 3)

@@ -8,7 +8,7 @@ import pytest
 
 from dnbrackets.diffpoly import DiffPoly
 from dnbrackets.errors import ParseError
-from dnbrackets.grammar import MAX_PRODUCT_TERMS, parse_expression
+from dnbrackets.grammar import MAX_DIGITS, MAX_PRODUCT_TERMS, parse_expression
 from dnbrackets.scalar import Scalar, parse_scalar
 
 from conftest import S
@@ -59,6 +59,27 @@ def test_product_bound():
         parse_expression("(u1+u2)^100/(1+u1)^100")
     assert time.perf_counter() - t0 < 2.0
     assert f"over {MAX_PRODUCT_TERMS} products" in str(info.value)
+
+
+def test_integer_digit_bound():
+    assert parse_expression("9" * MAX_DIGITS) == DiffPoly.from_fraction(10**MAX_DIGITS - 1)
+    assert parse_expression("2^3000") == DiffPoly.from_fraction(2**3000)  # 904 digits
+    for text, at in (
+        ("u1 + " + "9" * (MAX_DIGITS + 1), 5),  # a literal
+        ("2^3000*2^3000", 6),  # a product
+        ("2^3000 + 1/3^1900", 7),  # a sum whose terms are each in bounds
+        ("1/2^3000/3^1900", 8),  # a quotient
+        ("3^2200", 2),  # a power found too large once computed
+    ):
+        with pytest.raises(ParseError, match=f"over {MAX_DIGITS} digits") as info:
+            parse_expression(text)
+        assert f"position {at}" in str(info.value), text
+    # a power that surely has too many digits is refused before it is computed
+    t0 = time.perf_counter()
+    for text in ("2^20000", "2^14000*2^14000*u1", "(3*u1)^99999999999999999999"):
+        with pytest.raises(ParseError, match=f"over {MAX_DIGITS} digits"):
+            parse_expression(text)
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_rational_coefficients():

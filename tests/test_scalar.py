@@ -6,6 +6,7 @@ import glob
 import os
 import random
 import time
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -526,6 +527,11 @@ def test_constructor_rejects_float_coefficients():
         Scalar({(): 0.5})
     with pytest.raises(TypeError):
         Scalar({((1, 1),): 1}, {((2, 1),): 2.0})
+    for q in (0.1, 2.0, Decimal("0.5"), "1/3"):
+        with pytest.raises(TypeError):
+            Scalar.from_fraction(q)
+        with pytest.raises(TypeError):
+            DiffPoly.from_fraction(q)
 
 
 def zeval_oracle(f, x, xi):
