@@ -135,12 +135,21 @@ def bivector(b: HomogeneousBracket) -> DiffPoly:
 
 
 @_cached
+def _variational(b: HomogeneousBracket, family: str) -> list:
+    """dP~/dtheta_i (family "theta") or dP~/du^i (family "u") for i = 1..n.
+
+    Cached apart, so a skew check builds only the theta half, whose Horner
+    chain is as deep as the theta order (at most k), not the jet order.
+    """
+    P = bivector(b)
+    return [(P.variational_theta if family == "theta" else P.variational_u)(i)
+            for i in range(1, b.n + 1)]
+
+
+@_cached
 def variational_pair(b: HomogeneousBracket) -> tuple[list, list]:
     """(dP~/dtheta_i, dP~/du^i) for i = 1..n, cached on the bracket."""
-    P = bivector(b)
-    ddtheta = [P.variational_theta(i) for i in range(1, b.n + 1)]
-    ddu = [P.variational_u(i) for i in range(1, b.n + 1)]
-    return ddtheta, ddu
+    return _variational(b, "theta"), _variational(b, "u")
 
 
 @dataclass
@@ -178,14 +187,15 @@ def skew_defects(b: HomogeneousBracket) -> list[tuple[int, int, int, DiffPoly]]:
     difference is returned as (i, j, t, defect).  For entries free of odd
     variables that sum is 2 d(dP~/dtheta_j)/dtheta_i^t - P_t^{ji}, so each
     defect is 2 (P_t^{ji} - d(dP~/dtheta_j)/dtheta_i^t), read off the cached
-    variational pair.  The list is a fresh copy of the cached defects.
+    theta half of the variational pair.  The list is a fresh copy of the
+    cached defects.
     """
     return list(_skew_defects(b))
 
 
 @_cached
 def _skew_defects(b: HomogeneousBracket) -> tuple:
-    ddtheta = variational_pair(b)[0]
+    ddtheta = _variational(b, "theta")
     out = []
     for i, j, t in product(range(1, b.n + 1), range(1, b.n + 1), range(b.k + 1)):
         defect = 2 * (b.entry(j, i, t) - ddtheta[j - 1].partial(ThetaVar(i, t)))

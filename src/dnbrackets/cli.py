@@ -12,6 +12,10 @@ cannot be written (a missing or read-only directory is found before any
 check runs); a --max-degu outside 0..MAX_DEGU is a usage error, which also
 exits 2.
 
+Every command returns lowdegree.ConditionResult rows.  transform on a
+bracket that validate rejects returns one "transform" fail row naming the
+first problem, and transforms nothing.
+
 Bracket document schema::
 
     {
@@ -41,7 +45,7 @@ import os
 import random
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from functools import cache
 
 from .bracket import (
@@ -69,6 +73,7 @@ from .lowdegree import (
     ConditionResult,
     _charge_setup,
     _condition,
+    _timed,
     _torsion_labelled,
     canonical_k2,
     dn_check,
@@ -101,29 +106,15 @@ class InputError(Exception):
     """Schema or parse failure in an input document."""
 
 
-@dataclass
-class CheckResult:
-    name: str
-    status: str  # pass | fail | skip
-    witness: str | None = None
-    seconds: float = 0.0
-
-
-def _check(results: list, name: str, fn) -> None:
-    """Run fn() -> (status, witness) and record it with the time fn took."""
-    t0 = time.perf_counter()
-    status, witness = fn()
-    results.append(CheckResult(name, status, witness, time.perf_counter() - t0))
-
-
 def _first_problem(problems: list, describe=str) -> tuple:
     """("pass", None) when problems is empty, else "fail" with the first one described."""
     return ("fail", describe(problems[0])) if problems else ("pass", None)
 
 
-def _verdict(r: ConditionResult) -> tuple:
-    """The (status, witness) of a low-degree condition."""
-    return ("pass" if r.passed else "fail"), r.witness
+def _skew_witness(defect: tuple) -> str:
+    """The text of a skew_defects entry (i, j, t, value)."""
+    i, j, t, value = defect
+    return f"P_{t}^{{{i}{j}}} defect: {value}"
 
 
 def _agreement(span: list, lhs, rhs) -> tuple:
@@ -289,15 +280,15 @@ def load_map(path: str, n: int) -> CoordinateMap:
 
 
 def cmd_validate(b: HomogeneousBracket, args) -> list:
-    results: list = []
-    _check(results, "well-formed (homogeneity, indices)", lambda: _first_problem(validate(b)))
-    _check(results, "skew-symmetry (operator adjoint)", lambda: _first_problem(
-        skew_defects(b), lambda d: f"P_{d[2]}^{{{d[0]}{d[1]}}} defect: {d[3]}"
-    ))
-    _check(results, "skew-symmetry (named coefficients)", lambda: _first_problem(
-        skewh_defects(b), lambda d: f"{d[0]}: {d[1]}"
-    ))
-    return results
+    return [
+        _timed("well-formed (homogeneity, indices)", lambda: _first_problem(validate(b))),
+        _timed("skew-symmetry (operator adjoint)", lambda: _first_problem(
+            skew_defects(b), _skew_witness
+        )),
+        _timed("skew-symmetry (named coefficients)", lambda: _first_problem(
+            skewh_defects(b), lambda d: f"{d[0]}: {d[1]}"
+        )),
+    ]
 
 
 def cmd_jacobi(b: HomogeneousBracket, args) -> list:
@@ -313,8 +304,7 @@ def cmd_jacobi(b: HomogeneousBracket, args) -> list:
         monomial = DiffPoly({key: residual.terms[key]})
         return "fail", f"{label} contains {monomial}"
 
-    _check(results, "jacobi identity (D_P squares to zero)", run)
-    return results
+    return results + [_timed("jacobi identity (D_P squares to zero)", run)]
 
 
 def _print_connection(conn, name: str) -> None:
@@ -327,7 +317,6 @@ def _print_connection(conn, name: str) -> None:
 
 
 def cmd_connections(b: HomogeneousBracket, args) -> list:
-    results: list = []
     cm = c_matrix(b.k)
     for title, rows in ((f"c matrix (k = {b.k}):", cm.c), ("inverse:", cm.cinv)):
         print(title)
@@ -342,7 +331,7 @@ def cmd_connections(b: HomogeneousBracket, args) -> list:
             return "fail", str(exc)
         return "pass", None
 
-    _check(results, "connections computed", build)
+    results = [_timed("connections computed", build)]
     if results[0].status == "fail":
         return results
     print("standard connections:")
@@ -351,15 +340,14 @@ def cmd_connections(b: HomogeneousBracket, args) -> list:
     print("flat combinations:")
     for s in range(b.k):
         _print_connection(flat_combination(b, s), f"Gamma_[{s}]")
-    _check(results, "Gamma_(0) torsionless", lambda: _verdict(
-        _condition("Gamma_(0) torsionless", _torsion_labelled(standard_connection(b, 0)))
-    ))
-    _check(results, "affine span dimension", lambda: ("pass", f"genericity = {genericity(b)}"))
-    return results
+    return results + [
+        _condition("Gamma_(0) torsionless", _torsion_labelled(standard_connection(b, 0))),
+        _timed("affine span dimension", lambda: ("pass", f"genericity = {genericity(b)}")),
+    ]
 
 
-def _curvature_report(b: HomogeneousBracket, flat: bool, s: int, expect_flat: bool,
-                      results: list) -> None:
+def _curvature_report(b: HomogeneousBracket, flat: bool, s: int,
+                      expect_flat: bool) -> ConditionResult:
     """Report the curvature of Gamma_[s] (flat) or Gamma_(s)."""
     name = f"Gamma_[{s}]" if flat else f"Gamma_({s})"
 
@@ -378,43 +366,37 @@ def _curvature_report(b: HomogeneousBracket, flat: bool, s: int, expect_flat: bo
             return "fail", witness
         return "pass", f"nonzero curvature reported: {witness}"
 
-    _check(results, f"curvature of {name}" + (" vanishes" if expect_flat else ""), run)
+    return _timed(f"curvature of {name}" + (" vanishes" if expect_flat else ""), run)
 
 
 def cmd_curvature(b: HomogeneousBracket, args) -> list:
-    results: list = []
+    if args.s is not None and not 0 <= args.s <= b.k - 1:
+        raise InputError(f"--s {args.s}: index must lie in 0..{b.k - 1}")
     ss = range(b.k) if args.s is None else [args.s]
-    for s in ss:
-        if not 0 <= s <= b.k - 1:
-            raise InputError(f"--s {s}: index must lie in 0..{b.k - 1}")
-        _curvature_report(b, args.which != "std", s, expect_flat=False, results=results)
-    return results
+    return [_curvature_report(b, args.which != "std", s, expect_flat=False) for s in ss]
 
 
 def cmd_flatness(b: HomogeneousBracket, args) -> list:
     """Flatness suite: every binomial combination of the standard
     connections must be flat; standard-connection curvature is reported
     for information."""
-    results: list = []
-    for flat in (True, False):
-        for s in range(b.k):
-            _curvature_report(b, flat, s, expect_flat=flat, results=results)
-    return results
+    return [_curvature_report(b, flat, s, flat) for flat in (True, False) for s in range(b.k)]
 
 
 def cmd_transform(b: HomogeneousBracket, args) -> list:
-    results: list = []
     if not args.map:
-        return [CheckResult("transform", "fail", "--map FILE is required")]
+        return [ConditionResult("transform", "fail", "--map FILE is required")]
     cmap = load_map(args.map, b.n)
+    if problems := validate(b):  # transform would take d_x up to the entries' jet order
+        return [ConditionResult("transform", "fail", f"bracket is not well-formed: {problems[0]}")]
     moved = transform(b, cmap)
     print("transformed bracket entries:")
     for (i, j, s) in sorted(moved.P, key=lambda t: (-t[2], t[0], t[1])):
         print(f"  P_{s}^{{{i}{j}}} = {moved.P[(i, j, s)]}")
-    _check(results, "transformed bracket well-formed", lambda: _first_problem(validate(moved)))
-    _check(results, "skewness preserved", lambda: _first_problem(
-        skew_defects(moved), lambda d: "adjoint defect"
-    ))
+    results = [
+        _timed("transformed bracket well-formed", lambda: _first_problem(validate(moved))),
+        _timed("skewness preserved", lambda: _first_problem(skew_defects(moved), _skew_witness)),
+    ]
 
     def roundtrip():
         back = transform(moved, cmap.inverted())
@@ -423,16 +405,15 @@ def cmd_transform(b: HomogeneousBracket, args) -> list:
                 return "fail", f"P_{s}^{{{i}{j}}}: {lhs} != {rhs}"
         return "pass", None
 
-    _check(results, "round-trip recovers the original", roundtrip)
-    return results
+    return results + [_timed("round-trip recovers the original", roundtrip)]
 
 
 def cmd_lowdegree(b: HomogeneousBracket, args) -> list:
     if b.k == 1:
-        report = dn_check(b)
-    elif b.k == 2:
-        report = ferguson_check(b)
-    elif b.k == 3:
+        return dn_check(b)
+    if b.k == 2:
+        return ferguson_check(b)
+    if b.k == 3:
         t0 = time.perf_counter()
         named = extract_named(b)
         reason = "bracket is not in the jet-linear normal form"
@@ -441,13 +422,11 @@ def cmd_lowdegree(b: HomogeneousBracket, args) -> list:
         except (ValueError, DegenerateMetricError) as exc:
             rebuilt, reason = None, str(exc)
         if rebuilt != b:
-            return [CheckResult("degree-3 normal form", "skip", reason, time.perf_counter() - t0)]
-        report = _charge_setup(t0, potemin_check(named.g, named.h[1]))  # and the normal-form test
-    elif b.k == 4:
-        report = k4_connection_fixtures(b)
-    else:
-        return [CheckResult("low-degree conditions", "skip", f"no classification for k={b.k}")]
-    return [CheckResult(r.name, *_verdict(r), r.seconds) for r in report]
+            return [ConditionResult("degree-3 normal form", "skip", reason, time.perf_counter() - t0)]
+        return _charge_setup(t0, potemin_check(named.g, named.h[1]))  # and the normal-form test
+    if b.k == 4:
+        return k4_connection_fixtures(b)
+    return [ConditionResult("low-degree conditions", "skip", f"no classification for k={b.k}")]
 
 
 def cmd_spectral(b: HomogeneousBracket, args) -> list:
@@ -456,12 +435,12 @@ def cmd_spectral(b: HomogeneousBracket, args) -> list:
     try:
         span = spanning_monomials(b.n, b.k)
         split = cache(lambda idx: d1_split(b, span[idx]))  # shared by the three checks
-        _check(results, "d_1 oracle pair (spectral vs closed form)", lambda: _agreement(
+        results.append(_timed("d_1 oracle pair (spectral vs closed form)", lambda: _agreement(
             span, lambda idx: d1_spectral(b, span[idx]), lambda idx: operator.add(*split(idx))
-        ))
-        _check(results, "d_1 theta^k-raising part via connections", lambda: _agreement(
+        )))
+        results.append(_timed("d_1 theta^k-raising part via connections", lambda: _agreement(
             span, lambda idx: split(idx)[0], lambda idx: d1_as_connection(b, span[idx])
-        ))
+        )))
 
         def graded():
             for idx, x in enumerate(span):
@@ -479,9 +458,9 @@ def cmd_spectral(b: HomogeneousBracket, args) -> list:
                     return "fail", f"(d1^(0))^2 on {x}: {a00}"
             return "pass", None
 
-        _check(results, "graded identities of d_1", graded)
+        results.append(_timed("graded identities of d_1", graded))
     except PreconditionError as exc:  # raised by the first d_1 call, before any check is recorded
-        results.append(CheckResult("d_1 identities", "fail", str(exc), time.perf_counter() - t0))
+        results.append(ConditionResult("d_1 identities", "fail", str(exc), time.perf_counter() - t0))
 
     def homotopy_identity():
         rng = random.Random(args.seed)
@@ -498,8 +477,7 @@ def cmd_spectral(b: HomogeneousBracket, args) -> list:
                 return "fail", f"D_-1^2 != 0 on {a}"
         return "pass", f"{count} random monomials, seed {args.seed}"
 
-    _check(results, "homotopy identity and D_-1^2 = 0", homotopy_identity)
-    return results
+    return results + [_timed("homotopy identity and D_-1^2 = 0", homotopy_identity)]
 
 
 def cmd_report(b: HomogeneousBracket, args) -> list:
@@ -509,7 +487,7 @@ def cmd_report(b: HomogeneousBracket, args) -> list:
     suites = {"flatness": cmd_flatness, "lowdegree": cmd_lowdegree, "spectral": cmd_spectral}
     for name, suite in suites.items():
         if connections[0].status == "fail":
-            results.append(CheckResult(name, "skip", connections[0].witness))
+            results.append(ConditionResult(name, "skip", connections[0].witness))
         else:
             results += suite(b, args)
     if args.map:

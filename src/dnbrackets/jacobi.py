@@ -6,16 +6,17 @@ For the bivector P~ of a skew bracket, the induced odd vector field is
         + sum_{i,s} d_x^s(dP~/du^i) d/dtheta_i^s
 
 where dP~/dtheta_i and dP~/du^i are variational derivatives, cached by
-bracket.variational_pair, which the skew check reads too.  The bracket
-satisfies Jacobi exactly when D_P squares to zero, and since D_P^2 is again
-a derivation it suffices to test it on the generators u^i and theta_i.
-D_P(u^i) is the theta-variational derivative itself, so the generator test
-reduces to applying D_P to the two families of variational derivatives.
+bracket.variational_pair, whose theta half the skew check reads too.  The
+bracket satisfies Jacobi exactly when D_P squares to zero, and since D_P^2
+is again a derivation it suffices to test it on the generators u^i and
+theta_i.  D_P(u^i) is the theta-variational derivative itself, so the
+generator test reduces to applying D_P to the two families of variational
+derivatives.
 """
 
 from __future__ import annotations
 
-from .bracket import HomogeneousBracket, _cached, skew_defects, validate, variational_pair
+from .bracket import HomogeneousBracket, _cached, _variational, skew_defects, validate, variational_pair
 from .diffpoly import DiffPoly, _derivation
 from .errors import PreconditionError
 
@@ -25,8 +26,7 @@ def _dx_powers(b: HomogeneousBracket, family: str, i: int, s: int) -> DiffPoly:
     """d_x^s of dP~/dtheta_i (family "theta") or of dP~/du^i (family "u")."""
     if s:
         return _dx_powers(b, family, i, s - 1).d_x()
-    ddtheta, ddu = variational_pair(b)
-    return (ddtheta if family == "theta" else ddu)[i - 1]
+    return _variational(b, family)[i - 1]
 
 
 def apply_DP(b: HomogeneousBracket, a: DiffPoly) -> DiffPoly:

@@ -8,7 +8,8 @@ the operator d/dx (g d/dx + c_l u^l_x) d/dx and reduce to four
 equations.  Degree 4 supplies closed Christoffel formulas only, which
 are cross-checked against the generic machinery.
 
-The reports returned here are lists of ConditionResult; use all_pass to
+The reports returned here are lists of ConditionResult, the record every
+check of the package returns (the command line's included); use all_pass to
 collapse them.
 """
 
@@ -40,13 +41,24 @@ from .scalar import Scalar
 @dataclass
 class ConditionResult:
     name: str
-    passed: bool
+    status: str  # pass | fail | skip
     witness: str | None = None
-    seconds: float = 0.0  # evaluating the pairs; a suite's first row adds the suite's setup
+    seconds: float = 0.0  # the check's own work; a suite's first row adds the suite's setup
+
+    @property
+    def passed(self) -> bool:
+        return self.status == "pass"
 
 
 def all_pass(report: list) -> bool:
     return all(r.passed for r in report)
+
+
+def _timed(name: str, fn) -> ConditionResult:
+    """Run fn() -> (status, witness) and record it with the time fn took."""
+    t0 = time.perf_counter()
+    status, witness = fn()
+    return ConditionResult(name, status, witness, time.perf_counter() - t0)
 
 
 def _condition(name: str, labelled) -> ConditionResult:
@@ -56,9 +68,16 @@ def _condition(name: str, labelled) -> ConditionResult:
     may be generated lazily, so nothing after the witness is computed, and
     seconds is the time spent generating and testing them.
     """
-    t0 = time.perf_counter()
-    witness = next((f"{label} = {v}" for label, v in labelled if not v.is_zero), None)
-    return ConditionResult(name, witness is None, witness, time.perf_counter() - t0)
+    return _timed(name, lambda: next(
+        (("fail", f"{label} = {v}") for label, v in labelled if not v.is_zero), ("pass", None)
+    ))
+
+
+def _labelled(n: int, rank: int, label: str, value):
+    """Yield (label filled in with the 1-based index, value(*index)) lazily for
+    each index of product(range(n), repeat=rank), in index order."""
+    for index in product(range(n), repeat=rank):
+        yield label.format(*(a + 1 for a in index)), value(*index)
 
 
 def _charge_setup(t0: float, rows: list) -> list:
@@ -69,14 +88,14 @@ def _charge_setup(t0: float, rows: list) -> list:
 
 def _torsion_labelled(conn):
     """The torsion components of conn, labelled T^l_{ij}; computed on the first draw."""
-    for (l, i, j), v in _components(torsion(conn), 3):
-        yield f"T^{l+1}_{{{i+1}{j+1}}}", v
+    T = torsion(conn)
+    yield from _labelled(conn.n, 3, "T^{0}_{{{1}{2}}}", lambda l, i, j: T[l][i][j])
 
 
 def _curvature_labelled(b: HomogeneousBracket):
     """The curvature components of Gamma_(0), labelled R^l_{t,i,j}; computed on the first draw."""
-    for (l, t, i, j), v in _components(_bracket_curvature(b, False, 0).R, 4):
-        yield f"R^{l+1}_{{{t+1},{i+1},{j+1}}}", v
+    R = _bracket_curvature(b, False, 0).R
+    yield from _labelled(b.n, 4, "R^{0}_{{{1},{2},{3}}}", lambda l, t, i, j: R[l][t][i][j])
 
 
 def _require_degree(b: HomogeneousBracket, k: int):
@@ -93,21 +112,17 @@ def dn_check(b: HomogeneousBracket) -> list:
     conn = standard_connection(b, 0)
     nab = nabla_tensor(conn, g, "upper")
     return _charge_setup(t0, [
-        _condition("g symmetric", (
-            (f"g^{{{j+1}{i+1}}} - g^{{{i+1}{j+1}}}", g[j][i] - gij)
-            for (i, j), gij in _components(g, 2)
-            if i < j
+        # the value at (j, i) is minus the value at (i, j), so the first nonzero one has i < j
+        _condition("g symmetric", _labelled(
+            b.n, 2, "g^{{{1}{0}}} - g^{{{0}{1}}}", lambda i, j: g[j][i] - g[i][j]
         )),
-        _condition("tail skew-symmetry", (
-            (
-                f"b^{{{i+1}{j+1}}}_{l+1} + b^{{{j+1}{i+1}}}_{l+1} - d_{l+1} g^{{{i+1}{j+1}}}",
-                v + bb[j][i][l] - g[i][j].partial(l + 1),
-            )
-            for (i, j, l), v in _components(bb, 3)
+        _condition("tail skew-symmetry", _labelled(
+            b.n, 3, "b^{{{0}{1}}}_{2} + b^{{{1}{0}}}_{2} - d_{2} g^{{{0}{1}}}",
+            lambda i, j, l: bb[i][j][l] + bb[j][i][l] - g[i][j].partial(l + 1),
         )),
         _condition("torsionless", _torsion_labelled(conn)),
-        _condition("metric compatible", (
-            (f"nabla_{l+1} g^{{{i+1}{j+1}}}", v) for (l, i, j), v in _components(nab, 3)
+        _condition("metric compatible", _labelled(
+            b.n, 3, "nabla_{0} g^{{{1}{2}}}", lambda l, i, j: nab[l][i][j]
         )),
         _condition("flat", _curvature_labelled(b)),
     ])
@@ -136,6 +151,7 @@ def ferguson_check(b: HomogeneousBracket) -> list:
     conn = standard_connection(b, 0)
     nab_low = nabla_tensor(conn, glow, "lower")
     nab_up = nabla_tensor(conn, g, "upper")
+    q_tail = quadratic_tail(b, 0)
     half = Scalar.from_fraction(1) / 2
 
     def lower_skew_sums():
@@ -157,10 +173,9 @@ def ferguson_check(b: HomogeneousBracket) -> list:
         return sym_deriv - quad_term
 
     return _charge_setup(t0, [
-        _condition("(a) g skew-symmetric", (
-            (f"g^{{{j+1}{i+1}}} + g^{{{i+1}{j+1}}}", g[j][i] + gij)
-            for (i, j), gij in _components(g, 2)
-            if i <= j
+        # the value at (j, i) is the value at (i, j), so the first nonzero one has i <= j
+        _condition("(a) g skew-symmetric", _labelled(
+            b.n, 2, "g^{{{1}{0}}} + g^{{{0}{1}}}", lambda i, j: g[j][i] + g[i][j]
         )),
         # the torsion is reported only when the curvature vanishes
         _condition(
@@ -168,16 +183,13 @@ def ferguson_check(b: HomogeneousBracket) -> list:
             chain(_curvature_labelled(b), _torsion_labelled(conn)),
         ),
         _condition("(c) nabla g lower totally skew", lower_skew_sums()),
-        _condition("(d) nabla g upper = b - 2c", (
-            (
-                f"nabla_{l+1} g^{{{i+1}{j+1}}} - b^{{{i+1}{j+1}}}_{l+1} + 2c^{{{i+1}{j+1}}}_{l+1}",
-                v - (bb[i][j][l] - 2 * cc[i][j][l]),
-            )
-            for (l, i, j), v in _components(nab_up, 3)
+        _condition("(d) nabla g upper = b - 2c", _labelled(
+            b.n, 3, "nabla_{0} g^{{{1}{2}}} - b^{{{1}{2}}}_{0} + 2c^{{{1}{2}}}_{0}",
+            lambda l, i, j: nab_up[l][i][j] - (bb[i][j][l] - 2 * cc[i][j][l]),
         )),
-        _condition("(e) quadratic tail identity", (
-            (f"c^{{{i+1}{j+1}}}_{{{q+1}{l+1}}} defect", v - quadratic_identity(i, j, q, l))
-            for (i, j, q, l), v in _components(quadratic_tail(b, 0), 4)
+        _condition("(e) quadratic tail identity", _labelled(
+            b.n, 4, "c^{{{0}{1}}}_{{{2}{3}}} defect",
+            lambda i, j, q, l: q_tail[i][j][q][l] - quadratic_identity(i, j, q, l),
         )),
     ])
 
@@ -242,24 +254,19 @@ def potemin_check(g: list, c: list) -> list:
         return val
 
     return _charge_setup(t0, [
-        _condition("(1) dg = c + c^T", (
-            (
-                f"d_{l+1} g^{{{i+1}{j+1}}} - c^{{{i+1}{j+1}}}_{l+1} - c^{{{j+1}{i+1}}}_{l+1}",
-                g[i][j].partial(l + 1) - v - c[j][i][l],
-            )
-            for (i, j, l), v in _components(c, 3)
+        _condition("(1) dg = c + c^T", _labelled(
+            n, 3, "d_{2} g^{{{0}{1}}} - c^{{{0}{1}}}_{2} - c^{{{1}{0}}}_{2}",
+            lambda i, j, l: g[i][j].partial(l + 1) - c[i][j][l] - c[j][i][l],
         )),
-        _condition("(2) g c skew in first pair", (
-            (f"(gc)^{{{i+1}{j+1}{l+1}}} symmetric part", v + gc[j][i][l])
-            for (i, j, l), v in _components(gc, 3)
+        _condition("(2) g c skew in first pair", _labelled(
+            n, 3, "(gc)^{{{0}{1}{2}}} symmetric part", lambda i, j, l: gc[i][j][l] + gc[j][i][l]
         )),
-        _condition("(3) cyclic sum vanishes", (
-            (f"cyclic (gc)^{{{i+1}{j+1}{l+1}}}", v + gc[j][l][i] + gc[l][i][j])
-            for (i, j, l), v in _components(gc, 3)
+        _condition("(3) cyclic sum vanishes", _labelled(
+            n, 3, "cyclic (gc)^{{{0}{1}{2}}}",
+            lambda i, j, l: gc[i][j][l] + gc[j][l][i] + gc[l][i][j],
         )),
-        _condition("(4) derivative identity", (
-            (f"(4) at ({i+1},{j+1},{l+1},{m+1})", derivative_identity(i, j, l, m))
-            for i, j, l, m in product(range(n), repeat=4)
+        _condition("(4) derivative identity", _labelled(
+            n, 4, "(4) at ({0},{1},{2},{3})", derivative_identity
         )),
     ])
 
@@ -292,9 +299,9 @@ def k4_connection_fixtures(b: HomogeneousBracket) -> list:
         ("Gamma_[3] = g (b - 5c + 15d - 35e)", flat_combination(b, 3).gamma, combo({"b": 1, "c": -5, "d": 15, "e": -35})),
     ]
     return _charge_setup(t0, [
-        _condition(name, (
-            (f"difference at ^{l+1}_{{{i+1}{j+1}}}", v - want[l][i][j])
-            for (l, i, j), v in _components(got, 3)
+        _condition(name, _labelled(  # bound now: the lambda must not see a later fixture
+            n, 3, "difference at ^{0}_{{{1}{2}}}",
+            lambda l, i, j, got=got, want=want: got[l][i][j] - want[l][i][j],
         ))
         for name, got, want in fixtures
     ])

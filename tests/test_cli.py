@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, reports, and input validation."""
 
+import argparse
 import json
 import os
 import time
@@ -7,10 +8,11 @@ import time
 import pytest
 
 from dnbrackets import cli, connections, jacobi, lowdegree, spectral
-from dnbrackets.bracket import CoordinateMap, skew_defects, transform
+from dnbrackets.bracket import CoordinateMap, skew_defects, transform, validate
 from dnbrackets.cli import MAX_DEGREE, MAX_DEGU, MAX_DIMENSION, load_bracket, load_map, main
 from dnbrackets.diffpoly import DiffPoly
 from dnbrackets.errors import PreconditionError
+from dnbrackets.lowdegree import ConditionResult
 from dnbrackets.scalar import parse_scalar
 
 from conftest import fixture_path
@@ -88,6 +90,82 @@ def test_transform_round_trip(capsys):
 def test_transform_without_map_fails(capsys):
     code, out, _ = run(capsys, "transform", fixture_path("lc_k1.json"))
     assert code == 1
+
+
+# P_0^{12} of a short document with a deep jet -> its weight, which makes it inhomogeneous
+DEEP_ENTRIES = {"u1*u1_80": 80, "u1*u2*u1_1*u2_1*u1_2*u1_16": 20}
+
+
+def deep_document(tmp_path, expr: str) -> str:
+    path = tmp_path / "deep.json"
+    entries = [[1, 1, 2, "1"], [1, 2, 1, "-1"], [0, 1, 2, expr], [0, 2, 1, f"-{expr}"]]
+    path.write_text(json.dumps({"dimension": 2, "degree": 1, "entries": entries}))
+    return str(path)
+
+
+@pytest.mark.parametrize("expr", DEEP_ENTRIES)
+def test_validate_builds_no_u_variational_derivative(monkeypatch, tmp_path, capsys, expr):
+    # the skew check reads dP~/dtheta only; dP~/du would take d_x as deep as the jet order
+    calls = []
+    variational_u = DiffPoly.variational_u
+    monkeypatch.setattr(
+        DiffPoly, "variational_u", lambda self, i: calls.append(i) or variational_u(self, i)
+    )
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "validate", deep_document(tmp_path, expr))
+    assert time.perf_counter() - start < 2.0
+    assert code == 1 and calls == []
+    assert "P_1^{12} defect: -2" in out
+
+
+@pytest.mark.parametrize("expr", DEEP_ENTRIES)
+def test_transform_refuses_a_bracket_that_is_not_well_formed(monkeypatch, tmp_path, capsys, expr):
+    def refuse(b, cmap):
+        raise AssertionError("transform ran on a bracket that validate rejects")
+
+    monkeypatch.setattr(cli, "transform", refuse)
+    path, cmap = deep_document(tmp_path, expr), fixture_path("map_product.json")
+    problem = f"P_0^{{12}} is not homogeneous of weight 1: weights [{DEEP_ENTRIES[expr]}]"
+    assert validate(load_bracket(path))[0] == problem
+    row = {"name": "transform", "status": "fail",
+           "witness": f"bracket is not well-formed: {problem}", "seconds": 0.0}
+    assert cli.cmd_transform(load_bracket(path), argparse.Namespace(map=cmap)) == [
+        ConditionResult(**row)
+    ]
+    target = tmp_path / "report.json"
+    start = time.perf_counter()
+    code, _, _ = run(capsys, "report", path, "--map", cmap, "--json", str(target))
+    assert time.perf_counter() - start < 2.0
+    assert code == 1
+    assert json.loads(target.read_text())["checks"][-1] == row
+
+
+def test_skewness_preserved_locates_the_defect(tmp_path, capsys):
+    # lc_k1 without its P_0^{11}: well-formed, but not skew before or after the map
+    path = tmp_path / "not_skew.json"
+    entries = [[1, 1, 1, "u1"], [1, 2, 2, "1"]]
+    path.write_text(json.dumps({"dimension": 2, "degree": 1, "entries": entries}))
+    target, cmap = tmp_path / "report.json", fixture_path("map_product.json")
+    code, _, _ = run(capsys, "transform", str(path), "--map", cmap, "--json", str(target))
+    assert code == 1
+    payload = json.loads(target.read_text())
+    checks = {c["name"]: (c["status"], c["witness"]) for c in payload["checks"]}
+    assert checks["transformed bracket well-formed"] == ("pass", None)
+    assert checks["skewness preserved"] == ("fail", "P_0^{11} defect: -u1_1")
+    # the text of the validate row, on the transformed bracket
+    moved = transform(load_bracket(str(path)), load_map(cmap, 2))
+    assert checks["skewness preserved"][1] == cli._skew_witness(skew_defects(moved)[0])
+
+
+def test_every_command_returns_condition_results(monkeypatch, capsys):
+    rows = []
+    monkeypatch.setattr(cli, "_render", rows.extend)
+    for command in cli.COMMANDS:
+        for name in ("lc_k1.json", "nonflat2.json"):
+            main([command, fixture_path(name), "--map", fixture_path("map_product.json")])
+    capsys.readouterr()
+    assert len(rows) > 50
+    assert {type(r) for r in rows} == {ConditionResult}
 
 
 def test_lowdegree_dispatch(capsys):

@@ -1,6 +1,7 @@
 """Classification conditions for degrees one to four."""
 
 import random
+from dataclasses import asdict
 from fractions import Fraction
 from itertools import product
 
@@ -12,10 +13,12 @@ from dnbrackets.bracket import (
     lower_metric,
     validate,
 )
-from dnbrackets.connections import flat_combination, is_flat
+from dnbrackets import lowdegree
+from dnbrackets.connections import Connection, flat_combination, is_flat
 from dnbrackets.diffpoly import DiffPoly
 from dnbrackets.jacobi import check_jacobi
 from dnbrackets.lowdegree import (
+    ConditionResult,
     all_pass,
     canonical_k2,
     dn_check,
@@ -38,6 +41,18 @@ def named_results(report):
 
 def triples(report):
     return [(r.name, r.passed, r.witness) for r in report]
+
+
+def D(text: str) -> DiffPoly:
+    return DiffPoly.from_scalar(S(text))
+
+
+def test_condition_result_is_the_one_check_record():
+    # status is pass, fail or skip; passed reads it, and only pass passes
+    assert ConditionResult("x", "pass").passed is True
+    assert ConditionResult("x", "fail").passed is False
+    assert ConditionResult("x", "skip").passed is False
+    assert list(asdict(ConditionResult("x", "skip"))) == ["name", "status", "witness", "seconds"]
 
 
 # -- degree one -------------------------------------------------------------
@@ -65,6 +80,22 @@ def test_dn_failures_carry_witnesses(lc1_broken):
         ("torsionless", False, "T^1_{12} = -u2"),
         ("metric compatible", False, "nabla_1 g^{12} = -u2"),
         ("flat", False, "R^2_{1,1,2} = (-u2^2 + 1)/(u1)"),
+    ]
+
+
+def test_dn_witnesses_of_the_metric_and_tail_conditions():
+    # g^{12} = g^{21} but g^{13} != g^{31}; the tail of P_0^{11} = u2_1 is not d g / 2
+    P = {
+        (1, 1, 1): D("1"), (2, 2, 1): D("1"), (3, 3, 1): D("1"),
+        (1, 2, 1): D("u3"), (2, 1, 1): D("u3"), (1, 3, 1): D("u2"),
+        (1, 1, 0): DiffPoly.jet(2, 1),
+    }
+    assert triples(dn_check(HomogeneousBracket(n=3, k=1, P=P))) == [
+        ("g symmetric", False, "g^{31} - g^{13} = -u2"),
+        ("tail skew-symmetry", False, "b^{11}_2 + b^{11}_2 - d_2 g^{11} = 2"),
+        ("torsionless", False, "T^1_{12} = (1)/(u3^2 - 1)"),
+        ("metric compatible", False, "nabla_1 g^{11} = (2*u3)/(u3^2 - 1)"),
+        ("flat", False, "R^1_{2,1,3} = (2*u3)/(u3^4 - 2*u3^2 + 1)"),
     ]
 
 
@@ -120,6 +151,30 @@ def test_ferguson_detects_broken_quadratic_tail():
         ("(e) quadratic tail identity", False, "c^{12}_{11} defect = 1"),
     ]
     assert check_skew(b) and not check_jacobi(b)
+
+
+def test_ferguson_witnesses_of_the_metric_and_connection_conditions():
+    # a leading matrix that is not skew
+    P = {(1, 2, 2): D("1+u1"), (2, 1, 2): D("-1")}
+    assert triples(ferguson_check(HomogeneousBracket(n=2, k=2, P=P))) == [
+        ("(a) g skew-symmetric", False, "g^{21} + g^{12} = u1"),
+        ("(b) standard connection flat and torsionless", True, None),
+        ("(c) nabla g lower totally skew", False,
+         "nabla_1 g_{12} + nabla_1 g_{21} = (-1)/(u1^2 + 2*u1 + 1)"),
+        ("(d) nabla g upper = b - 2c", False, "nabla_1 g^{12} - b^{12}_1 + 2c^{12}_1 = 1"),
+        ("(e) quadratic tail identity", True, None),
+    ]
+    # canonical4 with u1 u3_2 added to P_0^{12}: the standard connection curves
+    P = dict(canonical_k2(lower_metric(canonical4_lower())).P)
+    P[(1, 2, 0)] = P.get((1, 2, 0), DiffPoly.zero()) + DiffPoly.jet(3, 2) * S("u1")
+    assert triples(ferguson_check(HomogeneousBracket(n=4, k=2, P=P))) == [
+        ("(a) g skew-symmetric", True, None),
+        ("(b) standard connection flat and torsionless", False, "R^2_{3,1,2} = u3 + 1"),
+        ("(c) nabla g lower totally skew", False,
+         "nabla_1 g_{23} + nabla_2 g_{13} = -u1*u3^2 - 2*u1*u3 - u1"),
+        ("(d) nabla g upper = b - 2c", False, "nabla_2 g^{24} - b^{24}_2 + 2c^{24}_2 = -u1*u3 - u1"),
+        ("(e) quadratic tail identity", False, "c^{12}_{13} defect = -1/2"),
+    ]
 
 
 def test_first_combination_flat_whenever_a_to_d_hold():
@@ -323,3 +378,23 @@ def test_k4_closed_forms_on_constant_bracket():
     report = k4_connection_fixtures(b)
     assert all_pass(report)
     assert len(report) == 7  # four standard forms and three combinations
+
+
+def test_k4_each_closed_form_compares_its_own_connection(monkeypatch):
+    # Gamma_(1) moved at one component: only its row fails, located there
+    P = {(1, 2, 4): DiffPoly.one(), (2, 1, 4): DiffPoly.one() * S("-1")}
+    b = HomogeneousBracket(n=2, k=4, P=P)
+    standard = lowdegree.standard_connection
+
+    def moved(b, s):
+        conn = standard(b, s)
+        if s != 1:
+            return conn
+        gamma = [[row[:] for row in block] for block in conn.gamma]
+        gamma[1][0][1] = gamma[1][0][1] + S("u1")
+        return Connection(n=conn.n, gamma=gamma)
+
+    monkeypatch.setattr(lowdegree, "standard_connection", moved)
+    assert [(r.name, r.witness) for r in k4_connection_fixtures(b) if not r.passed] == [
+        ("Gamma_(1) = -1/4 g d", "difference at ^2_{12} = u1"),
+    ]
