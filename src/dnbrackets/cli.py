@@ -14,7 +14,10 @@ exits 2.
 
 Every command returns lowdegree.ConditionResult rows.  transform on a
 bracket that validate rejects returns one "transform" fail row naming the
-first problem, and transforms nothing.
+first problem, and transforms nothing.  report on such a bracket gives its
+connections, flatness, lowdegree and spectral suites one skip row each,
+with that problem as the witness, and after a singular metric's
+"connections computed" fail row the last three the same with its witness.
 
 Bracket document schema::
 
@@ -482,14 +485,18 @@ def cmd_spectral(b: HomogeneousBracket, args) -> list:
 
 def cmd_report(b: HomogeneousBracket, args) -> list:
     results = cmd_jacobi(b, args)
-    results += (connections := cmd_connections(b, args))
-    # these suites need the connections, which a singular metric lacks
-    suites = {"flatness": cmd_flatness, "lowdegree": cmd_lowdegree, "spectral": cmd_spectral}
+    # these suites need a well-formed bracket, and all but the first its
+    # connections, which a singular metric lacks
+    gate = results[0]
+    suites = {"connections": cmd_connections, "flatness": cmd_flatness,
+              "lowdegree": cmd_lowdegree, "spectral": cmd_spectral}
     for name, suite in suites.items():
-        if connections[0].status == "fail":
-            results.append(ConditionResult(name, "skip", connections[0].witness))
-        else:
-            results += suite(b, args)
+        if gate.status == "fail":
+            results.append(ConditionResult(name, "skip", gate.witness))
+            continue
+        results += (rows := suite(b, args))
+        if suite is cmd_connections:
+            gate = rows[0]
     if args.map:
         results += cmd_transform(b, args)
     return results

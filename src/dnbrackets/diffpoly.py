@@ -338,33 +338,22 @@ class DiffPoly:
     # -- substitution ---------------------------------------------------
 
     def substitute(self, coord_map=None, jet_map=None, theta_map=None) -> "DiffPoly":
-        """Substitute generators: coordinates by Scalars, jets and thetas by
-        DiffPolys.  Unmapped generators are left alone.  Jet images must be
-        even; theta images must be odd (this is the caller's responsibility).
+        """Substitute generators: the coordinate u^i by the Scalar coord_map[i],
+        the jet u^{i,s} by the DiffPoly jet_map[(i, s)] and theta_i^s by
+        theta_map[(s, i)].  Unmapped generators are left alone; one mapped to
+        the zero DiffPoly is killed.  Jet images must be even; theta images
+        must be odd (this is the caller's responsibility).
         """
-        jm = {}
-        if jet_map:
-            for v, img in jet_map.items():
-                kk = (v.i, v.s) if isinstance(v, JetVar) else tuple(v)
-                jm[kk] = img
-        tm = {}
-        if theta_map:
-            for v, img in theta_map.items():
-                kk = (v.s, v.i) if isinstance(v, ThetaVar) else tuple(v)
-                tm[kk] = img
+        jm, tm = jet_map or {}, theta_map or {}
 
         def image(even, odd, c):
             acc = DiffPoly.from_scalar(c.subs(coord_map) if coord_map else c)
             for (i, s), e in even:
                 img = jm.get((i, s))
-                if img is None:
-                    img = DiffPoly.jet(i, s)
-                acc = acc * img**e
-            for (s, i) in odd:
+                acc = acc * (DiffPoly.jet(i, s) if img is None else img) ** e
+            for s, i in odd:
                 img = tm.get((s, i))
-                if img is None:
-                    img = DiffPoly.theta(i, s)
-                acc = acc * img
+                acc = acc * (DiffPoly.theta(i, s) if img is None else img)
             return acc
 
         return _sum(image(even, odd, c) for (even, odd), c in self.terms.items())

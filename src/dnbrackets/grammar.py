@@ -21,7 +21,7 @@ import re
 
 from .diffpoly import DiffPoly
 from .errors import ParseError
-from .scalar import Scalar, _term_count
+from .scalar import Scalar, _printed_bits, _term_count
 
 _TOKEN_RE = re.compile(
     r"""\s*(?:
@@ -85,8 +85,7 @@ def _bound_digits(value: DiffPoly, pos: int, e: int = 1) -> None:
     """Raise a ParseError at pos if an integer that value prints may have over MAX_DIGITS digits,
     or, for e > 1, one that value^e prints surely has: a b-bit integer has at most
     b log10(2) + 1 digits, and its e-th power at least (b - 1) e log10(2) + 1."""
-    bits = max((x.bit_length() for c in value.terms.values() for p in (c.num, c.den)
-                for q in p.values() for x in (q.numerator, q.denominator)), default=1)
+    bits = max(map(_printed_bits, value.terms.values()), default=1)
     if (bits if e == 1 else (bits - 1) * e) * 30103 // 100000 + 1 > MAX_DIGITS:
         raise ParseError(f"integer too large: over {MAX_DIGITS} digits", pos)
 

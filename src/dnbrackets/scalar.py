@@ -435,6 +435,14 @@ def _term_count(c: "Scalar") -> int:
     return len(c._n) + len(c._d)
 
 
+def _printed_bits(c: "Scalar") -> int:
+    """The largest bit length of an integer in c's num and den views: each
+    coefficient q over the denominator's leading coefficient, in lowest terms."""
+    lc = _plead(c._d)[1]
+    return max(max((q // g).bit_length(), (lc // g).bit_length())
+               for p in (c._n, c._d) for q in p.values() if (g := gcd(q, lc)))
+
+
 class Scalar:
     """A rational function of the coordinates, in canonical reduced form."""
 

@@ -19,8 +19,9 @@ and each is one call of the kernel diffpoly._derivation, which applies
 their values on the generators u^{i,s} and theta_i^s to the partials of
 the input.  Apart from D_P's, those values are tables cached once per
 bracket by bracket._cached: D_{-1}'s and the homotopy's from the metric,
-the closed form's from the tails, the connection form's from g and
-Gamma_[s] alone, so the three d_1 computations share no formula.
+the closed form's from the tails, the connection form's as closed-form
+images read off g, the lowered metric and Gamma_[s] alone, so the three
+d_1 computations share no formula.
 """
 
 from __future__ import annotations
@@ -170,15 +171,15 @@ def _d1_closed_ops(b: HomogeneousBracket) -> tuple:
     1/2 sum (-1)^{k-t} C(k+s-t, r) h_(t)^{ij}_l theta_i^r theta_j^{k+s-r}
     (over r >= s, t, i, j) multiplies d/dtheta_l^s.  V raises the theta^k
     count by one; a term of W_{s,l} raises it by its own theta^k count minus
-    [s = k], which splits W into its raising part W_up and the rest.
+    [s = k], which is one when r is s or k (W_up) and zero otherwise (W_same).
     """
     h = _named_with_top(b)
     n, k = b.n, b.k
 
-    def w(s, l):
+    def w(s, l, orders):
         terms = (
             DiffPoly.theta(i, r) * DiffPoly.theta(j, k + s - r) * (hv * ((-1) ** (k - t) * cf))
-            for r in range(s, k + 1)
+            for r in orders
             for t in range(0, k + 1)
             if (cf := comb(k + s - t, r))
             for i in range(1, n + 1)
@@ -187,9 +188,9 @@ def _d1_closed_ops(b: HomogeneousBracket) -> tuple:
         )
         return _sum(terms) * Fraction(1, 2)
 
-    W = {(l, s): w(s, l) for s in range(k + 1) for l in range(1, n + 1)}
-    up = {v: op.project("deg_theta_k", 1 + (v[1] == k), k) for v, op in W.items()}
-    same = {v: rest for v, op in W.items() if (rest := op - up[v])}
+    generators = [(l, s) for s in range(k + 1) for l in range(1, n + 1)]
+    up = {(l, s): w(s, l, {s, k}) for l, s in generators}
+    same = {(l, s): op for l, s in generators if (op := w(s, l, range(s + 1, k)))}
     V = _row_sums(extract_named(b).g, DiffPoly.theta, k)
     return ({(i, 0): op for i, op in enumerate(V, 1)}, up), ({}, same)
 
@@ -213,52 +214,41 @@ def _d1_connection_ops(b: HomogeneousBracket) -> tuple:
     """The tables of d1_as_connection, built once per bracket from g and the Gamma_[s].
 
     The dicts hold the images of u^i, keyed (i, 0), and of theta_l^s (s <= k),
-    keyed (l, s), under psi D phi, where phi relabels theta_i^k -> sum_j
-    g_{ij} theta_j^{k+1}, D = sum_i theta_i^{k+1} d/du^i + sum_{s<k,l}
-    M_{s,l} d/dtheta_l^s with M_{s,l} = sum_{i,j} Gamma_[s]^j_{il}
-    theta_i^{k+1} theta_j^s, and psi relabels theta_i^{k+1} -> sum_j g^{ij}
-    theta_j^k.
+    keyed (l, s).  With V_i = sum_j g^{ij} theta_j^k they are
+
+        u^i         -> V_i,
+        theta_l^s   -> sum_{i,j} Gamma_[s]^j_{il} V_i theta_j^s     (s < k),
+        theta_l^k   -> sum_{i,j} (d g_{lj} / du^i) V_i V_j,
+
+    the last one the image of theta_l^k = g_{lj} du^j, with du^i -> V_i.
     """
     named, glow = metric_pair(b)
     n, k = b.n, b.k
+    V = _row_sums(named.g, DiffPoly.theta, k)
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
 
-    def relabel(matrix, source, target):  # theta_i^source -> sum_j matrix[i][j] theta_j^target
-        images = _row_sums(matrix, DiffPoly.theta, target)
-        return {(source, i): img for i, img in enumerate(images, 1)}
-
-    def m(s, l):
+    def image(l, s):
+        if s == k:
+            return _sum(V[i - 1] * V[j - 1] * dg for i, j in pairs
+                        if (dg := glow[l - 1][j - 1].partial(i)))
         gamma = flat_combination(b, s).gamma
-        terms = (
-            DiffPoly.theta(i, k + 1) * DiffPoly.theta(j, s) * gv
-            for i in range(1, n + 1)
-            for j in range(1, n + 1)
-            if (gv := gamma[j - 1][i - 1][l - 1])
-        )
-        return _sum(terms)
+        return _sum(V[i - 1] * DiffPoly.theta(j, s) * gv for i, j in pairs
+                    if (gv := gamma[j - 1][i - 1][l - 1]))
 
-    rows = {(i, 0): DiffPoly.theta(i, k + 1) for i in range(1, n + 1)}
-    M = {(l, s): m(s, l) for s in range(k) for l in range(1, n + 1)}
-    phi, psi = relabel(glow, k, k + 1), relabel(named.g, k + 1, k)
-
-    def image(generator):
-        lifted = _derivation(generator.substitute(theta_map=phi), rows.get, M.get)
-        return lifted.substitute(theta_map=psi)
-
-    coords = {(i, 0): image(DiffPoly.coordinate(i)) for i in range(1, n + 1)}
-    thetas = {(l, s): image(DiffPoly.theta(l, s)) for s in range(k + 1) for l in range(1, n + 1)}
+    coords = {(i, 0): v for i, v in enumerate(V, 1)}
+    thetas = {(l, s): image(l, s) for s in range(k + 1) for l in range(1, n + 1)}
     return coords, thetas
 
 
 def d1_as_connection(b: HomogeneousBracket, x: DiffPoly) -> DiffPoly:
     """The theta^k-raising part of d_1 evaluated through the connections.
 
-    Realizes theta_i^k = g_{ij} du^j with du^j held as a placeholder of
-    theta order k+1 (phi), applies du^i d/du^i plus the flat-combination
-    Christoffel action du^i Gamma_[s]^j_{il} theta_j^s d/dtheta_l^s (D), and
-    converts the placeholders back (psi).  psi phi is the identity on B and
-    both are algebra maps, so psi D phi is an odd derivation of B, which its
-    values on the generators u^i and theta_l^s (s <= k) determine.  Those
-    values are computed once per bracket, so the input is never relabelled.
+    Realizes theta_i^k = g_{ij} du^j and applies du^i d/du^i plus the
+    flat-combination Christoffel action du^i Gamma_[s]^j_{il} theta_j^s
+    d/dtheta_l^s, with du^i read back as V_i = sum_j g^{ij} theta_j^k.  That
+    is an odd derivation of B, which its values on the generators u^i and
+    theta_l^s (s <= k) determine; _d1_connection_ops holds them, computed
+    once per bracket.
     """
     require_poisson(b)
     jets, thetas = _d1_connection_ops(b)

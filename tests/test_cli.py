@@ -140,6 +140,26 @@ def test_transform_refuses_a_bracket_that_is_not_well_formed(monkeypatch, tmp_pa
     assert json.loads(target.read_text())["checks"][-1] == row
 
 
+def test_report_skips_the_suites_on_a_bracket_that_is_not_well_formed(tmp_path, capsys):
+    path, target = deep_document(tmp_path, "u1*u1_80"), tmp_path / "report.json"
+    problem = "P_0^{12} is not homogeneous of weight 1: weights [80]"
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "report", path, "--map", fixture_path("map_product.json"),
+                       "--json", str(target))
+    assert time.perf_counter() - start < 2.0
+    assert code == 1
+    rows = [(c["name"], c["status"], c["witness"]) for c in json.loads(target.read_text())["checks"]]
+    assert rows == [
+        ("well-formed (homogeneity, indices)", "fail", problem),
+        ("skew-symmetry (operator adjoint)", "fail", "P_1^{12} defect: -2"),
+        ("skew-symmetry (named coefficients)", "fail", "g^{21} - (1)*g^{12}: -2"),
+        ("jacobi identity (D_P squares to zero)", "skip", "preconditions failed"),
+        *((suite, "skip", problem) for suite in ("connections", "flatness", "lowdegree", "spectral")),
+        ("transform", "fail", f"bracket is not well-formed: {problem}"),
+    ]
+    assert "0 passed, 4 failed, 5 skipped" in out
+
+
 def test_skewness_preserved_locates_the_defect(tmp_path, capsys):
     # lc_k1 without its P_0^{11}: well-formed, but not skew before or after the map
     path = tmp_path / "not_skew.json"

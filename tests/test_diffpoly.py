@@ -240,6 +240,13 @@ def test_substitute_theta():
     assert q == theta(2, 0) * theta(2, 1) * S("u1")
 
 
+def test_substitute_kills_a_generator_mapped_to_zero():
+    p = DiffPoly.jet(1, 1) * theta(2, 0) * S("u1") + theta(1, 0) * S("3")
+    assert p.substitute(jet_map={(1, 1): DiffPoly.zero()}) == theta(1, 0) * S("3")
+    assert p.substitute(theta_map={(0, 2): DiffPoly.zero()}) == theta(1, 0) * S("3")
+    assert p.substitute(theta_map={(0, 1): DiffPoly.zero()}) == DiffPoly.jet(1, 1) * theta(2, 0) * S("u1")
+
+
 def test_max_orders():
     p = DiffPoly.jet(1, 4) * theta(2, 6)
     assert p.max_jet_order() == 4

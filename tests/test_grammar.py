@@ -82,6 +82,19 @@ def test_integer_digit_bound():
     assert time.perf_counter() - t0 < 0.5
 
 
+def test_digit_bound_reads_no_fraction_view(monkeypatch):
+    def unreachable(self):
+        raise AssertionError("the digit bound built a Fraction view")
+
+    monkeypatch.setattr(Scalar, "num", property(unreachable))
+    monkeypatch.setattr(Scalar, "den", property(unreachable))
+    value = parse_expression("(u1 + 2/3*u2)^3/(7*u1 - u2) + 5/6*u1_2 - 2^3000")
+    with pytest.raises(ParseError, match=f"over {MAX_DIGITS} digits"):
+        parse_expression("2^3000 + 1/3^1900")
+    monkeypatch.undo()
+    assert value == parse_expression("5/6*u1_2 - 2^3000 + (u1 + 2/3*u2)^3/(7*u1 - u2)")
+
+
 def test_rational_coefficients():
     assert parse_expression("1/2*u1_1") == DiffPoly.jet(1, 1) * S("1/2")
     assert parse_expression("u1/u2") == DiffPoly.from_scalar(S("u1/u2"))

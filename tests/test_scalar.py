@@ -30,6 +30,7 @@ from dnbrackets.scalar import (
     _plead,
     _pmul,
     _pneg,
+    _printed_bits,
     _prs,
     _zeval,
     _zgcd,
@@ -838,7 +839,7 @@ def test_only_scalar_reads_the_scalar_layout():
     fields _n and _d, or imports a private name of scalar beyond the term
     helpers diffpoly shares and the printing and size helpers."""
     allowed = {"_collect", "_power", "_mono_mul", "_mono_lower",
-               "_signed_join", "_product", "_factor_str", "_term_count"}
+               "_signed_join", "_product", "_factor_str", "_term_count", "_printed_bits"}
     package = os.path.dirname(scalar.__file__)
     imported, bad = set(), []
     for path in sorted(glob.glob(os.path.join(package, "*.py"))):
@@ -860,3 +861,20 @@ def test_only_scalar_reads_the_scalar_layout():
                         bad.append(f"{name}:{node.lineno} imports {alias.name}")
     assert bad == []
     assert {"_collect", "_factor_str", "_term_count"} <= imported  # the scan saw the imports
+
+
+def test_printed_bits_are_the_bit_lengths_the_views_print():
+    def view_bits(c):
+        return max(x.bit_length() for p in (c.num, c.den) for q in p.values()
+                   for x in (q.numerator, q.denominator))
+
+    rng = random.Random(38)
+    values = [random_scalar(rng, 2, terms=3) for _ in range(60)]
+    values += [S("2^3000/3^1900"), S("(2^700*u1 - 5)/(6*u2 + 3^500)"), Scalar.zero()]
+    checked = 0
+    for a, b in zip(values, values[1:]):
+        q = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+        for c in (a, a + b, a * b, a * q, a / b if b else a - b):
+            assert _printed_bits(c) == view_bits(c), c
+            checked += 1
+    assert checked == 5 * (len(values) - 1)

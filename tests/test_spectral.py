@@ -2,16 +2,18 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from dnbrackets import spectral
-from dnbrackets.bracket import HomogeneousBracket, metric_pair
+from dnbrackets import diffpoly, spectral
+from dnbrackets.bracket import HomogeneousBracket, extract_named, metric_pair, transform
+from dnbrackets.cli import load_bracket, load_map
 from dnbrackets.connections import flat_combination
-from dnbrackets.diffpoly import DiffPoly, ThetaVar, term_deg_theta_k
+from dnbrackets.diffpoly import DiffPoly, ThetaVar, _derivation, _sum, term_deg_theta_k
 from dnbrackets.errors import PreconditionError
 from dnbrackets.jacobi import apply_DP
-from dnbrackets.sampling import random_monomial
+from dnbrackets.sampling import random_constant_bracket, random_monomial
 from dnbrackets.spectral import (
     D_minus1_closed,
     _excluded_count,
@@ -19,6 +21,8 @@ from dnbrackets.spectral import (
     _d1_connection_ops,
     _homotopy_rows,
     _lowering_rows,
+    _named_with_top,
+    _row_sums,
     apply_D_graded,
     d1_as_connection,
     d1_closed,
@@ -32,7 +36,7 @@ from dnbrackets.spectral import (
     spanning_monomials,
 )
 
-from conftest import S, kernel_draws
+from conftest import S, fixture_path, kernel_draws
 
 
 def theta(i, s):
@@ -308,6 +312,105 @@ def test_table_operators_match_their_per_input_forms(request, name):
         for part in (up, same):  # the graded identities split d_1's own output again
             assert d1_split(b, part) == split_oracle(b, part)
     assert mixed >= 3  # elements whose terms have different theta^k counts
+
+
+def connection_ops_oracle(b):
+    """_d1_connection_ops through the relabelling round trip: each generator's
+    image under psi D phi, where phi relabels theta_i^k -> sum_j g_{ij}
+    theta_j^{k+1}, D = sum_i theta_i^{k+1} d/du^i + sum_{s<k,l} M_{s,l}
+    d/dtheta_l^s with M_{s,l} = sum_{i,j} Gamma_[s]^j_{il} theta_i^{k+1}
+    theta_j^s, and psi relabels theta_i^{k+1} -> sum_j g^{ij} theta_j^k."""
+    named, glow = metric_pair(b)
+    n, k = b.n, b.k
+
+    def relabel(matrix, source, target):
+        images = _row_sums(matrix, DiffPoly.theta, target)
+        return {(source, i): img for i, img in enumerate(images, 1)}
+
+    def m(s, l):
+        gamma = flat_combination(b, s).gamma
+        return _sum(theta(i, k + 1) * theta(j, s) * gamma[j - 1][i - 1][l - 1]
+                    for i in range(1, n + 1) for j in range(1, n + 1))
+
+    rows = {(i, 0): theta(i, k + 1) for i in range(1, n + 1)}
+    M = {(l, s): m(s, l) for s in range(k) for l in range(1, n + 1)}
+    phi, psi = relabel(glow, k, k + 1), relabel(named.g, k + 1, k)
+
+    def image(generator):
+        return _derivation(generator.substitute(theta_map=phi), rows.get, M.get).substitute(
+            theta_map=psi)
+
+    coords = {(i, 0): image(DiffPoly.coordinate(i)) for i in range(1, n + 1)}
+    thetas = {(l, s): image(theta(l, s)) for s in range(k + 1) for l in range(1, n + 1)}
+    return coords, thetas
+
+
+def closed_ops_oracle(b):
+    """_d1_closed_ops by projection: build each whole W_{s,l}, keep its terms
+    with 1 + [s = k] thetas of order k as W_up and subtract them for W_same."""
+    h = _named_with_top(b)
+    n, k = b.n, b.k
+
+    def w(s, l):
+        return _sum(
+            theta(i, r) * theta(j, k + s - r) * h[t][i - 1][j - 1][l - 1] * comb(k + s - t, r)
+            * (-1) ** (k - t)
+            for r in range(s, k + 1) for t in range(k + 1)
+            for i in range(1, n + 1) for j in range(1, n + 1)
+        ) * Fraction(1, 2)
+
+    W = {(l, s): w(s, l) for s in range(k + 1) for l in range(1, n + 1)}
+    up = {v: op.project("deg_theta_k", 1 + (v[1] == k), k) for v, op in W.items()}
+    same = {v: rest for v, op in W.items() if (rest := op - up[v])}
+    V = _row_sums(extract_named(b).g, DiffPoly.theta, k)
+    return ({(i, 0): op for i, op in enumerate(V, 1)}, up), ({}, same)
+
+
+POISSON_FIXTURES = ["constant_k2", "lc_k1", "canonical_k2", "nonflat2"]
+
+
+def table_brackets():
+    """The four Poisson fixture documents, nonflat2 and lc_k1 under the
+    product map, and six constant brackets of degrees 1 to 4."""
+    out = {name: load_bracket(fixture_path(f"{name}.json")) for name in POISSON_FIXTURES}
+    for name in ("nonflat2", "lc_k1"):
+        out[f"{name} mapped"] = transform(out[name], load_map(fixture_path("map_product.json"), 2))
+    rng = random.Random(19)
+    for n, k in ((2, 1), (3, 1), (2, 2), (2, 3), (3, 3), (2, 4)):
+        out[f"constant n={n} k={k}"] = random_constant_bracket(rng, n, k)
+    return out
+
+
+def test_tables_match_their_round_trip_and_projection_oracles(canonical4):
+    brackets = {**table_brackets(), "canonical4": canonical4}
+    assert len(brackets) == 13
+    for name, b in brackets.items():
+        assert _d1_connection_ops(b) == connection_ops_oracle(b), name
+        assert _d1_closed_ops(b) == closed_ops_oracle(b), name
+
+
+@pytest.mark.parametrize("name", POISSON_FIXTURES)
+def test_connection_form_is_the_raising_part_on_each_fixture(name):
+    b = load_bracket(fixture_path(f"{name}.json"))
+    for x in spanning_monomials(b.n, b.k):
+        assert d1_as_connection(b, x) == d1_split(b, x)[0]
+
+
+def test_tables_are_built_from_their_closed_forms(monkeypatch, nonflat2, canonical4):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a table was built through a generic operation")
+
+    for b in (nonflat2, canonical4):
+        cold = HomogeneousBracket(n=b.n, k=b.k, P=dict(b.P))
+        with monkeypatch.context() as patch:
+            patch.setattr(DiffPoly, "substitute", unreachable)
+            patch.setattr(diffpoly, "_derivation", unreachable)
+            patch.setattr(spectral, "_derivation", unreachable)
+            connection = _d1_connection_ops(cold)
+        with monkeypatch.context() as patch:
+            patch.setattr(DiffPoly, "project", unreachable)
+            closed = _d1_closed_ops(cold)
+        assert connection == _d1_connection_ops(b) and closed == _d1_closed_ops(b)
 
 
 def test_d1_requires_poisson(lc1_broken):
