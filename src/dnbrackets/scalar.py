@@ -46,6 +46,36 @@ Some results need no polynomial gcd: a product with a constant factor
 (two integer gcds with the other factor's contents), a power, a negation
 and a reciprocal.
 
+Nor do most results over a polynomial denominator.  Such a denominator d is
+looked up by value in a least-recently-used table of at most _FACTOR_MEMO
+entries (_factored) holding d = c * prod p^e: c is d's integer content, and
+each p is primitive, has a positive leading coefficient and is certified
+irreducible, which here means that p has degree 1 in some variable y and
+that y's coefficient is an integer (_certify).  The single variables of d's
+monomial content are such factors; each further one is the squarefree part
+q/gcd(q, dq/dx) of what is left, q, in its least variable x, divided out as
+often as it goes.  Distinct certified factors are coprime, so with the
+entries of both operands known, the operands being in lowest terms, only
+these can cancel:
+
+* in a product, the factors of one denominator that the other lacks, from
+  the other numerator;
+* in a sum, which takes the lcm of the denominators (Henrici; Knuth, TAOCP
+  vol. 2, 4.5.1), the factors whose exponents are equal on both sides;
+* in a partial derivative by u^i, the factors free of u^i: each factor
+  that involves u^i gains one in its exponent and never cancels;
+* the integer contents, by math.gcd.
+
+A candidate factor p is tried by exact division (_zquo), and only after a
+pretest: the numerator is evaluated modulo the prime _PRIME at a zero of p,
+computed once per factor, and a nonzero residue rules p out.  The result
+has the canonical form above, so it is the one _reduce would give.  A
+squarefree part that fails the certificate, which may be a product such as
+(u1 + u2)(u1 - u2), makes the entry None; then, as for monomial and
+constant denominators and for a product of two single-term numerators, the
+result is reduced by _zgcd.  The table is keyed on values that are never
+changed, so, like the partial memo below, it cannot go stale.
+
 Partial derivatives are memoised on the value: Scalar.partial(i) looks
 (self, i) up in a least-recently-used table of at most _PARTIAL_MEMO
 entries, and only on a miss applies the quotient rule (_partial).  A
@@ -77,6 +107,15 @@ _HEU_TRIES = 6
 # one monomial on nonflat2, 637 for nonflat2 under u1 -> u1 + c*u2), so one
 # check keeps what it reuses, and small enough to cap memory over a long run
 _PARTIAL_MEMO = 1024
+
+# entries of the memo of factored denominators (_factored) and of the memo
+# of expanded factor products (_expand): far above the 67 and 69 entries
+# that checking 21 transformed brackets fills, and small enough to cap
+# memory over a long run
+_FACTOR_MEMO = 1024
+
+# the prime modulo which a numerator is evaluated at a zero of a factor
+_PRIME = (1 << 61) - 1
 
 
 def _collect(pairs, start: dict | None = None) -> dict:
@@ -247,7 +286,7 @@ def _zgcd(f: dict, g: dict) -> tuple[dict, dict, dict]:
     """(h, f/h, g/h) where h is the gcd in Z[u...] of nonzero f and g."""
     cf, cg = gcd(*f.values()), gcd(*g.values())
     c = gcd(cf, cg)
-    if len(f) == 1 or len(g) == 1:
+    if len(g) == 1 or len(f) == 1:  # g, a denominator in _reduce, first
         d, qf, qg = _cancel_terms(f, g)
         if c == 1:  # the common case, kept free of calls
             return {d: 1}, qf, qg
@@ -393,6 +432,140 @@ def _prem(f: dict, g: dict) -> dict:
     return r
 
 
+# -- denominators over certified irreducible factors ------------------------
+
+
+def _generic(v: int) -> int:
+    """The residue modulo _PRIME of v at the zero of each factor not certified by v."""
+    return (v * 0x9E3779B97F4A7C15 + 0x632BE59BD9B4E019) % _PRIME
+
+
+def _residue(p: dict, y: int, r: int) -> int:
+    """p modulo _PRIME at y = r and v = _generic(v) for every other variable v."""
+    total = 0
+    for m, c in p.items():
+        for v, e in m:
+            c = c * pow(r if v == y else _generic(v), e, _PRIME) % _PRIME
+        total += c
+    return total % _PRIME
+
+
+class _Factor(frozenset):
+    """An irreducible primitive integer polynomial p with a positive leading
+    coefficient, of degree 1 in y with the integer coefficient a, and the
+    residue root of y at which p vanishes modulo _PRIME (see _generic).
+
+    As a set it is the set of p's terms, so equal factors from separately
+    factored denominators are equal keys, hashed without a Python call.
+    """
+
+    __slots__ = ("p", "y", "root", "vars")
+
+    def __new__(cls, p: dict, y: int, a: int):
+        self = super().__new__(cls, p.items())
+        self.p, self.y, self.vars = p, y, _pvars(p)
+        rest = {m: c for m, c in p.items() if m != ((y, 1),)}
+        self.root = -_residue(rest, y, 0) * pow(a, -1, _PRIME) % _PRIME
+        return self
+
+
+def _certify(p: dict) -> _Factor | None:
+    """p as a _Factor if some variable y occurs in p only in a term a*y, else None.
+
+    Such a p, primitive and nonconstant, is irreducible: in a product A*B with
+    B free of y, y's coefficient is a multiple of B.
+    """
+    count = {}
+    for m in p:
+        for v, _ in m:
+            count[v] = count.get(v, 0) + 1
+    for m, a in p.items():
+        if len(m) == 1 and m[0][1] == 1 and count[m[0][0]] == 1 and a % _PRIME:
+            return _Factor(p, m[0][0], a)
+    return None
+
+
+@lru_cache(maxsize=_FACTOR_MEMO)
+def _factored(key: frozenset) -> tuple[int, dict] | None:
+    """(c, {factor: e}) with the denominator dict(key) = c * prod factor.p**e, or None.
+
+    c is the integer content.  The single variables of the monomial content
+    come first; each further factor is the squarefree part q/gcd(q, dq/dx)
+    of what is left, q, in its least variable x, divided out as often as it
+    goes.  None when that part is not certified (_certify): it may then be a
+    product of several factors, which only a factorisation would separate.
+    """
+    d = dict(key)
+    c = gcd(*d.values())
+    terms = iter(d)
+    low = dict(next(terms))
+    for m in terms:
+        e = dict(m)
+        low = {v: min(x, e[v]) for v, x in low.items() if v in e}
+    base = {_Factor({((v, 1),): 1}, v, 1): e for v, e in low.items()}
+    mono = tuple(low.items())
+    q = {_mono_div(m, mono): a // c for m, a in d.items()}
+    while not _is_const(q):
+        f = _certify(q)
+        if f is None:
+            s = _zgcd(q, _pderiv(q, min(_pvars(q))))[1]
+            f = _certify(_pneg(s) if _plead(s)[1] < 0 else s)
+            if f is None:
+                return None
+        e = 0
+        while (t := _zquo(q, f.p)) is not None:
+            q, e = t, e + 1
+        base[f] = e
+    return c, base
+
+
+def _bases(*polys: dict) -> list | None:
+    """The memo entries (_factored) of polys, or None if one is None."""
+    out = [_factored(frozenset(p.items())) for p in polys]
+    return None if None in out else out
+
+
+@lru_cache(maxsize=_FACTOR_MEMO)
+def _expand(c: int, powers: frozenset) -> dict:
+    """c * prod f.p**e over the pairs (f, e) of powers."""
+    out = _pconst(c)
+    for f, e in powers:
+        out = _pmul(out, _ppow(f.p, e))
+    return out
+
+
+def _strip(num: dict, exps: dict, candidates) -> dict:
+    """num divided by each candidate factor as often as it goes, at most its
+    exponent in exps, which drops by the number of divisions.
+
+    A factor f divides num only if num vanishes at f's zero, so a nonzero
+    residue there rules f out without a division.
+    """
+    for f in candidates:
+        most = exps[f]
+        if len(f.p) == 1:  # a single variable: the least exponent over num's terms
+            k = min(most, min(next((e for v, e in m if v == f.y), 0) for m in num))
+            if k:
+                num = {_mono_div(m, ((f.y, k),)): c for m, c in num.items()}
+        else:
+            k = 0
+            while k < most and not _residue(num, f.y, f.root):
+                q = _zquo(num, f.p)
+                if q is None:
+                    break
+                num, k = q, k + 1
+        exps[f] = most - k
+    return num
+
+
+def _assemble(num: dict, c: int, exps: dict) -> "Scalar":
+    """The Scalar num / (c * prod f.p**e over exps), num sharing no factor of
+    exps with it, with the integer content of both cancelled."""
+    g = gcd(c, *num.values())
+    powers = frozenset((f, e) for f, e in exps.items() if e)
+    return _wrap(_rescale(num, 1, g), _expand(c // g, powers))
+
+
 # -- printing ---------------------------------------------------------------
 
 
@@ -525,6 +698,8 @@ class Scalar:
         if not other._n:
             return self
         d1, d2 = self._d, other._d
+        if (len(d1) > 1 or len(d2) > 1) and (bases := _bases(d1, d2)):
+            return _add_factored(self, other, *bases)
         if d1.keys() == d2.keys():
             # denominators equal up to a constant factor, k1*d1 == k2*d2, share
             # one: n1/d1 + n2/d2 = (k1*n1 + k2*n2) / (k1*d1).  Both leading
@@ -630,10 +805,43 @@ def _partial(a: Scalar, i: int) -> Scalar:
     """d a / d u^i by the quotient rule, for i >= 1."""
     dn = _pderiv(a._n, i)
     dd = _pderiv(a._d, i)
+    # a single-term n' over a denominator free of u^i cancels by _cancel_terms
+    if len(a._d) > 1 and (dd or len(dn) > 1) and (bases := _bases(a._d)):
+        # with L the product of the factors f of a._d that involve u^i, each
+        # to the power 1, (n/d)' = (n' L - n sum e_f f' L/f) / (d L); no such
+        # f divides the numerator, so only the others can cancel.  The
+        # numerator is not 0: a reduced n/d whose d involves u^i does too.
+        (c, base), = bases
+        L, s = _ONE_P, {}
+        for f, e in base.items():
+            if i in f.vars:
+                s = _padd(_pmul(s, f.p), _pmul(_rescale(_pderiv(f.p, i), e, 1), L))
+                L = _pmul(L, f.p)
+        num = _psub(_pmul(dn, L), _pmul(a._n, s))
+        exps = {f: e + (i in f.vars) for f, e in base.items()}
+        return _assemble(_strip(num, exps, [f for f in base if i not in f.vars]), c, exps)
     if not dd:
         return _reduce(dn, a._d)
     num = _psub(_pmul(dn, a._d), _pmul(a._n, dd))
     return _reduce(num, _pmul(a._d, a._d))
+
+
+def _add_factored(a: Scalar, b: Scalar, fa: tuple, fb: tuple) -> Scalar:
+    """a + b over the lcm of the factored denominators (Henrici): with g =
+    gcd(d_a, d_b), (n_a (d_b/g) + n_b (d_a/g)) / (d_a d_b / g).  A factor
+    whose exponents differ divides exactly one of the two products, so only
+    the factors with equal exponents can cancel."""
+    (ca, ba), (cb, bb) = fa, fb
+    g = gcd(ca, cb)
+    ua = {f: e - bb.get(f, 0) for f, e in ba.items() if e > bb.get(f, 0)}
+    ub = {f: e - ba.get(f, 0) for f, e in bb.items() if e > ba.get(f, 0)}
+    num = _padd(_pmul(a._n, _expand(cb // g, frozenset(ub.items()))),
+                _pmul(b._n, _expand(ca // g, frozenset(ua.items()))))
+    if not num:
+        return Scalar.zero()
+    exps = {f: max(ba.get(f, 0), bb.get(f, 0)) for f in {**ba, **bb}}
+    equal = [f for f, e in ba.items() if bb.get(f) == e]
+    return _assemble(_strip(num, exps, equal), ca // g * cb, exps)
 
 
 def _mul(a: Scalar, b: Scalar) -> Scalar:
@@ -643,15 +851,25 @@ def _mul(a: Scalar, b: Scalar) -> Scalar:
         return Scalar.zero()
     # a constant factor p/r needs no polynomial gcd: with n/d in lowest
     # terms, (p/g * n/h) / (r/h * d/g) is, for g = gcd(p, content of d) and
-    # h = gcd(r, content of n)
-    for q, x in ((a, b), (b, a)):
-        if q.is_fraction():
+    # h = gcd(r, content of n).  The denominators' lengths serve this test,
+    # q.is_fraction() inlined, and the test for a polynomial denominator.
+    la, lb = len(a._d), len(b._d)
+    for q, x, lq in ((a, b, la), (b, a, lb)):
+        if lq == 1 and () in q._d and () in q._n and len(q._n) == 1:
             p, r = q._n[()], q._d[()]
             if p == r:  # both 1
                 return x
             g = gcd(p, *x._d.values())
             h = gcd(r, *x._n.values())
             return _wrap(_rescale(x._n, p // g, h), _rescale(x._d, r // h, g))
+    if (la > 1 or lb > 1) and (len(a._n) > 1 or len(b._n) > 1) and (bases := _bases(a._d, b._d)):
+        # with a and b reduced, only a factor of one denominator that the
+        # other lacks can divide the other numerator
+        (ca, ba), (cb, bb) = bases
+        exps = {f: ba.get(f, 0) + bb.get(f, 0) for f in {**ba, **bb}}
+        na = _strip(a._n, exps, [f for f in bb if f not in ba])
+        nb = _strip(b._n, exps, [f for f in ba if f not in bb])
+        return _assemble(_pmul(na, nb), ca * cb, exps)
     return _reduce(_pmul(a._n, b._n), _pmul(a._d, b._d))
 
 

@@ -9,7 +9,7 @@ from dnbrackets.bracket import HomogeneousBracket, constant_bracket, lower_metri
 from dnbrackets.diffpoly import DiffPoly
 from dnbrackets.lowdegree import canonical_k2, potemin_build
 from dnbrackets.sampling import random_diffpoly, random_monomial, random_scalar
-from dnbrackets.scalar import Scalar, parse_scalar
+from dnbrackets.scalar import Scalar, _expand, _factored, _partial, parse_scalar
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -20,6 +20,13 @@ def fixture_path(name: str) -> str:
 
 def S(text: str) -> Scalar:
     return parse_scalar(text)
+
+
+def cold_scalar_memos():
+    """Empty the value-keyed memos of dnbrackets.scalar (partial derivatives,
+    factored denominators and their expansions), so a timing starts cold."""
+    for memo in (_partial, _factored, _expand):
+        memo.cache_clear()
 
 
 def nonflat2_data():

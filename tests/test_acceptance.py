@@ -36,7 +36,7 @@ from dnbrackets.sampling import (
     random_diffpoly,
     random_monomial,
 )
-from dnbrackets.scalar import Scalar, _partial
+from dnbrackets.scalar import Scalar
 from dnbrackets.spectral import (
     D_minus1_closed,
     d1_as_connection,
@@ -48,7 +48,7 @@ from dnbrackets.spectral import (
     spanning_monomials,
 )
 
-from conftest import S, fixture_path, nonflat2_data
+from conftest import S, cold_scalar_memos, fixture_path, nonflat2_data
 from test_lowdegree import k2_break_e
 
 
@@ -73,9 +73,9 @@ def _announce(line):
 
 @contextlib.contextmanager
 def criterion(num, label, budget):
-    # every budget is met from a cold partial-derivative memo, not from the
-    # entries an earlier test left behind
-    _partial.cache_clear()
+    # every budget is met from cold scalar memos (partial derivatives and
+    # factored denominators), not from the entries an earlier test left behind
+    cold_scalar_memos()
     start = time.perf_counter()
     try:
         yield

@@ -2,10 +2,18 @@
 
 import os
 import random
+import time
 
 import pytest
 
-from dnbrackets.bracket import HomogeneousBracket, constant_bracket, validate
+from dnbrackets.bracket import (
+    CoordinateMap,
+    HomogeneousBracket,
+    check_skew,
+    constant_bracket,
+    transform,
+    validate,
+)
 from dnbrackets.cli import load_bracket
 from dnbrackets.diffpoly import DiffPoly, d_x
 from dnbrackets.errors import PreconditionError
@@ -17,8 +25,9 @@ from dnbrackets.jacobi import (
     variational_pair,
 )
 from dnbrackets.sampling import random_constant_bracket, random_monomial
+from dnbrackets.scalar import Scalar
 
-from conftest import FIXTURE_DIR, S, kernel_draws
+from conftest import FIXTURE_DIR, S, cold_scalar_memos, kernel_draws
 
 
 def test_fixtures_satisfy_jacobi(nonflat2, lc1, canonical4, const2, const3):
@@ -34,6 +43,26 @@ def test_check_jacobi_agrees_with_the_defect_list():
     for name in names:
         b = load_bracket(os.path.join(FIXTURE_DIR, name))
         assert check_jacobi(b) == (not jacobi_defects(b)), name
+
+
+def test_depth_two_map_checks_within_budget(nonflat2):
+    """nonflat2 through u1 -> u1 + 2*u2 and then u2 -> u2 - u1^2 is Poisson,
+    and check_jacobi says so within 12 s of CPU time from cold memos.
+
+    Every coefficient's denominator is a power of 2*u1^2 - u1 + 2*u2, up to
+    the fourth, so their gcds with the numerators were polynomial gcds, and
+    the check took 20 to 30 s while they were computed by GCDHEU.
+    """
+    u1, u2 = Scalar.coordinate(1), Scalar.coordinate(2)
+    shift = CoordinateMap(2, [u1 + 2 * u2, u2], [u1 - 2 * u2, u2])
+    bend = CoordinateMap(2, [u1, u2 - u1**2], [u1, u2 + u1**2])
+    moved = transform(transform(nonflat2, shift), bend)
+    assert validate(moved) == [] and check_skew(moved)
+    cold_scalar_memos()
+    start = time.process_time()
+    assert check_jacobi(moved)
+    elapsed = time.process_time() - start
+    assert elapsed < 12.0, f"check_jacobi took {elapsed:.1f} s of CPU time"
 
 
 def test_constant_brackets_all_degrees():

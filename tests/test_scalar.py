@@ -20,18 +20,25 @@ from dnbrackets.diffpoly import DiffPoly
 from dnbrackets.jacobi import apply_DP
 from dnbrackets.lowdegree import potemin_build
 from dnbrackets.scalar import (
+    _FACTOR_MEMO,
     _PARTIAL_MEMO,
     Scalar,
     _cancel_terms,
     _collect,
+    _expand,
+    _factored,
     _partial,
     _mono_key,
     _mono_mul,
     _plead,
     _pmul,
+    _pderiv,
     _pneg,
     _printed_bits,
     _prs,
+    _psub,
+    _reduce,
+    _rescale,
     _zeval,
     _zgcd,
     parse_scalar,
@@ -39,7 +46,7 @@ from dnbrackets.scalar import (
     scalar_arith,
 )
 
-from conftest import S, fixture_path, nonflat2_data
+from conftest import S, cold_scalar_memos, fixture_path, nonflat2_data
 
 
 def test_construct_and_cancel():
@@ -878,3 +885,234 @@ def test_printed_bits_are_the_bit_lengths_the_views_print():
             assert _printed_bits(c) == view_bits(c), c
             checked += 1
     assert checked == 5 * (len(values) - 1)
+
+
+# -- denominators over certified factors ------------------------------------
+
+
+def factor_polys():
+    """name -> an integer polynomial in u1, u2, u3, for the denominators of the
+    factor-memo tests: three certified factors (one whose certifying variable
+    has the coefficient 2), two single variables, and the three factors of
+    the uncertified products (u1 + u2)(u1 - u2) and u1^2 + u2^2."""
+    return {name: S(text)._n for name, text in (
+        ("f", "2*u1 - u2"), ("g", "u3 - u2 - 2"), ("h", "2*u2 + u1 - 2*u1^2"),
+        ("u1", "u1"), ("u3", "u3"),
+        ("p", "u1 + u2"), ("m", "u1 - u2"), ("q", "u1^2 + u2^2"),
+    )}
+
+
+def factor_product(polys: dict, exps: dict) -> dict:
+    out = {(): 1}
+    for name, e in exps.items():
+        for _ in range(e):
+            out = _pmul(out, polys[name])
+    return out
+
+
+# denominators, as exponents of factor_polys, for each family the route must
+# handle, and whether their entries are certified.  The squarefree part in the
+# least variable holds every factor that involves it, so h^2 * f, both in u1,
+# is a product too.
+FACTOR_FAMILIES = {
+    "powers of one factor": [({"f": 1}, True), ({"f": 3}, True), ({"g": 4}, True), ({"f": 7}, True)],
+    "two distinct factors": [({"f": 1, "g": 1}, True), ({"f": 2, "g": 3}, True)],
+    "a variable times a power": [({"u1": 2, "f": 3}, True), ({"u1": 1, "u3": 1, "g": 2}, True)],
+    "a non-unit coefficient": [({"h": 1}, True), ({"h": 2, "g": 1}, True), ({"h": 4}, True)],
+    "uncertified": [({"p": 1, "m": 1}, False), ({"q": 1}, False), ({"p": 2, "m": 1, "g": 1}, False),
+                    ({"h": 2, "f": 1}, False)],
+}
+
+
+def factor_family_values(seed: int = 83):
+    """(certified, value) pairs: numerators from random_polynomial, some multiplied
+    by a factor of their own or another denominator so that it can cancel,
+    over the denominators of FACTOR_FAMILIES times an integer content."""
+    rng = random.Random(seed)
+    polys = factor_polys()
+    out = []
+    for family, dens in FACTOR_FAMILIES.items():
+        for exps, certified in dens:
+            den = _rescale(factor_product(polys, exps), rng.choice((1, 1, 2, 6)), 1)
+            for _ in range(3):
+                num = random_polynomial(rng, 3, terms=3, deg=2)._n
+                if rng.random() < 0.5:
+                    num = _pmul(num, polys[rng.choice(sorted(polys))])
+                if num:
+                    out.append((certified, Scalar(num, den)))
+    return out
+
+
+def cancelling_pairs(seed: int = 97):
+    """(a, b) over one denominator d with a + b = r*p/d for a factor p of d, so
+    that the sum cancels a factor whose exponent is the same on both sides."""
+    rng = random.Random(seed)
+    polys = factor_polys()
+    out = []
+    for dens in FACTOR_FAMILIES.values():
+        for exps, _ in dens:
+            den = factor_product(polys, exps)
+            for name in exps:
+                num = random_polynomial(rng, 3, terms=3, deg=2)._n
+                r = random_polynomial(rng, 3, terms=2, deg=1)._n
+                if num and r:
+                    b = _psub(_pmul(r, polys[name]), num)
+                    out.append((Scalar(num, den), Scalar(b, den) if b else Scalar.one()))
+    return out
+
+
+def partial_cancelling_values(seed: int = 101):
+    """(u^i p + r)/p^e for a factor p free of u^i and r free of u^i, alone and
+    plus 1/q for a q in u^i: the derivative by u^i loses one power of p, over
+    a denominator free of u^i and over one in u^i."""
+    rng = random.Random(seed)
+    polys = factor_polys()
+    out = []
+    for name, i in (("f", 3), ("g", 1), ("h", 3), ("u3", 1)):
+        for e in (1, 2, 3):
+            r = {m: c for m, c in random_polynomial(rng, 3, terms=2, deg=2)._n.items()
+                 if i not in dict(m)}
+            a = Scalar(_collect(r.items(), _pmul({((i, 1),): 1}, polys[name])),
+                       factor_product(polys, {name: e}))
+            out += [a, a + Scalar({(): 1}, factor_product(polys, {"m": 1} if i == 1 else {"g": 1, "f": 1}))]
+    return out
+
+
+def oracle_results(a: Scalar, b: Scalar):
+    """(label, operator result, _reduce on the unreduced integer num/den) for
+    a + b, a - b, a * b, a / b and each partial derivative of a."""
+    cross, back, den = _pmul(a._n, b._d), _pmul(b._n, a._d), _pmul(a._d, b._d)
+    cases = [
+        ("+", a + b, _reduce(_collect(back.items(), cross), den)),
+        ("-", a - b, _reduce(_psub(cross, back), den)),
+        ("*", a * b, _reduce(_pmul(a._n, b._n), den)),
+    ]
+    if b:
+        num, quo = _pmul(a._n, b._d), _pmul(a._d, b._n)
+        if _plead(quo)[1] < 0:
+            num, quo = _pneg(num), _pneg(quo)
+        cases.append(("/", a / b, _reduce(num, quo)))
+    for i in (1, 2, 3):
+        dn, dd = _pderiv(a._n, i), _pderiv(a._d, i)
+        num = _psub(_pmul(dn, a._d), _pmul(a._n, dd))
+        cases.append((f"d/du{i}", a.partial(i), _reduce(num, _pmul(a._d, a._d))))
+    return cases
+
+
+def test_factor_memo_certifies_the_families_and_rejects_products():
+    # each factor primitive with a positive leading coefficient
+    polys = {name: _pneg(p) if _plead(p)[1] < 0 else p for name, p in factor_polys().items()}
+    for family, dens in FACTOR_FAMILIES.items():
+        for exps, certified in dens:
+            den = _rescale(factor_product(polys, exps), 6, 1)
+            entry = _factored(frozenset(den.items()))
+            if not certified:
+                assert entry is None, (family, exps)
+                continue
+            content, base = entry
+            assert content == 6, (family, exps)
+            assert {frozenset(f.p.items()): e for f, e in base.items()} == {
+                frozenset(polys[name].items()): e for name, e in exps.items()
+            }, (family, exps)
+
+
+def test_factored_route_matches_reduce_byte_for_byte(monkeypatch):
+    """+, -, *, / and partial over factored denominators give exactly the
+    integer num/den that _reduce gives on the unreduced quotient, for every
+    family, uncertified ones included; after a warm-up, the certified families
+    need no GCDHEU for +, -, * and partial."""
+    values = factor_family_values()
+    rng = random.Random(5)
+    pairs = [(a, b) for _, a in values for _, b in rng.sample(values, 4)]
+    pairs += cancelling_pairs() + [(a, b) for a in partial_cancelling_values() for _, b in values[:2]]
+    for a, b in pairs:
+        for label, got, want in oracle_results(a, b):
+            assert (got._n, got._d) == (want._n, want._d), (a, label, b)
+    certified = [v for ok, v in values if ok]
+    calls = []
+    original = scalar._heugcd
+    monkeypatch.setattr(scalar, "_heugcd", lambda f, g: calls.append((f, g)) or original(f, g))
+    for a, b in zip(certified, certified[1:] + certified[:1]):
+        a + b, a - b, a * b, [a.partial(i) for i in (1, 2, 3)]
+    assert calls == []
+
+
+def test_factored_route_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    u = sympy.symbols(U)
+    values = factor_family_values(seed=89)
+    rng = random.Random(7)
+    for (_, a), (_, b) in zip(values[::4], rng.sample(values, len(values[::4]))):
+        A = sympy_poly(sympy, a.num) / sympy_poly(sympy, a.den)
+        B = sympy_poly(sympy, b.num) / sympy_poly(sympy, b.den)
+        i = rng.randrange(3)
+        cases = [(a + b, A + B), (a - b, A - B), (a * b, A * B), (a / b, A / B),
+                 (a.partial(i + 1), sympy.diff(A, u[i]))]
+        for got, want in cases:
+            want = ({}, {(): 1}) if want == 0 else sympy_canonical(sympy, want)
+            assert (got.num, got.den) == want, (a, b)
+
+
+def test_factored_route_matches_reduce_on_drawn_denominators():
+    """The differential above on hypothesis-drawn values: each denominator is a
+    content times powers of the factors of factor_polys, each numerator a
+    random polynomial times powers of them, so that factors can cancel."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    polys = factor_polys()
+    names = sorted(polys)
+    powers = st.dictionaries(st.sampled_from(names), st.integers(1, 3), max_size=3)
+    value = st.tuples(powers, powers, st.integers(1, 12), st.integers(0, 10**6))
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @hypothesis.given(value, value)
+    def check(first, second):
+        a, b = (
+            Scalar(_pmul(random_polynomial(random.Random(seed), 3, terms=2, deg=2)._n or {(): 1},
+                         factor_product(polys, top)),
+                   _rescale(factor_product(polys, bottom), content, 1))
+            for bottom, top, content, seed in (first, second)
+        )
+        for label, got, want in oracle_results(a, b):
+            assert (got._n, got._d) == (want._n, want._d), (a, label, b)
+
+    check()
+
+
+def test_factor_memo_is_shared_remembers_rejections_and_stays_bounded():
+    def values():
+        return [S(t) for t in ("(u1 + 1)/(2*u1 - u2)^3", "u3/((u2 - u3 + 2)*(2*u1 - u2))",
+                               "(u2^2 - 1)/(u1^2*(u2 - u3 + 2)^2)")]
+
+    def work(xs):
+        return [x + y for x in xs for y in xs] + [x * y for x in xs for y in xs] + [
+            x.partial(i) for x in xs for i in (1, 2, 3)]
+
+    cold_scalar_memos()
+    first = work(values())
+    info = _factored.cache_info()
+    # separately built equal denominators share their entries
+    assert work(values()) == first
+    again = _factored.cache_info()
+    assert again.hits > info.hits and again.misses == info.misses
+    # a rejected denominator is remembered as None, and the sum is _reduce's
+    x, z = S("u3/((u1 + u2)*(u1 - u2))"), S("1/(u1 - u2)")
+    assert _factored(frozenset(x._d.items())) is None
+    label, got, want = oracle_results(x, z)[0]
+    assert label == "+" and (got._n, got._d) == (want._n, want._d)
+    misses = _factored.cache_info().misses
+    assert S("u3/(u1^2 - u2^2)") + z == got and _factored.cache_info().misses == misses
+    # monomial and constant denominators never reach the table
+    before = _factored.cache_info()
+    xs = [S("(u1 + u2)/u1^2"), S("u2^2/(3*u1*u3)"), S("(u1 - 2)/4"), S("u2/u1")]
+    for x in xs:
+        for y in xs:
+            x + y, x - y, x * y, [x.partial(i) for i in (1, 2, 3)]
+    assert _factored.cache_info() == before
+    # more distinct denominators than entries: the table keeps its bound
+    u1, u2 = Scalar.coordinate(1), Scalar.coordinate(2)
+    for k in range(_FACTOR_MEMO + 50):
+        (u1 + 1) / (u1 + k * u2) + u2 / (u1 + k * u2)
+    for memo in (_factored, _expand):
+        info = memo.cache_info()
+        assert info.maxsize == _FACTOR_MEMO and info.currsize == _FACTOR_MEMO
