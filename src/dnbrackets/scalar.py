@@ -24,8 +24,41 @@ same join (_signed_join), product rule (_product) and coefficient text
 Term dicts, here and in diffpoly, never hold a zero coefficient, and every
 sum of terms goes through _collect, which keeps that invariant.
 
-Reduction (_reduce) is the integer gcd _zgcd and a sign flip.  _zgcd takes
-one of two paths:
+Every Scalar carries its denominator's base: the pair (c, {p: e}) with
+d = c * prod p^e, c the integer content of d and each p a _Factor, which is
+primitive, has a positive leading coefficient and is certified irreducible:
+p has degree 1 in some variable y, and y's coefficient is an integer
+(_certify).  A single variable is such a factor, and a constant denominator
+has none.  The base is set when the Scalar is made and is None only when a
+part of d is not certified.  Distinct certified factors are coprime, so with
+the bases of both operands, which are in lowest terms, only these can cancel:
+
+* in a product, the factors of one denominator that the other lacks, from
+  the other numerator;
+* in a sum, which takes the lcm of the denominators (Henrici; Knuth, TAOCP
+  vol. 2, 4.5.1), the factors whose exponents are equal on both sides;
+* in a partial derivative by u^i, the factors free of u^i: each factor
+  that involves u^i gains one in its exponent and never cancels;
+* the integer contents, by math.gcd.
+
+A candidate factor p is tried by exact division (_zquo), and only after a
+pretest: the numerator is evaluated modulo the prime _PRIME at a zero of p,
+computed once per factor, and a nonzero residue rules p out.  The result
+has the canonical form above, so it is the one a polynomial gcd would give,
+and its base is the factors that remain.  A power, a negation and a product
+with a constant factor, which need no gcd, scale the base as they scale d.
+
+A value made otherwise (by the constructor, as a reciprocal, or by _reduce)
+has its base looked up by value in a least-recently-used table of at most
+_FACTOR_MEMO entries (_factored); a squarefree part that fails the
+certificate, as the product (u1 + u2)(u1 - u2) does, makes it None.
+Expanding a base into d is memoised alike (_expand).  Both tables are keyed
+on values that are never changed, so, like the partial memo below, they
+cannot go stale.
+
+Over a None base, and in the constructor, a result is reduced by _reduce,
+the integer gcd _zgcd and a sign flip, which the tests take as the oracle.
+_zgcd takes one of two paths:
 
 * when one side is a single term, the gcd is the integer content of both
   times the monomial whose exponent of each variable is the minimum over all
@@ -41,40 +74,6 @@ one of two paths:
 Both work in the least variable x of their operands, so x^d, when present,
 is the first pair of a monomial: _zeval, _to_univ, _from_univ and _zinterp
 split off or prepend that pair instead of rebuilding the monomial.
-
-Some results need no polynomial gcd: a product with a constant factor
-(two integer gcds with the other factor's contents), a power, a negation
-and a reciprocal.
-
-Nor do most results over a polynomial denominator.  Such a denominator d is
-looked up by value in a least-recently-used table of at most _FACTOR_MEMO
-entries (_factored) holding d = c * prod p^e: c is d's integer content, and
-each p is primitive, has a positive leading coefficient and is certified
-irreducible, which here means that p has degree 1 in some variable y and
-that y's coefficient is an integer (_certify).  The single variables of d's
-monomial content are such factors; each further one is the squarefree part
-q/gcd(q, dq/dx) of what is left, q, in its least variable x, divided out as
-often as it goes.  Distinct certified factors are coprime, so with the
-entries of both operands known, the operands being in lowest terms, only
-these can cancel:
-
-* in a product, the factors of one denominator that the other lacks, from
-  the other numerator;
-* in a sum, which takes the lcm of the denominators (Henrici; Knuth, TAOCP
-  vol. 2, 4.5.1), the factors whose exponents are equal on both sides;
-* in a partial derivative by u^i, the factors free of u^i: each factor
-  that involves u^i gains one in its exponent and never cancels;
-* the integer contents, by math.gcd.
-
-A candidate factor p is tried by exact division (_zquo), and only after a
-pretest: the numerator is evaluated modulo the prime _PRIME at a zero of p,
-computed once per factor, and a nonzero residue rules p out.  The result
-has the canonical form above, so it is the one _reduce would give.  A
-squarefree part that fails the certificate, which may be a product such as
-(u1 + u2)(u1 - u2), makes the entry None; then, as for monomial and
-constant denominators and for a product of two single-term numerators, the
-result is reduced by _zgcd.  The table is keyed on values that are never
-changed, so, like the partial memo below, it cannot go stale.
 
 Partial derivatives are memoised on the value: Scalar.partial(i) looks
 (self, i) up in a least-recently-used table of at most _PARTIAL_MEMO
@@ -108,10 +107,10 @@ _HEU_TRIES = 6
 # check keeps what it reuses, and small enough to cap memory over a long run
 _PARTIAL_MEMO = 1024
 
-# entries of the memo of factored denominators (_factored) and of the memo
-# of expanded factor products (_expand): far above the 67 and 69 entries
-# that checking 21 transformed brackets fills, and small enough to cap
-# memory over a long run
+# entries of the memo of factored denominators (_factored), which only
+# reciprocals reach once the operands are built, and of the memo of expanded
+# bases (_expand): far above the 36 and 96 entries that checking 21
+# transformed brackets fills, and small enough to cap memory over a long run
 _FACTOR_MEMO = 1024
 
 # the prime modulo which a numerator is evaluated at a zero of a factor
@@ -180,12 +179,13 @@ def _mono_lower(m: Mono, v) -> Mono:
 
 
 def _pmul(a: Poly, b: Poly) -> Poly:
+    # no term dict is ever changed, so a product by 1 may share the other factor's
     if not a or not b:
         return {}
     if a == _ONE_P:
-        return dict(b)
+        return b
     if b == _ONE_P:
-        return dict(a)
+        return a
     return _collect(
         (_mono_mul(m1, m2), c1 * c2) for m1, c1 in a.items() for m2, c2 in b.items()
     )
@@ -235,10 +235,9 @@ def _mono_div(m: Mono, d: Mono) -> Mono | None:
 
 
 def _cancel_terms(a: dict, b: dict) -> tuple[Mono, dict, dict]:
-    """(d, a/d, b/d) for the gcd d of a and b up to a constant, one of them a single term.
-
-    d is the monomial whose exponent of each variable is the minimum over all
-    terms of a and b, so dividing by it is exponent subtraction.
+    """(d, a/d, b/d) for the monomial d whose exponent of each variable is the
+    minimum over all terms of a and b, so dividing by it is exponent
+    subtraction.  When a or b is a single term, d is their gcd up to a constant.
     """
     terms = iter([*b, *a] if len(b) == 1 else [*a, *b])
     g = dict(next(terms))
@@ -468,6 +467,9 @@ class _Factor(frozenset):
         self.root = -_residue(rest, y, 0) * pow(a, -1, _PRIME) % _PRIME
         return self
 
+    def __deepcopy__(self, memo):
+        return self  # never changed, like the Scalars that hold it
+
 
 def _certify(p: dict) -> _Factor | None:
     """p as a _Factor if some variable y occurs in p only in a term a*y, else None.
@@ -497,14 +499,9 @@ def _factored(key: frozenset) -> tuple[int, dict] | None:
     """
     d = dict(key)
     c = gcd(*d.values())
-    terms = iter(d)
-    low = dict(next(terms))
-    for m in terms:
-        e = dict(m)
-        low = {v: min(x, e[v]) for v, x in low.items() if v in e}
-    base = {_Factor({((v, 1),): 1}, v, 1): e for v, e in low.items()}
-    mono = tuple(low.items())
-    q = {_mono_div(m, mono): a // c for m, a in d.items()}
+    mono, q, _ = _cancel_terms(d, d)
+    base = {_Factor({((v, 1),): 1}, v, 1): e for v, e in mono}
+    q = _rescale(q, 1, c)
     while not _is_const(q):
         f = _certify(q)
         if f is None:
@@ -519,12 +516,6 @@ def _factored(key: frozenset) -> tuple[int, dict] | None:
     return c, base
 
 
-def _bases(*polys: dict) -> list | None:
-    """The memo entries (_factored) of polys, or None if one is None."""
-    out = [_factored(frozenset(p.items())) for p in polys]
-    return None if None in out else out
-
-
 @lru_cache(maxsize=_FACTOR_MEMO)
 def _expand(c: int, powers: frozenset) -> dict:
     """c * prod f.p**e over the pairs (f, e) of powers."""
@@ -534,17 +525,29 @@ def _expand(c: int, powers: frozenset) -> dict:
     return out
 
 
-def _strip(num: dict, exps: dict, candidates) -> dict:
-    """num divided by each candidate factor as often as it goes, at most its
-    exponent in exps, which drops by the number of divisions.
+def _den(c: int, exps: dict) -> dict:
+    """c * prod f.p**e over exps: the constant c itself, else from _expand."""
+    return _expand(c, frozenset(exps.items())) if exps else {(): c}
+
+
+def _strip(num: dict, exps: dict, candidates, skip=()) -> dict:
+    """num divided by each candidate factor not in skip as often as it goes,
+    at most its exponent in exps, which drops by the number of divisions (a
+    factor whose exponent reaches 0 leaves exps).
 
     A factor f divides num only if num vanishes at f's zero, so a nonzero
-    residue there rules f out without a division.
+    residue there, or for a single variable a term without it, rules f out
+    without a division.
     """
     for f in candidates:
+        if f in skip:
+            continue
         most = exps[f]
         if len(f.p) == 1:  # a single variable: the least exponent over num's terms
-            k = min(most, min(next((e for v, e in m if v == f.y), 0) for m in num))
+            k = most
+            for m in num:  # down to 0 at the first term without the variable
+                if not (k := min(k, next((e for v, e in m if v == f.y), 0))):
+                    break
             if k:
                 num = {_mono_div(m, ((f.y, k),)): c for m, c in num.items()}
         else:
@@ -554,16 +557,20 @@ def _strip(num: dict, exps: dict, candidates) -> dict:
                 if q is None:
                     break
                 num, k = q, k + 1
-        exps[f] = most - k
+        if k == most:
+            del exps[f]
+        else:
+            exps[f] = most - k
     return num
 
 
 def _assemble(num: dict, c: int, exps: dict) -> "Scalar":
     """The Scalar num / (c * prod f.p**e over exps), num sharing no factor of
-    exps with it, with the integer content of both cancelled."""
-    g = gcd(c, *num.values())
-    powers = frozenset((f, e) for f, e in exps.items() if e)
-    return _wrap(_rescale(num, 1, g), _expand(c // g, powers))
+    exps with it, with the integer content of both cancelled; exps, whose
+    exponents are positive, becomes part of its base."""
+    g = gcd(c, *num.values()) if c > 1 else 1
+    c //= g
+    return _wrap(_rescale(num, 1, g), _den(c, exps), (c, exps))
 
 
 # -- printing ---------------------------------------------------------------
@@ -619,7 +626,7 @@ def _printed_bits(c: "Scalar") -> int:
 class Scalar:
     """A rational function of the coordinates, in canonical reduced form."""
 
-    __slots__ = ("_n", "_d")
+    __slots__ = ("_n", "_d", "_b")
 
     def __init__(self, num: Poly, den: Poly = _ONE_P):
         """num/den for term dicts with int or Fraction coefficients."""
@@ -630,28 +637,28 @@ class Scalar:
         l = lcm(*(c.denominator for p in (num, den) for c in p.values()))
         l = -l if _plead(den)[1] < 0 else l
         out = _reduce(*({m: int(c * l) for m, c in p.items()} for p in (num, den)))
-        self._n, self._d = out._n, out._d
+        self._n, self._d, self._b = out._n, out._d, out._b
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def from_fraction(q) -> "Scalar":
         _exact({(): q})  # int or Fraction only, as in the constructor
-        return _wrap(_pconst(q.numerator), {(): q.denominator})
+        return _wrap(_pconst(q.numerator), {(): q.denominator}, (q.denominator, {}))
 
     @staticmethod
     def zero() -> "Scalar":
-        return _wrap({}, _ONE_P)
+        return _wrap({}, _ONE_P, (1, {}))
 
     @staticmethod
     def one() -> "Scalar":
-        return _wrap({(): 1}, _ONE_P)
+        return _wrap({(): 1}, _ONE_P, (1, {}))
 
     @staticmethod
     def coordinate(i: int) -> "Scalar":
         if i < 1:
             raise ValueError(f"coordinate index must be >= 1, got {i}")
-        return _wrap({((i, 1),): 1}, _ONE_P)
+        return _wrap({((i, 1),): 1}, _ONE_P, (1, {}))
 
     # -- the Fraction view ----------------------------------------------
 
@@ -697,27 +704,15 @@ class Scalar:
             return other
         if not other._n:
             return self
-        d1, d2 = self._d, other._d
-        if (len(d1) > 1 or len(d2) > 1) and (bases := _bases(d1, d2)):
-            return _add_factored(self, other, *bases)
-        if d1.keys() == d2.keys():
-            # denominators equal up to a constant factor, k1*d1 == k2*d2, share
-            # one: n1/d1 + n2/d2 = (k1*n1 + k2*n2) / (k1*d1).  Both leading
-            # coefficients are positive, so the factor is, and any pair of
-            # coefficients gives it by their absolute values.
-            l1, l2 = abs(next(iter(d1.values()))), abs(d2[next(iter(d1))])
-            g = gcd(l1, l2)
-            k1, k2 = l2 // g, l1 // g
-            if all(k1 * c == k2 * d2[m] for m, c in d1.items()):
-                num = _collect(((m, k2 * c) for m, c in other._n.items()), _rescale(self._n, k1, 1))
-                return _reduce(num, _rescale(d1, k1, 1))
-        num = _padd(_pmul(self._n, d2), _pmul(other._n, d1))
-        return _reduce(num, _pmul(d1, d2))
+        if self._b is None or other._b is None:
+            d1, d2 = self._d, other._d
+            return _reduce(_padd(_pmul(self._n, d2), _pmul(other._n, d1)), _pmul(d1, d2))
+        return _add_factored(self, other)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
-        return _wrap(_pneg(self._n), self._d)
+        return _wrap(_pneg(self._n), self._d, self._b)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -749,7 +744,7 @@ class Scalar:
         num, den = other._d, other._n
         if _plead(den)[1] < 0:
             num, den = _pneg(num), _pneg(den)
-        return _mul(self, _wrap(num, den))
+        return _mul(self, _wrap(num, den, _factored(frozenset(den.items()))))
 
     def __rtruediv__(self, other):
         other = _coerce(other)
@@ -758,10 +753,12 @@ class Scalar:
         return other / self
 
     def __pow__(self, e: int) -> "Scalar":
-        if e < 0:
-            return Scalar.one() / self ** (-e)
+        if e <= 0:
+            return Scalar.one() / self ** (-e) if e else Scalar.one()
         # powers of coprime polynomials are coprime, and lc(d**e) = lc(d)**e > 0
-        return _wrap(_ppow(self._n, e), _ppow(self._d, e))
+        b = self._b
+        base = None if b is None else (b[0] ** e, {f: k * e for f, k in b[1].items()})
+        return _wrap(_ppow(self._n, e), _ppow(self._d, e), base)
 
     def __eq__(self, other) -> bool:
         other = _coerce(other)
@@ -804,43 +801,44 @@ class Scalar:
 def _partial(a: Scalar, i: int) -> Scalar:
     """d a / d u^i by the quotient rule, for i >= 1."""
     dn = _pderiv(a._n, i)
-    dd = _pderiv(a._d, i)
-    # a single-term n' over a denominator free of u^i cancels by _cancel_terms
-    if len(a._d) > 1 and (dd or len(dn) > 1) and (bases := _bases(a._d)):
-        # with L the product of the factors f of a._d that involve u^i, each
-        # to the power 1, (n/d)' = (n' L - n sum e_f f' L/f) / (d L); no such
-        # f divides the numerator, so only the others can cancel.  The
-        # numerator is not 0: a reduced n/d whose d involves u^i does too.
-        (c, base), = bases
-        L, s = _ONE_P, {}
-        for f, e in base.items():
-            if i in f.vars:
-                s = _padd(_pmul(s, f.p), _pmul(_rescale(_pderiv(f.p, i), e, 1), L))
-                L = _pmul(L, f.p)
-        num = _psub(_pmul(dn, L), _pmul(a._n, s))
-        exps = {f: e + (i in f.vars) for f, e in base.items()}
-        return _assemble(_strip(num, exps, [f for f in base if i not in f.vars]), c, exps)
-    if not dd:
-        return _reduce(dn, a._d)
-    num = _psub(_pmul(dn, a._d), _pmul(a._n, dd))
-    return _reduce(num, _pmul(a._d, a._d))
+    if a._b is None:
+        num = _psub(_pmul(dn, a._d), _pmul(a._n, _pderiv(a._d, i)))
+        return _reduce(num, _pmul(a._d, a._d))
+    # with L the product of the factors f of d that involve u^i, each to the
+    # power 1, (n/d)' = (n' L - n sum e_f f' L/f) / (d L); no such f divides
+    # the numerator, so only the others can cancel.
+    c, base = a._b
+    L, s = _ONE_P, {}
+    for f, e in base.items():
+        if i in f.vars:
+            s = _padd(_pmul(s, f.p), _pmul(_rescale(_pderiv(f.p, i), e, 1), L))
+            L = _pmul(L, f.p)
+    num = _psub(_pmul(dn, L), _pmul(a._n, s))
+    if not num:
+        return Scalar.zero()
+    exps = {f: e + (i in f.vars) for f, e in base.items()}
+    return _assemble(_strip(num, exps, [f for f in base if i not in f.vars]), c, exps)
 
 
-def _add_factored(a: Scalar, b: Scalar, fa: tuple, fb: tuple) -> Scalar:
+def _add_factored(a: Scalar, b: Scalar) -> Scalar:
     """a + b over the lcm of the factored denominators (Henrici): with g =
     gcd(d_a, d_b), (n_a (d_b/g) + n_b (d_a/g)) / (d_a d_b / g).  A factor
     whose exponents differ divides exactly one of the two products, so only
     the factors with equal exponents can cancel."""
-    (ca, ba), (cb, bb) = fa, fb
+    (ca, ba), (cb, bb) = a._b, b._b
     g = gcd(ca, cb)
-    ua = {f: e - bb.get(f, 0) for f, e in ba.items() if e > bb.get(f, 0)}
-    ub = {f: e - ba.get(f, 0) for f, e in bb.items() if e > ba.get(f, 0)}
-    num = _padd(_pmul(a._n, _expand(cb // g, frozenset(ub.items()))),
-                _pmul(b._n, _expand(ca // g, frozenset(ua.items()))))
+    exps, ua, ub, equal = {**ba, **bb}, {}, {}, []
+    for f in exps:
+        ea, eb = ba.get(f, 0), bb.get(f, 0)
+        if ea > eb:
+            exps[f], ua[f] = ea, ea - eb
+        elif eb > ea:
+            ub[f] = eb - ea
+        else:
+            equal.append(f)
+    num = _padd(_pmul(a._n, _den(cb // g, ub)), _pmul(b._n, _den(ca // g, ua)))
     if not num:
         return Scalar.zero()
-    exps = {f: max(ba.get(f, 0), bb.get(f, 0)) for f in {**ba, **bb}}
-    equal = [f for f, e in ba.items() if bb.get(f) == e]
     return _assemble(_strip(num, exps, equal), ca // g * cb, exps)
 
 
@@ -851,32 +849,32 @@ def _mul(a: Scalar, b: Scalar) -> Scalar:
         return Scalar.zero()
     # a constant factor p/r needs no polynomial gcd: with n/d in lowest
     # terms, (p/g * n/h) / (r/h * d/g) is, for g = gcd(p, content of d) and
-    # h = gcd(r, content of n).  The denominators' lengths serve this test,
-    # q.is_fraction() inlined, and the test for a polynomial denominator.
-    la, lb = len(a._d), len(b._d)
-    for q, x, lq in ((a, b, la), (b, a, lb)):
-        if lq == 1 and () in q._d and () in q._n and len(q._n) == 1:
+    # h = gcd(r, content of n); q.is_fraction() is inlined
+    for q, x in ((a, b), (b, a)):
+        if len(q._d) == 1 and () in q._d and len(q._n) == 1 and () in q._n:
             p, r = q._n[()], q._d[()]
             if p == r:  # both 1
                 return x
             g = gcd(p, *x._d.values())
             h = gcd(r, *x._n.values())
-            return _wrap(_rescale(x._n, p // g, h), _rescale(x._d, r // h, g))
-    if (la > 1 or lb > 1) and (len(a._n) > 1 or len(b._n) > 1) and (bases := _bases(a._d, b._d)):
-        # with a and b reduced, only a factor of one denominator that the
-        # other lacks can divide the other numerator
-        (ca, ba), (cb, bb) = bases
-        exps = {f: ba.get(f, 0) + bb.get(f, 0) for f in {**ba, **bb}}
-        na = _strip(a._n, exps, [f for f in bb if f not in ba])
-        nb = _strip(b._n, exps, [f for f in ba if f not in bb])
-        return _assemble(_pmul(na, nb), ca * cb, exps)
-    return _reduce(_pmul(a._n, b._n), _pmul(a._d, b._d))
+            base = None if x._b is None else (x._b[0] // g * (r // h), x._b[1])
+            return _wrap(_rescale(x._n, p // g, h), _rescale(x._d, r // h, g), base)
+    if a._b is None or b._b is None:
+        return _reduce(_pmul(a._n, b._n), _pmul(a._d, b._d))
+    # with a and b reduced, only a factor of one denominator that the other
+    # lacks can divide the other numerator
+    (ca, ba), (cb, bb) = a._b, b._b
+    exps = _collect(bb.items(), ba)
+    na = _strip(a._n, exps, bb, ba)
+    nb = _strip(b._n, exps, ba, bb)
+    return _assemble(_pmul(na, nb), ca * cb, exps)
 
 
-def _wrap(num: Poly, den: Poly) -> Scalar:
-    """A Scalar holding num/den, int term dicts already in canonical form."""
+def _wrap(num: Poly, den: Poly, base: tuple | None) -> Scalar:
+    """A Scalar holding num/den, int term dicts already in canonical form, and
+    den's base (c, {factor: e}), or None when a part of den is not certified."""
     out = Scalar.__new__(Scalar)
-    out._n, out._d = num, den
+    out._n, out._d, out._b = num, den, base
     return out
 
 
@@ -890,11 +888,11 @@ def _reduce(num: Poly, den: Poly) -> Scalar:
     if not num:
         return Scalar.zero()
     if den == _ONE_P:
-        return _wrap(num, _ONE_P)
+        return _wrap(num, _ONE_P, (1, {}))
     h, num, den = _zgcd(num, den)
     if _plead(h)[1] < 0:
         num, den = _pneg(num), _pneg(den)
-    return _wrap(num, den)
+    return _wrap(num, den, _factored(frozenset(den.items())))
 
 
 def _rescale(p: Poly, mul: int, div: int) -> Poly:

@@ -24,6 +24,7 @@ from dnbrackets.scalar import (
     _PARTIAL_MEMO,
     Scalar,
     _cancel_terms,
+    _certify,
     _collect,
     _expand,
     _factored,
@@ -34,6 +35,7 @@ from dnbrackets.scalar import (
     _pmul,
     _pderiv,
     _pneg,
+    _ppow,
     _printed_bits,
     _prs,
     _psub,
@@ -1079,7 +1081,7 @@ def test_factored_route_matches_reduce_on_drawn_denominators():
     check()
 
 
-def test_factor_memo_is_shared_remembers_rejections_and_stays_bounded():
+def test_factor_memo_is_shared_remembers_rejections_and_stays_bounded(monkeypatch):
     def values():
         return [S(t) for t in ("(u1 + 1)/(2*u1 - u2)^3", "u3/((u2 - u3 + 2)*(2*u1 - u2))",
                                "(u2^2 - 1)/(u1^2*(u2 - u3 + 2)^2)")]
@@ -1102,13 +1104,17 @@ def test_factor_memo_is_shared_remembers_rejections_and_stays_bounded():
     assert label == "+" and (got._n, got._d) == (want._n, want._d)
     misses = _factored.cache_info().misses
     assert S("u3/(u1^2 - u2^2)") + z == got and _factored.cache_info().misses == misses
-    # monomial and constant denominators never reach the table
-    before = _factored.cache_info()
+    # over monomial and constant denominators, + - * and partial need no gcd
     xs = [S("(u1 + u2)/u1^2"), S("u2^2/(3*u1*u3)"), S("(u1 - 2)/4"), S("u2/u1")]
+    _partial.cache_clear()
+    calls = []
+    original = scalar._zgcd
+    monkeypatch.setattr(scalar, "_zgcd", lambda f, g: calls.append((f, g)) or original(f, g))
     for x in xs:
         for y in xs:
             x + y, x - y, x * y, [x.partial(i) for i in (1, 2, 3)]
-    assert _factored.cache_info() == before
+    assert calls == []
+    monkeypatch.undo()
     # more distinct denominators than entries: the table keeps its bound
     u1, u2 = Scalar.coordinate(1), Scalar.coordinate(2)
     for k in range(_FACTOR_MEMO + 50):
@@ -1116,3 +1122,133 @@ def test_factor_memo_is_shared_remembers_rejections_and_stays_bounded():
     for memo in (_factored, _expand):
         info = memo.cache_info()
         assert info.maxsize == _FACTOR_MEMO and info.currsize == _FACTOR_MEMO
+
+
+# -- the base each Scalar carries --------------------------------------------
+
+
+def assert_base_matches(x: Scalar, where):
+    """x's carried base (c, {factor: e}) expands to its denominator, and each
+    factor is primitive with a positive leading coefficient and passes
+    _certify; wherever _factored finds a base for the denominator, it is x's."""
+    found = _factored(frozenset(x._d.items()))
+    if x._b is None:
+        assert found is None, where
+        return
+    c, base = x._b
+    d = {(): c}
+    for f, e in base.items():
+        assert e > 0 and _certify(f.p) == f, where
+        assert gcd(*f.p.values()) == 1 and _plead(f.p)[1] > 0, where
+        d = _pmul(d, _ppow(f.p, e))
+    assert d == x._d, where
+    assert found is None or found == x._b, where
+
+
+def test_carried_bases_match_their_denominators():
+    """Over the pairs of the byte-for-byte test above, every operand and result
+    of oracle_results, and each operand's negation and powers, carries the
+    base of its denominator."""
+    values = factor_family_values()
+    rng = random.Random(5)
+    pairs = [(a, b) for _, a in values for _, b in rng.sample(values, 4)]
+    pairs += cancelling_pairs() + [(a, b) for a in partial_cancelling_values() for _, b in values[:2]]
+    for a, b in pairs:
+        for label, got, _ in oracle_results(a, b):
+            assert_base_matches(got, (a, label, b))
+        for x in (a, -a, a**2, a**-1):
+            assert_base_matches(x, a)
+
+
+def test_carried_bases_match_on_drawn_denominators():
+    """The differential against _reduce and the base check on hypothesis-drawn
+    values, whose denominators range over contents alone, single variables
+    with a content, and products of the factors of factor_polys."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    polys = factor_polys()
+    powers = st.dictionaries(st.sampled_from(sorted(polys)), st.integers(1, 3), max_size=3)
+    value = st.tuples(powers, powers, st.integers(1, 12), st.integers(0, 10**6))
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @hypothesis.given(value, value, st.integers(-2, 3))
+    def check(first, second, e):
+        a, b = (
+            Scalar(_pmul(random_polynomial(random.Random(seed), 3, terms=2, deg=2)._n or {(): 1},
+                         factor_product(polys, top)),
+                   _rescale(factor_product(polys, bottom), content, 1))
+            for bottom, top, content, seed in (first, second)
+        )
+        for label, got, want in oracle_results(a, b):
+            assert (got._n, got._d) == (want._n, want._d), (a, label, b)
+            assert_base_matches(got, (a, label, b))
+        for x in (a, -a, a**e):
+            assert_base_matches(x, (a, e))
+
+    check()
+
+
+def denominator_shapes():
+    """Values beside the factor families: monomial denominators with a non-unit
+    content, constants, a monomial times certified factors, and numerators
+    that are a certified factor or a monomial, which dividing by them makes
+    denominators."""
+    return [S(t) for t in (
+        "(u1 + u2)/(6*u1^2*u3)", "(2*u2 - 1)/(4*u1*u3^2)", "u2^2/(3*u1*u3)", "u1*u3/2",
+        "3/4", "(u1 - u2)/6", "-5",
+        "u2/u1^2", "(u1 + 1)/(u1*(2*u1 - u2))", "(u3 + u1)/(2*u1^3*(u3 - u2 - 2)^2)",
+        "(2*u1 - u2)/u3", "-6*u1^2*u2/(u3 - u2 - 2)", "(2*u2 + u1 - 2*u1^2)/(5*u2^2)",
+    )]
+
+
+def power_oracle(a: Scalar, e: int) -> Scalar:
+    """_reduce on the unreduced integer num/den of a**e."""
+    num, den = _ppow(a._n, abs(e)), _ppow(a._d, abs(e))
+    if e < 0:
+        num, den = (den, num) if _plead(num)[1] > 0 else (_pneg(den), _pneg(num))
+    return _reduce(num, den)
+
+
+def test_denominator_shapes_match_reduce_byte_for_byte():
+    """+, -, *, / and partial over every pair of denominator_shapes, both
+    orders, and -x and x**e for negative e too, give _reduce's integer
+    num/den and carry their denominators' bases."""
+    values = denominator_shapes()
+    for a in values:
+        for b in values:
+            for label, got, want in oracle_results(a, b):
+                assert (got._n, got._d) == (want._n, want._d), (a, label, b)
+                assert_base_matches(got, (a, label, b))
+        for e in (-3, -1, 0, 2, 3):
+            got, want = a**e, power_oracle(a, e)
+            assert (got._n, got._d) == (want._n, want._d), (a, e)
+            assert_base_matches(got, (a, e))
+        neg = -a
+        assert (neg._n, neg._d) == (_pneg(a._n), a._d)
+        assert_base_matches(neg, a)
+
+
+def test_carried_base_outlives_a_rejected_denominator(monkeypatch):
+    """(1/A)**2 * (1/B) for A = 2u2 + u1 - 2u1^2 and B = 2u1 - u2: _factored
+    rejects A^2 B, whose squarefree part in u1 is the product A B, but the
+    product carries the base {A: 2, B: 1}, so +, * and partial on it cancel
+    without GCDHEU and give _reduce's result."""
+    A, B = S("2*u2 + u1 - 2*u1^2"), S("2*u1 - u2")
+    x = (1 / A) ** 2 * (1 / B)
+    assert _factored(frozenset(x._d.items())) is None
+    assert {frozenset(f.p.items()): e for f, e in x._b[1].items()} == {
+        frozenset(_pneg(A._n).items()): 2, frozenset(B._n.items()): 1}  # -A leads with +2u1^2
+    others = [x, S("u3/(2*u1 - u2)"), S("(u1 + 1)/(2*u2 + u1 - 2*u1^2)"), S("u2/u1^2"), S("3/4"),
+              S("(u1 - u2)*(2*u2 + u1 - 2*u1^2)")]
+    _partial.cache_clear()
+    calls = []
+    original = scalar._heugcd
+    monkeypatch.setattr(scalar, "_heugcd", lambda f, g: calls.append((f, g)) or original(f, g))
+    got = [{"+": x + y, "*": x * y, **{f"d/du{i}": x.partial(i) for i in (1, 2, 3)}} for y in others]
+    assert calls == []
+    monkeypatch.undo()
+    for y, ours in zip(others, got):
+        for label, _, want in oracle_results(x, y):
+            if label in ours:
+                assert (ours[label]._n, ours[label]._d) == (want._n, want._d), (label, y)
+                assert_base_matches(ours[label], (label, y))
