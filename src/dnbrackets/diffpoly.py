@@ -21,10 +21,13 @@ Partial derivatives with respect to odd variables are left derivatives:
 the variable is anticommuted to the front of the word and then removed.
 
 A term dict never holds a zero coefficient: every sum of terms goes through
-scalar._collect, and _wrap builds a DiffPoly around a dict that already
-satisfies this.  Sums of DiffPolys go through _sum, one _collect over the
-terms of all the parts, and products through _products, the uncollected
-pairs of a product that both * and _derivation collect.
+scalar._collect or scalar._sum_products, and _wrap builds a DiffPoly around
+a dict that already satisfies this.  Sums of DiffPolys go through _sum, one
+_collect over the terms of all the parts.  Products go through _products,
+which both * and _derivation call: it groups the coefficient pairs of all
+the products it is given by the key they land on, and sums each group in
+one scalar._sum_products, over one common denominator, instead of a
+product and an addition per pair.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from fractions import Fraction
 
 from .scalar import (
     Scalar, _collect, _factor_str, _mono_lower, _mono_mul, _power, _product, _signed_join,
+    _sum_products,
 )
 
 EvenKey = tuple  # (((i, s), e), ...)
@@ -238,7 +242,7 @@ class DiffPoly:
             return _wrap({k: c * sc for k, c in self.terms.items()})
         if not isinstance(other, DiffPoly):
             return NotImplemented
-        return _wrap(_collect(_products(self, other)))
+        return _products([(self, other)])
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
@@ -374,15 +378,19 @@ def _wrap(terms: dict) -> DiffPoly:
     return out
 
 
-def _products(a: DiffPoly, b: DiffPoly):
-    """The uncollected (key, coefficient) pairs of the product a * b."""
-    for (e1, o1), c1 in a.terms.items():
-        for (e2, o2), c2 in b.terms.items():
-            om = _odd_mul(o1, o2)
-            if om is not None:
-                sign, odd = om
-                c = c1 * c2
-                yield (_mono_mul(e1, e2), odd), (c if sign > 0 else -c)
+def _products(pairs) -> DiffPoly:
+    """The sum of the products a * b over the (a, b) pairs: the coefficient
+    pairs of every product are grouped by key as (sign, c1, c2), and each
+    group is summed by scalar._sum_products."""
+    groups: dict = {}
+    for a, b in pairs:
+        for (e1, o1), c1 in a.terms.items():
+            for (e2, o2), c2 in b.terms.items():
+                om = _odd_mul(o1, o2)
+                if om is not None:
+                    sign, odd = om
+                    groups.setdefault((_mono_mul(e1, e2), odd), []).append((sign, c1, c2))
+    return _wrap({key: c for key, group in groups.items() if (c := _sum_products(group))})
 
 
 def _sum(parts) -> DiffPoly:
@@ -413,24 +421,23 @@ def _derivation(x: DiffPoly, jet_image, theta_image) -> DiffPoly:
     as a dict's get returns for a missing key, kills the generator.
 
     Each generator occurring in x adds image * dx/dv, image on the left so
-    the odd signs are fixed.  The products of all generators stream through
-    _products into one _collect; no product DiffPoly is built per generator.
+    the odd signs are fixed.  The products of all generators go to one
+    _products call, which sums each output key's coefficient products over
+    one common denominator; no product DiffPoly is built per generator.
     Generators are visited by component, then jets before thetas, then
-    order: that is the summation order, which sets the gcd work.  d_x, D_P,
-    D_{-1}, the homotopy and both closed forms of d_1 are all calls of this
-    kernel.
+    order, which orders the products within a key.  d_x, D_P, D_{-1}, the
+    homotopy and both closed forms of d_1 are all calls of this kernel.
     """
     found = set()
     for (even, odd), c in x.terms.items():
         found.update((i, 0, 0) for i in c.variables())
         found.update((i, 0, s) for (i, s), _ in even)
         found.update((i, 1, s) for s, i in odd)
-    return _wrap(_collect(
-        pair
+    return _products(
+        (image, (x._partial_theta if odd else x._partial_jet)(i, s))
         for i, odd, s in sorted(found)
         if (image := (theta_image if odd else jet_image)((i, s)))
-        for pair in _products(image, (x._partial_theta if odd else x._partial_jet)(i, s))
-    ))
+    )
 
 
 def _term_str(key: TermKey, c: Scalar) -> tuple[int, str]:

@@ -35,6 +35,7 @@ from .connections import (
     torsion,
 )
 from .diffpoly import DiffPoly, _sum
+from .errors import DegenerateMetricError
 from .scalar import Scalar
 
 
@@ -271,13 +272,45 @@ def potemin_check(g: list, c: list) -> list:
     ])
 
 
+def _det(m: list) -> Scalar:
+    """The determinant of a square matrix of Scalars by Laplace expansion along
+    the first row: sums of products, no division and no pivoting."""
+    if len(m) == 1:
+        return m[0][0]
+    return sum(((-1) ** j * x * _det([row[:j] + row[j + 1:] for row in m[1:]])
+                for j, x in enumerate(m[0]) if x), Scalar.zero())
+
+
 def k4_connection_fixtures(b: HomogeneousBracket) -> list:
-    """Cross-check the degree-4 Christoffel closed forms both ways."""
+    """Cross-check the degree-4 Christoffel closed forms both ways.
+
+    The expected side of each row is built apart from the connections and
+    their cached inputs: the tails are read off the bracket's entries, and
+    the inverse of the leading coefficient is its adjugate over its
+    determinant (_det) instead of lower_metric's elimination.  So a wrong
+    tail index, inverse, binomial factor or combination in
+    standard_connection or flat_combination fails its row.
+    """
     _require_degree(b, 4)
     t0 = time.perf_counter()
-    named, glow = metric_pair(b)
     n = b.n
-    tails = dict(zip("edcb", named.h))
+    g = [[b.entry(i, j, 4).coefficient((), ()) for j in range(1, n + 1)] for i in range(1, n + 1)]
+    det = _det(g)
+    if det.is_zero:
+        raise DegenerateMetricError("leading coefficient matrix is singular")
+
+    def minor(r, c):
+        return [row[:c] + row[c + 1:] for q, row in enumerate(g) if q != r]
+
+    # the inverse's entry (i, j) is the cofactor of g's entry (j, i) over det
+    glow = _tensor(n, 2, lambda i, j: (-1) ** (i + j) * _det(minor(j, i)) / det)
+
+    def tail(s):
+        """The coefficient of u^{j, 4-s} in P_s^{il}, at [i][l][j]."""
+        return _tensor(n, 3, lambda i, l, j: b.entry(i + 1, l + 1, s).coefficient(
+            (((j + 1, 4 - s), 1),), ()))
+
+    tails = dict(zip("edcb", map(tail, range(4))))
 
     def combo(coeffs):
         """Gamma^l_{ij} = g_{ii'} X^{i'l}_j with X = sum of coeffs[name] * tails[name]."""

@@ -37,6 +37,11 @@ the bases of both operands, which are in lowest terms, only these can cancel:
   the other numerator;
 * in a sum, which takes the lcm of the denominators (Henrici; Knuth, TAOCP
   vol. 2, 4.5.1), the factors whose exponents are equal on both sides;
+* in a sum of products (_sum_products), which takes one lcm for them all
+  (the lcm of the integer contents, and each factor to its largest exponent
+  over the products), any factor of that lcm; a sum that cancels to zero
+  is returned at once, since a zero test needs the sum but not its lowest
+  terms (Moses, CACM 1971);
 * in a partial derivative by u^i, the factors free of u^i: each factor
   that involves u^i gains one in its exponent and never cancels;
 * the integer contents, by math.gcd.
@@ -744,7 +749,8 @@ class Scalar:
         num, den = other._d, other._n
         if _plead(den)[1] < 0:
             num, den = _pneg(num), _pneg(den)
-        return _mul(self, _wrap(num, den, _factored(frozenset(den.items()))))
+        base = (den[()], {}) if _is_const(den) else _factored(frozenset(den.items()))
+        return _mul(self, _wrap(num, den, base))
 
     def __rtruediv__(self, other):
         other = _coerce(other)
@@ -842,6 +848,41 @@ def _add_factored(a: Scalar, b: Scalar) -> Scalar:
     return _assemble(_strip(num, exps, equal), ca // g * cb, exps)
 
 
+def _sum_products(triples) -> Scalar:
+    """The sum of sign * a * b over the (sign, a, b) triples, sign 1 or -1, as
+    one sum over the lcm of the products' denominators: each numerator n_a n_b
+    over c_a c_b prod f^(e_a + e_b) is scaled by its complement in the lcm,
+    the scaled numerators are collected once, and only a nonzero sum is
+    stripped of the factors it shares with the lcm.  A lone product is _mul's,
+    and a None base falls back to _mul and + in the order of the triples."""
+    if len(triples) == 1:
+        ((sign, a, b),) = triples
+        return _mul(a, b) if sign > 0 else -_mul(a, b)
+    if any(a._b is None or b._b is None for _, a, b in triples):
+        total = Scalar.zero()
+        for sign, a, b in triples:
+            total = total + _mul(a, b) if sign > 0 else total - _mul(a, b)
+        return total
+    parts, c, exps = [], 1, {}
+    for sign, a, b in triples:
+        (ca, ba), (cb, bb) = a._b, b._b
+        e = _collect(bb.items(), ba) if ba and bb else ba or bb
+        parts.append((sign, _pmul(a._n, b._n), ca * cb, e))
+        c = lcm(c, ca * cb)
+        for f, k in e.items():
+            if k > exps.get(f, 0):
+                exps[f] = k
+    num = _collect(
+        (m, q if sign > 0 else -q)
+        for sign, n, cp, e in parts
+        for m, q in _pmul(n, _den(c // cp, {f: k - e.get(f, 0) for f, k in exps.items()
+                                           if k > e.get(f, 0)})).items()
+    )
+    if not num:
+        return Scalar.zero()
+    return _assemble(_strip(num, exps, list(exps)), c, exps)
+
+
 def _mul(a: Scalar, b: Scalar) -> Scalar:
     """a * b; __truediv__ calls it directly, so that code wrapping the methods
     of Scalar sees a division as one operation."""
@@ -864,6 +905,8 @@ def _mul(a: Scalar, b: Scalar) -> Scalar:
     # with a and b reduced, only a factor of one denominator that the other
     # lacks can divide the other numerator
     (ca, ba), (cb, bb) = a._b, b._b
+    if not ba and not bb:  # constant denominators: only the contents can cancel
+        return _assemble(_pmul(a._n, b._n), ca * cb, {})
     exps = _collect(bb.items(), ba)
     na = _strip(a._n, exps, bb, ba)
     nb = _strip(b._n, exps, ba, bb)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from dnbrackets.cli import load_bracket
 from dnbrackets.diffpoly import (
     DiffPoly,
     JetVar,
@@ -20,10 +21,12 @@ from dnbrackets.diffpoly import (
     project,
     variational,
 )
+from dnbrackets.jacobi import _dx_powers, apply_DP
 from dnbrackets.sampling import random_diffpoly, random_polynomial
 from dnbrackets.scalar import Scalar, _collect, _mono_lower, _mono_mul
 
-from conftest import S
+from conftest import S, fixture_path, kernel_draws
+from test_scalar import assert_base_matches
 
 
 def theta(i, s):
@@ -306,6 +309,67 @@ def test_derivation_matches_one_product_per_generator():
             assert _derivation(x, jet_image, theta_image) == derivation_oracle(
                 x, 2, jet_image, theta_image
             )
+
+
+def collected_products(pairs) -> dict:
+    """The kernel's sum before fusing, as an oracle: every product c1 * c2 of
+    the (a, b) pairs, signed, streamed into one _collect in the order of the
+    pairs."""
+    def products(a, b):
+        for (e1, o1), c1 in a.terms.items():
+            for (e2, o2), c2 in b.terms.items():
+                om = _odd_mul(o1, o2)
+                if om is not None:
+                    sign, odd = om
+                    c = c1 * c2
+                    yield (_mono_mul(e1, e2), odd), (c if sign > 0 else -c)
+
+    return _collect(pair for a, b in pairs for pair in products(a, b))
+
+
+def collected_derivation(x: DiffPoly, jet_image, theta_image) -> dict:
+    """_derivation's generators, visited in its order, through collected_products."""
+    found = set()
+    for (even, odd), c in x.terms.items():
+        found.update((i, 0, 0) for i in c.variables())
+        found.update((i, 0, s) for (i, s), _ in even)
+        found.update((i, 1, s) for s, i in odd)
+    return collected_products(
+        (image, (x._partial_theta if odd else x._partial_jet)(i, s))
+        for i, odd, s in sorted(found)
+        if (image := (theta_image if odd else jet_image)((i, s)))
+    )
+
+
+def assert_same_terms(got: DiffPoly, want: dict, where):
+    """got holds want's terms with the same integer numerators and
+    denominators, prints as want does, and carries its bases."""
+    assert got.terms == want and str(got) == str(_wrap(want)), where
+    for c in got.terms.values():
+        assert_base_matches(c, where)
+
+
+@pytest.mark.parametrize("name", ["lc1", "lc1_broken", "nonflat2", "canonical4", "const2", "const3",
+                                  "canonical_k2.json", "constant_k2.json", "lc_k1_broken.json"])
+def test_fused_kernel_matches_collected_products(request, name):
+    """_derivation with the images of d_x and of D_P, and the product of two
+    DiffPolys, give the terms that collecting every coefficient product one
+    at a time gives, on kernel_draws for each fixture bracket and document."""
+    b = load_bracket(fixture_path(name)) if name.endswith(".json") else request.getfixturevalue(name)
+    images = {
+        "d_x": (lambda v: DiffPoly.jet(v[0], v[1] + 1), lambda v: DiffPoly.theta(v[0], v[1] + 1)),
+        "D_P": (lambda v: _dx_powers(b, "theta", *v), lambda v: _dx_powers(b, "u", *v)),
+    }
+    covered, previous = set(), DiffPoly.one()
+    for a in kernel_draws(random.Random(103), b, covered):
+        for label, (jets, thetas) in images.items():
+            assert_same_terms(_derivation(a, jets, thetas), collected_derivation(a, jets, thetas),
+                              (name, label, a))
+        image = apply_DP(b, a)
+        for x, y in ((previous, a), (a, image), (image, previous + a)):
+            assert_same_terms(x * y, collected_products([(x, y)]), (name, x, y))
+        previous = a
+    assert covered == {"coordinates only", "jet order 3", "theta above k"}
 
 
 def test_bad_orders_and_indices_are_rejected():

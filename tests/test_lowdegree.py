@@ -398,3 +398,23 @@ def test_k4_each_closed_form_compares_its_own_connection(monkeypatch):
     assert [(r.name, r.witness) for r in k4_connection_fixtures(b) if not r.passed] == [
         ("Gamma_(1) = -1/4 g d", "difference at ^2_{12} = u1"),
     ]
+
+
+def test_k4_closed_forms_do_not_share_the_connections_inverse(monkeypatch):
+    """The expected sides invert the leading coefficient on their own: a wrong
+    inverse in the path every connection takes (bracket.lower_metric) fails
+    all seven rows, the four standard forms included, and a singular leading
+    coefficient is still rejected."""
+    from dnbrackets import bracket
+
+    b = random_k4_bracket(random.Random(83))  # fresh, so nothing is cached on it
+    original = bracket.lower_metric
+    monkeypatch.setattr(bracket, "lower_metric",
+                        lambda g: [[2 * x for x in row] for row in original(g)])
+    report = k4_connection_fixtures(b)
+    assert [r.name for r in report if not r.passed] == [r.name for r in report]
+    assert len(report) == 7
+    monkeypatch.undo()
+    singular = HomogeneousBracket(n=2, k=4, P={(1, 1, 4): DiffPoly.one()})
+    with pytest.raises(DegenerateMetricError):
+        k4_connection_fixtures(singular)

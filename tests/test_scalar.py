@@ -41,6 +41,7 @@ from dnbrackets.scalar import (
     _psub,
     _reduce,
     _rescale,
+    _sum_products,
     _zeval,
     _zgcd,
     parse_scalar,
@@ -848,7 +849,8 @@ def test_only_scalar_reads_the_scalar_layout():
     fields _n and _d, or imports a private name of scalar beyond the term
     helpers diffpoly shares and the printing and size helpers."""
     allowed = {"_collect", "_power", "_mono_mul", "_mono_lower",
-               "_signed_join", "_product", "_factor_str", "_term_count", "_printed_bits"}
+               "_signed_join", "_product", "_factor_str", "_term_count", "_printed_bits",
+               "_sum_products"}
     package = os.path.dirname(scalar.__file__)
     imported, bad = set(), []
     for path in sorted(glob.glob(os.path.join(package, "*.py"))):
@@ -1252,3 +1254,111 @@ def test_carried_base_outlives_a_rejected_denominator(monkeypatch):
             if label in ours:
                 assert (ours[label]._n, ours[label]._d) == (want._n, want._d), (label, y)
                 assert_base_matches(ours[label], (label, y))
+
+
+# -- the constant-denominator shortcuts ---------------------------------------
+
+
+def test_products_over_constant_denominators_match_reduce_byte_for_byte(monkeypatch):
+    """A product of two values with constant denominators cancels only the
+    integer contents: it gives _reduce's integer num/den and carries its
+    base without trying a factor."""
+    values = [S(t) for t in ("u1", "u2", "u1*u2 + 3*u2 - 1", "u2^2 - u1", "(2*u1 + 4*u2)/3",
+                             "(3*u1 - 9)/4", "-6*u2^2/5", "(u1 - 2)/4", "-u1*u3 + 2")]
+    calls = []
+    original = scalar._strip
+    monkeypatch.setattr(scalar, "_strip", lambda *args: calls.append(args) or original(*args))
+    got = {(a, b): a * b for a in values for b in values}
+    assert calls == []
+    monkeypatch.undo()
+    for (a, b), x in got.items():
+        want = _reduce(_pmul(a._n, b._n), _pmul(a._d, b._d))
+        assert (x._n, x._d) == (want._n, want._d) and str(x) == str(want), (a, b)
+        assert_base_matches(x, (a, b))
+    assert str(got[values[0], values[1]]) == "u1*u2"
+    assert str(got[values[2], values[3]]) == "u1*u2^3 - u1^2*u2 + 3*u2^3 - 3*u1*u2 - u2^2 + u1"
+
+
+def test_dividing_by_a_constant_looks_up_no_factors():
+    """x / q for a constant q builds the reciprocal's base (a content and no
+    factors) directly: the factor memo is not consulted, and the quotient is
+    _reduce's."""
+    values = denominator_shapes() + [S("u3/((u1 + u2)*(u1 - u2))")]
+    for x in values:
+        for q in (Fraction(3, 2), Fraction(-5, 7), 4, -1, S("-2/9")):
+            before = _factored.cache_info()
+            got = x / q
+            assert _factored.cache_info() == before, (x, q)
+            [want] = [w for label, _, w in oracle_results(x, scalar._coerce(q)) if label == "/"]
+            assert (got._n, got._d) == (want._n, want._d), (x, q)
+            assert_base_matches(got, (x, q))
+
+
+# -- sums of products over one common denominator ------------------------------
+
+
+def pairwise_sum(triples) -> Scalar:
+    """The oracle of _sum_products: each product by *, added by + in the order
+    of the triples."""
+    total = Scalar.zero()
+    for sign, a, b in triples:
+        total = total + (a * b if sign > 0 else -(a * b))
+    return total
+
+
+def assert_sum_matches(triples, where) -> Scalar:
+    got, want = _sum_products(triples), pairwise_sum(triples)
+    assert (got._n, got._d) == (want._n, want._d) and str(got) == str(want), where
+    assert_base_matches(got, where)
+    return got
+
+
+def test_sum_of_products_matches_pairwise_on_shaped_groups(monkeypatch):
+    """One product; constant, monomial and polynomial denominators with
+    unequal exponents; None bases, among them the product of certified
+    factors (2u2 + u1 - 2u1^2)^2 (2u1 - u2) that _factored rejects; and sums
+    that cancel to zero, which try no factor."""
+    const = [S("3/4"), S("(u1 - 2)/4"), S("u1*u3/2"), S("-5")]
+    mono = [S("(u1 + u2)/(6*u1^2*u3)"), S("u2/u1"), S("u2^2/(3*u1*u3)"), S("(2*u2 - 1)/(4*u1*u3^2)")]
+    poly = [S("(u1 + 1)/(u1*(2*u1 - u2))"), S("(u3 + u1)/(2*u1^3*(u3 - u2 - 2)^2)"),
+            S("u3/(2*u1 - u2)^3"), S("(u1 - u2)/(u3 - u2 - 2)"), S("(2*u1 - u2)^2/(u3 - u2 - 2)")]
+    rejected = [S("u3/((u1 + u2)*(u1 - u2))"), S("1/((2*u2 + u1 - 2*u1^2)^2*(2*u1 - u2))")]
+    assert all(x._b is None for x in rejected)
+    groups = [[(1, a, b)] for a, b in zip(const + mono + poly, poly + mono + const)]
+    groups += [[(-1, a, b)] for a, b in zip(mono, poly)]
+    for values in (const, mono, poly, const + mono + poly):
+        groups.append([(s, a, b) for s, a, b in zip((1, -1, 1, 1, -1, 1), values, values[1:] + values[:1])])
+    groups += [[(1, a, b), (-1, b, c)] for a, b, c in zip(poly, mono + const, const + poly)]
+    groups += [[(1, x, y), (1, x, poly[1]), (-1, y, mono[0])] for x in rejected for y in (x, *poly[:2])]
+    for group in groups:
+        assert_sum_matches(group, group)
+    # a factor with equal exponents on two products cancels: u1/f^2 + (f - u1)/f^2 = 1/f
+    f = S("2*u1 - u2")
+    x = assert_sum_matches([(1, S("u1") / f, 1 / f), (1, (f - S("u1")) / f, 1 / f)], "cancel f")
+    assert x == 1 / f
+    cancelling = [[(1, a, b), (-1, b, a)] for a, b in zip(poly + mono, mono + const)]
+    cancelling += [[(1, a, b), (1, c, a), (-1, a, b + c)] for a, b, c in zip(poly, poly[1:], mono)]
+    cancelling += [[(1, a, b), (-1, a * b, Scalar.one())] for a, b in zip(poly, const)]
+    calls = []
+    original = scalar._strip
+    monkeypatch.setattr(scalar, "_strip", lambda *args: calls.append(args) or original(*args))
+    assert all(_sum_products(group).is_zero for group in cancelling)
+    assert calls == []
+
+
+def test_sum_of_products_matches_pairwise_on_drawn_groups():
+    """Groups of two to six signed products of the certified factor families'
+    values and denominator_shapes, and in one group of four an uncertified
+    value (whose GCDHEU reductions make larger groups slow)."""
+    family = factor_family_values()
+    values = [v for ok, v in family if ok] + denominator_shapes()
+    rejected = [v for ok, v in family if not ok]
+    rng = random.Random(17)
+    for k in range(64):
+        group = [(rng.choice((1, -1)), rng.choice(values), rng.choice(values))
+                 for _ in range(rng.randint(2, 3 if k % 4 == 0 else 6))]
+        if k % 4 == 0:
+            group[-1] = (group[-1][0], group[-1][1], rng.choice(rejected))
+        if rng.random() < 0.25:  # the last product cancels the first
+            group.append((-group[0][0], group[0][2], group[0][1]))
+        assert_sum_matches(group, group)
