@@ -27,7 +27,8 @@ _collect over the terms of all the parts.  Products go through _products,
 which both * and _derivation call: it groups the coefficient pairs of all
 the products it is given by the key they land on, and sums each group in
 one scalar._sum_products, over one common denominator, instead of a
-product and an addition per pair.
+product and an addition per pair.  Each distinct pair of odd words is
+merged (_odd_mul) once per call, however many coefficient pairs share it.
 """
 
 from __future__ import annotations
@@ -381,12 +382,17 @@ def _wrap(terms: dict) -> DiffPoly:
 def _products(pairs) -> DiffPoly:
     """The sum of the products a * b over the (a, b) pairs: the coefficient
     pairs of every product are grouped by key as (sign, c1, c2), and each
-    group is summed by scalar._sum_products."""
+    group is summed by scalar._sum_products.  Each distinct pair of odd words
+    is merged once per call."""
     groups: dict = {}
+    merged: dict = {}
     for a, b in pairs:
         for (e1, o1), c1 in a.terms.items():
             for (e2, o2), c2 in b.terms.items():
-                om = _odd_mul(o1, o2)
+                try:
+                    om = merged[o1, o2]
+                except KeyError:
+                    om = merged[o1, o2] = _odd_mul(o1, o2)
                 if om is not None:
                     sign, odd = om
                     groups.setdefault((_mono_mul(e1, e2), odd), []).append((sign, c1, c2))

@@ -21,8 +21,9 @@ here: _pstr prints a polynomial, and diffpoly prints its terms with the
 same join (_signed_join), product rule (_product) and coefficient text
 (_factor_str); grammar's size bounds count terms with _term_count.
 
-Term dicts, here and in diffpoly, never hold a zero coefficient, and every
-sum of terms goes through _collect, which keeps that invariant.
+Term dicts, here and in diffpoly, never hold a zero coefficient: every sum
+of terms goes through _collect, which keeps that invariant, or through the
+accumulator of _sum_products, which drops the cancelled keys at the end.
 
 Every Scalar carries its denominator's base: the pair (c, {p: e}) with
 d = c * prod p^e, c the integer content of d and each p a _Factor, which is
@@ -39,9 +40,12 @@ the bases of both operands, which are in lowest terms, only these can cancel:
   vol. 2, 4.5.1), the factors whose exponents are equal on both sides;
 * in a sum of products (_sum_products), which takes one lcm for them all
   (the lcm of the integer contents, and each factor to its largest exponent
-  over the products), any factor of that lcm; a sum that cancels to zero
-  is returned at once, since a zero test needs the sum but not its lowest
-  terms (Moses, CACM 1971);
+  over the products), any factor of that lcm.  Every term of every product
+  goes straight into one accumulator, scaled by the product's complement
+  in the lcm, which is skipped when the product already carries the lcm's
+  factors, so no polynomial is built per product.  A sum that cancels to
+  zero is returned at once, since a zero test needs the sum but not its
+  lowest terms (Moses, CACM 1971);
 * in a partial derivative by u^i, the factors free of u^i: each factor
   that involves u^i gains one in its exponent and never cancels;
 * the integer contents, by math.gcd.
@@ -168,14 +172,24 @@ def _psub(a: Poly, b: Poly) -> Poly:
 
 
 def _mono_mul(m1: Mono, m2: Mono) -> Mono:
+    """m1 * m2 by merging the two sorted pair tuples, adding the exponents of
+    a variable both hold."""
     if not m1:
         return m2
     if not m2:
         return m1
-    exps = dict(m1)
-    for v, e in m2:
-        exps[v] = exps.get(v, 0) + e
-    return tuple(sorted(exps.items()))
+    out, j, n2 = [], 0, len(m2)
+    for p in m1:
+        v = p[0]
+        while j < n2 and m2[j][0] < v:
+            out.append(m2[j])
+            j += 1
+        if j < n2 and m2[j][0] == v:
+            out.append((v, p[1] + m2[j][1]))
+            j += 1
+        else:
+            out.append(p)
+    return (*out, *m2[j:])
 
 
 def _mono_lower(m: Mono, v) -> Mono:
@@ -852,9 +866,9 @@ def _sum_products(triples) -> Scalar:
     """The sum of sign * a * b over the (sign, a, b) triples, sign 1 or -1, as
     one sum over the lcm of the products' denominators: each numerator n_a n_b
     over c_a c_b prod f^(e_a + e_b) is scaled by its complement in the lcm,
-    the scaled numerators are collected once, and only a nonzero sum is
-    stripped of the factors it shares with the lcm.  A lone product is _mul's,
-    and a None base falls back to _mul and + in the order of the triples."""
+    term by term into one accumulator, and only a nonzero sum is stripped of
+    the factors it shares with the lcm.  A lone product is _mul's, and a None
+    base falls back to _mul and + in the order of the triples."""
     if len(triples) == 1:
         ((sign, a, b),) = triples
         return _mul(a, b) if sign > 0 else -_mul(a, b)
@@ -867,17 +881,26 @@ def _sum_products(triples) -> Scalar:
     for sign, a, b in triples:
         (ca, ba), (cb, bb) = a._b, b._b
         e = _collect(bb.items(), ba) if ba and bb else ba or bb
-        parts.append((sign, _pmul(a._n, b._n), ca * cb, e))
+        parts.append((sign, a._n, b._n, ca * cb, e))
         c = lcm(c, ca * cb)
         for f, k in e.items():
             if k > exps.get(f, 0):
                 exps[f] = k
-    num = _collect(
-        (m, q if sign > 0 else -q)
-        for sign, n, cp, e in parts
-        for m, q in _pmul(n, _den(c // cp, {f: k - e.get(f, 0) for f, k in exps.items()
-                                           if k > e.get(f, 0)})).items()
-    )
+    # every term q1 q3 q2 s at m1 m3 m2 goes straight into one dict, for q3 m3
+    # the terms of the product's complement in the lcm and s its sign times
+    # the integer c / c_p; a product that carries the lcm has no complement
+    num = {}
+    for sign, n1, n2, cp, e in parts:
+        s = sign * (c // cp)
+        rest = _ONE_P if e == exps else _den(
+            1, {f: k - e.get(f, 0) for f, k in exps.items() if k > e.get(f, 0)})
+        for m1, q1 in n1.items():
+            for m3, q3 in rest.items():
+                m13, q13 = _mono_mul(m1, m3) if m3 else m1, q1 * q3 * s
+                for m2, q2 in n2.items():
+                    m = _mono_mul(m13, m2)
+                    num[m] = num.get(m, 0) + q13 * q2
+    num = {m: q for m, q in num.items() if q}
     if not num:
         return Scalar.zero()
     return _assemble(_strip(num, exps, list(exps)), c, exps)

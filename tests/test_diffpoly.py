@@ -12,6 +12,7 @@ from dnbrackets.diffpoly import (
     ThetaVar,
     _derivation,
     _odd_mul,
+    _products,
     _sum,
     _term_str,
     _wrap,
@@ -42,6 +43,35 @@ def test_grassmann_signs():
     c = theta(1, 2)
     assert a * b * c == -(a * c * b)
     assert a * b * c == b * c * a
+
+
+def odd_mul_oracle(o1, o2):
+    """The product of two odd words by brute force: None when a letter
+    repeats, else the sorted word and the parity of the permutation that
+    sorts o1 + o2, counted by its inversions."""
+    word = o1 + o2
+    if len(set(word)) < len(word):
+        return None
+    inversions = sum(x > y for p, x in enumerate(word) for y in word[p + 1 :])
+    return (-1) ** inversions, tuple(sorted(word))
+
+
+def test_odd_word_signs_match_the_permutation_parity():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    letters = st.tuples(st.integers(0, 3), st.integers(1, 3))  # (s, i) of theta_i^s
+    words = st.sets(letters, max_size=4).map(lambda w: tuple(sorted(w)))
+    seen = set()
+
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True)
+    @hypothesis.given(words, words)
+    def check(o1, o2):
+        got = _odd_mul(o1, o2)
+        assert got == odd_mul_oracle(o1, o2), (o1, o2)
+        seen.add(None if got is None else (got[0], len(o1) > 1 and len(o2) > 1))
+
+    check()
+    assert seen == {None, (1, False), (-1, False), (1, True), (-1, True)}
 
 
 def test_mixed_products_commute_with_even_part():
@@ -370,6 +400,34 @@ def test_fused_kernel_matches_collected_products(request, name):
             assert_same_terms(x * y, collected_products([(x, y)]), (name, x, y))
         previous = a
     assert covered == {"coordinates only", "jet order 3", "theta above k"}
+
+
+def test_products_merge_each_odd_word_pair_once(monkeypatch):
+    """One _products call whose (a, b) pairs repeat the same pairs of odd
+    words with other even parts and coefficients: each distinct pair is
+    merged once, and the terms are those of collected_products."""
+    x = [theta(1, 2), theta(2, 1) * theta(1, 2), DiffPoly.one()]
+    y = [theta(2, 1), theta(1, 0), theta(1, 0) * theta(1, 2)]
+    coefficients = [S(t) for t in ("u1/(u1 + u2)", "-3", "(u2 - u1)/(2*u1)", "u1*u2 + 1", "1/u2^2",
+                                   "(u1 + u2)/(2*u1 - u2)", "5/7", "u2/u1")]
+    rng = random.Random(41)
+    pairs = []
+    for c in coefficients:
+        a = sum((DiffPoly.from_scalar(rng.choice(coefficients)) * DiffPoly.jet(1, rng.randint(1, 2)) * w
+                 for w in x), DiffPoly.from_scalar(c) * x[0])
+        b = sum((DiffPoly.from_scalar(rng.choice(coefficients)) * DiffPoly.coordinate(2) * w for w in y),
+                DiffPoly.zero())
+        pairs.append((a, b))
+    words = {(o1, o2) for a, b in pairs for (_, o1) in a.terms for (_, o2) in b.terms}
+    calls = []
+    monkeypatch.setattr("dnbrackets.diffpoly._odd_mul",
+                        lambda o1, o2: calls.append((o1, o2)) or _odd_mul(o1, o2))
+    got = _products(pairs)
+    monkeypatch.undo()
+    assert sorted(calls) == sorted(words) and len(words) == 9
+    signs = {om and om[0] for om in map(odd_mul_oracle, *zip(*words))}
+    assert signs == {None, 1, -1}
+    assert_same_terms(got, collected_products(pairs), pairs)
 
 
 def test_bad_orders_and_indices_are_rejected():

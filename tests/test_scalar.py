@@ -363,6 +363,37 @@ def test_sparse_monomial_key_orders_like_the_dense_one():
     assert str(far) == "u2*u3^2 + u3^2*u10000000 + u1*u3 + u2^2 + u1"
 
 
+def mono_mul_oracle(m1, m2):
+    """The monomial product as a dict of exponents, sorted back into pairs."""
+    exps = dict(m1)
+    for v, e in m2:
+        exps[v] = exps.get(v, 0) + e
+    return tuple(sorted(exps.items()))
+
+
+def test_monomial_merge_matches_the_sorted_dict_product():
+    """_mono_mul's merge of two sorted pair tuples against the dict-and-sort
+    product, on Scalar monomials (int variables) and on DiffPoly even keys
+    ((i, s) variables), empty monomials and shared variables among them."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def monomials(variables):
+        return st.dictionaries(variables, st.integers(1, 5), max_size=4).map(
+            lambda exps: tuple(sorted(exps.items())))
+
+    scalar_mono = monomials(st.integers(1, 6))
+    even_key = monomials(st.tuples(st.integers(1, 3), st.integers(1, 4)))
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(st.one_of(st.tuples(scalar_mono, scalar_mono), st.tuples(even_key, even_key)))
+    def check(pair):
+        m1, m2 = pair
+        assert _mono_mul(m1, m2) == mono_mul_oracle(m1, m2) == _mono_mul(m2, m1), pair
+
+    check()
+
+
 def poly_derivative(p, i):
     """d/du^i of a sparse Fraction term dict, term by term."""
     out = {}
@@ -1316,8 +1347,9 @@ def assert_sum_matches(triples, where) -> Scalar:
 def test_sum_of_products_matches_pairwise_on_shaped_groups(monkeypatch):
     """One product; constant, monomial and polynomial denominators with
     unequal exponents; None bases, among them the product of certified
-    factors (2u2 + u1 - 2u1^2)^2 (2u1 - u2) that _factored rejects; and sums
-    that cancel to zero, which try no factor."""
+    factors (2u2 + u1 - 2u1^2)^2 (2u1 - u2) that _factored rejects; products
+    scaled by nontrivial complements in the lcm; and sums that cancel to
+    zero, which try no factor."""
     const = [S("3/4"), S("(u1 - 2)/4"), S("u1*u3/2"), S("-5")]
     mono = [S("(u1 + u2)/(6*u1^2*u3)"), S("u2/u1"), S("u2^2/(3*u1*u3)"), S("(2*u2 - 1)/(4*u1*u3^2)")]
     poly = [S("(u1 + 1)/(u1*(2*u1 - u2))"), S("(u3 + u1)/(2*u1^3*(u3 - u2 - 2)^2)"),
@@ -1330,12 +1362,28 @@ def test_sum_of_products_matches_pairwise_on_shaped_groups(monkeypatch):
         groups.append([(s, a, b) for s, a, b in zip((1, -1, 1, 1, -1, 1), values, values[1:] + values[:1])])
     groups += [[(1, a, b), (-1, b, c)] for a, b, c in zip(poly, mono + const, const + poly)]
     groups += [[(1, x, y), (1, x, poly[1]), (-1, y, mono[0])] for x in rejected for y in (x, *poly[:2])]
+    # products scaled by complements: unequal exponents of one factor, integer
+    # contents 2 and 3 whose lcm no product carries, and complements holding
+    # the polynomial factors (2u1 - u2)^2 and u3 - u2 - 2 beside a variable
+    f, g = S("2*u1 - u2"), S("u3 - u2 - 2")
+    groups += [
+        [(1, S("u1 + 1") / f, S("u2") / g**2), (1, S("u3") / f**3, S("u1 - u2")),
+         (-1, S("u2") / g, 1 / S("u1^2"))],
+        [(1, S("u1/2"), S("u2 + 1") / f), (1, S("u3") / (3 * f), S("(u1 - u2)/3")),
+         (-1, S("(u1*u2 + 1)/(2*u1)"), S("u3/3"))],
+        [(1, S("u1 + u2") / (f**2 * g), S("u3 - 1")), (1, S("u1*u3 + 2"), S("u2") / g),
+         (-1, S("u1") / f**2, S("u2^2 - u3"))],
+        [(1, S("(u1 + u2)/2") / f**2, S("(u3 - u1*u2)/3") / g), (-1, S("u1 - 1") / (3 * g), S("u2/2")),
+         (1, S("u3^2 + u1") / (6 * f), S("u2 - 1") / f)],
+    ]
     for group in groups:
         assert_sum_matches(group, group)
     # a factor with equal exponents on two products cancels: u1/f^2 + (f - u1)/f^2 = 1/f
-    f = S("2*u1 - u2")
     x = assert_sum_matches([(1, S("u1") / f, 1 / f), (1, (f - S("u1")) / f, 1 / f)], "cancel f")
     assert x == 1 / f
+    # and beside a product scaled by its complement g: g/(2fg) + u1 g/(3fg) = (2u1 + 3)/(6f)
+    x = assert_sum_matches([(1, g / (2 * f), 1 / g), (1, S("u1/3"), 1 / f)], "cancel g")
+    assert x == S("2*u1 + 3") / (6 * f)
     cancelling = [[(1, a, b), (-1, b, a)] for a, b in zip(poly + mono, mono + const)]
     cancelling += [[(1, a, b), (1, c, a), (-1, a, b + c)] for a, b, c in zip(poly, poly[1:], mono)]
     cancelling += [[(1, a, b), (-1, a * b, Scalar.one())] for a, b in zip(poly, const)]
@@ -1362,3 +1410,21 @@ def test_sum_of_products_matches_pairwise_on_drawn_groups():
         if rng.random() < 0.25:  # the last product cancels the first
             group.append((-group[0][0], group[0][2], group[0][1]))
         assert_sum_matches(group, group)
+
+
+def test_sum_of_products_over_the_lcm_multiplies_no_polynomials(monkeypatch):
+    """When every product of a group carries the lcm's factors, whatever its
+    integer content, its terms go straight into the accumulator: no
+    polynomial product is formed (once the expanded denominator is memoised)."""
+    f, g = S("2*u1 - u2"), S("u3 - u2 - 2")
+    group = [(1, S("u1 + 1") / f, S("u2 - u3") / g), (1, S("u3") / f, S("u1*u2 + 3") / g),
+             (-1, S("u1*u2 - 1") / (2 * f), S("u3 + u1") / g), (1, S("u2/3") / g, S("u1^2") / f)]
+    want = assert_sum_matches(group, group)
+    calls = []
+    original = scalar._pmul
+    monkeypatch.setattr(scalar, "_pmul", lambda a, b: calls.append((a, b)) or original(a, b))
+    got = _sum_products(group)
+    assert calls == []
+    monkeypatch.undo()
+    assert (got._n, got._d) == (want._n, want._d) and got._b == want._b
+    assert sorted(got._b[1].values()) == [1, 1] and got._b[0] == 6  # over 6 f g
