@@ -36,16 +36,18 @@ the bases of both operands, which are in lowest terms, only these can cancel:
 
 * in a product, the factors of one denominator that the other lacks, from
   the other numerator;
-* in a sum, which takes the lcm of the denominators (Henrici; Knuth, TAOCP
-  vol. 2, 4.5.1), the factors whose exponents are equal on both sides;
 * in a sum of products (_sum_products), which takes one lcm for them all
-  (the lcm of the integer contents, and each factor to its largest exponent
-  over the products), any factor of that lcm.  Every term of every product
-  goes straight into one accumulator, scaled by the product's complement
-  in the lcm, which is skipped when the product already carries the lcm's
-  factors, so no polynomial is built per product.  A sum that cancels to
-  zero is returned at once, since a zero test needs the sum but not its
-  lowest terms (Moses, CACM 1971);
+  (Henrici; Knuth, TAOCP vol. 2, 4.5.1: the lcm of the integer contents,
+  and each factor to its largest exponent over the products), a factor of
+  that lcm; a sum a + b is the two products a*1 and b*1.  A factor divides
+  the complement in the lcm of each product below its top exponent, so when
+  one product alone reaches that exponent, the factor can cancel only if
+  that product's numerators may hold it: in a + b, only the factors with
+  equal exponents on both sides can.  Every term of every product goes
+  straight into one accumulator, the second numerator first multiplied by
+  the complement when the product lacks some of the lcm's factors.  A sum
+  that cancels to zero is returned at once, since a zero test needs the sum
+  but not its lowest terms (Moses, CACM 1971);
 * in a partial derivative by u^i, the factors free of u^i: each factor
   that involves u^i gains one in its exponent and never cancels;
 * the integer contents, by math.gcd.
@@ -726,7 +728,7 @@ class Scalar:
         if self._b is None or other._b is None:
             d1, d2 = self._d, other._d
             return _reduce(_padd(_pmul(self._n, d2), _pmul(other._n, d1)), _pmul(d1, d2))
-        return _add_factored(self, other)
+        return _sum_products(((1, self, _ONE), (1, other, _ONE)))
 
     __radd__ = __add__
 
@@ -840,70 +842,59 @@ def _partial(a: Scalar, i: int) -> Scalar:
     return _assemble(_strip(num, exps, [f for f in base if i not in f.vars]), c, exps)
 
 
-def _add_factored(a: Scalar, b: Scalar) -> Scalar:
-    """a + b over the lcm of the factored denominators (Henrici): with g =
-    gcd(d_a, d_b), (n_a (d_b/g) + n_b (d_a/g)) / (d_a d_b / g).  A factor
-    whose exponents differ divides exactly one of the two products, so only
-    the factors with equal exponents can cancel."""
-    (ca, ba), (cb, bb) = a._b, b._b
-    g = gcd(ca, cb)
-    exps, ua, ub, equal = {**ba, **bb}, {}, {}, []
-    for f in exps:
-        ea, eb = ba.get(f, 0), bb.get(f, 0)
-        if ea > eb:
-            exps[f], ua[f] = ea, ea - eb
-        elif eb > ea:
-            ub[f] = eb - ea
-        else:
-            equal.append(f)
-    num = _padd(_pmul(a._n, _den(cb // g, ub)), _pmul(b._n, _den(ca // g, ua)))
-    if not num:
-        return Scalar.zero()
-    return _assemble(_strip(num, exps, equal), ca // g * cb, exps)
-
-
 def _sum_products(triples) -> Scalar:
     """The sum of sign * a * b over the (sign, a, b) triples, sign 1 or -1, as
     one sum over the lcm of the products' denominators: each numerator n_a n_b
     over c_a c_b prod f^(e_a + e_b) is scaled by its complement in the lcm,
     term by term into one accumulator, and only a nonzero sum is stripped of
-    the factors it shares with the lcm.  A lone product is _mul's, and a None
-    base falls back to _mul and + in the order of the triples."""
+    the factors of the lcm that can divide it.  + passes its two summands
+    here as products by 1.  A lone product is _mul's, and a None base falls
+    back to _mul and + in the order of the triples; + comes here only over
+    two known bases, so the fallback never recurses."""
     if len(triples) == 1:
         ((sign, a, b),) = triples
         return _mul(a, b) if sign > 0 else -_mul(a, b)
-    if any(a._b is None or b._b is None for _, a, b in triples):
-        total = Scalar.zero()
-        for sign, a, b in triples:
-            total = total + _mul(a, b) if sign > 0 else total - _mul(a, b)
-        return total
-    parts, c, exps = [], 1, {}
+    parts, c, exps, tops = [], 1, {}, {}
     for sign, a, b in triples:
+        if a._b is None or b._b is None:
+            total = Scalar.zero()
+            for sign, a, b in triples:
+                total = total + _mul(a, b) if sign > 0 else total - _mul(a, b)
+            return total
         (ca, ba), (cb, bb) = a._b, b._b
         e = _collect(bb.items(), ba) if ba and bb else ba or bb
         parts.append((sign, a._n, b._n, ca * cb, e))
         c = lcm(c, ca * cb)
         for f, k in e.items():
             if k > exps.get(f, 0):
-                exps[f] = k
-    # every term q1 q3 q2 s at m1 m3 m2 goes straight into one dict, for q3 m3
-    # the terms of the product's complement in the lcm and s its sign times
-    # the integer c / c_p; a product that carries the lcm has no complement
+                exps[f], tops[f] = k, (b._n if f in ba else a._n)
+            elif k == exps[f]:
+                tops[f] = None
+    # every term q1 q2 s at m1 m2 goes straight into one dict, for q2 m2 the
+    # terms of n_b times the product's complement in the lcm and s its sign
+    # times the integer c / c_p; a product that carries the lcm's factors has
+    # no complement, and the cancelled keys are dropped at the end
     num = {}
     for sign, n1, n2, cp, e in parts:
         s = sign * (c // cp)
-        rest = _ONE_P if e == exps else _den(
-            1, {f: k - e.get(f, 0) for f, k in exps.items() if k > e.get(f, 0)})
+        if e != exps:
+            n2 = _pmul(_den(1, {f: k - e.get(f, 0) for f, k in exps.items() if k > e.get(f, 0)}),
+                       n2)
         for m1, q1 in n1.items():
-            for m3, q3 in rest.items():
-                m13, q13 = _mono_mul(m1, m3) if m3 else m1, q1 * q3 * s
-                for m2, q2 in n2.items():
-                    m = _mono_mul(m13, m2)
-                    num[m] = num.get(m, 0) + q13 * q2
-    num = {m: q for m, q in num.items() if q}
+            q1 *= s
+            for m2, q2 in n2.items():
+                m = _mono_mul(m1, m2) if m1 and m2 else m1 or m2
+                num[m] = num.get(m, 0) + q1 * q2
+    if 0 in num.values():
+        num = {m: q for m, q in num.items() if q}
     if not num:
         return Scalar.zero()
-    return _assemble(_strip(num, exps, list(exps)), c, exps)
+    # f divides the complement of each product below its top exponent, so
+    # when one product alone reaches it, f divides the sum only if it divides
+    # that product's n_a n_b; a numerator whose own base holds f is coprime
+    # to it, so tops[f] is the other one, and its nonzero residue rules f out
+    candidates = [f for f, n in tops.items() if n is None or not _residue(n, f.y, f.root)]
+    return _assemble(_strip(num, exps, candidates), c, exps)
 
 
 def _mul(a: Scalar, b: Scalar) -> Scalar:
@@ -942,6 +933,10 @@ def _wrap(num: Poly, den: Poly, base: tuple | None) -> Scalar:
     out = Scalar.__new__(Scalar)
     out._n, out._d, out._b = num, den, base
     return out
+
+
+# the factor by which + turns each summand into a product for _sum_products
+_ONE = Scalar.one()
 
 
 def _reduce(num: Poly, den: Poly) -> Scalar:

@@ -1329,7 +1329,7 @@ def test_dividing_by_a_constant_looks_up_no_factors():
 
 
 def pairwise_sum(triples) -> Scalar:
-    """The oracle of _sum_products: each product by *, added by + in the order
+    """An oracle of _sum_products: each product by *, added by + in the order
     of the triples."""
     total = Scalar.zero()
     for sign, a, b in triples:
@@ -1337,9 +1337,32 @@ def pairwise_sum(triples) -> Scalar:
     return total
 
 
+def quotient_sum(triples) -> Scalar:
+    """The oracle of _sum_products that shares none of its code, unlike
+    pairwise_sum, whose + runs _sum_products too: _reduce on the unreduced
+    integer quotient, the sum of sign n_a n_b times prod d_q over the other
+    products q, over prod d_p over all products p."""
+    num, den = {}, {(): 1}
+    for sign, a, b in triples:
+        n, d = _pmul(a._n, b._n), _pmul(a._d, b._d)
+        num = _collect(_pmul(n if sign > 0 else _pneg(n), den).items(), _pmul(num, d))
+        den = _pmul(den, d)
+    return _reduce(num, den)
+
+
+# the largest total degree of the unreduced denominator prod d_p for which
+# assert_sum_matches runs quotient_sum: every shaped group stays below it, and
+# past it reducing the quotient takes seconds per group
+QUOTIENT_DEGREE = 30
+
+
 def assert_sum_matches(triples, where) -> Scalar:
-    got, want = _sum_products(triples), pairwise_sum(triples)
-    assert (got._n, got._d) == (want._n, want._d) and str(got) == str(want), where
+    got, wants = _sum_products(triples), [pairwise_sum(triples)]
+    degree = sum(max(sum(e for _, e in m) for m in x._d) for _, a, b in triples for x in (a, b))
+    if degree <= QUOTIENT_DEGREE:
+        wants.append(quotient_sum(triples))
+    for want in wants:
+        assert (got._n, got._d) == (want._n, want._d) and str(got) == str(want), where
     assert_base_matches(got, where)
     return got
 
@@ -1384,6 +1407,10 @@ def test_sum_of_products_matches_pairwise_on_shaped_groups(monkeypatch):
     # and beside a product scaled by its complement g: g/(2fg) + u1 g/(3fg) = (2u1 + 3)/(6f)
     x = assert_sum_matches([(1, g / (2 * f), 1 / g), (1, S("u1/3"), 1 / f)], "cancel g")
     assert x == S("2*u1 + 3") / (6 * f)
+    # one product alone reaches f^2, and its second numerator holds f:
+    # (1/f^2)(f u2/g) + u1/f = (u2 + u1 g)/(f g)
+    x = assert_sum_matches([(1, 1 / f**2, f * S("u2") / g), (1, S("u1") / f, Scalar.one())], "cancel f once")
+    assert x == (S("u2") + S("u1") * g) / (f * g)
     cancelling = [[(1, a, b), (-1, b, a)] for a, b in zip(poly + mono, mono + const)]
     cancelling += [[(1, a, b), (1, c, a), (-1, a, b + c)] for a, b, c in zip(poly, poly[1:], mono)]
     cancelling += [[(1, a, b), (-1, a * b, Scalar.one())] for a, b in zip(poly, const)]
@@ -1392,6 +1419,32 @@ def test_sum_of_products_matches_pairwise_on_shaped_groups(monkeypatch):
     monkeypatch.setattr(scalar, "_strip", lambda *args: calls.append(args) or original(*args))
     assert all(_sum_products(group).is_zero for group in cancelling)
     assert calls == []
+
+
+def test_sums_try_only_the_factors_with_equal_exponents(monkeypatch):
+    """a + b, which is _sum_products over a*1 and b*1, offers _strip only the
+    factors whose exponents are equal in both denominators: a factor that one
+    side holds to a higher power divides the other side's complement but not
+    the first numerator, so it cannot cancel."""
+    f, g = S("2*u1 - u2"), S("u3 - u2 - 2")
+    cases = [(S("u1") / f**3, S("u2") / (f * g), []), (S("u1") / (f * g), S("u2") / (f * g**2), [f]),
+             (S("u1 + u3") / (f**2 * g), (f - S("u1")) / (f**2 * g), [f, g]), (S("u1") / f, S("u2/3"), [])]
+    calls = []
+    original = scalar._strip
+    monkeypatch.setattr(scalar, "_strip", lambda num, exps, candidates, *skip: calls.append(candidates)
+                        or original(num, exps, candidates, *skip))
+    got = {}
+    for a, b, equal in cases:
+        for x, y in ((a, b), (b, a)):
+            calls.clear()
+            got[x, y] = x + y
+            assert len(calls) == 1, (x, y)
+            assert {frozenset(p.p.items()) for p in calls[0]} == {
+                frozenset((h if _plead(h._n)[1] > 0 else -h)._n.items()) for h in equal}, (x, y)
+    monkeypatch.undo()
+    for (x, y), z in got.items():
+        [want] = [w for label, _, w in oracle_results(x, y) if label == "+"]
+        assert (z._n, z._d) == (want._n, want._d), (x, y)
 
 
 def test_sum_of_products_matches_pairwise_on_drawn_groups():
