@@ -26,12 +26,12 @@ of terms goes through _collect, which keeps that invariant, or through the
 accumulator of _sum_products, which drops the cancelled keys at the end.
 
 Every Scalar carries its denominator's base: the pair (c, {p: e}) with
-d = c * prod p^e, c the integer content of d and each p a _Factor, which is
-primitive, has a positive leading coefficient and is certified irreducible:
-p has degree 1 in some variable y, and y's coefficient is an integer
-(_certify).  A single variable is such a factor, and a constant denominator
-has none.  The base is set when the Scalar is made and is None only when a
-part of d is not certified.  Distinct certified factors are coprime, so with
+d = c * prod p^e, c the integer content of d (a constant d has no p) and
+each p a _Factor, which is primitive, squarefree and has a positive leading
+coefficient.  It is certified irreducible when p has degree 1 in some
+variable y and y's coefficient is an integer (_certify), as a single
+variable is; a part of d that fails that, such as (u1 + u2)(u1 - u2), is
+one uncertified factor.  Distinct certified factors are coprime, so with
 the bases of both operands, which are in lowest terms, only these can cancel:
 
 * in a product, the factors of one denominator that the other lacks, from
@@ -54,21 +54,21 @@ the bases of both operands, which are in lowest terms, only these can cancel:
 
 A candidate factor p is tried by exact division (_zquo), and only after a
 pretest: the numerator is evaluated modulo the prime _PRIME at a zero of p,
-computed once per factor, and a nonzero residue rules p out.  The result
-has the canonical form above, so it is the one a polynomial gcd would give,
-and its base is the factors that remain.  A power, a negation and a product
-with a constant factor, which need no gcd, scale the base as they scale d.
+computed once per factor, and a nonzero residue rules p out.  An uncertified
+factor, which has no such zero and may hide a certified one, is divided out
+and then tried by a gcd against it alone (_assemble).  The result has the
+canonical form above, so it is the one a polynomial gcd would give, and its
+base is the factors that remain.  A power, a negation and a product with a
+constant factor, which need no gcd, scale the base as they scale d.
 
 A value made otherwise (by the constructor, as a reciprocal, or by _reduce)
 has its base looked up by value in a least-recently-used table of at most
-_FACTOR_MEMO entries (_factored); a squarefree part that fails the
-certificate, as the product (u1 + u2)(u1 - u2) does, makes it None.
-Expanding a base into d is memoised alike (_expand).  Both tables are keyed
-on values that are never changed, so, like the partial memo below, they
-cannot go stale.
+_FACTOR_MEMO entries (_factored), and expanding a base into d is memoised
+alike (_expand).  Both tables are keyed on values that are never changed,
+so, like the partial memo below, they cannot go stale.
 
-Over a None base, and in the constructor, a result is reduced by _reduce,
-the integer gcd _zgcd and a sign flip, which the tests take as the oracle.
+Where _assemble reduces in full, and in the constructor, _reduce cancels
+the integer gcd _zgcd and fixes the sign; the tests take it as the oracle.
 _zgcd takes one of two paths:
 
 * when one side is a single term, the gcd is the integer content of both
@@ -471,9 +471,10 @@ def _residue(p: dict, y: int, r: int) -> int:
 
 
 class _Factor(frozenset):
-    """An irreducible primitive integer polynomial p with a positive leading
-    coefficient, of degree 1 in y with the integer coefficient a, and the
-    residue root of y at which p vanishes modulo _PRIME (see _generic).
+    """A squarefree primitive integer polynomial p with a positive leading
+    coefficient: certified irreducible, of degree 1 in y with the integer
+    coefficient a, and the residue root of y at which p vanishes modulo
+    _PRIME (see _generic); or uncertified, with y = root = None.
 
     As a set it is the set of p's terms, so equal factors from separately
     factored denominators are equal keys, hashed without a Python call.
@@ -481,11 +482,11 @@ class _Factor(frozenset):
 
     __slots__ = ("p", "y", "root", "vars")
 
-    def __new__(cls, p: dict, y: int, a: int):
+    def __new__(cls, p: dict, y: int | None = None, a: int = 1):
         self = super().__new__(cls, p.items())
         self.p, self.y, self.vars = p, y, _pvars(p)
         rest = {m: c for m, c in p.items() if m != ((y, 1),)}
-        self.root = -_residue(rest, y, 0) * pow(a, -1, _PRIME) % _PRIME
+        self.root = None if y is None else -_residue(rest, y, 0) * pow(a, -1, _PRIME) % _PRIME
         return self
 
     def __deepcopy__(self, memo):
@@ -509,14 +510,14 @@ def _certify(p: dict) -> _Factor | None:
 
 
 @lru_cache(maxsize=_FACTOR_MEMO)
-def _factored(key: frozenset) -> tuple[int, dict] | None:
-    """(c, {factor: e}) with the denominator dict(key) = c * prod factor.p**e, or None.
+def _factored(key: frozenset) -> tuple[int, dict]:
+    """(c, {factor: e}) with the denominator dict(key) = c * prod factor.p**e.
 
     c is the integer content.  The single variables of the monomial content
-    come first; each further factor is the squarefree part q/gcd(q, dq/dx)
-    of what is left, q, in its least variable x, divided out as often as it
-    goes.  None when that part is not certified (_certify): it may then be a
-    product of several factors, which only a factorisation would separate.
+    come first; each further factor is what is left, q, if certified, else
+    its squarefree part q/gcd(q, dq/dx) in its least variable x, certified
+    or not, divided out as often as it goes: A^2 B, A and B in x, gives
+    {AB: 1, A: 1}, a certified factor inside an uncertified one.
     """
     d = dict(key)
     c = gcd(*d.values())
@@ -527,9 +528,8 @@ def _factored(key: frozenset) -> tuple[int, dict] | None:
         f = _certify(q)
         if f is None:
             s = _zgcd(q, _pderiv(q, min(_pvars(q))))[1]
-            f = _certify(_pneg(s) if _plead(s)[1] < 0 else s)
-            if f is None:
-                return None
+            s = _pneg(s) if _plead(s)[1] < 0 else s
+            f = _certify(s) or _Factor(s)
         e = 0
         while (t := _zquo(q, f.p)) is not None:
             q, e = t, e + 1
@@ -558,10 +558,11 @@ def _strip(num: dict, exps: dict, candidates, skip=()) -> dict:
 
     A factor f divides num only if num vanishes at f's zero, so a nonzero
     residue there, or for a single variable a term without it, rules f out
-    without a division.
+    without a division.  An uncertified factor has no such zero and is left
+    to _assemble.
     """
     for f in candidates:
-        if f in skip:
+        if f in skip or f.root is None:
             continue
         most = exps[f]
         if len(f.p) == 1:  # a single variable: the least exponent over num's terms
@@ -586,9 +587,22 @@ def _strip(num: dict, exps: dict, candidates, skip=()) -> dict:
 
 
 def _assemble(num: dict, c: int, exps: dict) -> "Scalar":
-    """The Scalar num / (c * prod f.p**e over exps), num sharing no factor of
-    exps with it, with the integer content of both cancelled; exps, whose
-    exponents are positive, becomes part of its base."""
+    """The Scalar num / (c * prod f.p**e over exps) in lowest terms, for num
+    sharing no certified factor of exps that divides no uncertified one; exps,
+    whose exponents are positive, becomes part of its base.  Each uncertified
+    factor is divided out of num as often as exps allows, and if num still
+    shares a factor with it, even at exponent 0, _reduce cancels the gcd.
+    Any common irreducible then divides an uncertified factor, or is a
+    certified one that divides no other, which the callers' rules cover."""
+    for f in [*exps]:
+        if f.root is None:
+            k = exps.pop(f)
+            while k and (q := _zquo(num, f.p)) is not None:
+                num, k = q, k - 1
+            if k:
+                exps[f] = k
+            if not _is_const(_zgcd(num, f.p)[0]):
+                return _reduce(num, _den(c, exps))
     g = gcd(c, *num.values()) if c > 1 else 1
     c //= g
     return _wrap(_rescale(num, 1, g), _den(c, exps), (c, exps))
@@ -725,9 +739,6 @@ class Scalar:
             return other
         if not other._n:
             return self
-        if self._b is None or other._b is None:
-            d1, d2 = self._d, other._d
-            return _reduce(_padd(_pmul(self._n, d2), _pmul(other._n, d1)), _pmul(d1, d2))
         return _sum_products(((1, self, _ONE), (1, other, _ONE)))
 
     __radd__ = __add__
@@ -778,8 +789,8 @@ class Scalar:
         if e <= 0:
             return Scalar.one() / self ** (-e) if e else Scalar.one()
         # powers of coprime polynomials are coprime, and lc(d**e) = lc(d)**e > 0
-        b = self._b
-        base = None if b is None else (b[0] ** e, {f: k * e for f, k in b[1].items()})
+        c, base = self._b
+        base = (c**e, {f: k * e for f, k in base.items()})
         return _wrap(_ppow(self._n, e), _ppow(self._d, e), base)
 
     def __eq__(self, other) -> bool:
@@ -823,12 +834,9 @@ class Scalar:
 def _partial(a: Scalar, i: int) -> Scalar:
     """d a / d u^i by the quotient rule, for i >= 1."""
     dn = _pderiv(a._n, i)
-    if a._b is None:
-        num = _psub(_pmul(dn, a._d), _pmul(a._n, _pderiv(a._d, i)))
-        return _reduce(num, _pmul(a._d, a._d))
     # with L the product of the factors f of d that involve u^i, each to the
-    # power 1, (n/d)' = (n' L - n sum e_f f' L/f) / (d L); no such f divides
-    # the numerator, so only the others can cancel.
+    # power 1, (n/d)' = (n' L - n sum e_f f' L/f) / (d L), where such an f
+    # never cancels if it is certified and divides no other factor.
     c, base = a._b
     L, s = _ONE_P, {}
     for f, e in base.items():
@@ -848,19 +856,12 @@ def _sum_products(triples) -> Scalar:
     over c_a c_b prod f^(e_a + e_b) is scaled by its complement in the lcm,
     term by term into one accumulator, and only a nonzero sum is stripped of
     the factors of the lcm that can divide it.  + passes its two summands
-    here as products by 1.  A lone product is _mul's, and a None base falls
-    back to _mul and + in the order of the triples; + comes here only over
-    two known bases, so the fallback never recurses."""
+    here as products by 1, and a lone product is _mul's."""
     if len(triples) == 1:
         ((sign, a, b),) = triples
         return _mul(a, b) if sign > 0 else -_mul(a, b)
     parts, c, exps, tops = [], 1, {}, {}
     for sign, a, b in triples:
-        if a._b is None or b._b is None:
-            total = Scalar.zero()
-            for sign, a, b in triples:
-                total = total + _mul(a, b) if sign > 0 else total - _mul(a, b)
-            return total
         (ca, ba), (cb, bb) = a._b, b._b
         e = _collect(bb.items(), ba) if ba and bb else ba or bb
         parts.append((sign, a._n, b._n, ca * cb, e))
@@ -912,10 +913,8 @@ def _mul(a: Scalar, b: Scalar) -> Scalar:
                 return x
             g = gcd(p, *x._d.values())
             h = gcd(r, *x._n.values())
-            base = None if x._b is None else (x._b[0] // g * (r // h), x._b[1])
+            base = (x._b[0] // g * (r // h), x._b[1])
             return _wrap(_rescale(x._n, p // g, h), _rescale(x._d, r // h, g), base)
-    if a._b is None or b._b is None:
-        return _reduce(_pmul(a._n, b._n), _pmul(a._d, b._d))
     # with a and b reduced, only a factor of one denominator that the other
     # lacks can divide the other numerator
     (ca, ba), (cb, bb) = a._b, b._b
@@ -927,9 +926,9 @@ def _mul(a: Scalar, b: Scalar) -> Scalar:
     return _assemble(_pmul(na, nb), ca * cb, exps)
 
 
-def _wrap(num: Poly, den: Poly, base: tuple | None) -> Scalar:
+def _wrap(num: Poly, den: Poly, base: tuple) -> Scalar:
     """A Scalar holding num/den, int term dicts already in canonical form, and
-    den's base (c, {factor: e}), or None when a part of den is not certified."""
+    den's base (c, {factor: e})."""
     out = Scalar.__new__(Scalar)
     out._n, out._d, out._b = num, den, base
     return out

@@ -817,3 +817,18 @@ def test_far_coordinate_index_is_quick(tmp_path, capsys):
     assert time.perf_counter() - start < 2.0
     assert code == 1
     assert "mentions components beyond n=1: [10000000]" in out
+
+
+@pytest.mark.parametrize("entry", ["1/(u1^2+u2^2)^30", "1/(u1^2-u2^2)^30"])
+def test_report_on_a_power_of_an_uncertified_denominator_is_quick(tmp_path, capsys, entry):
+    # u1^2 + u2^2 and u1^2 - u2^2 fail the certificate: each is one uncertified
+    # factor of the base, cancelled by a gcd against it and not against its 30th power
+    path = tmp_path / "power.json"
+    entries = [[1, 1, 1, entry], [1, 2, 2, "1"]]
+    path.write_text(json.dumps({"dimension": 2, "degree": 1, "entries": entries}))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "report", str(path))
+    assert time.perf_counter() - start < 5.0
+    assert code == 1
+    [row] = [line for line in out.splitlines() if line.startswith("homotopy identity")]
+    assert row.split()[6] == "PASS", row

@@ -877,8 +877,8 @@ def test_constructor_matches_the_content_split_route():
 
 def test_only_scalar_reads_the_scalar_layout():
     """The seam around the term layout: no module but scalar reads a Scalar's
-    fields _n and _d, or imports a private name of scalar beyond the term
-    helpers diffpoly shares and the printing and size helpers."""
+    fields _n and _d or its base _b, or imports a private name of scalar
+    beyond the term helpers diffpoly shares and the printing and size helpers."""
     allowed = {"_collect", "_power", "_mono_mul", "_mono_lower",
                "_signed_join", "_product", "_factor_str", "_term_count", "_printed_bits",
                "_sum_products"}
@@ -891,7 +891,7 @@ def test_only_scalar_reads_the_scalar_layout():
         with open(path, encoding="utf-8") as fh:
             tree = ast.parse(fh.read(), name)
         for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and node.attr in ("_n", "_d"):
+            if isinstance(node, ast.Attribute) and node.attr in ("_n", "_d", "_b"):
                 bad.append(f"{name}:{node.lineno} reads .{node.attr}")
             elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
                 if node.value.id == "scalar" and node.attr.startswith("_"):
@@ -957,6 +957,12 @@ FACTOR_FAMILIES = {
     "uncertified": [({"p": 1, "m": 1}, False), ({"q": 1}, False), ({"p": 2, "m": 1, "g": 1}, False),
                     ({"h": 2, "f": 1}, False)],
 }
+
+# the bases _factored finds for the uncertified family, in its order: each
+# squarefree part in the least variable keyed whole, a product of names when
+# it is not certified, then the factors left over
+UNCERTIFIED_BASES = [{("p", "m"): 1}, {("q",): 1}, {("p", "m"): 1, ("p",): 1, ("g",): 1},
+                     {("h", "f"): 1, ("h",): 1}]
 
 
 def factor_family_values(seed: int = 83):
@@ -1035,20 +1041,25 @@ def oracle_results(a: Scalar, b: Scalar):
 
 
 def test_factor_memo_certifies_the_families_and_rejects_products():
+    """The certified families factor into their named factors; in the
+    uncertified family each product that fails _certify is one uncertified
+    factor (root None), as UNCERTIFIED_BASES lists."""
     # each factor primitive with a positive leading coefficient
     polys = {name: _pneg(p) if _plead(p)[1] < 0 else p for name, p in factor_polys().items()}
+    uncertified = iter(UNCERTIFIED_BASES)
     for family, dens in FACTOR_FAMILIES.items():
         for exps, certified in dens:
             den = _rescale(factor_product(polys, exps), 6, 1)
-            entry = _factored(frozenset(den.items()))
-            if not certified:
-                assert entry is None, (family, exps)
-                continue
-            content, base = entry
+            content, base = _factored(frozenset(den.items()))
+            want = {(name,): e for name, e in exps.items()} if certified else next(uncertified)
             assert content == 6, (family, exps)
-            assert {frozenset(f.p.items()): e for f, e in base.items()} == {
-                frozenset(polys[name].items()): e for name, e in exps.items()
+            # a product of names, and u1^2 + u2^2, fail the certificate
+            assert {frozenset(f.p.items()): (e, f.root is None) for f, e in base.items()} == {
+                frozenset(factor_product(polys, dict.fromkeys(names, 1)).items()):
+                    (e, len(names) > 1 or names == ("q",))
+                for names, e in want.items()
             }, (family, exps)
+            assert all((f.root is None) == (_certify(f.p) is None) for f in base), (family, exps)
 
 
 def test_factored_route_matches_reduce_byte_for_byte(monkeypatch):
@@ -1130,9 +1141,11 @@ def test_factor_memo_is_shared_remembers_rejections_and_stays_bounded(monkeypatc
     assert work(values()) == first
     again = _factored.cache_info()
     assert again.hits > info.hits and again.misses == info.misses
-    # a rejected denominator is remembered as None, and the sum is _reduce's
+    # a denominator that fails the certificate is remembered as one
+    # uncertified factor, and the sum is _reduce's
     x, z = S("u3/((u1 + u2)*(u1 - u2))"), S("1/(u1 - u2)")
-    assert _factored(frozenset(x._d.items())) is None
+    [(f, e)] = _factored(frozenset(x._d.items()))[1].items()
+    assert (f.p, e, f.root) == (x._d, 1, None)
     label, got, want = oracle_results(x, z)[0]
     assert label == "+" and (got._n, got._d) == (want._n, want._d)
     misses = _factored.cache_info().misses
@@ -1162,20 +1175,27 @@ def test_factor_memo_is_shared_remembers_rejections_and_stays_bounded(monkeypatc
 
 def assert_base_matches(x: Scalar, where):
     """x's carried base (c, {factor: e}) expands to its denominator, and each
-    factor is primitive with a positive leading coefficient and passes
-    _certify; wherever _factored finds a base for the denominator, it is x's."""
-    found = _factored(frozenset(x._d.items()))
-    if x._b is None:
-        assert found is None, where
-        return
+    factor is primitive with a positive leading coefficient; a certified one
+    passes _certify, and an uncertified one has root None, fails _certify and
+    is squarefree.  Wherever neither x's base nor the one _factored finds for
+    the denominator holds an uncertified factor, the two are equal."""
     c, base = x._b
     d = {(): c}
     for f, e in base.items():
-        assert e > 0 and _certify(f.p) == f, where
-        assert gcd(*f.p.values()) == 1 and _plead(f.p)[1] > 0, where
+        assert e > 0 and gcd(*f.p.values()) == 1 and _plead(f.p)[1] > 0, where
+        if f.root is None:
+            # a square g^2 dividing f.p would leave g in every partial
+            h = f.p
+            for v in f.vars:
+                h = _zgcd(h, _pderiv(f.p, v))[0]
+            assert f.y is None and _certify(f.p) is None and len(h) == 1 and () in h, where
+        else:
+            assert _certify(f.p) == f, where
         d = _pmul(d, _ppow(f.p, e))
     assert d == x._d, where
-    assert found is None or found == x._b, where
+    found = _factored(frozenset(x._d.items()))
+    if all(f.root is not None for b in (base, found[1]) for f in b):
+        assert found == x._b, where
 
 
 def test_carried_bases_match_their_denominators():
@@ -1263,12 +1283,16 @@ def test_denominator_shapes_match_reduce_byte_for_byte():
 
 def test_carried_base_outlives_a_rejected_denominator(monkeypatch):
     """(1/A)**2 * (1/B) for A = 2u2 + u1 - 2u1^2 and B = 2u1 - u2: _factored
-    rejects A^2 B, whose squarefree part in u1 is the product A B, but the
-    product carries the base {A: 2, B: 1}, so +, * and partial on it cancel
-    without GCDHEU and give _reduce's result."""
+    keys A^2 B as {AB: 1, A: 1}, for its squarefree part in u1 is the
+    uncertified product A B, but the product carries the base {A: 2, B: 1},
+    so +, * and partial on it cancel without GCDHEU and give _reduce's
+    result."""
     A, B = S("2*u2 + u1 - 2*u1^2"), S("2*u1 - u2")
     x = (1 / A) ** 2 * (1 / B)
-    assert _factored(frozenset(x._d.items())) is None
+    assert {(frozenset(f.p.items()), f.root is None): e
+            for f, e in _factored(frozenset(x._d.items()))[1].items()} == {
+        (frozenset(_pmul(_pneg(A._n), B._n).items()), True): 1,
+        (frozenset(_pneg(A._n).items()), False): 1}
     assert {frozenset(f.p.items()): e for f, e in x._b[1].items()} == {
         frozenset(_pneg(A._n).items()): 2, frozenset(B._n.items()): 1}  # -A leads with +2u1^2
     others = [x, S("u3/(2*u1 - u2)"), S("(u1 + 1)/(2*u2 + u1 - 2*u1^2)"), S("u2/u1^2"), S("3/4"),
@@ -1369,8 +1393,9 @@ def assert_sum_matches(triples, where) -> Scalar:
 
 def test_sum_of_products_matches_pairwise_on_shaped_groups(monkeypatch):
     """One product; constant, monomial and polynomial denominators with
-    unequal exponents; None bases, among them the product of certified
-    factors (2u2 + u1 - 2u1^2)^2 (2u1 - u2) that _factored rejects; products
+    unequal exponents; uncertified factors, among them the one of the product
+    of certified factors (2u2 + u1 - 2u1^2)^2 (2u1 - u2), which _factored
+    keys as an uncertified product and one of its factors; products
     scaled by nontrivial complements in the lcm; and sums that cancel to
     zero, which try no factor."""
     const = [S("3/4"), S("(u1 - 2)/4"), S("u1*u3/2"), S("-5")]
@@ -1378,7 +1403,7 @@ def test_sum_of_products_matches_pairwise_on_shaped_groups(monkeypatch):
     poly = [S("(u1 + 1)/(u1*(2*u1 - u2))"), S("(u3 + u1)/(2*u1^3*(u3 - u2 - 2)^2)"),
             S("u3/(2*u1 - u2)^3"), S("(u1 - u2)/(u3 - u2 - 2)"), S("(2*u1 - u2)^2/(u3 - u2 - 2)")]
     rejected = [S("u3/((u1 + u2)*(u1 - u2))"), S("1/((2*u2 + u1 - 2*u1^2)^2*(2*u1 - u2))")]
-    assert all(x._b is None for x in rejected)
+    assert all(any(f.root is None for f in x._b[1]) for x in rejected)
     groups = [[(1, a, b)] for a, b in zip(const + mono + poly, poly + mono + const)]
     groups += [[(-1, a, b)] for a, b in zip(mono, poly)]
     for values in (const, mono, poly, const + mono + poly):
@@ -1481,3 +1506,55 @@ def test_sum_of_products_over_the_lcm_multiplies_no_polynomials(monkeypatch):
     monkeypatch.undo()
     assert (got._n, got._d) == (want._n, want._d) and got._b == want._b
     assert sorted(got._b[1].values()) == [1, 1] and got._b[0] == 6  # over 6 f g
+
+
+# -- denominators with an uncertified part --------------------------------------
+
+
+def uncertified_values(seed: int = 131):
+    """Values over denominators that hold an uncertified factor: (u1 + u2)(u1 - u2),
+    u1^2 + u2^2 and h^2 f of factor_polys, u2^2 + 1 and 3u1^2 + 8u1 + 6, some
+    times certified factors, and values over the certified factors m, p, h, f
+    that divide them.  Numerators are random, half of them times one of the
+    factors so that it can cancel."""
+    rng = random.Random(seed)
+    polys = {**factor_polys(), "s": S("u2^2 + 1")._n, "t": S("3*u1^2 + 8*u1 + 6")._n}
+    dens = [{"p": 1, "m": 1}, {"p": 1, "m": 2}, {"q": 2}, {"q": 1, "u1": 1}, {"h": 2, "f": 1},
+            {"h": 1, "f": 1, "g": 1}, {"s": 1}, {"s": 2, "g": 1}, {"t": 1}, {"t": 1, "f": 1},
+            {"m": 1}, {"p": 1}, {"h": 1}, {"f": 2}]
+    out = [S("u3/((u1 + u2)*(u1 - u2))"), S("1/(u1 - u2)"),
+           S("1/((2*u2 + u1 - 2*u1^2)^2*(2*u1 - u2))")]
+    for exps in dens:
+        den = _rescale(factor_product(polys, exps), rng.choice((1, 2, 6)), 1)
+        for _ in range(2):
+            num = random_polynomial(rng, 3, terms=3, deg=2)._n or {(): 1}
+            if rng.random() < 0.5:
+                num = _pmul(num, polys[rng.choice(sorted(exps))])
+            out.append(Scalar(num, den))
+    return out
+
+
+def test_uncertified_denominators_match_reduce_byte_for_byte():
+    """+, -, *, / and partial on values whose denominators hold uncertified
+    factors, among them u3/((u1 + u2)(u1 - u2)) + 1/(u1 - u2), where the
+    certified u1 - u2 hides in the uncertified product, and sums of three
+    products over them, give _reduce's integer num/den on the unreduced
+    quotient and carry their denominators' bases."""
+    values = uncertified_values()
+    assert sum(any(f.root is None for f in x._b[1]) for x in values) > len(values) / 2
+    rng = random.Random(137)
+    pairs = [values[:2]] + [(a, b) for a in values for b in rng.sample(values, 6)]
+    for a, b in pairs:
+        for label, got, want in oracle_results(a, b):
+            assert (got._n, got._d) == (want._n, want._d), (a, label, b)
+            assert_base_matches(got, (a, label, b))
+    assert values[0] + values[1] == S("(u1 + u2 + u3)/(u1^2 - u2^2)")
+    # the sum over (u1^2 - u2^2)(u1 - u2) divides out the uncertified key
+    # whole, and the hidden u1 - u2 still cancels: u3/(u1^2 - u2^2) * (u1 + u2) u2
+    # + ((u1 - u2)(u1 u3 + 1) - u2 u3)/(u1 - u2) = u1 u3 + 1
+    group = [(1, values[0], S("(u1 + u2)*u2")),
+             (1, S("((u1 - u2)*(u1*u3 + 1) - u2*u3)/(u1 - u2)"), Scalar.one())]
+    assert assert_sum_matches(group, group) == S("u1*u3 + 1")
+    for _ in range(40):
+        group = [(rng.choice((1, -1)), rng.choice(values), rng.choice(values)) for _ in range(3)]
+        assert_sum_matches(group, group)
