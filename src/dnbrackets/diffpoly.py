@@ -13,8 +13,8 @@ are merged or reordered.  Coefficients are Scalars (rational functions of
 the coordinates u^i), and the total derivative d_x acts on those through
 the chain rule u^i -> u^{i,1}.
 
-Every derivation - d_x here, D_P in jacobi, D_{-1}, the homotopy and both
-closed forms of d_1 in spectral - is applied by one kernel, _derivation,
+Every derivation - d_x here, D_P in jacobi, D_{-1}, the homotopy and the
+three forms of d_1 in spectral - is applied by one kernel, _derivation,
 from its values on the generators.
 
 Partial derivatives with respect to odd variables are left derivatives:
@@ -432,7 +432,7 @@ def _derivation(x: DiffPoly, jet_image, theta_image) -> DiffPoly:
     one common denominator; no product DiffPoly is built per generator.
     Generators are visited by component, then jets before thetas, then
     order, which orders the products within a key.  d_x, D_P, D_{-1}, the
-    homotopy and both closed forms of d_1 are all calls of this kernel.
+    homotopy and the three forms of d_1 are all calls of this kernel.
     """
     found = set()
     for (even, odd), c in x.terms.items():

@@ -143,6 +143,22 @@ def quadratic_tail(b: HomogeneousBracket, s: int = 0) -> list:
     return _tensor(b.n, 4, coefficient)
 
 
+def _quadratic_term(glow: list, cc: list):
+    """(i, j, q, l) -> 1/2 sum_{p,r} g_pr (c^{ri}_q c^{pj}_l + c^{ri}_l c^{pj}_q), the
+    quadratic term of Ferguson's (e), as 1/2 sum_r (c^{ri}_q gc[r][j][l] +
+    c^{ri}_l gc[r][j][q]) through gc[r][j][l] = sum_p g_pr c^{pj}_l, made once."""
+    n = len(glow)
+    gc = _tensor(n, 3, lambda r, j, l: sum(
+        (glow[p][r] * cc[p][j][l] for p in range(n)), Scalar.zero()))
+    half = Scalar.from_fraction(1) / 2
+
+    def term(i, j, q, l):
+        return sum((cc[r][i][q] * gc[r][j][l] + cc[r][i][l] * gc[r][j][q] for r in range(n)),
+                   Scalar.zero()) * half
+
+    return term
+
+
 def ferguson_check(b: HomogeneousBracket) -> list:
     """Degree-2 conditions (a)-(e)."""
     _require_degree(b, 2)
@@ -161,17 +177,16 @@ def ferguson_check(b: HomogeneousBracket) -> list:
             yield label + f"nabla_{j+1} g_{{{i+1}{l+1}}}", v + nab_low[j][i][l]
             yield label + f"nabla_{i+1} g_{{{l+1}{j+1}}}", v + nab_low[i][l][j]
 
-    def quadratic_identity(i, j, q, l):
-        """The value that q^{ij}_{ql} must take."""
-        sym_deriv = (cc[i][j][q].partial(l + 1) + cc[i][j][l].partial(q + 1)) * half
-        quad_term = sum(
-            (
-                gpr * (cc[r][i][q] * cc[p][j][l] + cc[r][i][l] * cc[p][j][q]) * half
-                for (p, r), gpr in _components(glow, 2)
-            ),
-            Scalar.zero(),
-        )
-        return sym_deriv - quad_term
+    def quadratic_defects():
+        """The labelled defects of (e), q^{ij}_{ql} minus the value it must
+        take; g is contracted with c on the first draw."""
+        quad_term = _quadratic_term(glow, cc)
+
+        def defect(i, j, q, l):
+            sym_deriv = (cc[i][j][q].partial(l + 1) + cc[i][j][l].partial(q + 1)) * half
+            return q_tail[i][j][q][l] - (sym_deriv - quad_term(i, j, q, l))
+
+        yield from _labelled(b.n, 4, "c^{{{0}{1}}}_{{{2}{3}}} defect", defect)
 
     return _charge_setup(t0, [
         # the value at (j, i) is the value at (i, j), so the first nonzero one has i <= j
@@ -188,10 +203,7 @@ def ferguson_check(b: HomogeneousBracket) -> list:
             b.n, 3, "nabla_{0} g^{{{1}{2}}} - b^{{{1}{2}}}_{0} + 2c^{{{1}{2}}}_{0}",
             lambda l, i, j: nab_up[l][i][j] - (bb[i][j][l] - 2 * cc[i][j][l]),
         )),
-        _condition("(e) quadratic tail identity", _labelled(
-            b.n, 4, "c^{{{0}{1}}}_{{{2}{3}}} defect",
-            lambda i, j, q, l: q_tail[i][j][q][l] - quadratic_identity(i, j, q, l),
-        )),
+        _condition("(e) quadratic tail identity", quadratic_defects()),
     ])
 
 

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 from .bracket import HomogeneousBracket, _tensor, constant_bracket, lower_metric
-from .diffpoly import DiffPoly, _sum
+from .diffpoly import DiffPoly, _sum, _wrap
 from .errors import DegenerateMetricError
 from .scalar import Scalar
 
@@ -75,16 +76,24 @@ def random_monomial(
     """A single monomial with jet count <= max_degu, for homotopy checks.
 
     Theta orders run up to k + 2 so that both sides of the projection
-    boundary (order k) are exercised.
+    boundary (order k) are exercised.  The term is written down by key, from
+    the draws a product of its factors would make: the odd word is sorted
+    with the sign of its inversions, and a repeated theta or a zero
+    coefficient gives zero.
     """
-    term = DiffPoly.one()
-    if rng.random() < 0.5:
-        term = term * random_scalar(rng, n, 1, 1)
+    coef = random_scalar(rng, n, 1, 1) if rng.random() < 0.5 else Scalar.one()
+    even: dict = {}
     for _ in range(rng.randint(0, max_degu)):
-        term = term * DiffPoly.jet(rng.randint(1, n), rng.randint(1, 3))
-    for _ in range(rng.randint(0, max_theta_degree)):
-        term = term * DiffPoly.theta(rng.randint(1, n), rng.randint(0, k + 2))
-    return term
+        v = (rng.randint(1, n), rng.randint(1, 3))
+        even[v] = even.get(v, 0) + 1
+    drawn = [(rng.randint(1, n), rng.randint(0, k + 2))
+             for _ in range(rng.randint(0, max_theta_degree))]
+    word = [(s, i) for i, s in drawn]
+    odd = tuple(sorted(word))
+    if coef.is_zero or len(set(odd)) < len(odd):
+        return DiffPoly.zero()
+    inversions = sum(a > b for a, b in combinations(word, 2))
+    return _wrap({(tuple(sorted(even.items())), odd): -coef if inversions % 2 else coef})
 
 
 def random_constant_matrix(rng: random.Random, n: int, parity: int) -> list:

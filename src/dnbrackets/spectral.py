@@ -14,27 +14,31 @@ that raises the number of top-order thetas - through the flat
 combination connections.  Agreement of the three on a given bracket is
 what the flatness of those combinations amounts to.
 
-D_P, D_{-1}, the homotopy and both closed forms of d_1 are derivations,
-and each is one call of the kernel diffpoly._derivation, which applies
-their values on the generators u^{i,s} and theta_i^s to the partials of
-the input.  Apart from D_P's, those values are tables cached once per
-bracket by bracket._cached: D_{-1}'s and the homotopy's from the metric,
-the closed form's from the tails, the connection form's as closed-form
-images read off g, the lowered metric and Gamma_[s] alone, so the three
-d_1 computations share no formula.
+D_P, D_{-1}, the homotopy and all three forms of d_1 are derivations, and
+each is one call of the kernel diffpoly._derivation, which applies their
+values on the generators u^{i,s} and theta_i^s to the partials of the
+input.  Apart from D_P's, those values are tables cached once per bracket
+by bracket._cached: D_{-1}'s and the homotopy's from the metric, the
+closed form's from the tails, the connection form's as closed-form images
+read off g, the lowered metric and Gamma_[s] alone, and d1_spectral's as
+D_P's images of the generators of B, projected onto B before any product
+is taken (d1_spectral says why that is exact).  The three d_1
+computations share no formula.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
-from math import comb, prod
+from math import comb
 
 from .bracket import HomogeneousBracket, _cached, _tensor, extract_named, metric_pair
 from .connections import flat_combination
 from .diffpoly import DiffPoly, _derivation, _sum, _wrap
 from .errors import PreconditionError
-from .jacobi import apply_DP, check_jacobi
+from .jacobi import _dx_powers, apply_DP, check_jacobi
+from .scalar import Scalar
 
 __all__ = [
     "require_poisson",
@@ -129,7 +133,13 @@ def homotopy(b: HomogeneousBracket, a: DiffPoly) -> DiffPoly:
         return _homotopy_rows(b, s - k)[j - 1] if s > k else None
 
     image_terms = _derivation(a, {}.get, image).terms
-    return _wrap({key: c * Fraction(1, _excluded_count(key, k)) for key, c in image_terms.items()})
+    return _wrap({key: c * _reciprocal(_excluded_count(key, k)) for key, c in image_terms.items()})
+
+
+@cache
+def _reciprocal(l: int) -> Scalar:
+    """The Scalar 1/l, made once per l for the homotopy's scaling."""
+    return Scalar.from_fraction(Fraction(1, l))
 
 
 def in_B(a: DiffPoly, k: int) -> bool:
@@ -149,10 +159,30 @@ def include_B(a: DiffPoly, k: int) -> DiffPoly:
     return a
 
 
+@_cached
+def _d1_spectral_ops(b: HomogeneousBracket) -> tuple:
+    """The images of D_P on the generators of B, projected onto B, built once
+    per bracket: u^i keyed (i, 0) and theta_l^s (s <= k) keyed (l, s)."""
+    n, k = b.n, b.k
+    coords = {(i, 0): project_B(_dx_powers(b, "theta", i, 0), k) for i in range(1, n + 1)}
+    thetas = {(l, s): project_B(_dx_powers(b, "u", l, s), k)
+              for s in range(k + 1) for l in range(1, n + 1)}
+    return coords, thetas
+
+
 def d1_spectral(b: HomogeneousBracket, x: DiffPoly) -> DiffPoly:
-    """d_1 computed through D_P: project the deg_u-preserving part back."""
+    """d_1 computed through D_P: the part in B of D_P x, for x in B.
+
+    D_P is applied with its generator images already projected onto B
+    (_d1_spectral_ops).  That equals project_B(apply_D_graded(b, 0, x), k)
+    term for term: x and its partials lie in B (no jets), and the count of
+    jets and of thetas above order k (_excluded_count) adds under products,
+    so a product lands in B exactly when its image factor does, and each B
+    key sums the same products in the same order.
+    """
     require_poisson(b)
-    return project_B(apply_D_graded(b, 0, include_B(x, b.k)), b.k)
+    jets, thetas = _d1_spectral_ops(b)
+    return _derivation(include_B(x, b.k), jets.get, thetas.get)
 
 
 @_cached
@@ -265,7 +295,7 @@ def spanning_monomials(n: int, k: int, max_degree: int = 3) -> list:
     gens = [(s, i) for s in range(0, k + 1) for i in range(1, n + 1)]
     out = [DiffPoly.one()]
     out.extend(DiffPoly.coordinate(i) for i in range(1, n + 1))
-    for d in range(1, max_degree + 1):
-        for chosen in combinations(gens, d):
-            out.append(prod((DiffPoly.theta(i, s) for s, i in chosen), start=DiffPoly.one()))
+    # gens is sorted, so each chosen word is already an odd key, with sign +1
+    out.extend(_wrap({((), chosen): Scalar.one()})
+               for d in range(1, max_degree + 1) for chosen in combinations(gens, d))
     return out

@@ -22,6 +22,13 @@ def S(text: str) -> Scalar:
     return parse_scalar(text)
 
 
+def assert_same_terms(got, want):
+    """The same keys in the same order, equal coefficients and the same text."""
+    assert list(got.terms) == list(want.terms)
+    assert got == want
+    assert str(got) == str(want)
+
+
 def cold_scalar_memos():
     """Empty the value-keyed memos of dnbrackets.scalar (partial derivatives,
     factored denominators and their expansions), so a timing starts cold."""

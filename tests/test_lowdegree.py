@@ -11,6 +11,7 @@ from dnbrackets.bracket import (
     HomogeneousBracket,
     check_skew,
     lower_metric,
+    metric_pair,
     validate,
 )
 from dnbrackets import lowdegree
@@ -29,7 +30,7 @@ from dnbrackets.lowdegree import (
     quadratic_tail,
 )
 from dnbrackets.errors import DegenerateMetricError
-from dnbrackets.sampling import random_scalar
+from dnbrackets.sampling import random_constant_bracket, random_scalar
 from dnbrackets.scalar import Scalar
 
 from conftest import S, canonical4_lower, nonflat2_data
@@ -175,6 +176,71 @@ def test_ferguson_witnesses_of_the_metric_and_connection_conditions():
         ("(d) nabla g upper = b - 2c", False, "nabla_2 g^{24} - b^{24}_2 + 2c^{24}_2 = -u1*u3 - u1"),
         ("(e) quadratic tail identity", False, "c^{12}_{13} defect = -1/2"),
     ]
+
+
+def quadratic_term_oracle(glow, cc, i, j, q, l):
+    """1/2 sum_{p,r} g_pr (c^{ri}_q c^{pj}_l + c^{ri}_l c^{pj}_q), the double sum."""
+    n, half = len(glow), Scalar.from_fraction(Fraction(1, 2))
+    return sum((glow[p][r] * (cc[r][i][q] * cc[p][j][l] + cc[r][i][l] * cc[p][j][q]) * half
+                for p, r in product(range(n), repeat=2)), Scalar.zero())
+
+
+def condition_e_oracle(b):
+    """Ferguson's (e) row as (status, witness), through the double sum."""
+    named, glow = metric_pair(b)
+    cc, q_tail, half = named.h[0], quadratic_tail(b, 0), Scalar.from_fraction(Fraction(1, 2))
+    for i, j, q, l in product(range(b.n), repeat=4):
+        sym_deriv = (cc[i][j][q].partial(l + 1) + cc[i][j][l].partial(q + 1)) * half
+        value = q_tail[i][j][q][l] - (sym_deriv - quadratic_term_oracle(glow, cc, i, j, q, l))
+        if value:
+            return "fail", f"c^{{{i+1}{j+1}}}_{{{q+1}{l+1}}} defect = {value}"
+    return "pass", None
+
+
+def k2_brackets_for_condition_e(canonical4):
+    """canonical4, constant k = 2 brackets, and non-Poisson k = 2 brackets:
+    k2_break_e, k2_break_c, and canonical4 with coordinate-dependent
+    coefficients c^{ij}_l of u^{l,2} added to P_0 and a quadratic tail."""
+    rng = random.Random(23)
+    out = {"canonical4": canonical4, "break_e": k2_break_e(), "break_c": k2_break_c()}
+    for n in (2, 4):
+        out[f"constant n={n}"] = random_constant_bracket(rng, n, 2)
+    P = dict(canonical4.P)
+    extra = {
+        (1, 2): DiffPoly.jet(3, 2) * S("1+u1") + DiffPoly.jet(1, 2) * S("u2"),
+        (2, 1): DiffPoly.jet(4, 2) * S("-2") + DiffPoly.jet(2, 1) ** 2 * S("u4"),
+        (3, 4): DiffPoly.jet(2, 2) * S("u4/(1+u3)"),
+        (1, 1): DiffPoly.jet(1, 2) * S("u3") + DiffPoly.jet(4, 2),
+    }
+    for (i, j), v in extra.items():
+        P[(i, j, 0)] = P.get((i, j, 0), DiffPoly.zero()) + v
+    out["perturbed"] = HomogeneousBracket(n=4, k=2, P=P)
+    return out
+
+
+def test_contracted_quadratic_term_matches_the_double_sum(canonical4):
+    brackets = k2_brackets_for_condition_e(canonical4)
+    nonzero = 0
+    for name, b in brackets.items():
+        named, glow = metric_pair(b)
+        cc = named.h[0]
+        term = lowdegree._quadratic_term(glow, cc)
+        for index in product(range(b.n), repeat=4):
+            want = quadratic_term_oracle(glow, cc, *index)
+            assert term(*index) == want, (name, index)
+            nonzero += bool(want)
+    assert nonzero >= 20
+    assert not check_skew(brackets["perturbed"])  # so not Poisson
+
+
+def test_condition_e_keeps_its_status_and_witness(canonical4):
+    statuses = set()
+    for name, b in k2_brackets_for_condition_e(canonical4).items():
+        row = ferguson_check(b)[-1]
+        assert row.name == "(e) quadratic tail identity"
+        assert (row.status, row.witness) == condition_e_oracle(b), name
+        statuses.add(row.status)
+    assert statuses == {"pass", "fail"}
 
 
 def test_first_combination_flat_whenever_a_to_d_hold():

@@ -19,6 +19,7 @@ from dnbrackets.spectral import (
     _excluded_count,
     _d1_closed_ops,
     _d1_connection_ops,
+    _d1_spectral_ops,
     _homotopy_rows,
     _lowering_rows,
     _named_with_top,
@@ -36,7 +37,7 @@ from dnbrackets.spectral import (
     spanning_monomials,
 )
 
-from conftest import S, fixture_path, kernel_draws
+from conftest import S, assert_same_terms, fixture_path, kernel_draws
 
 
 def theta(i, s):
@@ -225,10 +226,12 @@ def random_element_of_B(rng, b):
     return sum(parts, DiffPoly.zero())
 
 
-# the per-bracket tables behind d1_closed, d1_as_connection, D_minus1_closed and homotopy
+# the per-bracket tables behind d1_closed, d1_as_connection, d1_spectral,
+# D_minus1_closed and homotopy
 TABLES = {
     "d1_closed_ops": _d1_closed_ops,
     "d1_connection_ops": _d1_connection_ops,
+    "d1_spectral_ops": _d1_spectral_ops,
     "lowering_rows": lambda b: _lowering_rows(b, 1),
     "homotopy_rows": lambda b: _homotopy_rows(b, 1),
 }
@@ -411,6 +414,55 @@ def test_tables_are_built_from_their_closed_forms(monkeypatch, nonflat2, canonic
             patch.setattr(DiffPoly, "project", unreachable)
             closed = _d1_closed_ops(cold)
         assert connection == _d1_connection_ops(b) and closed == _d1_closed_ops(b)
+
+
+def d1_spectral_oracle(b, x):
+    """d_1 through the whole of D_P: its deg_u-preserving part, projected onto B."""
+    return project_B(apply_D_graded(b, 0, x), b.k)
+
+
+def test_d1_spectral_matches_the_whole_of_D_P_on_every_spanning_monomial(canonical4):
+    brackets = {**table_brackets(), "canonical4": canonical4}
+    for name, b in brackets.items():
+        for x in spanning_monomials(b.n, b.k):
+            assert_same_terms(d1_spectral(b, x), d1_spectral_oracle(b, x))
+
+
+def test_d1_spectral_matches_the_whole_of_D_P_on_random_elements(nonflat2, canonical4):
+    rng = random.Random(89)
+    brackets = [nonflat2, canonical4, *table_brackets().values()]
+    with_coordinates = 0
+    for b in brackets:
+        for _ in range(4):
+            x = random_element_of_B(rng, b)
+            with_coordinates += any(not c.is_fraction() for c in x.terms.values())
+            assert_same_terms(d1_spectral(b, x), d1_spectral_oracle(b, x))
+    assert with_coordinates >= 10
+
+
+def test_d1_spectral_reads_D_P_and_not_the_closed_forms(monkeypatch, nonflat2, canonical4):
+    # the three d_1 computations stay separate cross-checks: d1_spectral
+    # depends on D_P's images and on no table of the other two
+    def unreachable(*args, **kwargs):
+        raise AssertionError("d1_spectral read a table of the closed forms")
+
+    for b in (nonflat2, canonical4):
+        span = spanning_monomials(b.n, b.k, max_degree=2)
+        want = [d1_spectral(b, x) for x in span]
+        cold = HomogeneousBracket(n=b.n, k=b.k, P=dict(b.P))
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral, "_d1_closed_ops", unreachable)
+            patch.setattr(spectral, "_d1_connection_ops", unreachable)
+            assert [d1_spectral(cold, x) for x in span] == want
+
+        real = spectral._dx_powers
+        corrupt = HomogeneousBracket(n=b.n, k=b.k, P=dict(b.P))
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral, "_dx_powers",
+                          lambda b, family, i, s: real(b, family, i, s) * 2)
+            disagree = [x for x in span if d1_spectral(corrupt, x) != d1_closed(corrupt, x)]
+        assert disagree
+        assert all(d1_closed(corrupt, x) == d1_closed(b, x) for x in span)
 
 
 def test_d1_requires_poisson(lc1_broken):
