@@ -15,7 +15,9 @@ the chain rule u^i -> u^{i,1}.
 
 Every derivation - d_x here, D_P in jacobi, D_{-1}, the homotopy and the
 three forms of d_1 in spectral - is applied by one kernel, _derivation,
-from its values on the generators.
+from its values on the generators, term by term: each generator of a term
+with an image contributes the image times the term with that generator
+taken out, and no partial derivative is built as a DiffPoly.
 
 Partial derivatives with respect to odd variables are left derivatives:
 the variable is anticommuted to the front of the word and then removed.
@@ -24,11 +26,14 @@ A term dict never holds a zero coefficient: every sum of terms goes through
 scalar._collect or scalar._sum_products, and _wrap builds a DiffPoly around
 a dict that already satisfies this.  Sums of DiffPolys go through _sum, one
 _collect over the terms of all the parts.  Products go through _products,
-which both * and _derivation call: it groups the coefficient pairs of all
-the products it is given by the key they land on, and sums each group in
-one scalar._sum_products, over one common denominator, instead of a
-product and an addition per pair.  Each distinct pair of odd words is
-merged (_odd_mul) once per call, however many coefficient pairs share it.
+which both * and _derivation call.  Each of its parts is a DiffPoly's term
+items times one signed term: * passes one per term of its right factor,
+_derivation one per generator of each term of its input.  It groups the
+coefficient pairs of all the products by the key they land on, and sums
+each group in one scalar._sum_products, over one common denominator,
+instead of a product and an addition per pair.  Each distinct pair of odd
+words is merged (_odd_mul) once per call, however many coefficient pairs
+share it.
 """
 
 from __future__ import annotations
@@ -243,7 +248,8 @@ class DiffPoly:
             return _wrap({k: c * sc for k, c in self.terms.items()})
         if not isinstance(other, DiffPoly):
             return NotImplemented
-        return _products([(self, other)])
+        items = self.terms.items()
+        return _products((items, e2, o2, 1, c2) for (e2, o2), c2 in other.terms.items())
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
@@ -379,23 +385,25 @@ def _wrap(terms: dict) -> DiffPoly:
     return out
 
 
-def _products(pairs) -> DiffPoly:
-    """The sum of the products a * b over the (a, b) pairs: the coefficient
-    pairs of every product are grouped by key as (sign, c1, c2), and each
-    group is summed by scalar._sum_products.  Each distinct pair of odd words
-    is merged once per call."""
+def _products(parts) -> DiffPoly:
+    """The sum of the products a * b over parts (a_items, e2, o2, sign, c2),
+    where a_items are a's terms and b is the one term sign * c2 at (e2, o2):
+    the coefficient pairs of every product are grouped by key as
+    (sign, c1, c2), and each group is summed by scalar._sum_products.  The
+    odd merges are cached in one row per o2, so each distinct pair of odd
+    words is merged once per call."""
     groups: dict = {}
-    merged: dict = {}
-    for a, b in pairs:
-        for (e1, o1), c1 in a.terms.items():
-            for (e2, o2), c2 in b.terms.items():
-                try:
-                    om = merged[o1, o2]
-                except KeyError:
-                    om = merged[o1, o2] = _odd_mul(o1, o2)
-                if om is not None:
-                    sign, odd = om
-                    groups.setdefault((_mono_mul(e1, e2), odd), []).append((sign, c1, c2))
+    rows: dict = {}
+    for items, e2, o2, sign, c2 in parts:
+        row = rows.setdefault(o2, {})
+        for (e1, o1), c1 in items:
+            try:
+                om = row[o1]
+            except KeyError:
+                om = row[o1] = _odd_mul(o1, o2)
+            if om is not None:
+                key = (_mono_mul(e1, e2) if e1 and e2 else e1 or e2, om[1])
+                groups.setdefault(key, []).append((sign * om[0], c1, c2))
     return _wrap({key: c for key, group in groups.items() if (c := _sum_products(group))})
 
 
@@ -421,29 +429,50 @@ def _dx_upto(derivs: list, t: int) -> DiffPoly:
     return derivs[t]
 
 
+class _Images(dict):
+    """A derivation's generator images as term items, each looked up once
+    (image(v) on a miss); falsy where the image is."""
+
+    def __init__(self, image):
+        self.image = image
+
+    def __missing__(self, v):
+        img = self.image(v)
+        self[v] = out = img and img.terms.items()
+        return out
+
+
 def _derivation(x: DiffPoly, jet_image, theta_image) -> DiffPoly:
     """Apply the derivation sending u^{i,s} to jet_image((i, s)) (s = 0: the
     coordinate u^i) and theta_i^s to theta_image((i, s)); a falsy image, such
     as a dict's get returns for a missing key, kills the generator.
 
-    Each generator occurring in x adds image * dx/dv, image on the left so
-    the odd signs are fixed.  The products of all generators go to one
-    _products call, which sums each output key's coefficient products over
-    one common denominator; no product DiffPoly is built per generator.
-    Generators are visited by component, then jets before thetas, then
-    order, which orders the products within a key.  d_x, D_P, D_{-1}, the
-    homotopy and the three forms of d_1 are all calls of this kernel.
+    x is walked term by term, and each generator v of a term c * m whose
+    image is truthy adds image * d(c * m)/dv, image on the left so the odd
+    signs are fixed, as one part of a single _products call, which sums each
+    output key's coefficient products over one common denominator.  The
+    partial is the term itself with v taken out: c.partial(i) for a
+    coordinate u^i of c (skipped when zero), c * e at m / v for a jet v^e,
+    and (-1)^p c at the odd word without v for the theta at position p.  No
+    partial DiffPoly is built, and only coordinates with an image are
+    differentiated.  d_x, D_P, D_{-1}, the homotopy and the three forms of
+    d_1 are all calls of this kernel.
     """
-    found = set()
-    for (even, odd), c in x.terms.items():
-        found.update((i, 0, 0) for i in c.variables())
-        found.update((i, 0, s) for (i, s), _ in even)
-        found.update((i, 1, s) for s, i in odd)
-    return _products(
-        (image, (x._partial_theta if odd else x._partial_jet)(i, s))
-        for i, odd, s in sorted(found)
-        if (image := (theta_image if odd else jet_image)((i, s)))
-    )
+    jets, thetas = _Images(jet_image), _Images(theta_image)
+
+    def parts():
+        for (even, odd), c in x.terms.items():
+            for i in c.variables():
+                if (img := jets[i, 0]) and (dc := c.partial(i)):
+                    yield img, even, odd, 1, dc
+            for v, e in even:
+                if img := jets[v]:
+                    yield img, _mono_lower(even, v), odd, 1, c if e == 1 else c * e
+            for p, (s, i) in enumerate(odd):
+                if img := thetas[i, s]:
+                    yield img, even, odd[:p] + odd[p + 1 :], -1 if p % 2 else 1, c
+
+    return _products(parts())
 
 
 def _term_str(key: TermKey, c: Scalar) -> tuple[int, str]:

@@ -34,7 +34,8 @@ def apply_DP(b: HomogeneousBracket, a: DiffPoly) -> DiffPoly:
 
     D_P(u^{i,s}) is d_x^s of dP~/dtheta_i and D_P(theta_i^s) of dP~/du^i.
     Like D_{-1}, the homotopy and both closed forms of d_1 in spectral, it
-    is one call of the derivation kernel diffpoly._derivation.
+    is one call of the derivation kernel diffpoly._derivation, which applies
+    these images to a term by term.
     """
     return _derivation(a, lambda v: _dx_powers(b, "theta", *v), lambda v: _dx_powers(b, "u", *v))
 

@@ -113,9 +113,10 @@ _ONE_P: Poly = {(): 1}
 _HEU_TRIES = 6
 
 # entries of the partial-derivative memo: above the distinct (value, index)
-# pairs of the largest single check met so far (946 for D_P applied twice to
-# one monomial on nonflat2, 637 for nonflat2 under u1 -> u1 + c*u2), so one
-# check keeps what it reuses, and small enough to cap memory over a long run
+# pairs of the largest single check met so far (753 for D_P applied twice to
+# one monomial on nonflat2, 565 for nonflat2 with a jet pair under
+# u1 -> u1 + c*u2), so one check keeps what it reuses, and small enough to
+# cap memory over a long run
 _PARTIAL_MEMO = 1024
 
 # entries of the memo of factored denominators (_factored), which only
@@ -863,9 +864,16 @@ def _sum_products(triples) -> Scalar:
     parts, c, exps, tops = [], 1, {}, {}
     for sign, a, b in triples:
         (ca, ba), (cb, bb) = a._b, b._b
-        e = _collect(bb.items(), ba) if ba and bb else ba or bb
-        parts.append((sign, a._n, b._n, ca * cb, e))
-        c = lcm(c, ca * cb)
+        cp = ca * cb
+        if c % cp:
+            c = lcm(c, cp)
+        if ba and bb:  # the two bases merged, adding the exponents of a shared factor
+            e = ba.copy()
+            for f, k in bb.items():
+                e[f] = e.get(f, 0) + k
+        else:
+            e = ba or bb
+        parts.append((sign, a._n, b._n, cp, e))
         for f, k in e.items():
             if k > exps.get(f, 0):
                 exps[f], tops[f] = k, (b._n if f in ba else a._n)
@@ -877,7 +885,7 @@ def _sum_products(triples) -> Scalar:
     # no complement, and the cancelled keys are dropped at the end
     num = {}
     for sign, n1, n2, cp, e in parts:
-        s = sign * (c // cp)
+        s = sign if cp == c else sign * (c // cp)
         if e != exps:
             n2 = _pmul(_den(1, {f: k - e.get(f, 0) for f, k in exps.items() if k > e.get(f, 0)}),
                        n2)

@@ -16,8 +16,9 @@ what the flatness of those combinations amounts to.
 
 D_P, D_{-1}, the homotopy and all three forms of d_1 are derivations, and
 each is one call of the kernel diffpoly._derivation, which applies their
-values on the generators u^{i,s} and theta_i^s to the partials of the
-input.  Apart from D_P's, those values are tables cached once per bracket
+values on the generators u^{i,s} and theta_i^s term by term: each
+generator of a term of the input adds its value times the term with that
+generator taken out.  Apart from D_P's, those values are tables cached once per bracket
 by bracket._cached: D_{-1}'s and the homotopy's from the metric, the
 closed form's from the tails, the connection form's as closed-form images
 read off g, the lowered metric and Gamma_[s] alone, and d1_spectral's as
@@ -175,10 +176,11 @@ def d1_spectral(b: HomogeneousBracket, x: DiffPoly) -> DiffPoly:
 
     D_P is applied with its generator images already projected onto B
     (_d1_spectral_ops).  That equals project_B(apply_D_graded(b, 0, x), k)
-    term for term: x and its partials lie in B (no jets), and the count of
-    jets and of thetas above order k (_excluded_count) adds under products,
-    so a product lands in B exactly when its image factor does, and each B
-    key sums the same products in the same order.
+    term for term: x, and each term of x with a generator taken out, lie in
+    B (no jets), and the count of jets and of thetas above order k
+    (_excluded_count) adds under products, so a product lands in B exactly
+    when its image factor does, and each B key sums the same products in the
+    same order.
     """
     require_poisson(b)
     jets, thetas = _d1_spectral_ops(b)

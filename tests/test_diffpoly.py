@@ -23,8 +23,9 @@ from dnbrackets.diffpoly import (
     variational,
 )
 from dnbrackets.jacobi import _dx_powers, apply_DP
-from dnbrackets.sampling import random_diffpoly, random_polynomial
+from dnbrackets.sampling import random_diffpoly, random_polynomial, random_scalar
 from dnbrackets.scalar import Scalar, _collect, _mono_lower, _mono_mul
+from dnbrackets.spectral import D_minus1_closed, homotopy
 
 from conftest import S, fixture_path, kernel_draws
 from test_scalar import assert_base_matches
@@ -341,6 +342,95 @@ def test_derivation_matches_one_product_per_generator():
             )
 
 
+def kernel_corner_cases(rng: random.Random, covered: set, rounds: int = 30):
+    """(x, jets, thetas) on n = 3 for the derivation kernel: terms with jet
+    exponents up to 3, words of up to three thetas, coefficients in u3, and
+    image tables in which a generator may be missing or map to the zero
+    DiffPoly; u3 never has an image.  Adds to covered which of the cases the
+    kernel must get right occurred with a truthy image, and whether a falsy
+    one met a generator of x."""
+    gens = [(i, s) for i in (1, 2, 3) for s in range(4)]
+
+    def table():
+        out = {}
+        for v in gens:
+            pick = rng.random()
+            if pick < 0.2:
+                out[v] = DiffPoly.zero()
+            elif pick < 0.8 and v != (3, 0):
+                out[v] = random_diffpoly(rng, 2, terms=2, max_jet=2, max_theta=2)
+        return out
+
+    for _ in range(rounds):
+        x = DiffPoly.zero()
+        for _ in range(3):
+            term = DiffPoly.from_scalar(random_scalar(rng, 3))
+            for _ in range(rng.randint(0, 2)):
+                term = term * DiffPoly.jet(rng.randint(1, 3), rng.randint(1, 3)) ** rng.randint(1, 3)
+            for _ in range(rng.randint(0, 3)):
+                term = term * theta(rng.randint(1, 3), rng.randint(0, 3))
+            x = x + term
+        jets, thetas = table(), table()
+        for (even, odd), c in x.terms.items():
+            if any(jets.get((i, 0)) for i in c.variables()):
+                covered.add("coordinate with an image")
+            if 3 in c.variables():
+                covered.add("coordinate without an image")
+            if any(e > 1 and jets.get(v) for v, e in even):
+                covered.add("jet exponent above 1")
+            if any(p % 2 and thetas.get((i, s)) for p, (s, i) in enumerate(odd)):
+                covered.add("theta at an odd position")
+            gens_of_term = [(i, 0) for i in c.variables()] + [v for v, _ in even]
+            if any(v in jets and not jets[v] for v in gens_of_term) or any(
+                    (i, s) in thetas and not thetas[i, s] for s, i in odd):
+                covered.add("zero image")
+        yield x, jets, thetas
+
+
+def test_derivation_term_by_term_matches_both_oracles():
+    """The kernel, which takes every partial from x's terms in place, against
+    collected_derivation and derivation_oracle, which take them from whole
+    partial DiffPolys: on jet powers, thetas at odd positions, coefficients
+    in a coordinate without an image, and missing and zero images."""
+    covered = set()
+    for x, jets, thetas in kernel_corner_cases(random.Random(43), covered):
+        got = _derivation(x, jets.get, thetas.get)
+        assert_same_terms(got, collected_derivation(x, jets.get, thetas.get), (x, jets, thetas))
+        assert got == derivation_oracle(x, 3, jets.get, thetas.get), (x, jets, thetas)
+    assert covered == {"coordinate with an image", "coordinate without an image", "jet exponent above 1",
+                       "theta at an odd position", "zero image"}
+
+
+def test_derivation_builds_no_partial_diffpoly(monkeypatch, nonflat2):
+    """The kernel never calls the partial DiffPoly builders, and it
+    differentiates a coefficient only by the coordinates that have an image,
+    once per term: D_{-1} and the homotopy, which have none, differentiate
+    no coefficient."""
+    b = nonflat2
+    draws = list(kernel_draws(random.Random(53), b, set()))
+    D_minus1_closed(b, draws[1]), homotopy(b, draws[1])  # fill the bracket's caches first
+
+    def refuse(*args):
+        raise AssertionError("a partial DiffPoly was built")
+
+    for name in ("_partial_jet", "_partial_theta", "partial_coordinate"):
+        monkeypatch.setattr(DiffPoly, name, refuse)
+    calls = []
+    original = Scalar.partial
+    monkeypatch.setattr(Scalar, "partial", lambda c, i: calls.append(i) or original(c, i))
+    for x, jets, thetas in kernel_corner_cases(random.Random(47), set(), rounds=10):
+        calls.clear()
+        _derivation(x, jets.get, thetas.get)
+        want = [i for c in x.terms.values() for i in c.variables() if jets.get((i, 0))]
+        assert sorted(calls) == sorted(want) and 3 not in calls, x
+    for a in draws:
+        calls.clear()
+        D_minus1_closed(b, a), homotopy(b, a)
+        assert calls == [], a
+        a.d_x()
+        assert sorted(calls) == sorted(i for c in a.terms.values() for i in c.variables()), a
+
+
 def collected_products(pairs) -> dict:
     """The kernel's sum before fusing, as an oracle: every product c1 * c2 of
     the (a, b) pairs, signed, streamed into one _collect in the order of the
@@ -403,30 +493,34 @@ def test_fused_kernel_matches_collected_products(request, name):
 
 
 def test_products_merge_each_odd_word_pair_once(monkeypatch):
-    """One _products call whose (a, b) pairs repeat the same pairs of odd
-    words with other even parts and coefficients: each distinct pair is
-    merged once, and the terms are those of collected_products."""
+    """One _products call whose parts repeat the same pairs of odd words with
+    other even parts, coefficients and signs: each distinct pair is merged
+    once, and the terms are those of collected_products."""
     x = [theta(1, 2), theta(2, 1) * theta(1, 2), DiffPoly.one()]
     y = [theta(2, 1), theta(1, 0), theta(1, 0) * theta(1, 2)]
     coefficients = [S(t) for t in ("u1/(u1 + u2)", "-3", "(u2 - u1)/(2*u1)", "u1*u2 + 1", "1/u2^2",
                                    "(u1 + u2)/(2*u1 - u2)", "5/7", "u2/u1")]
     rng = random.Random(41)
-    pairs = []
+    parts, pairs = [], []
     for c in coefficients:
         a = sum((DiffPoly.from_scalar(rng.choice(coefficients)) * DiffPoly.jet(1, rng.randint(1, 2)) * w
                  for w in x), DiffPoly.from_scalar(c) * x[0])
         b = sum((DiffPoly.from_scalar(rng.choice(coefficients)) * DiffPoly.coordinate(2) * w for w in y),
                 DiffPoly.zero())
-        pairs.append((a, b))
+        for (e2, o2), c2 in b.terms.items():
+            sign = rng.choice((1, -1))
+            parts.append((a.terms.items(), e2, o2, sign, c2))
+            pairs.append((a, _wrap({(e2, o2): c2 if sign > 0 else -c2})))
     words = {(o1, o2) for a, b in pairs for (_, o1) in a.terms for (_, o2) in b.terms}
     calls = []
     monkeypatch.setattr("dnbrackets.diffpoly._odd_mul",
                         lambda o1, o2: calls.append((o1, o2)) or _odd_mul(o1, o2))
-    got = _products(pairs)
+    got = _products(parts)
     monkeypatch.undo()
     assert sorted(calls) == sorted(words) and len(words) == 9
     signs = {om and om[0] for om in map(odd_mul_oracle, *zip(*words))}
     assert signs == {None, 1, -1}
+    assert {sign for *_, sign, _ in parts} == {1, -1}
     assert_same_terms(got, collected_products(pairs), pairs)
 
 

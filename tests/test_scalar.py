@@ -1396,8 +1396,10 @@ def test_sum_of_products_matches_pairwise_on_shaped_groups(monkeypatch):
     unequal exponents; uncertified factors, among them the one of the product
     of certified factors (2u2 + u1 - 2u1^2)^2 (2u1 - u2), which _factored
     keys as an uncertified product and one of its factors; products
-    scaled by nontrivial complements in the lcm; and sums that cancel to
-    zero, which try no factor."""
+    scaled by nontrivial complements in the lcm; integer contents that do
+    not divide the lcm taken so far, and contents equal to the lcm; both
+    bases nonempty, with shared and with disjoint factors; and sums that
+    cancel to zero, which try no factor."""
     const = [S("3/4"), S("(u1 - 2)/4"), S("u1*u3/2"), S("-5")]
     mono = [S("(u1 + u2)/(6*u1^2*u3)"), S("u2/u1"), S("u2^2/(3*u1*u3)"), S("(2*u2 - 1)/(4*u1*u3^2)")]
     poly = [S("(u1 + 1)/(u1*(2*u1 - u2))"), S("(u3 + u1)/(2*u1^3*(u3 - u2 - 2)^2)"),
@@ -1423,6 +1425,17 @@ def test_sum_of_products_matches_pairwise_on_shaped_groups(monkeypatch):
          (-1, S("u1") / f**2, S("u2^2 - u3"))],
         [(1, S("(u1 + u2)/2") / f**2, S("(u3 - u1*u2)/3") / g), (-1, S("u1 - 1") / (3 * g), S("u2/2")),
          (1, S("u3^2 + u1") / (6 * f), S("u2 - 1") / f)],
+    ]
+    # integer contents 2, 3 and 4, of which none divides the lcm of those
+    # before it; products that all have the content 6 of the lcm; and bases
+    # that are both nonempty, sharing f or u1 and holding f and g apart
+    groups += [
+        [(1, S("u1/2"), S("u2") / f), (-1, S("u3/3"), 1 / f), (1, S("(u1 + u2)/4"), S("u3"))],
+        [(1, S("u1/6"), S("u2 + 1")), (1, S("u2/2"), S("u3/3")), (-1, S("(u1 - u3)/3"), S("1/2"))],
+        [(1, S("u1") / f, S("u2") / f), (-1, S("u3") / f, S("u1 + 1") / g),
+         (1, S("u2") / (2 * g), S("u1") / (3 * f))],
+        [(1, S("u2/u1"), S("u3/(2*u1^2)")), (-1, S("u3") / (S("u1") * f), S("u2") / (2 * g)),
+         (1, S("1/(6*u1)"), S("u1 + u2") / f**2)],
     ]
     for group in groups:
         assert_sum_matches(group, group)
