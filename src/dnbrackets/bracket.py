@@ -24,7 +24,7 @@ from itertools import chain, product
 from math import comb
 from types import MappingProxyType
 
-from .diffpoly import DiffPoly, ThetaVar, _dx_upto, _sum
+from .diffpoly import DiffPoly, ThetaVar, _dx_upto, _products, _sum
 from .errors import DegenerateMetricError
 from .scalar import Scalar
 
@@ -278,8 +278,12 @@ def transform(b: HomogeneousBracket, cmap: CoordinateMap) -> HomogeneousBracket:
 
         R_s^{ij} = sum_t C(s+t, s) J^i_{i'} P_{s+t}^{i'j'} d_x^t(J^j_{j'})
 
-    computed in the old jet variables; afterwards old coordinates and jets
-    are substituted by their expressions in the new ones.
+    computed in the old jet variables: each R_s^{ij} is one _products call,
+    whose parts are P_{s+t}^{i'j'}'s terms times each term c of
+    d_x^t(J^j_{j'}) with coefficient C(s+t, s) J^i_{i'} c, over t, i' and j',
+    so each key sums all its products over one common denominator.
+    Afterwards old coordinates and jets are substituted by their expressions
+    in the new ones.
     """
     if cmap.n != b.n:
         raise ValueError(f"map is for n={cmap.n}, bracket has n={b.n}")
@@ -290,19 +294,20 @@ def transform(b: HomogeneousBracket, cmap: CoordinateMap) -> HomogeneousBracket:
     jac = cmap.jacobian()
     jac_dx = [[[DiffPoly.from_scalar(jac[a][bb])] for bb in range(n)] for a in range(n)]
 
-    def contracted(i, j, s, t):
-        """J^i_{i'} P_{s+t}^{i'j'} d_x^t(J^j_{j'}), summed over i' and j'."""
-        return _sum(
-            entry * jac[i - 1][ip - 1] * _dx_upto(jac_dx[j - 1][jp - 1], t)
-            for ip in range(1, n + 1)
-            for jp in range(1, n + 1)
-            if (entry := b.entry(ip, jp, s + t))
-        )
+    def parts(i, j, s):
+        for t, ip in product(range(k - s + 1), range(1, n + 1)):
+            if J := jac[i - 1][ip - 1]:
+                scale = J * comb(s + t, s) if s and t else J  # C(s+t, s) = 1 otherwise
+                for jp in range(1, n + 1):
+                    if entry := b.P.get((ip, jp, s + t)):
+                        items = entry.terms.items()
+                        for (e2, o2), c2 in _dx_upto(jac_dx[j - 1][jp - 1], t).terms.items():
+                            yield items, e2, o2, 1, scale * c2
 
     raw = {
         (i, j, s): acc
         for i, j, s in product(range(1, n + 1), range(1, n + 1), range(k + 1))
-        if (acc := _sum(contracted(i, j, s, t) * comb(s + t, s) for t in range(k - s + 1)))
+        if (acc := _products(parts(i, j, s)))
     }
 
     coord_map = {m + 1: cmap.inverse[m] for m in range(n)}

@@ -17,7 +17,11 @@ Every derivation - d_x here, D_P in jacobi, D_{-1}, the homotopy and the
 three forms of d_1 in spectral - is applied by one kernel, _derivation,
 from its values on the generators, term by term: each generator of a term
 with an image contributes the image times the term with that generator
-taken out, and no partial derivative is built as a DiffPoly.
+taken out, and no partial derivative is built as a DiffPoly.  The values
+come in image tables (_Images), which build each generator's image once:
+d_x's are module constants and the others are cached per bracket.  A table
+records whether any coordinate has an image, and a derivation with none
+never looks at the coefficients' variables.
 
 Partial derivatives with respect to odd variables are left derivatives:
 the variable is anticommuted to the front of the word and then removed.
@@ -26,14 +30,15 @@ A term dict never holds a zero coefficient: every sum of terms goes through
 scalar._collect or scalar._sum_products, and _wrap builds a DiffPoly around
 a dict that already satisfies this.  Sums of DiffPolys go through _sum, one
 _collect over the terms of all the parts.  Products go through _products,
-which both * and _derivation call.  Each of its parts is a DiffPoly's term
-items times one signed term: * passes one per term of its right factor,
-_derivation one per generator of each term of its input.  It groups the
-coefficient pairs of all the products by the key they land on, and sums
-each group in one scalar._sum_products, over one common denominator,
-instead of a product and an addition per pair.  Each distinct pair of odd
-words is merged (_odd_mul) once per call, however many coefficient pairs
-share it.
+which *, _derivation and bracket.transform call.  Each of its parts is a
+DiffPoly's term items times one signed term: * passes one per term of its
+right factor, _derivation one per generator of each term of its input, and
+transform one per term of each d_x^t(J) of a transformed entry's Leibniz
+expansion.  It groups the coefficient pairs of all the products by the key
+they land on, and sums each group in one scalar._sum_products, over one
+common denominator, instead of a product and an addition per pair.  Each
+distinct pair of odd words is merged (_odd_mul) once per call, however many
+coefficient pairs share it.
 """
 
 from __future__ import annotations
@@ -306,8 +311,7 @@ class DiffPoly:
         """Total x-derivative: the derivation raising the order of every
         generator, u^{i,s} -> u^{i,s+1} (s = 0: the chain rule) and
         theta_i^s -> theta_i^{s+1}."""
-        return _derivation(self, lambda v: DiffPoly.jet(v[0], v[1] + 1),
-                           lambda v: DiffPoly.theta(v[0], v[1] + 1))
+        return _derivation(self, *_DX_IMAGES)
 
     def d_x_pow(self, s: int) -> "DiffPoly":
         if s < 0:
@@ -430,11 +434,20 @@ def _dx_upto(derivs: list, t: int) -> DiffPoly:
 
 
 class _Images(dict):
-    """A derivation's generator images as term items, each looked up once
-    (image(v) on a miss); falsy where the image is."""
+    """A derivation's generator images as term items, keyed (i, s) for
+    u^{i,s} (s = 0: the coordinate u^i) or for theta_i^s, and falsy where the
+    image is; each is built by image(v) on its first lookup.  coordinates is
+    False when no coordinate has an image (read on jet tables only), and the
+    kernel then skips the coefficients' variables."""
 
-    def __init__(self, image):
+    def __init__(self, image, coordinates: bool = True):
         self.image = image
+        self.coordinates = coordinates
+
+    @classmethod
+    def of(cls, images: dict) -> "_Images":
+        """The table of a dict of DiffPoly images; a missing key has none."""
+        return cls(images.get, any(v for (_, s), v in images.items() if not s))
 
     def __missing__(self, v):
         img = self.image(v)
@@ -442,10 +455,11 @@ class _Images(dict):
         return out
 
 
-def _derivation(x: DiffPoly, jet_image, theta_image) -> DiffPoly:
-    """Apply the derivation sending u^{i,s} to jet_image((i, s)) (s = 0: the
-    coordinate u^i) and theta_i^s to theta_image((i, s)); a falsy image, such
-    as a dict's get returns for a missing key, kills the generator.
+def _derivation(x: DiffPoly, jets, thetas) -> DiffPoly:
+    """Apply the derivation whose images of the generators are the _Images
+    jets, of u^{i,s} keyed (i, s) (s = 0: the coordinate u^i), and thetas, of
+    theta_i^s keyed (i, s); a falsy image kills the generator.  A bare
+    callable, such as a dict's get, is wrapped in an _Images for this call.
 
     x is walked term by term, and each generator v of a term c * m whose
     image is truthy adds image * d(c * m)/dv, image on the left so the odd
@@ -454,17 +468,23 @@ def _derivation(x: DiffPoly, jet_image, theta_image) -> DiffPoly:
     partial is the term itself with v taken out: c.partial(i) for a
     coordinate u^i of c (skipped when zero), c * e at m / v for a jet v^e,
     and (-1)^p c at the odd word without v for the theta at position p.  No
-    partial DiffPoly is built, and only coordinates with an image are
-    differentiated.  d_x, D_P, D_{-1}, the homotopy and the three forms of
-    d_1 are all calls of this kernel.
+    partial DiffPoly is built, only coordinates with an image are
+    differentiated, and when jets.coordinates is False no coefficient's
+    variables are looked at.  d_x, D_P, D_{-1}, the homotopy and the three
+    forms of d_1 are all calls of this kernel.
     """
-    jets, thetas = _Images(jet_image), _Images(theta_image)
+    if not isinstance(jets, _Images):
+        jets = _Images(jets)
+    if not isinstance(thetas, _Images):
+        thetas = _Images(thetas)
+    coordinates = jets.coordinates
 
     def parts():
         for (even, odd), c in x.terms.items():
-            for i in c.variables():
-                if (img := jets[i, 0]) and (dc := c.partial(i)):
-                    yield img, even, odd, 1, dc
+            if coordinates:
+                for i in c.variables():
+                    if (img := jets[i, 0]) and (dc := c.partial(i)):
+                        yield img, even, odd, 1, dc
             for v, e in even:
                 if img := jets[v]:
                     yield img, _mono_lower(even, v), odd, 1, c if e == 1 else c * e
@@ -473,6 +493,12 @@ def _derivation(x: DiffPoly, jet_image, theta_image) -> DiffPoly:
                     yield img, even, odd[:p] + odd[p + 1 :], -1 if p % 2 else 1, c
 
     return _products(parts())
+
+
+# d_x's tables, kept for good: u^{i,s} -> u^{i,s+1} (u^i -> u^{i,1}) and
+# theta_i^s -> theta_i^{s+1}
+_DX_IMAGES = (_Images(lambda v: DiffPoly.jet(v[0], v[1] + 1)),
+              _Images(lambda v: DiffPoly.theta(v[0], v[1] + 1)))
 
 
 def _term_str(key: TermKey, c: Scalar) -> tuple[int, str]:

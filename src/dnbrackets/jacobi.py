@@ -16,8 +16,10 @@ derivatives.
 
 from __future__ import annotations
 
+import weakref
+
 from .bracket import HomogeneousBracket, _cached, _variational, skew_defects, validate, variational_pair
-from .diffpoly import DiffPoly, _derivation
+from .diffpoly import DiffPoly, _derivation, _Images
 from .errors import PreconditionError
 
 
@@ -29,15 +31,26 @@ def _dx_powers(b: HomogeneousBracket, family: str, i: int, s: int) -> DiffPoly:
     return _variational(b, family)[i - 1]
 
 
+@_cached
+def _DP_images(b: HomogeneousBracket) -> tuple:
+    """D_P's image tables, kept on the bracket: u^{i,s} -> d_x^s(dP~/dtheta_i)
+    and theta_i^s -> d_x^s(dP~/du^i), each built on first use.  They hold
+    the bracket weakly, so its cache makes no reference cycle."""
+    ref = weakref.ref(b)
+    return (_Images(lambda v: _dx_powers(ref(), "theta", *v)),
+            _Images(lambda v: _dx_powers(ref(), "u", *v)))
+
+
 def apply_DP(b: HomogeneousBracket, a: DiffPoly) -> DiffPoly:
     """Apply the odd vector field D_P to a.
 
     D_P(u^{i,s}) is d_x^s of dP~/dtheta_i and D_P(theta_i^s) of dP~/du^i.
     Like D_{-1}, the homotopy and both closed forms of d_1 in spectral, it
     is one call of the derivation kernel diffpoly._derivation, which applies
-    these images to a term by term.
+    these images to a term by term, from tables cached once per bracket
+    (_DP_images), so each generator's image is looked up once per bracket.
     """
-    return _derivation(a, lambda v: _dx_powers(b, "theta", *v), lambda v: _dx_powers(b, "u", *v))
+    return _derivation(a, *_DP_images(b))
 
 
 def _defects(b: HomogeneousBracket):

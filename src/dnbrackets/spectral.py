@@ -18,17 +18,20 @@ D_P, D_{-1}, the homotopy and all three forms of d_1 are derivations, and
 each is one call of the kernel diffpoly._derivation, which applies their
 values on the generators u^{i,s} and theta_i^s term by term: each
 generator of a term of the input adds its value times the term with that
-generator taken out.  Apart from D_P's, those values are tables cached once per bracket
-by bracket._cached: D_{-1}'s and the homotopy's from the metric, the
+generator taken out.  Those values are image tables (diffpoly._Images)
+cached once per bracket by bracket._cached, as D_P's are in jacobi (d_x's
+are module constants): D_{-1}'s and the homotopy's from the metric, the
 closed form's from the tails, the connection form's as closed-form images
 read off g, the lowered metric and Gamma_[s] alone, and d1_spectral's as
 D_P's images of the generators of B, projected onto B before any product
-is taken (d1_spectral says why that is exact).  The three d_1
-computations share no formula.
+is taken (d1_spectral says why that is exact).  Each table builds a
+generator's image once per bracket.  The three d_1 computations share no
+formula.
 """
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -36,7 +39,7 @@ from math import comb
 
 from .bracket import HomogeneousBracket, _cached, _tensor, extract_named, metric_pair
 from .connections import flat_combination
-from .diffpoly import DiffPoly, _derivation, _sum, _wrap
+from .diffpoly import DiffPoly, _derivation, _Images, _sum, _wrap
 from .errors import PreconditionError
 from .jacobi import _dx_powers, apply_DP, check_jacobi
 from .scalar import Scalar
@@ -96,14 +99,23 @@ def _lowering_rows(b: HomogeneousBracket, s: int) -> list:
     return _row_sums(extract_named(b).g, DiffPoly.theta, b.k + s)
 
 
-def D_minus1_closed(b: HomogeneousBracket, a: DiffPoly) -> DiffPoly:
-    """Direct evaluation of sum_{s>=1} g^{ij} theta_j^{k+s} da/du^{i,s}."""
+@_cached
+def _lowering_images(b: HomogeneousBracket) -> tuple:
+    """D_{-1}'s image tables, built once per bracket: u^{i,s} (s >= 1) goes
+    to row i of _lowering_rows(b, s); no coordinate or theta has an image.
+    Like the homotopy's, they hold the bracket weakly (see _DP_images)."""
+    ref = weakref.ref(b)
 
     def image(v):
         i, s = v
-        return _lowering_rows(b, s)[i - 1] if s else None
+        return _lowering_rows(ref(), s)[i - 1] if s else None
 
-    return _derivation(a, image, {}.get)
+    return _Images(image, coordinates=False), _Images({}.get)
+
+
+def D_minus1_closed(b: HomogeneousBracket, a: DiffPoly) -> DiffPoly:
+    """Direct evaluation of sum_{s>=1} g^{ij} theta_j^{k+s} da/du^{i,s}."""
+    return _derivation(a, *_lowering_images(b))
 
 
 def _excluded_count(key, k: int) -> int:
@@ -119,6 +131,19 @@ def _homotopy_rows(b: HomogeneousBracket, s: int) -> list:
     return _row_sums(metric_pair(b)[1], DiffPoly.jet, s)
 
 
+@_cached
+def _homotopy_images(b: HomogeneousBracket) -> tuple:
+    """The homotopy's image tables, built once per bracket: theta_j^{k+s}
+    (s >= 1) goes to row j of _homotopy_rows(b, s); no u^{i,s} has an image."""
+    k, ref = b.k, weakref.ref(b)
+
+    def image(v):
+        j, s = v
+        return _homotopy_rows(ref(), s - k)[j - 1] if s > k else None
+
+    return _Images({}.get, coordinates=False), _Images(image)
+
+
 def homotopy(b: HomogeneousBracket, a: DiffPoly) -> DiffPoly:
     """Contraction h with D_{-1} h + h D_{-1} = 1 - include_B . project_B.
 
@@ -128,12 +153,7 @@ def homotopy(b: HomogeneousBracket, a: DiffPoly) -> DiffPoly:
     u^{i,s}, so it keeps the l of its source and is scaled by 1/l afterwards.
     """
     k = b.k
-
-    def image(v):
-        j, s = v
-        return _homotopy_rows(b, s - k)[j - 1] if s > k else None
-
-    image_terms = _derivation(a, {}.get, image).terms
+    image_terms = _derivation(a, *_homotopy_images(b)).terms
     return _wrap({key: c * _reciprocal(_excluded_count(key, k)) for key, c in image_terms.items()})
 
 
@@ -171,6 +191,14 @@ def _d1_spectral_ops(b: HomogeneousBracket) -> tuple:
     return coords, thetas
 
 
+@_cached
+def _d1_images(b: HomogeneousBracket, ops, *half) -> tuple:
+    """The (jets, thetas) _Images over the dicts of ops(b), for ops one of the
+    _d1_*_ops (of its given half for _d1_closed_ops), built once per bracket."""
+    jets, thetas = ops(b)[half[0]] if half else ops(b)
+    return _Images.of(jets), _Images.of(thetas)
+
+
 def d1_spectral(b: HomogeneousBracket, x: DiffPoly) -> DiffPoly:
     """d_1 computed through D_P: the part in B of D_P x, for x in B.
 
@@ -183,8 +211,7 @@ def d1_spectral(b: HomogeneousBracket, x: DiffPoly) -> DiffPoly:
     same order.
     """
     require_poisson(b)
-    jets, thetas = _d1_spectral_ops(b)
-    return _derivation(include_B(x, b.k), jets.get, thetas.get)
+    return _derivation(include_B(x, b.k), *_d1_images(b, _d1_spectral_ops))
 
 
 @_cached
@@ -232,7 +259,7 @@ def d1_split(b: HomogeneousBracket, x: DiffPoly) -> tuple:
     through the split tables of _d1_closed_ops."""
     require_poisson(b)
     x = include_B(x, b.k)
-    return tuple(_derivation(x, jets.get, thetas.get) for jets, thetas in _d1_closed_ops(b))
+    return tuple(_derivation(x, *_d1_images(b, _d1_closed_ops, half)) for half in (0, 1))
 
 
 def d1_closed(b: HomogeneousBracket, x: DiffPoly) -> DiffPoly:
@@ -283,8 +310,7 @@ def d1_as_connection(b: HomogeneousBracket, x: DiffPoly) -> DiffPoly:
     once per bracket.
     """
     require_poisson(b)
-    jets, thetas = _d1_connection_ops(b)
-    return _derivation(include_B(x, b.k), jets.get, thetas.get)
+    return _derivation(include_B(x, b.k), *_d1_images(b, _d1_connection_ops))
 
 
 def spanning_monomials(n: int, k: int, max_degree: int = 3) -> list:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+from fractions import Fraction
 from itertools import product
 from math import comb
 
@@ -22,7 +23,7 @@ from dnbrackets.bracket import (
     transform,
     validate,
 )
-from dnbrackets.cli import load_bracket
+from dnbrackets.cli import load_bracket, load_map
 from dnbrackets.connections import _bracket_curvature, flat_combination, standard_connection
 from dnbrackets.diffpoly import DiffPoly, _dx_upto, _sum
 from dnbrackets.errors import DegenerateMetricError, PreconditionError
@@ -32,6 +33,7 @@ from dnbrackets.scalar import Scalar
 from dnbrackets.spectral import _named_with_top
 
 from conftest import S, fixture_path, nonflat2_data
+from test_scalar import assert_base_matches
 
 
 def test_validate_accepts_fixtures(nonflat2, lc1, const2):
@@ -381,3 +383,105 @@ def test_skew_defects_of_odd_entries_differ_from_the_leibniz_formula():
     assert validate(b) == ["P_0^{12} contains odd variables", "P_0^{21} contains odd variables"]
     with pytest.raises(PreconditionError, match="invalid bracket"):
         check_jacobi(b)
+
+
+def transform_oracle(b, cmap) -> dict:
+    """transform's entries by the Leibniz formula as first written: one
+    product entry * J * d_x^t(J) per (t, i', j'), added by _sum over i' and
+    j', scaled by C(s+t, s) and added by _sum over t; then the same
+    substitution of old coordinates and jets by their expressions in the new
+    ones.  Zero entries are dropped, as HomogeneousBracket drops them."""
+    n, k = b.n, b.k
+    jac = cmap.jacobian()
+    derivs = [[[DiffPoly.from_scalar(x)] for x in row] for row in jac]
+
+    def contracted(i, j, s, t):
+        return _sum(
+            b.entry(ip, jp, s + t) * jac[i - 1][ip - 1] * _dx_upto(derivs[j - 1][jp - 1], t)
+            for ip in range(1, n + 1)
+            for jp in range(1, n + 1)
+        )
+
+    raw = {
+        (i, j, s): acc
+        for i, j, s in product(range(1, n + 1), range(1, n + 1), range(k + 1))
+        if (acc := _sum(contracted(i, j, s, t) * comb(s + t, s) for t in range(k - s + 1)))
+    }
+    coord_map = {m + 1: x for m, x in enumerate(cmap.inverse)}
+    top = max((entry.max_jet_order() for entry in raw.values()), default=0)
+    jet_map = {(l, r): DiffPoly.from_scalar(cmap.inverse[l - 1]).d_x_pow(r)
+               for l in range(1, n + 1) for r in range(1, top + 1)}
+    return {key: moved for key, entry in raw.items()
+            if (moved := entry.substitute(coord_map=coord_map, jet_map=jet_map))}
+
+
+def elementary_map(n: int, step: str, rng: random.Random) -> CoordinateMap:
+    """A random scaling u^m -> a_m u^m followed by one step on p, q = n - 1, n:
+    "shift" u^p -> u^p + c u^q, "forward1" and "forward2" u^q -> u^q + c (u^p)^e
+    with e = 1, 2, and "product" u^q -> u^q u^p."""
+    u = [Scalar.coordinate(m) for m in range(1, n + 1)]
+    a = [rng.choice((-2, -1, Fraction(1, 2), 2, 3)) for _ in range(n)]
+    c = rng.choice((-2, -1, Fraction(1, 2), 1, 3))
+    p, q = n - 2, n - 1
+    step_f, step_i = list(u), list(u)
+    if step == "shift":
+        step_f[p], step_i[p] = u[p] + c * u[q], u[p] - c * u[q]
+    elif step == "product":
+        step_f[q], step_i[q] = u[q] * u[p], u[q] / u[p]
+    else:
+        f = c * u[p] ** int(step[-1])
+        step_f[q], step_i[q] = u[q] + f, u[q] - f
+    scaled = {m + 1: x * am for m, (am, x) in enumerate(zip(a, u))}
+    unstep = {m + 1: g for m, g in enumerate(step_i)}
+    return CoordinateMap(n, [g.subs(scaled) for g in step_f],
+                         [(x / am).subs(unstep) for am, x in zip(a, u)])
+
+
+def with_jet_pair(b, jets):
+    """b plus X at P_0^{12} and -X at P_0^{21}, X the product of the jets (i, s):
+    still skew, but no longer Poisson."""
+    x = DiffPoly.one()
+    for i, s in jets:
+        x = x * DiffPoly.jet(i, s)
+    P = dict(b.P)
+    P[(1, 2, 0)], P[(2, 1, 0)] = b.entry(1, 2, 0) + x, b.entry(2, 1, 0) - x
+    return HomogeneousBracket(b.n, b.k, P)
+
+
+def assert_same_entries(moved, want: dict, where):
+    assert list(moved.P) == list(want), where
+    for key, entry in moved.P.items():
+        assert entry.terms == want[key].terms and str(entry) == str(want[key]), (where, key)
+        for c in entry.terms.values():
+            assert_base_matches(c, (where, key))
+
+
+JET_PAIRS = {"nonflat2_jetpair": ("nonflat2.json", ((1, 3),)),
+             "canonical_k2_quadtail": ("canonical_k2.json", ((1, 1), (3, 1)))}
+
+
+@pytest.mark.parametrize("name", ["lc1", "lc1_broken", "nonflat2", "canonical4", "const2", "const3",
+                                  "canonical_k2.json", "constant_k2.json", "lc_k1.json",
+                                  "lc_k1_broken.json", "nonflat2.json", *JET_PAIRS])
+def test_fused_transform_matches_the_leibniz_oracle(request, name):
+    """transform, which sums each entry's whole Leibniz expansion in one
+    _products call, against transform_oracle: the same entries, terms, text
+    and bases, on every fixture bracket and on two skew non-Poisson ones,
+    under the shift, both forward shifts and the product map at two seeds."""
+    if name in JET_PAIRS:
+        doc, jets = JET_PAIRS[name]
+        b = with_jet_pair(load_bracket(fixture_path(doc)), jets)
+    elif name.endswith(".json"):
+        b = load_bracket(fixture_path(name))
+    else:
+        b = request.getfixturevalue(name)
+    for seed in (5, 23):
+        rng = random.Random(seed)
+        for step in ("shift", "forward1", "forward2", "product"):
+            cmap = elementary_map(b.n, step, rng)
+            assert_same_entries(transform(b, cmap), transform_oracle(b, cmap), (name, seed, step))
+
+
+def test_fused_transform_matches_the_oracle_under_map_product(nonflat2):
+    cmap = load_map(fixture_path("map_product.json"), 2)
+    assert_same_entries(transform(nonflat2, cmap), transform_oracle(nonflat2, cmap), "map_product")

@@ -7,10 +7,12 @@ import pytest
 
 from dnbrackets.cli import load_bracket
 from dnbrackets.diffpoly import (
+    _DX_IMAGES,
     DiffPoly,
     JetVar,
     ThetaVar,
     _derivation,
+    _Images,
     _odd_mul,
     _products,
     _sum,
@@ -22,10 +24,12 @@ from dnbrackets.diffpoly import (
     project,
     variational,
 )
-from dnbrackets.jacobi import _dx_powers, apply_DP
+from dnbrackets.jacobi import _DP_images, _dx_powers, apply_DP
 from dnbrackets.sampling import random_diffpoly, random_polynomial, random_scalar
 from dnbrackets.scalar import Scalar, _collect, _mono_lower, _mono_mul
-from dnbrackets.spectral import D_minus1_closed, homotopy
+from dnbrackets.spectral import (
+    D_minus1_closed, _d1_closed_ops, _d1_images, _homotopy_images, _lowering_images, homotopy,
+)
 
 from conftest import S, fixture_path, kernel_draws
 from test_scalar import assert_base_matches
@@ -429,6 +433,62 @@ def test_derivation_builds_no_partial_diffpoly(monkeypatch, nonflat2):
         assert calls == [], a
         a.d_x()
         assert sorted(calls) == sorted(i for c in a.terms.values() for i in c.variables()), a
+
+
+def test_derivations_without_coordinate_images_never_read_variables(monkeypatch, nonflat2):
+    """D_{-1}, the homotopy and the theta^k-keeping half of d1_split, whose
+    tables give no coordinate an image, never call Scalar.variables; d_x, D_P
+    and the raising half differentiate exactly the coordinates of each term
+    that have an image."""
+    b = nonflat2
+    draws = list(kernel_draws(random.Random(59), b, set()))
+    up, same = (_d1_images(b, _d1_closed_ops, half) for half in (0, 1))
+    assert not any(t[0].coordinates for t in (_lowering_images(b), _homotopy_images(b), same))
+    with_coordinates = {"d_x": _DX_IMAGES, "D_P": _DP_images(b), "up": up}
+    for a in draws:  # fill every table the draws need
+        D_minus1_closed(b, a), homotopy(b, a), _derivation(a, *same)
+        for jets, thetas in with_coordinates.values():
+            _derivation(a, jets, thetas)
+
+    variables, partial = Scalar.variables, Scalar.partial
+    armed, calls = [], []
+
+    def guarded(c):
+        if armed:
+            raise AssertionError("a coefficient's variables were read")
+        return variables(c)
+
+    monkeypatch.setattr(Scalar, "variables", guarded)
+    monkeypatch.setattr(Scalar, "partial", lambda c, i: calls.append(i) or partial(c, i))
+    for a in draws:
+        calls.clear()
+        armed.append(True)
+        D_minus1_closed(b, a), homotopy(b, a), _derivation(a, *same)
+        armed.clear()
+        assert calls == [], a
+        for label, (jets, thetas) in with_coordinates.items():
+            want = [i for c in a.terms.values() for i in variables(c) if jets[i, 0]]
+            calls.clear()
+            _derivation(a, jets, thetas)
+            assert sorted(calls) == sorted(want), (label, a)
+
+
+@pytest.mark.parametrize("name", ["lc1", "nonflat2", "canonical4", "const3"])
+def test_d_x_tables_match_images_wrapped_per_call(request, monkeypatch, name):
+    """d_x reads its module tables and builds none, and they give the terms
+    that its images, wrapped in a fresh table per call, give."""
+    b = request.getfixturevalue(name)
+
+    def refuse(*args):
+        raise AssertionError("d_x built an image table")
+
+    for a in kernel_draws(random.Random(107), b, set()):
+        want = _derivation(a, lambda v: DiffPoly.jet(v[0], v[1] + 1),
+                           lambda v: DiffPoly.theta(v[0], v[1] + 1))
+        with monkeypatch.context() as patch:
+            patch.setattr(_Images, "__init__", refuse)
+            got = a.d_x()
+        assert_same_terms(got, want.terms, (name, a))
 
 
 def collected_products(pairs) -> dict:

@@ -1,26 +1,32 @@
 """Graded pieces of D_P, the contraction map, and the first differential."""
 
+import gc
 import random
+import weakref
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from dnbrackets import diffpoly, spectral
+from dnbrackets import diffpoly, jacobi, spectral
 from dnbrackets.bracket import HomogeneousBracket, extract_named, metric_pair, transform
 from dnbrackets.cli import load_bracket, load_map
 from dnbrackets.connections import flat_combination
-from dnbrackets.diffpoly import DiffPoly, ThetaVar, _derivation, _sum, term_deg_theta_k
+from dnbrackets.diffpoly import DiffPoly, ThetaVar, _derivation, _Images, _sum, term_deg_theta_k
 from dnbrackets.errors import PreconditionError
-from dnbrackets.jacobi import apply_DP
+from dnbrackets.jacobi import _DP_images, apply_DP
 from dnbrackets.sampling import random_constant_bracket, random_monomial
 from dnbrackets.spectral import (
     D_minus1_closed,
     _excluded_count,
     _d1_closed_ops,
     _d1_connection_ops,
+    _d1_images,
     _d1_spectral_ops,
+    _homotopy_images,
     _homotopy_rows,
+    _lowering_images,
     _lowering_rows,
     _named_with_top,
     _row_sums,
@@ -261,6 +267,90 @@ def test_cached_operators_match_the_oracles(request, name):
     # every later call read the tables the first one built
     for key, table in TABLES.items():
         assert table(cold) is first[key]
+
+
+def table_readers(b, a, x) -> list:
+    """The derivations that read per-bracket image tables: apply_DP, D_{-1}
+    and the homotopy on a, and the three forms of d_1 on x in B."""
+    return [apply_DP(b, a), D_minus1_closed(b, a), homotopy(b, a),
+            d1_spectral(b, x), *d1_split(b, x), d1_as_connection(b, x)]
+
+
+def image_tables(b) -> list:
+    """Every image table that table_readers reads from b's cache."""
+    return [*_DP_images(b), *_lowering_images(b), *_homotopy_images(b),
+            *_d1_images(b, _d1_spectral_ops), *_d1_images(b, _d1_connection_ops),
+            *_d1_images(b, _d1_closed_ops, 0), *_d1_images(b, _d1_closed_ops, 1)]
+
+
+def test_image_tables_build_each_generator_once_per_bracket(monkeypatch, nonflat2):
+    """Repeated calls of every derivation on one bracket build each
+    generator's image at most once per table, and build no table anew."""
+    b = HomogeneousBracket(n=nonflat2.n, k=nonflat2.k, P=dict(nonflat2.P))
+    builds, tables = Counter(), {}
+    missing = _Images.__missing__
+
+    def counted(table, v):
+        tables[id(table)] = table  # kept alive, so no id is reused
+        builds[id(table), v] += 1
+        return missing(table, v)
+
+    monkeypatch.setattr(_Images, "__missing__", counted)
+    rng = random.Random(61)
+    inputs = [(a, random_element_of_B(rng, b)) for a in kernel_draws(rng, b, set(), rounds=3)]
+    first = [table_readers(b, a, x) for a, x in inputs]
+    built = dict(builds)
+    # every table of b was read, but the keeping half's jets: no coordinate
+    # has an image there, and an element of B has no jets
+    unread = [t for t in image_tables(b) if id(t) not in tables]
+    assert [id(t) for t in unread] == [id(_d1_images(b, _d1_closed_ops, 1)[0])]
+
+    def refuse(*args):
+        raise AssertionError("an image table was built again")
+
+    monkeypatch.setattr(_Images, "__init__", refuse)
+    for (a, x), want in zip(inputs, first):
+        for _ in range(2):
+            assert table_readers(b, a, x) == want
+    assert builds == built and max(builds.values()) == 1
+
+
+def test_a_bracket_with_image_tables_is_freed_with_its_last_reference(nonflat2):
+    """The tables cached on a bracket hold it weakly, so they make no cycle
+    that only the cycle collector could free."""
+    b = HomogeneousBracket(n=nonflat2.n, k=nonflat2.k, P=dict(nonflat2.P))
+    rng = random.Random(71)
+    a = random_monomial(rng, b.n, b.k, max_degu=2) * DiffPoly.jet(1, 1) * theta(2, b.k + 1)
+    table_readers(b, a, random_element_of_B(rng, b))
+    ref = weakref.ref(b)
+    gc.disable()
+    try:
+        del b
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_image_tables_match_fresh_ones_and_stay_with_their_bracket(monkeypatch, nonflat2):
+    """On nonflat2 and on its image under map_product, which have the same n
+    and k, every derivation read from the cached tables gives what tables
+    built afresh for that call give; the two brackets share no table."""
+    moved = transform(nonflat2, load_map(fixture_path("map_product.json"), 2))
+    assert (moved.n, moved.k) == (nonflat2.n, nonflat2.k)
+    builders = [(jacobi, "_DP_images"), (spectral, "_lowering_images"),
+                (spectral, "_homotopy_images"), (spectral, "_d1_images")]
+    rng = random.Random(67)
+    for a in kernel_draws(rng, nonflat2, set(), rounds=3):
+        x = random_element_of_B(rng, nonflat2)
+        for b in (nonflat2, moved, nonflat2):
+            cached = table_readers(b, a, x)
+            with monkeypatch.context() as patch:
+                for module, name in builders:
+                    patch.setattr(module, name, getattr(module, name).__wrapped__)
+                fresh = table_readers(b, a, x)
+            for got, want in zip(cached, fresh):
+                assert_same_terms(got, want)
+    assert not {id(t) for t in image_tables(nonflat2)} & {id(t) for t in image_tables(moved)}
 
 
 def split_oracle(b, x):
