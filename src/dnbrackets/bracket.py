@@ -146,9 +146,8 @@ def _variational(b: HomogeneousBracket, family: str) -> list:
             for i in range(1, b.n + 1)]
 
 
-@_cached
 def variational_pair(b: HomogeneousBracket) -> tuple[list, list]:
-    """(dP~/dtheta_i, dP~/du^i) for i = 1..n, cached on the bracket."""
+    """(dP~/dtheta_i, dP~/du^i) for i = 1..n: the two lists _variational caches."""
     return _variational(b, "theta"), _variational(b, "u")
 
 

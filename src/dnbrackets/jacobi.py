@@ -5,40 +5,38 @@ For the bivector P~ of a skew bracket, the induced odd vector field is
     D_P = sum_{i,s} d_x^s(dP~/dtheta_i) d/du^{i,s}
         + sum_{i,s} d_x^s(dP~/du^i) d/dtheta_i^s
 
-where dP~/dtheta_i and dP~/du^i are variational derivatives, cached by
-bracket.variational_pair, whose theta half the skew check reads too.  The
-bracket satisfies Jacobi exactly when D_P squares to zero, and since D_P^2
-is again a derivation it suffices to test it on the generators u^i and
-theta_i.  D_P(u^i) is the theta-variational derivative itself, so the
-generator test reduces to applying D_P to the two families of variational
-derivatives.
+where dP~/dtheta_i and dP~/du^i are variational derivatives, cached on
+the bracket by bracket._variational (variational_pair returns both lists),
+whose theta half the skew check reads too.  D_P's image tables hold the d_x
+chains of those lists (_dx_chains), not the bracket.  The bracket
+satisfies Jacobi exactly when D_P squares to zero, and since D_P^2 is again
+a derivation it suffices to test it on the generators u^i and theta_i.
+D_P(u^i) is the theta-variational derivative itself, so the generator test
+reduces to applying D_P to the two families of variational derivatives.
 """
 
 from __future__ import annotations
 
-import weakref
-
 from .bracket import HomogeneousBracket, _cached, _variational, skew_defects, validate, variational_pair
-from .diffpoly import DiffPoly, _derivation, _Images
+from .diffpoly import DiffPoly, _derivation, _dx_upto, _Images
 from .errors import PreconditionError
 
 
 @_cached
-def _dx_powers(b: HomogeneousBracket, family: str, i: int, s: int) -> DiffPoly:
-    """d_x^s of dP~/dtheta_i (family "theta") or of dP~/du^i (family "u")."""
-    if s:
-        return _dx_powers(b, family, i, s - 1).d_x()
-    return _variational(b, family)[i - 1]
+def _dx_chains(b: HomogeneousBracket, family: str) -> list:
+    """Entry i - 1 is the chain [dP~/dtheta_i, its d_x, ...] (family "theta")
+    or [dP~/du^i, its d_x, ...] (family "u"), grown on demand by _dx_upto."""
+    return [[v] for v in _variational(b, family)]
 
 
 @_cached
 def _DP_images(b: HomogeneousBracket) -> tuple:
     """D_P's image tables, kept on the bracket: u^{i,s} -> d_x^s(dP~/dtheta_i)
-    and theta_i^s -> d_x^s(dP~/du^i), each built on first use.  They hold
-    the bracket weakly, so its cache makes no reference cycle."""
-    ref = weakref.ref(b)
-    return (_Images(lambda v: _dx_powers(ref(), "theta", *v)),
-            _Images(lambda v: _dx_powers(ref(), "u", *v)))
+    and theta_i^s -> d_x^s(dP~/du^i), each read off the _dx_chains on first
+    use.  They hold the chains, not the bracket, so its cache makes no cycle."""
+    theta, u = _dx_chains(b, "theta"), _dx_chains(b, "u")
+    return (_Images(lambda v: _dx_upto(theta[v[0] - 1], v[1])),
+            _Images(lambda v: _dx_upto(u[v[0] - 1], v[1])))
 
 
 def apply_DP(b: HomogeneousBracket, a: DiffPoly) -> DiffPoly:
@@ -48,7 +46,8 @@ def apply_DP(b: HomogeneousBracket, a: DiffPoly) -> DiffPoly:
     Like D_{-1}, the homotopy and both closed forms of d_1 in spectral, it
     is one call of the derivation kernel diffpoly._derivation, which applies
     these images to a term by term, from tables cached once per bracket
-    (_DP_images), so each generator's image is looked up once per bracket.
+    (_DP_images), so each generator's image is looked up once per bracket
+    and each d_x power is taken once, on its chain in _dx_chains.
     """
     return _derivation(a, *_DP_images(b))
 

@@ -20,18 +20,18 @@ values on the generators u^{i,s} and theta_i^s term by term: each
 generator of a term of the input adds its value times the term with that
 generator taken out.  Those values are image tables (diffpoly._Images)
 cached once per bracket by bracket._cached, as D_P's are in jacobi (d_x's
-are module constants): D_{-1}'s and the homotopy's from the metric, the
-closed form's from the tails, the connection form's as closed-form images
-read off g, the lowered metric and Gamma_[s] alone, and d1_spectral's as
-D_P's images of the generators of B, projected onto B before any product
-is taken (d1_spectral says why that is exact).  Each table builds a
-generator's image once per bracket.  The three d_1 computations share no
-formula.
+are module constants): D_{-1}'s from g and the homotopy's from the lowered
+metric, the closed form's from the tails, the connection form's as
+closed-form images read off g, the lowered metric and Gamma_[s] alone, and
+d1_spectral's as D_P's images of the generators of B, projected onto B
+before any product is taken (d1_spectral says why that is exact).  Each
+table builds a generator's image once per bracket, and holds the bracket's
+data, never the bracket, so a bracket's cache refers to nothing that refers
+back to it.  The three d_1 computations share no formula.
 """
 
 from __future__ import annotations
 
-import weakref
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -39,9 +39,9 @@ from math import comb
 
 from .bracket import HomogeneousBracket, _cached, _tensor, extract_named, metric_pair
 from .connections import flat_combination
-from .diffpoly import DiffPoly, _derivation, _Images, _sum, _wrap
+from .diffpoly import DiffPoly, _derivation, _dx_upto, _Images, _sum, _wrap
 from .errors import PreconditionError
-from .jacobi import _dx_powers, apply_DP, check_jacobi
+from .jacobi import _dx_chains, apply_DP, check_jacobi
 from .scalar import Scalar
 
 __all__ = [
@@ -87,28 +87,26 @@ def apply_D_graded(b: HomogeneousBracket, m: int, a: DiffPoly) -> DiffPoly:
     return apply_DP(b, a).project("deg_u", p + m)
 
 
+def _row_sum(row: list, make, order: int) -> DiffPoly:
+    """sum_j make(j, order) * row[j-1], each generator on the left."""
+    return _sum(make(j, order) * m for j, m in enumerate(row, 1) if m)
+
+
 def _row_sums(matrix: list, make, order: int) -> list:
-    """Entry i is sum_j make(j, order) * matrix[i-1][j-1], each generator on the left."""
-    return [_sum(make(j, order) * m for j, m in enumerate(row, 1) if m) for row in matrix]
-
-
-@_cached
-def _lowering_rows(b: HomogeneousBracket, s: int) -> list:
-    """Row i is sum_j theta_j^{k+s} g^{ij}, the image of u^{i,s} under D_{-1}.
-    Cached per s."""
-    return _row_sums(extract_named(b).g, DiffPoly.theta, b.k + s)
+    """Entry i is the _row_sum of matrix[i-1]."""
+    return [_row_sum(row, make, order) for row in matrix]
 
 
 @_cached
 def _lowering_images(b: HomogeneousBracket) -> tuple:
-    """D_{-1}'s image tables, built once per bracket: u^{i,s} (s >= 1) goes
-    to row i of _lowering_rows(b, s); no coordinate or theta has an image.
-    Like the homotopy's, they hold the bracket weakly (see _DP_images)."""
-    ref = weakref.ref(b)
+    """D_{-1}'s image tables, built once per bracket from g and k: u^{i,s}
+    (s >= 1) goes to sum_j theta_j^{k+s} g^{ij}, built on its first lookup;
+    no coordinate or theta has an image."""
+    g, k = extract_named(b).g, b.k
 
     def image(v):
         i, s = v
-        return _lowering_rows(ref(), s)[i - 1] if s else None
+        return _row_sum(g[i - 1], DiffPoly.theta, k + s) if s else None
 
     return _Images(image, coordinates=False), _Images({}.get)
 
@@ -125,21 +123,16 @@ def _excluded_count(key, k: int) -> int:
 
 
 @_cached
-def _homotopy_rows(b: HomogeneousBracket, s: int) -> list:
-    """Row j is sum_i u^{i,s} g_{ji}, the coefficient of d/dtheta_j^{k+s} in
-    the homotopy, which sends theta_j^{k+s} back to it.  Cached per s."""
-    return _row_sums(metric_pair(b)[1], DiffPoly.jet, s)
-
-
-@_cached
 def _homotopy_images(b: HomogeneousBracket) -> tuple:
-    """The homotopy's image tables, built once per bracket: theta_j^{k+s}
-    (s >= 1) goes to row j of _homotopy_rows(b, s); no u^{i,s} has an image."""
-    k, ref = b.k, weakref.ref(b)
+    """The homotopy's image tables, built once per bracket from the lowered
+    metric and k: theta_j^{k+s} (s >= 1) goes to sum_i u^{i,s} g_{ji}, the
+    coefficient of d/dtheta_j^{k+s} in the homotopy, built on its first
+    lookup; no u^{i,s} has an image."""
+    glow, k = metric_pair(b)[1], b.k
 
     def image(v):
         j, s = v
-        return _homotopy_rows(ref(), s - k)[j - 1] if s > k else None
+        return _row_sum(glow[j - 1], DiffPoly.jet, s - k) if s > k else None
 
     return _Images({}.get, coordinates=False), _Images(image)
 
@@ -170,7 +163,7 @@ def in_B(a: DiffPoly, k: int) -> bool:
 
 def project_B(a: DiffPoly, k: int) -> DiffPoly:
     """Kill every term containing a jet or a theta of order above k."""
-    return DiffPoly({key: c for key, c in a.terms.items() if _excluded_count(key, k) == 0})
+    return _wrap({key: c for key, c in a.terms.items() if _excluded_count(key, k) == 0})
 
 
 def include_B(a: DiffPoly, k: int) -> DiffPoly:
@@ -184,10 +177,10 @@ def include_B(a: DiffPoly, k: int) -> DiffPoly:
 def _d1_spectral_ops(b: HomogeneousBracket) -> tuple:
     """The images of D_P on the generators of B, projected onto B, built once
     per bracket: u^i keyed (i, 0) and theta_l^s (s <= k) keyed (l, s)."""
-    n, k = b.n, b.k
-    coords = {(i, 0): project_B(_dx_powers(b, "theta", i, 0), k) for i in range(1, n + 1)}
-    thetas = {(l, s): project_B(_dx_powers(b, "u", l, s), k)
-              for s in range(k + 1) for l in range(1, n + 1)}
+    k, theta, u = b.k, _dx_chains(b, "theta"), _dx_chains(b, "u")
+    coords = {(i, 0): project_B(chain[0], k) for i, chain in enumerate(theta, 1)}
+    thetas = {(l, s): project_B(_dx_upto(u[l - 1], s), k)
+              for s in range(k + 1) for l in range(1, b.n + 1)}
     return coords, thetas
 
 
@@ -215,13 +208,6 @@ def d1_spectral(b: HomogeneousBracket, x: DiffPoly) -> DiffPoly:
 
 
 @_cached
-def _named_with_top(b: HomogeneousBracket):
-    """Tails h_(0..k-1) extended by h_(k)^{ij}_l := dg^{ij}/du^l, cached."""
-    named = extract_named(b)
-    return named.h + [_tensor(b.n, 3, lambda i, j, l: named.g[i][j].partial(l + 1))]
-
-
-@_cached
 def _d1_closed_ops(b: HomogeneousBracket) -> tuple:
     """The tables of d1_split, ((V, W_up), ({}, W_same)), built once per bracket.
 
@@ -231,9 +217,11 @@ def _d1_closed_ops(b: HomogeneousBracket) -> tuple:
     (over r >= s, t, i, j) multiplies d/dtheta_l^s.  V raises the theta^k
     count by one; a term of W_{s,l} raises it by its own theta^k count minus
     [s = k], which is one when r is s or k (W_up) and zero otherwise (W_same).
+    The tails h_(0..k-1) are extended by h_(k)^{ij}_l := dg^{ij}/du^l.
     """
-    h = _named_with_top(b)
+    named = extract_named(b)
     n, k = b.n, b.k
+    h = named.h + [_tensor(n, 3, lambda i, j, l: named.g[i][j].partial(l + 1))]
 
     def w(s, l, orders):
         terms = (
@@ -250,7 +238,7 @@ def _d1_closed_ops(b: HomogeneousBracket) -> tuple:
     generators = [(l, s) for s in range(k + 1) for l in range(1, n + 1)]
     up = {(l, s): w(s, l, {s, k}) for l, s in generators}
     same = {(l, s): op for l, s in generators if (op := w(s, l, range(s + 1, k)))}
-    V = _row_sums(extract_named(b).g, DiffPoly.theta, k)
+    V = _row_sums(named.g, DiffPoly.theta, k)
     return ({(i, 0): op for i, op in enumerate(V, 1)}, up), ({}, same)
 
 

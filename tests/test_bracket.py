@@ -27,10 +27,9 @@ from dnbrackets.cli import load_bracket, load_map
 from dnbrackets.connections import _bracket_curvature, flat_combination, standard_connection
 from dnbrackets.diffpoly import DiffPoly, _dx_upto, _sum
 from dnbrackets.errors import DegenerateMetricError, PreconditionError
-from dnbrackets.jacobi import _dx_powers, check_jacobi, variational_pair
+from dnbrackets.jacobi import _dx_chains, check_jacobi, variational_pair
 from dnbrackets.sampling import random_constant_bracket, random_scalar
 from dnbrackets.scalar import Scalar
-from dnbrackets.spectral import _named_with_top
 
 from conftest import S, fixture_path, nonflat2_data
 from test_scalar import assert_base_matches
@@ -143,16 +142,16 @@ def test_lower_metric_rejects_degenerate():
         lower_metric(g)
 
 
-# accessor -> whether a second call hands back the very same object
+# accessor -> whether a second call hands back the very same object, or
+# ("parts") a new tuple of the very same objects
 MEMOISED = {
     "bivector": (bivector, True),
     "extract_named": (extract_named, True),
     "metric_pair": (metric_pair, True),
-    "variational_pair": (variational_pair, True),
-    "dx_powers": (lambda b: _dx_powers(b, "theta", 1, 2), True),
+    "variational_pair": (variational_pair, "parts"),
+    "dx_chains": (lambda b: _dx_chains(b, "theta"), True),
     "standard_connection": (lambda b: standard_connection(b, 1), True),
     "flat_combination": (lambda b: flat_combination(b, 2), True),
-    "named_with_top": (_named_with_top, True),
     "bracket_curvature": (lambda b: _bracket_curvature(b, True, 1), True),
     "skew_defects": (skew_defects, False),
 }
@@ -163,7 +162,9 @@ def test_memoised_accessors(nonflat2, name):
     accessor, shared = MEMOISED[name]
     first = accessor(nonflat2)
     second = accessor(nonflat2)
-    if shared:
+    if shared == "parts":
+        assert len(second) == len(first) and all(y is x for x, y in zip(first, second))
+    elif shared:
         assert second is first
     else:
         # an equal copy of the cached value, so a caller cannot change the cache

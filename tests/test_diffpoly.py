@@ -24,7 +24,7 @@ from dnbrackets.diffpoly import (
     project,
     variational,
 )
-from dnbrackets.jacobi import _DP_images, _dx_powers, apply_DP
+from dnbrackets.jacobi import _DP_images, apply_DP, variational_pair
 from dnbrackets.sampling import random_diffpoly, random_polynomial, random_scalar
 from dnbrackets.scalar import Scalar, _collect, _mono_lower, _mono_mul
 from dnbrackets.spectral import (
@@ -536,9 +536,10 @@ def test_fused_kernel_matches_collected_products(request, name):
     DiffPolys, give the terms that collecting every coefficient product one
     at a time gives, on kernel_draws for each fixture bracket and document."""
     b = load_bracket(fixture_path(name)) if name.endswith(".json") else request.getfixturevalue(name)
+    ddtheta, ddu = variational_pair(b)
     images = {
         "d_x": (lambda v: DiffPoly.jet(v[0], v[1] + 1), lambda v: DiffPoly.theta(v[0], v[1] + 1)),
-        "D_P": (lambda v: _dx_powers(b, "theta", *v), lambda v: _dx_powers(b, "u", *v)),
+        "D_P": (lambda v: ddtheta[v[0] - 1].d_x_pow(v[1]), lambda v: ddu[v[0] - 1].d_x_pow(v[1])),
     }
     covered, previous = set(), DiffPoly.one()
     for a in kernel_draws(random.Random(103), b, covered):

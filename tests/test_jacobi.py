@@ -18,7 +18,6 @@ from dnbrackets.cli import load_bracket
 from dnbrackets.diffpoly import DiffPoly, d_x
 from dnbrackets.errors import PreconditionError
 from dnbrackets.jacobi import (
-    _dx_powers,
     apply_DP,
     check_jacobi,
     jacobi_defects,
@@ -154,15 +153,24 @@ def test_jacobi_on_random_constant_brackets():
             assert check_jacobi(b)
 
 
+def dx_power(p, s):
+    """d_x applied s times to p, one call at a time."""
+    for _ in range(s):
+        p = d_x(p)
+    return p
+
+
 def apply_DP_oracle(b, a):
     """apply_DP as its own loop over every component, family and order up to
-    the top order present, without the derivation kernel."""
+    the top order present, without the derivation kernel and without the
+    bracket's cached d_x chains."""
+    ddtheta, ddu = variational_pair(b)
     sides = (
-        ("theta", a._partial_jet, a.max_jet_order()),
-        ("u", a._partial_theta, a.max_theta_order()),
+        (ddtheta, a._partial_jet, a.max_jet_order()),
+        (ddu, a._partial_theta, a.max_theta_order()),
     )
     parts = (
-        _dx_powers(b, family, i, s) * da
+        dx_power(family[i - 1], s) * da
         for i in range(1, b.n + 1)
         for family, partial, top in sides
         for s in range(top + 1)

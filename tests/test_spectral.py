@@ -10,7 +10,7 @@ from math import comb
 import pytest
 
 from dnbrackets import diffpoly, jacobi, spectral
-from dnbrackets.bracket import HomogeneousBracket, extract_named, metric_pair, transform
+from dnbrackets.bracket import HomogeneousBracket, _tensor, extract_named, metric_pair, transform
 from dnbrackets.cli import load_bracket, load_map
 from dnbrackets.connections import flat_combination
 from dnbrackets.diffpoly import DiffPoly, ThetaVar, _derivation, _Images, _sum, term_deg_theta_k
@@ -25,10 +25,7 @@ from dnbrackets.spectral import (
     _d1_images,
     _d1_spectral_ops,
     _homotopy_images,
-    _homotopy_rows,
     _lowering_images,
-    _lowering_rows,
-    _named_with_top,
     _row_sums,
     apply_D_graded,
     d1_as_connection,
@@ -140,8 +137,9 @@ def test_homotopy_identity_on_random_monomials(request, name):
 
 def homotopy_oracle(b, a):
     """homotopy term by term: (1/l) sum u^{i,s} g_{ji} d/dtheta_j^{k+s} on each
-    monomial holding l > 0 excluded generators, without the derivation kernel."""
-    k = b.k
+    monomial holding l > 0 excluded generators, without the derivation kernel
+    and with the lowered metric read directly."""
+    k, glow = b.k, metric_pair(b)[1]
     parts = []
     for key, coef in a.terms.items():
         l = _excluded_count(key, k)
@@ -149,9 +147,10 @@ def homotopy_oracle(b, a):
             continue
         term = DiffPoly({key: coef})
         terms = (
-            _homotopy_rows(b, s - k)[j - 1] * pa
+            DiffPoly.jet(i, s - k) * glow[j - 1][i - 1] * pa
             for s, j in key[1]
             if s > k and (pa := term.partial(ThetaVar(j, s)))
+            for i in range(1, b.n + 1)
         )
         parts.append(sum(terms, DiffPoly.zero()) * Fraction(1, l))
     return sum(parts, DiffPoly.zero())
@@ -238,8 +237,8 @@ TABLES = {
     "d1_closed_ops": _d1_closed_ops,
     "d1_connection_ops": _d1_connection_ops,
     "d1_spectral_ops": _d1_spectral_ops,
-    "lowering_rows": lambda b: _lowering_rows(b, 1),
-    "homotopy_rows": lambda b: _homotopy_rows(b, 1),
+    "lowering_images": _lowering_images,
+    "homotopy_images": _homotopy_images,
 }
 
 
@@ -316,8 +315,8 @@ def test_image_tables_build_each_generator_once_per_bracket(monkeypatch, nonflat
 
 
 def test_a_bracket_with_image_tables_is_freed_with_its_last_reference(nonflat2):
-    """The tables cached on a bracket hold it weakly, so they make no cycle
-    that only the cycle collector could free."""
+    """The tables cached on a bracket hold its data and no reference to the
+    bracket, so they make no cycle that only the cycle collector could free."""
     b = HomogeneousBracket(n=nonflat2.n, k=nonflat2.k, P=dict(nonflat2.P))
     rng = random.Random(71)
     a = random_monomial(rng, b.n, b.k, max_degu=2) * DiffPoly.jet(1, 1) * theta(2, b.k + 1)
@@ -441,8 +440,8 @@ def connection_ops_oracle(b):
 def closed_ops_oracle(b):
     """_d1_closed_ops by projection: build each whole W_{s,l}, keep its terms
     with 1 + [s = k] thetas of order k as W_up and subtract them for W_same."""
-    h = _named_with_top(b)
-    n, k = b.n, b.k
+    named, n, k = extract_named(b), b.n, b.k
+    h = named.h + [_tensor(n, 3, lambda i, j, l: named.g[i][j].partial(l + 1))]
 
     def w(s, l):
         return _sum(
@@ -545,11 +544,11 @@ def test_d1_spectral_reads_D_P_and_not_the_closed_forms(monkeypatch, nonflat2, c
             patch.setattr(spectral, "_d1_connection_ops", unreachable)
             assert [d1_spectral(cold, x) for x in span] == want
 
-        real = spectral._dx_powers
+        real = spectral._dx_chains
         corrupt = HomogeneousBracket(n=b.n, k=b.k, P=dict(b.P))
         with monkeypatch.context() as patch:
-            patch.setattr(spectral, "_dx_powers",
-                          lambda b, family, i, s: real(b, family, i, s) * 2)
+            patch.setattr(spectral, "_dx_chains",
+                          lambda b, family: [[chain[0] * 2] for chain in real(b, family)])
             disagree = [x for x in span if d1_spectral(corrupt, x) != d1_closed(corrupt, x)]
         assert disagree
         assert all(d1_closed(corrupt, x) == d1_closed(b, x) for x in span)
