@@ -284,13 +284,22 @@ def potemin_check(g: list, c: list) -> list:
     ])
 
 
-def _det(m: list) -> Scalar:
-    """The determinant of a square matrix of Scalars by Laplace expansion along
-    the first row: sums of products, no division and no pivoting."""
-    if len(m) == 1:
-        return m[0][0]
-    return sum(((-1) ** j * x * _det([row[:j] + row[j + 1:] for row in m[1:]])
-                for j, x in enumerate(m[0]) if x), Scalar.zero())
+def _det_adj(a: list) -> tuple:
+    """(det a, adj a) for a square matrix a of Scalars by Faddeev-LeVerrier:
+    from M_1 = I, c_k = -tr(a M_k)/k and M_{k+1} = a M_k + c_k I, where the
+    c_k are the coefficients of det(x I - a), det a = (-1)^n c_n and
+    adj a = (-1)^(n-1) M_n.  O(n^4) products, divisions by the integers
+    1..n only, and no pivoting."""
+    n = len(a)
+    cols = range(n)
+    m = [[Scalar.one() if i == j else Scalar.zero() for j in cols] for i in cols]
+    for k in range(1, n + 1):
+        am = [[sum((x * m[l][j] for l, x in enumerate(row) if x), Scalar.zero()) for j in cols]
+              for row in a]
+        c = -sum((am[i][i] for i in cols), Scalar.zero()) / k
+        if k == n:
+            return (-c, m) if n % 2 else (c, [[-x for x in row] for row in m])
+        m = [[x + c if i == j else x for j, x in enumerate(row)] for i, row in enumerate(am)]
 
 
 def k4_connection_fixtures(b: HomogeneousBracket) -> list:
@@ -299,7 +308,7 @@ def k4_connection_fixtures(b: HomogeneousBracket) -> list:
     The expected side of each row is built apart from the connections and
     their cached inputs: the tails are read off the bracket's entries, and
     the inverse of the leading coefficient is its adjugate over its
-    determinant (_det) instead of lower_metric's elimination.  So a wrong
+    determinant (_det_adj) instead of lower_metric's elimination.  So a wrong
     tail index, inverse, binomial factor or combination in
     standard_connection or flat_combination fails its row.
     """
@@ -307,15 +316,10 @@ def k4_connection_fixtures(b: HomogeneousBracket) -> list:
     t0 = time.perf_counter()
     n = b.n
     g = [[b.entry(i, j, 4).coefficient((), ()) for j in range(1, n + 1)] for i in range(1, n + 1)]
-    det = _det(g)
+    det, adj = _det_adj(g)
     if det.is_zero:
         raise DegenerateMetricError("leading coefficient matrix is singular")
-
-    def minor(r, c):
-        return [row[:c] + row[c + 1:] for q, row in enumerate(g) if q != r]
-
-    # the inverse's entry (i, j) is the cofactor of g's entry (j, i) over det
-    glow = _tensor(n, 2, lambda i, j: (-1) ** (i + j) * _det(minor(j, i)) / det)
+    glow = [[x / det for x in row] for row in adj]
 
     def tail(s):
         """The coefficient of u^{j, 4-s} in P_s^{il}, at [i][l][j]."""

@@ -38,23 +38,21 @@ the bases of both operands, which are in lowest terms, only these can cancel:
   the other numerator;
 * in a sum of products (_sum_products), which takes one lcm for them all
   (Henrici; Knuth, TAOCP vol. 2, 4.5.1: the lcm of the integer contents,
-  and each factor to its largest exponent over the products), a factor of
-  that lcm; a sum a + b is the two products a*1 and b*1.  A factor divides
-  the complement in the lcm of each product below its top exponent, so when
-  one product alone reaches that exponent, the factor can cancel only if
-  that product's numerators may hold it: in a + b, only the factors with
-  equal exponents on both sides can.  Every term of every product goes
-  straight into one accumulator, the second numerator first multiplied by
-  the complement when the product lacks some of the lcm's factors.  A sum
-  that cancels to zero is returned at once, since a zero test needs the sum
-  but not its lowest terms (Moses, CACM 1971);
+  and each factor to its largest exponent over the products), any factor of
+  that lcm; a sum a + b is the two products a*1 and b*1.  Every term of
+  every product goes straight into one accumulator, the second numerator
+  first multiplied by the complement when the product lacks some of the
+  lcm's factors.  A sum that cancels to zero is returned at once, since a
+  zero test needs the sum but not its lowest terms (Moses, CACM 1971);
 * in a partial derivative by u^i, the factors free of u^i: each factor
   that involves u^i gains one in its exponent and never cancels;
 * the integer contents, by math.gcd.
 
-A candidate factor p is tried by exact division (_zquo), and only after a
-pretest: the numerator is evaluated modulo the prime _PRIME at a zero of p,
-computed once per factor, and a nonzero residue rules p out.  An uncertified
+Candidates are screened in one place, _strip.  A candidate factor p is
+tried by exact division (_zquo), and only after a pretest: the numerator is
+evaluated modulo the prime _PRIME at a zero of p, computed once per factor,
+and a nonzero residue rules p out; a single variable is decided by the
+least exponent of it over the numerator's terms.  An uncertified
 factor, which has no such zero and may hide a certified one, is divided out
 and then tried by a gcd against it alone (_assemble).  The result has the
 canonical form above, so it is the one a polynomial gcd would give, and its
@@ -855,30 +853,23 @@ def _sum_products(triples) -> Scalar:
     """The sum of sign * a * b over the (sign, a, b) triples, sign 1 or -1, as
     one sum over the lcm of the products' denominators: each numerator n_a n_b
     over c_a c_b prod f^(e_a + e_b) is scaled by its complement in the lcm,
-    term by term into one accumulator, and only a nonzero sum is stripped of
-    the factors of the lcm that can divide it.  + passes its two summands
-    here as products by 1, and a lone product is _mul's."""
+    term by term into one accumulator, and only a nonzero sum is offered to
+    _strip, with every factor of the lcm as a candidate.  + passes its two
+    summands here as products by 1, and a lone product is _mul's."""
     if len(triples) == 1:
         ((sign, a, b),) = triples
         return _mul(a, b) if sign > 0 else -_mul(a, b)
-    parts, c, exps, tops = [], 1, {}, {}
+    parts, c, exps = [], 1, {}
     for sign, a, b in triples:
         (ca, ba), (cb, bb) = a._b, b._b
         cp = ca * cb
         if c % cp:
             c = lcm(c, cp)
-        if ba and bb:  # the two bases merged, adding the exponents of a shared factor
-            e = ba.copy()
-            for f, k in bb.items():
-                e[f] = e.get(f, 0) + k
-        else:
-            e = ba or bb
+        e = _collect(bb.items(), ba) if ba and bb else ba or bb
         parts.append((sign, a._n, b._n, cp, e))
         for f, k in e.items():
             if k > exps.get(f, 0):
-                exps[f], tops[f] = k, (b._n if f in ba else a._n)
-            elif k == exps[f]:
-                tops[f] = None
+                exps[f] = k
     # every term q1 q2 s at m1 m2 goes straight into one dict, for q2 m2 the
     # terms of n_b times the product's complement in the lcm and s its sign
     # times the integer c / c_p; a product that carries the lcm's factors has
@@ -898,17 +889,15 @@ def _sum_products(triples) -> Scalar:
         num = {m: q for m, q in num.items() if q}
     if not num:
         return Scalar.zero()
-    # f divides the complement of each product below its top exponent, so
-    # when one product alone reaches it, f divides the sum only if it divides
-    # that product's n_a n_b; a numerator whose own base holds f is coprime
-    # to it, so tops[f] is the other one, and its nonzero residue rules f out
-    candidates = [f for f, n in tops.items() if n is None or not _residue(n, f.y, f.root)]
-    return _assemble(_strip(num, exps, candidates), c, exps)
+    return _assemble(_strip(num, exps, [*exps]), c, exps)
 
 
 def _mul(a: Scalar, b: Scalar) -> Scalar:
     """a * b; __truediv__ calls it directly, so that code wrapping the methods
-    of Scalar sees a division as one operation."""
+    of Scalar sees a division as one operation.  Each numerator is offered to
+    _strip with the factors of the other denominator that its own lacks, so
+    over two constant denominators no factor is tried and only the integer
+    contents cancel, in _assemble."""
     if not a._n or not b._n:
         return Scalar.zero()
     # a constant factor p/r needs no polynomial gcd: with n/d in lowest
@@ -926,8 +915,6 @@ def _mul(a: Scalar, b: Scalar) -> Scalar:
     # with a and b reduced, only a factor of one denominator that the other
     # lacks can divide the other numerator
     (ca, ba), (cb, bb) = a._b, b._b
-    if not ba and not bb:  # constant denominators: only the contents can cancel
-        return _assemble(_pmul(a._n, b._n), ca * cb, {})
     exps = _collect(bb.items(), ba)
     na = _strip(a._n, exps, bb, ba)
     nb = _strip(b._n, exps, ba, bb)

@@ -1,8 +1,11 @@
 """Command-line interface: exit codes, reports, and input validation."""
 
 import argparse
+import ast
+import glob
 import json
 import os
+import sys
 import time
 
 import pytest
@@ -749,6 +752,32 @@ def test_entry_point_runs_as_module():
     )
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+def test_package_imports_only_the_standard_library():
+    """Every import in every module of the package is relative or names a
+    module of the standard library, so the package runs with no dependency
+    installed; sympy and hypothesis stay test-only oracles."""
+    import dnbrackets
+
+    package = os.path.dirname(dnbrackets.__file__)
+    modules = sorted(glob.glob(os.path.join(package, "*.py")))
+    assert len(modules) >= 10
+    bad = []
+    for path in modules:
+        name = os.path.basename(path)
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                tops = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                tops = [node.module.split(".")[0]]
+            else:
+                continue
+            bad += [f"{name}:{node.lineno} imports {top}" for top in tops
+                    if top not in sys.stdlib_module_names]
+    assert bad == []
 
 
 def test_huge_dimension_or_degree_is_input_error(tmp_path, capsys):

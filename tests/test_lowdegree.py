@@ -1,6 +1,7 @@
 """Classification conditions for degrees one to four."""
 
 import random
+import time
 from dataclasses import asdict
 from fractions import Fraction
 from itertools import product
@@ -33,7 +34,7 @@ from dnbrackets.errors import DegenerateMetricError
 from dnbrackets.sampling import random_constant_bracket, random_scalar
 from dnbrackets.scalar import Scalar
 
-from conftest import S, canonical4_lower, nonflat2_data
+from conftest import S, canonical4_lower, cold_scalar_memos, nonflat2_data
 
 
 def named_results(report):
@@ -484,3 +485,86 @@ def test_k4_closed_forms_do_not_share_the_connections_inverse(monkeypatch):
     singular = HomogeneousBracket(n=2, k=4, P={(1, 1, 4): DiffPoly.one()})
     with pytest.raises(DegenerateMetricError):
         k4_connection_fixtures(singular)
+
+
+def laplace_det(m: list) -> Scalar:
+    """The oracle of _det_adj's determinant: Laplace expansion along the first
+    row, sums of products with no division, factorial in the size."""
+    if len(m) == 1:
+        return m[0][0]
+    return sum(((-1) ** j * x * laplace_det([row[:j] + row[j + 1:] for row in m[1:]])
+                for j, x in enumerate(m[0]) if x), Scalar.zero())
+
+
+def laplace_adj(m: list) -> list:
+    """The adjugate by cofactors: entry (i, j) is the cofactor of m's entry (j, i)."""
+    n = len(m)
+    if n == 1:
+        return [[Scalar.one()]]
+    return [[(-1) ** (i + j) * laplace_det([row[:i] + row[i + 1:] for q, row in enumerate(m) if q != j])
+             for j in range(n)] for i in range(n)]
+
+
+def det_adj_matrices(seed: int = 97):
+    """Square matrices of sizes 1 to 5: constants, polynomials and quotients
+    in u1..u3, some with a zero entry, and singular ones (a repeated row, a
+    row that is a multiple of another over the rational functions)."""
+    rng = random.Random(seed)
+    out = []
+    for n in range(1, 6):
+        for kind in range(4):
+            m = [[random_scalar(rng, 3, terms=2, deg=1 if n > 3 else 2) if kind else
+                  Scalar.from_fraction(Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+                  for _ in range(n)] for _ in range(n)]
+            if n > 1 and kind == 2:
+                m[-1] = list(m[0])
+            elif n > 1 and kind == 3:
+                m[-1] = [x * S("u1 + u2") for x in m[0]]
+            out.append(m)
+    return out
+
+
+def test_det_adj_matches_the_laplace_expansion():
+    """Faddeev-LeVerrier's determinant and adjugate equal Laplace expansion and
+    cofactors on every matrix of det_adj_matrices, the singular ones included,
+    and a adj a = det a I."""
+    singular = 0
+    for m in det_adj_matrices():
+        det, adj = lowdegree._det_adj(m)
+        n = len(m)
+        assert det == laplace_det(m), m
+        assert adj == laplace_adj(m), m
+        assert [[sum((m[i][l] * adj[l][j] for l in range(n)), Scalar.zero()) for j in range(n)]
+                for i in range(n)] == [[det if i == j else Scalar.zero() for j in range(n)]
+                                       for i in range(n)], m
+        singular += det.is_zero
+    assert singular >= 8
+
+
+def test_det_adj_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    u = dict(zip(("u1", "u2", "u3"), sympy.symbols("u1 u2 u3")))
+
+    def to_sympy(x):
+        return sympy.sympify(str(x).replace("^", "**"), locals=u)
+
+    for m in [m for m in det_adj_matrices(seed=101) if len(m) <= 4][::2]:
+        det, adj = lowdegree._det_adj(m)
+        M = sympy.Matrix([[to_sympy(x) for x in row] for row in m])
+        assert sympy.cancel(to_sympy(det) - M.det()) == 0, m
+        want = M.adjugate()
+        assert all(sympy.cancel(to_sympy(adj[i][j]) - want[i, j]) == 0
+                   for i in range(len(m)) for j in range(len(m))), m
+
+
+def test_k4_closed_forms_on_a_size_ten_constant_bracket_within_budget():
+    """k4_connection_fixtures on random_constant_bracket(Random(1), 10, 4)
+    passes every row within 3 s of CPU time from cold memos.  It takes about
+    0.3 s; a Laplace-expanded determinant and cofactors took 100 s."""
+    b = random_constant_bracket(random.Random(1), 10, 4)
+    cold_scalar_memos()
+    start = time.process_time()
+    report = k4_connection_fixtures(b)
+    elapsed = time.process_time() - start
+    assert all_pass(report), [r.name for r in report if not r.passed]
+    assert elapsed < 3.0, f"k4_connection_fixtures took {elapsed:.1f} s of CPU time"

@@ -1314,17 +1314,18 @@ def test_carried_base_outlives_a_rejected_denominator(monkeypatch):
 # -- the constant-denominator shortcuts ---------------------------------------
 
 
-def test_products_over_constant_denominators_match_reduce_byte_for_byte(monkeypatch):
+def test_products_over_constant_denominators_try_no_factor(monkeypatch):
     """A product of two values with constant denominators cancels only the
-    integer contents: it gives _reduce's integer num/den and carries its
-    base without trying a factor."""
+    integer contents: every call of _strip it makes is offered no candidate,
+    and it gives _reduce's integer num/den and carries its base."""
     values = [S(t) for t in ("u1", "u2", "u1*u2 + 3*u2 - 1", "u2^2 - u1", "(2*u1 + 4*u2)/3",
                              "(3*u1 - 9)/4", "-6*u2^2/5", "(u1 - 2)/4", "-u1*u3 + 2")]
     calls = []
     original = scalar._strip
-    monkeypatch.setattr(scalar, "_strip", lambda *args: calls.append(args) or original(*args))
+    monkeypatch.setattr(scalar, "_strip", lambda num, exps, candidates, *skip: calls.append(candidates)
+                        or original(num, exps, candidates, *skip))
     got = {(a, b): a * b for a in values for b in values}
-    assert calls == []
+    assert calls and not any(calls)
     monkeypatch.undo()
     for (a, b), x in got.items():
         want = _reduce(_pmul(a._n, b._n), _pmul(a._d, b._d))
@@ -1391,21 +1392,26 @@ def assert_sum_matches(triples, where) -> Scalar:
     return got
 
 
-def test_sum_of_products_matches_pairwise_on_shaped_groups(monkeypatch):
-    """One product; constant, monomial and polynomial denominators with
-    unequal exponents; uncertified factors, among them the one of the product
-    of certified factors (2u2 + u1 - 2u1^2)^2 (2u1 - u2), which _factored
-    keys as an uncertified product and one of its factors; products
-    scaled by nontrivial complements in the lcm; integer contents that do
-    not divide the lcm taken so far, and contents equal to the lcm; both
-    bases nonempty, with shared and with disjoint factors; and sums that
-    cancel to zero, which try no factor."""
+def shaped_values():
+    """Values over constant, monomial and polynomial denominators, and over
+    uncertified ones, among them the product of certified factors
+    (2u2 + u1 - 2u1^2)^2 (2u1 - u2), which _factored keys as an uncertified
+    product and one of its factors."""
     const = [S("3/4"), S("(u1 - 2)/4"), S("u1*u3/2"), S("-5")]
     mono = [S("(u1 + u2)/(6*u1^2*u3)"), S("u2/u1"), S("u2^2/(3*u1*u3)"), S("(2*u2 - 1)/(4*u1*u3^2)")]
     poly = [S("(u1 + 1)/(u1*(2*u1 - u2))"), S("(u3 + u1)/(2*u1^3*(u3 - u2 - 2)^2)"),
             S("u3/(2*u1 - u2)^3"), S("(u1 - u2)/(u3 - u2 - 2)"), S("(2*u1 - u2)^2/(u3 - u2 - 2)")]
     rejected = [S("u3/((u1 + u2)*(u1 - u2))"), S("1/((2*u2 + u1 - 2*u1^2)^2*(2*u1 - u2))")]
-    assert all(any(f.root is None for f in x._b[1]) for x in rejected)
+    return const, mono, poly, rejected
+
+
+def shaped_groups():
+    """Groups of signed products over shaped_values: one product; unequal
+    exponents; uncertified factors; products scaled by nontrivial complements
+    in the lcm; integer contents that do not divide the lcm taken so far, and
+    contents equal to the lcm; both bases nonempty, with shared and with
+    disjoint factors."""
+    const, mono, poly, rejected = shaped_values()
     groups = [[(1, a, b)] for a, b in zip(const + mono + poly, poly + mono + const)]
     groups += [[(-1, a, b)] for a, b in zip(mono, poly)]
     for values in (const, mono, poly, const + mono + poly):
@@ -1437,8 +1443,17 @@ def test_sum_of_products_matches_pairwise_on_shaped_groups(monkeypatch):
         [(1, S("u2/u1"), S("u3/(2*u1^2)")), (-1, S("u3") / (S("u1") * f), S("u2") / (2 * g)),
          (1, S("1/(6*u1)"), S("u1 + u2") / f**2)],
     ]
-    for group in groups:
+    return groups
+
+
+def test_sum_of_products_matches_pairwise_on_shaped_groups(monkeypatch):
+    """The groups of shaped_groups, a few that cancel a factor, and sums that
+    cancel to zero, which try no factor."""
+    const, mono, poly, rejected = shaped_values()
+    assert all(any(f.root is None for f in x._b[1]) for x in rejected)
+    for group in shaped_groups():
         assert_sum_matches(group, group)
+    f, g = S("2*u1 - u2"), S("u3 - u2 - 2")
     # a factor with equal exponents on two products cancels: u1/f^2 + (f - u1)/f^2 = 1/f
     x = assert_sum_matches([(1, S("u1") / f, 1 / f), (1, (f - S("u1")) / f, 1 / f)], "cancel f")
     assert x == 1 / f
@@ -1459,33 +1474,36 @@ def test_sum_of_products_matches_pairwise_on_shaped_groups(monkeypatch):
     assert calls == []
 
 
-def test_sums_try_only_the_factors_with_equal_exponents(monkeypatch):
-    """a + b, which is _sum_products over a*1 and b*1, offers _strip only the
-    factors whose exponents are equal in both denominators: a factor that one
-    side holds to a higher power divides the other side's complement but not
-    the first numerator, so it cannot cancel."""
+def test_sums_offer_strip_every_factor_of_the_lcm(monkeypatch):
+    """a + b, which is _sum_products over a*1 and b*1, calls _strip once and
+    offers it every factor of the lcm of the two denominators, whatever
+    their exponents on each side: single variables, certified polynomials,
+    and an uncertified factor beside the certified one it hides."""
     f, g = S("2*u1 - u2"), S("u3 - u2 - 2")
-    cases = [(S("u1") / f**3, S("u2") / (f * g), []), (S("u1") / (f * g), S("u2") / (f * g**2), [f]),
-             (S("u1 + u3") / (f**2 * g), (f - S("u1")) / (f**2 * g), [f, g]), (S("u1") / f, S("u2/3"), [])]
+    u1, hidden = S("u1"), S("u1 - u2")
+    cases = [(S("u1") / f**3, S("u2") / (f * g), [f, g]), (S("u1") / (f * g), S("u2") / (f * g**2), [f, g]),
+             (S("u1 + u3") / (f**2 * g), (f - S("u1")) / (f**2 * g), [f, g]), (S("u1") / f, S("u2/3"), [f]),
+             (S("u2") / u1**2, S("u3") / (u1 * f), [u1, f]),
+             (S("u3/((u1 + u2)*(u1 - u2))"), 1 / hidden, [S("(u1 + u2)*(u1 - u2)"), hidden])]
     calls = []
     original = scalar._strip
     monkeypatch.setattr(scalar, "_strip", lambda num, exps, candidates, *skip: calls.append(candidates)
                         or original(num, exps, candidates, *skip))
     got = {}
-    for a, b, equal in cases:
+    for a, b, factors in cases:
         for x, y in ((a, b), (b, a)):
             calls.clear()
             got[x, y] = x + y
             assert len(calls) == 1, (x, y)
-            assert {frozenset(p.p.items()) for p in calls[0]} == {
-                frozenset((h if _plead(h._n)[1] > 0 else -h)._n.items()) for h in equal}, (x, y)
+            assert sorted(sorted(p.p.items()) for p in calls[0]) == sorted(
+                sorted((h if _plead(h._n)[1] > 0 else -h)._n.items()) for h in factors), (x, y)
     monkeypatch.undo()
     for (x, y), z in got.items():
         [want] = [w for label, _, w in oracle_results(x, y) if label == "+"]
         assert (z._n, z._d) == (want._n, want._d), (x, y)
 
 
-def test_sum_of_products_matches_pairwise_on_drawn_groups():
+def drawn_groups():
     """Groups of two to six signed products of the certified factor families'
     values and denominator_shapes, and in one group of four an uncertified
     value (whose GCDHEU reductions make larger groups slow)."""
@@ -1493,6 +1511,7 @@ def test_sum_of_products_matches_pairwise_on_drawn_groups():
     values = [v for ok, v in family if ok] + denominator_shapes()
     rejected = [v for ok, v in family if not ok]
     rng = random.Random(17)
+    groups = []
     for k in range(64):
         group = [(rng.choice((1, -1)), rng.choice(values), rng.choice(values))
                  for _ in range(rng.randint(2, 3 if k % 4 == 0 else 6))]
@@ -1500,7 +1519,68 @@ def test_sum_of_products_matches_pairwise_on_drawn_groups():
             group[-1] = (group[-1][0], group[-1][1], rng.choice(rejected))
         if rng.random() < 0.25:  # the last product cancels the first
             group.append((-group[0][0], group[0][2], group[0][1]))
+        groups.append(group)
+    return groups
+
+
+def test_sum_of_products_matches_pairwise_on_drawn_groups():
+    for group in drawn_groups():
         assert_sum_matches(group, group)
+
+
+def test_failed_divisions_leave_every_result_unchanged(monkeypatch):
+    """With _residue forced to 0, _strip tries every certified candidate by
+    exact division, and leaves one at its first failed division: +, *,
+    partial and _sum_products on the shaped and drawn groups give the same
+    _n, _d and _b, the base's factors in the same order.  The values are
+    built first, since factors take their roots from _residue, and the memos
+    are emptied before each pass, since a memoised derivative is an equal
+    value that may carry another base, and afterwards, since a factor made
+    while _residue is forced has a wrong root."""
+    groups = shaped_groups() + drawn_groups()
+    f = next(iter(S("1/(2*u1 - u2)")._b[1]))
+
+    def results():
+        out = []
+        for group in groups:
+            out.append(_sum_products(group))
+            for _, a, b in group:
+                out += [a + b, a * b, *(a.partial(i) for i in (1, 2, 3))]
+        return [(x._n, x._d, x._b[0], list(x._b[1].items())) for x in out]
+
+    cold_scalar_memos()
+    want = results()
+    cold_scalar_memos()
+    monkeypatch.setattr(scalar, "_residue", lambda p, y, r: 0)
+    try:
+        got = results()
+        # the fallback itself: f does not divide u1 + 1, and stays in exps
+        exps = {f: 2}
+        assert scalar._strip(S("u1 + 1")._n, exps, [f]) == S("u1 + 1")._n and exps == {f: 2}
+    finally:
+        monkeypatch.undo()
+        cold_scalar_memos()
+    assert got == want
+
+
+def test_remainder_sequences_reduce_like_the_heuristic_gcd(monkeypatch):
+    """With _HEU_TRIES = 0, _heugcd gives up at once and every gcd of two
+    polynomials of several terms comes from _prs: _reduce on small
+    multivariate pairs with a nontrivial gcd gives the default route's _n,
+    _d and _b."""
+    pairs = [("(u1 + u2)*(u2 - u3 + 2)", "(u1 + u2)*(u3^2 + u1)"),
+             ("(u1*u2 - 3)^2*(u3 + 1)", "(u1*u2 - 3)*(u1^2 + u2*u3)"),
+             ("(u1^2 + u2^2)*(u1 - u3)", "(u1^2 + u2^2)*(u2 + 2*u3)"),
+             ("(2*u1 - u3)*(u1*u3 + u2 + 1)*3", "(u1*u3 + u2 + 1)*(u2^2 - u1)*6")]
+    quotients = [(S(n)._n, S(d)._n) for n, d in pairs]
+    want = [_reduce(n, d) for n, d in quotients]
+    assert all(len(x._d) < len(d) for x, (_, d) in zip(want, quotients))
+    monkeypatch.setattr(scalar, "_HEU_TRIES", 0)
+    num, den = quotients[0]
+    assert scalar._heugcd(num, den) is None
+    got = [_reduce(n, d) for n, d in quotients]
+    monkeypatch.undo()
+    assert [(x._n, x._d, x._b) for x in got] == [(x._n, x._d, x._b) for x in want]
 
 
 def test_sum_of_products_over_the_lcm_multiplies_no_polynomials(monkeypatch):
