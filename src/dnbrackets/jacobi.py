@@ -11,14 +11,26 @@ whose theta half the skew check reads too.  D_P's image tables hold the d_x
 chains of those lists (_dx_chains), not the bracket.  The bracket
 satisfies Jacobi exactly when D_P squares to zero, and since D_P^2 is again
 a derivation it suffices to test it on the generators u^i and theta_i.
-D_P(u^i) is the theta-variational derivative itself, so the generator test
-reduces to applying D_P to the two families of variational derivatives.
+
+D_P^2 is the Hamiltonian vector field of half the Schouten bracket [P, P],
+which in the theta-formalism is represented by the trivector
+
+    T = sum_i (dP~/dtheta_i)(dP~/du^i)
+
+(Getzler, Duke Math. J. 2002; Liu-Zhang, Adv. Math. 2011), so that
+
+    D_P^2(u^i) = -dT/dtheta_i,    D_P^2(theta_i) = dT/du^i.
+
+The generator test therefore needs one product per component, cached on
+the bracket (_trivector), and one variational derivative per generator,
+not D_P applied to the two families.  apply_DP stays for the callers that
+apply D_P to other elements.
 """
 
 from __future__ import annotations
 
 from .bracket import HomogeneousBracket, _cached, _variational, skew_defects, validate, variational_pair
-from .diffpoly import DiffPoly, _derivation, _dx_upto, _Images
+from .diffpoly import DiffPoly, _derivation, _dx_upto, _Images, _products
 from .errors import PreconditionError
 
 
@@ -52,19 +64,39 @@ def apply_DP(b: HomogeneousBracket, a: DiffPoly) -> DiffPoly:
     return _derivation(a, *_DP_images(b))
 
 
-def _defects(b: HomogeneousBracket):
-    """Yield the nonzero values of D_P^2 on u^1..u^n, then on theta_1..theta_n."""
+@_cached
+def _trivector(b: HomogeneousBracket) -> DiffPoly:
+    """T = sum_i (dP~/dtheta_i)(dP~/du^i), the theta factor on the left, as
+    one grouped product call, so each key of T is summed once over all i;
+    cached on the bracket."""
     ddtheta, ddu = variational_pair(b)
-    for label, family in (("u^{}", ddtheta), ("theta_{}", ddu)):
-        for i, value in enumerate(family, 1):
-            if r := apply_DP(b, value):
+    return _products((t.terms.items(), e2, o2, 1, c2)
+                     for t, u in zip(ddtheta, ddu) for (e2, o2), c2 in u.terms.items())
+
+
+# D_P^2 on u^i and on theta_i, read off the trivector T.
+_FAMILIES = (
+    ("u^{}", lambda T, i: -T.variational_theta(i)),
+    ("theta_{}", lambda T, i: T.variational_u(i)),
+)
+
+
+def _defects(b: HomogeneousBracket, families=_FAMILIES):
+    """Yield the nonzero values of D_P^2 on u^1..u^n, then on theta_1..theta_n
+    (on the generators of the given families only)."""
+    T = _trivector(b)
+    for label, value in families:
+        for i in range(1, b.n + 1):
+            if r := value(T, i):
                 yield f"D_P^2({label.format(i)})", r
 
 
 @_cached
 def _first_defect(b: HomogeneousBracket):
-    """The first (label, value) that _defects yields, or None; cached on the bracket."""
-    return next(_defects(b), None)
+    """The first nonzero D_P^2(u^i) as (label, value), or None; cached on the
+    bracket.  None means that D_P^2 vanishes on every generator (check_jacobi
+    says why the theta_i need no test)."""
+    return next(_defects(b, _FAMILIES[:1]), None)
 
 
 def jacobi_defects(b: HomogeneousBracket) -> list[tuple[str, DiffPoly]]:
@@ -78,6 +110,16 @@ def check_jacobi(b: HomogeneousBracket) -> bool:
     Requires a well-formed, skew-symmetric bracket; otherwise the odd
     encoding does not represent the operator and a PreconditionError is
     raised with the first violation as witness.
+
+    Only D_P^2(u^i) = -dT/dtheta_i is tested.  T has theta-degree 3, and
+    theta derivatives are left derivatives, so Euler's identity gives
+    3T = sum_{i,s} theta_i^s dT/dtheta_i^s; integrating by parts moves each
+    d_x^s off theta_i^s, so 3T = sum_i theta_i dT/dtheta_i modulo the image
+    of d_x.  Once every dT/dtheta_i vanishes, T = d_x(R/3) for some R, and
+    variational derivatives vanish on the image of d_x, so every
+    D_P^2(theta_i) = dT/du^i vanishes too.  The argument is algebraic (no
+    antiderivative is taken), so it holds over rational-function
+    coefficients.
     """
     if problems := validate(b):
         raise PreconditionError(f"invalid bracket: {problems[0]}", witness=problems[0])

@@ -19,15 +19,15 @@ each is one call of the kernel diffpoly._derivation, which applies their
 values on the generators u^{i,s} and theta_i^s term by term: each
 generator of a term of the input adds its value times the term with that
 generator taken out.  Those values are image tables (diffpoly._Images)
-cached once per bracket by bracket._cached, as D_P's are in jacobi (d_x's
-are module constants): D_{-1}'s from g and the homotopy's from the lowered
-metric, the closed form's from the tails, the connection form's as
-closed-form images read off g, the lowered metric and Gamma_[s] alone, and
-d1_spectral's as D_P's images of the generators of B, projected onto B
-before any product is taken (d1_spectral says why that is exact).  Each
-table builds a generator's image once per bracket, and holds the bracket's
-data, never the bracket, so a bracket's cache refers to nothing that refers
-back to it.  The three d_1 computations share no formula.
+cached once per bracket by bracket._cached (d_x's are module constants):
+D_P's in jacobi over the d_x chains, D_{-1}'s from g and the homotopy's
+from the lowered metric, the closed form's from the tails, the connection
+form's as closed-form images read off g, the lowered metric and Gamma_[s]
+alone, and d1_spectral's as D_P's images of the generators of B,
+projected onto B before any product is taken (d1_spectral says why that is
+exact).  Each table builds a generator's image once per bracket, and holds
+the bracket's data, never the bracket, so a bracket's cache refers to
+nothing that refers back to it.  The three d_1 computations share no formula.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ import time
 import pytest
 
 from dnbrackets import cli, connections, jacobi, lowdegree, spectral
-from dnbrackets.bracket import CoordinateMap, skew_defects, transform, validate
+from dnbrackets.bracket import CoordinateMap, _cached, skew_defects, transform, validate
 from dnbrackets.cli import MAX_DEGREE, MAX_DEGU, MAX_DIMENSION, load_bracket, load_map, main
 from dnbrackets.diffpoly import DiffPoly
 from dnbrackets.errors import PreconditionError
@@ -367,17 +367,25 @@ def test_degree3_rows_cover_the_normal_form_test(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["nonflat2.json", "lc_k1_broken.json"])
-def test_report_applies_D_P_squared_once(monkeypatch, capsys, name):
-    # the jacobi check and every later Poisson precondition share one cached first defect
-    runs = []
-    original = jacobi._defects
+def test_report_builds_the_jacobi_trivector_once(monkeypatch, capsys, name):
+    # the jacobi check and every later Poisson precondition share one cached
+    # first defect, read off one cached trivector T
+    built, runs = [], []
+    build, defects = jacobi._trivector.__wrapped__, jacobi._defects
 
-    def counting(b):
+    @_cached
+    def counting_build(b):
+        built.append(b)
+        return build(b)
+
+    def counting_defects(b, *families):
         runs.append(b)
-        return original(b)
+        return defects(b, *families)
 
-    monkeypatch.setattr(jacobi, "_defects", counting)
+    monkeypatch.setattr(jacobi, "_trivector", counting_build)
+    monkeypatch.setattr(jacobi, "_defects", counting_defects)
     run(capsys, "report", fixture_path(name))
+    assert len(built) == 1
     assert len(runs) == 1
 
 
