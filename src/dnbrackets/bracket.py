@@ -277,12 +277,17 @@ def transform(b: HomogeneousBracket, cmap: CoordinateMap) -> HomogeneousBracket:
 
         R_s^{ij} = sum_t C(s+t, s) J^i_{i'} P_{s+t}^{i'j'} d_x^t(J^j_{j'})
 
-    computed in the old jet variables: each R_s^{ij} is one _products call,
-    whose parts are P_{s+t}^{i'j'}'s terms times each term c of
-    d_x^t(J^j_{j'}) with coefficient C(s+t, s) J^i_{i'} c, over t, i' and j',
-    so each key sums all its products over one common denominator.
-    Afterwards old coordinates and jets are substituted by their expressions
-    in the new ones.
+    for J the Jacobian of the map.  Its terms are written in the new
+    variables before the sum: the entries of P with the old coordinates and
+    jets substituted by their expressions in the new ones (u^{l,r} by d_x^r
+    of the inverse map's l-th component), and J with the old coordinates
+    substituted.  That pull-back is a homomorphism of differential rings,
+    so it commutes with d_x, and d_x^t of the pulled-back J is the
+    pulled-back d_x^t(J): the sum is R_s^{ij} pulled back.  Each R_s^{ij}
+    is then one _products call, whose parts are P_{s+t}^{i'j'}'s terms
+    times each term c of d_x^t(J^j_{j'}) with coefficient C(s+t, s) J^i_{i'}
+    c, over t, i' and j', so each key sums all its products over one common
+    denominator.
     """
     if cmap.n != b.n:
         raise ValueError(f"map is for n={cmap.n}, bracket has n={b.n}")
@@ -290,34 +295,30 @@ def transform(b: HomogeneousBracket, cmap: CoordinateMap) -> HomogeneousBracket:
     if problems:
         raise ValueError("; ".join(problems))
     n, k = b.n, b.k
-    jac = cmap.jacobian()
-    jac_dx = [[[DiffPoly.from_scalar(jac[a][bb])] for bb in range(n)] for a in range(n)]
+    coord_map = {m + 1: cmap.inverse[m] for m in range(n)}
+    max_order = max((entry.max_jet_order() for entry in b.P.values()), default=0)
+    jet_map = {}
+    for l in range(1, n + 1):
+        derivs = [DiffPoly.from_scalar(cmap.inverse[l - 1])]
+        jet_map.update({(l, r): _dx_upto(derivs, r) for r in range(1, max_order + 1)})
+    pulled = {key: entry.substitute(coord_map=coord_map, jet_map=jet_map).terms.items()
+              for key, entry in b.P.items()}
+    jac = [[x.subs(coord_map) for x in row] for row in cmap.jacobian()]
+    jac_dx = [[[DiffPoly.from_scalar(x)] for x in row] for row in jac]
 
     def parts(i, j, s):
         for t, ip in product(range(k - s + 1), range(1, n + 1)):
             if J := jac[i - 1][ip - 1]:
                 scale = J * comb(s + t, s) if s and t else J  # C(s+t, s) = 1 otherwise
                 for jp in range(1, n + 1):
-                    if entry := b.P.get((ip, jp, s + t)):
-                        items = entry.terms.items()
+                    if items := pulled.get((ip, jp, s + t)):
                         for (e2, o2), c2 in _dx_upto(jac_dx[j - 1][jp - 1], t).terms.items():
                             yield items, e2, o2, 1, scale * c2
 
-    raw = {
+    P = {
         (i, j, s): acc
         for i, j, s in product(range(1, n + 1), range(1, n + 1), range(k + 1))
         if (acc := _products(parts(i, j, s)))
-    }
-
-    coord_map = {m + 1: cmap.inverse[m] for m in range(n)}
-    max_order = max((entry.max_jet_order() for entry in raw.values()), default=0)
-    jet_map = {}
-    for l in range(1, n + 1):
-        derivs = [DiffPoly.from_scalar(cmap.inverse[l - 1])]
-        jet_map.update({(l, r): _dx_upto(derivs, r) for r in range(1, max_order + 1)})
-    P = {
-        key: entry.substitute(coord_map=coord_map, jet_map=jet_map)
-        for key, entry in raw.items()
     }
     return HomogeneousBracket(n=n, k=k, P=P)
 

@@ -17,11 +17,11 @@ Every derivation - d_x here, D_P in jacobi, D_{-1}, the homotopy and the
 three forms of d_1 in spectral - is applied by one kernel, _derivation,
 from its values on the generators, term by term: each generator of a term
 with an image contributes the image times the term with that generator
-taken out, and no partial derivative is built as a DiffPoly.  The values
-come in image tables (_Images), which build each generator's image once:
-d_x's are module constants and the others are cached per bracket.  A table
-records whether any coordinate has an image, and a derivation with none
-never looks at the coefficients' variables.
+taken out (_derivation_parts), and no partial derivative is built as a
+DiffPoly.  The values come in image tables (_Images), which build each
+generator's image once: d_x's are module constants and the others are
+cached per bracket.  A table records whether any coordinate has an image,
+and a derivation with none never looks at the coefficients' variables.
 
 Partial derivatives with respect to odd variables are left derivatives:
 the variable is anticommuted to the front of the word and then removed.
@@ -29,16 +29,20 @@ the variable is anticommuted to the front of the word and then removed.
 A term dict never holds a zero coefficient: every sum of terms goes through
 scalar._collect or scalar._sum_products, and _wrap builds a DiffPoly around
 a dict that already satisfies this.  Sums of DiffPolys go through _sum, one
-_collect over the terms of all the parts.  Products go through _products,
-which *, _derivation and bracket.transform call.  Each of its parts is a
-DiffPoly's term items times one signed term: * passes one per term of its
-right factor, _derivation one per generator of each term of its input, and
-transform one per term of each d_x^t(J) of a transformed entry's Leibniz
-expansion.  It groups the coefficient pairs of all the products by the key
-they land on, and sums each group in one scalar._sum_products, over one
-common denominator, instead of a product and an addition per pair.  Each
-distinct pair of odd words is merged (_odd_mul) once per call, however many
-coefficient pairs share it.
+_collect over the terms of all the parts.  Products go through _products.
+Each of its parts is a DiffPoly's term items times one signed term: a
+product passes one per term of its right factor, _derivation one per
+generator of each term of its input, and bracket.transform one per term of
+each d_x^t(J) of a transformed entry's Leibniz expansion.  Each step of
+the Horner loop of a variational derivative (_alternating_sum), which sets
+acc to partial - d_x(acc), is one call too, whose parts are the partial's
+terms times one and the parts of d_x(acc) with their signs flipped.
+_products groups the
+coefficient pairs of all the products by the key they land on, and sums
+each group in one scalar._sum_products, over one common denominator,
+instead of a product and an addition per pair.  Each distinct pair of odd
+words is merged (_odd_mul) once per call, however many coefficient pairs
+share it.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .scalar import (
     Scalar, _collect, _factor_str, _mono_lower, _mono_mul, _power, _product, _signed_join,
@@ -57,6 +62,7 @@ OddKey = tuple  # ((s, i), ...)
 TermKey = tuple  # (EvenKey, OddKey)
 
 _EMPTY_KEY: TermKey = ((), ())
+_ONE = Scalar.one()
 
 
 @dataclass(frozen=True)
@@ -417,15 +423,6 @@ def _sum(parts) -> DiffPoly:
     return _wrap(_collect(pair for p in parts for pair in p.terms.items()))
 
 
-def _alternating_sum(partial, i: int, top: int) -> DiffPoly:
-    """sum_{s=0..top} (-d_x)^s partial(i, s), the shared variational formula,
-    by Horner's rule: acc = partial(i, s) - d_x(acc) for s = top down to 0."""
-    acc = DiffPoly.zero()
-    for s in range(top, -1, -1):
-        acc = partial(i, s) - acc.d_x() if acc else partial(i, s)
-    return acc
-
-
 def _dx_upto(derivs: list, t: int) -> DiffPoly:
     """derivs[t] of a list holding p, d_x p, d_x^2 p, ...; grown in place as needed."""
     while len(derivs) <= t:
@@ -437,8 +434,9 @@ class _Images(dict):
     """A derivation's generator images as term items, keyed (i, s) for
     u^{i,s} (s = 0: the coordinate u^i) or for theta_i^s, and falsy where the
     image is; each is built by image(v) on its first lookup.  coordinates is
-    False when no coordinate has an image (read on jet tables only), and the
-    kernel then skips the coefficients' variables."""
+    False when no coordinate has an image, or when the derivation leaves
+    the chain rule out (read on jet tables only), and the kernel then skips
+    the coefficients' variables."""
 
     def __init__(self, image, coordinates: bool = True):
         self.image = image
@@ -461,44 +459,68 @@ def _derivation(x: DiffPoly, jets, thetas) -> DiffPoly:
     theta_i^s keyed (i, s); a falsy image kills the generator.  A bare
     callable, such as a dict's get, is wrapped in an _Images for this call.
 
-    x is walked term by term, and each generator v of a term c * m whose
-    image is truthy adds image * d(c * m)/dv, image on the left so the odd
-    signs are fixed, as one part of a single _products call, which sums each
-    output key's coefficient products over one common denominator.  The
-    partial is the term itself with v taken out: c.partial(i) for a
-    coordinate u^i of c (skipped when zero), c * e at m / v for a jet v^e,
-    and (-1)^p c at the odd word without v for the theta at position p.  No
-    partial DiffPoly is built, only coordinates with an image are
-    differentiated, and when jets.coordinates is False no coefficient's
-    variables are looked at.  d_x, D_P, D_{-1}, the homotopy and the three
-    forms of d_1 are all calls of this kernel.
+    The value is one _products call over the parts of _derivation_parts, so
+    it sums each output key's coefficient products over one common
+    denominator.  d_x, D_P, D_{-1}, the homotopy and the three forms of d_1
+    are all calls of this kernel.
     """
     if not isinstance(jets, _Images):
         jets = _Images(jets)
     if not isinstance(thetas, _Images):
         thetas = _Images(thetas)
+    return _products(_derivation_parts(x, jets, thetas))
+
+
+def _derivation_parts(x: DiffPoly, jets: _Images, thetas: _Images, sign: int = 1):
+    """The _products parts of sign times the derivation of x with the image
+    tables jets and thetas (see _derivation).
+
+    x is walked term by term, and each generator v of a term c * m whose
+    image is truthy adds image * d(c * m)/dv, image on the left so the odd
+    signs are fixed.  The partial is the term itself with v taken out:
+    c.partial(i) for a coordinate u^i of c (skipped when zero), c * e at
+    m / v for a jet v^e, and (-1)^p c at the odd word without v for the
+    theta at position p.  No partial DiffPoly is built, only coordinates
+    with an image are differentiated, and when jets.coordinates is False no
+    coefficient's variables are looked at.
+    """
     coordinates = jets.coordinates
-
-    def parts():
-        for (even, odd), c in x.terms.items():
-            if coordinates:
-                for i in c.variables():
-                    if (img := jets[i, 0]) and (dc := c.partial(i)):
-                        yield img, even, odd, 1, dc
-            for v, e in even:
-                if img := jets[v]:
-                    yield img, _mono_lower(even, v), odd, 1, c if e == 1 else c * e
-            for p, (s, i) in enumerate(odd):
-                if img := thetas[i, s]:
-                    yield img, even, odd[:p] + odd[p + 1 :], -1 if p % 2 else 1, c
-
-    return _products(parts())
+    for (even, odd), c in x.terms.items():
+        if coordinates:
+            for i in c.variables():
+                if (img := jets[i, 0]) and (dc := c.partial(i)):
+                    yield img, even, odd, sign, dc
+        for v, e in even:
+            if img := jets[v]:
+                yield img, _mono_lower(even, v), odd, sign, c if e == 1 else c * e
+        for p, (s, i) in enumerate(odd):
+            if img := thetas[i, s]:
+                yield img, even, odd[:p] + odd[p + 1 :], -sign if p % 2 else sign, c
 
 
 # d_x's tables, kept for good: u^{i,s} -> u^{i,s+1} (u^i -> u^{i,1}) and
 # theta_i^s -> theta_i^{s+1}
 _DX_IMAGES = (_Images(lambda v: DiffPoly.jet(v[0], v[1] + 1)),
               _Images(lambda v: DiffPoly.theta(v[0], v[1] + 1)))
+
+
+def _alternating_sum(partial, i: int, top: int, tables: tuple = _DX_IMAGES) -> DiffPoly:
+    """sum_{s=0..top} (-D)^s partial(i, s), the shared variational formula,
+    for D the derivation of the image tables (jets, thetas), d_x's by
+    default, by Horner's rule: acc = partial(i, s) - D(acc) for s = top
+    down to 0.  Each step is one _products call: partial(i, s)'s terms as
+    one part, products by one, and the parts of D(acc) signed -1, so every
+    key of the new acc is summed once, with no negated DiffPoly and no
+    second sum."""
+    acc = DiffPoly.zero()
+    for s in range(top, -1, -1):
+        p = partial(i, s)
+        if acc:
+            acc = _products(chain(((p.terms.items(), (), (), 1, _ONE),),
+                                  _derivation_parts(acc, *tables, -1)))
+        else:
+            acc = p
+    return acc
 
 
 def _term_str(key: TermKey, c: Scalar) -> tuple[int, str]:

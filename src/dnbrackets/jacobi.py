@@ -25,12 +25,23 @@ The generator test therefore needs one product per component, cached on
 the bracket (_trivector), and one variational derivative per generator,
 not D_P applied to the two families.  apply_DP stays for the callers that
 apply D_P to other elements.
+
+Before T, check_jacobi tries an exact refutation on the grading deg_u by
+jet count, under which spectral splits D_P into D_{-1} + D_0 + D_1 + ....
+deg_u adds under products, so the deg_u-0 component of T is the pairing
+T_0 of the deg_u-0 components of the two families.  d_x is the derivation
+raising jet and theta orders, which keeps deg_u, plus the chain rule on
+the coefficients, which raises it by one; so the deg_u-0 component of
+dT/dtheta_i is the variational formula on T_0 with d_x's chain rule left
+out, and on T_0, which has no jets, that is d_x's theta table alone
+(_refuted_at_degree_zero).  A nonzero value proves the bracket is not
+Poisson, without building T or differentiating a coefficient.
 """
 
 from __future__ import annotations
 
 from .bracket import HomogeneousBracket, _cached, _variational, skew_defects, validate, variational_pair
-from .diffpoly import DiffPoly, _derivation, _dx_upto, _Images, _products
+from .diffpoly import _DX_IMAGES, DiffPoly, _alternating_sum, _derivation, _dx_upto, _Images, _products
 from .errors import PreconditionError
 
 
@@ -64,14 +75,36 @@ def apply_DP(b: HomogeneousBracket, a: DiffPoly) -> DiffPoly:
     return _derivation(a, *_DP_images(b))
 
 
-@_cached
-def _trivector(b: HomogeneousBracket) -> DiffPoly:
-    """T = sum_i (dP~/dtheta_i)(dP~/du^i), the theta factor on the left, as
-    one grouped product call, so each key of T is summed once over all i;
-    cached on the bracket."""
-    ddtheta, ddu = variational_pair(b)
+def _pairing(ddtheta: list, ddu: list) -> DiffPoly:
+    """sum_i ddtheta[i] ddu[i], the theta factor on the left, as one grouped
+    product call, so each key is summed once over all i."""
     return _products((t.terms.items(), e2, o2, 1, c2)
                      for t, u in zip(ddtheta, ddu) for (e2, o2), c2 in u.terms.items())
+
+
+@_cached
+def _trivector(b: HomogeneousBracket) -> DiffPoly:
+    """T = sum_i (dP~/dtheta_i)(dP~/du^i); cached on the bracket."""
+    return _pairing(*variational_pair(b))
+
+
+# d_x without the chain rule on coefficients: it keeps deg_u, and on an
+# element free of jets it is d_x's theta table alone
+_DX_DEG_U_0 = (_Images(_DX_IMAGES[0].image, coordinates=False), _DX_IMAGES[1])
+
+
+@_cached
+def _refuted_at_degree_zero(b: HomogeneousBracket) -> bool:
+    """True if the deg_u-0 component of some dT/dtheta_i is nonzero, which
+    proves that the bracket is not Poisson; cached on the bracket.
+
+    That component is sum_s (-D)^s dT_0/dtheta_i^s, for T_0 the pairing of
+    the deg_u-0 parts of the variational pair and D d_x without the chain
+    rule (the module docstring says why), one Horner loop per i over T_0.
+    """
+    T0 = _pairing(*([v.project("deg_u", 0) for v in family] for family in variational_pair(b)))
+    top = T0.max_theta_order()
+    return any(_alternating_sum(T0._partial_theta, i, top, _DX_DEG_U_0) for i in range(1, b.n + 1))
 
 
 # D_P^2 on u^i and on theta_i, read off the trivector T.
@@ -120,6 +153,11 @@ def check_jacobi(b: HomogeneousBracket) -> bool:
     D_P^2(theta_i) = dT/du^i vanishes too.  The argument is algebraic (no
     antiderivative is taken), so it holds over rational-function
     coefficients.
+
+    The deg_u-0 components of the dT/dtheta_i are tested first, from the
+    deg_u-0 parts of the variational pair alone (the module docstring says
+    why that is exact); if one is nonzero the answer is False and T is
+    never built.  Otherwise the first defect is read off T as above.
     """
     if problems := validate(b):
         raise PreconditionError(f"invalid bracket: {problems[0]}", witness=problems[0])
@@ -129,4 +167,4 @@ def check_jacobi(b: HomogeneousBracket) -> bool:
             f"bracket is not skew-symmetric: defect at (i={i}, j={j}, s={t}) is {defect}",
             witness=defect,
         )
-    return _first_defect(b) is None
+    return not _refuted_at_degree_zero(b) and _first_defect(b) is None

@@ -84,11 +84,14 @@ Both work in the least variable x of their operands, so x^d, when present,
 is the first pair of a monomial: _zeval, _to_univ, _from_univ and _zinterp
 split off or prepend that pair instead of rebuilding the monomial.
 
-Partial derivatives are memoised on the value: Scalar.partial(i) looks
-(self, i) up in a least-recently-used table of at most _PARTIAL_MEMO
-entries, and only on a miss applies the quotient rule (_partial).  A
-Scalar is never changed after it is made and equal values hash alike, so
-an entry cannot go stale, and separately built equal values share it.
+Partial derivatives are memoised on the value and its base:
+Scalar.partial(i) looks (self, its base's (factor, exponent) pairs, i) up
+in a least-recently-used table of at most _PARTIAL_MEMO entries, and only
+on a miss applies the quotient rule (_partial).  A Scalar is never changed
+after it is made and equal values hash alike, so an entry cannot go stale;
+separately built equal values with the same base share it, and the base a
+derivative carries is the one the quotient rule gives its operand, whatever
+the memo held before.
 The table holds the derivatives every bracket check takes many times over
 (D_P, d_x, the variational derivatives, the Jacobian of a change of
 coordinates); its bound keeps it from growing over a long run.  Callers
@@ -110,11 +113,11 @@ _ONE_P: Poly = {(): 1}
 # evaluation points GCDHEU tries before the gcd falls back to the PRS
 _HEU_TRIES = 6
 
-# entries of the partial-derivative memo: above the distinct (value, index)
-# pairs of the largest single check met so far (753 for D_P applied twice to
-# one monomial on nonflat2, 565 for nonflat2 with a jet pair under
-# u1 -> u1 + c*u2), so one check keeps what it reuses, and small enough to
-# cap memory over a long run
+# entries of the partial-derivative memo: above the distinct keys of the
+# largest single check met so far (753 for D_P applied twice to one
+# monomial on nonflat2, as many as its (value, index) pairs; 565 pairs for
+# nonflat2 with a jet pair under u1 -> u1 + c*u2), so one check keeps what
+# it reuses, and small enough to cap memory over a long run
 _PARTIAL_MEMO = 1024
 
 # entries of the memo of factored denominators (_factored), which only
@@ -814,7 +817,7 @@ class Scalar:
         """Partial derivative with respect to the coordinate u^i."""
         if i < 1:
             raise ValueError(f"coordinate index must be >= 1, got {i}")
-        return _partial(self, i)
+        return _partial(self, frozenset(self._b[1].items()), i)
 
     def subs(self, mapping: dict) -> "Scalar":
         """Substitute coordinates by Scalars: mapping maps index i to u^i's image."""
@@ -830,8 +833,10 @@ class Scalar:
 
 
 @lru_cache(maxsize=_PARTIAL_MEMO)
-def _partial(a: Scalar, i: int) -> Scalar:
-    """d a / d u^i by the quotient rule, for i >= 1."""
+def _partial(a: Scalar, base: frozenset, i: int) -> Scalar:
+    """d a / d u^i by the quotient rule, for i >= 1; base is the set of
+    (factor, exponent) pairs of a's base, read here only as part of the
+    memo's key, so equal values with other bases do not share an entry."""
     dn = _pderiv(a._n, i)
     # with L the product of the factors f of d that involve u^i, each to the
     # power 1, (n/d)' = (n' L - n sum e_f f' L/f) / (d L), where such an f

@@ -1,12 +1,17 @@
 """Bracket storage, validation, skewness, extraction, and transformation."""
 
 import dataclasses
+import importlib.util
+import os
 import random
+import sys
 from fractions import Fraction
 from itertools import product
 from math import comb
 
 import pytest
+
+import dnbrackets
 
 from dnbrackets.bracket import (
     CoordinateMap,
@@ -387,11 +392,12 @@ def test_skew_defects_of_odd_entries_differ_from_the_leibniz_formula():
 
 
 def transform_oracle(b, cmap) -> dict:
-    """transform's entries by the Leibniz formula as first written: one
-    product entry * J * d_x^t(J) per (t, i', j'), added by _sum over i' and
-    j', scaled by C(s+t, s) and added by _sum over t; then the same
-    substitution of old coordinates and jets by their expressions in the new
-    ones.  Zero entries are dropped, as HomogeneousBracket drops them."""
+    """transform's entries by the Leibniz formula as first written, in the
+    old variables: one product entry * J * d_x^t(J) per (t, i', j'), added
+    by _sum over i' and j', scaled by C(s+t, s) and added by _sum over t;
+    then the old coordinates and jets of each sum are substituted by their
+    expressions in the new ones, where transform pulls P and J back first.
+    Zero entries are dropped, as HomogeneousBracket drops them."""
     n, k = b.n, b.k
     jac = cmap.jacobian()
     derivs = [[[DiffPoly.from_scalar(x)] for x in row] for row in jac]
@@ -465,10 +471,11 @@ JET_PAIRS = {"nonflat2_jetpair": ("nonflat2.json", ((1, 3),)),
                                   "canonical_k2.json", "constant_k2.json", "lc_k1.json",
                                   "lc_k1_broken.json", "nonflat2.json", *JET_PAIRS])
 def test_fused_transform_matches_the_leibniz_oracle(request, name):
-    """transform, which sums each entry's whole Leibniz expansion in one
-    _products call, against transform_oracle: the same entries, terms, text
-    and bases, on every fixture bracket and on two skew non-Poisson ones,
-    under the shift, both forward shifts and the product map at two seeds."""
+    """transform, which pulls P and J back and then sums each entry's whole
+    Leibniz expansion in one _products call, against transform_oracle: the
+    same entries, terms, text and bases, on every fixture bracket and on two
+    skew non-Poisson ones, under the shift, both forward shifts and the
+    product map at two seeds."""
     if name in JET_PAIRS:
         doc, jets = JET_PAIRS[name]
         b = with_jet_pair(load_bracket(fixture_path(doc)), jets)
@@ -486,3 +493,41 @@ def test_fused_transform_matches_the_leibniz_oracle(request, name):
 def test_fused_transform_matches_the_oracle_under_map_product(nonflat2):
     cmap = load_map(fixture_path("map_product.json"), 2)
     assert_same_entries(transform(nonflat2, cmap), transform_oracle(nonflat2, cmap), "map_product")
+
+
+def bench_workloads():
+    """bench/workloads.py, loaded from its file: the benchmark's bases and maps."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("dnbrackets_bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def generated_jacobi_inputs(seeds=(11, 3)):
+    """The generated_jacobi workload's items at each seed, with the same
+    draws: (label, base bracket, map, whether the base is Poisson) for every
+    base, jet pairs included, under each step of pass_families."""
+    W = bench_workloads()
+    for seed in seeds:
+        rng = random.Random(seed)
+        for name, (doc, jets, poisson) in W.JACOBI_BASES.items():
+            b = with_jet_pair(load_bracket(fixture_path(doc)), jets) if jets else load_bracket(fixture_path(doc))
+            for family in W.pass_families(b.n, rng):
+                cmap, _ = W.build_map(dnbrackets, b.n, family, rng)
+                yield f"{seed} | {name} | {W.family_label(family)}", b, cmap, poisson
+
+
+def test_transform_matches_the_leibniz_oracle_on_the_generated_jacobi_passes():
+    """Pulling back before the Leibniz sum gives transform_oracle's entries,
+    terms, text and bases on the benchmark's seven bases under every step of
+    its passes, at two seeds."""
+    names = set()
+    for label, b, cmap, _ in generated_jacobi_inputs():
+        assert_same_entries(transform(b, cmap), transform_oracle(b, cmap), label)
+        names.add(label.split(" | ")[1])
+    assert {"nonflat2_jetpair", "canonical_k2_quadtail"} <= names and len(names) == 7

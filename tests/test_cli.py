@@ -762,10 +762,16 @@ def test_entry_point_runs_as_module():
     assert "PASS" in proc.stdout
 
 
+# the names through which the os module reads the environment
+ENVIRONMENT_READERS = ("environ", "environb", "getenv", "getenvb")
+
+
 def test_package_imports_only_the_standard_library():
     """Every import in every module of the package is relative or names a
     module of the standard library, so the package runs with no dependency
-    installed; sympy and hypothesis stay test-only oracles."""
+    installed; sympy and hypothesis stay test-only oracles.  No module reads
+    the environment (os.environ, os.getenv), so no setting outside the
+    arguments changes what the package computes."""
     import dnbrackets
 
     package = os.path.dirname(dnbrackets.__file__)
@@ -777,6 +783,11 @@ def test_package_imports_only_the_standard_library():
         with open(path, encoding="utf-8") as fh:
             tree = ast.parse(fh.read(), name)
         for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READERS:
+                bad.append(f"{name}:{node.lineno} reads .{node.attr}")
+            if isinstance(node, ast.ImportFrom) and node.module == "os":
+                bad += [f"{name}:{node.lineno} imports os.{alias.name}" for alias in node.names
+                        if alias.name in ENVIRONMENT_READERS]
             if isinstance(node, ast.Import):
                 tops = [alias.name.split(".")[0] for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and not node.level:

@@ -1,16 +1,20 @@
 """Differential polynomials: signs, derivations, gradings, substitution."""
 
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
+from dnbrackets import diffpoly
+from dnbrackets.bracket import bivector
 from dnbrackets.cli import load_bracket
 from dnbrackets.diffpoly import (
     _DX_IMAGES,
     DiffPoly,
     JetVar,
     ThetaVar,
+    _alternating_sum,
     _derivation,
     _Images,
     _odd_mul,
@@ -31,7 +35,7 @@ from dnbrackets.spectral import (
     D_minus1_closed, _d1_closed_ops, _d1_images, _homotopy_images, _lowering_images, homotopy,
 )
 
-from conftest import S, fixture_path, kernel_draws
+from conftest import FIXTURE_DIR, S, fixture_path, kernel_draws
 from test_scalar import assert_base_matches
 
 
@@ -196,10 +200,12 @@ def test_variational_derivatives_match_the_power_sum_oracle(monkeypatch):
     draws = [random_diffpoly(rng, 2) for _ in range(150)]
     for a in draws:
         assert_variational_matches_the_oracle(a, 2)
-    # Horner's rule: no d_x power is built, and at most top d_x are applied
+    # Horner's rule: no d_x power is built, and d_x is applied at most top
+    # times, each time inside one fused step
     calls = []
-    d_x = DiffPoly.d_x
-    monkeypatch.setattr(DiffPoly, "d_x", lambda self: calls.append(self) or d_x(self))
+    parts = diffpoly._derivation_parts
+    monkeypatch.setattr(diffpoly, "_derivation_parts", lambda x, *rest: calls.append(x) or parts(x, *rest))
+    monkeypatch.setattr(DiffPoly, "d_x", None)
     monkeypatch.setattr(DiffPoly, "d_x_pow", None)
     for a in draws[:30]:
         for i in (1, 2):
@@ -209,6 +215,39 @@ def test_variational_derivatives_match_the_power_sum_oracle(monkeypatch):
             del calls[:]
             a.variational_theta(i)
             assert len(calls) <= max(a.max_theta_order(), 0)
+
+
+def horner_oracle(partial, i, top):
+    """_alternating_sum as a loop of whole DiffPoly steps, as it was before
+    its steps were fused: acc = partial(i, s) - d_x(acc), a product, a
+    negation and a sum per step."""
+    acc = DiffPoly.zero()
+    for s in range(top, -1, -1):
+        acc = partial(i, s) - acc.d_x() if acc else partial(i, s)
+    return acc
+
+
+def test_fused_horner_steps_match_the_step_by_step_loop():
+    """Both families of variational derivatives, whose Horner steps are one
+    _products call each, against horner_oracle: the same keys in the same
+    order, the same text and well-formed bases, on random_diffpoly draws and
+    on the bivector of every fixture document."""
+    rng = random.Random(73)
+    inputs = [(f"draw {k}", random_diffpoly(rng, n, max_theta=3), n)
+              for k, n in enumerate([1, 2, 3] * 40)]
+    names = sorted(f for f in os.listdir(FIXTURE_DIR) if not f.startswith("map_"))
+    for name in names:
+        b = load_bracket(fixture_path(name))
+        inputs.append((name, bivector(b), b.n))
+    steps = 0
+    for name, a, n in inputs:
+        for i in range(1, n + 1):
+            for partial, top in ((a._partial_jet, a.max_jet_order()), (a._partial_theta, a.max_theta_order())):
+                got, want = _alternating_sum(partial, i, top), horner_oracle(partial, i, top)
+                assert list(got.terms) == list(want.terms), (name, i, top)
+                assert_same_terms(got, want.terms, (name, i, top))
+                steps += max(top, 0)
+    assert steps > 500
 
 
 def test_variational_derivatives_match_the_oracle_on_hypothesis_draws():

@@ -6,29 +6,36 @@ import time
 
 import pytest
 
+from dnbrackets import jacobi
 from dnbrackets.bracket import (
     CoordinateMap,
     HomogeneousBracket,
+    _cached,
     check_skew,
     constant_bracket,
+    lower_metric,
     transform,
     validate,
 )
 from dnbrackets.cli import load_bracket
-from dnbrackets.diffpoly import DiffPoly, _sum, d_x
-from dnbrackets.errors import PreconditionError
+from dnbrackets.diffpoly import DiffPoly, _alternating_sum, _sum, d_x
+from dnbrackets.errors import DegenerateMetricError, PreconditionError
 from dnbrackets.jacobi import (
+    _DX_DEG_U_0,
+    _pairing,
+    _refuted_at_degree_zero,
     _trivector,
     apply_DP,
     check_jacobi,
     jacobi_defects,
     variational_pair,
 )
-from dnbrackets.sampling import random_constant_bracket, random_monomial
+from dnbrackets.lowdegree import all_pass, potemin_build, potemin_check
+from dnbrackets.sampling import random_constant_bracket, random_diffpoly, random_monomial
 from dnbrackets.scalar import Scalar
 
-from conftest import FIXTURE_DIR, S, cold_scalar_memos, kernel_draws
-from test_bracket import JET_PAIRS, elementary_map, with_jet_pair
+from conftest import FIXTURE_DIR, S, cold_scalar_memos, fixture_path, kernel_draws, nonflat2_data
+from test_bracket import JET_PAIRS, elementary_map, generated_jacobi_inputs, with_jet_pair
 
 
 def test_fixtures_satisfy_jacobi(nonflat2, lc1, canonical4, const2, const3):
@@ -279,3 +286,142 @@ def test_theta_family_decides_jacobi():
             assert not any(T.variational_u(i) for i in range(1, b.n + 1)), name
         seen[poisson] += 1
     assert seen[True] and seen[False]
+
+
+def degree_zero_horner(x, i):
+    """sum_s (-D)^s dx_0/dtheta_i^s for x_0 the deg_u-0 part of x and D d_x
+    without the chain rule, as _refuted_at_degree_zero computes it."""
+    x0 = x.project("deg_u", 0)
+    return _alternating_sum(x0._partial_theta, i, x0.max_theta_order(), _DX_DEG_U_0)
+
+
+def test_degree_zero_horner_is_the_projected_variational_derivative():
+    """On random_diffpoly draws, and on T for every fixture, constant draw,
+    moved bracket and generated_jacobi item, Poisson or not, the deg_u-0
+    Horner loop equals the deg_u-0 component of the variational derivative;
+    for T, T_0 is the pairing of the projected variational pair and the
+    refutation is exactly a nonzero component, never on a Poisson bracket."""
+    rng = random.Random(67)
+    for k, n in enumerate([1, 2, 3] * 30):
+        x = random_diffpoly(rng, n, max_theta=3)
+        for i in range(1, n + 1):
+            assert degree_zero_horner(x, i) == x.variational_theta(i).project("deg_u", 0), (k, i)
+    inputs = [(name, b, None) for name, b in [*fixture_brackets().items(), *constant_draws()]]
+    inputs += [(name, b, poisson) for name, b, poisson in moved_brackets()]
+    inputs += [(label, transform(b, cmap), poisson) for label, b, cmap, poisson in generated_jacobi_inputs()]
+    refuted = {True: 0, False: 0}
+    for name, b, poisson in inputs:
+        T = _trivector(b)
+        ddtheta, ddu = variational_pair(b)
+        T0 = _pairing([t.project("deg_u", 0) for t in ddtheta], [u.project("deg_u", 0) for u in ddu])
+        assert T0 == T.project("deg_u", 0), name
+        components = [T.variational_theta(i).project("deg_u", 0) for i in range(1, b.n + 1)]
+        assert [degree_zero_horner(T, i) for i in range(1, b.n + 1)] == components, name
+        verdict = _refuted_at_degree_zero(b)
+        assert verdict == any(components), name
+        if verdict:
+            assert not poisson and jacobi_defects(b), name
+        refuted[verdict] += 1
+    assert refuted[True] >= 10 and refuted[False] >= 10
+
+
+def count_trivector_builds(monkeypatch) -> list:
+    """Replace jacobi._trivector by a cached wrapper that records each build."""
+    built, build = [], jacobi._trivector.__wrapped__
+
+    @_cached
+    def counting_build(b):
+        built.append(b)
+        return build(b)
+
+    monkeypatch.setattr(jacobi, "_trivector", counting_build)
+    return built
+
+
+def test_refutation_at_degree_zero_builds_no_trivector(monkeypatch):
+    """lc_k1_broken, and nonflat2 with its jet pair under every step of the
+    generated_jacobi passes, are refuted at deg_u 0: check_jacobi says False
+    without building T.  A Poisson bracket still builds it once."""
+    broken = load_bracket(fixture_path("lc_k1_broken.json"))
+    inputs = [("lc_k1_broken", broken)]
+    inputs += [(label, transform(b, cmap)) for label, b, cmap, _ in generated_jacobi_inputs()
+               if " nonflat2_jetpair " in label or " lc_k1_broken " in label]
+    assert len(inputs) == 13
+    built = count_trivector_builds(monkeypatch)
+    for label, b in inputs:
+        assert not check_jacobi(b), label
+    assert built == []
+    lc1 = load_bracket(fixture_path("lc_k1.json"))
+    assert check_jacobi(lc1) and built == [lc1]
+    assert jacobi_defects(broken) and built == [lc1, broken]  # the full list still reads T
+
+
+def test_jet_pair_under_two_quadratic_bends_refuted_within_budget():
+    """nonflat2 with the jet pair u^{1,3} at P_0^{12}, through u1 -> u1 + u2^2
+    and then u2 -> u2 + u1^2, is not Poisson, and check_jacobi says so within
+    1.5 s of CPU time from cold memos.
+
+    Reading the first defect off T took 2.3 to 2.7 s of CPU time on a 2-CPU
+    x86_64 host with Python 3.11.7; the deg_u-0 refutation took 0.17 to
+    0.26 s there.
+    """
+    u1, u2 = Scalar.coordinate(1), Scalar.coordinate(2)
+    first = CoordinateMap(2, [u1 + u2**2, u2], [u1 - u2**2, u2])
+    second = CoordinateMap(2, [u1, u2 + u1**2], [u1, u2 - u1**2])
+    doc, jets = JET_PAIRS["nonflat2_jetpair"]
+    moved = transform(transform(with_jet_pair(load_bracket(fixture_path(doc)), jets), first), second)
+    assert validate(moved) == [] and check_skew(moved)
+    cold_scalar_memos()
+    start = time.process_time()
+    assert not check_jacobi(moved)
+    elapsed = time.process_time() - start
+    assert elapsed < 1.5, f"check_jacobi took {elapsed:.1f} s of CPU time"
+
+
+def monge_data(terms):
+    """(g, c) of the n = 2 Monge metric (Ferapontov-Pavlov-Vitolo): g = L^-1
+    for L = sum_a phi_a psi^a (x) psi^a, psi^a_j = a^a_j + sum_k B^a_kj u^k
+    with B^a skew, given as (phi_a, (a^a_1, a^a_2), B^a_12); the tail is
+    c^{ij}_l = sum_{p,q} g^{ip} g^{jq} c_{qpl} for the lowered
+    c_{nkm} = (d_k L_{nm} - d_m L_{nk})/3."""
+    u1, u2 = Scalar.coordinate(1), Scalar.coordinate(2)
+    psis = [(phi, (a1 - beta * u2, a2 + beta * u1)) for phi, (a1, a2), beta in terms]
+    zero = Scalar.zero()
+    L = [[sum((phi * p[i] * p[j] for phi, p in psis), zero) for j in range(2)] for i in range(2)]
+    g = lower_metric(L)
+    low = [[[(L[a][m].partial(k + 1) - L[a][k].partial(m + 1)) / 3 for m in range(2)]
+            for k in range(2)] for a in range(2)]
+    c = [[[sum((g[i][p] * g[j][q] * low[q][p][l] for p in range(2) for q in range(2)), zero)
+           for l in range(2)] for j in range(2)] for i in range(2)]
+    return g, c
+
+
+def test_monge_builder_gives_nonflat2():
+    # phi = (1, 1), psi^1 = e_1 and psi^2 = (u2, -u1)
+    assert monge_data([(1, (1, 0), 0), (1, (0, 0), -1)]) == nonflat2_data()
+
+
+def test_check_jacobi_agrees_with_potemin_check_on_monge_draws():
+    """Seeded n = 2 Monge brackets with two and three terms: check_jacobi's
+    verdict is potemin_check's.  The non-Poisson draws fail only condition
+    (4) and are not refuted at deg_u 0, so they take the path through T."""
+    rng = random.Random(3)
+    verdicts = []
+    for terms in (2, 3):
+        drawn = 0
+        while drawn < 6:
+            draw = [(rng.choice((1, -1, 2)), (rng.randint(-2, 2), rng.randint(-2, 2)), rng.randint(-2, 2))
+                    for _ in range(terms)]
+            try:
+                g, c = monge_data(draw)
+            except DegenerateMetricError:
+                continue
+            drawn += 1
+            b = potemin_build(g, c)
+            report = potemin_check(g, c)
+            assert check_skew(b) and check_jacobi(b) == all_pass(report), draw
+            if not all_pass(report):
+                assert [r.name for r in report if not r.passed] == ["(4) derivative identity"], draw
+                assert not _refuted_at_degree_zero(b), draw
+            verdicts.append(all_pass(report))
+    assert verdicts.count(False) >= 3 and verdicts.count(True) >= 6

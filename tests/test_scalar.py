@@ -707,8 +707,8 @@ def test_coefficients_stay_int_through_dp_squared(monkeypatch):
     memo = []
     cached = scalar._partial
 
-    def recording(a, i):
-        out = cached(a, i)
+    def recording(a, *key):
+        out = cached(a, *key)
         memo.append((a, out))
         return out
 
@@ -1534,9 +1534,9 @@ def test_failed_divisions_leave_every_result_unchanged(monkeypatch):
     partial and _sum_products on the shaped and drawn groups give the same
     _n, _d and _b, the base's factors in the same order.  The values are
     built first, since factors take their roots from _residue, and the memos
-    are emptied before each pass, since a memoised derivative is an equal
-    value that may carry another base, and afterwards, since a factor made
-    while _residue is forced has a wrong root."""
+    are emptied before each pass, so that the forced pass computes every
+    derivative again, and afterwards, since a factor made while _residue is
+    forced has a wrong root."""
     groups = shaped_groups() + drawn_groups()
     f = next(iter(S("1/(2*u1 - u2)")._b[1]))
 
@@ -1651,3 +1651,22 @@ def test_uncertified_denominators_match_reduce_byte_for_byte():
     for _ in range(40):
         group = [(rng.choice((1, -1)), rng.choice(values), rng.choice(values)) for _ in range(3)]
         assert_sum_matches(group, group)
+
+
+def test_memoised_derivatives_carry_the_base_of_their_operand():
+    """(1/A)**2 * (1/B) and 1/(A^2 B) are equal values with the bases
+    {A: 2, B: 1} and {AB: 1, A: 1}: differentiated in either order, each
+    derivative carries the base it gets from cold memos, not the base of
+    whichever equal value reached the partial memo first."""
+    A, B = "(2*u2 + u1 - 2*u1^2)", "(2*u1 - u2)"
+    values = {"product": (1 / S(A)) ** 2 * (1 / S(B)), "parsed": S(f"1/({A}^2*{B})")}
+    assert values["product"] == values["parsed"] and values["product"]._b != values["parsed"]._b
+    cold = {}
+    for name, x in values.items():
+        cold_scalar_memos()
+        cold[name] = [x.partial(i)._b for i in (1, 2)]
+    assert cold["product"] != cold["parsed"]
+    for order in (("product", "parsed"), ("parsed", "product")):
+        cold_scalar_memos()
+        for name in order:
+            assert [values[name].partial(i)._b for i in (1, 2)] == cold[name], (order, name)
