@@ -24,9 +24,11 @@ from itertools import chain, product
 from math import comb
 from types import MappingProxyType
 
-from .diffpoly import DiffPoly, ThetaVar, _dx_upto, _products, _sum
+from .diffpoly import DiffPoly, ThetaVar, _dx_upto, _odd_mul, _products
 from .errors import DegenerateMetricError
-from .scalar import Scalar
+from .scalar import Scalar, _sum_products
+
+_ONE = Scalar.one()
 
 
 @dataclass(frozen=True)
@@ -126,12 +128,10 @@ def validate(b: HomogeneousBracket) -> list[str]:
 
 @_cached
 def bivector(b: HomogeneousBracket) -> DiffPoly:
-    """The odd encoding 1/2 sum P_s^{ij} theta_i theta_j^s."""
+    """The odd encoding 1/2 sum P_s^{ij} theta_i theta_j^s, in one _products call."""
     half = Scalar.from_fraction(1) / 2
-    return _sum(
-        entry * DiffPoly.theta(i, 0) * DiffPoly.theta(j, s) * half
-        for (i, j, s), entry in b.P.items()
-    )
+    return _products((entry.terms.items(), (), om[1], om[0], half)
+                     for (i, j, s), entry in b.P.items() if (om := _odd_mul(((0, i),), ((s, j),))))
 
 
 @_cached
@@ -208,22 +208,22 @@ def check_skew(b: HomogeneousBracket) -> bool:
 
 
 def skewh_defects(b: HomogeneousBracket) -> list[tuple[str, Scalar]]:
-    """Skewness conditions written on the named coefficients (g, h)."""
+    """Skewness conditions written on the named coefficients (g, h), each
+    defect one _sum_products list with the binomials as constant factors."""
     named = extract_named(b)
     g, h, k = named.g, named.h, named.k
     sign = 1 if (k + 1) % 2 == 0 else -1
     out = [
         (f"g^{{{j+1}{i+1}}} - ({sign})*g^{{{i+1}{j+1}}}", defect)
         for (i, j), gij in _components(g, 2)
-        if (defect := g[j][i] - sign * gij)
+        if (defect := _sum_products([(1, g[j][i], _ONE), (-sign, gij, _ONE)]))
     ]
+    binom = [[Scalar.from_fraction(comb(t, s)) for s in range(k + 1)] for t in range(k + 1)]
     for s, hs in enumerate(h):
         for (i, j, l), hsijl in _components(hs, 3):
-            rhs = comb(k, s) * g[i][j].partial(l + 1)
-            for t in range(s, k):
-                term = comb(t, s) * h[t][j][i][l]
-                rhs = rhs + (term if (t + 1) % 2 == 0 else -term)
-            if defect := hsijl - rhs:
+            triples = [(1, hsijl, _ONE), (-1, binom[k][s], g[i][j].partial(l + 1))]
+            triples += [(-1 if t % 2 else 1, binom[t][s], h[t][j][i][l]) for t in range(s, k)]
+            if defect := _sum_products(triples):
                 out.append((f"h_({s})^{{{i+1}{j+1}}}_{l+1} constraint", defect))
     return out
 
@@ -353,7 +353,8 @@ def _gauss_jordan(rows: list) -> tuple[list, list]:
         for r in range(len(rows)):
             if r != top and not rows[r][col].is_zero:
                 factor = rows[r][col]
-                rows[r] = [a - factor * c for a, c in zip(rows[r], rows[top])]
+                rows[r] = [_sum_products([(1, a, _ONE), (-1, factor, c)]) if c else a
+                           for a, c in zip(rows[r], rows[top])]
         pivots.append(col)
     return rows, pivots
 

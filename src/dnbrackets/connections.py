@@ -18,7 +18,7 @@ bracket is Poisson.  Curvature follows the convention
 
 with the differentiation direction in the first lower Christoffel slot;
 R is antisymmetric in (i, j).  All tensor arrays here are 0-based nested
-lists of Scalars.
+lists of Scalars, each sum of products one scalar._sum_products list.
 """
 
 from __future__ import annotations
@@ -37,7 +37,9 @@ from .bracket import (
     lower_metric,
     metric_pair,
 )
-from .scalar import Scalar
+from .scalar import Scalar, _sum_products
+
+_ONE = Scalar.one()
 
 __all__ = [
     "Connection",
@@ -93,11 +95,12 @@ def standard_connection(b: HomogeneousBracket, s: int) -> Connection:
     if not 0 <= s <= b.k - 1:
         raise ValueError(f"s must lie in 0..{b.k - 1}, got {s}")
     named, glow = metric_pair(b)
-    factor = Scalar.from_fraction(Fraction(-1, comb(b.k, s)))
     h = named.h[s]
+    inv = Scalar.from_fraction(Fraction(1, comb(b.k, s)))  # scales the rows of g once
+    glow = [[x * inv for x in row] for row in glow]
 
     def entry(l, i, j):
-        return factor * sum((gip * hip[l][j] for gip, hip in zip(glow[i], h)), Scalar.zero())
+        return _sum_products([(-1, gip, hip[l][j]) for gip, hip in zip(glow[i], h)])
 
     return Connection(n=b.n, gamma=_tensor(b.n, 3, entry))
 
@@ -134,10 +137,10 @@ def flat_combination(b: HomogeneousBracket, s: int) -> Connection:
     if not 0 <= s <= b.k - 1:
         raise ValueError(f"s must lie in 0..{b.k - 1}, got {s}")
     row = c_matrix(b.k).c[s]
-    parts = [(standard_connection(b, t).gamma, ct) for t, ct in enumerate(row) if ct]
+    parts = [(standard_connection(b, t).gamma, Scalar.from_fraction(ct)) for t, ct in enumerate(row) if ct]
 
     def entry(l, i, j):
-        return sum((G[l][i][j] * ct for G, ct in parts), Scalar.zero())
+        return _sum_products([(1, G[l][i][j], ct) for G, ct in parts])
 
     return Connection(n=b.n, gamma=_tensor(b.n, 3, entry))
 
@@ -149,10 +152,10 @@ def curvature(conn: Connection) -> CurvatureTensor:
         """R^l_{t,i,j} over (i, j): computed for i < j, mirrored for i > j."""
         B = _tensor(n, 2, lambda i, j: Scalar.zero())
         for i, j in combinations(range(n), 2):
-            val = G[l][j][t].partial(i + 1) - G[l][i][t].partial(j + 1)
+            triples = [(1, G[l][j][t].partial(i + 1), _ONE), (-1, G[l][i][t].partial(j + 1), _ONE)]
             for q in range(n):
-                val = val + G[l][i][q] * G[q][j][t] - G[l][j][q] * G[q][i][t]
-            B[i][j], B[j][i] = val, -val
+                triples += (1, G[l][i][q], G[q][j][t]), (-1, G[l][j][q], G[q][i][t])
+            B[i][j], B[j][i] = (val := _sum_products(triples)), -val
         return B
 
     return CurvatureTensor(n=n, R=_tensor(n, 2, block))
@@ -192,16 +195,16 @@ def nabla_tensor(conn: Connection, g: list, variance: str) -> list:
     n, G = conn.n, conn.gamma
 
     def upper(l, i, j):
-        val = g[i][j].partial(l + 1)
+        triples = [(1, g[i][j].partial(l + 1), _ONE)]
         for q in range(n):
-            val = val + G[i][l][q] * g[q][j] + G[j][l][q] * g[i][q]
-        return val
+            triples += (1, G[i][l][q], g[q][j]), (1, G[j][l][q], g[i][q])
+        return _sum_products(triples)
 
     def lower(l, i, j):
-        val = g[i][j].partial(l + 1)
+        triples = [(1, g[i][j].partial(l + 1), _ONE)]
         for q in range(n):
-            val = val - G[q][l][i] * g[q][j] - G[q][l][j] * g[i][q]
-        return val
+            triples += (-1, G[q][l][i], g[q][j]), (-1, G[q][l][j], g[i][q])
+        return _sum_products(triples)
 
     if variance not in ("upper", "lower"):
         raise ValueError(f"variance must be 'upper' or 'lower', got {variance!r}")

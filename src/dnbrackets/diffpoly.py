@@ -50,6 +50,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import chain
 
 from .scalar import (
@@ -363,21 +364,22 @@ class DiffPoly:
         the jet u^{i,s} by the DiffPoly jet_map[(i, s)] and theta_i^s by
         theta_map[(s, i)].  Unmapped generators are left alone; one mapped to
         the zero DiffPoly is killed.  Jet images must be even; theta images
-        must be odd (this is the caller's responsibility).
+        must be odd (this is the caller's responsibility).  Each distinct jet
+        monomial's image is built once, and the terms are summed in one _products call.
         """
         jm, tm = jet_map or {}, theta_map or {}
+        images: dict = {}  # each distinct jet monomial's image
 
-        def image(even, odd, c):
-            acc = DiffPoly.from_scalar(c.subs(coord_map) if coord_map else c)
-            for (i, s), e in even:
-                img = jm.get((i, s))
-                acc = acc * (DiffPoly.jet(i, s) if img is None else img) ** e
-            for s, i in odd:
-                img = tm.get((s, i))
-                acc = acc * (DiffPoly.theta(i, s) if img is None else img)
-            return acc
+        def parts():
+            for (even, odd), c in self.terms.items():
+                if (acc := images.get(even)) is None:
+                    powers = [(DiffPoly.jet(*v) if (img := jm.get(v)) is None else img) ** e for v, e in even]
+                    acc = images[even] = reduce(operator.mul, powers) if powers else DiffPoly.one()
+                for s, i in odd if tm else ():  # mapped thetas multiply in the order of the word
+                    acc = acc * (DiffPoly.theta(i, s) if (img := tm.get((s, i))) is None else img)
+                yield acc.terms.items(), (), () if tm else odd, 1, c.subs(coord_map) if coord_map else c
 
-        return _sum(image(even, odd, c) for (even, odd), c in self.terms.items())
+        return _products(parts())
 
     # -- printing -------------------------------------------------------
 

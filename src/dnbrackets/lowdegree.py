@@ -10,13 +10,15 @@ are cross-checked against the generic machinery.
 
 The reports returned here are lists of ConditionResult, the record every
 check of the package returns (the command line's included); use all_pass to
-collapse them.
+collapse them.  Each sum of products is one kernel call: a scalar._sum_products
+list, or one diffpoly._products call for a normal-form tail.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import chain, combinations_with_replacement, product
 
 from .bracket import (
@@ -34,9 +36,11 @@ from .connections import (
     standard_connection,
     torsion,
 )
-from .diffpoly import DiffPoly, _sum
+from .diffpoly import _EMPTY_KEY, DiffPoly, _products
 from .errors import DegenerateMetricError
-from .scalar import Scalar
+from .scalar import Scalar, _sum_products
+
+_ONE = Scalar.one()
 
 
 @dataclass
@@ -145,16 +149,17 @@ def quadratic_tail(b: HomogeneousBracket, s: int = 0) -> list:
 
 def _quadratic_term(glow: list, cc: list):
     """(i, j, q, l) -> 1/2 sum_{p,r} g_pr (c^{ri}_q c^{pj}_l + c^{ri}_l c^{pj}_q), the
-    quadratic term of Ferguson's (e), as 1/2 sum_r (c^{ri}_q gc[r][j][l] +
-    c^{ri}_l gc[r][j][q]) through gc[r][j][l] = sum_p g_pr c^{pj}_l, made once."""
+    quadratic term of Ferguson's (e), as sum_r (c^{ri}_q gc[r][j][l] +
+    c^{ri}_l gc[r][j][q]) through gc[r][j][l] = 1/2 sum_p g_pr c^{pj}_l, made once."""
     n = len(glow)
-    gc = _tensor(n, 3, lambda r, j, l: sum(
-        (glow[p][r] * cc[p][j][l] for p in range(n)), Scalar.zero()))
     half = Scalar.from_fraction(1) / 2
+    ghalf = [[x * half for x in row] for row in glow]
+    gc = _tensor(n, 3, lambda r, j, l: _sum_products(
+        [(1, ghalf[p][r], cc[p][j][l]) for p in range(n)]))
 
     def term(i, j, q, l):
-        return sum((cc[r][i][q] * gc[r][j][l] + cc[r][i][l] * gc[r][j][q] for r in range(n)),
-                   Scalar.zero()) * half
+        return _sum_products([t for r in range(n) for t in ((1, cc[r][i][q], gc[r][j][l]),
+                                                             (1, cc[r][i][l], gc[r][j][q]))])
 
     return term
 
@@ -183,8 +188,8 @@ def ferguson_check(b: HomogeneousBracket) -> list:
         quad_term = _quadratic_term(glow, cc)
 
         def defect(i, j, q, l):
-            sym_deriv = (cc[i][j][q].partial(l + 1) + cc[i][j][l].partial(q + 1)) * half
-            return q_tail[i][j][q][l] - (sym_deriv - quad_term(i, j, q, l))
+            return _sum_products([(1, q_tail[i][j][q][l], _ONE), (1, quad_term(i, j, q, l), _ONE),
+                                  (-1, cc[i][j][q].partial(l + 1), half), (-1, cc[i][j][l].partial(q + 1), half)])
 
         yield from _labelled(b.n, 4, "c^{{{0}{1}}}_{{{2}{3}}} defect", defect)
 
@@ -233,9 +238,10 @@ def potemin_build(g: list, c: list) -> HomogeneousBracket:
             raise ValueError(f"leading coefficient must be symmetric: entry ({i+1},{j+1})")
     lower_metric(g)  # raises DegenerateMetricError on singular input
     P = {}  # zero entries are dropped by HomogeneousBracket
+    unit = ((_EMPTY_KEY, _ONE),)
     for i, j in product(range(n), repeat=2):
         gij = DiffPoly.from_scalar(g[i][j])
-        cu = _sum(DiffPoly.jet(l + 1, 1) * cl for l, cl in enumerate(c[i][j]))
+        cu = _products((unit, (((l + 1, 1), 1),), (), 1, cl) for l, cl in enumerate(c[i][j]) if cl)
         P[(i + 1, j + 1, 3)] = gij
         P[(i + 1, j + 1, 2)] = gij.d_x() + cu
         P[(i + 1, j + 1, 1)] = cu.d_x()
@@ -250,21 +256,17 @@ def potemin_check(g: list, c: list) -> list:
 
     def gc_entry(i, j, l):
         """(gc)^{ijl} = g^{is} c^{jl}_s."""
-        return sum((gis * cs for gis, cs in zip(g[i], c[j][l])), Scalar.zero())
+        return _sum_products([(1, gis, cs) for gis, cs in zip(g[i], c[j][l])])
 
     gc = _tensor(n, 3, gc_entry)
 
     def derivative_identity(i, j, l, m):
         """(4) at (i, j, l, m): g^{ls} d_m c^{ij}_s minus its right-hand side."""
-        val = Scalar.zero()
+        triples = []
         for s in range(n):
-            val = (
-                val
-                + g[l][s] * c[i][j][s].partial(m + 1)
-                - (c[i][l][s] - c[l][i][s]) * c[s][j][m]
-                + c[l][j][s] * g[s][i].partial(m + 1)
-            )
-        return val
+            triples += ((1, g[l][s], c[i][j][s].partial(m + 1)), (-1, c[i][l][s], c[s][j][m]),
+                        (1, c[l][i][s], c[s][j][m]), (1, c[l][j][s], g[s][i].partial(m + 1)))
+        return _sum_products(triples)
 
     return _charge_setup(t0, [
         _condition("(1) dg = c + c^T", _labelled(
@@ -294,9 +296,9 @@ def _det_adj(a: list) -> tuple:
     cols = range(n)
     m = [[Scalar.one() if i == j else Scalar.zero() for j in cols] for i in cols]
     for k in range(1, n + 1):
-        am = [[sum((x * m[l][j] for l, x in enumerate(row) if x), Scalar.zero()) for j in cols]
+        am = [[_sum_products([(1, x, m[l][j]) for l, x in enumerate(row)]) for j in cols]
               for row in a]
-        c = -sum((am[i][i] for i in cols), Scalar.zero()) / k
+        c = _sum_products([(-1, am[i][i], _ONE) for i in cols]) / k
         if k == n:
             return (-c, m) if n % 2 else (c, [[-x for x in row] for row in m])
         m = [[x + c if i == j else x for j, x in enumerate(row)] for i, row in enumerate(am)]
@@ -330,19 +332,19 @@ def k4_connection_fixtures(b: HomogeneousBracket) -> list:
 
     def combo(coeffs):
         """Gamma^l_{ij} = g_{ii'} X^{i'l}_j with X = sum of coeffs[name] * tails[name]."""
-        parts = [(tails[name], f) for name, f in coeffs.items()]
-        X = _tensor(n, 3, lambda i, l, j: sum((T[i][l][j] * f for T, f in parts), Scalar.zero()))
+        parts = [(tails[name], Scalar.from_fraction(f)) for name, f in coeffs.items()]
+        X = _tensor(n, 3, lambda i, l, j: _sum_products([(1, T[i][l][j], f) for T, f in parts]))
 
         def entry(l, i, j):
-            return sum((gip * Xip[l][j] for gip, Xip in zip(glow[i], X)), Scalar.zero())
+            return _sum_products([(1, gip, Xip[l][j]) for gip, Xip in zip(glow[i], X)])
 
         return _tensor(n, 3, entry)
 
     fixtures = [
         ("Gamma_(0) = -g e", standard_connection(b, 0).gamma, combo({"e": -1})),
-        ("Gamma_(1) = -1/4 g d", standard_connection(b, 1).gamma, combo({"d": Scalar.from_fraction(-1) / 4})),
-        ("Gamma_(2) = -1/6 g c", standard_connection(b, 2).gamma, combo({"c": Scalar.from_fraction(-1) / 6})),
-        ("Gamma_(3) = -1/4 g b", standard_connection(b, 3).gamma, combo({"b": Scalar.from_fraction(-1) / 4})),
+        ("Gamma_(1) = -1/4 g d", standard_connection(b, 1).gamma, combo({"d": Fraction(-1, 4)})),
+        ("Gamma_(2) = -1/6 g c", standard_connection(b, 2).gamma, combo({"c": Fraction(-1, 6)})),
+        ("Gamma_(3) = -1/4 g b", standard_connection(b, 3).gamma, combo({"b": Fraction(-1, 4)})),
         ("Gamma_[1] = g (d - 5e)", flat_combination(b, 1).gamma, combo({"d": 1, "e": -5})),
         ("Gamma_[2] = g (-c + 5d - 15e)", flat_combination(b, 2).gamma, combo({"c": -1, "d": 5, "e": -15})),
         ("Gamma_[3] = g (b - 5c + 15d - 35e)", flat_combination(b, 3).gamma, combo({"b": 1, "c": -5, "d": 15, "e": -35})),

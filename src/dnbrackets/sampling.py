@@ -14,7 +14,7 @@ from itertools import combinations
 from .bracket import HomogeneousBracket, _tensor, constant_bracket, lower_metric
 from .diffpoly import DiffPoly, _sum, _wrap
 from .errors import DegenerateMetricError
-from .scalar import Scalar
+from .scalar import Scalar, _sum_products
 
 
 def random_fraction(rng: random.Random, span: int = 5) -> Fraction:
@@ -24,14 +24,14 @@ def random_fraction(rng: random.Random, span: int = 5) -> Fraction:
 
 
 def random_polynomial(rng: random.Random, n: int, terms: int = 2, deg: int = 2) -> Scalar:
-    """A small polynomial in the coordinates u^1..u^n."""
-    monomials = []
+    """A small polynomial in the coordinates u^1..u^n, in one _sum_products list."""
+    triples = []
     for _ in range(rng.randint(1, terms)):
-        mono = Scalar.from_fraction(random_fraction(rng))
+        coef, mono = Scalar.from_fraction(random_fraction(rng)), Scalar.one()
         for _ in range(rng.randint(0, deg)):
             mono = mono * Scalar.coordinate(rng.randint(1, n))
-        monomials.append(mono)
-    return sum(monomials, Scalar.zero())
+        triples.append((1, coef, mono))
+    return _sum_products(triples)
 
 
 def random_scalar(rng: random.Random, n: int, terms: int = 2, deg: int = 2) -> Scalar:

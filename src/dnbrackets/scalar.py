@@ -859,13 +859,16 @@ def _sum_products(triples) -> Scalar:
     one sum over the lcm of the products' denominators: each numerator n_a n_b
     over c_a c_b prod f^(e_a + e_b) is scaled by its complement in the lcm,
     term by term into one accumulator, and only a nonzero sum is offered to
-    _strip, with every factor of the lcm as a candidate.  + passes its two
-    summands here as products by 1, and a lone product is _mul's."""
+    _strip, with every factor of the lcm as a candidate.  A product with a
+    zero factor is skipped.  + passes its two summands here as products by
+    1, and a lone product is _mul's."""
     if len(triples) == 1:
         ((sign, a, b),) = triples
         return _mul(a, b) if sign > 0 else -_mul(a, b)
     parts, c, exps = [], 1, {}
     for sign, a, b in triples:
+        if not a._n or not b._n:
+            continue
         (ca, ba), (cb, bb) = a._b, b._b
         cp = ca * cb
         if c % cp:

@@ -24,25 +24,26 @@ D_P's in jacobi over the d_x chains, D_{-1}'s from g and the homotopy's
 from the lowered metric, the closed form's from the tails, the connection
 form's as closed-form images read off g, the lowered metric and Gamma_[s]
 alone, and d1_spectral's as D_P's images of the generators of B,
-projected onto B before any product is taken (d1_spectral says why that is
-exact).  Each table builds a generator's image once per bracket, and holds
-the bracket's data, never the bracket, so a bracket's cache refers to
-nothing that refers back to it.  The three d_1 computations share no formula.
+projected onto B before any product is taken (d1_spectral and
+_d1_spectral_ops say why that is exact).  Each table builds a generator's
+image once per bracket, and holds the bracket's data, never the bracket, so
+a bracket's cache refers to nothing that refers back to it; each of its sums
+of products is one kernel call.  The three d_1 computations share no formula.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 from .bracket import HomogeneousBracket, _cached, _tensor, extract_named, metric_pair
 from .connections import flat_combination
-from .diffpoly import DiffPoly, _derivation, _dx_upto, _Images, _sum, _wrap
+from .diffpoly import DiffPoly, _derivation, _Images, _products, _wrap
 from .errors import PreconditionError
-from .jacobi import _dx_chains, apply_DP, check_jacobi
-from .scalar import Scalar
+from .jacobi import _DX_DEG_U_0, apply_DP, check_jacobi, variational_pair
+from .scalar import Scalar, _sum_products
 
 __all__ = [
     "require_poisson",
@@ -88,8 +89,8 @@ def apply_D_graded(b: HomogeneousBracket, m: int, a: DiffPoly) -> DiffPoly:
 
 
 def _row_sum(row: list, make, order: int) -> DiffPoly:
-    """sum_j make(j, order) * row[j-1], each generator on the left."""
-    return _sum(make(j, order) * m for j, m in enumerate(row, 1) if m)
+    """sum_j make(j, order) * row[j-1], each generator on the left, in one _products call."""
+    return _products((make(j, order).terms.items(), (), (), 1, m) for j, m in enumerate(row, 1) if m)
 
 
 def _row_sums(matrix: list, make, order: int) -> list:
@@ -176,12 +177,16 @@ def include_B(a: DiffPoly, k: int) -> DiffPoly:
 @_cached
 def _d1_spectral_ops(b: HomogeneousBracket) -> tuple:
     """The images of D_P on the generators of B, projected onto B, built once
-    per bracket: u^i keyed (i, 0) and theta_l^s (s <= k) keyed (l, s)."""
-    k, theta, u = b.k, _dx_chains(b, "theta"), _dx_chains(b, "u")
-    coords = {(i, 0): project_B(chain[0], k) for i, chain in enumerate(theta, 1)}
-    thetas = {(l, s): project_B(_dx_upto(u[l - 1], s), k)
-              for s in range(k + 1) for l in range(1, b.n + 1)}
-    return coords, thetas
+    per bracket: u^i keyed (i, 0) and theta_l^s (s <= k) keyed (l, s), the
+    latter stepped as project_B(D thetas[l, s-1]) for D d_x's theta table
+    alone (jacobi._DX_DEG_U_0).  Exact: d_x maps no term outside B into B (it
+    raises orders; its chain rule adds a jet), and on B it is D plus terms
+    with a jet, so project_B d_x^s = (project_B D)^s project_B."""
+    k, (ddtheta, ddu) = b.k, variational_pair(b)
+    thetas = {(l, 0): project_B(v, k) for l, v in enumerate(ddu, 1)}
+    for s, l in product(range(1, k + 1), range(1, b.n + 1)):
+        thetas[l, s] = project_B(_derivation(thetas[l, s - 1], *_DX_DEG_U_0), k)
+    return {(i, 0): project_B(v, k) for i, v in enumerate(ddtheta, 1)}, thetas
 
 
 @_cached
@@ -222,18 +227,19 @@ def _d1_closed_ops(b: HomogeneousBracket) -> tuple:
     named = extract_named(b)
     n, k = b.n, b.k
     h = named.h + [_tensor(n, 3, lambda i, j, l: named.g[i][j].partial(l + 1))]
+    factor = {(s, r, t): Scalar.from_fraction(Fraction((-1) ** (k - t) * cf, 2))
+              for s, r, t in product(range(k + 1), repeat=3) if (cf := comb(k + s - t, r))}
 
     def w(s, l, orders):
-        terms = (
-            DiffPoly.theta(i, r) * DiffPoly.theta(j, k + s - r) * (hv * ((-1) ** (k - t) * cf))
+        return _products(  # theta_i^r times its constant factor, times h theta_j^{k+s-r}
+            (((((), ((r, i),)), f),), (), ((k + s - r, j),), 1, hv)
             for r in orders
             for t in range(0, k + 1)
-            if (cf := comb(k + s - t, r))
+            if (f := factor.get((s, r, t)))
             for i in range(1, n + 1)
             for j in range(1, n + 1)
             if (hv := h[t][i - 1][j - 1][l - 1])
         )
-        return _sum(terms) * Fraction(1, 2)
 
     generators = [(l, s) for s in range(k + 1) for l in range(1, n + 1)]
     up = {(l, s): w(s, l, {s, k}) for l, s in generators}
@@ -274,13 +280,11 @@ def _d1_connection_ops(b: HomogeneousBracket) -> tuple:
     V = _row_sums(named.g, DiffPoly.theta, k)
     pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
 
-    def image(l, s):
-        if s == k:
-            return _sum(V[i - 1] * V[j - 1] * dg for i, j in pairs
-                        if (dg := glow[l - 1][j - 1].partial(i)))
-        gamma = flat_combination(b, s).gamma
-        return _sum(V[i - 1] * DiffPoly.theta(j, s) * gv for i, j in pairs
-                    if (gv := gamma[j - 1][i - 1][l - 1]))
+    def image(l, s):  # sum V_i theta_j^s M_ij, M_ij Gamma_[s]^j_{il} or sum_p g^{pj} dg_{lp}/du^i
+        gamma = flat_combination(b, s).gamma if s < k else None
+        M = {(i, j): gamma[j - 1][i - 1][l - 1] if gamma else _sum_products(
+            [(1, named.g[p][j - 1], glow[l - 1][p].partial(i)) for p in range(n)]) for i, j in pairs}
+        return _products((V[i - 1].terms.items(), (), ((s, j),), 1, m) for (i, j), m in M.items() if m)
 
     coords = {(i, 0): v for i, v in enumerate(V, 1)}
     thetas = {(l, s): image(l, s) for s in range(k + 1) for l in range(1, n + 1)}

@@ -905,6 +905,27 @@ def test_only_scalar_reads_the_scalar_layout():
     assert {"_collect", "_factor_str", "_term_count"} <= imported  # the scan saw the imports
 
 
+def test_no_builtin_sum_starts_from_a_zero_scalar_or_diffpoly():
+    """Sums of Scalars and DiffPolys in the package go through the kernels,
+    never through builtin sum from Scalar.zero() or DiffPoly.zero()."""
+    package = os.path.dirname(scalar.__file__)
+    bad, sums = [], 0
+    for path in sorted(glob.glob(os.path.join(package, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sum":
+                sums += 1
+                start = node.args[1] if len(node.args) > 1 else next(
+                    (kw.value for kw in node.keywords if kw.arg == "start"), None)
+                if (isinstance(start, ast.Call) and isinstance(start.func, ast.Attribute)
+                        and start.func.attr == "zero" and isinstance(start.func.value, ast.Name)
+                        and start.func.value.id in ("Scalar", "DiffPoly")):
+                    bad.append(f"{os.path.basename(path)}:{node.lineno}")
+    assert bad == []
+    assert sums > 0  # the scan saw the package's other sums
+
+
 def test_printed_bits_are_the_bit_lengths_the_views_print():
     def view_bits(c):
         return max(x.bit_length() for p in (c.num, c.den) for q in p.values()
