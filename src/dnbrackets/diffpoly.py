@@ -271,7 +271,7 @@ class DiffPoly:
     def __pow__(self, e: int) -> "DiffPoly":
         if e < 0:
             raise ValueError("negative powers of differential polynomials")
-        return _power(self, e, DiffPoly.one(), operator.mul)
+        return _power(self, e, None, operator.mul) if e else DiffPoly.one()
 
     # -- derivations ----------------------------------------------------
 
@@ -374,7 +374,7 @@ class DiffPoly:
             for (even, odd), c in self.terms.items():
                 if (acc := images.get(even)) is None:
                     powers = [(DiffPoly.jet(*v) if (img := jm.get(v)) is None else img) ** e for v, e in even]
-                    acc = images[even] = reduce(operator.mul, powers) if powers else DiffPoly.one()
+                    acc = images[even] = reduce(operator.mul, powers) if powers else _wrap({_EMPTY_KEY: _ONE})
                 for s, i in odd if tm else ():  # mapped thetas multiply in the order of the word
                     acc = acc * (DiffPoly.theta(i, s) if (img := tm.get((s, i))) is None else img)
                 yield acc.terms.items(), (), () if tm else odd, 1, c.subs(coord_map) if coord_map else c
@@ -458,18 +458,13 @@ class _Images(dict):
 def _derivation(x: DiffPoly, jets, thetas) -> DiffPoly:
     """Apply the derivation whose images of the generators are the _Images
     jets, of u^{i,s} keyed (i, s) (s = 0: the coordinate u^i), and thetas, of
-    theta_i^s keyed (i, s); a falsy image kills the generator.  A bare
-    callable, such as a dict's get, is wrapped in an _Images for this call.
+    theta_i^s keyed (i, s); a falsy image kills the generator.
 
     The value is one _products call over the parts of _derivation_parts, so
     it sums each output key's coefficient products over one common
     denominator.  d_x, D_P, D_{-1}, the homotopy and the three forms of d_1
     are all calls of this kernel.
     """
-    if not isinstance(jets, _Images):
-        jets = _Images(jets)
-    if not isinstance(thetas, _Images):
-        thetas = _Images(thetas)
     return _products(_derivation_parts(x, jets, thetas))
 
 
@@ -504,6 +499,10 @@ def _derivation_parts(x: DiffPoly, jets: _Images, thetas: _Images, sign: int = 1
 # theta_i^s -> theta_i^{s+1}
 _DX_IMAGES = (_Images(lambda v: DiffPoly.jet(v[0], v[1] + 1)),
               _Images(lambda v: DiffPoly.theta(v[0], v[1] + 1)))
+
+# d_x without the chain rule on coefficients: it keeps deg_u, and on an
+# element free of jets it is d_x's theta table alone
+_DX_DEG_U_0 = (_Images(_DX_IMAGES[0].image, coordinates=False), _DX_IMAGES[1])
 
 
 def _alternating_sum(partial, i: int, top: int, tables: tuple = _DX_IMAGES) -> DiffPoly:

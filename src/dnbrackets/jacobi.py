@@ -7,8 +7,8 @@ For the bivector P~ of a skew bracket, the induced odd vector field is
 
 where dP~/dtheta_i and dP~/du^i are variational derivatives, cached on
 the bracket by bracket._variational (variational_pair returns both lists),
-whose theta half the skew check reads too.  D_P's image tables hold the d_x
-chains of those lists (_dx_chains), not the bracket.  The bracket
+whose theta half the skew check reads too.  D_P's image tables (_DP_images)
+hold the d_x chains of those lists, not the bracket.  The bracket
 satisfies Jacobi exactly when D_P squares to zero, and since D_P^2 is again
 a derivation it suffices to test it on the generators u^i and theta_i.
 
@@ -34,30 +34,25 @@ raising jet and theta orders, which keeps deg_u, plus the chain rule on
 the coefficients, which raises it by one; so the deg_u-0 component of
 dT/dtheta_i is the variational formula on T_0 with d_x's chain rule left
 out, and on T_0, which has no jets, that is d_x's theta table alone
-(_refuted_at_degree_zero).  A nonzero value proves the bracket is not
-Poisson, without building T or differentiating a coefficient.
+(diffpoly._DX_DEG_U_0; _refuted_at_degree_zero).  A nonzero value proves
+the bracket is not Poisson, without building T or differentiating a
+coefficient.
 """
 
 from __future__ import annotations
 
-from .bracket import HomogeneousBracket, _cached, _variational, skew_defects, validate, variational_pair
-from .diffpoly import _DX_IMAGES, DiffPoly, _alternating_sum, _derivation, _dx_upto, _Images, _products
+from .bracket import HomogeneousBracket, _cached, skew_defects, validate, variational_pair
+from .diffpoly import _DX_DEG_U_0, DiffPoly, _alternating_sum, _derivation, _dx_upto, _Images, _products
 from .errors import PreconditionError
-
-
-@_cached
-def _dx_chains(b: HomogeneousBracket, family: str) -> list:
-    """Entry i - 1 is the chain [dP~/dtheta_i, its d_x, ...] (family "theta")
-    or [dP~/du^i, its d_x, ...] (family "u"), grown on demand by _dx_upto."""
-    return [[v] for v in _variational(b, family)]
 
 
 @_cached
 def _DP_images(b: HomogeneousBracket) -> tuple:
     """D_P's image tables, kept on the bracket: u^{i,s} -> d_x^s(dP~/dtheta_i)
-    and theta_i^s -> d_x^s(dP~/du^i), each read off the _dx_chains on first
-    use.  They hold the chains, not the bracket, so its cache makes no cycle."""
-    theta, u = _dx_chains(b, "theta"), _dx_chains(b, "u")
+    and theta_i^s -> d_x^s(dP~/du^i), each read on first use off the chain
+    [v, d_x v, ...] of its variational derivative v, grown by _dx_upto.  They
+    hold the chains, not the bracket, so its cache makes no cycle."""
+    theta, u = ([[v] for v in family] for family in variational_pair(b))
     return (_Images(lambda v: _dx_upto(theta[v[0] - 1], v[1])),
             _Images(lambda v: _dx_upto(u[v[0] - 1], v[1])))
 
@@ -70,7 +65,7 @@ def apply_DP(b: HomogeneousBracket, a: DiffPoly) -> DiffPoly:
     is one call of the derivation kernel diffpoly._derivation, which applies
     these images to a term by term, from tables cached once per bracket
     (_DP_images), so each generator's image is looked up once per bracket
-    and each d_x power is taken once, on its chain in _dx_chains.
+    and each d_x power is taken once, on the chains those tables hold.
     """
     return _derivation(a, *_DP_images(b))
 
@@ -86,11 +81,6 @@ def _pairing(ddtheta: list, ddu: list) -> DiffPoly:
 def _trivector(b: HomogeneousBracket) -> DiffPoly:
     """T = sum_i (dP~/dtheta_i)(dP~/du^i); cached on the bracket."""
     return _pairing(*variational_pair(b))
-
-
-# d_x without the chain rule on coefficients: it keeps deg_u, and on an
-# element free of jets it is d_x's theta table alone
-_DX_DEG_U_0 = (_Images(_DX_IMAGES[0].image, coordinates=False), _DX_IMAGES[1])
 
 
 @_cached

@@ -25,6 +25,13 @@ Term dicts, here and in diffpoly, never hold a zero coefficient: every sum
 of terms goes through _collect, which keeps that invariant, or through the
 accumulator of _sum_products, which drops the cancelled keys at the end.
 
+No Scalar, and no term dict or base it holds, is changed after it is made,
+so they are shared freely: a negation keeps its operand's base, a product
+by a constant the other factor's, and Scalar.zero() and Scalar.one() return
+one instance each (_ZERO and _ONE), the zero that every cancelled sum and
+every product with a zero factor returns too.  _strip and _assemble change
+only the exponent dicts that their callers build for them.
+
 Every Scalar carries its denominator's base: the pair (c, {p: e}) with
 d = c * prod p^e, c the integer content of d (a constant d has no p) and
 each p a _Factor, which is primitive, squarefree and has a positive leading
@@ -94,8 +101,7 @@ derivative carries is the one the quotient rule gives its operand, whatever
 the memo held before.
 The table holds the derivatives every bracket check takes many times over
 (D_P, d_x, the variational derivatives, the Jacobian of a change of
-coordinates); its bound keeps it from growing over a long run.  Callers
-share the returned Scalar, which, like every Scalar, is read-only.
+coordinates); its bound keeps it from growing over a long run.
 """
 
 from __future__ import annotations
@@ -685,11 +691,11 @@ class Scalar:
 
     @staticmethod
     def zero() -> "Scalar":
-        return _wrap({}, _ONE_P, (1, {}))
+        return _ZERO
 
     @staticmethod
     def one() -> "Scalar":
-        return _wrap({(): 1}, _ONE_P, (1, {}))
+        return _ONE
 
     @staticmethod
     def coordinate(i: int) -> "Scalar":
@@ -789,7 +795,7 @@ class Scalar:
 
     def __pow__(self, e: int) -> "Scalar":
         if e <= 0:
-            return Scalar.one() / self ** (-e) if e else Scalar.one()
+            return _ONE / self ** (-e) if e else _ONE
         # powers of coprime polynomials are coprime, and lc(d**e) = lc(d)**e > 0
         c, base = self._b
         base = (c**e, {f: k * e for f, k in base.items()})
@@ -849,7 +855,7 @@ def _partial(a: Scalar, base: frozenset, i: int) -> Scalar:
             L = _pmul(L, f.p)
     num = _psub(_pmul(dn, L), _pmul(a._n, s))
     if not num:
-        return Scalar.zero()
+        return _ZERO
     exps = {f: e + (i in f.vars) for f, e in base.items()}
     return _assemble(_strip(num, exps, [f for f in base if i not in f.vars]), c, exps)
 
@@ -896,7 +902,7 @@ def _sum_products(triples) -> Scalar:
     if 0 in num.values():
         num = {m: q for m, q in num.items() if q}
     if not num:
-        return Scalar.zero()
+        return _ZERO
     return _assemble(_strip(num, exps, [*exps]), c, exps)
 
 
@@ -907,7 +913,7 @@ def _mul(a: Scalar, b: Scalar) -> Scalar:
     over two constant denominators no factor is tried and only the integer
     contents cancel, in _assemble."""
     if not a._n or not b._n:
-        return Scalar.zero()
+        return _ZERO
     # a constant factor p/r needs no polynomial gcd: with n/d in lowest
     # terms, (p/g * n/h) / (r/h * d/g) is, for g = gcd(p, content of d) and
     # h = gcd(r, content of n); q.is_fraction() is inlined
@@ -937,8 +943,10 @@ def _wrap(num: Poly, den: Poly, base: tuple) -> Scalar:
     return out
 
 
-# the factor by which + turns each summand into a product for _sum_products
-_ONE = Scalar.one()
+# the zero and the one, made once and shared like every Scalar; + turns each
+# summand into a product by _ONE for _sum_products
+_ZERO = _wrap({}, _ONE_P, (1, {}))
+_ONE = _wrap({(): 1}, _ONE_P, (1, {}))
 
 
 def _reduce(num: Poly, den: Poly) -> Scalar:
@@ -949,7 +957,7 @@ def _reduce(num: Poly, den: Poly) -> Scalar:
     the leading terms.
     """
     if not num:
-        return Scalar.zero()
+        return _ZERO
     if den == _ONE_P:
         return _wrap(num, _ONE_P, (1, {}))
     h, num, den = _zgcd(num, den)
@@ -982,7 +990,7 @@ def _coerce(x):
 
 
 def _peval(p: Poly, mapping: dict) -> Scalar:
-    total = Scalar.zero()
+    total = _ZERO
     for m, c in p.items():
         term = Scalar.from_fraction(c)
         for v, e in m:

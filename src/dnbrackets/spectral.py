@@ -38,11 +38,11 @@ from functools import cache
 from itertools import combinations, product
 from math import comb
 
-from .bracket import HomogeneousBracket, _cached, _tensor, extract_named, metric_pair
+from .bracket import HomogeneousBracket, _cached, _tensor, extract_named, metric_pair, variational_pair
 from .connections import flat_combination
-from .diffpoly import DiffPoly, _derivation, _Images, _products, _wrap
+from .diffpoly import _DX_DEG_U_0, DiffPoly, _derivation, _Images, _products, _wrap
 from .errors import PreconditionError
-from .jacobi import _DX_DEG_U_0, apply_DP, check_jacobi, variational_pair
+from .jacobi import apply_DP, check_jacobi
 from .scalar import Scalar, _sum_products
 
 __all__ = [
@@ -179,7 +179,7 @@ def _d1_spectral_ops(b: HomogeneousBracket) -> tuple:
     """The images of D_P on the generators of B, projected onto B, built once
     per bracket: u^i keyed (i, 0) and theta_l^s (s <= k) keyed (l, s), the
     latter stepped as project_B(D thetas[l, s-1]) for D d_x's theta table
-    alone (jacobi._DX_DEG_U_0).  Exact: d_x maps no term outside B into B (it
+    alone (diffpoly._DX_DEG_U_0).  Exact: d_x maps no term outside B into B (it
     raises orders; its chain rule adds a jet), and on B it is D plus terms
     with a jet, so project_B d_x^s = (project_B D)^s project_B."""
     k, (ddtheta, ddu) = b.k, variational_pair(b)

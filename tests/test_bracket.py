@@ -32,7 +32,7 @@ from dnbrackets.cli import load_bracket, load_map
 from dnbrackets.connections import _bracket_curvature, flat_combination, standard_connection
 from dnbrackets.diffpoly import DiffPoly, _dx_upto, _sum
 from dnbrackets.errors import DegenerateMetricError, PreconditionError
-from dnbrackets.jacobi import _dx_chains, check_jacobi, variational_pair
+from dnbrackets.jacobi import _DP_images, check_jacobi, variational_pair
 from dnbrackets.sampling import random_constant_bracket, random_scalar
 from dnbrackets.scalar import Scalar
 
@@ -154,7 +154,7 @@ MEMOISED = {
     "extract_named": (extract_named, True),
     "metric_pair": (metric_pair, True),
     "variational_pair": (variational_pair, "parts"),
-    "dx_chains": (lambda b: _dx_chains(b, "theta"), True),
+    "DP_images": (_DP_images, True),
     "standard_connection": (lambda b: standard_connection(b, 1), True),
     "flat_combination": (lambda b: flat_combination(b, 2), True),
     "bracket_curvature": (lambda b: _bracket_curvature(b, True, 1), True),
@@ -531,3 +531,18 @@ def test_transform_matches_the_leibniz_oracle_on_the_generated_jacobi_passes():
         assert_same_entries(transform(b, cmap), transform_oracle(b, cmap), label)
         names.add(label.split(" | ")[1])
     assert {"nonflat2_jetpair", "canonical_k2_quadtail"} <= names and len(names) == 7
+
+
+def test_unit_diffpoly_is_built_only_for_a_zeroth_power(monkeypatch):
+    """x ** e builds DiffPoly.one() for e = 0 alone, and transform builds none
+    on the generated_jacobi bases under every step of their passes."""
+    inputs = list(generated_jacobi_inputs(seeds=(11,)))
+    one, calls = DiffPoly.one, []
+    monkeypatch.setattr(DiffPoly, "one", staticmethod(lambda: calls.append("one") or one()))
+    x = DiffPoly.jet(1, 2) * S("u1/u2") + DiffPoly.theta(2, 1)
+    assert x ** 1 == x and x ** 3 == x * x * x and calls == []
+    assert x ** 0 == one() and calls == ["one"]
+    calls.clear()
+    for label, b, cmap, _ in inputs:
+        transform(b, cmap)
+        assert calls == [], label

@@ -380,7 +380,7 @@ def test_derivation_matches_one_product_per_generator():
         jets = {v: random_diffpoly(rng, 2, terms=2, max_jet=2, max_theta=2) for v in gens}
         thetas = {v: random_diffpoly(rng, 2, terms=2, max_jet=2, max_theta=2) for v in gens}
         for jet_image, theta_image in ((jets.get, thetas.get), (jets.get, {}.get), ({}.get, thetas.get)):
-            assert _derivation(x, jet_image, theta_image) == derivation_oracle(
+            assert _derivation(x, _Images(jet_image), _Images(theta_image)) == derivation_oracle(
                 x, 2, jet_image, theta_image
             )
 
@@ -437,7 +437,7 @@ def test_derivation_term_by_term_matches_both_oracles():
     in a coordinate without an image, and missing and zero images."""
     covered = set()
     for x, jets, thetas in kernel_corner_cases(random.Random(43), covered):
-        got = _derivation(x, jets.get, thetas.get)
+        got = _derivation(x, _Images(jets.get), _Images(thetas.get))
         assert_same_terms(got, collected_derivation(x, jets.get, thetas.get), (x, jets, thetas))
         assert got == derivation_oracle(x, 3, jets.get, thetas.get), (x, jets, thetas)
     assert covered == {"coordinate with an image", "coordinate without an image", "jet exponent above 1",
@@ -463,7 +463,7 @@ def test_derivation_builds_no_partial_diffpoly(monkeypatch, nonflat2):
     monkeypatch.setattr(Scalar, "partial", lambda c, i: calls.append(i) or original(c, i))
     for x, jets, thetas in kernel_corner_cases(random.Random(47), set(), rounds=10):
         calls.clear()
-        _derivation(x, jets.get, thetas.get)
+        _derivation(x, _Images(jets.get), _Images(thetas.get))
         want = [i for c in x.terms.values() for i in c.variables() if jets.get((i, 0))]
         assert sorted(calls) == sorted(want) and 3 not in calls, x
     for a in draws:
@@ -522,8 +522,8 @@ def test_d_x_tables_match_images_wrapped_per_call(request, monkeypatch, name):
         raise AssertionError("d_x built an image table")
 
     for a in kernel_draws(random.Random(107), b, set()):
-        want = _derivation(a, lambda v: DiffPoly.jet(v[0], v[1] + 1),
-                           lambda v: DiffPoly.theta(v[0], v[1] + 1))
+        want = _derivation(a, _Images(lambda v: DiffPoly.jet(v[0], v[1] + 1)),
+                           _Images(lambda v: DiffPoly.theta(v[0], v[1] + 1)))
         with monkeypatch.context() as patch:
             patch.setattr(_Images, "__init__", refuse)
             got = a.d_x()
@@ -583,8 +583,8 @@ def test_fused_kernel_matches_collected_products(request, name):
     covered, previous = set(), DiffPoly.one()
     for a in kernel_draws(random.Random(103), b, covered):
         for label, (jets, thetas) in images.items():
-            assert_same_terms(_derivation(a, jets, thetas), collected_derivation(a, jets, thetas),
-                              (name, label, a))
+            assert_same_terms(_derivation(a, _Images(jets), _Images(thetas)),
+                              collected_derivation(a, jets, thetas), (name, label, a))
         image = apply_DP(b, a)
         for x, y in ((previous, a), (a, image), (image, previous + a)):
             assert_same_terms(x * y, collected_products([(x, y)]), (name, x, y))

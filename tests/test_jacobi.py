@@ -18,10 +18,9 @@ from dnbrackets.bracket import (
     validate,
 )
 from dnbrackets.cli import load_bracket
-from dnbrackets.diffpoly import DiffPoly, _alternating_sum, _sum, d_x
+from dnbrackets.diffpoly import _DX_DEG_U_0, DiffPoly, _alternating_sum, _sum, d_x
 from dnbrackets.errors import DegenerateMetricError, PreconditionError
 from dnbrackets.jacobi import (
-    _DX_DEG_U_0,
     _pairing,
     _refuted_at_degree_zero,
     _trivector,

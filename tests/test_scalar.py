@@ -3,6 +3,7 @@
 import ast
 import copy
 import glob
+import json
 import os
 import random
 import time
@@ -1691,3 +1692,48 @@ def test_memoised_derivatives_carry_the_base_of_their_operand():
         cold_scalar_memos()
         for name in order:
             assert [values[name].partial(i)._b for i in (1, 2)] == cold[name], (order, name)
+
+
+def test_zero_and_one_are_one_shared_instance_each():
+    """Scalar.zero() and Scalar.one() return one instance each, and a sum of
+    products that cancels, a product with a zero factor, a derivative that
+    vanishes and a zeroth power return them."""
+    zero, one = Scalar.zero(), Scalar.one()
+    assert zero is Scalar.zero() and one is Scalar.one() and zero is not one
+    a = S("(u1 + u2)/(u1 - 3*u2)")
+    assert _sum_products([(1, a, one), (-1, a, one)]) is zero
+    assert a - a is zero and a * 0 is zero and a.partial(3) is zero and a**0 is one
+
+
+def snapshot(x: Scalar):
+    """Copies of x's numerator, denominator and base; factors are never
+    changed and copy as themselves."""
+    return copy.deepcopy((x._n, x._d, x._b))
+
+
+def test_no_scalar_changes_after_it_is_made(tmp_path, capsys):
+    """What lets every caller share the zero and the one: after report on
+    every fixture and + - * / over factor_family_values() x
+    denominator_shapes() in both orders, each operand holds the numerator,
+    denominator and base it had before, and the shared zero and one hold
+    their first ones."""
+    zero, one = Scalar.zero(), Scalar.one()
+    target = tmp_path / "report.json"
+    with open(os.path.join(os.path.dirname(__file__), "report_expected.json"), encoding="utf-8") as fh:
+        command_lines = list(json.load(fh))
+    codes = [main(["report", *(fixture_path(a) if a.endswith(".json") else a for a in line.split()),
+                   "--json", str(target)]) for line in command_lines]
+    capsys.readouterr()
+    left, right = [x for _, x in factor_family_values()], denominator_shapes() + [zero, one]
+    values = left + right
+    before = [snapshot(x) for x in values]
+    for a in left:
+        for b in right:
+            for x, y in ((a, b), (b, a)):
+                x + y, x - y, x * y
+                if y:
+                    x / y
+    assert [snapshot(x) for x in values] == before
+    assert (zero._n, zero._d, zero._b) == ({}, {(): 1}, (1, {}))
+    assert (one._n, one._d, one._b) == ({(): 1}, {(): 1}, (1, {}))
+    assert set(codes) <= {0, 1}, codes  # every report ran to its verdicts

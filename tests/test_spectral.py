@@ -11,7 +11,9 @@ from math import comb
 import pytest
 
 from dnbrackets import diffpoly, jacobi, spectral
-from dnbrackets.bracket import CoordinateMap, HomogeneousBracket, _tensor, extract_named, metric_pair, transform
+from dnbrackets.bracket import (
+    CoordinateMap, HomogeneousBracket, _tensor, extract_named, metric_pair, transform, variational_pair,
+)
 from dnbrackets.cli import load_bracket, load_map
 from dnbrackets.connections import flat_combination
 from dnbrackets.diffpoly import DiffPoly, ThetaVar, _derivation, _dx_upto, _Images, _sum, term_deg_theta_k
@@ -431,7 +433,7 @@ def connection_ops_oracle(b):
     phi, psi = relabel(glow, k, k + 1), relabel(named.g, k + 1, k)
 
     def image(generator):
-        return _derivation(generator.substitute(theta_map=phi), rows.get, M.get).substitute(
+        return _derivation(generator.substitute(theta_map=phi), _Images(rows.get), _Images(M.get)).substitute(
             theta_map=psi)
 
     coords = {(i, 0): image(DiffPoly.coordinate(i)) for i in range(1, n + 1)}
@@ -567,9 +569,10 @@ def two_bends(b):
 
 def spectral_ops_oracle(b):
     """_d1_spectral_ops through the whole of d_x: project_B of dP~/dtheta_i and
-    of d_x^s(dP~/du^l), the powers taken on D_P's d_x chains."""
-    k, theta, u = b.k, jacobi._dx_chains(b, "theta"), jacobi._dx_chains(b, "u")
-    coords = {(i, 0): project_B(chain[0], k) for i, chain in enumerate(theta, 1)}
+    of d_x^s(dP~/du^l), the powers taken on d_x chains of the variational pair."""
+    k, (ddtheta, ddu) = b.k, variational_pair(b)
+    u = [[v] for v in ddu]
+    coords = {(i, 0): project_B(v, k) for i, v in enumerate(ddtheta, 1)}
     thetas = {(l, s): project_B(_dx_upto(u[l - 1], s), k)
               for s in range(k + 1) for l in range(1, b.n + 1)}
     return coords, thetas
