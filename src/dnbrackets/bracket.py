@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import partial, wraps
 from itertools import chain, product
 from math import comb
@@ -128,9 +129,8 @@ def validate(b: HomogeneousBracket) -> list[str]:
 
 @_cached
 def bivector(b: HomogeneousBracket) -> DiffPoly:
-    """The odd encoding 1/2 sum P_s^{ij} theta_i theta_j^s, in one _products call."""
-    half = Scalar.from_fraction(1) / 2
-    return _products((entry.terms.items(), (), om[1], om[0], half)
+    """The odd encoding 1/2 sum P_s^{ij} theta_i theta_j^s, one _products call, multipliers +-1/2."""
+    return _products((entry.terms.items(), (), om[1], Fraction(om[0], 2), _ONE)
                      for (i, j, s), entry in b.P.items() if (om := _odd_mul(((0, i),), ((s, j),))))
 
 
@@ -197,7 +197,8 @@ def _skew_defects(b: HomogeneousBracket) -> tuple:
     ddtheta = _variational(b, "theta")
     out = []
     for i, j, t in product(range(1, b.n + 1), range(1, b.n + 1), range(b.k + 1)):
-        defect = 2 * (b.entry(j, i, t) - ddtheta[j - 1].partial(ThetaVar(i, t)))
+        defect = _products([(b.entry(j, i, t).terms.items(), (), (), 2, _ONE),
+                            (ddtheta[j - 1].partial(ThetaVar(i, t)).terms.items(), (), (), -2, _ONE)])
         if not defect.is_zero:
             out.append((i, j, t, defect))
     return tuple(out)
@@ -209,7 +210,7 @@ def check_skew(b: HomogeneousBracket) -> bool:
 
 def skewh_defects(b: HomogeneousBracket) -> list[tuple[str, Scalar]]:
     """Skewness conditions written on the named coefficients (g, h), each
-    defect one _sum_products list with the binomials as constant factors."""
+    defect one _sum_products list with the signed binomials as multipliers."""
     named = extract_named(b)
     g, h, k = named.g, named.h, named.k
     sign = 1 if (k + 1) % 2 == 0 else -1
@@ -218,11 +219,10 @@ def skewh_defects(b: HomogeneousBracket) -> list[tuple[str, Scalar]]:
         for (i, j), gij in _components(g, 2)
         if (defect := _sum_products([(1, g[j][i], _ONE), (-sign, gij, _ONE)]))
     ]
-    binom = [[Scalar.from_fraction(comb(t, s)) for s in range(k + 1)] for t in range(k + 1)]
     for s, hs in enumerate(h):
         for (i, j, l), hsijl in _components(hs, 3):
-            triples = [(1, hsijl, _ONE), (-1, binom[k][s], g[i][j].partial(l + 1))]
-            triples += [(-1 if t % 2 else 1, binom[t][s], h[t][j][i][l]) for t in range(s, k)]
+            triples = [(1, hsijl, _ONE), (-comb(k, s), g[i][j].partial(l + 1), _ONE)]
+            triples += [((-1) ** t * comb(t, s), h[t][j][i][l], _ONE) for t in range(s, k)]
             if defect := _sum_products(triples):
                 out.append((f"h_({s})^{{{i+1}{j+1}}}_{l+1} constraint", defect))
     return out
@@ -285,9 +285,9 @@ def transform(b: HomogeneousBracket, cmap: CoordinateMap) -> HomogeneousBracket:
     so it commutes with d_x, and d_x^t of the pulled-back J is the
     pulled-back d_x^t(J): the sum is R_s^{ij} pulled back.  Each R_s^{ij}
     is then one _products call, whose parts are P_{s+t}^{i'j'}'s terms
-    times each term c of d_x^t(J^j_{j'}) with coefficient C(s+t, s) J^i_{i'}
-    c, over t, i' and j', so each key sums all its products over one common
-    denominator.
+    times each term c of d_x^t(J^j_{j'}) with coefficient J^i_{i'} c and
+    the multiplier C(s+t, s), over t, i' and j', so each key sums all its
+    products over one common denominator.
     """
     if cmap.n != b.n:
         raise ValueError(f"map is for n={cmap.n}, bracket has n={b.n}")
@@ -309,11 +309,10 @@ def transform(b: HomogeneousBracket, cmap: CoordinateMap) -> HomogeneousBracket:
     def parts(i, j, s):
         for t, ip in product(range(k - s + 1), range(1, n + 1)):
             if J := jac[i - 1][ip - 1]:
-                scale = J * comb(s + t, s) if s and t else J  # C(s+t, s) = 1 otherwise
                 for jp in range(1, n + 1):
                     if items := pulled.get((ip, jp, s + t)):
                         for (e2, o2), c2 in _dx_upto(jac_dx[j - 1][jp - 1], t).terms.items():
-                            yield items, e2, o2, 1, scale * c2
+                            yield items, e2, o2, comb(s + t, s), J * c2
 
     P = {
         (i, j, s): acc

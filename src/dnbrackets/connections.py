@@ -91,16 +91,15 @@ class CMatrix:
 
 @_cached
 def standard_connection(b: HomogeneousBracket, s: int) -> Connection:
-    """Gamma_(s), cached on the bracket: the returned object is shared."""
+    """Gamma_(s), cached on the bracket: the returned object is shared.  Each
+    entry is one _sum_products list with the multiplier -1/C(k, s)."""
     if not 0 <= s <= b.k - 1:
         raise ValueError(f"s must lie in 0..{b.k - 1}, got {s}")
     named, glow = metric_pair(b)
-    h = named.h[s]
-    inv = Scalar.from_fraction(Fraction(1, comb(b.k, s)))  # scales the rows of g once
-    glow = [[x * inv for x in row] for row in glow]
+    h, m = named.h[s], Fraction(-1, comb(b.k, s))
 
     def entry(l, i, j):
-        return _sum_products([(-1, gip, hip[l][j]) for gip, hip in zip(glow[i], h)])
+        return _sum_products([(m, gip, hip[l][j]) for gip, hip in zip(glow[i], h)])
 
     return Connection(n=b.n, gamma=_tensor(b.n, 3, entry))
 
@@ -119,15 +118,6 @@ def c_matrix(k: int) -> CMatrix:
         ]
         for s in range(k)
     ]
-    for s in range(k):
-        for t in range(k):
-            if t > s and c[s][t]:
-                raise AssertionError("c matrix is not lower triangular")
-            prod = sum(c[s][q] * cinv[q][t] for q in range(k))
-            if prod != (1 if s == t else 0):
-                raise AssertionError("c inverse formula failed")
-        if sum(c[s]) != 1 or sum(cinv[s]) != 1:
-            raise AssertionError("c matrix rows must sum to 1")
     return CMatrix(k=k, c=c, cinv=cinv)
 
 
@@ -137,10 +127,10 @@ def flat_combination(b: HomogeneousBracket, s: int) -> Connection:
     if not 0 <= s <= b.k - 1:
         raise ValueError(f"s must lie in 0..{b.k - 1}, got {s}")
     row = c_matrix(b.k).c[s]
-    parts = [(standard_connection(b, t).gamma, Scalar.from_fraction(ct)) for t, ct in enumerate(row) if ct]
+    parts = [(standard_connection(b, t).gamma, int(ct)) for t, ct in enumerate(row) if ct]
 
     def entry(l, i, j):
-        return _sum_products([(1, G[l][i][j], ct) for G, ct in parts])
+        return _sum_products([(ct, G[l][i][j], _ONE) for G, ct in parts])
 
     return Connection(n=b.n, gamma=_tensor(b.n, 3, entry))
 

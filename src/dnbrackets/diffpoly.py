@@ -30,19 +30,19 @@ A term dict never holds a zero coefficient: every sum of terms goes through
 scalar._collect or scalar._sum_products, and _wrap builds a DiffPoly around
 a dict that already satisfies this.  Sums of DiffPolys go through _sum, one
 _collect over the terms of all the parts.  Products go through _products.
-Each of its parts is a DiffPoly's term items times one signed term: a
-product passes one per term of its right factor, _derivation one per
-generator of each term of its input, and bracket.transform one per term of
-each d_x^t(J) of a transformed entry's Leibniz expansion.  Each step of
-the Horner loop of a variational derivative (_alternating_sum), which sets
-acc to partial - d_x(acc), is one call too, whose parts are the partial's
-terms times one and the parts of d_x(acc) with their signs flipped.
-_products groups the
-coefficient pairs of all the products by the key they land on, and sums
-each group in one scalar._sum_products, over one common denominator,
-instead of a product and an addition per pair.  Each distinct pair of odd
-words is merged (_odd_mul) once per call, however many coefficient pairs
-share it.
+Each of its parts is a DiffPoly's term items times one term with a
+constant multiplier, an int such as a sign or a jet exponent: a product
+passes one per term of its right factor, _derivation one per generator of
+each term of its input, and bracket.transform one per term of each
+d_x^t(J) of a transformed entry's Leibniz expansion, with its binomial.
+Each step of the Horner loop of a variational derivative
+(_alternating_sum), which sets acc to partial - d_x(acc), is one call too,
+whose parts are the partial's terms times one and the parts of d_x(acc)
+with their multipliers negated.  _products groups the coefficient pairs of
+all the products by the key they land on, and sums each group in one
+scalar._sum_products, over one common denominator, instead of a product
+and an addition per pair.  Each distinct pair of odd words is merged
+(_odd_mul) once per call, however many coefficient pairs share it.
 """
 
 from __future__ import annotations
@@ -253,20 +253,13 @@ class DiffPoly:
         return other + (-self)
 
     def __mul__(self, other) -> "DiffPoly":
-        if isinstance(other, (int, Fraction, Scalar)):
-            sc = other if isinstance(other, Scalar) else Scalar.from_fraction(other)
-            if sc.is_zero:
-                return DiffPoly.zero()
-            return _wrap({k: c * sc for k, c in self.terms.items()})
-        if not isinstance(other, DiffPoly):
+        other = _coerce(other)
+        if other is NotImplemented:
             return NotImplemented
         items = self.terms.items()
         return _products((items, e2, o2, 1, c2) for (e2, o2), c2 in other.terms.items())
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            return self.__mul__(other)
-        return NotImplemented
+    __rmul__ = __mul__  # a number or a Scalar commutes with every element
 
     def __pow__(self, e: int) -> "DiffPoly":
         if e < 0:
@@ -299,7 +292,7 @@ class DiffPoly:
         target = (i, s)
         return _wrap(
             {
-                (_mono_lower(even, target), odd): c * e
+                (_mono_lower(even, target), odd): _sum_products([(e, c, _ONE)])
                 for (even, odd), c in self.terms.items()
                 if (e := dict(even).get(target))
             }
@@ -398,15 +391,15 @@ def _wrap(terms: dict) -> DiffPoly:
 
 
 def _products(parts) -> DiffPoly:
-    """The sum of the products a * b over parts (a_items, e2, o2, sign, c2),
-    where a_items are a's terms and b is the one term sign * c2 at (e2, o2):
-    the coefficient pairs of every product are grouped by key as
-    (sign, c1, c2), and each group is summed by scalar._sum_products.  The
-    odd merges are cached in one row per o2, so each distinct pair of odd
-    words is merged once per call."""
+    """The sum of the products a * b over parts (a_items, e2, o2, m, c2),
+    where a_items are a's terms and b is the one term m * c2 at (e2, o2), m
+    a multiplier of scalar._sum_products: the coefficient pairs of every
+    product are grouped by key as (m times the odd merge's sign, c1, c2),
+    and each group is summed by _sum_products.  The odd merges are cached
+    in one row per o2, so each distinct pair of odd words is merged once."""
     groups: dict = {}
     rows: dict = {}
-    for items, e2, o2, sign, c2 in parts:
+    for items, e2, o2, m, c2 in parts:
         row = rows.setdefault(o2, {})
         for (e1, o1), c1 in items:
             try:
@@ -415,7 +408,7 @@ def _products(parts) -> DiffPoly:
                 om = row[o1] = _odd_mul(o1, o2)
             if om is not None:
                 key = (_mono_mul(e1, e2) if e1 and e2 else e1 or e2, om[1])
-                groups.setdefault(key, []).append((sign * om[0], c1, c2))
+                groups.setdefault(key, []).append((m * om[0], c1, c2))
     return _wrap({key: c for key, group in groups.items() if (c := _sum_products(group))})
 
 
@@ -474,12 +467,12 @@ def _derivation_parts(x: DiffPoly, jets: _Images, thetas: _Images, sign: int = 1
 
     x is walked term by term, and each generator v of a term c * m whose
     image is truthy adds image * d(c * m)/dv, image on the left so the odd
-    signs are fixed.  The partial is the term itself with v taken out:
-    c.partial(i) for a coordinate u^i of c (skipped when zero), c * e at
-    m / v for a jet v^e, and (-1)^p c at the odd word without v for the
-    theta at position p.  No partial DiffPoly is built, only coordinates
-    with an image are differentiated, and when jets.coordinates is False no
-    coefficient's variables are looked at.
+    signs are fixed.  The partial is the term itself with v taken out, with
+    an int multiplier: c.partial(i) for a coordinate u^i of c (skipped when
+    zero), c at m / v times e for a jet v^e, and (-1)^p c at the odd word
+    without v for the theta at position p.  No partial DiffPoly is built,
+    only coordinates with an image are differentiated, and when
+    jets.coordinates is False no coefficient's variables are looked at.
     """
     coordinates = jets.coordinates
     for (even, odd), c in x.terms.items():
@@ -489,7 +482,7 @@ def _derivation_parts(x: DiffPoly, jets: _Images, thetas: _Images, sign: int = 1
                     yield img, even, odd, sign, dc
         for v, e in even:
             if img := jets[v]:
-                yield img, _mono_lower(even, v), odd, sign, c if e == 1 else c * e
+                yield img, _mono_lower(even, v), odd, sign * e, c
         for p, (s, i) in enumerate(odd):
             if img := thetas[i, s]:
                 yield img, even, odd[:p] + odd[p + 1 :], -sign if p % 2 else sign, c

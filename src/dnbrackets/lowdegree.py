@@ -41,6 +41,7 @@ from .errors import DegenerateMetricError
 from .scalar import Scalar, _sum_products
 
 _ONE = Scalar.one()
+_HALF = Fraction(1, 2)
 
 
 @dataclass
@@ -135,14 +136,13 @@ def dn_check(b: HomogeneousBracket) -> list:
 
 def quadratic_tail(b: HomogeneousBracket, s: int = 0) -> list:
     """Symmetrized coefficients q[i][j][l][m] of u^{l,1} u^{m,1} in P_s."""
-    half = Scalar.from_fraction(1) / 2
 
     def coefficient(i, j, l, m):
         entry = b.entry(i + 1, j + 1, s)
         if l == m:
             return entry.coefficient((((l + 1, 1), 2),), ())
         a, c = sorted((l + 1, m + 1))
-        return entry.coefficient((((a, 1), 1), ((c, 1), 1)), ()) * half
+        return _sum_products([(_HALF, entry.coefficient((((a, 1), 1), ((c, 1), 1)), ()), _ONE)])
 
     return _tensor(b.n, 4, coefficient)
 
@@ -152,10 +152,8 @@ def _quadratic_term(glow: list, cc: list):
     quadratic term of Ferguson's (e), as sum_r (c^{ri}_q gc[r][j][l] +
     c^{ri}_l gc[r][j][q]) through gc[r][j][l] = 1/2 sum_p g_pr c^{pj}_l, made once."""
     n = len(glow)
-    half = Scalar.from_fraction(1) / 2
-    ghalf = [[x * half for x in row] for row in glow]
     gc = _tensor(n, 3, lambda r, j, l: _sum_products(
-        [(1, ghalf[p][r], cc[p][j][l]) for p in range(n)]))
+        [(_HALF, glow[p][r], cc[p][j][l]) for p in range(n)]))
 
     def term(i, j, q, l):
         return _sum_products([t for r in range(n) for t in ((1, cc[r][i][q], gc[r][j][l]),
@@ -174,7 +172,7 @@ def ferguson_check(b: HomogeneousBracket) -> list:
     nab_low = nabla_tensor(conn, glow, "lower")
     nab_up = nabla_tensor(conn, g, "upper")
     q_tail = quadratic_tail(b, 0)
-    half = Scalar.from_fraction(1) / 2
+    minus_half = -_HALF
 
     def lower_skew_sums():
         for (i, j, l), v in _components(nab_low, 3):
@@ -189,7 +187,8 @@ def ferguson_check(b: HomogeneousBracket) -> list:
 
         def defect(i, j, q, l):
             return _sum_products([(1, q_tail[i][j][q][l], _ONE), (1, quad_term(i, j, q, l), _ONE),
-                                  (-1, cc[i][j][q].partial(l + 1), half), (-1, cc[i][j][l].partial(q + 1), half)])
+                                  (minus_half, cc[i][j][q].partial(l + 1), _ONE),
+                                  (minus_half, cc[i][j][l].partial(q + 1), _ONE)])
 
         yield from _labelled(b.n, 4, "c^{{{0}{1}}}_{{{2}{3}}} defect", defect)
 
@@ -206,7 +205,8 @@ def ferguson_check(b: HomogeneousBracket) -> list:
         _condition("(c) nabla g lower totally skew", lower_skew_sums()),
         _condition("(d) nabla g upper = b - 2c", _labelled(
             b.n, 3, "nabla_{0} g^{{{1}{2}}} - b^{{{1}{2}}}_{0} + 2c^{{{1}{2}}}_{0}",
-            lambda l, i, j: nab_up[l][i][j] - (bb[i][j][l] - 2 * cc[i][j][l]),
+            lambda l, i, j: _sum_products([(1, nab_up[l][i][j], _ONE), (-1, bb[i][j][l], _ONE),
+                                           (2, cc[i][j][l], _ONE)]),
         )),
         _condition("(e) quadratic tail identity", quadratic_defects()),
     ])
@@ -298,7 +298,7 @@ def _det_adj(a: list) -> tuple:
     for k in range(1, n + 1):
         am = [[_sum_products([(1, x, m[l][j]) for l, x in enumerate(row)]) for j in cols]
               for row in a]
-        c = _sum_products([(-1, am[i][i], _ONE) for i in cols]) / k
+        c = _sum_products([(Fraction(-1, k), am[i][i], _ONE) for i in cols])
         if k == n:
             return (-c, m) if n % 2 else (c, [[-x for x in row] for row in m])
         m = [[x + c if i == j else x for j, x in enumerate(row)] for i, row in enumerate(am)]
@@ -332,8 +332,8 @@ def k4_connection_fixtures(b: HomogeneousBracket) -> list:
 
     def combo(coeffs):
         """Gamma^l_{ij} = g_{ii'} X^{i'l}_j with X = sum of coeffs[name] * tails[name]."""
-        parts = [(tails[name], Scalar.from_fraction(f)) for name, f in coeffs.items()]
-        X = _tensor(n, 3, lambda i, l, j: _sum_products([(1, T[i][l][j], f) for T, f in parts]))
+        X = _tensor(n, 3, lambda i, l, j: _sum_products(
+            [(f, tails[name][i][l][j], _ONE) for name, f in coeffs.items()]))
 
         def entry(l, i, j):
             return _sum_products([(1, gip, Xip[l][j]) for gip, Xip in zip(glow[i], X)])

@@ -28,8 +28,9 @@ accumulator of _sum_products, which drops the cancelled keys at the end.
 No Scalar, and no term dict or base it holds, is changed after it is made,
 so they are shared freely: a negation keeps its operand's base, a product
 by a constant the other factor's, and Scalar.zero() and Scalar.one() return
-one instance each (_ZERO and _ONE), the zero that every cancelled sum and
-every product with a zero factor returns too.  _strip and _assemble change
+one instance each (_ZERO and _ONE), the zero that every cancelled sum,
+every product with a zero factor and a negated zero return too, and the
+pair from_fraction returns for 0 and 1.  _strip and _assemble change
 only the exponent dicts that their callers build for them.
 
 Every Scalar carries its denominator's base: the pair (c, {p: e}) with
@@ -46,11 +47,13 @@ the bases of both operands, which are in lowest terms, only these can cancel:
 * in a sum of products (_sum_products), which takes one lcm for them all
   (Henrici; Knuth, TAOCP vol. 2, 4.5.1: the lcm of the integer contents,
   and each factor to its largest exponent over the products), any factor of
-  that lcm; a sum a + b is the two products a*1 and b*1.  Every term of
-  every product goes straight into one accumulator, the second numerator
-  first multiplied by the complement when the product lacks some of the
-  lcm's factors.  A sum that cancels to zero is returned at once, since a
-  zero test needs the sum but not its lowest terms (Moses, CACM 1971);
+  that lcm; a sum a + b is the two products a*1 and b*1.  A product's
+  constant multiplier m is never made a Scalar: its denominator joins the
+  product's content before the lcm, its numerator the integer scale.  Every
+  term of every product goes straight into one accumulator, the second
+  numerator first multiplied by the complement when the product lacks some
+  of the lcm's factors.  A sum that cancels to zero is returned at once,
+  since a zero test needs the sum but not its lowest terms (Moses, CACM 1971);
 * in a partial derivative by u^i, the factors free of u^i: each factor
   that involves u^i gains one in its exponent and never cancels;
 * the integer contents, by math.gcd.
@@ -687,6 +690,8 @@ class Scalar:
     @staticmethod
     def from_fraction(q) -> "Scalar":
         _exact({(): q})  # int or Fraction only, as in the constructor
+        if q == 1 or not q:
+            return _ONE if q else _ZERO
         return _wrap(_pconst(q.numerator), {(): q.denominator}, (q.denominator, {}))
 
     @staticmethod
@@ -752,19 +757,23 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
-        return _wrap(_pneg(self._n), self._d, self._b)
+        return _wrap(_pneg(self._n), self._d, self._b) if self._n else _ZERO
 
     def __sub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        if not other._n:
+            return self
+        if not self._n:
+            return -other
+        return _sum_products(((1, self, _ONE), (-1, other, _ONE)))
 
     def __rsub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other) -> "Scalar":
         other = _coerce(other)
@@ -861,65 +870,71 @@ def _partial(a: Scalar, base: frozenset, i: int) -> Scalar:
 
 
 def _sum_products(triples) -> Scalar:
-    """The sum of sign * a * b over the (sign, a, b) triples, sign 1 or -1, as
-    one sum over the lcm of the products' denominators: each numerator n_a n_b
-    over c_a c_b prod f^(e_a + e_b) is scaled by its complement in the lcm,
-    term by term into one accumulator, and only a nonzero sum is offered to
-    _strip, with every factor of the lcm as a candidate.  A product with a
-    zero factor is skipped.  + passes its two summands here as products by
-    1, and a lone product is _mul's."""
+    """The sum of m * a * b over the (m, a, b) triples, m a nonzero int (a
+    Fraction only in tables built once), over the lcm of the products'
+    denominators: each n_a n_b over m's denominator times c_a c_b prod
+    f^(e_a + e_b) is scaled by m's numerator and its complement in the lcm,
+    term by term into one accumulator; only a nonzero sum goes to _strip,
+    with every factor of the lcm as a candidate, and a product with a zero
+    factor is skipped.  + and - pass products by 1; a lone one is _mul's."""
     if len(triples) == 1:
-        ((sign, a, b),) = triples
-        return _mul(a, b) if sign > 0 else -_mul(a, b)
+        ((m, a, b),) = triples
+        return _mul(a, b, m)
     parts, c, exps = [], 1, {}
-    for sign, a, b in triples:
+    for m, a, b in triples:
         if not a._n or not b._n:
             continue
         (ca, ba), (cb, bb) = a._b, b._b
         cp = ca * cb
+        if type(m) is not int:  # a Fraction, from a table built once
+            cp, m = cp * m.denominator, m.numerator
         if c % cp:
             c = lcm(c, cp)
         e = _collect(bb.items(), ba) if ba and bb else ba or bb
-        parts.append((sign, a._n, b._n, cp, e))
+        parts.append((m, a._n, b._n, cp, e))
         for f, k in e.items():
             if k > exps.get(f, 0):
                 exps[f] = k
     # every term q1 q2 s at m1 m2 goes straight into one dict, for q2 m2 the
-    # terms of n_b times the product's complement in the lcm and s its sign
-    # times the integer c / c_p; a product that carries the lcm's factors has
-    # no complement, and the cancelled keys are dropped at the end
+    # terms of n_b times the product's complement in the lcm and s m's
+    # numerator times the integer c / c_p; a product that carries the lcm's
+    # factors has no complement, and the cancelled keys are dropped at the end
     num = {}
-    for sign, n1, n2, cp, e in parts:
-        s = sign if cp == c else sign * (c // cp)
+    for m, n1, n2, cp, e in parts:
+        s = m if cp == c else m * (c // cp)
         if e != exps:
             n2 = _pmul(_den(1, {f: k - e.get(f, 0) for f, k in exps.items() if k > e.get(f, 0)}),
                        n2)
         for m1, q1 in n1.items():
             q1 *= s
             for m2, q2 in n2.items():
-                m = _mono_mul(m1, m2) if m1 and m2 else m1 or m2
-                num[m] = num.get(m, 0) + q1 * q2
+                key = _mono_mul(m1, m2) if m1 and m2 else m1 or m2
+                num[key] = num.get(key, 0) + q1 * q2
     if 0 in num.values():
-        num = {m: q for m, q in num.items() if q}
+        num = {key: q for key, q in num.items() if q}
     if not num:
         return _ZERO
     return _assemble(_strip(num, exps, [*exps]), c, exps)
 
 
-def _mul(a: Scalar, b: Scalar) -> Scalar:
-    """a * b; __truediv__ calls it directly, so that code wrapping the methods
-    of Scalar sees a division as one operation.  Each numerator is offered to
-    _strip with the factors of the other denominator that its own lacks, so
-    over two constant denominators no factor is tried and only the integer
-    contents cancel, in _assemble."""
+def _mul(a: Scalar, b: Scalar, m=1) -> Scalar:
+    """m * a * b for a nonzero int or Fraction m; __truediv__ calls it
+    directly, so that code wrapping the methods of Scalar sees a division as
+    one operation.  Each numerator is offered to _strip with the factors of
+    the other denominator that its own lacks, so over two constant
+    denominators no factor is tried and only the integer contents cancel."""
     if not a._n or not b._n:
         return _ZERO
     # a constant factor p/r needs no polynomial gcd: with n/d in lowest
     # terms, (p/g * n/h) / (r/h * d/g) is, for g = gcd(p, content of d) and
-    # h = gcd(r, content of n); q.is_fraction() is inlined
+    # h = gcd(r, content of n); m scales p/r first; q.is_fraction() is inlined
     for q, x in ((a, b), (b, a)):
         if len(q._d) == 1 and () in q._d and len(q._n) == 1 and () in q._n:
             p, r = q._n[()], q._d[()]
+            if m != 1:
+                p, r = p * m.numerator, r * m.denominator
+                g = gcd(p, r)
+                p, r = p // g, r // g
             if p == r:  # both 1
                 return x
             g = gcd(p, *x._d.values())
@@ -932,7 +947,8 @@ def _mul(a: Scalar, b: Scalar) -> Scalar:
     exps = _collect(bb.items(), ba)
     na = _strip(a._n, exps, bb, ba)
     nb = _strip(b._n, exps, ba, bb)
-    return _assemble(_pmul(na, nb), ca * cb, exps)
+    num = _pmul(na, nb) if m == 1 else _rescale(_pmul(na, nb), m.numerator, 1)
+    return _assemble(num, ca * cb * m.denominator, exps)
 
 
 def _wrap(num: Poly, den: Poly, base: tuple) -> Scalar:

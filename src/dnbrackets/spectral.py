@@ -45,6 +45,8 @@ from .errors import PreconditionError
 from .jacobi import apply_DP, check_jacobi
 from .scalar import Scalar, _sum_products
 
+_ONE = Scalar.one()
+
 __all__ = [
     "require_poisson",
     "apply_D_graded",
@@ -227,12 +229,12 @@ def _d1_closed_ops(b: HomogeneousBracket) -> tuple:
     named = extract_named(b)
     n, k = b.n, b.k
     h = named.h + [_tensor(n, 3, lambda i, j, l: named.g[i][j].partial(l + 1))]
-    factor = {(s, r, t): Scalar.from_fraction(Fraction((-1) ** (k - t) * cf, 2))
+    factor = {(s, r, t): Fraction((-1) ** (k - t) * cf, 2)
               for s, r, t in product(range(k + 1), repeat=3) if (cf := comb(k + s - t, r))}
 
     def w(s, l, orders):
-        return _products(  # theta_i^r times its constant factor, times h theta_j^{k+s-r}
-            (((((), ((r, i),)), f),), (), ((k + s - r, j),), 1, hv)
+        return _products(  # theta_i^r times h theta_j^{k+s-r}, with its constant factor
+            (((((), ((r, i),)), _ONE),), (), ((k + s - r, j),), f, hv)
             for r in orders
             for t in range(0, k + 1)
             if (f := factor.get((s, r, t)))

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from dnbrackets.bracket import HomogeneousBracket, check_skew, metric_pair
-from dnbrackets.cli import load_bracket
+from dnbrackets.cli import MAX_DEGREE, load_bracket
 from dnbrackets.connections import (
     c_matrix,
     curvature,
@@ -42,7 +42,8 @@ def test_c_matrix_low_degree_rows():
 
 
 def test_c_matrix_general_rows():
-    for k in range(1, 9):
+    """Every degree the command line accepts, since c_matrix checks nothing itself."""
+    for k in range(1, MAX_DEGREE + 1):
         cm = c_matrix(k)
         assert cm.c[0][0] == 1
         if k >= 2:
@@ -53,8 +54,10 @@ def test_c_matrix_general_rows():
                 Fraction(-k * (k + 1)),
                 Fraction(k * (k - 1), 2),
             ]
-        # invariants: triangular, unit row sums, exact inverse
+        # invariants: integral (flat_combination takes int(c_s^t)), triangular,
+        # unit row sums, exact inverse
         for s in range(k):
+            assert all(x.denominator == 1 for x in cm.c[s])
             assert all(cm.c[s][t] == 0 for t in range(s + 1, k))
             assert sum(cm.c[s]) == 1
             assert sum(cm.cinv[s]) == 1

@@ -1737,3 +1737,59 @@ def test_no_scalar_changes_after_it_is_made(tmp_path, capsys):
     assert (zero._n, zero._d, zero._b) == ({}, {(): 1}, (1, {}))
     assert (one._n, one._d, one._b) == ({(): 1}, {(): 1}, (1, {}))
     assert set(codes) <= {0, 1}, codes  # every report ran to its verdicts
+
+
+def test_negation_and_subtraction_share_the_zero():
+    """-0 is the shared zero, x - 0 is x itself, and 0 - x is -x."""
+    zero, x = Scalar.zero(), S("(u1 + u2)/(u1 - 3*u2)")
+    assert -zero is zero and (x - 0) is x and (x - zero) is x
+    assert (0 - x) == -x and (zero - x) == -x and (x - x) is zero
+
+
+def test_from_fraction_shares_the_zero_and_the_one():
+    """Scalar.from_fraction(1) and (0) are the shared instances; the type check comes first."""
+    assert Scalar.from_fraction(1) is Scalar.one() and Scalar.from_fraction(Fraction(1)) is Scalar.one()
+    assert Scalar.from_fraction(0) is Scalar.zero() and Scalar.from_fraction(Fraction(0)) is Scalar.zero()
+    for q in (1.0, 0.0):
+        with pytest.raises(TypeError):
+            Scalar.from_fraction(q)
+
+
+MULTIPLIERS = (1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4))
+
+
+def explicit_factor(triples) -> Scalar:
+    """The oracle of a multiplier: each m made the factor Scalar.from_fraction(m)
+    of a product's first operand, and the products summed with multiplier 1."""
+    return _sum_products([(1, Scalar.from_fraction(m) * a, b) for m, a, b in triples])
+
+
+def test_multiplier_matches_an_explicit_constant_factor():
+    """_sum_products over groups of one to four (m, a, b) triples and
+    scalar._mul(a, b, m) give the numerator, denominator and base of the
+    same sum with m as an explicit constant factor, over factor_family_values()
+    and denominator_shapes() and constants that share a factor with m (2/3
+    with m = 3/4, 2 with m = 1/2); a product that m makes 1 returns the other
+    factor itself."""
+    constants = [Scalar.from_fraction(q) for q in (Fraction(2, 3), 2, Fraction(-3, 4), 6, Fraction(1, 6))]
+    values = [x for _, x in factor_family_values()] + denominator_shapes() + constants
+    rng = random.Random(37)
+    checked = 0
+    for _ in range(150):
+        triples = [(rng.choice(MULTIPLIERS), rng.choice(values), rng.choice(values))
+                   for _ in range(rng.randint(1, 4))]
+        got, want = _sum_products(triples), explicit_factor(triples)
+        assert (got._n, got._d, got._b) == (want._n, want._d, want._b), triples
+        assert_base_matches(got, triples)
+        checked += 1
+    for x in values[::3] + constants:
+        for c in constants:
+            for m in MULTIPLIERS:
+                want = explicit_factor([(m, c, x)])
+                for got in (scalar._mul(c, x, m), scalar._mul(x, c, m)):
+                    assert (got._n, got._d, got._b) == (want._n, want._d, want._b), (m, c, x)
+                    checked += 1
+    two = Scalar.from_fraction(2)
+    for _, x in factor_family_values()[:8]:
+        assert scalar._mul(two, x, Fraction(1, 2)) is x and scalar._mul(x, two, Fraction(1, 2)) is x
+    assert checked > 900
