@@ -25,7 +25,7 @@ from itertools import chain, product
 from math import comb
 from types import MappingProxyType
 
-from .diffpoly import DiffPoly, ThetaVar, _dx_upto, _odd_mul, _products
+from .diffpoly import DiffPoly, _dx_upto, _odd_mul, _products
 from .errors import DegenerateMetricError
 from .scalar import Scalar, _sum_products
 
@@ -198,7 +198,8 @@ def _skew_defects(b: HomogeneousBracket) -> tuple:
     out = []
     for i, j, t in product(range(1, b.n + 1), range(1, b.n + 1), range(b.k + 1)):
         defect = _products([(b.entry(j, i, t).terms.items(), (), (), 2, _ONE),
-                            (ddtheta[j - 1].partial(ThetaVar(i, t)).terms.items(), (), (), -2, _ONE)])
+                            *[(items, (), (), -2 * m, _ONE)
+                              for items, _, _, m, _ in ddtheta[j - 1]._theta_parts(i, t)]])
         if not defect.is_zero:
             out.append((i, j, t, defect))
     return tuple(out)

@@ -37,12 +37,19 @@ each term of its input, and bracket.transform one per term of each
 d_x^t(J) of a transformed entry's Leibniz expansion, with its binomial.
 Each step of the Horner loop of a variational derivative
 (_alternating_sum), which sets acc to partial - d_x(acc), is one call too,
-whose parts are the partial's terms times one and the parts of d_x(acc)
-with their multipliers negated.  _products groups the coefficient pairs of
-all the products by the key they land on, and sums each group in one
+whose parts are the partial's terms times one, one part per int
+multiplier (the jet's exponent, or the sign of the theta's position;
+_jet_parts, _theta_parts), and the parts of d_x(acc) with their
+multipliers negated.  _products groups the coefficient pairs of all the
+products by the key they land on, and sums each group in one
 scalar._sum_products, over one common denominator, instead of a product
 and an addition per pair.  Each distinct pair of odd words is merged
 (_odd_mul) once per call, however many coefficient pairs share it.
+
+A call of at least _PACKED_PARTS parts is first offered to
+scalar._packed_sums, which sums it as packed Laurent monomials when every
+denominator is an integer times a monomial; this module only dispatches
+and forms the term keys, and a refused call is grouped as above.
 """
 
 from __future__ import annotations
@@ -54,8 +61,8 @@ from functools import reduce
 from itertools import chain
 
 from .scalar import (
-    Scalar, _collect, _factor_str, _mono_lower, _mono_mul, _power, _product, _signed_join,
-    _sum_products,
+    Scalar, _collect, _factor_str, _mono_lower, _mono_mul, _packed_sums, _power, _product,
+    _signed_join, _sum_products,
 )
 
 EvenKey = tuple  # (((i, s), e), ...)
@@ -64,6 +71,14 @@ TermKey = tuple  # (EvenKey, OddKey)
 
 _EMPTY_KEY: TermKey = ((), ())
 _ONE = Scalar.one()
+
+# the fewest parts of a _products call offered to the packed sum.  Timed
+# per call (best of 3, seed 11, Python 3.11, 2 CPUs) over the calls whose
+# coefficients all pack: at 16-63 parts the packed sum took 1.06x the
+# grouped time on dp_square and 2.2-2.8x on fixture_report and
+# generated_jacobi, whose small groups mostly hold one product; at 64 parts
+# and more it took 0.55-1.0x, and 0.55x on the four calls of 512 or more
+_PACKED_PARTS = 64
 
 
 @dataclass(frozen=True)
@@ -284,28 +299,32 @@ class DiffPoly:
         return _wrap({key: dc for key, c in self.terms.items() if (dc := c.partial(i))})
 
     # Removing one variable from a term is injective on the terms that hold
-    # it, so the two partials below need no accumulation.
+    # it, so the partials below need no accumulation.  Each is built as
+    # _products parts of products by one, one part per int multiplier: the
+    # exponent of the jet, or the sign of the theta's position.
 
     def _partial_jet(self, i: int, s: int) -> "DiffPoly":
-        if s == 0:
-            return self.partial_coordinate(i)
-        target = (i, s)
-        return _wrap(
-            {
-                (_mono_lower(even, target), odd): _sum_products([(e, c, _ONE)])
-                for (even, odd), c in self.terms.items()
-                if (e := dict(even).get(target))
-            }
-        )
+        return _scaled(self._jet_parts(i, s))
 
     def _partial_theta(self, i: int, s: int) -> "DiffPoly":
-        target = (s, i)
-        r: dict = {}
+        return _scaled(self._theta_parts(i, s))
+
+    def _jet_parts(self, i: int, s: int) -> list:
+        if s == 0:
+            return [(self.partial_coordinate(i).terms.items(), (), (), 1, _ONE)]
+        target, groups = (i, s), {}
+        for (even, odd), c in self.terms.items():
+            if e := dict(even).get(target):
+                groups.setdefault(e, []).append(((_mono_lower(even, target), odd), c))
+        return [(items, (), (), e, _ONE) for e, items in groups.items()]
+
+    def _theta_parts(self, i: int, s: int) -> list:
+        target, plus, minus = (s, i), [], []
         for (even, odd), c in self.terms.items():
             if target in odd:
                 p = odd.index(target)
-                r[(even, odd[:p] + odd[p + 1 :])] = -c if p % 2 else c
-        return _wrap(r)
+                (minus if p % 2 else plus).append(((even, odd[:p] + odd[p + 1 :]), c))
+        return [(plus, (), (), 1, _ONE), (minus, (), (), -1, _ONE)]
 
     def d_x(self) -> "DiffPoly":
         """Total x-derivative: the derivation raising the order of every
@@ -320,12 +339,12 @@ class DiffPoly:
 
     def variational_u(self, i: int) -> "DiffPoly":
         """Variational derivative with respect to u^i."""
-        return _alternating_sum(self._partial_jet, i, self.max_jet_order())
+        return _alternating_sum(self._jet_parts, i, self.max_jet_order())
 
     def variational_theta(self, i: int) -> "DiffPoly":
         """Variational derivative with respect to theta_i."""
         ThetaVar(i, 0)  # validate
-        return _alternating_sum(self._partial_theta, i, self.max_theta_order())
+        return _alternating_sum(self._theta_parts, i, self.max_theta_order())
 
     # -- gradings and projections ---------------------------------------
 
@@ -390,15 +409,52 @@ def _wrap(terms: dict) -> DiffPoly:
     return out
 
 
+class _Row(dict):
+    """merge(x, right) for each x looked up, made on its first lookup."""
+
+    def __init__(self, merge, right):
+        self.merge, self.right = merge, right
+
+    def __missing__(self, x):
+        self[x] = out = self.merge(x, self.right)
+        return out
+
+
+def _scaled(parts) -> DiffPoly:
+    """The sum over parts (items, (), (), m, one) whose items share no key:
+    each coefficient times its part's int m, with no sum to take."""
+    return _wrap({key: c if m == 1 else _sum_products([(m, c, _ONE)])
+                  for items, _, _, m, _ in parts for key, c in items})
+
+
 def _products(parts) -> DiffPoly:
     """The sum of the products a * b over parts (a_items, e2, o2, m, c2),
     where a_items are a's terms and b is the one term m * c2 at (e2, o2), m
-    a multiplier of scalar._sum_products: the coefficient pairs of every
-    product are grouped by key as (m times the odd merge's sign, c1, c2),
-    and each group is summed by _sum_products.  The odd merges are cached
-    in one row per o2, so each distinct pair of odd words is merged once."""
-    groups: dict = {}
+    a multiplier of scalar._sum_products.
+
+    A call of at least _PACKED_PARTS parts whose coefficients all pack goes
+    to scalar._packed_sums; keys forms its term keys, memoising the even
+    merges in one row per e2.  Any other call is grouped: the
+    coefficient pairs of every product are grouped by key as (m times the
+    odd merge's sign, c1, c2), and each group is summed by _sum_products.
+    Either way the odd merges are cached in one row per o2, so each
+    distinct pair of odd words is merged once."""
+    parts = list(parts)
     rows: dict = {}
+    if parts[_PACKED_PARTS - 1:]:  # at least _PACKED_PARTS parts
+        evens: dict = {}
+
+        def keys(ks, e2, o2):
+            if (row := rows.get(o2)) is None:
+                row = rows[o2] = _Row(_odd_mul, o2)
+            if (even := evens.get(e2)) is None:
+                even = evens[e2] = _Row(_mono_mul, e2)
+            return [(om[0], (even[e1] if e1 and e2 else e1 or e2, om[1])) if (om := row[o1]) else None
+                    for e1, o1 in ks]
+
+        if (sums := _packed_sums(parts, keys)) is not None:
+            return _wrap(sums)
+    groups: dict = {}
     for items, e2, o2, m, c2 in parts:
         row = rows.setdefault(o2, {})
         for (e1, o1), c1 in items:
@@ -502,18 +558,18 @@ def _alternating_sum(partial, i: int, top: int, tables: tuple = _DX_IMAGES) -> D
     """sum_{s=0..top} (-D)^s partial(i, s), the shared variational formula,
     for D the derivation of the image tables (jets, thetas), d_x's by
     default, by Horner's rule: acc = partial(i, s) - D(acc) for s = top
-    down to 0.  Each step is one _products call: partial(i, s)'s terms as
-    one part, products by one, and the parts of D(acc) signed -1, so every
-    key of the new acc is summed once, with no negated DiffPoly and no
-    second sum."""
+    down to 0.  partial gives _products parts (DiffPoly._jet_parts and
+    _theta_parts), or a DiffPoly, whose terms are one part of products by
+    one.  The first acc is the partial itself (_scaled); each later step is
+    one _products call, of the partial's parts and the parts of D(acc)
+    signed -1, so every key of the new acc is summed once, with no negated
+    or scaled partial and no second sum."""
     acc = DiffPoly.zero()
     for s in range(top, -1, -1):
         p = partial(i, s)
-        if acc:
-            acc = _products(chain(((p.terms.items(), (), (), 1, _ONE),),
-                                  _derivation_parts(acc, *tables, -1)))
-        else:
-            acc = p
+        if isinstance(p, DiffPoly):
+            p = [(p.terms.items(), (), (), 1, _ONE)]
+        acc = _products(chain(p, _derivation_parts(acc, *tables, -1))) if acc else _scaled(p)
     return acc
 
 

@@ -94,7 +94,7 @@ def _refuted_at_degree_zero(b: HomogeneousBracket) -> bool:
     """
     T0 = _pairing(*([v.project("deg_u", 0) for v in family] for family in variational_pair(b)))
     top = T0.max_theta_order()
-    return any(_alternating_sum(T0._partial_theta, i, top, _DX_DEG_U_0) for i in range(1, b.n + 1))
+    return any(_alternating_sum(T0._theta_parts, i, top, _DX_DEG_U_0) for i in range(1, b.n + 1))
 
 
 # D_P^2 on u^i and on theta_i, read off the trivector T.

@@ -23,7 +23,8 @@ same join (_signed_join), product rule (_product) and coefficient text
 
 Term dicts, here and in diffpoly, never hold a zero coefficient: every sum
 of terms goes through _collect, which keeps that invariant, or through the
-accumulator of _sum_products, which drops the cancelled keys at the end.
+accumulator of _sum_products or _packed_sums, which drop the cancelled keys
+at the end.
 
 No Scalar, and no term dict or base it holds, is changed after it is made,
 so they are shared freely: a negation keeps its operand's base, a product
@@ -54,6 +55,14 @@ the bases of both operands, which are in lowest terms, only these can cancel:
   numerator first multiplied by the complement when the product lacks some
   of the lcm's factors.  A sum that cancels to zero is returned at once,
   since a zero test needs the sum but not its lowest terms (Moses, CACM 1971);
+* in the packed sums of a large diffpoly._products call (_packed_sums),
+  whose denominators are all c * prod u_v^e_v: none until the end.  Each
+  coefficient is a Laurent polynomial with its monomials packed into ints
+  (Kronecker's substitution; Monagan and Pearce, CASC 2007), so a key's
+  sum is one dict of ints that is zero exactly when every value is, since
+  packing is injective on every input and every sum of two; a coefficient
+  with another factor, or an index or exponent without a field, is refused
+  before anything is packed;
 * in a partial derivative by u^i, the factors free of u^i: each factor
   that involves u^i gains one in its exponent and never cancels;
 * the integer contents, by math.gcd.
@@ -137,6 +146,16 @@ _FACTOR_MEMO = 1024
 
 # the prime modulo which a numerator is evaluated at a zero of a factor
 _PRIME = (1 << 61) - 1
+
+# the packed Laurent monomials of _packed_sums: one signed field of
+# _PACK_BITS bits for each of u1 .. u_PACK_VARS, every exponent of an input
+# below _PACK_LIMIT in size, so that a sum of two stays inside its field
+_PACK_BITS = 16
+_PACK_VARS = 8
+_PACK_LIMIT = 1 << _PACK_BITS - 2
+_PACK_HALF = 1 << _PACK_BITS - 1
+_PACK_MASK = (1 << _PACK_BITS) - 1
+_PACK_BIAS = sum(_PACK_HALF << _PACK_BITS * v for v in range(_PACK_VARS))
 
 
 def _collect(pairs, start: dict | None = None) -> dict:
@@ -915,6 +934,103 @@ def _sum_products(triples) -> Scalar:
     if not num:
         return _ZERO
     return _assemble(_strip(num, exps, [*exps]), c, exps)
+
+
+def _laurent(a: Scalar):
+    """(c, [(k, q), ...]) with a = sum q * u^k / c over Laurent monomials u^k,
+    each exponent vector k packed into one int with a signed field of
+    _PACK_BITS bits per coordinate; None when a's base has a factor that is
+    not a single coordinate, or an index or exponent does not fit."""
+    c, base = a._b
+    shift = 0
+    for f, k in base.items():
+        if len(f.p) != 1 or f.y > _PACK_VARS or k >= _PACK_LIMIT:
+            return None
+        shift -= k << _PACK_BITS * (f.y - 1)
+    terms = []
+    for m, q in a._n.items():
+        k = shift
+        for v, e in m:
+            if v > _PACK_VARS or e >= _PACK_LIMIT:
+                return None
+            k += e << _PACK_BITS * (v - 1)
+        terms.append((k, q))
+    return c, terms
+
+
+def _unpack(k: int) -> list:
+    """The exponent vector [e_1, ..., e_PACK_VARS] that _laurent packed into k,
+    or a sum of two such vectors: biased by half a field each, every field
+    reads as an unsigned digit."""
+    k += _PACK_BIAS
+    return [(k >> _PACK_BITS * v & _PACK_MASK) - _PACK_HALF for v in range(_PACK_VARS)]
+
+
+def _packed_sums(parts, keys) -> dict | None:
+    """{key: sum} over the nonzero sums of m * a * b for the parts
+    (items, x, y, m, b) of diffpoly._products, items its (k, a) pairs, where
+    keys(ks, x, y) gives for the list ks of the items' ks a list of
+    (sign, key), or None for a product that vanishes; or None, before any
+    product is taken, when some coefficient does not pack (_laurent).
+
+    Each coefficient is a Laurent polynomial over its content, so each sum
+    over a key is one dict of packed monomials with int values over the one
+    content C = lcm of the a's contents times lcm of the b's (m's
+    denominator joins b's).  Packing is injective on every input and every
+    sum of two, so a sum is zero exactly when every value is; only the
+    survivors are unpacked, each variable's least exponent giving the
+    monomial denominator, and _assemble cancels the integer content."""
+    left, right, coordinates = {}, {}, {}
+    ca = cb = 1
+    for items, _, _, m, b in parts:
+        if id(items) not in left:
+            left[id(items)] = forms = [(k, _laurent(a)) for k, a in items]
+            for _, f in forms:
+                if f is None:
+                    return None
+                if ca % f[0]:
+                    ca = lcm(ca, f[0])
+            coordinates.update((g.y, g) for _, a in items for g in a._b[1])
+        if (f := right.get(id(b))) is None:
+            if (f := _laurent(b)) is None:
+                return None
+            right[id(b)] = f
+            coordinates.update((g.y, g) for g in b._b[1])
+        c = f[0] if type(m) is int else f[0] * m.denominator
+        if cb % c:
+            cb = lcm(cb, c)
+    # the left forms over ca, once per items; ks are the items' own keys
+    for i, forms in left.items():
+        left[i] = ([k for k, _ in forms],
+                   [t if c == ca else [(k, q * (ca // c)) for k, q in t] for _, (c, t) in forms])
+    sums = {}
+    for items, x, y, m, b in parts:
+        ks, forms = left[id(items)]
+        c, tb = right[id(b)]
+        s = m
+        if type(m) is not int:
+            c, s = c * m.denominator, m.numerator
+        s *= cb // c
+        signed = {1: [(k, q * s) for k, q in tb], -1: [(k, -q * s) for k, q in tb]}
+        for mk, ta in zip(keys(ks, x, y), forms):
+            if mk is None:
+                continue
+            acc = sums.get(mk[1])
+            if acc is None:
+                acc = sums[mk[1]] = {}
+            for kb, qb in signed[mk[0]]:
+                for ka, qa in ta:
+                    k = ka + kb
+                    acc[k] = acc.get(k, 0) + qa * qb
+    out = {}
+    for key, acc in sums.items():
+        vectors = [(_unpack(k), q) for k, q in acc.items() if q]
+        if vectors:
+            low = [min(0, *(u[v] for u, _ in vectors)) for v in range(_PACK_VARS)]
+            num = {tuple((v + 1, e - l) for v, (e, l) in enumerate(zip(u, low)) if e != l): q
+                   for u, q in vectors}
+            out[key] = _assemble(num, ca * cb, {coordinates[v + 1]: -l for v, l in enumerate(low) if l})
+    return out
 
 
 def _mul(a: Scalar, b: Scalar, m=1) -> Scalar:

@@ -1,0 +1,212 @@
+"""The packed Laurent sum of large _products calls (scalar._packed_sums)
+against the grouped path, its pack and unpack, its gate, and the memos that
+every kernel shares."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from dnbrackets import diffpoly, scalar
+from dnbrackets.cli import load_bracket
+from dnbrackets.diffpoly import _DX_IMAGES, DiffPoly, _Images, _products
+from dnbrackets.jacobi import _DP_images, apply_DP
+from dnbrackets.sampling import random_diffpoly, random_monomial, random_scalar
+from dnbrackets.scalar import (
+    _PACK_LIMIT, _PACK_VARS, Scalar, _laurent, _mul, _packed_sums, _sum_products, _unpack,
+)
+
+from conftest import S, fixture_path, kernel_draws
+from test_scalar import assert_base_matches
+
+GROUPED = 1 << 60  # a _PACKED_PARTS that no call reaches
+
+
+def both_paths(monkeypatch, run):
+    """run() with every _products call offered to the packed sum, and with
+    none; and how many calls the packed sum took."""
+    taken = []
+
+    def spy(parts, keys):
+        out = _packed_sums(parts, keys)
+        taken.append(out is not None)
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(diffpoly, "_PACKED_PARTS", 0)
+        patch.setattr(diffpoly, "_packed_sums", spy)
+        packed = run()
+    with monkeypatch.context() as patch:
+        patch.setattr(diffpoly, "_PACKED_PARTS", GROUPED)
+        grouped = run()
+    return packed, grouped, sum(taken)
+
+
+def assert_same_fields(got: DiffPoly, want: DiffPoly, where):
+    """The same keys in the same order, and each coefficient with the same
+    integer numerator, denominator and base."""
+    assert list(got.terms) == list(want.terms), where
+    for key, c in got.terms.items():
+        w = want.terms[key]
+        assert (c._n, c._d, c._b) == (w._n, w._d, w._b), (where, key)
+        assert_base_matches(c, where)
+
+
+def dp_square_inputs(b, count=9):
+    """random_monomial(max_degu=2) draws with rational factors, as the
+    dp_square benchmark draws them."""
+    shapes, rng = random.Random(0), random.Random(11)
+    drawn = []
+    while len(drawn) < count:
+        a = random_monomial(shapes, b.n, b.k, max_degu=2)
+        if not a.is_zero:
+            drawn.append(a * rng.choice((Fraction(-2), Fraction(1, 2), Fraction(3))))
+    return drawn
+
+
+@pytest.mark.parametrize("name", ["nonflat2.json", "lc_k1.json", "constant_k2.json", "canonical_k2.json"])
+def test_packed_sums_match_the_grouped_path_on_fixtures(monkeypatch, name):
+    """D_P, D_P twice and products on kernel_draws and on the dp_square
+    inputs of each fixture: the packed sum gives the grouped path's terms,
+    integer fields and bases.  canonical_k2's u3 + 1 takes the fallback."""
+    b = load_bracket(fixture_path(name))
+    _DP_images(b)  # the tables are built once, outside both runs
+    inputs = list(kernel_draws(random.Random(5), b, set(), rounds=3)) + dp_square_inputs(b, 4)
+    taken = 0
+    for a in inputs:
+        def run(a=a):
+            image = apply_DP(b, a)
+            return [image, apply_DP(b, image), image * a, a * a]
+        packed, grouped, n = both_paths(monkeypatch, run)
+        taken += n
+        for got, want in zip(packed, grouped):
+            assert_same_fields(got, want, (name, a))
+    assert taken
+
+
+def test_packed_sums_match_on_fraction_multipliers_and_fall_back_on_polynomial_factors(monkeypatch):
+    """Random DiffPolys with parts carrying Fraction multipliers, and
+    coefficients with a polynomial factor, which the packed sum refuses."""
+    rng = random.Random(29)
+    refused = [S("1/(u1 + u2)"), S("u2/(u1^2 - u2)"), S("(u1 + 1)/(u1*(u2 + 3))")]
+    for k in range(40):
+        n = 1 + k % 3
+        x, y = (random_diffpoly(rng, n, terms=4, max_factors=2) for _ in range(2))
+        polynomial = k % 4 == 3
+        if polynomial:
+            y = y + DiffPoly.from_scalar(rng.choice(refused)) * DiffPoly.jet(1, 1)
+        parts = [(x.terms.items(), e2, o2, rng.choice((1, -2, Fraction(3, 4), Fraction(-5, 6))), c2)
+                 for (e2, o2), c2 in y.terms.items()]
+        packed, grouped, n = both_paths(monkeypatch, lambda: _products(parts))
+        assert_same_fields(packed, grouped, (x, y))
+        assert n == (0 if polynomial or not parts else 1)
+
+
+def test_pack_and_unpack_round_trip_at_the_field_limit():
+    """Every exponent vector with entries below _PACK_LIMIT in size, as
+    numerators over monomial denominators, packs and unpacks to itself, and
+    so does the sum of two; the extremes are drawn often."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    top = _PACK_LIMIT - 1
+    exponent = st.one_of(st.sampled_from([0, top, -top, top - 1, 1 - top]), st.integers(-top, top))
+    vector = st.lists(exponent, min_size=_PACK_VARS, max_size=_PACK_VARS)
+
+    def laurent_monomial(u):
+        num = tuple((v, e) for v, e in enumerate(u, 1) if e > 0)
+        den = tuple((v, -e) for v, e in enumerate(u, 1) if e < 0)
+        c, terms = _laurent(scalar._wrap({num: 1}, {den: 1}, scalar._factored(frozenset({den: 1}.items()))))
+        assert c == 1 and len(terms) == 1
+        return terms[0][0]
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(vector, vector)
+    def check(u, w):
+        ku, kw = laurent_monomial(u), laurent_monomial(w)
+        assert _unpack(ku) == u and _unpack(kw) == w
+        assert _unpack(ku + kw) == [a + b for a, b in zip(u, w)]
+
+    check()
+    assert _laurent(Scalar.coordinate(1) ** _PACK_LIMIT) is None
+    assert _laurent(Scalar.coordinate(_PACK_VARS + 1)) is None
+    assert _laurent(1 / Scalar.coordinate(1) ** top) is not None
+
+
+@pytest.mark.parametrize("big", ["u1^100000000", "u10000000", "1/u1^100000000", "u2/u10000000"])
+def test_unpackable_exponents_and_indices_stay_on_the_grouped_path(monkeypatch, big):
+    """A large call carrying a coefficient whose exponent or index has no
+    packed field is refused before any coefficient is packed with it, and
+    sums as the grouped path does."""
+    c = S(big)
+    assert _laurent(c) is None
+    x = DiffPoly.from_scalar(S("u1/u2")) * DiffPoly.jet(1, 1) + DiffPoly.theta(1, 0)
+    parts = [(x.terms.items(), (((1, s), 1),), (), 1, S(f"{s}/u1")) for s in range(1, 70)]
+    parts.append((x.terms.items(), (), (), 1, c))
+    only_c_refused = []
+    laurent = scalar._laurent
+
+    def spy(a):
+        out = laurent(a)
+        only_c_refused.append(out is not None or a is c)
+        return out
+
+    monkeypatch.setattr(scalar, "_laurent", spy)
+    packed, grouped, n = both_paths(monkeypatch, lambda: _products(parts))
+    assert n == 0 and all(only_c_refused)
+    assert_same_fields(packed, grouped, big)
+    assert packed.terms[((), ((0, 1),))] == c
+
+
+def test_kernels_leave_every_memo_and_image_table_unchanged(monkeypatch):
+    """A batch of _sum_products groups, _muls, partial derivatives and
+    DiffPoly products, products by one among them, through both paths of
+    _products: afterwards every value that _expand and _factored returned
+    equals a fresh recomputation, and every cached image table entry equals
+    its own rebuild.  A kernel that accumulated into a memoised dict, such as
+    _pmul(_den(...), 1), which is _den's own dict, would fail here; the
+    memos are checked after every drawing and operation, also one that
+    raises, since a corrupted memo can make the next step fail or run away."""
+    reached = {}
+    for name in ("_expand", "_factored"):
+        memo = getattr(scalar, name)
+
+        def recording(*args, memo=memo):
+            out = memo(*args)
+            reached[id(out)] = (memo.__wrapped__, args, out)
+            return out
+
+        monkeypatch.setattr(scalar, name, recording)
+
+    def checked(fn, *args):
+        try:
+            return fn(*args)
+        finally:  # an operation that corrupts a memo may go on to fail on it
+            for fresh, key, out in reached.values():
+                assert out == fresh(*key), key
+
+    rng = random.Random(61)
+    values = [S(t) for t in ("1", "-1", "1/u1", "1/u2", "u1/u2^2", "1/(u1 + u2)", "3/(2*u1^2)",
+                             "(u1 + 1)/(u1*u2)", "1/(u1 - u2)^2", "u2 + 1")]
+    values += [checked(random_scalar, rng, 2) for _ in range(20)]
+    b = load_bracket(fixture_path("nonflat2.json"))
+    for k in range(40):
+        a, c = rng.choice(values), rng.choice(values)
+        x = checked(random_diffpoly, rng, 2, 3, 3, 4, 2)
+        monkeypatch.setattr(diffpoly, "_PACKED_PARTS", 0 if k % 2 else GROUPED)
+        for op in (
+            lambda: _sum_products([(rng.choice((1, -1, 2, Fraction(1, 3))), rng.choice(values),
+                                    rng.choice(values)) for _ in range(rng.randint(2, 5))]),
+            lambda: _mul(a, c, rng.choice((1, -3, Fraction(2, 5)))),
+            lambda: a + c, lambda: a - c, lambda: a * c, lambda: c and a / c, lambda: a.partial(1 + k % 2),
+            lambda: x * DiffPoly.one(), lambda: DiffPoly.one() * x, lambda: x * x, x.d_x,
+            lambda: apply_DP(b, x), lambda: x.variational_u(1), lambda: x.variational_theta(2),
+        ):
+            checked(op)
+    assert len(reached) > 100
+    fresh = [_Images(table.image) for table in _DX_IMAGES]
+    fresh += _DP_images(load_bracket(fixture_path("nonflat2.json")))
+    pairs = list(zip([*_DX_IMAGES, *_DP_images(b)], fresh))
+    assert all(table for table, _ in pairs)
+    for table, rebuilt in pairs:
+        for v, items in list(table.items()):
+            assert dict(items or {}) == dict(rebuilt[v] or {}), v
