@@ -43,13 +43,23 @@ _jet_parts, _theta_parts), and the parts of d_x(acc) with their
 multipliers negated.  _products groups the coefficient pairs of all the
 products by the key they land on, and sums each group in one
 scalar._sum_products, over one common denominator, instead of a product
-and an addition per pair.  Each distinct pair of odd words is merged
-(_odd_mul) once per call, however many coefficient pairs share it.
+and an addition per pair.  Odd words are merged by _odd_mul, memoised
+across calls in a table of _ODD_MEMO pairs, so each distinct pair is
+merged once however many coefficient pairs share it.
 
 A call of at least _PACKED_PARTS parts is first offered to
-scalar._packed_sums, which sums it as packed Laurent monomials when every
-denominator is an integer times a monomial; this module only dispatches
-and forms the term keys, and a refused call is grouped as above.
+scalar._packed_sums (_packed), which sums it as packed Laurent monomials
+when every denominator is an integer times a monomial.  This module packs
+the term keys alike: the call numbers its jets, each even key becomes one
+int with a signed field of _JET_BITS bits per jet (_pack_jets), and the
+call's number of the odd word sits above the jet fields, so a product's
+key is an integer addition and no even key is merged.  The packing is
+injective on every input and every sum of two, since each exponent is
+below _JET_LIMIT, so distinct term keys stay distinct and the sums come in
+the grouped path's order; a jet exponent of _JET_LIMIT or more, or more
+than _JET_FIELDS jets, refuses the call before any product is taken, and a
+refused call is grouped as above.  Image tables hold their entries as
+_Terms, on which scalar keeps each entry's Laurent forms once built.
 """
 
 from __future__ import annotations
@@ -57,12 +67,12 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import chain
 
 from .scalar import (
-    Scalar, _collect, _factor_str, _mono_lower, _mono_mul, _packed_sums, _power, _product,
-    _signed_join, _sum_products,
+    Scalar, _collect, _factor_str, _mono_lower, _mono_mul, _packed_sums, _power,
+    _product, _signed_join, _sum_products,
 )
 
 EvenKey = tuple  # (((i, s), e), ...)
@@ -79,6 +89,20 @@ _ONE = Scalar.one()
 # generated_jacobi, whose small groups mostly hold one product; at 64 parts
 # and more it took 0.55-1.0x, and 0.55x on the four calls of 512 or more
 _PACKED_PARTS = 64
+
+# the packed jet monomials of _packed: one signed field of _JET_BITS bits
+# for each of at most _JET_FIELDS distinct jets of a call, every exponent
+# below _JET_LIMIT, so that a sum of two stays inside its field.  A packed
+# call of the benchmark workloads (seed 11) meets at most 16 jets, and 64
+# keep a key within 1024 bits
+_JET_BITS = 16
+_JET_FIELDS = 64
+_JET_LIMIT = 1 << _JET_BITS - 2
+_JET_HALF = 1 << _JET_BITS - 1
+_JET_MASK = (1 << _JET_BITS) - 1
+
+# entries of the odd-merge memo (_odd_mul)
+_ODD_MEMO = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -109,6 +133,7 @@ class ThetaVar:
             raise ValueError(f"theta order must be >= 0, got {self.s}")
 
 
+@lru_cache(maxsize=_ODD_MEMO)
 def _odd_mul(o1: OddKey, o2: OddKey):
     """Merge two sorted odd words; returns (sign, word) or None on repeats."""
     if not o1:
@@ -420,6 +445,40 @@ class _Row(dict):
         return out
 
 
+class _Terms(list):
+    """Term items with the slot laurent, where scalar._packed_sums keeps the
+    packed Laurent forms of their coefficients (False until it builds them).
+    An image table's entries are _Terms, so each builds its forms once, and
+    the forms live and die with the entry."""
+
+    laurent = False
+
+
+def _pack_jets(even: EvenKey, fields: dict):
+    """even's exponents packed into one int, a signed field of _JET_BITS
+    bits per jet at the shift fields gives it; a jet not yet in fields is
+    added at the next free field.  None when an exponent is _JET_LIMIT or
+    more, or the jet would be number _JET_FIELDS + 1."""
+    p = 0
+    for v, e in even:
+        if e >= _JET_LIMIT:
+            return None
+        if (f := fields.get(v)) is None:
+            if len(fields) == _JET_FIELDS:
+                return None
+            f = fields[v] = _JET_BITS * len(fields)
+        p += e << f
+    return p
+
+
+def _unpack_jets(p: int, fields: dict) -> EvenKey:
+    """The even key that _pack_jets packed into p with fields, or the merge
+    of two: biased by half a field each, every field reads as an unsigned
+    digit."""
+    p += sum(_JET_HALF << f for f in fields.values())
+    return tuple((v, e) for v, f in sorted(fields.items()) if (e := (p >> f & _JET_MASK) - _JET_HALF))
+
+
 def _scaled(parts) -> DiffPoly:
     """The sum over parts (items, (), (), m, one) whose items share no key:
     each coefficient times its part's int m, with no sum to take."""
@@ -432,40 +491,71 @@ def _products(parts) -> DiffPoly:
     where a_items are a's terms and b is the one term m * c2 at (e2, o2), m
     a multiplier of scalar._sum_products.
 
-    A call of at least _PACKED_PARTS parts whose coefficients all pack goes
-    to scalar._packed_sums; keys forms its term keys, memoising the even
-    merges in one row per e2.  Any other call is grouped: the
-    coefficient pairs of every product are grouped by key as (m times the
-    odd merge's sign, c1, c2), and each group is summed by _sum_products.
-    Either way the odd merges are cached in one row per o2, so each
-    distinct pair of odd words is merged once."""
+    A call of at least _PACKED_PARTS parts whose coefficients and jets all
+    pack is summed by _packed.  Any other call is grouped: the coefficient
+    pairs of every product are grouped by key as (m times the odd merge's
+    sign, c1, c2), and each group is summed by _sum_products.  Odd merges
+    are memoised across calls (_odd_mul)."""
     parts = list(parts)
-    rows: dict = {}
-    if parts[_PACKED_PARTS - 1:]:  # at least _PACKED_PARTS parts
-        evens: dict = {}
-
-        def keys(ks, e2, o2):
-            if (row := rows.get(o2)) is None:
-                row = rows[o2] = _Row(_odd_mul, o2)
-            if (even := evens.get(e2)) is None:
-                even = evens[e2] = _Row(_mono_mul, e2)
-            return [(om[0], (even[e1] if e1 and e2 else e1 or e2, om[1])) if (om := row[o1]) else None
-                    for e1, o1 in ks]
-
-        if (sums := _packed_sums(parts, keys)) is not None:
-            return _wrap(sums)
+    if parts[_PACKED_PARTS - 1:] and (terms := _packed(parts)) is not None:  # _PACKED_PARTS or more
+        return _wrap(terms)
     groups: dict = {}
     for items, e2, o2, m, c2 in parts:
-        row = rows.setdefault(o2, {})
         for (e1, o1), c1 in items:
-            try:
-                om = row[o1]
-            except KeyError:
-                om = row[o1] = _odd_mul(o1, o2)
-            if om is not None:
+            if (om := _odd_mul(o1, o2)) is not None:
                 key = (_mono_mul(e1, e2) if e1 and e2 else e1 or e2, om[1])
                 groups.setdefault(key, []).append((m * om[0], c1, c2))
     return _wrap({key: c for key, group in groups.items() if (c := _sum_products(group))})
+
+
+def _packed(parts: list) -> dict | None:
+    """The terms of _products(parts) from scalar._packed_sums, or None when
+    some coefficient or jet does not pack, before any product is taken.
+
+    A term key is packed into one int: the call numbers its jets as it
+    meets them and packs each even key (_pack_jets), once per distinct left
+    items and once per part, and numbers the odd words it makes, whose
+    number sits above the jet fields.  A product's key is then its left
+    term's base, the merged word's number plus the left even key, plus the
+    part's packed even key: no even key is merged and no tuple is built per
+    product.  The odd merges are made once per pair of words in one _Row
+    per o2, and the bases once per distinct (items, o2).  The keys are met
+    in the grouped path's order, so the sums come in its order of first
+    appearance; each surviving key is unpacked once (key)."""
+    fields: dict = {}
+    evens = _Row(_pack_jets, fields)
+    lefts = {}
+    for items, e2, o2, m, c2 in parts:
+        if id(items) not in lefts:
+            ks = [(evens[e1], o1) for (e1, o1), _ in items]
+            if any(p is None for p, _ in ks):
+                return None
+            lefts[id(items)] = (items if type(items) is _Terms else _Terms(items), ks)
+        if evens[e2] is None:
+            return None
+    top = _JET_BITS * len(fields)  # the word's number sits above every jet field
+    words: dict = {}
+
+    def merge(o1, o2):
+        if (om := _odd_mul(o1, o2)) is None:
+            return None
+        return om[0], words.setdefault(om[1], len(words)) << top
+
+    rows, bases, packed = {}, {}, []
+    for items, e2, o2, m, c2 in parts:
+        terms, ks = lefts[id(items)]
+        if (based := bases.get((id(items), o2))) is None:
+            if (row := rows.get(o2)) is None:
+                row = rows[o2] = _Row(merge, o2)
+            based = bases[id(items), o2] = [(om[0], om[1] + p1) if (om := row[o1]) else None for p1, o1 in ks]
+        packed.append((terms, based, evens[e2], m, c2))
+    bias, order = sum(_JET_HALF << f for f in fields.values()), list(words)
+
+    def key(k):
+        k += bias
+        return _unpack_jets((k & (1 << top) - 1) - bias, fields), order[k >> top]
+
+    return _packed_sums(packed, key)
 
 
 def _sum(parts) -> DiffPoly:
@@ -500,7 +590,7 @@ class _Images(dict):
 
     def __missing__(self, v):
         img = self.image(v)
-        self[v] = out = img and img.terms.items()
+        self[v] = out = img and _Terms(img.terms.items())
         return out
 
 

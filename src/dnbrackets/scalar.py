@@ -62,7 +62,9 @@ the bases of both operands, which are in lowest terms, only these can cancel:
   sum is one dict of ints that is zero exactly when every value is, since
   packing is injective on every input and every sum of two; a coefficient
   with another factor, or an index or exponent without a field, is refused
-  before anything is packed;
+  before any product is taken.  The left operands' forms (_laurent_forms)
+  are kept on the items that carry them, so a derivation's image-table
+  entry builds its forms once, over its own content;
 * in a partial derivative by u^i, the factors free of u^i: each factor
   that involves u^i gains one in its exponent and never cancels;
 * the integer contents, by math.gcd.
@@ -523,6 +525,10 @@ class _Factor(frozenset):
         return self  # never changed, like the Scalars that hold it
 
 
+# the coordinates u1 .. u_PACK_VARS as factors, for the bases of _packed_sums
+_COORDINATES = [_Factor({((v, 1),): 1}, v, 1) for v in range(1, _PACK_VARS + 1)]
+
+
 def _certify(p: dict) -> _Factor | None:
     """p as a _Factor if some variable y occurs in p only in a term a*y, else None.
 
@@ -966,59 +972,67 @@ def _unpack(k: int) -> list:
     return [(k >> _PACK_BITS * v & _PACK_MASK) - _PACK_HALF for v in range(_PACK_VARS)]
 
 
-def _packed_sums(parts, keys) -> dict | None:
-    """{key: sum} over the nonzero sums of m * a * b for the parts
-    (items, x, y, m, b) of diffpoly._products, items its (k, a) pairs, where
-    keys(ks, x, y) gives for the list ks of the items' ks a list of
-    (sign, key), or None for a product that vanishes; or None, before any
-    product is taken, when some coefficient does not pack (_laurent).
+def _laurent_forms(coefficients):
+    """(c, [terms, ...]) with each coefficient a = sum q * u^k / c over the
+    (k, q) of its terms, c the lcm of their contents: the _laurent forms
+    over one content; None when some coefficient does not pack."""
+    forms, c = [], 1
+    for a in coefficients:
+        if (f := _laurent(a)) is None:
+            return None
+        forms.append(f)
+        if c % f[0]:
+            c = lcm(c, f[0])
+    return c, [t if d == c else [(k, q * (c // d)) for k, q in t] for d, t in forms]
 
+
+def _packed_sums(parts, keys) -> dict | None:
+    """{keys(k): sum} over the nonzero sums of m * a * b for the parts
+    (items, bases, offset, m, b) of diffpoly._products, items its (k, a)
+    pairs and bases a list aligned with them of (sign, base), or None for a
+    product that vanishes: the product of a with b is sign * m * a * b at
+    the int k = base + offset, which keys turns into a term key once the
+    sum survives.  None, before any product is taken, when some
+    coefficient does not pack (_laurent).
+
+    items carries the slot laurent, where the _laurent_forms (c_a, [ta, ...])
+    of its coefficients are kept once built (False until then, None when
+    they do not pack), so a table entry builds them once for all calls.
     Each coefficient is a Laurent polynomial over its content, so each sum
     over a key is one dict of packed monomials with int values over the one
-    content C = lcm of the a's contents times lcm of the b's (m's
-    denominator joins b's).  Packing is injective on every input and every
-    sum of two, so a sum is zero exactly when every value is; only the
-    survivors are unpacked, each variable's least exponent giving the
+    content C, the lcm over the parts of c_a c_b times m's denominator.
+    The left forms are used as they are: only b's terms are scaled, once
+    per part, by m C / (c_a c_b).  Packing is injective on every input and
+    every sum of two, so a sum is zero exactly when every value is; only
+    the survivors are unpacked, each variable's least exponent giving the
     monomial denominator, and _assemble cancels the integer content."""
-    left, right, coordinates = {}, {}, {}
-    ca = cb = 1
+    right, c = {}, 1
     for items, _, _, m, b in parts:
-        if id(items) not in left:
-            left[id(items)] = forms = [(k, _laurent(a)) for k, a in items]
-            for _, f in forms:
-                if f is None:
-                    return None
-                if ca % f[0]:
-                    ca = lcm(ca, f[0])
-            coordinates.update((g.y, g) for _, a in items for g in a._b[1])
+        if (forms := items.laurent) is False:
+            forms = items.laurent = _laurent_forms(a for _, a in items)
+        if forms is None:
+            return None
         if (f := right.get(id(b))) is None:
             if (f := _laurent(b)) is None:
                 return None
             right[id(b)] = f
-            coordinates.update((g.y, g) for g in b._b[1])
-        c = f[0] if type(m) is int else f[0] * m.denominator
-        if cb % c:
-            cb = lcm(cb, c)
-    # the left forms over ca, once per items; ks are the items' own keys
-    for i, forms in left.items():
-        left[i] = ([k for k, _ in forms],
-                   [t if c == ca else [(k, q * (ca // c)) for k, q in t] for _, (c, t) in forms])
+        cp = forms[0] * f[0] if type(m) is int else forms[0] * f[0] * m.denominator
+        if c % cp:
+            c = lcm(c, cp)
     sums = {}
-    for items, x, y, m, b in parts:
-        ks, forms = left[id(items)]
-        c, tb = right[id(b)]
-        s = m
-        if type(m) is not int:
-            c, s = c * m.denominator, m.numerator
-        s *= cb // c
-        signed = {1: [(k, q * s) for k, q in tb], -1: [(k, -q * s) for k, q in tb]}
-        for mk, ta in zip(keys(ks, x, y), forms):
-            if mk is None:
+    for items, bases, offset, m, b in parts:
+        ca, forms = items.laurent
+        cb, tb = right[id(b)]
+        s = m * (c // (ca * cb)) if type(m) is int else m.numerator * (c // (ca * cb * m.denominator))
+        signed = {1: [(k, q * s) for k, q in tb]}
+        for base, ta in zip(bases, forms):
+            if base is None:
                 continue
-            acc = sums.get(mk[1])
-            if acc is None:
-                acc = sums[mk[1]] = {}
-            for kb, qb in signed[mk[0]]:
+            if (tbs := signed.get(base[0])) is None:
+                tbs = signed[-1] = [(k, -q) for k, q in signed[1]]
+            if (acc := sums.get(key := base[1] + offset)) is None:
+                acc = sums[key] = {}
+            for kb, qb in tbs:
                 for ka, qa in ta:
                     k = ka + kb
                     acc[k] = acc.get(k, 0) + qa * qb
@@ -1029,7 +1043,7 @@ def _packed_sums(parts, keys) -> dict | None:
             low = [min(0, *(u[v] for u, _ in vectors)) for v in range(_PACK_VARS)]
             num = {tuple((v + 1, e - l) for v, (e, l) in enumerate(zip(u, low)) if e != l): q
                    for u, q in vectors}
-            out[key] = _assemble(num, ca * cb, {coordinates[v + 1]: -l for v, l in enumerate(low) if l})
+            out[keys(key)] = _assemble(num, c, {_COORDINATES[v]: -l for v, l in enumerate(low) if l})
     return out
 
 

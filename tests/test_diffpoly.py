@@ -592,10 +592,11 @@ def test_fused_kernel_matches_collected_products(request, name):
     assert covered == {"coordinates only", "jet order 3", "theta above k"}
 
 
-def test_products_merge_each_odd_word_pair_once(monkeypatch):
+def test_products_merge_each_odd_word_pair_once():
     """One _products call whose parts repeat the same pairs of odd words with
-    other even parts, coefficients and signs: each distinct pair is merged
-    once, and the terms are those of collected_products."""
+    other even parts, coefficients and signs: from an empty odd-merge memo,
+    each distinct pair is merged once (a memo miss), and the terms are those
+    of collected_products."""
     x = [theta(1, 2), theta(2, 1) * theta(1, 2), DiffPoly.one()]
     y = [theta(2, 1), theta(1, 0), theta(1, 0) * theta(1, 2)]
     coefficients = [S(t) for t in ("u1/(u1 + u2)", "-3", "(u2 - u1)/(2*u1)", "u1*u2 + 1", "1/u2^2",
@@ -612,12 +613,9 @@ def test_products_merge_each_odd_word_pair_once(monkeypatch):
             parts.append((a.terms.items(), e2, o2, sign, c2))
             pairs.append((a, _wrap({(e2, o2): c2 if sign > 0 else -c2})))
     words = {(o1, o2) for a, b in pairs for (_, o1) in a.terms for (_, o2) in b.terms}
-    calls = []
-    monkeypatch.setattr("dnbrackets.diffpoly._odd_mul",
-                        lambda o1, o2: calls.append((o1, o2)) or _odd_mul(o1, o2))
+    _odd_mul.cache_clear()
     got = _products(parts)
-    monkeypatch.undo()
-    assert sorted(calls) == sorted(words) and len(words) == 9
+    assert _odd_mul.cache_info().misses == len(words) == 9
     signs = {om and om[0] for om in map(odd_mul_oracle, *zip(*words))}
     assert signs == {None, 1, -1}
     assert {sign for *_, sign, _ in parts} == {1, -1}

@@ -2,18 +2,23 @@
 against the grouped path, its pack and unpack, its gate, and the memos that
 every kernel shares."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
 from dnbrackets import diffpoly, scalar
 from dnbrackets.cli import load_bracket
-from dnbrackets.diffpoly import _DX_IMAGES, DiffPoly, _Images, _products
+from dnbrackets.diffpoly import (
+    _DX_IMAGES, _JET_FIELDS, _JET_LIMIT, DiffPoly, _Images, _pack_jets, _products, _unpack_jets,
+)
 from dnbrackets.jacobi import _DP_images, apply_DP
 from dnbrackets.sampling import random_diffpoly, random_monomial, random_scalar
 from dnbrackets.scalar import (
-    _PACK_LIMIT, _PACK_VARS, Scalar, _laurent, _mul, _packed_sums, _sum_products, _unpack,
+    _PACK_LIMIT, _PACK_VARS, Scalar, _laurent, _laurent_forms, _mul, _packed_sums, _sum_products,
+    _unpack,
 )
 
 from conftest import S, fixture_path, kernel_draws
@@ -82,6 +87,38 @@ def test_packed_sums_match_the_grouped_path_on_fixtures(monkeypatch, name):
         for got, want in zip(packed, grouped):
             assert_same_fields(got, want, (name, a))
     assert taken
+
+
+def jet(i, s, e=1):
+    return DiffPoly.jet(i, s) ** e
+
+
+def test_packed_sums_match_the_grouped_path_on_jet_heavy_keys(monkeypatch):
+    """D_P, D_P twice and products on nonflat2 for inputs with many jets and
+    high jet powers, one of them 2^14 - 1 so that a merged field reaches
+    2^15 - 2: the packed sum gives the grouped path's terms in the same
+    order, with the same integer fields and bases."""
+    b = load_bracket(fixture_path("nonflat2.json"))
+    _DP_images(b)
+    rng = random.Random(43)
+    top = (1 << 14) - 1
+    inputs = [S("3/u1") * jet(1, 1, 300) * jet(2, 3, 7) * DiffPoly.theta(1, 2),
+              S("u2/(2*u1^3)") * jet(1, 1, top) * DiffPoly.theta(2, 0),
+              jet(1, 2, 40) * jet(2, 1, 9) * jet(1, 4) + S("-5/u1^2") * jet(2, 2, 11) * jet(1, 3, 2)]
+    inputs += [random_monomial(rng, 2, 3, max_degu=8) * Fraction(-3, 2) for _ in range(6)]
+    taken = 0
+    for a in inputs:
+        if a.is_zero:
+            continue
+
+        def run(a=a):
+            image = apply_DP(b, a)
+            return [image, apply_DP(b, image), image * a, a * a, a * DiffPoly.from_scalar(S("1/u1")) * image]
+        packed, grouped, n = both_paths(monkeypatch, run)
+        taken += n
+        for got, want in zip(packed, grouped):
+            assert_same_fields(got, want, a)
+    assert taken >= 5 * 6
 
 
 def test_packed_sums_match_on_fraction_multipliers_and_fall_back_on_polynomial_factors(monkeypatch):
@@ -157,6 +194,58 @@ def test_unpackable_exponents_and_indices_stay_on_the_grouped_path(monkeypatch, 
     assert packed.terms[((), ((0, 1),))] == c
 
 
+@pytest.mark.parametrize("where", ["left", "right", "fields"])
+def test_unpackable_jets_stay_on_the_grouped_path(monkeypatch, where):
+    """A 70-part call carrying a jet power with an exponent of _JET_LIMIT
+    (2^14) on a left or a right factor, or more than _JET_FIELDS distinct
+    jets, is refused before any coefficient is packed, and sums as the
+    grouped path does."""
+    assert _JET_LIMIT == _PACK_LIMIT == 1 << 14
+    x = DiffPoly.from_scalar(S("u1/u2")) * jet(1, 1) + DiffPoly.theta(1, 0)
+    if where == "left":
+        x = x + S("2/u1") * jet(2, 1, _JET_LIMIT)
+    parts = [(x.terms.items(), (((1, s), 1),) if where == "fields" else (((1, 1), s),), (), 1, S(f"{s}/u1"))
+             for s in range(1, 70)]
+    if where == "right":
+        parts.append((x.terms.items(), (((2, 2), _JET_LIMIT),), (), 1, S("1/u2")))
+    packed_coefficients = []
+    laurent = scalar._laurent
+    monkeypatch.setattr(scalar, "_laurent", lambda a: packed_coefficients.append(a) or laurent(a))
+    packed, grouped, n = both_paths(monkeypatch, lambda: _products(parts))
+    assert n == 0 and packed_coefficients == []
+    assert_same_fields(packed, grouped, where)
+
+
+def test_jet_pack_and_unpack_round_trip_at_the_field_limit():
+    """Every even key with exponents up to 2^14 - 1 in size over up to
+    _JET_FIELDS jets packs and unpacks to itself, and so does the merge of
+    two, with the jets numbered in the order they are met; the extremes are
+    drawn often."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    top = (1 << 14) - 1
+    exponent = st.one_of(st.sampled_from([top, -top, top - 1, 1 - top, 1, -1]), st.integers(-top, top))
+    jets = st.tuples(st.integers(1, 9), st.integers(1, 9))
+    key = st.dictionaries(jets, exponent.filter(bool), max_size=_JET_FIELDS // 2)
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(key, key)
+    def check(u, w):
+        fields = {}
+        pu, pw = _pack_jets(tuple(sorted(u.items())), fields), _pack_jets(tuple(sorted(w.items())), fields)
+        assert None not in (pu, pw) and len(fields) == len(u.keys() | w.keys())
+        assert _unpack_jets(pu, fields) == tuple(sorted(u.items()))
+        assert _unpack_jets(pw, fields) == tuple(sorted(w.items()))
+        merged = {v: u.get(v, 0) + w.get(v, 0) for v in u.keys() | w.keys()}
+        assert _unpack_jets(pu + pw, fields) == tuple(sorted((v, e) for v, e in merged.items() if e))
+
+    check()
+    fields = {}
+    assert _pack_jets((((1, 1), _JET_LIMIT),), fields) is None
+    assert _pack_jets(tuple(((1, s), 1) for s in range(1, _JET_FIELDS + 1)), fields) is not None
+    assert _pack_jets((((2, 1), 1),), fields) is None
+
+
 def test_kernels_leave_every_memo_and_image_table_unchanged(monkeypatch):
     """A batch of _sum_products groups, _muls, partial derivatives and
     DiffPoly products, products by one among them, through both paths of
@@ -207,6 +296,35 @@ def test_kernels_leave_every_memo_and_image_table_unchanged(monkeypatch):
     fresh += _DP_images(load_bracket(fixture_path("nonflat2.json")))
     pairs = list(zip([*_DX_IMAGES, *_DP_images(b)], fresh))
     assert all(table for table, _ in pairs)
+    built = 0
     for table, rebuilt in pairs:
         for v, items in list(table.items()):
             assert dict(items or {}) == dict(rebuilt[v] or {}), v
+            if items and items.laurent is not False:  # the packed forms a packed call kept
+                assert items.laurent == _laurent_forms(a for _, a in items), v
+                built += 1
+    assert built
+
+
+def test_a_dropped_bracket_frees_its_tables_and_their_packed_forms(monkeypatch):
+    """The packed forms live on the image-table entries and nowhere else:
+    once the bracket is dropped, its D_P tables, their entries and the
+    forms the packed calls built on them are all freed."""
+
+    class Forms(list):  # a weakly referenceable (c, [terms, ...])
+        pass
+
+    monkeypatch.setattr(scalar, "_laurent_forms",
+                        lambda coefficients, build=scalar._laurent_forms: (f := build(coefficients)) and Forms(f))
+    monkeypatch.setattr(diffpoly, "_PACKED_PARTS", 0)
+    b = load_bracket(fixture_path("nonflat2.json"))
+    for a in dp_square_inputs(b, 3):
+        apply_DP(b, apply_DP(b, a))
+    tables = _DP_images(b)
+    entries = [items for table in tables for items in table.values() if items]
+    forms = [items.laurent for items in entries if items.laurent]
+    assert forms and all(type(f) is Forms for f in forms)
+    refs = [weakref.ref(x) for x in (*tables, *entries, *forms)]
+    del b, tables, entries, forms
+    gc.collect()
+    assert [r for r in refs if r() is not None] == []
