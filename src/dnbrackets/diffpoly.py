@@ -47,19 +47,20 @@ and an addition per pair.  Odd words are merged by _odd_mul, memoised
 across calls in a table of _ODD_MEMO pairs, so each distinct pair is
 merged once however many coefficient pairs share it.
 
-A call of at least _PACKED_PARTS parts is first offered to
-scalar._packed_sums (_packed), which sums it as packed Laurent monomials
-when every denominator is an integer times a monomial.  This module packs
-the term keys alike: the call numbers its jets, each even key becomes one
-int with a signed field of _JET_BITS bits per jet (_pack_jets), and the
-call's number of the odd word sits above the jet fields, so a product's
-key is an integer addition and no even key is merged.  The packing is
-injective on every input and every sum of two, since each exponent is
-below _JET_LIMIT, so distinct term keys stay distinct and the sums come in
-the grouped path's order; a jet exponent of _JET_LIMIT or more, or more
-than _JET_FIELDS jets, refuses the call before any product is taken, and a
-refused call is grouped as above.  Image tables hold their entries as
-_Terms, on which scalar keeps each entry's Laurent forms once built.
+A call of at least _PACKED_PARTS parts is first offered to the packed
+path (_packed), which sums it in scalar._packed_sums as packed Laurent
+monomials when every denominator is an integer times a monomial.  Its
+gate runs whole before any jet is packed or any base is built: the left
+items' Laurent forms first, then the right coefficients (scalar._packable),
+then the jets; a refused call is grouped as above.  The term keys are
+packed in scalar's one format (scalar._pack): the call numbers its jets,
+each even key becomes one int with a signed field per jet, and the call's
+number of the odd word sits above the jet fields, so a product's key is an
+integer addition and no even key is merged.  The packing is injective on
+every input and every sum of two, so distinct term keys stay distinct and
+the sums come in the grouped path's order; this module unpacks each
+surviving key.  Image tables hold their entries as _Terms, on which
+scalar keeps each entry's Laurent forms once built.
 """
 
 from __future__ import annotations
@@ -71,8 +72,8 @@ from functools import lru_cache, reduce
 from itertools import chain
 
 from .scalar import (
-    Scalar, _collect, _factor_str, _mono_lower, _mono_mul, _packed_sums, _power,
-    _product, _signed_join, _sum_products,
+    _PACK_BITS, Scalar, _collect, _factor_str, _mono_lower, _mono_mul, _pack, _packable,
+    _packed_sums, _power, _product, _signed_join, _sum_products, _unpack,
 )
 
 EvenKey = tuple  # (((i, s), e), ...)
@@ -89,17 +90,6 @@ _ONE = Scalar.one()
 # generated_jacobi, whose small groups mostly hold one product; at 64 parts
 # and more it took 0.55-1.0x, and 0.55x on the four calls of 512 or more
 _PACKED_PARTS = 64
-
-# the packed jet monomials of _packed: one signed field of _JET_BITS bits
-# for each of at most _JET_FIELDS distinct jets of a call, every exponent
-# below _JET_LIMIT, so that a sum of two stays inside its field.  A packed
-# call of the benchmark workloads (seed 11) meets at most 16 jets, and 64
-# keep a key within 1024 bits
-_JET_BITS = 16
-_JET_FIELDS = 64
-_JET_LIMIT = 1 << _JET_BITS - 2
-_JET_HALF = 1 << _JET_BITS - 1
-_JET_MASK = (1 << _JET_BITS) - 1
 
 # entries of the odd-merge memo (_odd_mul)
 _ODD_MEMO = 1 << 14
@@ -446,37 +436,12 @@ class _Row(dict):
 
 
 class _Terms(list):
-    """Term items with the slot laurent, where scalar._packed_sums keeps the
+    """Term items with the slot laurent, where scalar._packable keeps the
     packed Laurent forms of their coefficients (False until it builds them).
     An image table's entries are _Terms, so each builds its forms once, and
     the forms live and die with the entry."""
 
     laurent = False
-
-
-def _pack_jets(even: EvenKey, fields: dict):
-    """even's exponents packed into one int, a signed field of _JET_BITS
-    bits per jet at the shift fields gives it; a jet not yet in fields is
-    added at the next free field.  None when an exponent is _JET_LIMIT or
-    more, or the jet would be number _JET_FIELDS + 1."""
-    p = 0
-    for v, e in even:
-        if e >= _JET_LIMIT:
-            return None
-        if (f := fields.get(v)) is None:
-            if len(fields) == _JET_FIELDS:
-                return None
-            f = fields[v] = _JET_BITS * len(fields)
-        p += e << f
-    return p
-
-
-def _unpack_jets(p: int, fields: dict) -> EvenKey:
-    """The even key that _pack_jets packed into p with fields, or the merge
-    of two: biased by half a field each, every field reads as an unsigned
-    digit."""
-    p += sum(_JET_HALF << f for f in fields.values())
-    return tuple((v, e) for v, f in sorted(fields.items()) if (e := (p >> f & _JET_MASK) - _JET_HALF))
 
 
 def _scaled(parts) -> DiffPoly:
@@ -510,30 +475,33 @@ def _products(parts) -> DiffPoly:
 
 def _packed(parts: list) -> dict | None:
     """The terms of _products(parts) from scalar._packed_sums, or None when
-    some coefficient or jet does not pack, before any product is taken.
+    some coefficient or jet does not pack, before any base is built: the
+    left items' Laurent forms, kept on each _Terms, and the right
+    coefficients are tried first (scalar._packable), then the jets.
 
     A term key is packed into one int: the call numbers its jets as it
-    meets them and packs each even key (_pack_jets), once per distinct left
-    items and once per part, and numbers the odd words it makes, whose
+    meets them and packs each even key (scalar._pack), once per distinct
+    left items and once per part, and numbers the odd words it makes, whose
     number sits above the jet fields.  A product's key is then its left
     term's base, the merged word's number plus the left even key, plus the
     part's packed even key: no even key is merged and no tuple is built per
     product.  The odd merges are made once per pair of words in one _Row
     per o2, and the bases once per distinct (items, o2).  The keys are met
     in the grouped path's order, so the sums come in its order of first
-    appearance; each surviving key is unpacked once (key)."""
+    appearance; each surviving key is unpacked once."""
+    lefts, sides = {}, []
+    for items, _, _, m, c2 in parts:
+        if (terms := lefts.get(id(items))) is None:
+            terms = lefts[id(items)] = items if type(items) is _Terms else _Terms(items)
+        sides.append((terms, m, c2))
+    if (gate := _packable(sides)) is None:
+        return None
     fields: dict = {}
-    evens = _Row(_pack_jets, fields)
-    lefts = {}
-    for items, e2, o2, m, c2 in parts:
-        if id(items) not in lefts:
-            ks = [(evens[e1], o1) for (e1, o1), _ in items]
-            if any(p is None for p, _ in ks):
-                return None
-            lefts[id(items)] = (items if type(items) is _Terms else _Terms(items), ks)
-        if evens[e2] is None:
-            return None
-    top = _JET_BITS * len(fields)  # the word's number sits above every jet field
+    evens = _Row(_pack, fields)
+    jets = {i: [(evens[e1], o1) for (e1, o1), _ in terms] for i, terms in lefts.items()}
+    if any(p is None for ks in jets.values() for p, _ in ks) or any(evens[e2] is None for _, e2, *_ in parts):
+        return None
+    top = _PACK_BITS * len(fields)  # the word's number sits above every jet field
     words: dict = {}
 
     def merge(o1, o2):
@@ -542,20 +510,15 @@ def _packed(parts: list) -> dict | None:
         return om[0], words.setdefault(om[1], len(words)) << top
 
     rows, bases, packed = {}, {}, []
-    for items, e2, o2, m, c2 in parts:
-        terms, ks = lefts[id(items)]
+    for (items, e2, o2, m, c2), (terms, _, _) in zip(parts, sides):
         if (based := bases.get((id(items), o2))) is None:
             if (row := rows.get(o2)) is None:
                 row = rows[o2] = _Row(merge, o2)
-            based = bases[id(items), o2] = [(om[0], om[1] + p1) if (om := row[o1]) else None for p1, o1 in ks]
+            based = bases[id(items), o2] = [(om[0], om[1] + p1) if (om := row[o1]) else None
+                                            for p1, o1 in jets[id(items)]]
         packed.append((terms, based, evens[e2], m, c2))
-    bias, order = sum(_JET_HALF << f for f in fields.values()), list(words)
-
-    def key(k):
-        k += bias
-        return _unpack_jets((k & (1 << top) - 1) - bias, fields), order[k >> top]
-
-    return _packed_sums(packed, key)
+    order, mask = list(words), (1 << top) - 1
+    return {(_unpack(k & mask, fields), order[k >> top]): c for k, c in _packed_sums(packed, *gate).items()}
 
 
 def _sum(parts) -> DiffPoly:
@@ -649,16 +612,13 @@ def _alternating_sum(partial, i: int, top: int, tables: tuple = _DX_IMAGES) -> D
     for D the derivation of the image tables (jets, thetas), d_x's by
     default, by Horner's rule: acc = partial(i, s) - D(acc) for s = top
     down to 0.  partial gives _products parts (DiffPoly._jet_parts and
-    _theta_parts), or a DiffPoly, whose terms are one part of products by
-    one.  The first acc is the partial itself (_scaled); each later step is
-    one _products call, of the partial's parts and the parts of D(acc)
-    signed -1, so every key of the new acc is summed once, with no negated
-    or scaled partial and no second sum."""
+    _theta_parts).  The first acc is the partial itself (_scaled); each
+    later step is one _products call, of the partial's parts and the parts
+    of D(acc) signed -1, so every key of the new acc is summed once, with no
+    negated or scaled partial and no second sum."""
     acc = DiffPoly.zero()
     for s in range(top, -1, -1):
         p = partial(i, s)
-        if isinstance(p, DiffPoly):
-            p = [(p.terms.items(), (), (), 1, _ONE)]
         acc = _products(chain(p, _derivation_parts(acc, *tables, -1))) if acc else _scaled(p)
     return acc
 

@@ -60,11 +60,13 @@ the bases of both operands, which are in lowest terms, only these can cancel:
   coefficient is a Laurent polynomial with its monomials packed into ints
   (Kronecker's substitution; Monagan and Pearce, CASC 2007), so a key's
   sum is one dict of ints that is zero exactly when every value is, since
-  packing is injective on every input and every sum of two; a coefficient
-  with another factor, or an index or exponent without a field, is refused
-  before any product is taken.  The left operands' forms (_laurent_forms)
-  are kept on the items that carry them, so a derivation's image-table
-  entry builds its forms once, over its own content;
+  packing is injective on every input and every sum of two.  The one
+  packed format, _pack and _unpack, is also diffpoly's for jets: a signed
+  field per variable, u_v at field v - 1.  The gate (_packable) refuses a
+  coefficient with another factor, or an index or exponent without a
+  field, before any product is taken, left operands first: their forms
+  (_laurent_forms) are kept on the items that carry them, so a derivation's
+  image-table entry builds its forms once, over its own content;
 * in a partial derivative by u^i, the factors free of u^i: each factor
   that involves u^i gains one in its exponent and never cancels;
 * the integer contents, by math.gcd.
@@ -149,15 +151,16 @@ _FACTOR_MEMO = 1024
 # the prime modulo which a numerator is evaluated at a zero of a factor
 _PRIME = (1 << 61) - 1
 
-# the packed Laurent monomials of _packed_sums: one signed field of
-# _PACK_BITS bits for each of u1 .. u_PACK_VARS, every exponent of an input
-# below _PACK_LIMIT in size, so that a sum of two stays inside its field
+# the packed monomials of _pack: one signed field of _PACK_BITS bits for
+# each of at most _PACK_FIELDS variables, every exponent of an input below
+# _PACK_LIMIT in size, so that a sum of two stays inside its field.  A
+# packed call of the benchmark workloads (seed 11) meets at most 4
+# coordinates and 16 jets, and 64 fields keep a monomial within 1024 bits
 _PACK_BITS = 16
-_PACK_VARS = 8
+_PACK_FIELDS = 64
 _PACK_LIMIT = 1 << _PACK_BITS - 2
 _PACK_HALF = 1 << _PACK_BITS - 1
 _PACK_MASK = (1 << _PACK_BITS) - 1
-_PACK_BIAS = sum(_PACK_HALF << _PACK_BITS * v for v in range(_PACK_VARS))
 
 
 def _collect(pairs, start: dict | None = None) -> dict:
@@ -525,8 +528,8 @@ class _Factor(frozenset):
         return self  # never changed, like the Scalars that hold it
 
 
-# the coordinates u1 .. u_PACK_VARS as factors, for the bases of _packed_sums
-_COORDINATES = [_Factor({((v, 1),): 1}, v, 1) for v in range(1, _PACK_VARS + 1)]
+# the coordinates u1 .. u_PACK_FIELDS as factors, for the bases of _packed_sums
+_COORDINATES = [_Factor({((v, 1),): 1}, v, 1) for v in range(1, _PACK_FIELDS + 1)]
 
 
 def _certify(p: dict) -> _Factor | None:
@@ -942,34 +945,55 @@ def _sum_products(triples) -> Scalar:
     return _assemble(_strip(num, exps, [*exps]), c, exps)
 
 
+def _pack(mono: Mono, fields: dict | None = None) -> int | None:
+    """mono's exponents packed into one int, a signed field of _PACK_BITS
+    bits per variable (Kronecker's substitution): the coordinate u_v at
+    field v - 1 when fields is None, else at the field that fields numbers
+    the variable with, one not yet there taking the next.  None when an
+    exponent is _PACK_LIMIT or more, or a field would be number
+    _PACK_FIELDS + 1 or more."""
+    k = 0
+    for v, e in mono:
+        if fields is None:
+            f = v - 1
+        elif (f := fields.get(v)) is None:
+            f = fields[v] = len(fields)
+        if f >= _PACK_FIELDS or e >= _PACK_LIMIT:
+            return None
+        k += e << _PACK_BITS * f
+    return k
+
+
+def _unpack(k: int, fields: dict | None = None) -> Mono:
+    """The monomial, sorted by variable and exponents possibly negative,
+    that _pack packed into k with the same fields, or the product of two
+    such: fields are read off the bottom as signed digits, up to the
+    highest nonzero one."""
+    names = range(1, _PACK_FIELDS + 1) if fields is None else [*fields]
+    out, f = [], 0
+    while k:
+        if e := (k + _PACK_HALF & _PACK_MASK) - _PACK_HALF:
+            out.append((names[f], e))
+            k -= e
+        k >>= _PACK_BITS
+        f += 1
+    return tuple(sorted(out))
+
+
 def _laurent(a: Scalar):
     """(c, [(k, q), ...]) with a = sum q * u^k / c over Laurent monomials u^k,
-    each exponent vector k packed into one int with a signed field of
-    _PACK_BITS bits per coordinate; None when a's base has a factor that is
-    not a single coordinate, or an index or exponent does not fit."""
+    each packed into one int (_pack, the coordinates at their fixed fields);
+    None when a's base has a factor that is not a single coordinate, or an
+    index or exponent does not pack."""
     c, base = a._b
-    shift = 0
-    for f, k in base.items():
-        if len(f.p) != 1 or f.y > _PACK_VARS or k >= _PACK_LIMIT:
-            return None
-        shift -= k << _PACK_BITS * (f.y - 1)
+    if any(len(f.p) != 1 for f in base) or (low := _pack(tuple((f.y, e) for f, e in base.items()))) is None:
+        return None
     terms = []
     for m, q in a._n.items():
-        k = shift
-        for v, e in m:
-            if v > _PACK_VARS or e >= _PACK_LIMIT:
-                return None
-            k += e << _PACK_BITS * (v - 1)
-        terms.append((k, q))
+        if (k := _pack(m)) is None:
+            return None
+        terms.append((k - low, q))
     return c, terms
-
-
-def _unpack(k: int) -> list:
-    """The exponent vector [e_1, ..., e_PACK_VARS] that _laurent packed into k,
-    or a sum of two such vectors: biased by half a field each, every field
-    reads as an unsigned digit."""
-    k += _PACK_BIAS
-    return [(k >> _PACK_BITS * v & _PACK_MASK) - _PACK_HALF for v in range(_PACK_VARS)]
 
 
 def _laurent_forms(coefficients):
@@ -986,42 +1010,49 @@ def _laurent_forms(coefficients):
     return c, [t if d == c else [(k, q * (c // d)) for k, q in t] for d, t in forms]
 
 
-def _packed_sums(parts, keys) -> dict | None:
-    """{keys(k): sum} over the nonzero sums of m * a * b for the parts
-    (items, bases, offset, m, b) of diffpoly._products, items its (k, a)
-    pairs and bases a list aligned with them of (sign, base), or None for a
-    product that vanishes: the product of a with b is sign * m * a * b at
-    the int k = base + offset, which keys turns into a term key once the
-    sum survives.  None, before any product is taken, when some
-    coefficient does not pack (_laurent).
-
-    items carries the slot laurent, where the _laurent_forms (c_a, [ta, ...])
-    of its coefficients are kept once built (False until then, None when
-    they do not pack), so a table entry builds them once for all calls.
-    Each coefficient is a Laurent polynomial over its content, so each sum
-    over a key is one dict of packed monomials with int values over the one
-    content C, the lcm over the parts of c_a c_b times m's denominator.
-    The left forms are used as they are: only b's terms are scaled, once
-    per part, by m C / (c_a c_b).  Packing is injective on every input and
-    every sum of two, so a sum is zero exactly when every value is; only
-    the survivors are unpacked, each variable's least exponent giving the
-    monomial denominator, and _assemble cancels the integer content."""
-    right, c = {}, 1
-    for items, _, _, m, b in parts:
-        if (forms := items.laurent) is False:
-            forms = items.laurent = _laurent_forms(a for _, a in items)
-        if forms is None:
+def _packable(sides) -> tuple | None:
+    """(C, right) when every coefficient of the sides (terms, m, b) of a
+    diffpoly._products call packs, terms a's items and m * b the right
+    term: C the lcm over the parts of c_a c_b times m's denominator, right
+    the _laurent form (c_b, tb) of each b by id(b).  Else None, every left
+    side tried first: the slot laurent of terms keeps their _laurent_forms
+    (c_a, [ta, ...]) once built (False before, None when they do not pack),
+    so a table entry builds them once and a refused one answers at once."""
+    for terms, _, _ in sides:
+        if terms.laurent is False:
+            terms.laurent = _laurent_forms(a for _, a in terms)
+        if terms.laurent is None:
             return None
+    right, c = {}, 1
+    for terms, m, b in sides:
         if (f := right.get(id(b))) is None:
             if (f := _laurent(b)) is None:
                 return None
             right[id(b)] = f
-        cp = forms[0] * f[0] if type(m) is int else forms[0] * f[0] * m.denominator
+        cp = terms.laurent[0] * f[0] if type(m) is int else terms.laurent[0] * f[0] * m.denominator
         if c % cp:
             c = lcm(c, cp)
+    return c, right
+
+
+def _packed_sums(parts, c: int, right: dict) -> dict:
+    """{k: sum} over the nonzero sums of m * a * b for the parts
+    (terms, bases, offset, m, b) of a call that _packable took, with its
+    (C, right): bases are aligned with a's items as (sign, base), or None
+    for a product that vanishes, so the product of a with b is
+    sign * m * a * b at the packed term key k = base + offset.
+
+    Each coefficient is a Laurent polynomial over its content, so each sum
+    over a key is one dict of packed monomials with int values over the one
+    content C.  The left forms are used as they are: only b's terms are
+    scaled, once per part, by m C / (c_a c_b).  Packing is injective on
+    every input and every sum of two, so a sum is zero exactly when every
+    value is; only the survivors are unpacked, each variable's least
+    exponent giving the monomial denominator, and _assemble cancels the
+    integer content."""
     sums = {}
-    for items, bases, offset, m, b in parts:
-        ca, forms = items.laurent
+    for terms, bases, offset, m, b in parts:
+        ca, forms = terms.laurent
         cb, tb = right[id(b)]
         s = m * (c // (ca * cb)) if type(m) is int else m.numerator * (c // (ca * cb * m.denominator))
         signed = {1: [(k, q * s) for k, q in tb]}
@@ -1038,12 +1069,13 @@ def _packed_sums(parts, keys) -> dict | None:
                     acc[k] = acc.get(k, 0) + qa * qb
     out = {}
     for key, acc in sums.items():
-        vectors = [(_unpack(k), q) for k, q in acc.items() if q]
-        if vectors:
-            low = [min(0, *(u[v] for u, _ in vectors)) for v in range(_PACK_VARS)]
-            num = {tuple((v + 1, e - l) for v, (e, l) in enumerate(zip(u, low)) if e != l): q
-                   for u, q in vectors}
-            out[keys(key)] = _assemble(num, c, {_COORDINATES[v]: -l for v, l in enumerate(low) if l})
+        if monos := [(_unpack(k), q) for k, q in acc.items() if q]:
+            low = {}
+            for v, e in (p for u, _ in monos for p in u):
+                low[v] = min(e, low.get(v, 0))
+            up = tuple((v, -e) for v, e in sorted(low.items()) if e)
+            num = {tuple(p for p in _mono_mul(u, up) if p[1]): q for u, q in monos}
+            out[key] = _assemble(num, c, {_COORDINATES[v - 1]: e for v, e in up})
     return out
 
 

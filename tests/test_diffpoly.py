@@ -242,8 +242,9 @@ def test_fused_horner_steps_match_the_step_by_step_loop():
     steps = 0
     for name, a, n in inputs:
         for i in range(1, n + 1):
-            for partial, top in ((a._partial_jet, a.max_jet_order()), (a._partial_theta, a.max_theta_order())):
-                got, want = _alternating_sum(partial, i, top), horner_oracle(partial, i, top)
+            for parts, partial, top in ((a._jet_parts, a._partial_jet, a.max_jet_order()),
+                                        (a._theta_parts, a._partial_theta, a.max_theta_order())):
+                got, want = _alternating_sum(parts, i, top), horner_oracle(partial, i, top)
                 assert list(got.terms) == list(want.terms), (name, i, top)
                 assert_same_terms(got, want.terms, (name, i, top))
                 steps += max(top, 0)

@@ -291,7 +291,7 @@ def degree_zero_horner(x, i):
     """sum_s (-D)^s dx_0/dtheta_i^s for x_0 the deg_u-0 part of x and D d_x
     without the chain rule, as _refuted_at_degree_zero computes it."""
     x0 = x.project("deg_u", 0)
-    return _alternating_sum(x0._partial_theta, i, x0.max_theta_order(), _DX_DEG_U_0)
+    return _alternating_sum(x0._theta_parts, i, x0.max_theta_order(), _DX_DEG_U_0)
 
 
 def test_degree_zero_horner_is_the_projected_variational_derivative():

@@ -11,14 +11,12 @@ import pytest
 
 from dnbrackets import diffpoly, scalar
 from dnbrackets.cli import load_bracket
-from dnbrackets.diffpoly import (
-    _DX_IMAGES, _JET_FIELDS, _JET_LIMIT, DiffPoly, _Images, _pack_jets, _products, _unpack_jets,
-)
+from dnbrackets.diffpoly import _DX_IMAGES, DiffPoly, _Images, _products
 from dnbrackets.jacobi import _DP_images, apply_DP
 from dnbrackets.sampling import random_diffpoly, random_monomial, random_scalar
 from dnbrackets.scalar import (
-    _PACK_LIMIT, _PACK_VARS, Scalar, _laurent, _laurent_forms, _mul, _packed_sums, _sum_products,
-    _unpack,
+    _PACK_FIELDS, _PACK_LIMIT, Scalar, _laurent, _laurent_forms, _mul, _pack, _packed_sums,
+    _sum_products, _unpack,
 )
 
 from conftest import S, fixture_path, kernel_draws
@@ -32,10 +30,9 @@ def both_paths(monkeypatch, run):
     none; and how many calls the packed sum took."""
     taken = []
 
-    def spy(parts, keys):
-        out = _packed_sums(parts, keys)
-        taken.append(out is not None)
-        return out
+    def spy(*args):
+        taken.append(True)
+        return _packed_sums(*args)
 
     with monkeypatch.context() as patch:
         patch.setattr(diffpoly, "_PACKED_PARTS", 0)
@@ -139,34 +136,47 @@ def test_packed_sums_match_on_fraction_multipliers_and_fall_back_on_polynomial_f
         assert n == (0 if polynomial or not parts else 1)
 
 
-def test_pack_and_unpack_round_trip_at_the_field_limit():
-    """Every exponent vector with entries below _PACK_LIMIT in size, as
-    numerators over monomial denominators, packs and unpacks to itself, and
-    so does the sum of two; the extremes are drawn often."""
+@pytest.mark.parametrize("kind", ["coordinates", "jets"])
+def test_pack_and_unpack_round_trip_at_the_field_limit(kind):
+    """A monomial with signed exponents up to 2^14 - 1 in size, over the
+    coordinates u1 .. u_PACK_FIELDS at their fixed fields or over jets that
+    a per-call map numbers, up to _PACK_FIELDS of them, packs and unpacks to
+    itself, and so does the product of two; the extremes are drawn often.
+    An exponent of _PACK_LIMIT, an index above _PACK_FIELDS and a jet
+    beyond the _PACK_FIELDS-th are refused."""
+    if kind == "coordinates":
+        assert _pack(((_PACK_FIELDS, _PACK_LIMIT - 1),)) is not None
+        assert _pack(((1, _PACK_LIMIT),)) is None and _pack(((_PACK_FIELDS + 1, 1),)) is None
+        assert _laurent(Scalar.coordinate(1) ** _PACK_LIMIT) is None
+        assert _laurent(Scalar.coordinate(_PACK_FIELDS + 1)) is None
+        assert _laurent(1 / Scalar.coordinate(_PACK_FIELDS) ** (_PACK_LIMIT - 1)) is not None
+    else:
+        fields = {}
+        assert _pack((((1, 1), _PACK_LIMIT),), fields) is None
+        assert _pack(tuple(((1, s), 1) for s in range(1, _PACK_FIELDS + 1)), fields) is not None
+        assert _pack((((2, 1), 1),), fields) is None
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    top = _PACK_LIMIT - 1
-    exponent = st.one_of(st.sampled_from([0, top, -top, top - 1, 1 - top]), st.integers(-top, top))
-    vector = st.lists(exponent, min_size=_PACK_VARS, max_size=_PACK_VARS)
-
-    def laurent_monomial(u):
-        num = tuple((v, e) for v, e in enumerate(u, 1) if e > 0)
-        den = tuple((v, -e) for v, e in enumerate(u, 1) if e < 0)
-        c, terms = _laurent(scalar._wrap({num: 1}, {den: 1}, scalar._factored(frozenset({den: 1}.items()))))
-        assert c == 1 and len(terms) == 1
-        return terms[0][0]
+    top = max(_PACK_LIMIT, 1 << 14) - 1
+    exponent = st.one_of(st.sampled_from([top, -top, top - 1, 1 - top, 1, -1]), st.integers(-top, top))
+    if kind == "coordinates":
+        variables, new_fields = st.integers(1, _PACK_FIELDS), lambda: None
+    else:
+        variables, new_fields = st.tuples(st.integers(1, 9), st.integers(1, 9)), dict
+    monomial = st.dictionaries(variables, exponent.filter(bool), max_size=_PACK_FIELDS // 2)
 
     @hypothesis.settings(max_examples=300, deadline=None, database=None)
-    @hypothesis.given(vector, vector)
+    @hypothesis.given(monomial, monomial)
     def check(u, w):
-        ku, kw = laurent_monomial(u), laurent_monomial(w)
-        assert _unpack(ku) == u and _unpack(kw) == w
-        assert _unpack(ku + kw) == [a + b for a, b in zip(u, w)]
+        fields = new_fields()
+        pu, pw = _pack(tuple(sorted(u.items())), fields), _pack(tuple(sorted(w.items())), fields)
+        assert None not in (pu, pw)
+        assert _unpack(pu, fields) == tuple(sorted(u.items()))
+        assert _unpack(pw, fields) == tuple(sorted(w.items()))
+        product = {v: u.get(v, 0) + w.get(v, 0) for v in u.keys() | w.keys()}
+        assert _unpack(pu + pw, fields) == tuple(sorted((v, e) for v, e in product.items() if e))
 
     check()
-    assert _laurent(Scalar.coordinate(1) ** _PACK_LIMIT) is None
-    assert _laurent(Scalar.coordinate(_PACK_VARS + 1)) is None
-    assert _laurent(1 / Scalar.coordinate(1) ** top) is not None
 
 
 @pytest.mark.parametrize("big", ["u1^100000000", "u10000000", "1/u1^100000000", "u2/u10000000"])
@@ -196,54 +206,73 @@ def test_unpackable_exponents_and_indices_stay_on_the_grouped_path(monkeypatch, 
 
 @pytest.mark.parametrize("where", ["left", "right", "fields"])
 def test_unpackable_jets_stay_on_the_grouped_path(monkeypatch, where):
-    """A 70-part call carrying a jet power with an exponent of _JET_LIMIT
-    (2^14) on a left or a right factor, or more than _JET_FIELDS distinct
-    jets, is refused before any coefficient is packed, and sums as the
-    grouped path does."""
-    assert _JET_LIMIT == _PACK_LIMIT == 1 << 14
+    """A 70-part call carrying a jet power with an exponent of _PACK_LIMIT
+    (2^14) on a left or a right factor, or more than _PACK_FIELDS distinct
+    jets, is refused before any product is taken, and sums as the grouped
+    path does."""
     x = DiffPoly.from_scalar(S("u1/u2")) * jet(1, 1) + DiffPoly.theta(1, 0)
     if where == "left":
-        x = x + S("2/u1") * jet(2, 1, _JET_LIMIT)
+        x = x + S("2/u1") * jet(2, 1, _PACK_LIMIT)
     parts = [(x.terms.items(), (((1, s), 1),) if where == "fields" else (((1, 1), s),), (), 1, S(f"{s}/u1"))
              for s in range(1, 70)]
     if where == "right":
-        parts.append((x.terms.items(), (((2, 2), _JET_LIMIT),), (), 1, S("1/u2")))
-    packed_coefficients = []
-    laurent = scalar._laurent
-    monkeypatch.setattr(scalar, "_laurent", lambda a: packed_coefficients.append(a) or laurent(a))
+        parts.append((x.terms.items(), (((2, 2), _PACK_LIMIT),), (), 1, S("1/u2")))
     packed, grouped, n = both_paths(monkeypatch, lambda: _products(parts))
-    assert n == 0 and packed_coefficients == []
+    assert n == 0
     assert_same_fields(packed, grouped, where)
 
 
-def test_jet_pack_and_unpack_round_trip_at_the_field_limit():
-    """Every even key with exponents up to 2^14 - 1 in size over up to
-    _JET_FIELDS jets packs and unpacks to itself, and so does the merge of
-    two, with the jets numbered in the order they are met; the extremes are
-    drawn often."""
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
-    top = (1 << 14) - 1
-    exponent = st.one_of(st.sampled_from([top, -top, top - 1, 1 - top, 1, -1]), st.integers(-top, top))
-    jets = st.tuples(st.integers(1, 9), st.integers(1, 9))
-    key = st.dictionaries(jets, exponent.filter(bool), max_size=_JET_FIELDS // 2)
+def test_a_refused_coefficient_stops_the_call_before_any_jet_or_base(monkeypatch):
+    """A 70-part call whose left items are a canonical_k2 D_P table entry,
+    refused on its denominator factor u3 + 1, is refused before any jet is
+    packed or any base is built, and sums as the grouped path does: on the
+    first call, while the entry's forms are tried, no _Row is made and no
+    product taken; once the entry keeps its refusal, no monomial at all is
+    packed."""
+    b = load_bracket(fixture_path("canonical_k2.json"))
+    entries = [items for table in _DP_images(b) for v in [(i, s) for i in range(1, 5) for s in range(3)]
+               if (items := table[v])]
+    entry = next(items for items in entries if _laurent_forms(a for _, a in items) is None)
+    assert entry.laurent is False
+    parts = [(entry, (((1, 1), s),), (), 1, S(f"{s}/u1")) for s in range(1, 70)]
+    rows, packs = [], []
 
-    @hypothesis.settings(max_examples=300, deadline=None, database=None)
-    @hypothesis.given(key, key)
-    def check(u, w):
-        fields = {}
-        pu, pw = _pack_jets(tuple(sorted(u.items())), fields), _pack_jets(tuple(sorted(w.items())), fields)
-        assert None not in (pu, pw) and len(fields) == len(u.keys() | w.keys())
-        assert _unpack_jets(pu, fields) == tuple(sorted(u.items()))
-        assert _unpack_jets(pw, fields) == tuple(sorted(w.items()))
-        merged = {v: u.get(v, 0) + w.get(v, 0) for v in u.keys() | w.keys()}
-        assert _unpack_jets(pu + pw, fields) == tuple(sorted((v, e) for v, e in merged.items() if e))
+    class Row(diffpoly._Row):
+        def __init__(self, *args):
+            rows.append(args)
+            super().__init__(*args)
 
-    check()
-    fields = {}
-    assert _pack_jets((((1, 1), _JET_LIMIT),), fields) is None
-    assert _pack_jets(tuple(((1, s), 1) for s in range(1, _JET_FIELDS + 1)), fields) is not None
-    assert _pack_jets((((2, 1), 1),), fields) is None
+    monkeypatch.setattr(diffpoly, "_Row", Row)
+    for module in (scalar, diffpoly):
+        monkeypatch.setattr(module, "_pack", lambda *args, pack=scalar._pack: packs.append(args) or pack(*args))
+    for first in (True, False):
+        del packs[:]
+        packed, grouped, n = both_paths(monkeypatch, lambda: _products(parts))
+        assert n == 0 and rows == [] and entry.laurent is None
+        assert first or packs == []
+        assert_same_fields(packed, grouped, first)
+
+
+def test_coordinates_above_u8_take_the_packed_path(monkeypatch):
+    """70-part calls whose coefficients are random_scalar draws over u1 ..
+    u32, denominators monomials, take the packed path with each coordinate
+    at its fixed field, and give the grouped path's terms in the same
+    order, with the same integer fields and bases."""
+    rng = random.Random(71)
+    seen = set()
+    for k in range(6):
+        x = DiffPoly.zero()
+        for _ in range(5):
+            x = x + random_scalar(rng, 32) * jet(rng.randint(1, 2), rng.randint(1, 3)) * DiffPoly.theta(
+                rng.randint(1, 2), rng.randint(0, 2))
+        parts = [(x.terms.items(), (((rng.randint(1, 2), rng.randint(1, 3)), rng.randint(1, 3)),),
+                  rng.choice(((), ((0, 1),), ((1, 2),))), rng.choice((1, -2, Fraction(3, 4))), random_scalar(rng, 32))
+                 for _ in range(70)]
+        seen.update(v for c in [*x.terms.values(), *(p[4] for p in parts)] for v in c.variables())
+        packed, grouped, n = both_paths(monkeypatch, lambda: _products(parts))
+        assert n == 1
+        assert_same_fields(packed, grouped, k)
+    assert len(seen & set(range(9, 33))) > 16
 
 
 def test_kernels_leave_every_memo_and_image_table_unchanged(monkeypatch):

@@ -882,7 +882,7 @@ def test_only_scalar_reads_the_scalar_layout():
     beyond the term helpers diffpoly shares and the printing and size helpers."""
     allowed = {"_collect", "_power", "_mono_mul", "_mono_lower",
                "_signed_join", "_product", "_factor_str", "_term_count", "_printed_bits",
-               "_sum_products", "_packed_sums"}
+               "_sum_products", "_packable", "_packed_sums", "_pack", "_unpack", "_PACK_BITS"}
     package = os.path.dirname(scalar.__file__)
     imported, bad = set(), []
     for path in sorted(glob.glob(os.path.join(package, "*.py"))):
