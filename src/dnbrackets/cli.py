@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import operator
 import os
 import random
 import sys
@@ -89,10 +88,11 @@ from .sampling import random_monomial
 from .spectral import (
     D_minus1_closed,
     d1_as_connection,
+    d1_closed,
     d1_spectral,
     d1_split,
-    homotopy,
-    project_B,
+    d1_sum,
+    homotopy_defect,
     spanning_monomials,
 )
 
@@ -120,11 +120,12 @@ def _skew_witness(defect: tuple) -> str:
     return f"P_{t}^{{{i}{j}}} defect: {value}"
 
 
-def _agreement(span: list, lhs, rhs) -> tuple:
-    """Pass, counting the monomials, when lhs(idx) == rhs(idx) for every span[idx];
-    else fail on the first monomial where they differ."""
+def _defect_free(span: list, defect, sides) -> tuple:
+    """Pass, counting the monomials, when defect(idx) is zero for every span[idx];
+    else fail on the first monomial where it is not, with the two sides(idx)."""
     for idx, x in enumerate(span):
-        if (left := lhs(idx)) != (right := rhs(idx)):
+        if defect(idx):
+            left, right = sides(idx)
             return "fail", f"on {x}: {left} != {right}"
     return "pass", f"{len(span)} monomials"
 
@@ -433,16 +434,20 @@ def cmd_lowdegree(b: HomogeneousBracket, args) -> list:
 
 
 def cmd_spectral(b: HomogeneousBracket, args) -> list:
+    """The d_1 rows, then the homotopy row, each identity one exact defect
+    (d1_sum, homotopy_defect); only a failure builds both sides apart."""
     results: list = []
     t0 = time.perf_counter()
     try:
         span = spanning_monomials(b.n, b.k)
         split = cache(lambda idx: d1_split(b, span[idx]))  # shared by the three checks
-        results.append(_timed("d_1 oracle pair (spectral vs closed form)", lambda: _agreement(
-            span, lambda idx: d1_spectral(b, span[idx]), lambda idx: operator.add(*split(idx))
+        results.append(_timed("d_1 oracle pair (spectral vs closed form)", lambda: _defect_free(
+            span, lambda idx: d1_sum(b, [("spectral", span[idx])], *split(idx)),
+            lambda idx: (d1_spectral(b, span[idx]), d1_closed(b, span[idx])),
         )))
-        results.append(_timed("d_1 theta^k-raising part via connections", lambda: _agreement(
-            span, lambda idx: split(idx)[0], lambda idx: d1_as_connection(b, span[idx])
+        results.append(_timed("d_1 theta^k-raising part via connections", lambda: _defect_free(
+            span, lambda idx: d1_sum(b, [("connection", span[idx])], split(idx)[0]),
+            lambda idx: (split(idx)[0], d1_as_connection(b, span[idx])),
         )))
 
         def graded():
@@ -450,14 +455,11 @@ def cmd_spectral(b: HomogeneousBracket, args) -> list:
                 if max(x.degrees("deg_theta"), default=0) > 2:
                     continue
                 up, same = split(idx)
-                a11, up_same = d1_split(b, up)
-                same_up, a00 = d1_split(b, same)
-                mixed = up_same + same_up
-                if not a11.is_zero:
+                if a11 := d1_sum(b, [("up", up)]):
                     return "fail", f"(d1^(1))^2 on {x}: {a11}"
-                if not mixed.is_zero:
-                    return "fail", f"anticommutator on {x}: {mixed}"
-                if not a00.is_zero:
+                if d1_sum(b, [("same", up), ("up", same)]):
+                    return "fail", f"anticommutator on {x}: {d1_split(b, up)[1] + d1_split(b, same)[0]}"
+                if a00 := d1_sum(b, [("same", same)]):
                     return "fail", f"(d1^(0))^2 on {x}: {a00}"
             return "pass", None
 
@@ -473,8 +475,8 @@ def cmd_spectral(b: HomogeneousBracket, args) -> list:
             if a.is_zero:
                 continue
             count += 1
-            lowered = D_minus1_closed(b, a)
-            if D_minus1_closed(b, homotopy(b, a)) + homotopy(b, lowered) != a - project_B(a, b.k):
+            defect, lowered = homotopy_defect(b, a)
+            if defect:
                 return "fail", f"on {a}"
             if not D_minus1_closed(b, lowered).is_zero:
                 return "fail", f"D_-1^2 != 0 on {a}"

@@ -14,53 +14,33 @@ the coordinates u^i), and the total derivative d_x acts on those through
 the chain rule u^i -> u^{i,1}.
 
 Every derivation - d_x here, D_P in jacobi, D_{-1}, the homotopy and the
-three forms of d_1 in spectral - is applied by one kernel, _derivation,
-from its values on the generators, term by term: each generator of a term
-with an image contributes the image times the term with that generator
-taken out (_derivation_parts), and no partial derivative is built as a
-DiffPoly.  The values come in image tables (_Images), which build each
-generator's image once: d_x's are module constants and the others are
-cached per bracket.  A table records whether any coordinate has an image,
-and a derivation with none never looks at the coefficients' variables.
+three forms of d_1 in spectral - is applied from its values on the
+generators, term by term: each generator of a term with an image
+contributes the image times the term with that generator taken out
+(_derivation_parts), and no partial derivative is built as a DiffPoly.
+The values come in image tables (_Images), which build each generator's
+image once: d_x's are module constants and the others are cached per
+bracket.  A table records whether any coordinate has an image, and a
+derivation with none never looks at the coefficients' variables.
 
 Partial derivatives with respect to odd variables are left derivatives:
 the variable is anticommuted to the front of the word and then removed.
 
 A term dict never holds a zero coefficient: every sum of terms goes through
 scalar._collect or scalar._sum_products, and _wrap builds a DiffPoly around
-a dict that already satisfies this.  Sums of DiffPolys go through _sum, one
-_collect over the terms of all the parts.  Products go through _products.
-Each of its parts is a DiffPoly's term items times one term with a
-constant multiplier, an int such as a sign or a jet exponent: a product
-passes one per term of its right factor, _derivation one per generator of
-each term of its input, and bracket.transform one per term of each
-d_x^t(J) of a transformed entry's Leibniz expansion, with its binomial.
-Each step of the Horner loop of a variational derivative
-(_alternating_sum), which sets acc to partial - d_x(acc), is one call too,
-whose parts are the partial's terms times one, one part per int
-multiplier (the jet's exponent, or the sign of the theta's position;
-_jet_parts, _theta_parts), and the parts of d_x(acc) with their
-multipliers negated.  _products groups the coefficient pairs of all the
-products by the key they land on, and sums each group in one
-scalar._sum_products, over one common denominator, instead of a product
-and an addition per pair.  Odd words are merged by _odd_mul, memoised
-across calls in a table of _ODD_MEMO pairs, so each distinct pair is
-merged once however many coefficient pairs share it.
-
-A call of at least _PACKED_PARTS parts is first offered to the packed
-path (_packed), which sums it in scalar._packed_sums as packed Laurent
-monomials when every denominator is an integer times a monomial.  Its
-gate runs whole before any jet is packed or any base is built: the left
-items' Laurent forms first, then the right coefficients (scalar._packable),
-then the jets; a refused call is grouped as above.  The term keys are
-packed in scalar's one format (scalar._pack): the call numbers its jets,
-each even key becomes one int with a signed field per jet, and the call's
-number of the odd word sits above the jet fields, so a product's key is an
-integer addition and no even key is merged.  The packing is injective on
-every input and every sum of two, so distinct term keys stay distinct and
-the sums come in the grouped path's order; this module unpacks each
-surviving key.  Image tables hold their entries as _Terms, on which
-scalar keeps each entry's Laurent forms once built.
+a dict that already satisfies this.  Every sum of products is one _products
+call, whose parts are a DiffPoly's term items times one term with an int
+multiplier: a product passes one per term of its right factor, a
+derivation one per generator of each input term, a step of a variational
+derivative's Horner loop (_alternating_sum) the partial's parts and the
+negated parts of d_x(acc), and a defect (spectral.d1_sum) the parts of one
+side and the negated terms of the other.  The call groups the coefficient
+pairs of all its products by output key and sums each group in one
+scalar._sum_products, over one common denominator; odd words are merged
+by _odd_mul, memoised across calls.  A call of at least _PACKED_PARTS
+parts is first offered to the packed path (_packed), which sums it in
+scalar._packed_sums as packed Laurent monomials, term keys packed too, when
+every denominator is an integer times a monomial.
 """
 
 from __future__ import annotations
@@ -562,10 +542,9 @@ def _derivation(x: DiffPoly, jets, thetas) -> DiffPoly:
     jets, of u^{i,s} keyed (i, s) (s = 0: the coordinate u^i), and thetas, of
     theta_i^s keyed (i, s); a falsy image kills the generator.
 
-    The value is one _products call over the parts of _derivation_parts, so
-    it sums each output key's coefficient products over one common
-    denominator.  d_x, D_P, D_{-1}, the homotopy and the three forms of d_1
-    are all calls of this kernel.
+    The value is one _products call over the parts of _derivation_parts,
+    which the homotopy and the forms of d_1 (spectral) pass to _products
+    themselves, so as to sum them with other parts in one call.
     """
     return _products(_derivation_parts(x, jets, thetas))
 

@@ -60,12 +60,10 @@ def _DP_images(b: HomogeneousBracket) -> tuple:
 def apply_DP(b: HomogeneousBracket, a: DiffPoly) -> DiffPoly:
     """Apply the odd vector field D_P to a.
 
-    D_P(u^{i,s}) is d_x^s of dP~/dtheta_i and D_P(theta_i^s) of dP~/du^i.
-    Like D_{-1}, the homotopy and both closed forms of d_1 in spectral, it
-    is one call of the derivation kernel diffpoly._derivation, which applies
-    these images to a term by term, from tables cached once per bracket
-    (_DP_images), so each generator's image is looked up once per bracket
-    and each d_x power is taken once, on the chains those tables hold.
+    D_P(u^{i,s}) is d_x^s of dP~/dtheta_i and D_P(theta_i^s) of dP~/du^i,
+    read from tables cached once per bracket (_DP_images) by one call of
+    the derivation kernel diffpoly._derivation, so each d_x power is taken
+    once, on the chains those tables hold.
     """
     return _derivation(a, *_DP_images(b))
 

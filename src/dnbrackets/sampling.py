@@ -45,6 +45,23 @@ def random_scalar(rng: random.Random, n: int, terms: int = 2, deg: int = 2) -> S
     return num
 
 
+def _random_term_scalar(rng: random.Random, n: int) -> Scalar:
+    """random_scalar(rng, n, 1, 1) from the same draws in the same order,
+    written down by key (Scalar.from_term) instead of through products."""
+
+    def term():  # the draws of random_polynomial(rng, n, 1, 1)
+        rng.randint(1, 1)
+        q = random_fraction(rng)
+        return q, ((rng.randint(1, n), 1),) if rng.randint(0, 1) else ()
+
+    (q, num), (r, den) = term(), (1, ())
+    if rng.random() < 0.3:
+        r = 0
+        while not r:
+            r, den = term()
+    return Scalar.from_term(q / r, num, den)
+
+
 def random_diffpoly(
     rng: random.Random,
     n: int,
@@ -81,7 +98,7 @@ def random_monomial(
     with the sign of its inversions, and a repeated theta or a zero
     coefficient gives zero.
     """
-    coef = random_scalar(rng, n, 1, 1) if rng.random() < 0.5 else Scalar.one()
+    coef = _random_term_scalar(rng, n) if rng.random() < 0.5 else Scalar.one()
     even: dict = {}
     for _ in range(rng.randint(0, max_degu)):
         v = (rng.randint(1, n), rng.randint(1, 3))

@@ -14,7 +14,8 @@ built on demand: both sides divided by d's leading coefficient, which is
 the form with a monic denominator and rational coefficients.  The
 constructor Scalar(num, den) takes int or Fraction coefficients, clears
 their denominators and reduces like any other result; from_fraction,
-as_fraction and subs convert numbers, and printing goes through the views.
+from_term, as_fraction and subs convert numbers, and printing goes
+through the views.
 
 No other module reads a Scalar's fields, and polynomial printing lives
 here: _pstr prints a polynomial, and diffpoly prints its terms with the
@@ -46,27 +47,15 @@ the bases of both operands, which are in lowest terms, only these can cancel:
 * in a product, the factors of one denominator that the other lacks, from
   the other numerator;
 * in a sum of products (_sum_products), which takes one lcm for them all
-  (Henrici; Knuth, TAOCP vol. 2, 4.5.1: the lcm of the integer contents,
-  and each factor to its largest exponent over the products), any factor of
-  that lcm; a sum a + b is the two products a*1 and b*1.  A product's
-  constant multiplier m is never made a Scalar: its denominator joins the
-  product's content before the lcm, its numerator the integer scale.  Every
-  term of every product goes straight into one accumulator, the second
-  numerator first multiplied by the complement when the product lacks some
-  of the lcm's factors.  A sum that cancels to zero is returned at once,
-  since a zero test needs the sum but not its lowest terms (Moses, CACM 1971);
+  (Henrici; Knuth, TAOCP vol. 2, 4.5.1), any factor of that lcm; a sum
+  a + b is the two products a*1 and b*1, and a constant multiplier is never
+  made a Scalar.  A sum that cancels to zero is returned at once, since a
+  zero test needs the sum but not its lowest terms (Moses, CACM 1971);
 * in the packed sums of a large diffpoly._products call (_packed_sums),
   whose denominators are all c * prod u_v^e_v: none until the end.  Each
   coefficient is a Laurent polynomial with its monomials packed into ints
-  (Kronecker's substitution; Monagan and Pearce, CASC 2007), so a key's
-  sum is one dict of ints that is zero exactly when every value is, since
-  packing is injective on every input and every sum of two.  The one
-  packed format, _pack and _unpack, is also diffpoly's for jets: a signed
-  field per variable, u_v at field v - 1.  The gate (_packable) refuses a
-  coefficient with another factor, or an index or exponent without a
-  field, before any product is taken, left operands first: their forms
-  (_laurent_forms) are kept on the items that carry them, so a derivation's
-  image-table entry builds its forms once, over its own content;
+  (_pack; Kronecker's substitution; Monagan and Pearce, CASC 2007), so a
+  key's sum is one dict of ints, zero exactly when every value is;
 * in a partial derivative by u^i, the factors free of u^i: each factor
   that involves u^i gains one in its exponent and never cancels;
 * the integer contents, by math.gcd.
@@ -90,34 +79,21 @@ so, like the partial memo below, they cannot go stale.
 
 Where _assemble reduces in full, and in the constructor, _reduce cancels
 the integer gcd _zgcd and fixes the sign; the tests take it as the oracle.
-_zgcd takes one of two paths:
+When one side is a single term, that gcd is the integer content of both
+times the least exponent of each variable over all terms (_cancel_terms);
+otherwise it comes from GCDHEU (_heugcd), and from a primitive
+pseudo-remainder sequence (_prs) when no candidate divides after
+_HEU_TRIES evaluation points.  Both work in the least variable x of their
+operands, the first pair of a monomial, so _zeval, _to_univ, _from_univ
+and _zinterp split off or prepend that pair instead of rebuilding it.
 
-* when one side is a single term, the gcd is the integer content of both
-  times the monomial whose exponent of each variable is the minimum over all
-  terms of both (_cancel_terms), and cancelling it is exponent subtraction;
-* otherwise, with the contents divided out, the gcd comes from GCDHEU
-  (_heugcd): evaluate at a large integer, recurse on the remaining
-  variables, and rebuild a candidate from symmetric base-xi digits, kept
-  only if it divides both exactly.  The division also yields the reduced
-  numerator and denominator.  If no candidate divides after _HEU_TRIES
-  evaluation points, a primitive pseudo-remainder sequence over the
-  integers (_prs) gives the gcd and the quotients instead.
-
-Both work in the least variable x of their operands, so x^d, when present,
-is the first pair of a monomial: _zeval, _to_univ, _from_univ and _zinterp
-split off or prepend that pair instead of rebuilding the monomial.
-
-Partial derivatives are memoised on the value and its base:
-Scalar.partial(i) looks (self, its base's (factor, exponent) pairs, i) up
-in a least-recently-used table of at most _PARTIAL_MEMO entries, and only
-on a miss applies the quotient rule (_partial).  A Scalar is never changed
-after it is made and equal values hash alike, so an entry cannot go stale;
-separately built equal values with the same base share it, and the base a
-derivative carries is the one the quotient rule gives its operand, whatever
-the memo held before.
-The table holds the derivatives every bracket check takes many times over
-(D_P, d_x, the variational derivatives, the Jacobian of a change of
-coordinates); its bound keeps it from growing over a long run.
+Partial derivatives are memoised on the value and its base (_partial),
+in a least-recently-used table of at most _PARTIAL_MEMO entries: a Scalar
+is never changed after it is made and equal values hash alike, so an entry
+cannot go stale, and the base a derivative carries is the one the quotient
+rule gives its operand.  The table holds the derivatives every bracket
+check takes many times over (D_P, d_x, the variational derivatives, the
+Jacobian of a change of coordinates).
 """
 
 from __future__ import annotations
@@ -721,6 +697,16 @@ class Scalar:
         if q == 1 or not q:
             return _ONE if q else _ZERO
         return _wrap(_pconst(q.numerator), {(): q.denominator}, (q.denominator, {}))
+
+    @staticmethod
+    def from_term(q: Fraction, mono: Mono = (), over: Mono = ()) -> "Scalar":
+        """q * mono / over for monomials mono and over, in lowest terms with no
+        gcd: shared exponents cancel, and each variable left in over is a certified factor."""
+        if not q:
+            return _ZERO
+        _, num, den = _cancel_terms({mono: q.numerator}, {over: q.denominator})
+        ((over, c),) = den.items()
+        return _assemble(num, c, {_Factor({((v, 1),): 1}, v): e for v, e in over})
 
     @staticmethod
     def zero() -> "Scalar":

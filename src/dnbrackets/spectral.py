@@ -11,36 +11,32 @@ k.  Transporting D_0 through the contraction yields a differential d_1
 on B, computed here three independent ways: through D_P directly, by a
 compact closed formula in the named coefficients, and - for its part
 that raises the number of top-order thetas - through the flat
-combination connections.  Agreement of the three on a given bracket is
-what the flatness of those combinations amounts to.
+combination connections.  The three share no formula, and their agreement
+on a given bracket is what the flatness of those combinations amounts to.
 
-D_P, D_{-1}, the homotopy and all three forms of d_1 are derivations, and
-each is one call of the kernel diffpoly._derivation, which applies their
-values on the generators u^{i,s} and theta_i^s term by term: each
-generator of a term of the input adds its value times the term with that
-generator taken out.  Those values are image tables (diffpoly._Images)
-cached once per bracket by bracket._cached (d_x's are module constants):
-D_P's in jacobi over the d_x chains, D_{-1}'s from g and the homotopy's
-from the lowered metric, the closed form's from the tails, the connection
-form's as closed-form images read off g, the lowered metric and Gamma_[s]
-alone, and d1_spectral's as D_P's images of the generators of B,
-projected onto B before any product is taken (d1_spectral and
-_d1_spectral_ops say why that is exact).  Each table builds a generator's
-image once per bracket, and holds the bracket's data, never the bracket, so
-a bracket's cache refers to nothing that refers back to it; each of its sums
-of products is one kernel call.  The three d_1 computations share no formula.
+D_P, D_{-1}, the homotopy and the forms of d_1 are derivations, applied by
+diffpoly's kernel from their image tables (diffpoly._Images), which
+bracket._cached keeps once per bracket; each table's builder says what it
+reads.  A table holds the bracket's data, never the bracket, so a
+bracket's cache refers to nothing that refers back to it.
+
+An identity between two such sides is tested as one defect (d1_sum,
+homotopy_defect), one kernel call over the parts of one side and the
+other's terms negated: each key sums the exact difference of the sides,
+and Scalars are canonical, so it is zero exactly when they agree term by
+term, as comparing them would find, and a key that cancels builds no Scalar.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import comb
 
 from .bracket import HomogeneousBracket, _cached, _tensor, extract_named, metric_pair, variational_pair
 from .connections import flat_combination
-from .diffpoly import _DX_DEG_U_0, DiffPoly, _derivation, _Images, _products, _wrap
+from .diffpoly import _DX_DEG_U_0, DiffPoly, _derivation, _derivation_parts, _Images, _products, _sum, _wrap
 from .errors import PreconditionError
 from .jacobi import apply_DP, check_jacobi
 from .scalar import Scalar, _sum_products
@@ -52,6 +48,7 @@ __all__ = [
     "apply_D_graded",
     "D_minus1_closed",
     "homotopy",
+    "homotopy_defect",
     "in_B",
     "project_B",
     "include_B",
@@ -59,6 +56,7 @@ __all__ = [
     "d1_closed",
     "d1_split",
     "d1_as_connection",
+    "d1_sum",
     "spanning_monomials",
 ]
 
@@ -81,13 +79,9 @@ def _is_poisson(b: HomogeneousBracket) -> bool:
 
 def apply_D_graded(b: HomogeneousBracket, m: int, a: DiffPoly) -> DiffPoly:
     """The deg_u-homogeneous component of D_P that shifts deg_u by m."""
-    degs = a.degrees("deg_u")
-    if len(degs) > 1:
+    if len(degs := a.degrees("deg_u")) > 1:
         raise ValueError("input must be homogeneous in deg_u")
-    if not degs:
-        return DiffPoly.zero()
-    p = degs.pop()
-    return apply_DP(b, a).project("deg_u", p + m)
+    return apply_DP(b, a).project("deg_u", degs.pop() + m) if degs else DiffPoly.zero()
 
 
 def _row_sum(row: list, make, order: int) -> DiffPoly:
@@ -145,23 +139,37 @@ def homotopy(b: HomogeneousBracket, a: DiffPoly) -> DiffPoly:
 
     On a monomial containing l > 0 of the excluded generators it applies
     (1/l) sum_{s>=1} u^{i,s} g_{ji} d/dtheta_j^{k+s}; on the rest it is 0.
-    Each term of the derivation's image trades one theta_j^{k+s} for one
-    u^{i,s}, so it keeps the l of its source and is scaled by 1/l afterwards.
     """
+    return _products(_homotopy_parts(b, a))
+
+
+def _homotopy_parts(b: HomogeneousBracket, a: DiffPoly):
+    """h(a)'s _products parts.  A term with a theta above order k, the only
+    kind with an image, is scaled by 1/l before the derivation: each image
+    term trades one theta_j^{k+s} for one u^{i,s}, so it keeps that l."""
     k = b.k
-    image_terms = _derivation(a, *_homotopy_images(b)).terms
-    return _wrap({key: c * _reciprocal(_excluded_count(key, k)) for key, c in image_terms.items()})
+    scaled = {key: c if (l := _excluded_count(key, k)) == 1 else c * _reciprocal(l)
+              for key, c in a.terms.items() if key[1] and key[1][-1][0] > k}
+    return _derivation_parts(_wrap(scaled), *_homotopy_images(b))
 
 
-@cache
-def _reciprocal(l: int) -> Scalar:
-    """The Scalar 1/l, made once per l for the homotopy's scaling."""
-    return Scalar.from_fraction(Fraction(1, l))
+_reciprocal = cache(lambda l: Scalar.from_fraction(Fraction(1, l)))  # 1/l, made once per l
+
+
+def homotopy_defect(b: HomogeneousBracket, a: DiffPoly) -> tuple:
+    """(D_{-1} h(a) + h(D_{-1} a) - (a - include_B project_B a), D_{-1} a):
+    the defect is one _products call over D_{-1}'s parts on h(a), h's parts
+    on D_{-1} a and a's terms outside B negated (see d1_sum)."""
+    lowered, k = D_minus1_closed(b, a), b.k
+    outside = [(key, c) for key, c in a.terms.items() if _excluded_count(key, k)]
+    return _products(chain(_derivation_parts(homotopy(b, a), *_lowering_images(b)),
+                           _homotopy_parts(b, lowered), [(outside, (), (), -1, _ONE)])), lowered
 
 
 def in_B(a: DiffPoly, k: int) -> bool:
-    """True when a lies in the subalgebra with no jets and theta orders <= k."""
-    return all(_excluded_count(key, k) == 0 for key in a.terms)
+    """True when a lies in the subalgebra with no jets and theta orders <= k
+    (an odd word is sorted, so its last theta has the highest order)."""
+    return not any(even or odd and odd[-1][0] > k for even, odd in a.terms)
 
 
 def project_B(a: DiffPoly, k: int) -> DiffPoly:
@@ -210,8 +218,7 @@ def d1_spectral(b: HomogeneousBracket, x: DiffPoly) -> DiffPoly:
     when its image factor does, and each B key sums the same products in the
     same order.
     """
-    require_poisson(b)
-    return _derivation(include_B(x, b.k), *_d1_images(b, _d1_spectral_ops))
+    return d1_sum(b, [("spectral", x)])
 
 
 @_cached
@@ -253,15 +260,12 @@ def _d1_closed_ops(b: HomogeneousBracket) -> tuple:
 def d1_split(b: HomogeneousBracket, x: DiffPoly) -> tuple:
     """Split d_1 x into the parts raising the theta^k count by one and zero,
     through the split tables of _d1_closed_ops."""
-    require_poisson(b)
-    x = include_B(x, b.k)
-    return tuple(_derivation(x, *_d1_images(b, _d1_closed_ops, half)) for half in (0, 1))
+    return tuple(d1_sum(b, [(half, x)]) for half in ("up", "same"))
 
 
 def d1_closed(b: HomogeneousBracket, x: DiffPoly) -> DiffPoly:
     """The compact formula for d_1 in terms of g and the tails h_(s)."""
-    up, same = d1_split(b, x)
-    return up + same
+    return _sum(d1_split(b, x))
 
 
 @_cached
@@ -303,8 +307,22 @@ def d1_as_connection(b: HomogeneousBracket, x: DiffPoly) -> DiffPoly:
     theta_l^s (s <= k) determine; _d1_connection_ops holds them, computed
     once per bracket.
     """
+    return d1_sum(b, [("connection", x)])
+
+
+# the forms of d_1 on B, each by the arguments of _d1_images that give its tables
+_D1_FORMS = {"spectral": (_d1_spectral_ops,), "up": (_d1_closed_ops, 0),
+             "same": (_d1_closed_ops, 1), "connection": (_d1_connection_ops,)}
+
+
+def d1_sum(b: HomogeneousBracket, terms, *subtracted: DiffPoly) -> DiffPoly:
+    """The sum of form(x) over the (form, x) of terms, x in B and form a key
+    of _D1_FORMS, minus each subtracted DiffPoly, in one _products call: as
+    a defect, zero exactly when the two sides agree (module docstring)."""
     require_poisson(b)
-    return _derivation(include_B(x, b.k), *_d1_images(b, _d1_connection_ops))
+    return _products(chain(
+        *(_derivation_parts(include_B(x, b.k), *_d1_images(b, *_D1_FORMS[form])) for form, x in terms),
+        ((p.terms.items(), (), (), -1, _ONE) for p in subtracted)))
 
 
 def spanning_monomials(n: int, k: int, max_degree: int = 3) -> list:

@@ -406,18 +406,21 @@ def test_report_computes_each_curvature_once(monkeypatch, capsys, name, computed
 
 
 def test_homotopy_identity_lowers_each_monomial_once(monkeypatch, capsys):
-    # D_-1 on a, on h(a) and on D_-1(a): three calls for each of the 100 monomials
+    # D_-1 on a (inside homotopy_defect) and on D_-1(a): two calls for each of
+    # the 100 monomials; D_-1 on h(a) is summed inside the defect's kernel call
     calls = []
-    original = cli.D_minus1_closed
+    original = spectral.D_minus1_closed
 
     def counting(b, a):
         calls.append(a)
         return original(b, a)
 
+    monkeypatch.setattr(spectral, "D_minus1_closed", counting)
     monkeypatch.setattr(cli, "D_minus1_closed", counting)
     code, out, _ = run(capsys, "spectral", fixture_path("lc_k1.json"))
     assert code == 0 and "100 random monomials" in out
-    assert len(calls) == 300
+    assert len(calls) == 200
+    assert len({id(a) for a in calls[::2]}) == 100
 
 
 def test_report_keeps_its_mirror_on_a_singular_metric(tmp_path, capsys):
@@ -498,8 +501,8 @@ def test_lowdegree_on_degree_four_and_five(tmp_path, capsys):
 
 
 def test_spectral_splits_each_monomial_once(monkeypatch, capsys):
-    # 303 spanning monomials, and for the 83 of theta degree <= 2 the two
-    # halves of their split are split again: 303 + 2 * 83 calls
+    # 303 spanning monomials, each split once; the graded identities apply
+    # the halves' tables to the two halves inside d1_sum, with no second split
     calls = []
     original = spectral.d1_split
 
@@ -511,7 +514,7 @@ def test_spectral_splits_each_monomial_once(monkeypatch, capsys):
     monkeypatch.setattr(cli, "d1_split", counting)
     code, _, _ = run(capsys, "spectral", fixture_path("canonical_k2.json"))
     assert code == 0
-    assert len(calls) == 469
+    assert len(calls) == 303
 
 
 def test_missing_file_is_input_error(capsys):

@@ -1793,3 +1793,17 @@ def test_multiplier_matches_an_explicit_constant_factor():
     for _, x in factor_family_values()[:8]:
         assert scalar._mul(two, x, Fraction(1, 2)) is x and scalar._mul(x, two, Fraction(1, 2)) is x
     assert checked > 900
+
+
+def test_from_term_is_the_constructed_quotient():
+    """Scalar.from_term(q, mono, over) is Scalar({mono: q}, {over: 1}), with the
+    same numerator, denominator and factored base, over drawn monomials with
+    shared, cancelling and distinct variables and zero, negative and proper
+    fractions."""
+    rng = random.Random(29)
+    for _ in range(400):
+        q = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+        mono, over = ({v: e for v in range(1, 4) if (e := rng.randint(0, 2))} for _ in range(2))
+        mono, over = tuple(sorted(mono.items())), tuple(sorted(over.items()))
+        got, want = Scalar.from_term(q, mono, over), Scalar({mono: q}, {over: 1})
+        assert (got._n, got._d, got._b) == (want._n, want._d, want._b)

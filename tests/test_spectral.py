@@ -175,6 +175,32 @@ def test_homotopy_matches_its_per_term_oracle(request, name):
     assert mixed >= 5
 
 
+def per_output_homotopy(b, a):
+    """homotopy with its earlier scaling: the derivation of the homotopy's
+    tables on the whole of a, then each output coefficient times 1/l."""
+    terms = _derivation(a, *_homotopy_images(b)).terms
+    return diffpoly._wrap({key: c * Scalar.from_fraction(Fraction(1, _excluded_count(key, b.k)))
+                           for key, c in terms.items()})
+
+
+@pytest.mark.parametrize("name", ["lc1", "nonflat2", "canonical4"])
+def test_homotopy_scales_its_inputs_as_the_outputs_were_scaled(request, name):
+    """Scaling each input term by 1/l before the derivation gives the terms
+    of scaling each output coefficient after it, in the same order, with the
+    same numerators, denominators and factored bases."""
+    b = request.getfixturevalue(name)
+    mixed, total = 0, DiffPoly.zero()
+    for a in kernel_draws(random.Random(103), b, set()):
+        total = total + a
+        for x in (a, total):
+            mixed += len({_excluded_count(key, b.k) for key in x.terms} - {0}) > 1
+            got, want = homotopy(b, x), per_output_homotopy(b, x)
+            assert list(got.terms) == list(want.terms)
+            assert [(c._n, c._d, c._b) for c in got.terms.values()] == \
+                [(c._n, c._d, c._b) for c in want.terms.values()]
+    assert mixed >= 5
+
+
 def test_homotopy_vanishes_on_B(nonflat2):
     a = theta(1, 0) * theta(2, 2) * S("u2")
     assert in_B(a, 3)
