@@ -48,7 +48,6 @@ import random
 import sys
 import time
 from dataclasses import asdict
-from functools import cache
 
 from .bracket import (
     CoordinateMap,
@@ -121,11 +120,11 @@ def _skew_witness(defect: tuple) -> str:
 
 
 def _defect_free(span: list, defect, sides) -> tuple:
-    """Pass, counting the monomials, when defect(idx) is zero for every span[idx];
-    else fail on the first monomial where it is not, with the two sides(idx)."""
-    for idx, x in enumerate(span):
-        if defect(idx):
-            left, right = sides(idx)
+    """Pass, counting the monomials, when defect(x) is zero for every x of span;
+    else fail on the first monomial where it is not, with the two sides(x)."""
+    for x in span:
+        if defect(x):
+            left, right = sides(x)
             return "fail", f"on {x}: {left} != {right}"
     return "pass", f"{len(span)} monomials"
 
@@ -440,25 +439,24 @@ def cmd_spectral(b: HomogeneousBracket, args) -> list:
     t0 = time.perf_counter()
     try:
         span = spanning_monomials(b.n, b.k)
-        split = cache(lambda idx: d1_split(b, span[idx]))  # shared by the three checks
         results.append(_timed("d_1 oracle pair (spectral vs closed form)", lambda: _defect_free(
-            span, lambda idx: d1_sum(b, [("spectral", span[idx])], *split(idx)),
-            lambda idx: (d1_spectral(b, span[idx]), d1_closed(b, span[idx])),
+            span, lambda x: d1_sum(b, [("spectral", x), ("up", x, -1), ("same", x, -1)]),
+            lambda x: (d1_spectral(b, x), d1_closed(b, x)),
         )))
         results.append(_timed("d_1 theta^k-raising part via connections", lambda: _defect_free(
-            span, lambda idx: d1_sum(b, [("connection", span[idx])], split(idx)[0]),
-            lambda idx: (split(idx)[0], d1_as_connection(b, span[idx])),
+            span, lambda x: d1_sum(b, [("connection", x), ("up", x, -1)]),
+            lambda x: (d1_split(b, x)[0], d1_as_connection(b, x)),
         )))
 
         def graded():
-            for idx, x in enumerate(span):
+            for x in span:
                 if max(x.degrees("deg_theta"), default=0) > 2:
                     continue
-                up, same = split(idx)
+                up, same = d1_split(b, x)
                 if a11 := d1_sum(b, [("up", up)]):
                     return "fail", f"(d1^(1))^2 on {x}: {a11}"
-                if d1_sum(b, [("same", up), ("up", same)]):
-                    return "fail", f"anticommutator on {x}: {d1_split(b, up)[1] + d1_split(b, same)[0]}"
+                if mixed := d1_sum(b, [("same", up), ("up", same)]):
+                    return "fail", f"anticommutator on {x}: {mixed}"
                 if a00 := d1_sum(b, [("same", same)]):
                     return "fail", f"(d1^(0))^2 on {x}: {a00}"
             return "pass", None

@@ -31,16 +31,17 @@ scalar._collect or scalar._sum_products, and _wrap builds a DiffPoly around
 a dict that already satisfies this.  Every sum of products is one _products
 call, whose parts are a DiffPoly's term items times one term with an int
 multiplier: a product passes one per term of its right factor, a
-derivation one per generator of each input term, a step of a variational
-derivative's Horner loop (_alternating_sum) the partial's parts and the
-negated parts of d_x(acc), and a defect (spectral.d1_sum) the parts of one
-side and the negated terms of the other.  The call groups the coefficient
-pairs of all its products by output key and sums each group in one
-scalar._sum_products, over one common denominator; odd words are merged
-by _odd_mul, memoised across calls.  A call of at least _PACKED_PARTS
-parts is first offered to the packed path (_packed), which sums it in
-scalar._packed_sums as packed Laurent monomials, term keys packed too, when
-every denominator is an integer times a monomial.
+derivation one per generator of each input term, a partial derivative one
+per multiplier, a step of a variational derivative's Horner loop
+(_alternating_sum) the partial's parts and the negated parts of d_x(acc),
+and a defect (spectral.d1_sum) the parts of both sides, those of one side
+signed -1.  The call groups the coefficient pairs of all its products by
+output key and sums each group in one scalar._sum_products, over one
+common denominator; odd words are merged by _odd_mul, memoised across
+calls.  A call of at least _PACKED_PARTS parts is first offered to the
+packed path (_packed), which sums it in scalar._packed_sums as packed
+Laurent monomials, term keys packed too, when every denominator is an
+integer times a monomial.
 """
 
 from __future__ import annotations
@@ -293,16 +294,15 @@ class DiffPoly:
         """Differentiate the Scalar coefficients with respect to u^i."""
         return _wrap({key: dc for key, c in self.terms.items() if (dc := c.partial(i))})
 
-    # Removing one variable from a term is injective on the terms that hold
-    # it, so the partials below need no accumulation.  Each is built as
-    # _products parts of products by one, one part per int multiplier: the
-    # exponent of the jet, or the sign of the theta's position.
+    # Each partial below is one _products call over parts of products by
+    # one, one part per int multiplier: the exponent of the jet, or the sign
+    # of the theta's position.
 
     def _partial_jet(self, i: int, s: int) -> "DiffPoly":
-        return _scaled(self._jet_parts(i, s))
+        return _products(self._jet_parts(i, s))
 
     def _partial_theta(self, i: int, s: int) -> "DiffPoly":
-        return _scaled(self._theta_parts(i, s))
+        return _products(self._theta_parts(i, s))
 
     def _jet_parts(self, i: int, s: int) -> list:
         if s == 0:
@@ -424,13 +424,6 @@ class _Terms(list):
     laurent = False
 
 
-def _scaled(parts) -> DiffPoly:
-    """The sum over parts (items, (), (), m, one) whose items share no key:
-    each coefficient times its part's int m, with no sum to take."""
-    return _wrap({key: c if m == 1 else _sum_products([(m, c, _ONE)])
-                  for items, _, _, m, _ in parts for key, c in items})
-
-
 def _products(parts) -> DiffPoly:
     """The sum of the products a * b over parts (a_items, e2, o2, m, c2),
     where a_items are a's terms and b is the one term m * c2 at (e2, o2), m
@@ -518,9 +511,8 @@ class _Images(dict):
     """A derivation's generator images as term items, keyed (i, s) for
     u^{i,s} (s = 0: the coordinate u^i) or for theta_i^s, and falsy where the
     image is; each is built by image(v) on its first lookup.  coordinates is
-    False when no coordinate has an image, or when the derivation leaves
-    the chain rule out (read on jet tables only), and the kernel then skips
-    the coefficients' variables."""
+    False when no coordinate has an image, and the kernel then skips the
+    coefficients' variables."""
 
     def __init__(self, image, coordinates: bool = True):
         self.image = image
@@ -581,9 +573,9 @@ def _derivation_parts(x: DiffPoly, jets: _Images, thetas: _Images, sign: int = 1
 _DX_IMAGES = (_Images(lambda v: DiffPoly.jet(v[0], v[1] + 1)),
               _Images(lambda v: DiffPoly.theta(v[0], v[1] + 1)))
 
-# d_x without the chain rule on coefficients: it keeps deg_u, and on an
-# element free of jets it is d_x's theta table alone
-_DX_DEG_U_0 = (_Images(_DX_IMAGES[0].image, coordinates=False), _DX_IMAGES[1])
+# d_x's theta table alone, no coordinate or jet having an image: on an
+# element free of jets it is d_x without the chain rule, which keeps deg_u
+_DX_THETAS = (_Images({}.get, coordinates=False), _DX_IMAGES[1])
 
 
 def _alternating_sum(partial, i: int, top: int, tables: tuple = _DX_IMAGES) -> DiffPoly:
@@ -591,14 +583,13 @@ def _alternating_sum(partial, i: int, top: int, tables: tuple = _DX_IMAGES) -> D
     for D the derivation of the image tables (jets, thetas), d_x's by
     default, by Horner's rule: acc = partial(i, s) - D(acc) for s = top
     down to 0.  partial gives _products parts (DiffPoly._jet_parts and
-    _theta_parts).  The first acc is the partial itself (_scaled); each
-    later step is one _products call, of the partial's parts and the parts
-    of D(acc) signed -1, so every key of the new acc is summed once, with no
-    negated or scaled partial and no second sum."""
-    acc = DiffPoly.zero()
-    for s in range(top, -1, -1):
-        p = partial(i, s)
-        acc = _products(chain(p, _derivation_parts(acc, *tables, -1))) if acc else _scaled(p)
+    _theta_parts).  The first acc is the partial at top; each later step
+    is one _products call, of the partial's parts and the parts of D(acc)
+    signed -1, so every key of the new acc is summed once, with no negated
+    or scaled partial and no second sum."""
+    acc = _products(partial(i, top))
+    for s in range(top - 1, -1, -1):
+        acc = _products(chain(partial(i, s), _derivation_parts(acc, *tables, -1)))
     return acc
 
 

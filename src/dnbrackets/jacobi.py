@@ -34,7 +34,7 @@ raising jet and theta orders, which keeps deg_u, plus the chain rule on
 the coefficients, which raises it by one; so the deg_u-0 component of
 dT/dtheta_i is the variational formula on T_0 with d_x's chain rule left
 out, and on T_0, which has no jets, that is d_x's theta table alone
-(diffpoly._DX_DEG_U_0; _refuted_at_degree_zero).  A nonzero value proves
+(diffpoly._DX_THETAS; _refuted_at_degree_zero).  A nonzero value proves
 the bracket is not Poisson, without building T or differentiating a
 coefficient.
 """
@@ -42,7 +42,7 @@ coefficient.
 from __future__ import annotations
 
 from .bracket import HomogeneousBracket, _cached, skew_defects, validate, variational_pair
-from .diffpoly import _DX_DEG_U_0, DiffPoly, _alternating_sum, _derivation, _dx_upto, _Images, _products
+from .diffpoly import _DX_THETAS, DiffPoly, _alternating_sum, _derivation, _dx_upto, _Images, _products
 from .errors import PreconditionError
 
 
@@ -92,7 +92,7 @@ def _refuted_at_degree_zero(b: HomogeneousBracket) -> bool:
     """
     T0 = _pairing(*([v.project("deg_u", 0) for v in family] for family in variational_pair(b)))
     top = T0.max_theta_order()
-    return any(_alternating_sum(T0._theta_parts, i, top, _DX_DEG_U_0) for i in range(1, b.n + 1))
+    return any(_alternating_sum(T0._theta_parts, i, top, _DX_THETAS) for i in range(1, b.n + 1))
 
 
 # D_P^2 on u^i and on theta_i, read off the trivector T.

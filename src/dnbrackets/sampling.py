@@ -24,13 +24,15 @@ def random_fraction(rng: random.Random, span: int = 5) -> Fraction:
 
 
 def random_polynomial(rng: random.Random, n: int, terms: int = 2, deg: int = 2) -> Scalar:
-    """A small polynomial in the coordinates u^1..u^n, in one _sum_products list."""
+    """A small polynomial in the coordinates u^1..u^n, each term written
+    down by key (Scalar.from_term) and the terms summed in one _sum_products list."""
     triples = []
     for _ in range(rng.randint(1, terms)):
-        coef, mono = Scalar.from_fraction(random_fraction(rng)), Scalar.one()
+        q, mono = random_fraction(rng), {}
         for _ in range(rng.randint(0, deg)):
-            mono = mono * Scalar.coordinate(rng.randint(1, n))
-        triples.append((1, coef, mono))
+            v = rng.randint(1, n)
+            mono[v] = mono.get(v, 0) + 1
+        triples.append((1, Scalar.from_term(q, tuple(sorted(mono.items()))), Scalar.one()))
     return _sum_products(triples)
 
 
@@ -43,23 +45,6 @@ def random_scalar(rng: random.Random, n: int, terms: int = 2, deg: int = 2) -> S
             den = random_polynomial(rng, n, 1, deg)
         return num / den
     return num
-
-
-def _random_term_scalar(rng: random.Random, n: int) -> Scalar:
-    """random_scalar(rng, n, 1, 1) from the same draws in the same order,
-    written down by key (Scalar.from_term) instead of through products."""
-
-    def term():  # the draws of random_polynomial(rng, n, 1, 1)
-        rng.randint(1, 1)
-        q = random_fraction(rng)
-        return q, ((rng.randint(1, n), 1),) if rng.randint(0, 1) else ()
-
-    (q, num), (r, den) = term(), (1, ())
-    if rng.random() < 0.3:
-        r = 0
-        while not r:
-            r, den = term()
-    return Scalar.from_term(q / r, num, den)
 
 
 def random_diffpoly(
@@ -98,7 +83,7 @@ def random_monomial(
     with the sign of its inversions, and a repeated theta or a zero
     coefficient gives zero.
     """
-    coef = _random_term_scalar(rng, n) if rng.random() < 0.5 else Scalar.one()
+    coef = random_scalar(rng, n, 1, 1) if rng.random() < 0.5 else Scalar.one()
     even: dict = {}
     for _ in range(rng.randint(0, max_degu)):
         v = (rng.randint(1, n), rng.randint(1, 3))

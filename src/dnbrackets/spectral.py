@@ -21,8 +21,8 @@ reads.  A table holds the bracket's data, never the bracket, so a
 bracket's cache refers to nothing that refers back to it.
 
 An identity between two such sides is tested as one defect (d1_sum,
-homotopy_defect), one kernel call over the parts of one side and the
-other's terms negated: each key sums the exact difference of the sides,
+homotopy_defect), one kernel call over the parts of both sides, those
+of one side signed -1: each key sums the exact difference of the sides,
 and Scalars are canonical, so it is zero exactly when they agree term by
 term, as comparing them would find, and a key that cancels builds no Scalar.
 """
@@ -36,7 +36,7 @@ from math import comb
 
 from .bracket import HomogeneousBracket, _cached, _tensor, extract_named, metric_pair, variational_pair
 from .connections import flat_combination
-from .diffpoly import _DX_DEG_U_0, DiffPoly, _derivation, _derivation_parts, _Images, _products, _sum, _wrap
+from .diffpoly import _DX_THETAS, DiffPoly, _derivation, _derivation_parts, _Images, _products, _wrap
 from .errors import PreconditionError
 from .jacobi import apply_DP, check_jacobi
 from .scalar import Scalar, _sum_products
@@ -159,7 +159,7 @@ _reciprocal = cache(lambda l: Scalar.from_fraction(Fraction(1, l)))  # 1/l, made
 def homotopy_defect(b: HomogeneousBracket, a: DiffPoly) -> tuple:
     """(D_{-1} h(a) + h(D_{-1} a) - (a - include_B project_B a), D_{-1} a):
     the defect is one _products call over D_{-1}'s parts on h(a), h's parts
-    on D_{-1} a and a's terms outside B negated (see d1_sum)."""
+    on D_{-1} a and a's terms outside B negated (module docstring)."""
     lowered, k = D_minus1_closed(b, a), b.k
     outside = [(key, c) for key, c in a.terms.items() if _excluded_count(key, k)]
     return _products(chain(_derivation_parts(homotopy(b, a), *_lowering_images(b)),
@@ -189,20 +189,23 @@ def _d1_spectral_ops(b: HomogeneousBracket) -> tuple:
     """The images of D_P on the generators of B, projected onto B, built once
     per bracket: u^i keyed (i, 0) and theta_l^s (s <= k) keyed (l, s), the
     latter stepped as project_B(D thetas[l, s-1]) for D d_x's theta table
-    alone (diffpoly._DX_DEG_U_0).  Exact: d_x maps no term outside B into B (it
+    alone (diffpoly._DX_THETAS).  Exact: d_x maps no term outside B into B (it
     raises orders; its chain rule adds a jet), and on B it is D plus terms
     with a jet, so project_B d_x^s = (project_B D)^s project_B."""
     k, (ddtheta, ddu) = b.k, variational_pair(b)
     thetas = {(l, 0): project_B(v, k) for l, v in enumerate(ddu, 1)}
     for s, l in product(range(1, k + 1), range(1, b.n + 1)):
-        thetas[l, s] = project_B(_derivation(thetas[l, s - 1], *_DX_DEG_U_0), k)
+        thetas[l, s] = project_B(_derivation(thetas[l, s - 1], *_DX_THETAS), k)
     return {(i, 0): project_B(v, k) for i, v in enumerate(ddtheta, 1)}, thetas
 
 
 @_cached
 def _d1_images(b: HomogeneousBracket, ops, *half) -> tuple:
     """The (jets, thetas) _Images over the dicts of ops(b), for ops one of the
-    _d1_*_ops (of its given half for _d1_closed_ops), built once per bracket."""
+    _d1_*_ops (of its given half for _d1_closed_ops), built once per bracket
+    after require_poisson; _cached keeps nothing when that raises, so a
+    bracket that is not Poisson raises on every call."""
+    require_poisson(b)
     jets, thetas = ops(b)[half[0]] if half else ops(b)
     return _Images.of(jets), _Images.of(thetas)
 
@@ -264,8 +267,9 @@ def d1_split(b: HomogeneousBracket, x: DiffPoly) -> tuple:
 
 
 def d1_closed(b: HomogeneousBracket, x: DiffPoly) -> DiffPoly:
-    """The compact formula for d_1 in terms of g and the tails h_(s)."""
-    return _sum(d1_split(b, x))
+    """The compact formula for d_1 in terms of g and the tails h_(s): both
+    halves of d1_split in one d1_sum."""
+    return d1_sum(b, [("up", x), ("same", x)])
 
 
 @_cached
@@ -315,14 +319,13 @@ _D1_FORMS = {"spectral": (_d1_spectral_ops,), "up": (_d1_closed_ops, 0),
              "same": (_d1_closed_ops, 1), "connection": (_d1_connection_ops,)}
 
 
-def d1_sum(b: HomogeneousBracket, terms, *subtracted: DiffPoly) -> DiffPoly:
-    """The sum of form(x) over the (form, x) of terms, x in B and form a key
-    of _D1_FORMS, minus each subtracted DiffPoly, in one _products call: as
-    a defect, zero exactly when the two sides agree (module docstring)."""
-    require_poisson(b)
-    return _products(chain(
-        *(_derivation_parts(include_B(x, b.k), *_d1_images(b, *_D1_FORMS[form])) for form, x in terms),
-        ((p.terms.items(), (), (), -1, _ONE) for p in subtracted)))
+def d1_sum(b: HomogeneousBracket, terms) -> DiffPoly:
+    """The sum of m * form(x) over the (form, x) or (form, x, m) of terms,
+    x in B, form a key of _D1_FORMS and m = 1 or -1 (1 when left out), in
+    one _products call: with the parts of one side signed -1, a defect,
+    zero exactly when the two sides agree (module docstring)."""
+    return _products(chain(*(_derivation_parts(include_B(x, b.k), *_d1_images(b, *_D1_FORMS[form]), *m)
+                             for form, x, *m in terms)))
 
 
 def spanning_monomials(n: int, k: int, max_degree: int = 3) -> list:

@@ -501,8 +501,9 @@ def test_lowdegree_on_degree_four_and_five(tmp_path, capsys):
 
 
 def test_spectral_splits_each_monomial_once(monkeypatch, capsys):
-    # 303 spanning monomials, each split once; the graded identities apply
-    # the halves' tables to the two halves inside d1_sum, with no second split
+    # only the graded identities split, once for each of the 83 spanning
+    # monomials of theta-degree <= 2 (of 303), and apply the halves' tables
+    # to the two halves inside d1_sum, with no second split
     calls = []
     original = spectral.d1_split
 
@@ -514,7 +515,7 @@ def test_spectral_splits_each_monomial_once(monkeypatch, capsys):
     monkeypatch.setattr(cli, "d1_split", counting)
     code, _, _ = run(capsys, "spectral", fixture_path("canonical_k2.json"))
     assert code == 0
-    assert len(calls) == 303
+    assert len(calls) == 83
 
 
 def test_missing_file_is_input_error(capsys):

@@ -36,7 +36,7 @@ from dnbrackets.lowdegree import (
     potemin_check,
     quadratic_tail,
 )
-from dnbrackets.sampling import random_constant_bracket, random_fraction, random_polynomial
+from dnbrackets.sampling import random_constant_bracket, random_fraction, random_polynomial, random_scalar
 from dnbrackets.scalar import Scalar
 from dnbrackets.spectral import _d1_closed_ops, _d1_connection_ops, _row_sum
 
@@ -324,6 +324,16 @@ def random_polynomial_oracle(rng, n, terms=2, deg=2):
     return sum(monomials, ZERO)
 
 
+def random_scalar_oracle(rng, n, terms=2, deg=2):
+    num = random_polynomial_oracle(rng, n, terms, deg)
+    if rng.random() < 0.3:
+        den = ZERO
+        while den.is_zero:
+            den = random_polynomial_oracle(rng, n, 1, deg)
+        return num / den
+    return num
+
+
 # -- the differential tests ----------------------------------------------
 
 
@@ -510,10 +520,19 @@ def test_substitute_matches_the_term_by_term_sum():
 
 
 def test_random_polynomial_makes_the_same_draws_and_values():
+    """random_polynomial, whose terms are written down by key, and
+    random_scalar over it, against the op-built oracles; (terms, deg) =
+    (1, 1) is random_monomial's coefficient, for n = 1..4."""
+    kinds = set()
     for seed in range(40):
-        for n, terms, deg in ((1, 2, 2), (2, 3, 2), (3, 4, 3)):
+        for n, terms, deg in ((1, 2, 2), (2, 3, 2), (3, 4, 3), *((m, 1, 1) for m in range(1, 5))):
             new, old = random.Random(seed), random.Random(seed)
             for _ in range(5):
                 same(random_polynomial(new, n, terms, deg), random_polynomial_oracle(old, n, terms, deg),
                      (seed, n))
-            assert new.getstate() == old.getstate()
+                got = random_scalar(new, n, terms, deg)
+                same(got, random_scalar_oracle(old, n, terms, deg), (seed, n, "random_scalar"))
+                assert new.getstate() == old.getstate()
+                if (terms, deg) == (1, 1):
+                    kinds.add("zero" if got.is_zero else "over a coordinate" if got._b[1] else "polynomial")
+    assert kinds == {"zero", "over a coordinate", "polynomial"}

@@ -10,7 +10,6 @@ import pytest
 from dnbrackets.bracket import check_skew, validate
 from dnbrackets.diffpoly import DiffPoly
 from dnbrackets.sampling import (
-    _random_term_scalar,
     random_constant_bracket,
     random_constant_matrix,
     random_diffpoly,
@@ -140,20 +139,6 @@ def test_random_monomial_defaults_match_the_oracle():
     for _ in range(40):
         assert_same_terms(random_monomial(fast, 2, 3), random_monomial_oracle(slow, 2, 3))
     assert fast.getstate() == slow.getstate()
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_the_monomial_coefficient_written_by_key_is_the_op_built_one(n):
-    """random_monomial's coefficient, written down by key, is random_scalar(rng, n, 1, 1)
-    with the same numerator, denominator and factored base, from the same draws."""
-    fast, slow = random.Random(n), random.Random(n)
-    kinds = set()
-    for _ in range(1500):
-        got, want = _random_term_scalar(fast, n), random_scalar(slow, n, 1, 1)
-        assert (got._n, got._d, got._b) == (want._n, want._d, want._b)
-        assert fast.getstate() == slow.getstate()
-        kinds.add("zero" if got.is_zero else "over a coordinate" if got._b[1] else "polynomial")
-    assert kinds == {"zero", "over a coordinate", "polynomial"}
 
 
 @pytest.mark.parametrize("n, k", [(1, 1), (1, 3), (2, 1), (2, 3), (3, 2), (4, 2)])

@@ -158,8 +158,8 @@ def test_each_fused_defect_is_the_difference_of_its_sides(name, table):
     failing = 0
     for x in spanning_monomials(b.n, b.k):
         up, same = d1_split(b, x)
-        pairs = [(d1_sum(b, [("spectral", x)], up, same), d1_spectral(b, x), up + same),
-                 (d1_sum(b, [("connection", x)], up), d1_as_connection(b, x), up)]
+        pairs = [(d1_sum(b, [("spectral", x), ("up", x, -1), ("same", x, -1)]), d1_spectral(b, x), up + same),
+                 (d1_sum(b, [("connection", x), ("up", x, -1)]), d1_as_connection(b, x), up)]
         if max(x.degrees("deg_theta"), default=0) <= 2:
             pairs.append((d1_sum(b, [("same", up), ("up", same)]), d1_split(b, up)[1] + d1_split(b, same)[0], 0))
         for defect, left, right in pairs:
