@@ -39,9 +39,9 @@ signed -1.  The call groups the coefficient pairs of all its products by
 output key and sums each group in one scalar._sum_products, over one
 common denominator; odd words are merged by _odd_mul, memoised across
 calls.  A call of at least _PACKED_PARTS parts is first offered to the
-packed path (_packed), which sums it in scalar._packed_sums as packed
-Laurent monomials, term keys packed too, when every denominator is an
-integer times a monomial.
+packed path (_packed), which sums it in scalar._packed_sums as one int per
+product term, the term key above the coefficient's packed Laurent monomial,
+when every denominator is an integer times a monomial.
 """
 
 from __future__ import annotations
@@ -456,12 +456,12 @@ def _packed(parts: list) -> dict | None:
     meets them and packs each even key (scalar._pack), once per distinct
     left items and once per part, and numbers the odd words it makes, whose
     number sits above the jet fields.  A product's key is then its left
-    term's base, the merged word's number plus the left even key, plus the
-    part's packed even key: no even key is merged and no tuple is built per
-    product.  The odd merges are made once per pair of words in one _Row
-    per o2, and the bases once per distinct (items, o2).  The keys are met
-    in the grouped path's order, so the sums come in its order of first
-    appearance; each surviving key is unpacked once."""
+    term's int base, the merged word's number plus the left even key (~ of
+    that when the merge's sign is -1), plus the part's packed even key: no
+    even key is merged and no tuple is built per product or left term.  The
+    odd merges are made once per pair of words in one _Row per o2, and the
+    bases once per distinct (items, o2).  The sums come in the grouped
+    path's order of first appearance; each surviving key is unpacked once."""
     lefts, sides = {}, []
     for items, _, _, m, c2 in parts:
         if (terms := lefts.get(id(items))) is None:
@@ -487,7 +487,7 @@ def _packed(parts: list) -> dict | None:
         if (based := bases.get((id(items), o2))) is None:
             if (row := rows.get(o2)) is None:
                 row = rows[o2] = _Row(merge, o2)
-            based = bases[id(items), o2] = [(om[0], om[1] + p1) if (om := row[o1]) else None
+            based = bases[id(items), o2] = [(om[1] + p1 if om[0] > 0 else ~(om[1] + p1)) if (om := row[o1]) else None
                                             for p1, o1 in jets[id(items)]]
         packed.append((terms, based, evens[e2], m, c2))
     order, mask = list(words), (1 << top) - 1

@@ -53,9 +53,9 @@ the bases of both operands, which are in lowest terms, only these can cancel:
   zero test needs the sum but not its lowest terms (Moses, CACM 1971);
 * in the packed sums of a large diffpoly._products call (_packed_sums),
   whose denominators are all c * prod u_v^e_v: none until the end.  Each
-  coefficient is a Laurent polynomial with its monomials packed into ints
-  (_pack; Kronecker's substitution; Monagan and Pearce, CASC 2007), so a
-  key's sum is one dict of ints, zero exactly when every value is;
+  product term is one int, its packed term key above its coefficient's
+  Laurent monomial (_pack; Kronecker's substitution; Monagan and Pearce,
+  CASC 2007), summed in one dict of ints, zero exactly when every value is;
 * in a partial derivative by u^i, the factors free of u^i: each factor
   that involves u^i gains one in its exponent and never cancels;
 * the integer contents, by math.gcd.
@@ -983,9 +983,9 @@ def _laurent(a: Scalar):
 
 
 def _laurent_forms(coefficients):
-    """(c, [terms, ...]) with each coefficient a = sum q * u^k / c over the
-    (k, q) of its terms, c the lcm of their contents: the _laurent forms
-    over one content; None when some coefficient does not pack."""
+    """(c, [terms, ...], reach): each coefficient a = sum q * u^k / c over
+    the (k, q) of its terms, c the lcm of their contents (the _laurent forms
+    over one content), reach the largest |k|; None if one does not pack."""
     forms, c = [], 1
     for a in coefficients:
         if (f := _laurent(a)) is None:
@@ -993,69 +993,87 @@ def _laurent_forms(coefficients):
         forms.append(f)
         if c % f[0]:
             c = lcm(c, f[0])
-    return c, [t if d == c else [(k, q * (c // d)) for k, q in t] for d, t in forms]
+    forms = [t if d == c else [(k, q * (c // d)) for k, q in t] for d, t in forms]
+    return c, forms, max((abs(k) for t in forms for k, _ in t), default=0)
 
 
 def _packable(sides) -> tuple | None:
-    """(C, right) when every coefficient of the sides (terms, m, b) of a
-    diffpoly._products call packs, terms a's items and m * b the right
+    """(C, right, bits) when every coefficient of the sides (terms, m, b) of
+    a diffpoly._products call packs, terms a's items and m * b the right
     term: C the lcm over the parts of c_a c_b times m's denominator, right
-    the _laurent form (c_b, tb) of each b by id(b).  Else None, every left
-    side tried first: the slot laurent of terms keeps their _laurent_forms
-    (c_a, [ta, ...]) once built (False before, None when they do not pack),
-    so a table entry builds them once and a refused one answers at once."""
+    the _laurent form (c_b, tb) of each b by id(b), and bits _PACK_BITS
+    times the coordinate fields up to the highest nonzero one of any form
+    (at least one), so every |k| < 2^(bits - 2).  Else None, every left side
+    tried first: the slot laurent of terms keeps their _laurent_forms and
+    reach (False before, None when they do not pack), so a table entry
+    builds them once and a refused one answers at once."""
     for terms, _, _ in sides:
         if terms.laurent is False:
             terms.laurent = _laurent_forms(a for _, a in terms)
         if terms.laurent is None:
             return None
-    right, c = {}, 1
+    right, c, reach = {}, 1, 0
     for terms, m, b in sides:
         if (f := right.get(id(b))) is None:
             if (f := _laurent(b)) is None:
                 return None
             right[id(b)] = f
-        cp = terms.laurent[0] * f[0] if type(m) is int else terms.laurent[0] * f[0] * m.denominator
+            reach = max([reach, *(abs(k) for k, _ in f[1])])
+        ca, _, r = terms.laurent
+        reach = max(reach, r)
+        cp = ca * f[0] if type(m) is int else ca * f[0] * m.denominator
         if c % cp:
             c = lcm(c, cp)
-    return c, right
+    # |k| lies in (2^(16i - 1), 2^(16i + 14)) for i > 0 its highest nonzero field, below 2^14 for i = 0
+    return c, right, _PACK_BITS * (1 + (reach.bit_length() + 1) // _PACK_BITS)
 
 
-def _packed_sums(parts, c: int, right: dict) -> dict:
+def _packed_sums(parts, c: int, right: dict, bits: int) -> dict:
     """{k: sum} over the nonzero sums of m * a * b for the parts
     (terms, bases, offset, m, b) of a call that _packable took, with its
-    (C, right): bases are aligned with a's items as (sign, base), or None
-    for a product that vanishes, so the product of a with b is
-    sign * m * a * b at the packed term key k = base + offset.
-
-    Each coefficient is a Laurent polynomial over its content, so each sum
-    over a key is one dict of packed monomials with int values over the one
-    content C.  The left forms are used as they are: only b's terms are
-    scaled, once per part, by m C / (c_a c_b).  Packing is injective on
-    every input and every sum of two, so a sum is zero exactly when every
-    value is; only the survivors are unpacked, each variable's least
-    exponent giving the monomial denominator, and _assemble cancels the
-    integer content."""
-    sums = {}
+    (C, right, bits): bases align with a's items, an int base (~base for a
+    product of sign -1, None for one that vanishes) at term key base +
+    offset.  A product term is one int, its term key above the low bits,
+    which hold its monomial: once per call each distinct bases list becomes
+    keys (base << bits) + ka and signed q_a, and each product adds q_a q_b
+    (q_b scaled by m C / (c_a c_b)) at ka + (offset << bits) + kb in one
+    dict.  Fields lie in (-2^15, 2^15) and |ka + kb| < 2^(bits - 1), so the
+    low bits are one balanced digit and a sum is zero exactly when every
+    value is.  A zero b still meets its keys, so they come in the grouped
+    path's order; each survivor is unpacked once."""
+    sums, lefts = {}, {}
+    get = sums.get
     for terms, bases, offset, m, b in parts:
-        ca, forms = terms.laurent
+        ca, forms, _ = terms.laurent
         cb, tb = right[id(b)]
         s = m * (c // (ca * cb)) if type(m) is int else m.numerator * (c // (ca * cb * m.denominator))
-        signed = {1: [(k, q * s) for k, q in tb]}
-        for base, ta in zip(bases, forms):
-            if base is None:
-                continue
-            if (tbs := signed.get(base[0])) is None:
-                tbs = signed[-1] = [(k, -q) for k, q in signed[1]]
-            if (acc := sums.get(key := base[1] + offset)) is None:
-                acc = sums[key] = {}
-            for kb, qb in tbs:
-                for ka, qa in ta:
-                    k = ka + kb
-                    acc[k] = acc.get(k, 0) + qa * qb
+        if (left := lefts.get(id(bases))) is None:
+            keys, qs = left = lefts[id(bases)] = [], []
+            for p, t in zip(bases, forms):
+                if p is not None:
+                    h = (p if p >= 0 else ~p) << bits
+                    for k, q in t:
+                        keys.append(h + k)
+                        qs.append(q if p >= 0 else -q)
+        keys, qs = left
+        offset <<= bits
+        for kb, qb in tb or ((0, 0),):
+            kb += offset
+            qb *= s
+            for ka, qa in zip(keys, qs):
+                k = ka + kb
+                sums[k] = get(k, 0) + qa * qb
+    if not any(sums.values()):
+        return {}
+    half, mask, groups = 1 << bits - 1, (1 << bits) - 1, {}
+    for k, q in sums.items():
+        low = (k + half & mask) - half
+        monos = groups.setdefault(k - low >> bits, [])
+        if q:
+            monos.append((_unpack(low), q))
     out = {}
-    for key, acc in sums.items():
-        if monos := [(_unpack(k), q) for k, q in acc.items() if q]:
+    for key, monos in groups.items():
+        if monos:
             low = {}
             for v, e in (p for u, _ in monos for p in u):
                 low[v] = min(e, low.get(v, 0))
@@ -1073,6 +1091,8 @@ def _mul(a: Scalar, b: Scalar, m=1) -> Scalar:
     denominators no factor is tried and only the integer contents cancel."""
     if not a._n or not b._n:
         return _ZERO
+    if m == 1 and (a is _ONE or b is _ONE):
+        return b if a is _ONE else a
     # a constant factor p/r needs no polynomial gcd: with n/d in lowest
     # terms, (p/g * n/h) / (r/h * d/g) is, for g = gcd(p, content of d) and
     # h = gcd(r, content of n); m scales p/r first; q.is_fraction() is inlined

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from dnbrackets import diffpoly
 from dnbrackets.bracket import HomogeneousBracket, constant_bracket, lower_metric
 from dnbrackets.diffpoly import DiffPoly
 from dnbrackets.lowdegree import canonical_k2, potemin_build
@@ -12,6 +13,18 @@ from dnbrackets.sampling import random_diffpoly, random_monomial, random_scalar
 from dnbrackets.scalar import Scalar, _expand, _factored, _partial, parse_scalar
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
+
+
+def pytest_addoption(parser):
+    parser.addoption("--packed-parts", type=int, metavar="N",
+                     help="set diffpoly._PACKED_PARTS to N for the session; 0 offers every "
+                          "_products call to the packed path (a test that monkeypatches it "
+                          "restores N)")
+
+
+def pytest_configure(config):
+    if (n := config.getoption("--packed-parts")) is not None:
+        diffpoly._PACKED_PARTS = n
 
 
 def fixture_path(name: str) -> str:

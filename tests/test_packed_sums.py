@@ -275,6 +275,47 @@ def test_coordinates_above_u8_take_the_packed_path(monkeypatch):
     assert len(seen & set(range(9, 33))) > 16
 
 
+def test_a_zero_right_coefficient_first_meets_the_keys_later_parts_fill(monkeypatch):
+    """A 70-part call whose first part has a zero right coefficient, at the
+    even key and odd word of parts further on, takes the packed path and
+    gives the grouped path's terms in its order: the zero part's keys come
+    first although no product of it survives."""
+    x = S("u1/u2") * jet(1, 1) * DiffPoly.theta(1, 0) + S("3/u1^2") * jet(2, 2) + S("-2") * DiffPoly.theta(2, 1)
+    zero_part = (x.terms.items(), (((2, 1), 2),), ((0, 2),), 1, Scalar.zero())
+    parts = [zero_part] + [(x.terms.items(), (((1, 1), s),), (), 1, S(f"{s}/u1")) for s in range(1, 68)]
+    parts += [(x.terms.items(), (((2, 1), 2),), ((0, 2),), -2, S("u2")),
+              (x.terms.items(), (((2, 1), 2),), (), 1, S("u1"))]
+    packed, grouped, n = both_paths(monkeypatch, lambda: _products(parts))
+    assert n == 1
+    assert_same_fields(packed, grouped, "zero first")
+    first = [key for key, _ in _products(parts[-2:-1]).terms.items()]
+    assert list(packed.terms)[:len(first)] == first
+
+
+@pytest.mark.parametrize("top_coordinate", [3, _PACK_FIELDS])
+def test_exponents_at_the_field_limit_in_the_highest_coordinate_field(monkeypatch, top_coordinate):
+    """70-part calls whose coefficients carry u_v^(2^14 - 1) and
+    u_v^-(2^14 - 1) for v the highest coordinate they use, u3 or u64, so
+    that product fields reach 2^15 - 2 and -(2^15 - 2) there: the call packs
+    each product into bits = 16 v, 1,024 for u64, and gives the grouped
+    path's terms in the same order, with the same integer fields and
+    bases."""
+    top, v = (1 << 14) - 1, top_coordinate
+    up, down = S(f"u{v}^{top}"), S(f"1/u{v}^{top}")
+    x = up * jet(1, 1) + S("2/u1") * down * jet(2, 1, 3) * DiffPoly.theta(1, 0) + S("u2") * DiffPoly.theta(2, 0)
+    right = [up, down, S(f"u1*u{v}^{top}/3"), S(f"-5/(u2*u{v}^{top})"), S("7")]
+    parts = [(x.terms.items(), (((1 + s % 2, 1 + s % 3), 1 + s % 4),), ((), ((1, 1),))[s % 2], 1, right[s % 5])
+             for s in range(70)]
+    widths = []
+    packable = scalar._packable
+    monkeypatch.setattr(diffpoly, "_packable", lambda sides: widths.append((out := packable(sides))[2]) or out)
+    packed, grouped, n = both_paths(monkeypatch, lambda: _products(parts))
+    assert n == 1 and widths == [16 * v]
+    assert_same_fields(packed, grouped, v)
+    exponents = {e for c in packed.terms.values() for m in (*c._n, *c._d) for w, e in m if w == v}
+    assert {2 * top, top} <= exponents
+
+
 def test_kernels_leave_every_memo_and_image_table_unchanged(monkeypatch):
     """A batch of _sum_products groups, _muls, partial derivatives and
     DiffPoly products, products by one among them, through both paths of
@@ -340,7 +381,7 @@ def test_a_dropped_bracket_frees_its_tables_and_their_packed_forms(monkeypatch):
     once the bracket is dropped, its D_P tables, their entries and the
     forms the packed calls built on them are all freed."""
 
-    class Forms(list):  # a weakly referenceable (c, [terms, ...])
+    class Forms(list):  # a weakly referenceable (c, [terms, ...], reach)
         pass
 
     monkeypatch.setattr(scalar, "_laurent_forms",

@@ -1795,6 +1795,21 @@ def test_multiplier_matches_an_explicit_constant_factor():
     assert checked > 900
 
 
+def test_a_product_by_the_shared_one_is_the_other_factor():
+    """_mul(a, one) and _mul(one, a) return a itself, a constant other than
+    1 among the a; with a multiplier m other than 1 both orders give the
+    numerator, denominator and base of m * a."""
+    one = Scalar.one()
+    constants = [Scalar.from_fraction(q) for q in (Fraction(3, 2), -2, Fraction(1, 6), 1)]
+    values = [x for _, x in factor_family_values()] + denominator_shapes() + constants
+    for a in values:
+        assert scalar._mul(a, one) is a and scalar._mul(one, a) is a, a
+        for m in MULTIPLIERS[1:]:
+            want = explicit_factor([(m, a, one)])
+            for got in (scalar._mul(a, one, m), scalar._mul(one, a, m)):
+                assert (got._n, got._d, got._b) == (want._n, want._d, want._b), (m, a)
+
+
 def test_from_term_is_the_constructed_quotient():
     """Scalar.from_term(q, mono, over) is Scalar({mono: q}, {over: 1}), with the
     same numerator, denominator and factored base, over drawn monomials with
