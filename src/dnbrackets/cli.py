@@ -7,10 +7,11 @@ Exit codes: 0 when every executed check passes, 1 when at least one check
 fails, 2 on malformed input (schema, parse, or file problems), including a
 dimension above MAX_DIMENSION or a degree above MAX_DEGREE, a document that
 is not UTF-8, JSON or parentheses nested too deeply, an expression with an
-integer of more than grammar.MAX_DIGITS digits, and a --json path that
-cannot be written (a missing or read-only directory is found before any
-check runs); a --max-degu outside 0..MAX_DEGU is a usage error, which also
-exits 2.
+integer of more than grammar.MAX_DIGITS digits, a spectral or report run
+whose spanning monomials would number more than MAX_SPAN, and a --json
+path that cannot be written (a missing or read-only directory, or a path
+that is a directory, is found before any check runs); a --max-degu outside
+0..MAX_DEGU is a usage error, which also exits 2.
 
 Every command returns lowdegree.ConditionResult rows.  transform on a
 bracket that validate rejects returns one "transform" fail row naming the
@@ -91,6 +92,7 @@ from .spectral import (
     d1_spectral,
     d1_split,
     d1_sum,
+    _span_size,
     homotopy_defect,
     spanning_monomials,
 )
@@ -102,6 +104,14 @@ from .spectral import (
 MAX_DIMENSION = 32
 MAX_DEGREE = 16
 MAX_DEGU = 32
+
+# Bound on the spanning monomials that spectral and report build for the d_1
+# rows, 1 + n + g + C(g, 2) + C(g, 3) for g = n(k + 1): far above the 303 of
+# the largest worked example (canonical_k2, n = 4, k = 2).  Constant
+# brackets with 85,409 (n = 8, k = 9) and 85,417 (n = 16, k = 4) of them
+# took 2.2 s and 2.5 s of CPU in spectral at a peak of 52 MB (Python 3.11),
+# while n = 32, k = 16 within the bounds above would build 26.8 million.
+MAX_SPAN = 100_000
 
 
 class InputError(Exception):
@@ -540,7 +550,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "bracket",
         help=f"bracket JSON document (dimension at most {MAX_DIMENSION}, "
-        f"degree at most {MAX_DEGREE})",
+        f"degree at most {MAX_DEGREE}; for spectral and report at most {MAX_SPAN} "
+        "spanning monomials, 1 + n + g + C(g,2) + C(g,3) for g = n(k+1))",
     )
     parser.add_argument("--map", help="coordinate map JSON document")
     parser.add_argument("--which", choices=["std", "flat"], default="flat",
@@ -558,12 +569,20 @@ def main(argv=None) -> int:
 
     if args.json_path:  # before any check runs, and without creating or truncating the file
         folder = os.path.dirname(args.json_path) or "."
-        if not (os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)):
-            print(f"output error: {args.json_path}: {folder} is not a writable directory",
-                  file=sys.stderr)
+        if os.path.isdir(args.json_path):
+            problem = "is a directory"
+        elif not (os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)):
+            problem = f"{folder} is not a writable directory"
+        else:
+            problem = None
+        if problem:
+            print(f"output error: {args.json_path}: {problem}", file=sys.stderr)
             return 2
     try:
         b = load_bracket(args.bracket)
+        if args.command in ("spectral", "report") and (count := _span_size(b.n, b.k)) > MAX_SPAN:
+            raise InputError(f"{args.bracket}: dimension {b.n} and degree {b.k} give {count} "
+                             f"spanning monomials, above the limit {MAX_SPAN}")
         results = COMMANDS[args.command](b, args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -39,9 +39,9 @@ signed -1.  The call groups the coefficient pairs of all its products by
 output key and sums each group in one scalar._sum_products, over one
 common denominator; odd words are merged by _odd_mul, memoised across
 calls.  A call of at least _PACKED_PARTS parts is first offered to the
-packed path (_packed), which sums it in scalar._packed_sums as one int per
-product term, the term key above the coefficient's packed Laurent monomial,
-when every denominator is an integer times a monomial.
+packed path (_packed), which owns the layout of a product term in one int,
+the term key above the coefficient's packed Laurent monomial, and takes
+the call when every denominator is an integer times a monomial.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ from functools import lru_cache, reduce
 from itertools import chain
 
 from .scalar import (
-    _PACK_BITS, Scalar, _collect, _factor_str, _mono_lower, _mono_mul, _pack, _packable,
-    _packed_sums, _power, _product, _signed_join, _sum_products, _unpack,
+    _PACK_BITS, Scalar, _collect, _factor_str, _from_laurent, _mono_lower, _mono_mul, _pack,
+    _packable, _power, _product, _signed_join, _sum_products, _unpack,
 )
 
 EvenKey = tuple  # (((i, s), e), ...)
@@ -447,21 +447,24 @@ def _products(parts) -> DiffPoly:
 
 
 def _packed(parts: list) -> dict | None:
-    """The terms of _products(parts) from scalar._packed_sums, or None when
-    some coefficient or jet does not pack, before any base is built: the
-    left items' Laurent forms, kept on each _Terms, and the right
-    coefficients are tried first (scalar._packable), then the jets.
+    """The terms of _products(parts), or None when some coefficient or jet
+    does not pack, before any key is built: the left items' Laurent forms,
+    kept on each _Terms, and the right coefficients are tried first
+    (scalar._packable), then the jets.
 
-    A term key is packed into one int: the call numbers its jets as it
-    meets them and packs each even key (scalar._pack), once per distinct
-    left items and once per part, and numbers the odd words it makes, whose
-    number sits above the jet fields.  A product's key is then its left
-    term's int base, the merged word's number plus the left even key (~ of
-    that when the merge's sign is -1), plus the part's packed even key: no
-    even key is merged and no tuple is built per product or left term.  The
-    odd merges are made once per pair of words in one _Row per o2, and the
-    bases once per distinct (items, o2).  The sums come in the grouped
-    path's order of first appearance; each surviving key is unpacked once."""
+    The only code that lays a product term out in an int: its term key, the
+    number of the merged odd word above the call's jet fields plus the
+    packed even keys (scalar._pack), sits above the low bits, which hold the
+    coefficient's Laurent monomial, and the merge's sign goes into the
+    coefficient.  One walk per distinct (items, o2) gives flat lists of left
+    keys and signed q_a, the odd merges made once per pair of words in one
+    _Row per o2; each product adds q_a q_b (q_b scaled by m C / (c_a c_b))
+    into one dict[int, int].  Fields lie in (-2^15, 2^15) and
+    |k_a + k_b| < 2^(bits - 1), so the low bits are one balanced digit and a
+    sum is zero exactly when every value is.  A zero right coefficient still
+    meets its keys, so the survivors come in the grouped path's order; each
+    term key is unpacked once, and scalar._from_laurent makes each term's
+    {monomial: q} a Scalar."""
     lefts, sides = {}, []
     for items, _, _, m, c2 in parts:
         if (terms := lefts.get(id(items))) is None:
@@ -469,6 +472,7 @@ def _packed(parts: list) -> dict | None:
         sides.append((terms, m, c2))
     if (gate := _packable(sides)) is None:
         return None
+    c, right, bits = gate
     fields: dict = {}
     evens = _Row(_pack, fields)
     jets = {i: [(evens[e1], o1) for (e1, o1), _ in terms] for i, terms in lefts.items()}
@@ -482,16 +486,41 @@ def _packed(parts: list) -> dict | None:
             return None
         return om[0], words.setdefault(om[1], len(words)) << top
 
-    rows, bases, packed = {}, {}, []
-    for (items, e2, o2, m, c2), (terms, _, _) in zip(parts, sides):
-        if (based := bases.get((id(items), o2))) is None:
+    rows, flat, sums = {}, {}, {}
+    get = sums.get
+    for (items, e2, o2, m, b), (terms, _, _) in zip(parts, sides):
+        ca, forms, _ = terms.laurent
+        if (left := flat.get((id(items), o2))) is None:
             if (row := rows.get(o2)) is None:
                 row = rows[o2] = _Row(merge, o2)
-            based = bases[id(items), o2] = [(om[1] + p1 if om[0] > 0 else ~(om[1] + p1)) if (om := row[o1]) else None
-                                            for p1, o1 in jets[id(items)]]
-        packed.append((terms, based, evens[e2], m, c2))
+            keys, qs = left = flat[id(items), o2] = [], []
+            for (p1, o1), t in zip(jets[id(items)], forms):
+                if om := row[o1]:
+                    h = om[1] + p1 << bits
+                    for k, q in t:
+                        keys.append(h + k)
+                        qs.append(q if om[0] > 0 else -q)
+        keys, qs = left
+        cb, tb = right[id(b)]
+        s = m * (c // (ca * cb)) if type(m) is int else m.numerator * (c // (ca * cb * m.denominator))
+        offset = evens[e2] << bits
+        for kb, qb in tb or ((0, 0),):
+            kb += offset
+            qb *= s
+            for ka, qa in zip(keys, qs):
+                k = ka + kb
+                sums[k] = get(k, 0) + qa * qb
+    if not any(sums.values()):
+        return {}
+    half, low_mask, groups = 1 << bits - 1, (1 << bits) - 1, {}
+    for k, q in sums.items():
+        low = (k + half & low_mask) - half
+        monos = groups.setdefault(k - low >> bits, {})
+        if q:
+            monos[low] = q
     order, mask = list(words), (1 << top) - 1
-    return {(_unpack(k & mask, fields), order[k >> top]): c for k, c in _packed_sums(packed, *gate).items()}
+    return {(_unpack(k & mask, fields), order[k >> top]): _from_laurent(monos, c)
+            for k, monos in groups.items() if monos}
 
 
 def _sum(parts) -> DiffPoly:

@@ -24,8 +24,8 @@ same join (_signed_join), product rule (_product) and coefficient text
 
 Term dicts, here and in diffpoly, never hold a zero coefficient: every sum
 of terms goes through _collect, which keeps that invariant, or through the
-accumulator of _sum_products or _packed_sums, which drop the cancelled keys
-at the end.
+accumulator of _sum_products or of diffpoly's packed path, which drop the
+cancelled keys at the end.
 
 No Scalar, and no term dict or base it holds, is changed after it is made,
 so they are shared freely: a negation keeps its operand's base, a product
@@ -51,11 +51,11 @@ the bases of both operands, which are in lowest terms, only these can cancel:
   a + b is the two products a*1 and b*1, and a constant multiplier is never
   made a Scalar.  A sum that cancels to zero is returned at once, since a
   zero test needs the sum but not its lowest terms (Moses, CACM 1971);
-* in the packed sums of a large diffpoly._products call (_packed_sums),
-  whose denominators are all c * prod u_v^e_v: none until the end.  Each
-  product term is one int, its packed term key above its coefficient's
-  Laurent monomial (_pack; Kronecker's substitution; Monagan and Pearce,
-  CASC 2007), summed in one dict of ints, zero exactly when every value is;
+* in the packed sums of a large diffpoly._products call, whose
+  denominators are all c * prod u_v^e_v: none until the end.  Here scalar
+  gives each coefficient as a Laurent polynomial with packed monomials
+  (_packable, _pack; Kronecker's substitution; Monagan and Pearce, CASC
+  2007), and _from_laurent makes each surviving term's sums a Scalar;
 * in a partial derivative by u^i, the factors free of u^i: each factor
   that involves u^i gains one in its exponent and never cancels;
 * the integer contents, by math.gcd.
@@ -504,7 +504,7 @@ class _Factor(frozenset):
         return self  # never changed, like the Scalars that hold it
 
 
-# the coordinates u1 .. u_PACK_FIELDS as factors, for the bases of _packed_sums
+# the coordinates u1 .. u_PACK_FIELDS as factors, for _from_laurent's bases
 _COORDINATES = [_Factor({((v, 1),): 1}, v, 1) for v in range(1, _PACK_FIELDS + 1)]
 
 
@@ -1001,9 +1001,10 @@ def _packable(sides) -> tuple | None:
     """(C, right, bits) when every coefficient of the sides (terms, m, b) of
     a diffpoly._products call packs, terms a's items and m * b the right
     term: C the lcm over the parts of c_a c_b times m's denominator, right
-    the _laurent form (c_b, tb) of each b by id(b), and bits _PACK_BITS
-    times the coordinate fields up to the highest nonzero one of any form
-    (at least one), so every |k| < 2^(bits - 2).  Else None, every left side
+    the _laurent form (c_b, tb) of each b by id(b), and bits, the width of a
+    product's monomial in diffpoly._packed's ints, _PACK_BITS times the
+    coordinate fields up to the highest nonzero one of any form (at least
+    one), so every |k| < 2^(bits - 2).  Else None, every left side
     tried first: the slot laurent of terms keeps their _laurent_forms and
     reach (False before, None when they do not pack), so a table entry
     builds them once and a refused one answers at once."""
@@ -1028,59 +1029,18 @@ def _packable(sides) -> tuple | None:
     return c, right, _PACK_BITS * (1 + (reach.bit_length() + 1) // _PACK_BITS)
 
 
-def _packed_sums(parts, c: int, right: dict, bits: int) -> dict:
-    """{k: sum} over the nonzero sums of m * a * b for the parts
-    (terms, bases, offset, m, b) of a call that _packable took, with its
-    (C, right, bits): bases align with a's items, an int base (~base for a
-    product of sign -1, None for one that vanishes) at term key base +
-    offset.  A product term is one int, its term key above the low bits,
-    which hold its monomial: once per call each distinct bases list becomes
-    keys (base << bits) + ka and signed q_a, and each product adds q_a q_b
-    (q_b scaled by m C / (c_a c_b)) at ka + (offset << bits) + kb in one
-    dict.  Fields lie in (-2^15, 2^15) and |ka + kb| < 2^(bits - 1), so the
-    low bits are one balanced digit and a sum is zero exactly when every
-    value is.  A zero b still meets its keys, so they come in the grouped
-    path's order; each survivor is unpacked once."""
-    sums, lefts = {}, {}
-    get = sums.get
-    for terms, bases, offset, m, b in parts:
-        ca, forms, _ = terms.laurent
-        cb, tb = right[id(b)]
-        s = m * (c // (ca * cb)) if type(m) is int else m.numerator * (c // (ca * cb * m.denominator))
-        if (left := lefts.get(id(bases))) is None:
-            keys, qs = left = lefts[id(bases)] = [], []
-            for p, t in zip(bases, forms):
-                if p is not None:
-                    h = (p if p >= 0 else ~p) << bits
-                    for k, q in t:
-                        keys.append(h + k)
-                        qs.append(q if p >= 0 else -q)
-        keys, qs = left
-        offset <<= bits
-        for kb, qb in tb or ((0, 0),):
-            kb += offset
-            qb *= s
-            for ka, qa in zip(keys, qs):
-                k = ka + kb
-                sums[k] = get(k, 0) + qa * qb
-    if not any(sums.values()):
-        return {}
-    half, mask, groups = 1 << bits - 1, (1 << bits) - 1, {}
-    for k, q in sums.items():
-        low = (k + half & mask) - half
-        monos = groups.setdefault(k - low >> bits, [])
-        if q:
-            monos.append((_unpack(low), q))
-    out = {}
-    for key, monos in groups.items():
-        if monos:
-            low = {}
-            for v, e in (p for u, _ in monos for p in u):
-                low[v] = min(e, low.get(v, 0))
-            up = tuple((v, -e) for v, e in sorted(low.items()) if e)
-            num = {tuple(p for p in _mono_mul(u, up) if p[1]): q for u, q in monos}
-            out[key] = _assemble(num, c, {_COORDINATES[v - 1]: e for v, e in up})
-    return out
+def _from_laurent(terms: dict, c: int) -> Scalar:
+    """The Scalar sum q * u^k / c over the items (k, q) of terms, each k a
+    Laurent monomial packed at the coordinates' fixed fields (_pack) and
+    each q nonzero: each variable's least exponent gives the monomial
+    denominator, and _assemble cancels the integer content."""
+    monos = [(_unpack(k), q) for k, q in terms.items()]
+    low = {}
+    for v, e in (p for u, _ in monos for p in u):
+        low[v] = min(e, low.get(v, 0))
+    up = tuple((v, -e) for v, e in sorted(low.items()) if e)
+    num = {tuple(p for p in _mono_mul(u, up) if p[1]): q for u, q in monos}
+    return _assemble(num, c, {_COORDINATES[v - 1]: e for v, e in up})
 
 
 def _mul(a: Scalar, b: Scalar, m=1) -> Scalar:

@@ -342,3 +342,9 @@ def spanning_monomials(n: int, k: int, max_degree: int = 3) -> list:
     out.extend(_wrap({((), chosen): Scalar.one()})
                for d in range(1, max_degree + 1) for chosen in combinations(gens, d))
     return out
+
+
+def _span_size(n: int, k: int, max_degree: int = 3) -> int:
+    """len(spanning_monomials(n, k, max_degree)), without building them."""
+    g = n * (k + 1)
+    return 1 + n + sum(comb(g, d) for d in range(1, max_degree + 1))

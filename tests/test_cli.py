@@ -12,7 +12,7 @@ import pytest
 
 from dnbrackets import cli, connections, jacobi, lowdegree, spectral
 from dnbrackets.bracket import CoordinateMap, _cached, skew_defects, transform, validate
-from dnbrackets.cli import MAX_DEGREE, MAX_DEGU, MAX_DIMENSION, load_bracket, load_map, main
+from dnbrackets.cli import MAX_DEGREE, MAX_DEGU, MAX_DIMENSION, MAX_SPAN, load_bracket, load_map, main
 from dnbrackets.diffpoly import DiffPoly
 from dnbrackets.errors import PreconditionError
 from dnbrackets.lowdegree import ConditionResult
@@ -256,12 +256,17 @@ def test_report_json_mirror(tmp_path, capsys):
 
 
 def test_unwritable_json_path_is_a_file_problem(tmp_path, capsys):
-    target = tmp_path / "no_such_dir" / "report.json"
-    code, out, err = run(capsys, "validate", fixture_path("nonflat2.json"), "--json", str(target))
-    assert code == 2
-    assert err.startswith("output error: ") and str(target) in err
-    assert out == ""  # found before any check ran
-    assert not target.exists()
+    """A path in a missing directory, and a path that is a directory, are
+    refused before any check runs, and neither is created or changed."""
+    missing, folder = tmp_path / "no_such_dir" / "report.json", tmp_path / "a_dir"
+    folder.mkdir()
+    for target in (missing, folder):
+        code, out, err = run(capsys, "validate", fixture_path("nonflat2.json"), "--json", str(target))
+        assert code == 2, target
+        assert err.startswith("output error: ") and str(target) in err
+        assert out == ""  # found before any check ran
+    assert not missing.exists()
+    assert folder.is_dir() and not any(folder.iterdir())
 
 
 def test_report_statuses_deterministic(tmp_path, capsys):
@@ -825,6 +830,28 @@ def test_huge_dimension_or_degree_is_input_error(tmp_path, capsys):
     path.write_text(json.dumps(doc).replace('"degree": 1', '"degree": Infinity'))
     code, _, err = run(capsys, "report", str(path))
     assert code == 2 and "bad 'degree'" in err
+
+
+def test_a_span_above_max_span_is_input_error(tmp_path, capsys):
+    """A constant document at the dimension and degree bounds, n = 32 and
+    k = 16, which would span 26.8 million monomials, exits 2 under spectral
+    and report before any row runs; the count is spanning_monomials' length,
+    and --help states the bound."""
+    n, k = MAX_DIMENSION, MAX_DEGREE
+    entries = [e for a in range(1, n, 2) for e in ([k, a, a + 1, "1"], [k, a + 1, a, "-1"])]
+    path = tmp_path / "constant_n32_k16.json"
+    path.write_text(json.dumps({"dimension": n, "degree": k, "entries": entries}, separators=(",", ":")))
+    assert spectral._span_size(n, k) == 26_832_017 > MAX_SPAN
+    assert spectral._span_size(4, 2) == len(spectral.spanning_monomials(4, 2)) == 303
+    for command in ("spectral", "report"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, str(path))
+        assert time.perf_counter() - start < 2.0, command
+        assert code == 2 and out == "", command
+        assert err.startswith("input error: ") and str(path) in err and str(MAX_SPAN) in err
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert f"at most {MAX_SPAN} spanning monomials" in " ".join(capsys.readouterr().out.split())
 
 
 def test_max_degu_out_of_range_is_usage_error(capsys):

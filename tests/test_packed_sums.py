@@ -1,4 +1,4 @@
-"""The packed Laurent sum of large _products calls (scalar._packed_sums)
+"""The packed Laurent sum of large _products calls (diffpoly._packed)
 against the grouped path, its pack and unpack, its gate, and the memos that
 every kernel shares."""
 
@@ -15,8 +15,7 @@ from dnbrackets.diffpoly import _DX_IMAGES, DiffPoly, _Images, _products
 from dnbrackets.jacobi import _DP_images, apply_DP
 from dnbrackets.sampling import random_diffpoly, random_monomial, random_scalar
 from dnbrackets.scalar import (
-    _PACK_FIELDS, _PACK_LIMIT, Scalar, _laurent, _laurent_forms, _mul, _pack, _packed_sums,
-    _sum_products, _unpack,
+    _PACK_FIELDS, _PACK_LIMIT, Scalar, _laurent, _laurent_forms, _mul, _pack, _sum_products, _unpack,
 )
 
 from conftest import S, fixture_path, kernel_draws
@@ -30,13 +29,14 @@ def both_paths(monkeypatch, run):
     none; and how many calls the packed sum took."""
     taken = []
 
-    def spy(*args):
-        taken.append(True)
-        return _packed_sums(*args)
+    def spy(parts, packed=diffpoly._packed):
+        out = packed(parts)
+        taken.append(out is not None)
+        return out
 
     with monkeypatch.context() as patch:
         patch.setattr(diffpoly, "_PACKED_PARTS", 0)
-        patch.setattr(diffpoly, "_packed_sums", spy)
+        patch.setattr(diffpoly, "_packed", spy)
         packed = run()
     with monkeypatch.context() as patch:
         patch.setattr(diffpoly, "_PACKED_PARTS", GROUPED)
