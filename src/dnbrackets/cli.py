@@ -8,10 +8,13 @@ fails, 2 on malformed input (schema, parse, or file problems), including a
 dimension above MAX_DIMENSION or a degree above MAX_DEGREE, a document that
 is not UTF-8, JSON or parentheses nested too deeply, an expression with an
 integer of more than grammar.MAX_DIGITS digits, a spectral or report run
-whose spanning monomials would number more than MAX_SPAN, and a --json
-path that cannot be written (a missing or read-only directory, or a path
-that is a directory, is found before any check runs); a --max-degu outside
-0..MAX_DEGU is a usage error, which also exits 2.
+whose spanning monomials would number more than MAX_SPAN, a connections,
+curvature, flatness, lowdegree or report run whose k n^5 exceeds
+MAX_TENSOR, a transform or report --map that does not load or does not
+match the bracket, and a --json path that cannot be written (a missing or
+read-only directory, or a path that is a directory); each of these is
+found before any check runs.  A --max-degu outside 0..MAX_DEGU is a usage
+error, which also exits 2.
 
 Every command returns lowdegree.ConditionResult rows.  transform on a
 bracket that validate rejects returns one "transform" fail row naming the
@@ -112,6 +115,21 @@ MAX_DEGU = 32
 # took 2.2 s and 2.5 s of CPU in spectral at a peak of 52 MB (Python 3.11),
 # while n = 32, k = 16 within the bounds above would build 26.8 million.
 MAX_SPAN = 100_000
+
+# Bound on k n^5, the order of the Scalar products that the tensor suites
+# make: the curvature of a connection takes about n^5 and flatness 2k
+# curvatures.  Constant brackets just below it (n = 14, k = 3; n = 13,
+# k = 5; n = 18, k = 1) took at most 2.1 s of connections, curvature,
+# flatness or lowdegree and 4.4 s of report (2 CPUs, Python 3.11), while
+# n = 32 took 20.9 s of report at k = 1 and over 120 s of flatness at k = 16.
+MAX_TENSOR = 2_000_000
+
+# The commands each bound covers, its count from n and k, and what it counts
+_BOUNDS = (
+    (("spectral", "report"), _span_size, MAX_SPAN, "{} spanning monomials"),
+    (("connections", "curvature", "flatness", "lowdegree", "report"), lambda n, k: k * n**5, MAX_TENSOR,
+     "k*n^5 = {}"),
+)
 
 
 class InputError(Exception):
@@ -397,9 +415,9 @@ def cmd_flatness(b: HomogeneousBracket, args) -> list:
 
 
 def cmd_transform(b: HomogeneousBracket, args) -> list:
-    if not args.map:
+    """args.map is the CoordinateMap that main loaded from --map, or None."""
+    if not (cmap := args.map):
         return [ConditionResult("transform", "fail", "--map FILE is required")]
-    cmap = load_map(args.map, b.n)
     if problems := validate(b):  # transform would take d_x up to the entries' jet order
         return [ConditionResult("transform", "fail", f"bracket is not well-formed: {problems[0]}")]
     moved = transform(b, cmap)
@@ -551,7 +569,8 @@ def main(argv=None) -> int:
         "bracket",
         help=f"bracket JSON document (dimension at most {MAX_DIMENSION}, "
         f"degree at most {MAX_DEGREE}; for spectral and report at most {MAX_SPAN} "
-        "spanning monomials, 1 + n + g + C(g,2) + C(g,3) for g = n(k+1))",
+        "spanning monomials, 1 + n + g + C(g,2) + C(g,3) for g = n(k+1); for "
+        f"connections, curvature, flatness, lowdegree and report k*n^5 at most {MAX_TENSOR})",
     )
     parser.add_argument("--map", help="coordinate map JSON document")
     parser.add_argument("--which", choices=["std", "flat"], default="flat",
@@ -580,9 +599,12 @@ def main(argv=None) -> int:
             return 2
     try:
         b = load_bracket(args.bracket)
-        if args.command in ("spectral", "report") and (count := _span_size(b.n, b.k)) > MAX_SPAN:
-            raise InputError(f"{args.bracket}: dimension {b.n} and degree {b.k} give {count} "
-                             f"spanning monomials, above the limit {MAX_SPAN}")
+        if args.map and args.command in ("transform", "report"):
+            args.map = load_map(args.map, b.n)
+        for commands, size, limit, what in _BOUNDS:
+            if args.command in commands and (count := size(b.n, b.k)) > limit:
+                raise InputError(f"{args.bracket}: dimension {b.n} and degree {b.k} give "
+                                 f"{what.format(count)}, above the limit {limit}")
         results = COMMANDS[args.command](b, args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -26,22 +26,22 @@ derivation with none never looks at the coefficients' variables.
 Partial derivatives with respect to odd variables are left derivatives:
 the variable is anticommuted to the front of the word and then removed.
 
-A term dict never holds a zero coefficient: every sum of terms goes through
-scalar._collect or scalar._sum_products, and _wrap builds a DiffPoly around
-a dict that already satisfies this.  Every sum of products is one _products
-call, whose parts are a DiffPoly's term items times one term with an int
-multiplier: a product passes one per term of its right factor, a
-derivation one per generator of each input term, a partial derivative one
-per multiplier, a step of a variational derivative's Horner loop
+A term dict never holds a zero coefficient: every sum, + and - included, is
+one _products call, and _wrap builds a DiffPoly around a dict that already
+satisfies this.  A call's parts are a DiffPoly's term items times one term
+with an int multiplier: a sum passes each summand times 1 (a subtrahend
+times -1), a product one part per term of its right factor, a derivation
+one per generator of each input term, a partial derivative one per
+multiplier, a step of a variational derivative's Horner loop
 (_alternating_sum) the partial's parts and the negated parts of d_x(acc),
 and a defect (spectral.d1_sum) the parts of both sides, those of one side
 signed -1.  The call groups the coefficient pairs of all its products by
 output key and sums each group in one scalar._sum_products, over one
 common denominator; odd words are merged by _odd_mul, memoised across
 calls.  A call of at least _PACKED_PARTS parts is first offered to the
-packed path (_packed), which owns the layout of a product term in one int,
-the term key above the coefficient's packed Laurent monomial, and takes
-the call when every denominator is an integer times a monomial.
+packed path (_packed), which owns every decision of it: the gate, taking
+the call when every denominator is an integer times a monomial, the call's
+one content, the width, and the layout of a product term in one int.
 """
 
 from __future__ import annotations
@@ -51,10 +51,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import chain
+from math import lcm
 
 from .scalar import (
-    _PACK_BITS, Scalar, _collect, _factor_str, _from_laurent, _mono_lower, _mono_mul, _pack,
-    _packable, _power, _product, _signed_join, _sum_products, _unpack,
+    _PACK_BITS, Scalar, _factor_str, _from_laurent, _laurent, _mono_lower, _mono_mul, _pack,
+    _power, _product, _signed_join, _sum_products, _unpack,
 )
 
 EvenKey = tuple  # (((i, s), e), ...)
@@ -240,11 +241,7 @@ class DiffPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        return _wrap(_collect(other.terms.items(), self.terms))
+        return _plus(self, other, 1)
 
     __radd__ = __add__
 
@@ -255,13 +252,13 @@ class DiffPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return _plus(self, other, -1)
 
     def __rsub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return _plus(other, self, -1)
 
     def __mul__(self, other) -> "DiffPoly":
         other = _coerce(other)
@@ -416,10 +413,11 @@ class _Row(dict):
 
 
 class _Terms(list):
-    """Term items with the slot laurent, where scalar._packable keeps the
-    packed Laurent forms of their coefficients (False until it builds them).
-    An image table's entries are _Terms, so each builds its forms once, and
-    the forms live and die with the entry."""
+    """Term items with the slot laurent, where _packed keeps their
+    coefficients' _laurent_forms (False before it builds them, None when one
+    does not pack).  An image table's entries are _Terms, so each builds its
+    forms once, a refused one answers at once, and the forms live and die
+    with the entry."""
 
     laurent = False
 
@@ -446,11 +444,38 @@ def _products(parts) -> DiffPoly:
     return _wrap({key: c for key, group in groups.items() if (c := _sum_products(group))})
 
 
+def _laurent_forms(coefficients):
+    """(c, [terms, ...], reach): each coefficient a = sum q * u^k / c over
+    the (k, q) of its terms, c the lcm of their contents (the
+    scalar._laurent forms over one content), reach the largest |k|; None if
+    one does not pack."""
+    forms, c = [], 1
+    for a in coefficients:
+        if (f := _laurent(a)) is None:
+            return None
+        forms.append(f)
+        if c % f[0]:
+            c = lcm(c, f[0])
+    forms = [t if d == c else [(k, q * (c // d)) for k, q in t] for d, t in forms]
+    return c, forms, max((abs(k) for t in forms for k, _ in t), default=0)
+
+
+def _width(reach: int) -> int:
+    """The bits of a product's monomial in _packed's ints for forms whose |k|
+    are at most reach: _PACK_BITS times the coordinate fields up to the
+    highest nonzero one (at least one), so every |k| < 2^(bits - 2).  |k|
+    lies in (2^(16i - 1), 2^(16i + 14)) for i > 0 its highest nonzero field,
+    below 2^14 for i = 0."""
+    return _PACK_BITS * (1 + (reach.bit_length() + 1) // _PACK_BITS)
+
+
 def _packed(parts: list) -> dict | None:
     """The terms of _products(parts), or None when some coefficient or jet
-    does not pack, before any key is built: the left items' Laurent forms,
-    kept on each _Terms, and the right coefficients are tried first
-    (scalar._packable), then the jets.
+    does not pack, before any key is built: the left items' _laurent_forms,
+    kept on each _Terms, are tried first, then the right coefficients
+    (scalar._laurent), and with both come the call's content C, the lcm of
+    the parts' content products c_a c_b (times m's denominator), and its
+    width bits (_width); then the jets.
 
     The only code that lays a product term out in an int: its term key, the
     number of the merged odd word above the call's jet fields plus the
@@ -458,21 +483,34 @@ def _packed(parts: list) -> dict | None:
     coefficient's Laurent monomial, and the merge's sign goes into the
     coefficient.  One walk per distinct (items, o2) gives flat lists of left
     keys and signed q_a, the odd merges made once per pair of words in one
-    _Row per o2; each product adds q_a q_b (q_b scaled by m C / (c_a c_b))
-    into one dict[int, int].  Fields lie in (-2^15, 2^15) and
-    |k_a + k_b| < 2^(bits - 1), so the low bits are one balanced digit and a
-    sum is zero exactly when every value is.  A zero right coefficient still
-    meets its keys, so the survivors come in the grouped path's order; each
-    term key is unpacked once, and scalar._from_laurent makes each term's
-    {monomial: q} a Scalar."""
-    lefts, sides = {}, []
-    for items, _, _, m, c2 in parts:
-        if (terms := lefts.get(id(items))) is None:
-            terms = lefts[id(items)] = items if type(items) is _Terms else _Terms(items)
-        sides.append((terms, m, c2))
-    if (gate := _packable(sides)) is None:
-        return None
-    c, right, bits = gate
+    _Row per o2; each product adds q_a q_b (q_b scaled by m C over its
+    part's content product, computed once with C) into one dict[int, int].
+    Fields lie in (-2^15, 2^15) and |k_a + k_b| < 2^(bits - 1), so the low
+    bits are one balanced digit and a sum is zero exactly when every value
+    is.  A zero right coefficient still meets its keys, so the survivors
+    come in the grouped path's order; each term key is unpacked once, and
+    scalar._from_laurent makes each term's {monomial: q} a Scalar."""
+    lefts = {id(items): items for items, *_ in parts}
+    for i, items in lefts.items():
+        terms = lefts[i] = items if type(items) is _Terms else _Terms(items)
+        if terms.laurent is False:
+            terms.laurent = _laurent_forms(a for _, a in terms)
+        if terms.laurent is None:
+            return None
+    right, products, c, reach = {}, [], 1, max(terms.laurent[2] for terms in lefts.values())
+    for items, e2, o2, m, b in parts:
+        if (f := right.get(id(b))) is None:
+            if (f := _laurent(b)) is None:
+                return None
+            right[id(b)] = f
+            reach = max([reach, *(abs(k) for k, _ in f[1])])
+        cp = lefts[id(items)].laurent[0] * f[0]  # the part's content product
+        if type(m) is not int:
+            cp, m = cp * m.denominator, m.numerator
+        if c % cp:
+            c = lcm(c, cp)
+        products.append((id(items), e2, o2, m, cp, f[1]))
+    bits = _width(reach)
     fields: dict = {}
     evens = _Row(_pack, fields)
     jets = {i: [(evens[e1], o1) for (e1, o1), _ in terms] for i, terms in lefts.items()}
@@ -488,21 +526,19 @@ def _packed(parts: list) -> dict | None:
 
     rows, flat, sums = {}, {}, {}
     get = sums.get
-    for (items, e2, o2, m, b), (terms, _, _) in zip(parts, sides):
-        ca, forms, _ = terms.laurent
-        if (left := flat.get((id(items), o2))) is None:
+    for i, e2, o2, m, cp, tb in products:
+        if (left := flat.get((i, o2))) is None:
             if (row := rows.get(o2)) is None:
                 row = rows[o2] = _Row(merge, o2)
-            keys, qs = left = flat[id(items), o2] = [], []
-            for (p1, o1), t in zip(jets[id(items)], forms):
+            keys, qs = left = flat[i, o2] = [], []
+            for (p1, o1), t in zip(jets[i], lefts[i].laurent[1]):
                 if om := row[o1]:
                     h = om[1] + p1 << bits
                     for k, q in t:
                         keys.append(h + k)
                         qs.append(q if om[0] > 0 else -q)
         keys, qs = left
-        cb, tb = right[id(b)]
-        s = m * (c // (ca * cb)) if type(m) is int else m.numerator * (c // (ca * cb * m.denominator))
+        s = m * (c // cp)
         offset = evens[e2] << bits
         for kb, qb in tb or ((0, 0),):
             kb += offset
@@ -523,10 +559,20 @@ def _packed(parts: list) -> dict | None:
             for k, monos in groups.items() if monos}
 
 
+def _plus(x: DiffPoly, y: DiffPoly, m: int) -> DiffPoly:
+    """x + m y for m = 1 or -1 in one _products call, y's part signed m; a
+    zero operand gives the other, or -y, with no call."""
+    if y.is_zero:
+        return x
+    if x.is_zero:
+        return y if m == 1 else -y
+    return _products(((x.terms.items(), (), (), 1, _ONE), (y.terms.items(), (), (), m, _ONE)))
+
+
 def _sum(parts) -> DiffPoly:
-    """The sum of an iterable of DiffPolys in one _collect.  Each key adds
-    its coefficients in the order of parts, as builtin sum would."""
-    return _wrap(_collect(pair for p in parts for pair in p.terms.items()))
+    """The sum of an iterable of DiffPolys in one _products call, each a
+    part times one; a key comes where it first appears in parts."""
+    return _products((p.terms.items(), (), (), 1, _ONE) for p in parts)
 
 
 def _dx_upto(derivs: list, t: int) -> DiffPoly:

@@ -22,10 +22,10 @@ here: _pstr prints a polynomial, and diffpoly prints its terms with the
 same join (_signed_join), product rule (_product) and coefficient text
 (_factor_str); grammar's size bounds count terms with _term_count.
 
-Term dicts, here and in diffpoly, never hold a zero coefficient: every sum
-of terms goes through _collect, which keeps that invariant, or through the
-accumulator of _sum_products or of diffpoly's packed path, which drop the
-cancelled keys at the end.
+Term dicts never hold a zero coefficient: every sum of terms here goes
+through _collect, which keeps that invariant, or through the accumulator of
+_sum_products, which drops the cancelled keys at the end; every sum of
+diffpoly's terms is one of its _products calls, which keeps it alike.
 
 No Scalar, and no term dict or base it holds, is changed after it is made,
 so they are shared freely: a negation keeps its operand's base, a product
@@ -52,10 +52,10 @@ the bases of both operands, which are in lowest terms, only these can cancel:
   made a Scalar.  A sum that cancels to zero is returned at once, since a
   zero test needs the sum but not its lowest terms (Moses, CACM 1971);
 * in the packed sums of a large diffpoly._products call, whose
-  denominators are all c * prod u_v^e_v: none until the end.  Here scalar
-  gives each coefficient as a Laurent polynomial with packed monomials
-  (_packable, _pack; Kronecker's substitution; Monagan and Pearce, CASC
-  2007), and _from_laurent makes each surviving term's sums a Scalar;
+  denominators are all c * prod u_v^e_v: none until the end.  scalar only
+  converts values for it: _laurent gives a coefficient as a Laurent
+  polynomial with packed monomials (_pack; Kronecker's substitution;
+  Monagan and Pearce, CASC 2007) and _from_laurent a term's sums back;
 * in a partial derivative by u^i, the factors free of u^i: each factor
   that involves u^i gains one in its exponent and never cancels;
 * the integer contents, by math.gcd.
@@ -980,53 +980,6 @@ def _laurent(a: Scalar):
             return None
         terms.append((k - low, q))
     return c, terms
-
-
-def _laurent_forms(coefficients):
-    """(c, [terms, ...], reach): each coefficient a = sum q * u^k / c over
-    the (k, q) of its terms, c the lcm of their contents (the _laurent forms
-    over one content), reach the largest |k|; None if one does not pack."""
-    forms, c = [], 1
-    for a in coefficients:
-        if (f := _laurent(a)) is None:
-            return None
-        forms.append(f)
-        if c % f[0]:
-            c = lcm(c, f[0])
-    forms = [t if d == c else [(k, q * (c // d)) for k, q in t] for d, t in forms]
-    return c, forms, max((abs(k) for t in forms for k, _ in t), default=0)
-
-
-def _packable(sides) -> tuple | None:
-    """(C, right, bits) when every coefficient of the sides (terms, m, b) of
-    a diffpoly._products call packs, terms a's items and m * b the right
-    term: C the lcm over the parts of c_a c_b times m's denominator, right
-    the _laurent form (c_b, tb) of each b by id(b), and bits, the width of a
-    product's monomial in diffpoly._packed's ints, _PACK_BITS times the
-    coordinate fields up to the highest nonzero one of any form (at least
-    one), so every |k| < 2^(bits - 2).  Else None, every left side
-    tried first: the slot laurent of terms keeps their _laurent_forms and
-    reach (False before, None when they do not pack), so a table entry
-    builds them once and a refused one answers at once."""
-    for terms, _, _ in sides:
-        if terms.laurent is False:
-            terms.laurent = _laurent_forms(a for _, a in terms)
-        if terms.laurent is None:
-            return None
-    right, c, reach = {}, 1, 0
-    for terms, m, b in sides:
-        if (f := right.get(id(b))) is None:
-            if (f := _laurent(b)) is None:
-                return None
-            right[id(b)] = f
-            reach = max([reach, *(abs(k) for k, _ in f[1])])
-        ca, _, r = terms.laurent
-        reach = max(reach, r)
-        cp = ca * f[0] if type(m) is int else ca * f[0] * m.denominator
-        if c % cp:
-            c = lcm(c, cp)
-    # |k| lies in (2^(16i - 1), 2^(16i + 14)) for i > 0 its highest nonzero field, below 2^14 for i = 0
-    return c, right, _PACK_BITS * (1 + (reach.bit_length() + 1) // _PACK_BITS)
 
 
 def _from_laurent(terms: dict, c: int) -> Scalar:

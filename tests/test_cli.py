@@ -12,7 +12,9 @@ import pytest
 
 from dnbrackets import cli, connections, jacobi, lowdegree, spectral
 from dnbrackets.bracket import CoordinateMap, _cached, skew_defects, transform, validate
-from dnbrackets.cli import MAX_DEGREE, MAX_DEGU, MAX_DIMENSION, MAX_SPAN, load_bracket, load_map, main
+from dnbrackets.cli import (
+    MAX_DEGREE, MAX_DEGU, MAX_DIMENSION, MAX_SPAN, MAX_TENSOR, load_bracket, load_map, main,
+)
 from dnbrackets.diffpoly import DiffPoly
 from dnbrackets.errors import PreconditionError
 from dnbrackets.lowdegree import ConditionResult
@@ -132,7 +134,7 @@ def test_transform_refuses_a_bracket_that_is_not_well_formed(monkeypatch, tmp_pa
     assert validate(load_bracket(path))[0] == problem
     row = {"name": "transform", "status": "fail",
            "witness": f"bracket is not well-formed: {problem}", "seconds": 0.0}
-    assert cli.cmd_transform(load_bracket(path), argparse.Namespace(map=cmap)) == [
+    assert cli.cmd_transform(load_bracket(path), argparse.Namespace(map=load_map(cmap, 2))) == [
         ConditionResult(**row)
     ]
     target = tmp_path / "report.json"
@@ -723,6 +725,13 @@ def test_map_document_validation(tmp_path, capsys):
     with pytest.raises(ValueError, match="divides by zero"):
         transform(load_bracket(fixture_path("lc_k1.json")), CoordinateMap(2, forward, inverse))
 
+    # under report, a missing map and one of another dimension are refused
+    # before any suite runs or prints
+    for bad in (str(tmp_path / "no_such_map.json"), fixture_path("lc_k1.json")):
+        code, out, err = run(capsys, "report", fixture_path("canonical_k2.json"), "--map", bad)
+        assert code == 2 and out == "", bad
+        assert err.startswith("input error: ") and bad in err
+
 
 def test_load_bracket_entry_list_form(tmp_path):
     path = tmp_path / "doc.json"
@@ -832,15 +841,25 @@ def test_huge_dimension_or_degree_is_input_error(tmp_path, capsys):
     assert code == 2 and "bad 'degree'" in err
 
 
+def constant_document(tmp_path, n: int, k: int):
+    """A constant raw document in compact JSON: g diagonal for odd k,
+    symplectic for even k (n even)."""
+    if k % 2:
+        entries = [[k, a, a, "1"] for a in range(1, n + 1)]
+    else:
+        entries = [e for a in range(1, n, 2) for e in ([k, a, a + 1, "1"], [k, a + 1, a, "-1"])]
+    path = tmp_path / f"constant_n{n}_k{k}.json"
+    path.write_text(json.dumps({"dimension": n, "degree": k, "entries": entries}, separators=(",", ":")))
+    return path
+
+
 def test_a_span_above_max_span_is_input_error(tmp_path, capsys):
     """A constant document at the dimension and degree bounds, n = 32 and
     k = 16, which would span 26.8 million monomials, exits 2 under spectral
     and report before any row runs; the count is spanning_monomials' length,
     and --help states the bound."""
     n, k = MAX_DIMENSION, MAX_DEGREE
-    entries = [e for a in range(1, n, 2) for e in ([k, a, a + 1, "1"], [k, a + 1, a, "-1"])]
-    path = tmp_path / "constant_n32_k16.json"
-    path.write_text(json.dumps({"dimension": n, "degree": k, "entries": entries}, separators=(",", ":")))
+    path = constant_document(tmp_path, n, k)
     assert spectral._span_size(n, k) == 26_832_017 > MAX_SPAN
     assert spectral._span_size(4, 2) == len(spectral.spanning_monomials(4, 2)) == 303
     for command in ("spectral", "report"):
@@ -852,6 +871,29 @@ def test_a_span_above_max_span_is_input_error(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["--help"])
     assert f"at most {MAX_SPAN} spanning monomials" in " ".join(capsys.readouterr().out.split())
+
+
+def test_a_tensor_suite_above_max_tensor_is_input_error(tmp_path, capsys):
+    """Constant documents at n = 32 with k = 1 (diagonal), 2 and 16
+    (symplectic), whose k n^5 exceeds MAX_TENSOR, exit 2 within 2 s under
+    every tensor suite, before any row runs; --help states the bound, and
+    every fixture lies far below it."""
+    n = MAX_DIMENSION
+    for k in (1, 2, MAX_DEGREE):
+        path = constant_document(tmp_path, n, k)
+        assert k * n**5 > MAX_TENSOR
+        for command in ("connections", "curvature", "flatness", "lowdegree", "report"):
+            start = time.perf_counter()
+            code, out, err = run(capsys, command, str(path))
+            assert time.perf_counter() - start < 2.0, (k, command)
+            assert code == 2 and out == "", (k, command)
+            assert err.startswith("input error: ") and str(path) in err and "above the limit" in err
+    for name in ("canonical_k2.json", "constant_k2.json", "lc_k1.json", "lc_k1_broken.json", "nonflat2.json"):
+        b = load_bracket(fixture_path(name))
+        assert b.k * b.n**5 <= MAX_TENSOR // 100, name
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert f"k*n^5 at most {MAX_TENSOR}" in " ".join(capsys.readouterr().out.split())
 
 
 def test_max_degu_out_of_range_is_usage_error(capsys):

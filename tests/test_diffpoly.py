@@ -354,6 +354,55 @@ def test_sum_matches_builtin_sum():
     assert _sum([]).terms == {}
 
 
+def collected_plus(a: DiffPoly, b: DiffPoly, m: int) -> DiffPoly:
+    """a + m b as + and - made it before they were _products calls, as an
+    oracle: b negated for m = -1, a zero operand giving the other, else b's
+    pairs collected into a copy of a's terms."""
+    if m < 0:
+        b = _wrap({k: -c for k, c in b.terms.items()})
+    if a.is_zero:
+        return b
+    if b.is_zero:
+        return a
+    return _wrap(_collect(b.terms.items(), a.terms))
+
+
+def collected_sum(parts) -> DiffPoly:
+    """_sum as it was before it was one _products call, as an oracle: every
+    part's pairs collected one at a time, each surviving key put where it
+    first appears in parts."""
+    total = _collect(pair for p in parts for pair in p.terms.items())
+    return _wrap({key: total[key] for key in dict.fromkeys(k for p in parts for k in p.terms) if key in total})
+
+
+def test_sums_match_the_collected_sums_field_for_field():
+    """+, - (also reflected) and _sum on random_diffpoly draws whose keys
+    partly cancel, with zero operands among them: the same keys in the same
+    order as collecting the pairs one at a time, and each coefficient with
+    the same _n, _d and _b."""
+    def fields(p):
+        return [(key, c._n, c._d, c._b) for key, c in p.terms.items()]
+
+    rng = random.Random(131)
+    cancelled = zeros = 0
+    for k in range(200):
+        n = 1 + k % 3
+        x = random_diffpoly(rng, n, terms=4)
+        # y takes some of x's terms negated, so that those keys cancel in x + y
+        y = _wrap({**random_diffpoly(rng, n, terms=4).terms,
+                   **{key: -c for key, c in x.terms.items() if rng.random() < 0.5}})
+        operands = [x, y, -y, DiffPoly.zero()]
+        a, b = rng.choice(operands), rng.choice(operands)
+        zeros += a.is_zero or b.is_zero
+        for got, want in ((a + b, collected_plus(a, b, 1)), (a - b, collected_plus(a, b, -1)),
+                          (Fraction(k % 5 - 2) - a, collected_plus(DiffPoly.from_fraction(k % 5 - 2), a, -1))):
+            assert fields(got) == fields(want), (a, b)
+        cancelled += len((x + y).terms) < len({**x.terms, **y.terms})
+        parts = [rng.choice(operands) for _ in range(rng.randint(0, 5))]
+        assert fields(_sum(iter(parts))) == fields(collected_sum(parts)), parts
+    assert cancelled > 50 and zeros > 50
+
+
 def derivation_oracle(x: DiffPoly, n: int, jet_image, theta_image) -> DiffPoly:
     """image * partial for every generator up to x's orders, one product each,
     added by builtin sum."""

@@ -11,11 +11,11 @@ import pytest
 
 from dnbrackets import diffpoly, scalar
 from dnbrackets.cli import load_bracket
-from dnbrackets.diffpoly import _DX_IMAGES, DiffPoly, _Images, _products
+from dnbrackets.diffpoly import _DX_IMAGES, DiffPoly, _Images, _laurent_forms, _products
 from dnbrackets.jacobi import _DP_images, apply_DP
 from dnbrackets.sampling import random_diffpoly, random_monomial, random_scalar
 from dnbrackets.scalar import (
-    _PACK_FIELDS, _PACK_LIMIT, Scalar, _laurent, _laurent_forms, _mul, _pack, _sum_products, _unpack,
+    _PACK_FIELDS, _PACK_LIMIT, Scalar, _laurent, _mul, _pack, _sum_products, _unpack,
 )
 
 from conftest import S, fixture_path, kernel_draws
@@ -190,16 +190,16 @@ def test_unpackable_exponents_and_indices_stay_on_the_grouped_path(monkeypatch, 
     parts = [(x.terms.items(), (((1, s), 1),), (), 1, S(f"{s}/u1")) for s in range(1, 70)]
     parts.append((x.terms.items(), (), (), 1, c))
     only_c_refused = []
-    laurent = scalar._laurent
+    laurent = diffpoly._laurent
 
     def spy(a):
         out = laurent(a)
         only_c_refused.append(out is not None or a is c)
         return out
 
-    monkeypatch.setattr(scalar, "_laurent", spy)
+    monkeypatch.setattr(diffpoly, "_laurent", spy)
     packed, grouped, n = both_paths(monkeypatch, lambda: _products(parts))
-    assert n == 0 and all(only_c_refused)
+    assert n == 0 and only_c_refused and all(only_c_refused)
     assert_same_fields(packed, grouped, big)
     assert packed.terms[((), ((0, 1),))] == c
 
@@ -307,8 +307,8 @@ def test_exponents_at_the_field_limit_in_the_highest_coordinate_field(monkeypatc
     parts = [(x.terms.items(), (((1 + s % 2, 1 + s % 3), 1 + s % 4),), ((), ((1, 1),))[s % 2], 1, right[s % 5])
              for s in range(70)]
     widths = []
-    packable = scalar._packable
-    monkeypatch.setattr(diffpoly, "_packable", lambda sides: widths.append((out := packable(sides))[2]) or out)
+    width = diffpoly._width
+    monkeypatch.setattr(diffpoly, "_width", lambda reach: widths.append(out := width(reach)) or out)
     packed, grouped, n = both_paths(monkeypatch, lambda: _products(parts))
     assert n == 1 and widths == [16 * v]
     assert_same_fields(packed, grouped, v)
@@ -384,8 +384,8 @@ def test_a_dropped_bracket_frees_its_tables_and_their_packed_forms(monkeypatch):
     class Forms(list):  # a weakly referenceable (c, [terms, ...], reach)
         pass
 
-    monkeypatch.setattr(scalar, "_laurent_forms",
-                        lambda coefficients, build=scalar._laurent_forms: (f := build(coefficients)) and Forms(f))
+    monkeypatch.setattr(diffpoly, "_laurent_forms",
+                        lambda coefficients, build=diffpoly._laurent_forms: (f := build(coefficients)) and Forms(f))
     monkeypatch.setattr(diffpoly, "_PACKED_PARTS", 0)
     b = load_bracket(fixture_path("nonflat2.json"))
     for a in dp_square_inputs(b, 3):
