@@ -26,17 +26,17 @@ the bracket (_trivector), and one variational derivative per generator,
 not D_P applied to the two families.  apply_DP stays for the callers that
 apply D_P to other elements.
 
-Before T, check_jacobi tries an exact refutation on the grading deg_u by
-jet count, under which spectral splits D_P into D_{-1} + D_0 + D_1 + ....
-deg_u adds under products, so the deg_u-0 component of T is the pairing
-T_0 of the deg_u-0 components of the two families.  d_x is the derivation
-raising jet and theta orders, which keeps deg_u, plus the chain rule on
-the coefficients, which raises it by one; so the deg_u-0 component of
-dT/dtheta_i is the variational formula on T_0 with d_x's chain rule left
-out, and on T_0, which has no jets, that is d_x's theta table alone
-(diffpoly._DX_THETAS; _refuted_at_degree_zero).  A nonzero value proves
-the bracket is not Poisson, without building T or differentiating a
-coefficient.
+Before T, _first_defect, the one Jacobi decision, tries an exact
+refutation on the grading deg_u by jet count, under which spectral splits
+D_P into D_{-1} + D_0 + D_1 + ....  deg_u adds under products, so the
+deg_u-0 component of T is the pairing T_0 of the deg_u-0 components of the
+two families.  d_x is the derivation raising jet and theta orders, which
+keeps deg_u, plus the chain rule on the coefficients, which raises it by
+one; so the deg_u-0 component of dT/dtheta_i is the variational formula on
+T_0 with d_x's chain rule left out, and on T_0, which has no jets, that is
+d_x's theta table alone (diffpoly._DX_THETAS).  A nonzero value proves the
+bracket is not Poisson, and is its witness, without building T or
+differentiating a coefficient.
 """
 
 from __future__ import annotations
@@ -81,20 +81,6 @@ def _trivector(b: HomogeneousBracket) -> DiffPoly:
     return _pairing(*variational_pair(b))
 
 
-@_cached
-def _refuted_at_degree_zero(b: HomogeneousBracket) -> bool:
-    """True if the deg_u-0 component of some dT/dtheta_i is nonzero, which
-    proves that the bracket is not Poisson; cached on the bracket.
-
-    That component is sum_s (-D)^s dT_0/dtheta_i^s, for T_0 the pairing of
-    the deg_u-0 parts of the variational pair and D d_x without the chain
-    rule (the module docstring says why), one Horner loop per i over T_0.
-    """
-    T0 = _pairing(*([v.project("deg_u", 0) for v in family] for family in variational_pair(b)))
-    top = T0.max_theta_order()
-    return any(_alternating_sum(T0._theta_parts, i, top, _DX_THETAS) for i in range(1, b.n + 1))
-
-
 # D_P^2 on u^i and on theta_i, read off the trivector T.
 _FAMILIES = (
     ("u^{}", lambda T, i: -T.variational_theta(i)),
@@ -115,8 +101,20 @@ def _defects(b: HomogeneousBracket, families=_FAMILIES):
 @_cached
 def _first_defect(b: HomogeneousBracket):
     """The first nonzero D_P^2(u^i) as (label, value), or None; cached on the
-    bracket.  None means that D_P^2 vanishes on every generator (check_jacobi
-    says why the theta_i need no test)."""
+    bracket, and read by check_jacobi (so by spectral.require_poisson) and by
+    the jacobi command.  None means that D_P^2 vanishes on every generator
+    (check_jacobi says why the theta_i need no test).
+
+    The deg_u-0 components sum_s (-D)^s dT_0/dtheta_i^s come first, one
+    Horner loop per i over T_0 (module docstring); a nonzero one, negated, is
+    the value, whose least term, having no jet, is that of the whole
+    D_P^2(u^i).  Only when all of them vanish is T built.
+    """
+    T0 = _pairing(*([v.project("deg_u", 0) for v in family] for family in variational_pair(b)))
+    top = T0.max_theta_order()
+    for i in range(1, b.n + 1):
+        if value := _alternating_sum(T0._theta_parts, i, top, _DX_THETAS):
+            return f"D_P^2(u^{i})", -value
     return next(_defects(b, _FAMILIES[:1]), None)
 
 
@@ -142,9 +140,9 @@ def check_jacobi(b: HomogeneousBracket) -> bool:
     antiderivative is taken), so it holds over rational-function
     coefficients.
 
-    The deg_u-0 components of the dT/dtheta_i are tested first, from the
-    deg_u-0 parts of the variational pair alone (the module docstring says
-    why that is exact); if one is nonzero the answer is False and T is
+    _first_defect tests the deg_u-0 components of the dT/dtheta_i first, from
+    the deg_u-0 parts of the variational pair alone (the module docstring
+    says why that is exact); if one is nonzero the answer is False and T is
     never built.  Otherwise the first defect is read off T as above.
     """
     if problems := validate(b):
@@ -155,4 +153,4 @@ def check_jacobi(b: HomogeneousBracket) -> bool:
             f"bracket is not skew-symmetric: defect at (i={i}, j={j}, s={t}) is {defect}",
             witness=defect,
         )
-    return not _refuted_at_degree_zero(b) and _first_defect(b) is None
+    return _first_defect(b) is None

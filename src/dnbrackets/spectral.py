@@ -18,13 +18,16 @@ D_P, D_{-1}, the homotopy and the forms of d_1 are derivations, applied by
 diffpoly's kernel from their image tables (diffpoly._Images), which
 bracket._cached keeps once per bracket; each table's builder says what it
 reads.  A table holds the bracket's data, never the bracket, so a
-bracket's cache refers to nothing that refers back to it.
+bracket's cache refers to nothing that refers back to it.  Each form of
+d_1 has its tables from one builder (_d1_*_ops), which calls
+require_poisson first; _cached keeps nothing when that raises.
 
 An identity between two such sides is tested as one defect (d1_sum,
 homotopy_defect), one kernel call over the parts of both sides, those
 of one side signed -1: each key sums the exact difference of the sides,
 and Scalars are canonical, so it is zero exactly when they agree term by
 term, as comparing them would find, and a key that cancels builds no Scalar.
+A nonzero defect, the left side minus the right, is the check's witness.
 """
 
 from __future__ import annotations
@@ -186,28 +189,19 @@ def include_B(a: DiffPoly, k: int) -> DiffPoly:
 
 @_cached
 def _d1_spectral_ops(b: HomogeneousBracket) -> tuple:
-    """The images of D_P on the generators of B, projected onto B, built once
-    per bracket: u^i keyed (i, 0) and theta_l^s (s <= k) keyed (l, s), the
-    latter stepped as project_B(D thetas[l, s-1]) for D d_x's theta table
-    alone (diffpoly._DX_THETAS).  Exact: d_x maps no term outside B into B (it
-    raises orders; its chain rule adds a jet), and on B it is D plus terms
-    with a jet, so project_B d_x^s = (project_B D)^s project_B."""
+    """The tables of the images of D_P on the generators of B, projected onto
+    B, built once per bracket: u^i keyed (i, 0) and theta_l^s (s <= k) keyed
+    (l, s), the latter stepped as project_B(D thetas[l, s-1]) for D d_x's
+    theta table alone (diffpoly._DX_THETAS).  Exact: d_x maps no term
+    outside B into B (it raises orders; its chain rule adds a jet), and on B
+    it is D plus terms with a jet, so project_B d_x^s = (project_B D)^s
+    project_B."""
+    require_poisson(b)
     k, (ddtheta, ddu) = b.k, variational_pair(b)
     thetas = {(l, 0): project_B(v, k) for l, v in enumerate(ddu, 1)}
     for s, l in product(range(1, k + 1), range(1, b.n + 1)):
         thetas[l, s] = project_B(_derivation(thetas[l, s - 1], *_DX_THETAS), k)
-    return {(i, 0): project_B(v, k) for i, v in enumerate(ddtheta, 1)}, thetas
-
-
-@_cached
-def _d1_images(b: HomogeneousBracket, ops, *half) -> tuple:
-    """The (jets, thetas) _Images over the dicts of ops(b), for ops one of the
-    _d1_*_ops (of its given half for _d1_closed_ops), built once per bracket
-    after require_poisson; _cached keeps nothing when that raises, so a
-    bracket that is not Poisson raises on every call."""
-    require_poisson(b)
-    jets, thetas = ops(b)[half[0]] if half else ops(b)
-    return _Images.of(jets), _Images.of(thetas)
+    return _Images.of({(i, 0): project_B(v, k) for i, v in enumerate(ddtheta, 1)}), _Images.of(thetas)
 
 
 def d1_spectral(b: HomogeneousBracket, x: DiffPoly) -> DiffPoly:
@@ -236,6 +230,7 @@ def _d1_closed_ops(b: HomogeneousBracket) -> tuple:
     [s = k], which is one when r is s or k (W_up) and zero otherwise (W_same).
     The tails h_(0..k-1) are extended by h_(k)^{ij}_l := dg^{ij}/du^l.
     """
+    require_poisson(b)
     named = extract_named(b)
     n, k = b.n, b.k
     h = named.h + [_tensor(n, 3, lambda i, j, l: named.g[i][j].partial(l + 1))]
@@ -257,7 +252,8 @@ def _d1_closed_ops(b: HomogeneousBracket) -> tuple:
     up = {(l, s): w(s, l, {s, k}) for l, s in generators}
     same = {(l, s): op for l, s in generators if (op := w(s, l, range(s + 1, k)))}
     V = _row_sums(named.g, DiffPoly.theta, k)
-    return ({(i, 0): op for i, op in enumerate(V, 1)}, up), ({}, same)
+    return ((_Images.of({(i, 0): op for i, op in enumerate(V, 1)}), _Images.of(up)),
+            (_Images.of({}), _Images.of(same)))
 
 
 def d1_split(b: HomogeneousBracket, x: DiffPoly) -> tuple:
@@ -276,7 +272,7 @@ def d1_closed(b: HomogeneousBracket, x: DiffPoly) -> DiffPoly:
 def _d1_connection_ops(b: HomogeneousBracket) -> tuple:
     """The tables of d1_as_connection, built once per bracket from g and the Gamma_[s].
 
-    The dicts hold the images of u^i, keyed (i, 0), and of theta_l^s (s <= k),
+    They hold the images of u^i, keyed (i, 0), and of theta_l^s (s <= k),
     keyed (l, s).  With V_i = sum_j g^{ij} theta_j^k they are
 
         u^i         -> V_i,
@@ -285,6 +281,7 @@ def _d1_connection_ops(b: HomogeneousBracket) -> tuple:
 
     the last one the image of theta_l^k = g_{lj} du^j, with du^i -> V_i.
     """
+    require_poisson(b)
     named, glow = metric_pair(b)
     n, k = b.n, b.k
     V = _row_sums(named.g, DiffPoly.theta, k)
@@ -296,9 +293,8 @@ def _d1_connection_ops(b: HomogeneousBracket) -> tuple:
             [(1, named.g[p][j - 1], glow[l - 1][p].partial(i)) for p in range(n)]) for i, j in pairs}
         return _products((V[i - 1].terms.items(), (), ((s, j),), 1, m) for (i, j), m in M.items() if m)
 
-    coords = {(i, 0): v for i, v in enumerate(V, 1)}
     thetas = {(l, s): image(l, s) for s in range(k + 1) for l in range(1, n + 1)}
-    return coords, thetas
+    return _Images.of({(i, 0): v for i, v in enumerate(V, 1)}), _Images.of(thetas)
 
 
 def d1_as_connection(b: HomogeneousBracket, x: DiffPoly) -> DiffPoly:
@@ -314,9 +310,9 @@ def d1_as_connection(b: HomogeneousBracket, x: DiffPoly) -> DiffPoly:
     return d1_sum(b, [("connection", x)])
 
 
-# the forms of d_1 on B, each by the arguments of _d1_images that give its tables
-_D1_FORMS = {"spectral": (_d1_spectral_ops,), "up": (_d1_closed_ops, 0),
-             "same": (_d1_closed_ops, 1), "connection": (_d1_connection_ops,)}
+# the (jets, thetas) tables of each form of d_1 on B, its builder looked up when called
+_D1_FORMS = {"spectral": lambda b: _d1_spectral_ops(b), "up": lambda b: _d1_closed_ops(b)[0],
+             "same": lambda b: _d1_closed_ops(b)[1], "connection": lambda b: _d1_connection_ops(b)}
 
 
 def d1_sum(b: HomogeneousBracket, terms) -> DiffPoly:
@@ -324,7 +320,7 @@ def d1_sum(b: HomogeneousBracket, terms) -> DiffPoly:
     x in B, form a key of _D1_FORMS and m = 1 or -1 (1 when left out), in
     one _products call: with the parts of one side signed -1, a defect,
     zero exactly when the two sides agree (module docstring)."""
-    return _products(chain(*(_derivation_parts(include_B(x, b.k), *_d1_images(b, *_D1_FORMS[form]), *m)
+    return _products(chain(*(_derivation_parts(include_B(x, b.k), *_D1_FORMS[form](b), *m)
                              for form, x, *m in terms)))
 
 

@@ -42,6 +42,14 @@ def assert_same_terms(got, want):
     assert str(got) == str(want)
 
 
+def d1_dicts(b: HomogeneousBracket, tables) -> tuple:
+    """The dicts of DiffPoly images behind a form of d_1's (jets, thetas) pair
+    of _Images, read off each table's image function on the generators of B:
+    u^i keyed (i, 0) and theta_l^s (s <= k) keyed (l, s)."""
+    keys = [(i, s) for s in range(b.k + 1) for i in range(1, b.n + 1)]
+    return tuple({v: img for v in keys if (img := t.image(v)) is not None} for t in tables)
+
+
 def cold_scalar_memos():
     """Empty the value-keyed memos of dnbrackets.scalar (partial derivatives,
     factored denominators and their expansions), so a timing starts cold."""

@@ -187,7 +187,8 @@ def test_every_command_returns_condition_results(monkeypatch, capsys):
     monkeypatch.setattr(cli, "_render", rows.extend)
     for command in cli.COMMANDS:
         for name in ("lc_k1.json", "nonflat2.json"):
-            main([command, fixture_path(name), "--map", fixture_path("map_product.json")])
+            extra = ["--map", fixture_path("map_product.json")] if command in ("transform", "report") else []
+            main([command, fixture_path(name), *extra])
     capsys.readouterr()
     assert len(rows) > 50
     assert {type(r) for r in rows} == {ConditionResult}
@@ -376,7 +377,9 @@ def test_degree3_rows_cover_the_normal_form_test(monkeypatch):
 @pytest.mark.parametrize("name", ["nonflat2.json", "lc_k1_broken.json"])
 def test_report_builds_the_jacobi_trivector_once(monkeypatch, capsys, name):
     # the jacobi check and every later Poisson precondition share one cached
-    # first defect, read off one cached trivector T
+    # first defect, read off one cached trivector T; lc_k1_broken is refuted
+    # at deg_u 0, before T, so its report builds none
+    builds = {"nonflat2.json": 1, "lc_k1_broken.json": 0}[name]
     built, runs = [], []
     build, defects = jacobi._trivector.__wrapped__, jacobi._defects
 
@@ -392,8 +395,8 @@ def test_report_builds_the_jacobi_trivector_once(monkeypatch, capsys, name):
     monkeypatch.setattr(jacobi, "_trivector", counting_build)
     monkeypatch.setattr(jacobi, "_defects", counting_defects)
     run(capsys, "report", fixture_path(name))
-    assert len(built) == 1
-    assert len(runs) == 1
+    assert len(built) == builds
+    assert len(runs) == builds
 
 
 @pytest.mark.parametrize("name, computed", [("canonical_k2.json", 4), ("lc_k1.json", 2)])
@@ -731,6 +734,18 @@ def test_map_document_validation(tmp_path, capsys):
         code, out, err = run(capsys, "report", fixture_path("canonical_k2.json"), "--map", bad)
         assert code == 2 and out == "", bad
         assert err.startswith("input error: ") and bad in err
+
+
+def test_map_under_a_command_that_reads_none_is_input_error(capsys):
+    # only transform and report read --map; any other command refuses it,
+    # even a file that exists, before any check runs or prints
+    code, out, err = run(capsys, "validate", fixture_path("lc_k1.json"), "--map", "/nonexistent/map.json")
+    assert code == 2 and out == ""
+    assert err.startswith("input error: ") and "--map" in err
+    for command in set(cli.COMMANDS) - {"transform", "report"}:
+        code, out, err = run(capsys, command, fixture_path("lc_k1.json"), "--map", fixture_path("map_product.json"))
+        assert (code, out) == (2, ""), command
+        assert err.startswith("input error: ") and command in err, command
 
 
 def test_load_bracket_entry_list_form(tmp_path):

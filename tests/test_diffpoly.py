@@ -32,7 +32,7 @@ from dnbrackets.jacobi import _DP_images, apply_DP, variational_pair
 from dnbrackets.sampling import random_diffpoly, random_polynomial, random_scalar
 from dnbrackets.scalar import Scalar, _collect, _mono_lower, _mono_mul
 from dnbrackets.spectral import (
-    D_minus1_closed, _d1_closed_ops, _d1_images, _homotopy_images, _lowering_images, homotopy,
+    D_minus1_closed, _d1_closed_ops, _homotopy_images, _lowering_images, homotopy,
 )
 
 from conftest import FIXTURE_DIR, S, fixture_path, kernel_draws
@@ -531,7 +531,7 @@ def test_derivations_without_coordinate_images_never_read_variables(monkeypatch,
     that have an image."""
     b = nonflat2
     draws = list(kernel_draws(random.Random(59), b, set()))
-    up, same = (_d1_images(b, _d1_closed_ops, half) for half in (0, 1))
+    up, same = _d1_closed_ops(b)
     assert not any(t[0].coordinates for t in (_lowering_images(b), _homotopy_images(b), same))
     with_coordinates = {"d_x": _DX_IMAGES, "D_P": _DP_images(b), "up": up}
     for a in draws:  # fill every table the draws need

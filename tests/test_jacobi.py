@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from dnbrackets import jacobi
+from dnbrackets import cli, jacobi
 from dnbrackets.bracket import (
     CoordinateMap,
     HomogeneousBracket,
@@ -21,8 +21,8 @@ from dnbrackets.cli import load_bracket
 from dnbrackets.diffpoly import _DX_THETAS, DiffPoly, _alternating_sum, _sum, d_x
 from dnbrackets.errors import DegenerateMetricError, PreconditionError
 from dnbrackets.jacobi import (
+    _first_defect,
     _pairing,
-    _refuted_at_degree_zero,
     _trivector,
     apply_DP,
     check_jacobi,
@@ -289,7 +289,7 @@ def test_theta_family_decides_jacobi():
 
 def degree_zero_horner(x, i):
     """sum_s (-D)^s dx_0/dtheta_i^s for x_0 the deg_u-0 part of x and D d_x
-    without the chain rule, as _refuted_at_degree_zero computes it."""
+    without the chain rule, as _first_defect's deg_u-0 stage computes it."""
     x0 = x.project("deg_u", 0)
     return _alternating_sum(x0._theta_parts, i, x0.max_theta_order(), _DX_THETAS)
 
@@ -298,8 +298,9 @@ def test_degree_zero_horner_is_the_projected_variational_derivative():
     """On random_diffpoly draws, and on T for every fixture, constant draw,
     moved bracket and generated_jacobi item, Poisson or not, the deg_u-0
     Horner loop equals the deg_u-0 component of the variational derivative;
-    for T, T_0 is the pairing of the projected variational pair and the
-    refutation is exactly a nonzero component, never on a Poisson bracket."""
+    for T, T_0 is the pairing of the projected variational pair, and the
+    first defect is the first nonzero component, negated, never on a Poisson
+    bracket, or else the first defect read off T."""
     rng = random.Random(67)
     for k, n in enumerate([1, 2, 3] * 30):
         x = random_diffpoly(rng, n, max_theta=3)
@@ -316,11 +317,13 @@ def test_degree_zero_horner_is_the_projected_variational_derivative():
         assert T0 == T.project("deg_u", 0), name
         components = [T.variational_theta(i).project("deg_u", 0) for i in range(1, b.n + 1)]
         assert [degree_zero_horner(T, i) for i in range(1, b.n + 1)] == components, name
-        verdict = _refuted_at_degree_zero(b)
-        assert verdict == any(components), name
-        if verdict:
+        first = next(((f"D_P^2(u^{i})", -c) for i, c in enumerate(components, 1) if c), None)
+        if first:
             assert not poisson and jacobi_defects(b), name
-        refuted[verdict] += 1
+        else:
+            first = next((d for d in jacobi_defects(b) if d[0].startswith("D_P^2(u^")), None)
+        assert _first_defect(b) == first, name
+        refuted[any(components)] += 1
     assert refuted[True] >= 10 and refuted[False] >= 10
 
 
@@ -339,20 +342,49 @@ def count_trivector_builds(monkeypatch) -> list:
 
 def test_refutation_at_degree_zero_builds_no_trivector(monkeypatch):
     """lc_k1_broken, and nonflat2 with its jet pair under every step of the
-    generated_jacobi passes, are refuted at deg_u 0: check_jacobi says False
-    without building T.  A Poisson bracket still builds it once."""
+    generated_jacobi passes, are refuted at deg_u 0: the jacobi command fails
+    its row and check_jacobi says False without building T.  A Poisson
+    bracket still builds it once."""
     broken = load_bracket(fixture_path("lc_k1_broken.json"))
     inputs = [("lc_k1_broken", broken)]
     inputs += [(label, transform(b, cmap)) for label, b, cmap, _ in generated_jacobi_inputs()
                if " nonflat2_jetpair " in label or " lc_k1_broken " in label]
     assert len(inputs) == 13
     built = count_trivector_builds(monkeypatch)
+    row = cli.cmd_jacobi(load_bracket(fixture_path("lc_k1_broken.json")), None)[-1]
+    assert row.status == "fail" and built == []
     for label, b in inputs:
         assert not check_jacobi(b), label
     assert built == []
     lc1 = load_bracket(fixture_path("lc_k1.json"))
     assert check_jacobi(lc1) and built == [lc1]
     assert jacobi_defects(broken) and built == [lc1, broken]  # the full list still reads T
+
+
+def refuted_inputs():
+    """(name, bracket) for each input that is not Poisson: lc_k1_broken, the
+    moved brackets and the generated_jacobi items at seeds 11 and 3."""
+    yield "lc_k1_broken", load_bracket(fixture_path("lc_k1_broken.json"))
+    yield from ((name, b) for name, b, poisson in moved_brackets() if not poisson)
+    yield from ((label, transform(b, cmap)) for label, b, cmap, poisson in generated_jacobi_inputs()
+                if not poisson)
+
+
+def test_first_defect_witness_is_the_least_term_of_the_full_defect():
+    """On every refuted input, whichever stage finds it, the first defect's
+    least term has the key and coefficient of the least term of the value
+    jacobi_defects lists under the same label, and the jacobi command's
+    witness names that term."""
+    stages = {True: 0, False: 0}
+    for name, b in refuted_inputs():
+        label, value = _first_defect(b)
+        key = min(value.terms)
+        full = dict(jacobi_defects(b))[label]
+        assert key == min(full.terms) and value.terms[key] == full.terms[key], name
+        row = cli.cmd_jacobi(b, None)[-1]
+        assert (row.status, row.witness) == ("fail", f"{label} contains {DiffPoly({key: full.terms[key]})}"), name
+        stages[not key[0]] += 1  # a least key with no jet: found at deg_u 0
+    assert stages[True] >= 10 and stages[False] >= 5
 
 
 def test_jet_pair_under_two_quadratic_bends_refuted_within_budget():
@@ -421,6 +453,6 @@ def test_check_jacobi_agrees_with_potemin_check_on_monge_draws():
             assert check_skew(b) and check_jacobi(b) == all_pass(report), draw
             if not all_pass(report):
                 assert [r.name for r in report if not r.passed] == ["(4) derivative identity"], draw
-                assert not _refuted_at_degree_zero(b), draw
+                assert not any(degree_zero_horner(_trivector(b), i) for i in range(1, b.n + 1)), draw
             verdicts.append(all_pass(report))
     assert verdicts.count(False) >= 3 and verdicts.count(True) >= 6

@@ -26,7 +26,6 @@ from dnbrackets.spectral import (
     _excluded_count,
     _d1_closed_ops,
     _d1_connection_ops,
-    _d1_images,
     _d1_spectral_ops,
     _homotopy_images,
     _lowering_images,
@@ -44,7 +43,7 @@ from dnbrackets.spectral import (
     spanning_monomials,
 )
 
-from conftest import S, assert_same_terms, cold_scalar_memos, fixture_path, kernel_draws
+from conftest import S, assert_same_terms, cold_scalar_memos, d1_dicts, fixture_path, kernel_draws
 
 
 def theta(i, s):
@@ -308,8 +307,7 @@ def table_readers(b, a, x) -> list:
 def image_tables(b) -> list:
     """Every image table that table_readers reads from b's cache."""
     return [*_DP_images(b), *_lowering_images(b), *_homotopy_images(b),
-            *_d1_images(b, _d1_spectral_ops), *_d1_images(b, _d1_connection_ops),
-            *_d1_images(b, _d1_closed_ops, 0), *_d1_images(b, _d1_closed_ops, 1)]
+            *_d1_spectral_ops(b), *_d1_connection_ops(b), *_d1_closed_ops(b)[0], *_d1_closed_ops(b)[1]]
 
 
 def test_image_tables_build_each_generator_once_per_bracket(monkeypatch, nonflat2):
@@ -332,7 +330,7 @@ def test_image_tables_build_each_generator_once_per_bracket(monkeypatch, nonflat
     # every table of b was read, but the keeping half's jets: no coordinate
     # has an image there, and an element of B has no jets
     unread = [t for t in image_tables(b) if id(t) not in tables]
-    assert [id(t) for t in unread] == [id(_d1_images(b, _d1_closed_ops, 1)[0])]
+    assert [id(t) for t in unread] == [id(_d1_closed_ops(b)[1][0])]
 
     def refuse(*args):
         raise AssertionError("an image table was built again")
@@ -367,7 +365,8 @@ def test_image_tables_match_fresh_ones_and_stay_with_their_bracket(monkeypatch, 
     moved = transform(nonflat2, load_map(fixture_path("map_product.json"), 2))
     assert (moved.n, moved.k) == (nonflat2.n, nonflat2.k)
     builders = [(jacobi, "_DP_images"), (spectral, "_lowering_images"),
-                (spectral, "_homotopy_images"), (spectral, "_d1_images")]
+                (spectral, "_homotopy_images"), (spectral, "_d1_spectral_ops"),
+                (spectral, "_d1_closed_ops"), (spectral, "_d1_connection_ops")]
     rng = random.Random(67)
     for a in kernel_draws(rng, nonflat2, set(), rounds=3):
         x = random_element_of_B(rng, nonflat2)
@@ -507,8 +506,8 @@ def test_tables_match_their_round_trip_and_projection_oracles(canonical4):
     brackets = {**table_brackets(), "canonical4": canonical4}
     assert len(brackets) == 13
     for name, b in brackets.items():
-        assert _d1_connection_ops(b) == connection_ops_oracle(b), name
-        assert _d1_closed_ops(b) == closed_ops_oracle(b), name
+        assert d1_dicts(b, _d1_connection_ops(b)) == connection_ops_oracle(b), name
+        assert tuple(d1_dicts(b, half) for half in _d1_closed_ops(b)) == closed_ops_oracle(b), name
 
 
 @pytest.mark.parametrize("name", POISSON_FIXTURES)
@@ -532,7 +531,8 @@ def test_tables_are_built_from_their_closed_forms(monkeypatch, nonflat2, canonic
         with monkeypatch.context() as patch:
             patch.setattr(DiffPoly, "project", unreachable)
             closed = _d1_closed_ops(cold)
-        assert connection == _d1_connection_ops(b) and closed == _d1_closed_ops(b)
+        assert d1_dicts(cold, connection) == d1_dicts(b, _d1_connection_ops(b))
+        assert [d1_dicts(cold, half) for half in closed] == [d1_dicts(b, half) for half in _d1_closed_ops(b)]
 
 
 def d1_spectral_oracle(b, x):
@@ -611,11 +611,12 @@ def test_spectral_ops_are_the_projected_d_x_chains(nonflat2, canonical4):
     nonflat2 under two quadratic bends."""
     brackets = {**table_brackets(), "canonical4": canonical4, "two bends": two_bends(nonflat2)}
     for name, b in brackets.items():
-        for got, want in zip(_d1_spectral_ops(b), spectral_ops_oracle(b)):
+        for got, want in zip(d1_dicts(b, _d1_spectral_ops(b)), spectral_ops_oracle(b)):
             assert got.keys() == want.keys(), name
             for v, img in want.items():
                 assert got[v] == img and str(got[v]) == str(img), (name, v)
-    assert any(img for img in _d1_spectral_ops(brackets["two bends"])[1].values())
+    bent = brackets["two bends"]
+    assert any(d1_dicts(bent, _d1_spectral_ops(bent))[1].values())
 
 
 def test_d1_oracle_pair_on_two_quadratic_bends_within_budget(nonflat2):
