@@ -12,7 +12,7 @@ The odd encoding used by the Jacobi machinery is the bivector
 an element of theta-degree 2 whose variational derivatives recover the
 operator.  Index conventions: i, j are 1-based like the coordinates;
 tensor-valued results (metric, named coefficients) use 0-based nested
-lists, so g[i][j] is the coefficient attached to u^{i+1}, u^{j+1}.
+tuples, so g[i][j] is the coefficient attached to u^{i+1}, u^{j+1}.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ class HomogeneousBracket:
 
     Brackets are immutable: P is a read-only view of a private copy of the
     entries, and every bracket, dataclasses.replace's included, starts with
-    an empty _cache, so the derived data that _cached stores there cannot
-    go stale.
+    an empty _cache; every value that _cached stores there is immutable
+    (nested tuples, frozen records, Scalars, DiffPolys), so it cannot go stale.
     """
 
     n: int
@@ -68,15 +68,15 @@ class HomogeneousBracket:
         return self.P.get((i, j, s), DiffPoly.zero())
 
 
-def _tensor(n: int, rank: int, fn) -> list:
-    """The rank-deep nested list T with T[a][b]... = fn(a, b, ...), built in index order."""
+def _tensor(n: int, rank: int, fn) -> tuple:
+    """The rank-deep nested tuple T with T[a][b]... = fn(a, b, ...), built in index order."""
     if rank == 1:
-        return [fn(a) for a in range(n)]
-    return [_tensor(n, rank - 1, partial(fn, a)) for a in range(n)]
+        return tuple(map(fn, range(n)))
+    return tuple(_tensor(n, rank - 1, partial(fn, a)) for a in range(n))
 
 
-def _components(T: list, rank: int):
-    """Yield (index, entry) for every entry of the rank-deep nested list T, in index order."""
+def _components(T, rank: int):
+    """Yield (index, entry) for every entry of the rank-deep nested sequence T, in index order."""
     for index in product(range(len(T)), repeat=rank):
         entry = T
         for a in index:
@@ -135,23 +135,23 @@ def bivector(b: HomogeneousBracket) -> DiffPoly:
 
 
 @_cached
-def _variational(b: HomogeneousBracket, family: str) -> list:
+def _variational(b: HomogeneousBracket, family: str) -> tuple:
     """dP~/dtheta_i (family "theta") or dP~/du^i (family "u") for i = 1..n.
 
     Cached apart, so a skew check builds only the theta half, whose Horner
     chain is as deep as the theta order (at most k), not the jet order.
     """
     P = bivector(b)
-    return [(P.variational_theta if family == "theta" else P.variational_u)(i)
-            for i in range(1, b.n + 1)]
+    return tuple((P.variational_theta if family == "theta" else P.variational_u)(i)
+                 for i in range(1, b.n + 1))
 
 
-def variational_pair(b: HomogeneousBracket) -> tuple[list, list]:
-    """(dP~/dtheta_i, dP~/du^i) for i = 1..n: the two lists _variational caches."""
+def variational_pair(b: HomogeneousBracket) -> tuple[tuple, tuple]:
+    """(dP~/dtheta_i, dP~/du^i) for i = 1..n: the two tuples _variational caches."""
     return _variational(b, "theta"), _variational(b, "u")
 
 
-@dataclass
+@dataclass(frozen=True)
 class NamedCoefficients:
     """The leading metric g and the linear-part tails h_(s).
 
@@ -162,8 +162,8 @@ class NamedCoefficients:
 
     n: int
     k: int
-    g: list
-    h: list
+    g: tuple
+    h: tuple
 
 
 @_cached
@@ -174,7 +174,7 @@ def extract_named(b: HomogeneousBracket) -> NamedCoefficients:
         return b.entry(i + 1, j + 1, s).coefficient((((l + 1, k - s), 1),), ())
 
     g = _tensor(n, 2, lambda i, j: b.entry(i + 1, j + 1, k).coefficient((), ()))
-    h = [_tensor(n, 3, partial(tail, s)) for s in range(k)]
+    h = tuple(_tensor(n, 3, partial(tail, s)) for s in range(k))
     return NamedCoefficients(n=n, k=k, g=g, h=h)
 
 
@@ -266,7 +266,7 @@ class CoordinateMap:
     def inverted(self) -> "CoordinateMap":
         return CoordinateMap(self.n, list(self.inverse), list(self.forward))
 
-    def jacobian(self) -> list:
+    def jacobian(self) -> tuple:
         """J[i][i'] = d(new i)/d(old i'), as functions of the old coordinates."""
         return _tensor(self.n, 2, lambda i, ip: self.forward[i].partial(ip + 1))
 
@@ -359,14 +359,14 @@ def _gauss_jordan(rows: list) -> tuple[list, list]:
     return rows, pivots
 
 
-def lower_metric(g: list) -> list:
-    """Invert the leading-coefficient matrix over the rational function field."""
+def lower_metric(g) -> tuple:
+    """Invert the leading-coefficient matrix over the rational function field, as nested tuples."""
     n = len(g)
     aug = [[g[i][j] for j in range(n)] + [Scalar.one() if i == j else Scalar.zero() for j in range(n)] for i in range(n)]
     rows, pivots = _gauss_jordan(aug)
     if pivots[:n] != list(range(n)):
         raise DegenerateMetricError("leading coefficient matrix is singular")
-    return [row[n:] for row in rows]
+    return tuple(tuple(row[n:]) for row in rows)
 
 
 @_cached

@@ -65,8 +65,8 @@ from .bracket import (
     validate,
 )
 from .connections import (
-    _bracket_curvature,
     c_matrix,
+    curvature,
     flat_combination,
     genericity,
     standard_connection,
@@ -380,7 +380,7 @@ def _curvature_report(b: HomogeneousBracket, flat: bool, s: int,
     name = f"Gamma_[{s}]" if flat else f"Gamma_({s})"
 
     def run():
-        comps = _bracket_curvature(b, flat, s).nonzero_components()
+        comps = curvature((flat_combination if flat else standard_connection)(b, s)).nonzero_components()
         for (l, t, i, j), comp in comps[:8]:
             print(f"  R({name})^{l + 1}_{{{t + 1},{i + 1},{j + 1}}} = {comp}")
         if len(comps) > 8:

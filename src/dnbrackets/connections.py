@@ -18,13 +18,15 @@ bracket is Poisson.  Curvature follows the convention
 
 with the differentiation direction in the first lower Christoffel slot;
 R is antisymmetric in (i, j).  All tensor arrays here are 0-based nested
-lists of Scalars, each sum of products one scalar._sum_products list.
+tuples of Scalars in frozen records, each sum of products one
+scalar._sum_products list, so a cached connection and its curvature cannot go stale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import comb
 
@@ -40,6 +42,7 @@ from .bracket import (
 from .scalar import Scalar, _sum_products
 
 _ONE = Scalar.one()
+_ZERO = Scalar.zero()
 
 __all__ = [
     "Connection",
@@ -58,26 +61,47 @@ __all__ = [
 ]
 
 
-@dataclass
-class Connection:
-    """Christoffel symbols gamma[l][i][j] = Gamma^l_{ij} (no symmetry assumed)."""
-
-    n: int
-    gamma: list
-
-
-@dataclass
+@dataclass(frozen=True)
 class CurvatureTensor:
     """R[l][t][i][j] = R^l_{t,i,j}, antisymmetric in the direction pair (i, j)."""
 
     n: int
-    R: list
+    R: tuple
 
     def is_zero(self) -> bool:
         return all(v.is_zero for _, v in _components(self.R, 4))
 
     def nonzero_components(self) -> list:
         return [(index, v) for index, v in _components(self.R, 4) if not v.is_zero]
+
+
+@dataclass(frozen=True)
+class Connection:
+    """Christoffel symbols gamma[l][i][j] = Gamma^l_{ij} (no symmetry assumed), copied
+    into nested tuples; the curvature is computed on its first read."""
+
+    n: int
+    gamma: tuple
+
+    def __post_init__(self):
+        gamma = self.gamma
+        object.__setattr__(self, "gamma", _tensor(self.n, 3, lambda l, i, j: gamma[l][i][j]))
+
+    @cached_property
+    def curvature(self) -> CurvatureTensor:
+        n, G = self.n, self.gamma
+
+        def block(l, t):
+            """R^l_{t,i,j} over (i, j): computed for i < j, mirrored for i > j."""
+            upper = {}
+            for i, j in combinations(range(n), 2):
+                triples = [(1, G[l][j][t].partial(i + 1), _ONE), (-1, G[l][i][t].partial(j + 1), _ONE)]
+                for q in range(n):
+                    triples += (1, G[l][i][q], G[q][j][t]), (-1, G[l][j][q], G[q][i][t])
+                upper[i, j] = _sum_products(triples)
+            return _tensor(n, 2, lambda i, j: upper[i, j] if i < j else -upper[j, i] if i > j else _ZERO)
+
+        return CurvatureTensor(n=n, R=_tensor(n, 2, block))
 
 
 @dataclass
@@ -91,8 +115,9 @@ class CMatrix:
 
 @_cached
 def standard_connection(b: HomogeneousBracket, s: int) -> Connection:
-    """Gamma_(s), cached on the bracket: the returned object is shared.  Each
-    entry is one _sum_products list with the multiplier -1/C(k, s)."""
+    """Gamma_(s), cached on the bracket: the returned connection is immutable
+    and shared.  Each entry is one _sum_products list with the multiplier
+    -1/C(k, s)."""
     if not 0 <= s <= b.k - 1:
         raise ValueError(f"s must lie in 0..{b.k - 1}, got {s}")
     named, glow = metric_pair(b)
@@ -123,7 +148,7 @@ def c_matrix(k: int) -> CMatrix:
 
 @_cached
 def flat_combination(b: HomogeneousBracket, s: int) -> Connection:
-    """Gamma_[s], cached on the bracket: the returned object is shared."""
+    """Gamma_[s], cached on the bracket: the returned connection is immutable and shared."""
     if not 0 <= s <= b.k - 1:
         raise ValueError(f"s must lie in 0..{b.k - 1}, got {s}")
     row = c_matrix(b.k).c[s]
@@ -136,36 +161,14 @@ def flat_combination(b: HomogeneousBracket, s: int) -> Connection:
 
 
 def curvature(conn: Connection) -> CurvatureTensor:
-    n, G = conn.n, conn.gamma
-
-    def block(l, t):
-        """R^l_{t,i,j} over (i, j): computed for i < j, mirrored for i > j."""
-        B = _tensor(n, 2, lambda i, j: Scalar.zero())
-        for i, j in combinations(range(n), 2):
-            triples = [(1, G[l][j][t].partial(i + 1), _ONE), (-1, G[l][i][t].partial(j + 1), _ONE)]
-            for q in range(n):
-                triples += (1, G[l][i][q], G[q][j][t]), (-1, G[l][j][q], G[q][i][t])
-            B[i][j], B[j][i] = (val := _sum_products(triples)), -val
-        return B
-
-    return CurvatureTensor(n=n, R=_tensor(n, 2, block))
-
-
-@_cached
-def _bracket_curvature(b: HomogeneousBracket, flat: bool, s: int) -> CurvatureTensor:
-    """The curvature of Gamma_[s] (flat) or Gamma_(s), cached on the bracket.
-
-    The key holds the bracket, never a Connection: a Connection is mutable,
-    so a curvature cached on one could go stale.
-    """
-    return curvature((flat_combination if flat else standard_connection)(b, s))
+    return conn.curvature
 
 
 def is_flat(conn: Connection) -> bool:
-    return curvature(conn).is_zero()
+    return conn.curvature.is_zero()
 
 
-def torsion(conn: Connection) -> list:
+def torsion(conn: Connection) -> tuple:
     G = conn.gamma
     return _tensor(conn.n, 3, lambda l, i, j: G[l][i][j] - G[l][j][i])
 
@@ -175,7 +178,7 @@ def flip_torsion(conn: Connection) -> Connection:
     return Connection(n=conn.n, gamma=_tensor(conn.n, 3, lambda l, i, j: G[l][j][i]))
 
 
-def nabla_tensor(conn: Connection, g: list, variance: str) -> list:
+def nabla_tensor(conn: Connection, g, variance: str) -> tuple:
     """Covariant derivative N[l][i][j] = nabla_l g^{ij} (or g_{ij}).
 
     The direction of differentiation sits in the first lower Christoffel

@@ -6,9 +6,9 @@ For the bivector P~ of a skew bracket, the induced odd vector field is
         + sum_{i,s} d_x^s(dP~/du^i) d/dtheta_i^s
 
 where dP~/dtheta_i and dP~/du^i are variational derivatives, cached on
-the bracket by bracket._variational (variational_pair returns both lists),
+the bracket by bracket._variational (variational_pair returns both tuples),
 whose theta half the skew check reads too.  D_P's image tables (_DP_images)
-hold the d_x chains of those lists, not the bracket.  The bracket
+hold the d_x chains of those tuples, not the bracket.  The bracket
 satisfies Jacobi exactly when D_P squares to zero, and since D_P^2 is again
 a derivation it suffices to test it on the generators u^i and theta_i.
 

@@ -30,7 +30,7 @@ from .bracket import (
     metric_pair,
 )
 from .connections import (
-    _bracket_curvature,
+    curvature,
     flat_combination,
     nabla_tensor,
     standard_connection,
@@ -100,7 +100,7 @@ def _torsion_labelled(conn):
 
 def _curvature_labelled(b: HomogeneousBracket):
     """The curvature components of Gamma_(0), labelled R^l_{t,i,j}; computed on the first draw."""
-    R = _bracket_curvature(b, False, 0).R
+    R = curvature(standard_connection(b, 0)).R
     yield from _labelled(b.n, 4, "R^{0}_{{{1},{2},{3}}}", lambda l, t, i, j: R[l][t][i][j])
 
 
@@ -134,7 +134,7 @@ def dn_check(b: HomogeneousBracket) -> list:
     ])
 
 
-def quadratic_tail(b: HomogeneousBracket, s: int = 0) -> list:
+def quadratic_tail(b: HomogeneousBracket, s: int = 0) -> tuple:
     """Symmetrized coefficients q[i][j][l][m] of u^{l,1} u^{m,1} in P_s."""
 
     def coefficient(i, j, l, m):

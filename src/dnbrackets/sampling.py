@@ -98,7 +98,7 @@ def random_monomial(
     return _wrap({(tuple(sorted(even.items())), odd): -coef if inversions % 2 else coef})
 
 
-def random_constant_matrix(rng: random.Random, n: int, parity: int) -> list:
+def random_constant_matrix(rng: random.Random, n: int, parity: int) -> tuple:
     """An invertible constant matrix, symmetric (parity +1) or skew (-1).
 
     Skew needs n even; the base is a shifted identity / symplectic block
@@ -110,18 +110,14 @@ def random_constant_matrix(rng: random.Random, n: int, parity: int) -> list:
     else:
         if n % 2:
             raise ValueError("skew invertible matrices need even size")
-        base = _tensor(n, 2, lambda i, j: Scalar.zero())
         half = n // 2
-        for i in range(half):
-            base[i][half + i] = Scalar.from_fraction(Fraction(i + 1))
-            base[half + i][i] = Scalar.from_fraction(Fraction(-(i + 1)))
-    pert = _tensor(n, 2, lambda i, j: Scalar.zero())
-    for i in range(n):
-        for j in range(i + 1, n):
-            q = Scalar.from_fraction(random_fraction(rng, 2))
-            pert[i][j] = q
-            pert[j][i] = q if parity == 1 else -q
-    cand = _tensor(n, 2, lambda i, j: base[i][j] + pert[i][j])
+        base = _tensor(n, 2, lambda i, j: Scalar.from_fraction(Fraction(i + 1)) if j == i + half
+                       else Scalar.from_fraction(Fraction(-(j + 1))) if i == j + half else Scalar.zero())
+    pert = {}
+    for i, j in combinations(range(n), 2):
+        pert[i, j] = q = Scalar.from_fraction(random_fraction(rng, 2))
+        pert[j, i] = q if parity == 1 else -q
+    cand = _tensor(n, 2, lambda i, j: base[i][j] + pert.get((i, j), Scalar.zero()))
     try:
         lower_metric(cand)
         return cand

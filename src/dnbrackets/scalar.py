@@ -400,10 +400,10 @@ def _zquo(a: dict, b: dict) -> dict | None:
     heapify(heap)
     quot = {}
     # every monomial added to rem is below the lead being removed, so each is
-    # popped after its last update; a popped key missing from rem was cancelled
+    # popped after its last update; one that cancelled stays in rem at 0 until then
     while heap:
         lead = heappop(heap)[1]
-        c = rem.pop(lead, 0)
+        c = rem.pop(lead)
         if not c:
             continue
         qm = _mono_div(lead, lead_b)
@@ -413,11 +413,11 @@ def _zquo(a: dict, b: dict) -> dict | None:
         if r:
             return None
         quot[qm] = qc
-        pairs = [(_mono_mul(qm, m), -qc * cm) for m, cm in tail]
-        for k, _ in pairs:
+        for m, cm in tail:
+            k = _mono_mul(qm, m)
             if k not in rem:
                 heappush(heap, (_mono_key(k), k))
-        rem = _collect(pairs, rem)
+            rem[k] = rem.get(k, 0) - qc * cm
     return quot
 
 

@@ -64,20 +64,16 @@ __all__ = [
 ]
 
 
-def require_poisson(b: HomogeneousBracket) -> None:
-    """Check (once per bracket) that b is skew and satisfies Jacobi."""
-    if not _is_poisson(b):
-        raise PreconditionError(
-            "bracket must be skew-symmetric and satisfy the Jacobi identity"
-        )
-
-
 @_cached
-def _is_poisson(b: HomogeneousBracket) -> bool:
+def require_poisson(b: HomogeneousBracket) -> None:
+    """Check that b is skew and satisfies Jacobi: once per bracket that does,
+    whose cache keeps None; a bracket that does not keeps nothing and raises."""
     try:
-        return check_jacobi(b)
+        if check_jacobi(b):
+            return
     except PreconditionError:
-        return False
+        pass
+    raise PreconditionError("bracket must be skew-symmetric and satisfy the Jacobi identity")
 
 
 def apply_D_graded(b: HomogeneousBracket, m: int, a: DiffPoly) -> DiffPoly:
@@ -233,7 +229,7 @@ def _d1_closed_ops(b: HomogeneousBracket) -> tuple:
     require_poisson(b)
     named = extract_named(b)
     n, k = b.n, b.k
-    h = named.h + [_tensor(n, 3, lambda i, j, l: named.g[i][j].partial(l + 1))]
+    h = named.h + (_tensor(n, 3, lambda i, j, l: named.g[i][j].partial(l + 1)),)
     factor = {(s, r, t): Fraction((-1) ** (k - t) * cf, 2)
               for s, r, t in product(range(k + 1), repeat=3) if (cf := comb(k + s - t, r))}
 

@@ -29,8 +29,8 @@ from dnbrackets.bracket import (
     validate,
 )
 from dnbrackets.cli import load_bracket, load_map
-from dnbrackets.connections import _bracket_curvature, flat_combination, standard_connection
-from dnbrackets.diffpoly import DiffPoly, _dx_upto, _sum
+from dnbrackets.connections import Connection, curvature, flat_combination, is_flat, standard_connection
+from dnbrackets.diffpoly import DiffPoly, _dx_upto, _Images, _sum
 from dnbrackets.errors import DegenerateMetricError, PreconditionError
 from dnbrackets.jacobi import _DP_images, check_jacobi, variational_pair
 from dnbrackets.sampling import random_constant_bracket, random_scalar
@@ -148,16 +148,18 @@ def test_lower_metric_rejects_degenerate():
 
 
 # accessor -> whether a second call hands back the very same object, or
-# ("parts") a new tuple of the very same objects
+# ("parts") a new tuple of the very same objects.  The connections are the
+# last ones, Gamma_(k-1) and Gamma_[k-1], which every degree has, and
+# bracket_curvature is the curvature cached on Gamma_[k-1].
 MEMOISED = {
     "bivector": (bivector, True),
     "extract_named": (extract_named, True),
     "metric_pair": (metric_pair, True),
     "variational_pair": (variational_pair, "parts"),
     "DP_images": (_DP_images, True),
-    "standard_connection": (lambda b: standard_connection(b, 1), True),
-    "flat_combination": (lambda b: flat_combination(b, 2), True),
-    "bracket_curvature": (lambda b: _bracket_curvature(b, True, 1), True),
+    "standard_connection": (lambda b: standard_connection(b, b.k - 1), True),
+    "flat_combination": (lambda b: flat_combination(b, b.k - 1), True),
+    "bracket_curvature": (lambda b: curvature(flat_combination(b, b.k - 1)), True),
     "skew_defects": (skew_defects, False),
 }
 
@@ -174,6 +176,64 @@ def test_memoised_accessors(nonflat2, name):
     else:
         # an equal copy of the cached value, so a caller cannot change the cache
         assert second == first and second is not first
+
+
+def verdicts(b: HomogeneousBracket) -> tuple:
+    """What the cached values of b decide: flatness of its last Gamma_[s], Jacobi, the lowered metric."""
+    return is_flat(flat_combination(b, b.k - 1)), check_jacobi(b), metric_pair(b)[1]
+
+
+def try_edits(value) -> None:
+    """Try to overwrite every item of value and of the tuples and records in
+    it, and every field of those records: each edit must be refused.  Only a
+    list, a fresh copy, takes an edit, after its items are tried.  A
+    derivation's image table (diffpoly._Images) fills itself on lookup, so it
+    is a dict and is left alone."""
+    if isinstance(value, _Images):
+        return
+    if dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, f.name, None)
+            try_edits(getattr(value, f.name))
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            try_edits(item)
+    if isinstance(value, list):
+        value[:] = [None]
+        return
+    with pytest.raises(TypeError):
+        value[0] = None
+
+
+@pytest.mark.parametrize("doc", ["nonflat2.json", "lc_k1_broken.json"])
+def test_cached_values_refuse_every_edit(doc):
+    b, fresh = load_bracket(fixture_path(doc)), load_bracket(fixture_path(doc))
+    want = verdicts(fresh)
+    named, glow = metric_pair(b)
+    values = [accessor(b) for accessor, _ in MEMOISED.values()]
+    values += [lower_metric(named.g), curvature(standard_connection(b, 0))]
+    for value in values:
+        try_edits(value)
+        assert verdicts(b) == want
+    # the edits of the Jacobi, connection and metric caches that a list would take
+    with pytest.raises(TypeError):
+        standard_connection(b, 0).gamma[0][0][0] += 1
+    with pytest.raises(TypeError):
+        variational_pair(b)[1][:] = [DiffPoly.zero()] * b.n
+    with pytest.raises(TypeError):
+        named.g[0][0] = named.g[0][0] + 1
+    assert verdicts(b) == want
+    assert verdicts(b)[0] == (doc == "nonflat2.json")  # Gamma_[2] is flat; lc_k1_broken's Gamma_[0] is not
+    assert curvature(flat_combination(b, 0)) is curvature(flat_combination(b, 0))
+
+
+def test_connection_copies_the_lists_it_is_given():
+    gamma = [[[S("u1")]]]
+    conn = Connection(n=1, gamma=gamma)
+    gamma[0][0][0] = S("u2")
+    assert conn.gamma == (((S("u1"),),),)
+    assert conn == Connection(n=1, gamma=(((S("u1"),),),))
 
 
 def test_cached_values_are_stored_only_on_success():

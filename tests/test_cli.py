@@ -11,7 +11,7 @@ import time
 import pytest
 
 from dnbrackets import cli, connections, jacobi, lowdegree, spectral
-from dnbrackets.bracket import CoordinateMap, _cached, skew_defects, transform, validate
+from dnbrackets.bracket import CoordinateMap, HomogeneousBracket, _cached, skew_defects, transform, validate
 from dnbrackets.cli import (
     MAX_DEGREE, MAX_DEGU, MAX_DIMENSION, MAX_SPAN, MAX_TENSOR, load_bracket, load_map, main,
 )
@@ -95,6 +95,22 @@ def test_transform_round_trip(capsys):
 def test_transform_without_map_fails(capsys):
     code, out, _ = run(capsys, "transform", fixture_path("lc_k1.json"))
     assert code == 1
+
+
+def test_transform_reports_a_round_trip_mismatch(monkeypatch, capsys):
+    # the way back loses P_0^{11} = 1/2*u1_1 of lc_k1, so the rows before it pass
+    def lossy(b, cmap):
+        out = transform(b, cmap)
+        if cmap.forward[1] == parse_scalar("u1*u2"):
+            return out
+        return HomogeneousBracket(out.n, out.k, {key: v for key, v in out.P.items() if key != (1, 1, 0)})
+
+    monkeypatch.setattr(cli, "transform", lossy)
+    code, out, _ = run(capsys, "transform", fixture_path("lc_k1.json"), "--map",
+                       fixture_path("map_product.json"))
+    assert code == 1
+    assert "round-trip recovers the original  FAIL" in out
+    assert out.rstrip().endswith("P_0^{11}: 0 != 1/2*u1_1\n\n2 passed, 1 failed, 0 skipped")
 
 
 # P_0^{12} of a short document with a deep jet -> its weight, which makes it inhomogeneous
@@ -218,6 +234,34 @@ def test_lowdegree_skips_degree3_outside_normal_form(tmp_path, capsys):
     assert "0 passed, 0 failed, 1 skipped" in out
     (row,) = json.loads(target.read_text())["checks"]
     assert row["seconds"] > 0  # the extraction and the rebuild it skips on
+
+
+def test_lowdegree_skips_degree3_when_the_normal_form_refuses_g(tmp_path, capsys):
+    # potemin_build raises on a leading coefficient that is not symmetric
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"dimension": 2, "degree": 3, "entries": [[3, 1, 2, "1"]]}))
+    target = tmp_path / "report.json"
+    code, out, _ = run(capsys, "lowdegree", str(path), "--json", str(target))
+    assert code == 0
+    assert "0 passed, 0 failed, 1 skipped" in out
+    (row,) = json.loads(target.read_text())["checks"]
+    assert (row["name"], row["status"]) == ("degree-3 normal form", "skip")
+    assert row["witness"] == "leading coefficient must be symmetric: entry (1,2)"
+
+
+def test_graded_d1_check_reports_a_nonzero_square_of_d1_0(monkeypatch, tmp_path, capsys):
+    # d1^(0) applied twice is the only sum made of "same" alone; its value is
+    # moved by u1, so the graded row fails on the first monomial, 1, and no other row does
+    def moved(b, terms):
+        value = spectral.d1_sum(b, terms)
+        return value + DiffPoly.coordinate(1) if [form for form, *_ in terms] == ["same"] else value
+
+    monkeypatch.setattr(cli, "d1_sum", moved)
+    target = tmp_path / "report.json"
+    code, _, _ = run(capsys, "spectral", fixture_path("lc_k1.json"), "--json", str(target))
+    assert code == 1
+    assert [(c["name"], c["status"], c["witness"]) for c in json.loads(target.read_text())["checks"]
+            if c["status"] != "pass"] == [("graded identities of d_1", "fail", "(d1^(0))^2 on 1: u1")]
 
 
 def test_spectral_command(tmp_path, capsys):

@@ -164,7 +164,7 @@ def _c_row(k, s):
 
 def curvature_oracle(n, G):
     def block(l, t):
-        B = _tensor(n, 2, lambda i, j: ZERO)
+        B = [[ZERO] * n for _ in range(n)]
         for i, j in combinations(range(n), 2):
             val = G[l][j][t].partial(i + 1) - G[l][i][t].partial(j + 1)
             for q in range(n):
@@ -262,7 +262,7 @@ def row_sum_oracle(row, make, order):
 def closed_ops_oracle(b):
     named = extract_named(b)
     n, k = b.n, b.k
-    h = named.h + [_tensor(n, 3, lambda i, j, l: named.g[i][j].partial(l + 1))]
+    h = [*named.h, _tensor(n, 3, lambda i, j, l: named.g[i][j].partial(l + 1))]
 
     def w(s, l, orders):
         return _sum(
@@ -359,7 +359,7 @@ def test_gauss_jordan_matches_the_pairwise_body():
     for name, b in brackets().items():
         g = extract_named(b).g
         n = len(g)
-        aug = [g[i] + [Scalar.one() if i == j else ZERO for j in range(n)] for i in range(n)]
+        aug = [[*g[i]] + [Scalar.one() if i == j else ZERO for j in range(n)] for i in range(n)]
         inputs = [aug]
         if b.k > 1:
             try:

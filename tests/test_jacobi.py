@@ -419,7 +419,7 @@ def monge_data(terms):
     psis = [(phi, (a1 - beta * u2, a2 + beta * u1)) for phi, (a1, a2), beta in terms]
     zero = Scalar.zero()
     L = [[sum((phi * p[i] * p[j] for phi, p in psis), zero) for j in range(2)] for i in range(2)]
-    g = lower_metric(L)
+    g = [list(row) for row in lower_metric(L)]
     low = [[[(L[a][m].partial(k + 1) - L[a][k].partial(m + 1)) / 3 for m in range(2)]
             for k in range(2)] for a in range(2)]
     c = [[[sum((g[i][p] * g[j][q] * low[q][p][l] for p in range(2) for q in range(2)), zero)

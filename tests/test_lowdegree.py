@@ -457,7 +457,7 @@ def test_k4_each_closed_form_compares_its_own_connection(monkeypatch):
         conn = standard(b, s)
         if s != 1:
             return conn
-        gamma = [[row[:] for row in block] for block in conn.gamma]
+        gamma = [[list(row) for row in block] for block in conn.gamma]
         gamma[1][0][1] = gamma[1][0][1] + S("u1")
         return Connection(n=conn.n, gamma=gamma)
 

@@ -9,6 +9,7 @@ import random
 import time
 from decimal import Decimal
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 import pytest
@@ -30,6 +31,7 @@ from dnbrackets.scalar import (
     _expand,
     _factored,
     _partial,
+    _mono_div,
     _mono_key,
     _mono_mul,
     _plead,
@@ -45,6 +47,7 @@ from dnbrackets.scalar import (
     _sum_products,
     _zeval,
     _zgcd,
+    _zquo,
     parse_scalar,
     partial_u,
     scalar_arith,
@@ -600,6 +603,79 @@ def test_zeval_matches_the_per_term_oracle():
         assert _zeval(f, x, xi) == zeval_oracle(f, x, xi), (f, x, xi)
         cases += any(m and m[0][0] == x for m in f)
     assert cases > 100  # most draws do contain x
+
+
+def zquo_oracle(a, b):
+    """_zquo as first written: the remainder copied by _collect once per quotient term."""
+    lead_b, cb = _plead(b)
+    tail = [(m, c) for m, c in b.items() if m != lead_b]
+    rem = dict(a)
+    heap = [(_mono_key(m), m) for m in rem]
+    heapify(heap)
+    quot = {}
+    while heap:
+        lead = heappop(heap)[1]
+        c = rem.pop(lead, 0)
+        if not c:
+            continue
+        qm = _mono_div(lead, lead_b)
+        if qm is None:
+            return None
+        qc, r = divmod(c, cb)
+        if r:
+            return None
+        quot[qm] = qc
+        pairs = [(_mono_mul(qm, m), -qc * cm) for m, cm in tail]
+        for k, _ in pairs:
+            if k not in rem:
+                heappush(heap, (_mono_key(k), k))
+        rem = _collect(pairs, rem)
+    return quot
+
+
+def zquo_pairs(seed: int = 107, count: int = 3000):
+    """(a, b) integer polynomials in u1..u3: a multiple a of b, half of them
+    moved by a few terms, so that most of those are refused."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        b = random_polynomial(rng, 3, terms=4, deg=2)._n
+        a = _pmul(b, random_polynomial(rng, 3, terms=5, deg=3)._n)
+        if rng.random() < 0.5:
+            a = _collect(random_polynomial(rng, 3, terms=2, deg=4)._n.items(), a)
+        if a and b:
+            yield a, b
+
+
+def factor_family_divisions(seed: int = 109):
+    """(a, b) over the denominators d of FACTOR_FAMILIES: d by each of its
+    factors, by that factor once more than d has it, and a random multiple
+    of d, alone and plus 1, by d."""
+    rng = random.Random(seed)
+    polys = factor_polys()
+    for dens in FACTOR_FAMILIES.values():
+        for exps, _ in dens:
+            den = _rescale(factor_product(polys, exps), rng.choice((1, 2, 6)), 1)
+            for name, e in exps.items():
+                yield den, polys[name]
+                yield den, factor_product(polys, {name: e + 1})
+            num = _pmul(random_polynomial(rng, 3, terms=3, deg=2)._n, den)
+            yield num, den
+            yield _collect([((), 1)], num), den
+
+
+def test_zquo_matches_the_copying_loop():
+    """The quotient, its order and every refusal are those of the loop that
+    copied its remainder, and a quotient times the divisor is the dividend."""
+    exact = refused = 0
+    for a, b in [*zquo_pairs(), *factor_family_divisions()]:
+        got, want = _zquo(a, b), zquo_oracle(a, b)
+        assert got == want and (got is None or list(got) == list(want)), (a, b)
+        if got is None:
+            refused += 1
+        else:
+            exact += 1
+            assert _pmul(got, b) == a
+    assert exact > 1000 and refused > 1000
 
 
 def _split_content(p):

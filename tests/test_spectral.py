@@ -470,7 +470,7 @@ def closed_ops_oracle(b):
     """_d1_closed_ops by projection: build each whole W_{s,l}, keep its terms
     with 1 + [s = k] thetas of order k as W_up and subtract them for W_same."""
     named, n, k = extract_named(b), b.n, b.k
-    h = named.h + [_tensor(n, 3, lambda i, j, l: named.g[i][j].partial(l + 1))]
+    h = [*named.h, _tensor(n, 3, lambda i, j, l: named.g[i][j].partial(l + 1))]
 
     def w(s, l):
         return _sum(
